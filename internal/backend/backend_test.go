@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // conformance runs the same behavioural suite against any Store
@@ -400,5 +401,47 @@ func BenchmarkMemStoreWrite4K(b *testing.B) {
 		if _, err := f.WriteAt(buf, int64(i%1024)*4096); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// The store's mutex is a leaf: file operations take it (for the I/O
+// counters) while holding the file's own lock, so Stat and TotalBytes
+// must not hold it while waiting for a file lock — a writer, a reader
+// and a Stat of the same file used to deadlock (writer holds the file,
+// wants the store; Stat holds the store, wants the file).
+func TestMemStoreStatDuringWritesDoesNotDeadlock(t *testing.T) {
+	s := NewMemStore()
+	f, err := s.Open("f", OpenCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		// Large writes hold the file lock long enough for a Stat to
+		// arrive in between.
+		buf := make([]byte, 1<<20)
+		for _, op := range []func(){
+			func() { f.WriteAt(buf, 0) },
+			func() { f.ReadAt(make([]byte, 64), 0) },
+			func() { s.Stat("f") },
+			func() { s.TotalBytes() },
+		} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2000; i++ {
+					op()
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("MemStore deadlocked: Stat/TotalBytes against concurrent file I/O")
 	}
 }

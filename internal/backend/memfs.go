@@ -118,9 +118,11 @@ func (s *MemStore) List() ([]string, error) {
 
 // Stat implements Store.
 func (s *MemStore) Stat(name string) (int64, error) {
+	// s.mu is a leaf: file operations take it (for the counters) while
+	// holding a file's lock, so it is released before d.mu is taken.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	d, ok := s.files[name]
+	s.mu.Unlock()
 	if !ok {
 		return 0, fmt.Errorf("stat %q: %w", name, ErrNotExist)
 	}
@@ -146,9 +148,13 @@ func (s *MemStore) ResetStats() {
 // TotalBytes returns the sum of all file sizes (the RAM disk's du).
 func (s *MemStore) TotalBytes() int64 {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
+	files := make([]*memData, 0, len(s.files))
 	for _, d := range s.files {
+		files = append(files, d)
+	}
+	s.mu.Unlock() // leaf lock, as in Stat
+	var total int64
+	for _, d := range files {
 		d.mu.RLock()
 		total += int64(len(d.data))
 		d.mu.RUnlock()

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/faultfs"
 	"lamassu/internal/fstest"
+	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
 	"lamassu/internal/vfs"
 )
@@ -502,4 +504,133 @@ func TestZeroAllocPendingRead(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("pending-hit ReadAt allocates %.1f times per op, want 0", allocs)
 	}
+}
+
+// TestPlanExtents table-tests the one adjacency rule both directions
+// plan under. Blocks are data-block indices in the default geometry
+// (K = 118 blocks per segment); F is a block stored full-slot, S one
+// stored short.
+func TestPlanExtents(t *testing.T) {
+	geo := layout.Default()
+	bs := geo.BlockSize
+	k := int64(geo.KeysPerSegment())
+	planner := func(perBlock bool, stripeBlocks int64) *file {
+		fs := &FS{geo: geo, cfg: Config{DisableCoalescing: perBlock}}
+		if stripeBlocks > 0 {
+			fs.sharded = stripedPlanStore{&planStore{stripe: stripeBlocks * int64(bs)}}
+		}
+		return &file{fs: fs, name: "f"}
+	}
+	bounds := func(exts []extent) [][2]int {
+		out := make([][2]int, len(exts))
+		for i, x := range exts {
+			out[i] = [2]int{x.lo, x.hi}
+		}
+		return out
+	}
+	plan := func(f *file, blocks []int64, mix string) []extent {
+		return f.planExtents(len(blocks),
+			func(i int) int64 { return blocks[i] },
+			func(i int) int {
+				if mix[i] == 'S' {
+					return bs / 2
+				}
+				return bs
+			})
+	}
+	seq := func(from int64, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = from + int64(i)
+		}
+		return out
+	}
+
+	for _, tc := range []struct {
+		name         string
+		perBlock     bool
+		stripeBlocks int64
+		blocks       []int64
+		mix          string
+		want         [][2]int
+	}{
+		{"all-full neighbours merge", false, 0, seq(0, 6), "FFFFFF", [][2]int{{0, 6}}},
+		{"short block ends its extent, and may be its last block", false, 0,
+			seq(0, 6), "FFSFSS", [][2]int{{0, 3}, {3, 5}, {5, 6}}},
+		{"gap splits", false, 0, []int64{0, 1, 3, 4}, "FFFF", [][2]int{{0, 2}, {2, 4}}},
+		// Block i is physical block i+1, so 4-block stripes end after
+		// blocks 2 and 6.
+		{"stripe edge splits", false, 4, seq(0, 8), "FFFFFFFF", [][2]int{{0, 3}, {3, 7}, {7, 8}}},
+		{"segment edge splits", false, 0, seq(k-2, 4), "FFFF", [][2]int{{0, 2}, {2, 4}}},
+		{"merge off: one extent per block", true, 0, seq(0, 4), "FFSF",
+			[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := bounds(plan(planner(tc.perBlock, tc.stripeBlocks), tc.blocks, tc.mix))
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("extents %v, want %v", got, tc.want)
+			}
+		})
+	}
+
+	t.Run("every extent carries its offset and owner", func(t *testing.T) {
+		f := planner(false, 4)
+		for _, x := range plan(f, seq(0, 8), "FFFFFFFF") {
+			off := geo.DataBlockOffset(int64(x.lo))
+			if x.off != off || x.shard != f.fs.sharded.ShardOf("f", off) {
+				t.Fatalf("extent %+v: want off %d shard %d", x, off, f.fs.sharded.ShardOf("f", off))
+			}
+		}
+		if x := plan(planner(false, 0), seq(0, 2), "FF")[0]; x.shard != -1 {
+			t.Fatalf("unsharded extent owned by shard %d, want -1", x.shard)
+		}
+	})
+
+	// A raw segment is the all-full case of a compressed one; and the
+	// commit's view of a batch (sorted slots + encoded lengths) plans
+	// the same boundaries as a read's view of the same blocks (spans +
+	// the sealed length table) — the promise that what was written as
+	// one I/O is fetched as one I/O.
+	t.Run("raw equals all-full, commit plan equals read plan", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for round := 0; round < 50; round++ {
+			f := planner(false, int64(rng.Intn(3))*3) // unsharded, or 3/6-block stripes
+			const si = 2
+			raw := layout.NewMetaBlock(geo, si)
+			full := layout.NewMetaBlock(geo, si)
+			full.InitCompressed()
+			mixed := layout.NewMetaBlock(geo, si)
+			mixed.InitCompressed()
+			var slots, lens []int
+			var spans []vfs.Span
+			for s := 0; s < int(k); s++ {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				units := geo.UnitsPerBlock()
+				if rng.Intn(3) == 0 {
+					units = 1 + rng.Intn(units-1)
+				}
+				full.SetStoredLen(s, uint8(geo.UnitsPerBlock()))
+				mixed.SetStoredLen(s, uint8(units))
+				slots = append(slots, s)
+				lens = append(lens, units*layout.LenUnit)
+				spans = append(spans, vfs.Span{Index: si*k + int64(s)})
+			}
+			readPlan := func(meta *layout.MetaBlock) [][2]int {
+				return bounds(f.planExtents(len(spans),
+					func(i int) int64 { return spans[i].Index },
+					func(i int) int { return storedBytes(meta, geo.SlotOfBlock(spans[i].Index), bs) }))
+			}
+			if r, c := readPlan(raw), readPlan(full); !reflect.DeepEqual(r, c) {
+				t.Fatalf("round %d: raw plan %v != all-full compressed plan %v", round, r, c)
+			}
+			commitPlan := bounds(f.planExtents(len(slots),
+				func(i int) int64 { return si*k + int64(slots[i]) },
+				func(i int) int { return lens[i] }))
+			if r := readPlan(mixed); !reflect.DeepEqual(commitPlan, r) {
+				t.Fatalf("round %d: commit plan %v != read plan %v", round, commitPlan, r)
+			}
+		}
+	})
 }

@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
+	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
 )
 
@@ -20,13 +23,23 @@ import (
 //  3. Write the metadata block again with the flag cleared and the
 //     transient slots zeroed.
 //
-// A batch of m blocks costs m+2 backing I/Os in the paper's per-block
-// engine. With coalescing enabled (the default), adjacent pending
-// slots — which are contiguous on disk within a segment — are merged
-// into runs, each run encrypted into one slab and issued as a single
-// WriteAt, so the batch costs runs+2 backing I/Os instead. Runs split
-// at shard stripe boundaries so each WriteAt lands on exactly one
-// shard and is charged to that shard's slice of the worker pool.
+// There is one pipeline, and every mode is a parameter of it:
+//
+//	derive keys → drop already-durable blocks → encode fan-out →
+//	chunk by transient capacity → per chunk: phase 1 → write the
+//	planned extents → extent pad → phase 3
+//
+//	mode         extent rule (planExtents)          payload per block
+//	raw          merge full-slot neighbours          BlockSize
+//	compressed   same; a short block ends its extent stored length (encode)
+//	per-block    never merge                         as raw / compressed
+//	sharded      also split at stripe edges          unchanged
+//
+// A batch of m blocks costs extents+2 backing I/Os: m+2 in the paper's
+// per-block mode (Config.DisableCoalescing), and as little as 3 for a
+// whole segment of adjacent full-slot blocks. Extents split at shard
+// stripe boundaries so each WriteAt lands on exactly one shard and is
+// charged to that shard's slice of the worker pool.
 //
 // The transient slots only need to preserve the previous keys of
 // blocks that were live before the commit; a block that was a hole (a
@@ -34,31 +47,43 @@ import (
 // crash recovery already treat "keyed block whose data never landed"
 // as that hole. Batching is therefore bounded by R *overwritten live
 // blocks*, not R pending blocks: a purely sequential append buffers a
-// whole segment and commits it with one run — 3 backing I/Os for 118
-// blocks — while overwrites of live data still commit every R writes
-// exactly as the paper prescribes. The per-block engine
-// (Config.DisableCoalescing) keeps the original R-pending policy.
+// whole segment and commits it with one extent — 3 backing I/Os for
+// 118 blocks — while overwrites of live data still commit every R
+// writes exactly as the paper prescribes. The per-block mode keeps the
+// original R-pending policy (see batchCaps).
 //
-// The CPU-bound per-block work fans out across the FS worker pool:
-// phase 1's convergent key derivations run in parallel before the
-// phase-1 metadata barrier, and phase 2's encrypt+write tasks run in
-// parallel between the two metadata barriers. The barriers themselves
-// — and therefore the §2.4 crash-consistency guarantees — are exactly
-// the serial protocol's: no data block is written before the phase-1
-// metadata write completes, and the phase-3 write begins only after
-// every data block write has returned.
+// The CPU-bound per-block work fans out across the FS worker pool and
+// all of it — key derivation and the encode (compress + encrypt) of
+// every pending block — runs BEFORE the phase-1 barrier: a compressed
+// segment's stored lengths land in the same sealed metadata write that
+// publishes the new keys, so they must exist up front. That is pure
+// CPU work with no backend I/O, so the barriers — and therefore the
+// §2.4 crash-consistency guarantees — are exactly the serial
+// protocol's: no data block is written before the phase-1 metadata
+// write completes, and the phase-3 write begins only after every data
+// write has returned.
+//
+// A compressed segment's length table costs layout.LenSlots() of the R
+// reserved slots, so one phase can stage at most meta.EffReserved()
+// live overwrites. This FS's own write triggers bound batches
+// accordingly, but a compression-off FS writing into a segment some
+// other mount compressed can legally arrive with up to R — the batch is
+// partitioned into consecutive chunks, each its own complete phase 1–3
+// commit. A crash between chunks leaves earlier chunks fully committed
+// and later ones never started: exactly the state a crash between two
+// independent commits leaves.
 //
 // Cancellation (API v2): ctx is observed before every backend write —
-// between the phase barriers and between the individual block/run
-// writes of phase 2 — never inside one. A cancellation point is
-// therefore exactly a crash point of the existing sweeps: phase 1
-// canceled leaves the old committed state intact, phase 2 canceled
-// leaves the segment midupdate with a recoverable mix of old and new
-// blocks, and phase 3 canceled leaves a fully-written segment whose
-// marker the next recovery clears. The pending buffers stay staged, so
-// retrying the commit with a live context converges (the midupdate
-// repair at the top of this function plus the already-durable drop
-// below re-commit only what never landed).
+// between the phase barriers and between the individual extent writes
+// of phase 2 — never inside one. A cancellation point is therefore
+// exactly a crash point of the existing sweeps: phase 1 canceled leaves
+// the old committed state intact, phase 2 canceled leaves the segment
+// midupdate with a recoverable mix of old and new blocks, and phase 3
+// canceled leaves a fully-written segment whose marker the next
+// recovery clears. The pending buffers stay staged, so retrying the
+// commit with a live context converges (the midupdate repair at the top
+// of this function plus the already-durable drop below re-commit only
+// what never landed).
 //
 // The caller must hold seg.mu exclusively.
 func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error {
@@ -69,11 +94,10 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 		seg.liveOverwrites = 0
 		return nil
 	}
-	if f.fs.cfg.DisableCoalescing && len(seg.pending) > f.fs.geo.Reserved {
-		// The per-block batching policy commits at R, so this is a bug
-		// guard.
-		return fmt.Errorf("lamassu: internal error: %d pending blocks exceed R=%d in segment %d",
-			len(seg.pending), f.fs.geo.Reserved, si)
+	if _, pendCap := f.fs.batchCaps(); len(seg.pending) > pendCap {
+		// The write trigger commits at the cap, so this is a bug guard.
+		return fmt.Errorf("lamassu: internal error: %d pending blocks exceed the batch cap %d in segment %d",
+			len(seg.pending), pendCap, si)
 	}
 	if err := f.ensureMeta(ctx, seg, si); err != nil {
 		return err
@@ -99,13 +123,8 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 	}
 	sort.Ints(slots)
 
-	// Phase 1: derive the new convergent keys (fanned out — the SHA-256
-	// block hashes dominate the write path, Figure 9), then stage the
-	// old keys of live blocks into the transient slots, install the new
-	// keys, mark midupdate, persist. Hole slots stage nothing: recovery
-	// and the mid-update read path identify old contents by the hash
-	// check, and a keyed block whose data never landed reads back as
-	// the hole it was.
+	// Derive the new convergent keys (fanned out — the SHA-256 block
+	// hashes dominate the write path, Figure 9).
 	newKeys := make([]cryptoutil.Key, len(slots))
 	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
 		k, err := f.fs.deriveKey(seg.pending[slots[i]])
@@ -127,8 +146,8 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 	// exactly these keys, and re-staging them would both waste I/O and
 	// overflow the R transient slots (they were fresh when the
 	// batching trigger counted them). Identical same-content
-	// overwrites get the same free pass. (Coalesced engine only: the
-	// per-block engine keeps the paper's exact I/O accounting.)
+	// overwrites get the same free pass. (Not in per-block mode, which
+	// keeps the paper's exact I/O accounting.)
 	if !f.fs.cfg.DisableCoalescing {
 		kept := 0
 		for i, s := range slots {
@@ -142,11 +161,7 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 		if kept == 0 {
 			// Everything was already on disk; nothing to commit. The
 			// logical size, if dirty, is persistSize's job.
-			for _, buf := range seg.pending {
-				f.fs.slabs.put(buf)
-			}
-			clear(seg.pending)
-			seg.liveOverwrites = 0
+			f.releasePending(seg)
 			return nil
 		}
 	}
@@ -161,23 +176,56 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 		meta.InitCompressed()
 	}
 
-	var sizeAtCommit int64
-	if meta.Compressed() {
-		sizeAtCommit, err = f.commitCompressed(ctx, seg, si, slots, newKeys)
-	} else {
-		sizeAtCommit, err = f.commitRaw(ctx, seg, si, slots, newKeys)
-	}
+	// Encode fan-out: cts holds one BlockSize-strided slot per block,
+	// with lens[i] payload bytes at the front (always BlockSize in a raw
+	// segment — a full-segment batch must not serialize ~half a megabyte
+	// of AES on one goroutine either way).
+	bs := f.fs.geo.BlockSize
+	cts := f.fs.slabs.get(len(slots) * bs)
+	defer f.fs.slabs.put(cts)
+	lens := make([]int, len(slots))
+	err = f.fs.pool.run(ctx, len(slots), func(i int) error {
+		n, err := f.fs.encode(cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i], meta.Compressed())
+		if err != nil {
+			return fmt.Errorf("lamassu: encoding segment %d slot %d: %w", si, slots[i], err)
+		}
+		lens[i] = n
+		return nil
+	})
 	if err != nil {
 		return err
 	}
 
-	// The pending buffers came from the slab pool (pendingBlock);
-	// recycle them now that their ciphertext is durable.
-	for _, buf := range seg.pending {
-		f.fs.slabs.put(buf)
+	// One phase 1–3 commit per chunk of at most EffReserved live
+	// overwrites.
+	var sizeAtCommit int64
+	for lo := 0; lo < len(slots); {
+		hi, overwrites := lo, 0
+		for hi < len(slots) {
+			if !meta.StableKey(slots[hi]).IsZero() {
+				if overwrites == meta.EffReserved() {
+					break
+				}
+				overwrites++
+			}
+			hi++
+		}
+		if hi < len(slots) && !meta.Compressed() {
+			// The overwrite-bounded batching policy must leave enough
+			// transient slots for every live block this commit
+			// replaces; in a raw segment a violation is a bug in the
+			// trigger accounting, caught here before any state changes.
+			return fmt.Errorf("lamassu: internal error: more than R=%d live blocks overwritten in segment %d",
+				f.fs.geo.Reserved, si)
+		}
+		sizeAtCommit, err = f.commitChunk(ctx, seg, si, slots[lo:hi], newKeys[lo:hi], lens[lo:hi], cts[lo*bs:hi*bs])
+		if err != nil {
+			return err
+		}
+		lo = hi
 	}
-	clear(seg.pending)
-	seg.liveOverwrites = 0
+
+	f.releasePending(seg)
 
 	// The final metadata block now carries the size this commit
 	// observed; only mark the size clean if it has not moved since
@@ -191,35 +239,49 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 	return nil
 }
 
-// commitRaw runs phases 1–3 for a raw (uncompressed) segment — the
-// protocol exactly as it stood before compression existed; compressed
-// segments take commitCompressed instead. Returns the logical size the
-// phase-1 barrier persisted. The caller must hold seg.mu exclusively.
-func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) (int64, error) {
-	meta := seg.meta
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-	// The overwrite-bounded batching policy must leave enough transient
-	// slots for every live block this commit replaces; a violation is a
-	// bug in the trigger accounting, caught here before any state
-	// changes.
-	overwrites := 0
-	for _, s := range slots {
-		if !meta.StableKey(s).IsZero() {
-			overwrites++
-		}
+// releasePending recycles the segment's pending buffers — they came
+// from the slab pool (pendingBlock) — once their ciphertext is durable.
+func (f *file) releasePending(seg *segment) {
+	for _, buf := range seg.pending {
+		f.fs.slabs.put(buf)
 	}
-	if overwrites > f.fs.geo.Reserved {
-		return 0, fmt.Errorf("lamassu: internal error: %d live blocks overwritten exceed R=%d in segment %d",
-			overwrites, f.fs.geo.Reserved, si)
-	}
+	clear(seg.pending)
+	seg.liveOverwrites = 0
+}
 
+// commitChunk runs one complete phase 1–3 commit for a chunk whose live
+// overwrites fit the segment's transient capacity. cts holds the
+// chunk's pre-encoded ciphertexts, one BlockSize-strided slot each,
+// with lens[i] valid payload bytes at the front. Returns the logical
+// size the phase-1 barrier persisted. The caller must hold seg.mu
+// exclusively.
+func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key, lens []int, cts []byte) (int64, error) {
+	meta := seg.meta
+	compressed := meta.Compressed()
+	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
+
+	// Phase 1: stage the old key of each live block into a transient
+	// slot, install the new keys, mark midupdate, persist. Hole slots
+	// stage nothing: recovery and the mid-update read path identify old
+	// contents by the hash check, and a keyed block whose data never
+	// landed reads back as the hole it was. A compressed segment pairs
+	// each staged key with the block's old stored length, and the
+	// pairing is load-bearing: old contents are decoded with transient
+	// key r at OldLen(r) — a key without its length could not be
+	// decoded at all.
 	ti := 0
 	for i, s := range slots {
 		if old := meta.StableKey(s); !old.IsZero() {
 			meta.SetTransientKey(ti, old)
+			if compressed {
+				meta.SetOldLen(ti, uint8(meta.StoredLen(s)))
+			}
 			ti++
 		}
 		meta.SetStableKey(s, newKeys[i])
+		if compressed {
+			meta.SetStoredLen(s, uint8(lens[i]/layout.LenUnit))
+		}
 	}
 	meta.NTransient = uint32(ti)
 	meta.SetMidUpdate(true)
@@ -246,14 +308,9 @@ func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []in
 		f.fs.cache.invalidateDataBlocks(f.name, dbis)
 	}
 
-	// Phase 2: encrypt and write the data blocks between the two
-	// metadata barriers.
-	var err error
-	if f.fs.cfg.DisableCoalescing {
-		err = f.commitBlocks(ctx, seg, si, slots, newKeys)
-	} else {
-		err = f.commitCoalesced(ctx, seg, si, slots, newKeys)
-	}
+	// Phase 2: write the stored payloads between the two metadata
+	// barriers.
+	err := f.writeExtents(ctx, si, slots, lens, cts)
 	// Second half of the invalidation bracket around phase 2, on the
 	// success and error paths alike.
 	if f.fs.cache != nil {
@@ -262,8 +319,14 @@ func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []in
 	if err != nil {
 		return 0, err
 	}
+	last := len(slots) - 1
+	if err := f.padExtent(ctx, si*keysPerSeg+int64(slots[last]), lens[last]); err != nil {
+		return 0, fmt.Errorf("lamassu: commit phase 2 (segment %d extent pad): %w", si, err)
+	}
 
-	// Phase 3: clear the update marker.
+	// Phase 3: clear the update marker. ClearTransient preserves the
+	// stable length table in compressed mode and zeroes the old
+	// lengths alongside the transient keys.
 	meta.SetMidUpdate(false)
 	meta.ClearTransient()
 	if err := f.fs.writeMeta(ctx, f.bf, f.name, meta); err != nil {
@@ -276,160 +339,194 @@ func (f *file) commitRaw(ctx context.Context, seg *segment, si int64, slots []in
 	return sizeAtCommit, nil
 }
 
-// commitBlocks is the paper's per-block phase 2: each pending block is
-// encrypted and written with its own backend WriteAt, fanned out
-// across the pool. Each task owns a disjoint slice of one ciphertext
-// slab; with a serial pool the tasks run back to back, so a single
-// block of scratch is reused instead (the backend is required to
-// support concurrent WriteAt — os files and the memory store do).
-// Over a sharded store each task is charged to the budget of the
-// shard that owns its block, so commits into one hot shard queue on
-// that shard's slice of the pool instead of starving the others.
-func (f *file) commitBlocks(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) error {
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-	bs := f.fs.geo.BlockSize
-	ctSlab := bs
-	if f.fs.pool.Width() > 1 {
-		ctSlab = len(slots) * bs
+// extent is one planned backend data I/O: blocks [lo, hi) of the
+// caller's ascending block list, whose stored payloads are contiguous
+// on disk — (hi-lo-1) full slots plus the last block's stored length,
+// starting at backing offset off — and owned by one shard (-1 when the
+// store is unsharded).
+type extent struct {
+	lo, hi int
+	off    int64
+	shard  int
+}
+
+// planExtents partitions blocks 0..n-1 — ascending data-block indices
+// block(i), each holding stored(i) payload bytes at the front of its
+// fixed slot — into the extents the commit writes and the read path
+// fetches. This is the only place the adjacency rule is written: block
+// i extends the current extent iff merging is on (off selects the
+// paper's one-I/O-per-block mode), it is the next block on disk in the
+// same segment (a metadata block separates segments), no shard stripe
+// edge lies between the two (stripes are block-aligned, so contiguous
+// blocks can only change shards at a stripe edge), and block i-1 is
+// stored full-slot (a short payload leaves dead slack before the next
+// slot, which is not ours to write or worth reading). A raw segment is
+// the case where every stored length is BlockSize. Both directions
+// plan through here, so what a commit wrote as one I/O a read fetches
+// as one I/O.
+func (f *file) planExtents(n int, block func(int) int64, stored func(int) int) []extent {
+	geo := f.fs.geo
+	bs := int64(geo.BlockSize)
+	merge := !f.fs.cfg.DisableCoalescing
+	var stripe int64
+	if f.fs.sharded != nil {
+		stripe = f.fs.sharded.StripeBytes()
 	}
-	cts := f.fs.slabs.get(ctSlab)
-	defer f.fs.slabs.put(cts)
-	writeBlock := func(i int) error {
-		s := slots[i]
-		ct := cts[:bs]
-		if ctSlab > bs {
-			ct = cts[i*bs : (i+1)*bs]
+	exts := make([]extent, 0, 4)
+	shard, shardStripe := -1, int64(0)
+	for i := 0; i < n; i++ {
+		b := block(i)
+		off := geo.DataBlockOffset(b)
+		if i > 0 && merge && b == block(i-1)+1 && geo.SegmentOfBlock(b) == geo.SegmentOfBlock(b-1) &&
+			(stripe <= 0 || (off-bs)/stripe == off/stripe) && int64(stored(i-1)) == bs {
+			exts[len(exts)-1].hi = i + 1
+			continue
 		}
-		if err := f.fs.encryptBlock(ct, seg.pending[s], newKeys[i]); err != nil {
-			return err
+		// One owner lookup per stripe: offsets within a stripe share a
+		// shard, and a whole-file-placed store (stripe <= 0) needs a
+		// single lookup for all blocks.
+		if f.fs.sharded != nil && (shard < 0 || (stripe > 0 && off/stripe != shardStripe)) {
+			shard = f.fs.sharded.ShardOf(f.name, off)
+			if stripe > 0 {
+				shardStripe = off / stripe
+			}
 		}
-		dbi := si*keysPerSeg + int64(s)
+		exts = append(exts, extent{lo: i, hi: i + 1, off: off, shard: shard})
+	}
+	return exts
+}
+
+// writeExtents is phase 2, the one place a commit writes data: the
+// chunk's pre-encoded payloads go out as the planned extents, one
+// backend WriteAt each. An extent's payload is contiguous in the slab
+// exactly as it is on disk — every block before its last is stored
+// full-slot — so a short final block still merges, trimming the tail
+// of the write. The writes of one chunk run concurrently (the backend
+// is required to support concurrent WriteAt — os files and the memory
+// store do), each from its own disjoint slice of the slab. Error
+// semantics are the pool's: every dispatched write runs, and the
+// failure of the lowest index wins, deterministically.
+func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []int, cts []byte) error {
+	bs := f.fs.geo.BlockSize
+	first := si * int64(f.fs.geo.KeysPerSegment())
+	exts := f.planExtents(len(slots),
+		func(i int) int64 { return first + int64(slots[i]) },
+		func(i int) int { return lens[i] })
+	_, err := f.dispatchExtents(ctx, exts, true, func(e int) error {
+		x := exts[e]
+		payload := cts[x.lo*bs : (x.hi-1)*bs+lens[x.hi-1]]
 		// The window slot brackets the backend call only; the task may
 		// already hold a pool slot (see ioWindow's deadlock note).
 		f.fs.iow.acquire()
 		t := f.fs.cfg.Recorder.Start()
-		_, werr := backend.WriteAtCtx(ctx, f.bf, ct, f.fs.geo.DataBlockOffset(dbi))
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.iow.release()
-		f.fs.cfg.Recorder.CountIOBytes(int64(bs))
-		f.fs.cfg.Recorder.CountDataBytes(int64(bs), int64(bs))
-		if werr != nil {
-			return fmt.Errorf("lamassu: commit phase 2 (block %d): %w", dbi, werr)
-		}
-		return nil
-	}
-	if f.fs.sharded != nil {
-		return f.fs.pool.runSharded(ctx, len(slots), func(i int) int {
-			return f.fs.shardOfBlock(f.name, si*keysPerSeg+int64(slots[i]))
-		}, writeBlock)
-	}
-	return f.fs.pool.run(ctx, len(slots), writeBlock)
-}
-
-// ioRun is one coalesced backend I/O: the half-open index range
-// [lo, hi) into the caller's sorted slot (or span) list whose blocks
-// are contiguous on disk, and the backing offset of the first block.
-type ioRun struct {
-	lo, hi int
-	off    int64
-}
-
-// mergeRuns merges items 0..n-1 into disk-contiguous runs: item i
-// extends the current run when adjacent(i) reports it is the block
-// immediately after item i-1 on disk AND no stripe boundary falls
-// between the two (stripe <= 0 disables the stripe rule; stripes are
-// block-aligned, so contiguous blocks can only change shards at a
-// stripe edge). off(i) is item i's backing offset. The commit and
-// read paths share this so their split semantics cannot diverge.
-func mergeRuns(n int, blockSize, stripe int64, off func(int) int64, adjacent func(int) bool) []ioRun {
-	runs := make([]ioRun, 0, 4)
-	for i := 0; i < n; i++ {
-		o := off(i)
-		if i > 0 && adjacent(i) && (stripe <= 0 || (o-blockSize)/stripe == o/stripe) {
-			runs[len(runs)-1].hi = i + 1
-			continue
-		}
-		runs = append(runs, ioRun{lo: i, hi: i + 1, off: o})
-	}
-	return runs
-}
-
-// stripeBytes returns the sharded store's stripe unit, or 0 when the
-// store is unsharded (no stripe rule).
-func (f *file) stripeBytes() int64 {
-	if f.fs.sharded != nil {
-		return f.fs.sharded.StripeBytes()
-	}
-	return 0
-}
-
-// commitRuns merges the sorted pending slots into disk-contiguous
-// runs: within a segment, consecutive slots are consecutive blocks on
-// disk, and runs split at shard stripe boundaries so the single
-// WriteAt each becomes lands on exactly one shard.
-func (f *file) commitRuns(si int64, slots []int) []ioRun {
-	geo := f.fs.geo
-	keysPerSeg := int64(geo.KeysPerSegment())
-	return mergeRuns(len(slots), int64(geo.BlockSize), f.stripeBytes(),
-		func(i int) int64 { return geo.DataBlockOffset(si*keysPerSeg + int64(slots[i])) },
-		func(i int) bool { return slots[i] == slots[i-1]+1 })
-}
-
-// commitCoalesced is the coalescing phase 2: pending blocks are
-// encrypted into one slab with the per-block work fanned across the
-// pool (phase 2a — a full-segment run must not serialize ~half a
-// megabyte of AES on one goroutine), then merged into disk-contiguous
-// runs, each written with a single backend WriteAt (phase 2b). The
-// write fan-out unit is the run; over a sharded store each run is
-// charged to the budget of the one shard it lands on. Error semantics
-// match the per-block engine: the failure of the lowest index wins,
-// deterministically.
-func (f *file) commitCoalesced(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) error {
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-	bs := f.fs.geo.BlockSize
-	runs := f.commitRuns(si, slots)
-	cts := f.fs.slabs.get(len(slots) * bs)
-	defer f.fs.slabs.put(cts)
-	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
-		return f.fs.encryptBlock(cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i])
-	})
-	if err != nil {
-		return err
-	}
-	writeRun := func(r int) error {
-		run := runs[r]
-		payload := cts[run.lo*bs : run.hi*bs]
-		f.fs.iow.acquire()
-		t := f.fs.cfg.Recorder.Start()
-		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, run.off)
+		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, x.off)
 		f.fs.cfg.Recorder.Stop(metrics.IO, t)
 		f.fs.iow.release()
 		f.fs.cfg.Recorder.CountIOBytes(int64(len(payload)))
-		f.fs.cfg.Recorder.CountDataBytes(int64(len(payload)), int64(len(payload)))
+		f.fs.cfg.Recorder.CountDataBytes(int64((x.hi-x.lo)*bs), int64(len(payload)))
 		f.fs.cfg.Recorder.CountEvent(metrics.WriteRun, 1)
 		if werr != nil {
-			dbi := si*keysPerSeg + int64(slots[run.lo])
-			return fmt.Errorf("lamassu: commit phase 2 (run of %d blocks at block %d): %w",
-				run.hi-run.lo, dbi, werr)
+			return fmt.Errorf("lamassu: commit phase 2 (extent of %d blocks at block %d): %w",
+				x.hi-x.lo, first+int64(slots[x.lo]), werr)
 		}
 		return nil
+	})
+	return err
+}
+
+// dispatchExtents runs fn once per planned extent under the one
+// dispatch rule both directions share, in this precedence:
+//
+//   - With an I/O window configured the extents — pure backend I/O,
+//     the encode or decode fan-out happens elsewhere — dispatch on the
+//     window itself instead of the worker pool, so the number of
+//     requests on the wire tracks the link's depth rather than the CPU
+//     budget or the shard count.
+//   - Over a sharded store each extent is charged to the one shard it
+//     lands on, so traffic into one hot shard queues on that shard
+//     instead of starving the others.
+//   - Otherwise the extents share the pool, or run back to back.
+//
+// pooled says who pays for the fan-out without a window. Commit tasks
+// take worker-pool slots (the owning shard's budget first). Read tasks
+// deliberately take none: a reader can block on a segment lock held by
+// that segment's commit, and the commit needs pool slots to finish — a
+// reader holding one while it waits would deadlock the pool. Reads
+// instead get one goroutine per shard (the per-shard gauges still
+// record the fan-out), serial within a shard and when unsharded.
+//
+// The precedence has one exception: a read over a sharded store keeps
+// its per-shard fan-out with a window configured too — each fetch still
+// holds a window slot for its backend call, so the window bounds the
+// wire either way. Putting those extents on the window (a request whose
+// extents share a stripe then overlaps them instead of walking them one
+// round trip at a time) changes a high-latency sharded store's read
+// throughput by an order of magnitude; that belongs to the change that
+// measures and claims it (ROADMAP item 2), and is this one case clause.
+//
+// Every form has the pool's error semantics: the failure of the lowest
+// extent index wins, and a dead ctx stops dispatch of extents not yet
+// started. The unpooled forms also report that index, which a read maps
+// to a buffer position; the §2.4 semantics are untouched — phase 2
+// still completes in full before the phase-3 barrier.
+func (f *file) dispatchExtents(ctx context.Context, exts []extent, pooled bool, fn func(e int) error) (int, error) {
+	switch {
+	case f.fs.iow != nil && (pooled || f.fs.sharded == nil):
+		return f.fs.runWindowed(ctx, len(exts), fn)
+	case pooled && f.fs.sharded != nil:
+		return 0, f.fs.pool.runSharded(ctx, len(exts), func(e int) int { return exts[e].shard }, fn)
+	case pooled:
+		return 0, f.fs.pool.run(ctx, len(exts), fn)
 	}
-	// With an I/O window configured, the run writes — pure backend I/O,
-	// the encryption already fanned out above — dispatch on the window
-	// itself instead of the worker pool, so the number of WriteAts on
-	// the wire tracks the link's depth rather than the CPU budget. The
-	// §2.4 semantics are untouched: phase 2b still completes in full
-	// before the phase-3 barrier, and the lowest failing run wins.
-	if f.fs.iow != nil {
-		_, err := f.fs.runWindowed(ctx, len(runs), writeRun)
-		return err
+	// runShard runs shard s's extents in index order, stopping at the
+	// first failure.
+	runShard := func(s int) (int, error) {
+		for e := range exts {
+			if exts[e].shard != s {
+				continue
+			}
+			if err := backend.CtxErr(ctx); err != nil {
+				return e, err
+			}
+			if err := fn(e); err != nil {
+				return e, err
+			}
+		}
+		return 0, nil
 	}
-	if f.fs.sharded != nil {
-		return f.fs.pool.runSharded(ctx, len(runs), func(r int) int {
-			return f.fs.sharded.ShardOf(f.name, runs[r].off)
-		}, writeRun)
+	var shards []int
+	for _, x := range exts {
+		if !slices.Contains(shards, x.shard) {
+			shards = append(shards, x.shard)
+		}
 	}
-	return f.fs.pool.run(ctx, len(runs), writeRun)
+	switch len(shards) {
+	case 0:
+		return 0, nil
+	case 1: // including every unsharded store (all extents at shard -1)
+		return runShard(shards[0])
+	}
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		firstIdx int
+	)
+	for _, s := range shards {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			if e, err := runShard(s); err != nil {
+				mu.Lock()
+				if firstErr == nil || e < firstIdx {
+					firstErr, firstIdx = err, e
+				}
+				mu.Unlock()
+			}
+		}(s)
+	}
+	wg.Wait()
+	return firstIdx, firstErr
 }
 
 // isFinalSegmentLocked reports whether si is the file's final segment
@@ -484,7 +581,7 @@ func (f *file) persistSize(ctx context.Context) error {
 		// An empty file stores no blocks at all (Equations 4–6 give
 		// NDB = NMB = 0).
 		t := f.fs.cfg.Recorder.Start()
-		err := f.bf.Truncate(0)
+		err := backend.TruncateCtx(ctx, f.bf, 0)
 		f.fs.cfg.Recorder.Stop(metrics.IO, t)
 		if err != nil {
 			return err

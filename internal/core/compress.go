@@ -2,23 +2,23 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/cryptoutil"
 	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
 )
 
-// This file holds the compressed-segment commit engine and the shared
-// stored-extent helper. The on-disk addressing is untouched: every
-// block still owns its fixed BlockSize slot at DataBlockOffset(dbi).
-// Compression only shrinks the *payload* written into (and read out
-// of) that slot — a compressed block occupies a prefix of its slot,
-// its length recorded in the sealed metadata's length table in
-// layout.LenUnit granules. Incompressible blocks escape to raw and
-// are stored verbatim, full-slot, exactly as before; they never cost
-// more bytes than the raw engine.
+// Compression is not a second engine: it is a shorter payload in the
+// same pipeline (see commitSegment). The on-disk addressing is
+// untouched: every block still owns its fixed BlockSize slot at
+// DataBlockOffset(dbi). Compression only shrinks the *payload* written
+// into (and read out of) that slot — a compressed block occupies a
+// prefix of its slot, its length recorded in the sealed metadata's
+// length table in layout.LenUnit granules. Incompressible blocks escape
+// to raw and are stored verbatim, full-slot, exactly as before; they
+// never cost more bytes than a raw segment. This file holds the two
+// places the short payload shows: the stored-extent lookup and the
+// physical-extent pad.
 
 // storedBytes returns the on-disk payload extent of a stable slot's
 // block: the full block for a raw segment, length-table driven for a
@@ -30,231 +30,26 @@ func storedBytes(meta *layout.MetaBlock, slot, bs int) int {
 	return meta.StoredLen(slot) * layout.LenUnit
 }
 
-// commitCompressed runs the §2.4 commit for a compressed segment.
-//
-// Two things differ from commitRaw, neither touching the barrier
-// order. First, the encode (compress + encrypt) of every pending
-// block runs BEFORE phase 1 — the stored lengths land in the same
-// sealed metadata write that publishes the new keys, so they must
-// exist up front. That is pure CPU work with no backend I/O, so the
-// crash-ordering guarantees are the serial protocol's: no data byte
-// is written before the phase-1 barrier completes. Second, the
-// length table costs layout.LenSlots() of the R reserved slots, so
-// one compressed-mode phase can stage at most EffReserved() live
-// overwrites. This FS's own write triggers bound batches accordingly
-// when compression is on, but a compression-off FS writing into a
-// segment some other mount compressed can legally arrive with up to
-// R — the batch is partitioned into consecutive chunks, each its own
-// complete phase 1–3 commit. A crash between chunks leaves earlier
-// chunks fully committed and later ones never started: exactly the
-// state a crash between two independent commits leaves.
-//
-// Returns the logical size the last phase-1 barrier persisted. The
-// caller must hold seg.mu exclusively.
-func (f *file) commitCompressed(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key) (int64, error) {
-	meta := seg.meta
+// padExtent runs after phase 2 for the batch's last block dbi, stored
+// in stored bytes. A raw full-slot write of that block would have
+// extended the backing file to the end of its slot; a short stored
+// payload does not. Pad the physical extent up to the slot boundary so
+// the fixed-slot addressing — and every phys-bound guard in recovery,
+// audit and rekey — holds identically with compression. Ordering
+// matters: the pad lands before the phase-3 barrier, so a cleanly
+// committed segment never has a keyed slot beyond the physical extent.
+func (f *file) padExtent(ctx context.Context, dbi int64, stored int) error {
 	bs := f.fs.geo.BlockSize
-	cts := f.fs.slabs.get(len(slots) * bs)
-	defer f.fs.slabs.put(cts)
-	lens := make([]int, len(slots))
-	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
-		n, err := f.fs.encodeStored(cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i])
-		if err != nil {
-			return fmt.Errorf("lamassu: encoding segment %d slot %d: %w", si, slots[i], err)
-		}
-		lens[i] = n
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-
-	rAvail := meta.EffReserved()
-	var sizeAtCommit int64
-	for lo := 0; lo < len(slots); {
-		hi, overwrites := lo, 0
-		for hi < len(slots) {
-			if !meta.StableKey(slots[hi]).IsZero() {
-				if overwrites == rAvail {
-					break
-				}
-				overwrites++
-			}
-			hi++
-		}
-		sizeAtCommit, err = f.commitChunkCompressed(ctx, si,
-			slots[lo:hi], newKeys[lo:hi], lens[lo:hi], cts[lo*bs:hi*bs], seg)
-		if err != nil {
-			return 0, err
-		}
-		lo = hi
-	}
-	return sizeAtCommit, nil
-}
-
-// commitChunkCompressed runs one complete phase 1–3 commit for a chunk
-// whose live overwrites fit the compressed-mode transient capacity.
-// cts holds the chunk's pre-encoded ciphertexts, one BlockSize-strided
-// slot each, with lens[i] valid payload bytes at the front.
-func (f *file) commitChunkCompressed(ctx context.Context, si int64, slots []int, newKeys []cryptoutil.Key, lens []int, cts []byte, seg *segment) (int64, error) {
-	meta := seg.meta
-	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
-
-	// Phase 1: stage the old key AND old stored length of each live
-	// block into a paired transient slot, install the new keys and
-	// lengths, mark midupdate, persist. The pairing is load-bearing:
-	// recovery and the mid-update read path decode an old-contents
-	// candidate with transient key r at OldLen(r) — a key without its
-	// length could not be decoded at all.
-	ti := 0
-	for i, s := range slots {
-		if old := meta.StableKey(s); !old.IsZero() {
-			meta.SetTransientKey(ti, old)
-			meta.SetOldLen(ti, uint8(meta.StoredLen(s)))
-			ti++
-		}
-		meta.SetStableKey(s, newKeys[i])
-		meta.SetStoredLen(s, uint8(lens[i]/layout.LenUnit))
-	}
-	meta.NTransient = uint32(ti)
-	meta.SetMidUpdate(true)
-	sizeAtCommit := f.sizeNow()
-	meta.LogicalSize = uint64(sizeAtCommit)
-	if err := f.fs.writeMeta(ctx, f.bf, f.name, meta); err != nil {
-		return 0, fmt.Errorf("lamassu: commit phase 1 (segment %d): %w", si, err)
-	}
-
-	// Invalidation bracket around phase 2, as in commitRaw.
-	var dbis []int64
-	if f.fs.cache != nil {
-		dbis = make([]int64, len(slots))
-		for i, s := range slots {
-			dbis[i] = si*keysPerSeg + int64(s)
-		}
-		f.fs.cache.invalidateDataBlocks(f.name, dbis)
-	}
-
-	// Phase 2: write the stored payloads between the barriers.
-	var err error
-	if f.fs.cfg.DisableCoalescing {
-		err = f.writeStoredBlocks(ctx, si, slots, lens, cts)
-	} else {
-		err = f.writeStoredRuns(ctx, si, slots, lens, cts)
-	}
-	if f.fs.cache != nil {
-		f.fs.cache.invalidateDataBlocks(f.name, dbis)
-	}
-	if err != nil {
-		return 0, err
-	}
-
-	// A raw full-slot write of the batch's last block would have
-	// extended the backing file to the end of that slot; a short
-	// stored payload does not. Pad the physical extent up to the slot
-	// boundary so the fixed-slot addressing — and every phys-bound
-	// guard in recovery, audit and rekey — holds identically with
-	// compression. Ordering matters: the pad lands before the phase-3
-	// barrier, so a cleanly committed segment never has a keyed slot
-	// beyond the physical extent.
-	if bs := f.fs.geo.BlockSize; lens[len(lens)-1] < bs {
-		end := f.fs.geo.DataBlockOffset(si*keysPerSeg+int64(slots[len(slots)-1])) + int64(bs)
-		phys, err := f.bf.Size()
-		if err != nil {
-			return 0, err
-		}
-		if phys < end {
-			t := f.fs.cfg.Recorder.Start()
-			err := backend.TruncateCtx(ctx, f.bf, end)
-			f.fs.cfg.Recorder.Stop(metrics.IO, t)
-			if err != nil {
-				return 0, fmt.Errorf("lamassu: commit phase 2 (segment %d extent pad): %w", si, err)
-			}
-		}
-	}
-
-	// Phase 3: clear the update marker. ClearTransient preserves the
-	// stable length table in compressed mode and zeroes the old
-	// lengths alongside the transient keys.
-	meta.SetMidUpdate(false)
-	meta.ClearTransient()
-	if err := f.fs.writeMeta(ctx, f.bf, f.name, meta); err != nil {
-		meta.SetMidUpdate(true)
-		return 0, fmt.Errorf("lamassu: commit phase 3 (segment %d): %w", si, err)
-	}
-	return sizeAtCommit, nil
-}
-
-// writeStoredBlocks is the per-block phase 2 for compressed segments:
-// one WriteAt per block, carrying only the stored payload. Mirrors
-// commitBlocks' dispatch (sharded charging, I/O window bracket).
-func (f *file) writeStoredBlocks(ctx context.Context, si int64, slots []int, lens []int, cts []byte) error {
-	geo := f.fs.geo
-	bs := geo.BlockSize
-	keysPerSeg := int64(geo.KeysPerSegment())
-	writeBlock := func(i int) error {
-		dbi := si*keysPerSeg + int64(slots[i])
-		payload := cts[i*bs : i*bs+lens[i]]
-		f.fs.iow.acquire()
-		t := f.fs.cfg.Recorder.Start()
-		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, geo.DataBlockOffset(dbi))
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.iow.release()
-		f.fs.cfg.Recorder.CountIOBytes(int64(len(payload)))
-		f.fs.cfg.Recorder.CountDataBytes(int64(bs), int64(len(payload)))
-		if werr != nil {
-			return fmt.Errorf("lamassu: commit phase 2 (block %d): %w", dbi, werr)
-		}
+	if stored == bs {
 		return nil
 	}
-	if f.fs.sharded != nil {
-		return f.fs.pool.runSharded(ctx, len(slots), func(i int) int {
-			return f.fs.shardOfBlock(f.name, si*keysPerSeg+int64(slots[i]))
-		}, writeBlock)
-	}
-	return f.fs.pool.run(ctx, len(slots), writeBlock)
-}
-
-// writeStoredRuns is the coalescing phase 2 for compressed segments.
-// A run extends only while the PREVIOUS block is stored full-slot:
-// that makes the merged payload contiguous both in the pre-encoded
-// slab and on disk, so a run of k blocks is one WriteAt of
-// (k-1)*BlockSize + lens[last] bytes — a short final block still
-// coalesces, trimming the tail of the write. A short block in the
-// middle ends its run (the slack after its payload is not ours to
-// write; the next block starts a new WriteAt at its own slot).
-func (f *file) writeStoredRuns(ctx context.Context, si int64, slots []int, lens []int, cts []byte) error {
-	geo := f.fs.geo
-	bs := geo.BlockSize
-	keysPerSeg := int64(geo.KeysPerSegment())
-	runs := mergeRuns(len(slots), int64(bs), f.stripeBytes(),
-		func(i int) int64 { return geo.DataBlockOffset(si*keysPerSeg + int64(slots[i])) },
-		func(i int) bool { return slots[i] == slots[i-1]+1 && lens[i-1] == bs })
-	writeRun := func(r int) error {
-		run := runs[r]
-		payload := cts[run.lo*bs : (run.hi-1)*bs+lens[run.hi-1]]
-		f.fs.iow.acquire()
-		t := f.fs.cfg.Recorder.Start()
-		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, run.off)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.iow.release()
-		f.fs.cfg.Recorder.CountIOBytes(int64(len(payload)))
-		f.fs.cfg.Recorder.CountDataBytes(int64((run.hi-run.lo)*bs), int64(len(payload)))
-		f.fs.cfg.Recorder.CountEvent(metrics.WriteRun, 1)
-		if werr != nil {
-			dbi := si*keysPerSeg + int64(slots[run.lo])
-			return fmt.Errorf("lamassu: commit phase 2 (run of %d blocks at block %d): %w",
-				run.hi-run.lo, dbi, werr)
-		}
-		return nil
-	}
-	if f.fs.iow != nil {
-		_, err := f.fs.runWindowed(ctx, len(runs), writeRun)
+	end := f.fs.geo.DataBlockOffset(dbi) + int64(bs)
+	phys, err := f.bf.Size()
+	if err != nil || phys >= end {
 		return err
 	}
-	if f.fs.sharded != nil {
-		return f.fs.pool.runSharded(ctx, len(runs), func(r int) int {
-			return f.fs.sharded.ShardOf(f.name, runs[r].off)
-		}, writeRun)
-	}
-	return f.fs.pool.run(ctx, len(runs), writeRun)
+	t := f.fs.cfg.Recorder.Start()
+	err = backend.TruncateCtx(ctx, f.bf, end)
+	f.fs.cfg.Recorder.Stop(metrics.IO, t)
+	return err
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"lamassu/internal/backend"
@@ -335,5 +339,193 @@ func TestCompressionRekey(t *testing.T) {
 	got, err = vfs.ReadAll(newFS(t, store, rawCfg), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after raw-mode full rekey: %v", err)
+	}
+}
+
+// planStore records every backend ReadAt/WriteAt a mount issues, so a
+// test can pin the engine's I/O plan — which extents, not just how many
+// bytes. With stripe > 0 it also answers core's sharded-store seam as a
+// two-shard store striping at that granularity (the bytes still live in
+// the one inner store; only the planner's view changes).
+type planStore struct {
+	backend.Store
+	stripe int64
+
+	mu     sync.Mutex
+	reads  []planOp
+	writes []planOp
+}
+
+type planOp struct {
+	off int64
+	n   int
+}
+
+func (s *planStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := s.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &planFile{File: f, s: s}, nil
+}
+
+// take returns the recorded ops sorted by offset and resets the log.
+func (s *planStore) take() (reads, writes []planOp) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reads, writes = s.reads, s.writes
+	s.reads, s.writes = nil, nil
+	for _, ops := range [][]planOp{reads, writes} {
+		sort.Slice(ops, func(i, j int) bool { return ops[i].off < ops[j].off })
+	}
+	return reads, writes
+}
+
+type planFile struct {
+	backend.File
+	s *planStore
+}
+
+func (f *planFile) ReadAt(p []byte, off int64) (int, error) {
+	f.s.mu.Lock()
+	f.s.reads = append(f.s.reads, planOp{off, len(p)})
+	f.s.mu.Unlock()
+	return f.File.ReadAt(p, off)
+}
+
+func (f *planFile) WriteAt(p []byte, off int64) (int, error) {
+	f.s.mu.Lock()
+	f.s.writes = append(f.s.writes, planOp{off, len(p)})
+	f.s.mu.Unlock()
+	return f.File.WriteAt(p, off)
+}
+
+// stripedPlanStore is a planStore that core detects as sharded.
+type stripedPlanStore struct{ *planStore }
+
+func (s stripedPlanStore) NumShards() int     { return 2 }
+func (s stripedPlanStore) StripeBytes() int64 { return s.stripe }
+func (s stripedPlanStore) ShardOf(_ string, off int64) int {
+	return int(off / s.stripe % 2)
+}
+
+// TestCompressedExtentPlan pins the compressed engine's I/O plan over
+// one segment holding a fixed mix of full-slot (incompressible) and
+// short (compressible) blocks: the exact phase-2 WriteAt offsets and
+// lengths of the commit, and the exact data ReadAts of a whole-segment
+// read. An extent ends after every short block (the slack behind its
+// payload is not contiguous with the next slot) and at every stripe
+// edge; its length is the full slots before its last block plus that
+// block's stored length. The read plan is the write plan.
+func TestCompressedExtentPlan(t *testing.T) {
+	const bs = 4096
+	// F = stored full-slot (raw escape), S = stored short.
+	const mix = "FFSFFFSSFFFS"
+	data := make([]byte, len(mix)*bs)
+	rng := rand.New(rand.NewSource(61))
+	for i, c := range mix {
+		blk := data[i*bs : (i+1)*bs]
+		if c == 'F' {
+			rng.Read(blk)
+		} else {
+			copy(blk, compressibleBytes(int64(100+i), bs, 0.1))
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		stripe   int64 // bytes; 0 = unsharded
+		perBlock bool
+		extents  [][2]int // [lo, hi) block ranges, in disk order
+	}{
+		{"unsharded", 0, false,
+			[][2]int{{0, 3}, {3, 7}, {7, 8}, {8, 12}}},
+		// Data block i is physical block i+1 (the metadata block leads
+		// the segment), so 2-block stripes end after blocks 0, 2, 4, ...
+		{"stripe-2-blocks", 2 * bs, false,
+			[][2]int{{0, 1}, {1, 3}, {3, 5}, {5, 7}, {7, 8}, {8, 9}, {9, 11}, {11, 12}}},
+		{"per-block", 0, true,
+			[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, {11, 12}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := &planStore{Store: backend.NewMemStore(), stripe: tc.stripe}
+			var store backend.Store = ps
+			if tc.stripe > 0 {
+				store = stripedPlanStore{ps}
+			}
+			cfg := compressedConfig()
+			cfg.DisableCoalescing = tc.perBlock
+			lfs := newFS(t, store, cfg)
+			geo := lfs.geo
+
+			// One commit of all twelve fresh blocks (at Sync; the
+			// per-block engine commits every CompressedReserved writes,
+			// which plans the same one-extent-per-block writes).
+			f, err := lfs.Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, writes := ps.take()
+
+			// Expected extents from the sealed length table.
+			bf, err := store.Open("f", backend.OpenRead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := lfs.readMeta(nil, bf, 0)
+			bf.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps.take()
+			for i, c := range mix {
+				if full := meta.StoredLen(i)*layout.LenUnit == bs; full != (c == 'F') {
+					t.Fatalf("block %d: stored %d units, mix says %c", i, meta.StoredLen(i), c)
+				}
+			}
+			var want []planOp
+			for _, e := range tc.extents {
+				want = append(want, planOp{
+					off: geo.DataBlockOffset(int64(e[0])),
+					n:   (e[1]-e[0]-1)*bs + meta.StoredLen(e[1]-1)*layout.LenUnit,
+				})
+			}
+			dataOps := func(ops []planOp) []planOp {
+				var out []planOp
+				for _, op := range ops {
+					if op.off != geo.MetaBlockOffset(0) {
+						out = append(out, op)
+					}
+				}
+				return out
+			}
+			if got := dataOps(writes); !reflect.DeepEqual(got, want) {
+				t.Fatalf("phase-2 writes (off, len):\n got  %v\n want %v", got, want)
+			}
+
+			// Whole-segment read through a cold handle.
+			r, err := lfs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got := make([]byte, len(data))
+			if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("round trip mismatch")
+			}
+			reads, _ := ps.take()
+			if got := dataOps(reads); !reflect.DeepEqual(got, want) {
+				t.Fatalf("data reads (off, len):\n got  %v\n want %v", got, want)
+			}
+		})
 	}
 }

@@ -14,15 +14,31 @@
 //     IV for data; AES-256-GCM under Kout with random nonces for the
 //     embedded metadata blocks.
 //   - The multiphase commit protocol with R-slot write batching
-//     (§2.4) in commit.go: m+2 backing I/Os per batch of m block
-//     writes in the paper's per-block engine, runs+2 under the
-//     default I/O coalescing layer, which merges disk-adjacent blocks
-//     into single backend calls on both the commit and read paths
-//     (see commitSegment and readSpansCoalesced) and bounds batching
-//     by the R transient slots only live overwrites consume.
+//     (§2.4) in commit.go and the multi-block read that mirrors it in
+//     file.go — one pipeline each, described below.
 //   - Crash recovery and integrity auditing (§2.4–2.5) in recover.go.
 //   - Key rotation (§2.2) — both full re-keying and the fast partial
 //     outer-key-only re-key — in rekey.go.
+//
+// One pipeline: a commit is always derive keys → encode → phase 1 →
+// write the planned extents → phase 3 (commitSegment), and a
+// multi-block read is serve from memory → plan extents over what is
+// left → fetch each (readSpans). Both ask one planner (planExtents)
+// which stored bytes are contiguous and dispatch its extents under one
+// rule (dispatchExtents). Raw or compressed, merged or per-block,
+// sharded or not are parameters of that pipeline, not engines of their
+// own:
+//
+//	mode        extent rule                     payload per block
+//	raw         merge full-slot neighbours      BlockSize
+//	compressed  same; short block ends extent   stored length
+//	per-block   never merge (m+2 I/Os, paper)   as raw / compressed
+//	sharded     also split at stripe edges      unchanged
+//
+// A batch costs extents+2 backing I/Os, and batching is bounded by the
+// R transient slots only live overwrites consume.
+// Config.DisableCoalescing is the one switch selecting the
+// paper-fidelity per-block reference behaviour.
 //
 // Concurrency: an FS and its handles may be shared freely. Positional
 // reads and writes on one handle run concurrently; per-segment locks
@@ -137,14 +153,15 @@ type Config struct {
 	// 0 disables the cache — the paper's configuration, in which every
 	// read pays backend I/O plus decryption.
 	CacheBlocks int
-	// DisableCoalescing turns off the I/O coalescing layer, restoring
-	// the paper's per-block engine: every committed data block is its
-	// own backend WriteAt, every block read its own backend ReadAt, and
-	// commit batching triggers at R pending blocks regardless of
-	// whether they overwrite live data. Coalescing changes none of the
-	// §2.4 barriers or on-disk bytes — the toggle exists for A/B
-	// measurement and for reproducing the paper's I/O cost model
-	// exactly.
+	// DisableCoalescing selects the paper's per-block reference
+	// behaviour of the one pipeline: the extent planner never merges
+	// (every committed data block is its own backend WriteAt, every
+	// block read its own backend ReadAt), commit batching triggers at R
+	// pending blocks regardless of whether they overwrite live data,
+	// already-durable blocks are rewritten rather than dropped, and
+	// readahead is off. Merging changes none of the §2.4 barriers or
+	// on-disk bytes — the toggle exists for A/B measurement and for
+	// reproducing the paper's I/O cost model exactly.
 	DisableCoalescing bool
 	// Readahead is the number of blocks the sequential-read detector
 	// prefetches asynchronously into the block cache when consecutive
@@ -543,17 +560,22 @@ func (fs *FS) decryptBlock(dst, src []byte, key cryptoutil.Key) error {
 	return err
 }
 
-// encodeStored encodes one plaintext block for a compressed-mode
-// segment: it deterministically compresses src, zero-pads the framed
-// result to a layout.LenUnit granule and convergently encrypts it
-// into a prefix of dst, returning the stored byte count (a positive
-// multiple of LenUnit, at most one block). The key is derived from
-// the RAW plaintext, so identical plaintext still yields identical
-// ciphertext — dedup survives the stage. When src does not shrink by
-// at least one granule the raw escape stores the full block verbatim;
-// dst then holds exactly the bytes a raw engine would have written.
-func (fs *FS) encodeStored(dst, src []byte, key cryptoutil.Key) (int, error) {
+// encode produces the stored payload of one plaintext block — the
+// mirror of decodeStored — into a prefix of dst and returns its length.
+// For a raw segment that is the convergently encrypted block, BlockSize
+// bytes. For a compressed segment it deterministically compresses src,
+// zero-pads the framed result to a layout.LenUnit granule and encrypts
+// that, returning the stored byte count (a positive multiple of
+// LenUnit, at most one block). The key is derived from the RAW
+// plaintext, so identical plaintext still yields identical ciphertext —
+// dedup survives the stage. When src does not shrink by at least one
+// granule the raw escape stores the full block verbatim; dst then holds
+// exactly the bytes a raw segment would hold.
+func (fs *FS) encode(dst, src []byte, key cryptoutil.Key, compressed bool) (int, error) {
 	bs := fs.geo.BlockSize
+	if !compressed {
+		return bs, fs.encryptBlock(dst[:bs], src, key)
+	}
 	scratch := fs.slabs.get(bs)
 	defer fs.slabs.put(scratch)
 	t := fs.cfg.Recorder.Start()

@@ -432,3 +432,56 @@ func TestPreCanceledContext(t *testing.T) {
 		t.Fatalf("nil-ctx SyncCtx: %v", err)
 	}
 }
+
+// TestPreCanceledTruncateToZero: the empty-file branch of the size
+// flush is a backend write like any other on the commit path, so an
+// already-canceled context must stop it. Truncate-to-zero then Sync
+// under a dead context both report ErrCanceled, and the backing file is
+// untouched: a fresh engine recovers, audits and reads it back whole.
+func TestPreCanceledTruncateToZero(t *testing.T) {
+	store := backend.NewMemStore()
+	cfg := Config{Inner: testKey(1), Outer: testKey(2)}
+	lfs, err := New(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 5*4096+123)
+	rand.New(rand.NewSource(17)).Read(data)
+	if err := vfs.WriteAll(lfs, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	f, err := lfs.OpenRW("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.TruncateCtx(dead, 0); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("TruncateCtx(0): %v", err)
+	}
+	if err := f.SyncCtx(dead); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("SyncCtx after canceled truncate: %v", err)
+	}
+	// Abandon the handle as a timed-out request would: a canceled close
+	// flushes nothing.
+	_ = f.CloseCtx(dead)
+
+	lfs2, err := New(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lfs2.Recover("f"); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep, err := lfs2.Check("f"); err != nil || !rep.Clean() {
+		t.Fatalf("audit: %+v, %v", rep, err)
+	}
+	got, err := vfs.ReadAll(lfs2, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("canceled truncate-to-zero changed the file: %d bytes, want %d", len(got), len(data))
+	}
+}

@@ -154,14 +154,14 @@ func (f *file) Size() (int64, error) {
 //
 // A request covering one block takes an allocation-free fast path (a
 // cache or pending hit completes with no heap traffic at all). A
-// multi-block request is merged into runs of disk-adjacent blocks,
-// each fetched with a single backend read; see readSpansCoalesced.
+// multi-block request is planned into extents of payload-contiguous
+// blocks, each fetched with a single backend read; see readSpans.
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	return f.ReadAtCtx(nil, p, off)
 }
 
 // ReadAtCtx implements vfs.File: ReadAt observing ctx between blocks
-// and runs. On cancellation it returns the number of leading valid
+// and extents. On cancellation it returns the number of leading valid
 // bytes of p and an error wrapping ErrCanceled.
 func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	f.opMu.RLock()
@@ -210,18 +210,7 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 			}
 		}
 	} else {
-		spans := vfs.Spans(off, n, bs)
-		var bad int
-		var err error
-		switch {
-		case !f.fs.cfg.DisableCoalescing:
-			bad, err = f.readSpansCoalesced(ctx, p, spans)
-		case f.fs.sharded != nil && len(spans) > 1:
-			bad, err = f.readSpansSharded(ctx, p, spans)
-		default:
-			bad, err = f.readSpansBlocks(ctx, p, spans)
-		}
-		if err != nil {
+		if bad, err := f.readSpans(ctx, p, vfs.Spans(off, n, bs)); err != nil {
 			return bad, err
 		}
 	}
@@ -232,9 +221,11 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 	return n, nil
 }
 
-// readSpansBlocks is the per-block multi-span read: one readBlock per
-// span through a single pooled scratch block. On failure it returns
-// the number of leading bytes of p that are valid.
+// readSpansBlocks reads spans one block at a time through readBlock
+// and a single pooled scratch block — the path that knows how to try
+// the transient keys, which is why readSpans falls back to it for a
+// segment caught mid-update. On failure it returns the number of
+// leading bytes of p that are valid.
 func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
 	block := f.fs.slabs.get(f.fs.geo.BlockSize)
 	defer f.fs.slabs.put(block)
@@ -247,164 +238,145 @@ func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) 
 	return 0, nil
 }
 
-// readSpansSharded fills a multi-block read over a sharded store with
-// coalescing disabled, fetching each shard's spans on its own
-// goroutine so the decrypt and backend I/O of independent shards
-// overlap. It deliberately takes no worker-pool slot: a reader can
-// block on a segment lock held by that segment's commit, and the
-// commit needs pool slots to finish — a reader holding one while it
-// waits would deadlock the pool. The per-shard gauges still record the
-// fan-out.
+// readSpans fills a multi-block read, the mirror of the commit
+// pipeline: segment by segment, pending and cached blocks are served
+// from memory and hole slots read as zeros without touching the
+// backend at all; what is left is planned into extents (planExtents —
+// the plan the commit wrote them under) and each extent is fetched
+// with one backend read, dispatched as commits dispatch their writes
+// (dispatchExtents: over a sharded store one goroutine per shard, else
+// the I/O window if configured, else back to back). Every segment stays
+// read-locked from its memory pass until its extents are fetched, so a
+// commit cannot change the keys or lengths the plan was made from;
+// segments lock in ascending order and writers hold one segment at a
+// time, so the locks cannot cycle.
 //
 // On failure it returns the number of leading bytes of p that are
-// valid (every span of every shard completes or fails in BufOff
-// order) and the failing error.
-func (f *file) readSpansSharded(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
-	// Group spans by owning shard with one ring lookup per STRIPE:
-	// offsets within a stripe share a shard, and a whole-file-placed
-	// store (stripe <= 0) needs a single lookup for all spans.
-	groups := make(map[int][]vfs.Span)
-	stripe := f.fs.sharded.StripeBytes()
-	shard := 0
-	curStripe := int64(-1)
-	for i, sp := range spans {
-		off := f.fs.geo.DataBlockOffset(sp.Index)
-		switch {
-		case stripe <= 0:
-			if i == 0 {
-				shard = f.fs.sharded.ShardOf(f.name, off)
-			}
-		default:
-			if si := off / stripe; si != curStripe {
-				shard = f.fs.sharded.ShardOf(f.name, off)
-				curStripe = si
-			}
-		}
-		groups[shard] = append(groups[shard], sp)
-	}
-	bs := f.fs.geo.BlockSize
-	readGroup := func(s int, group []vfs.Span) (int, error) {
-		block := f.fs.slabs.get(bs)
-		defer f.fs.slabs.put(block)
-		for _, sp := range group {
-			done := f.fs.pool.noteShardRead(s)
-			cached, err := f.readBlock(ctx, sp.Index, block)
-			done(cached)
-			if err != nil {
-				return sp.BufOff, err
-			}
-			copy(p[sp.BufOff:sp.BufOff+sp.Len], block[sp.Start:sp.Start+sp.Len])
-		}
-		return 0, nil
-	}
-	return shardFanOut(groups, readGroup)
-}
-
-// shardFanOut runs fn for every shard's group, each on its own
-// goroutine (a single group runs inline), and on failure returns the
-// error with the lowest buffer position — the "leading bytes of p are
-// valid" contract of the multi-shard read paths.
-func shardFanOut[G any](groups map[int]G, fn func(s int, g G) (int, error)) (int, error) {
-	if len(groups) == 1 {
-		for s, g := range groups {
-			return fn(s, g)
-		}
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstBad int
-	)
-	for s, g := range groups {
-		wg.Add(1)
-		go func(s int, g G) {
-			defer wg.Done()
-			if bad, err := fn(s, g); err != nil {
-				mu.Lock()
-				if firstErr == nil || bad < firstBad {
-					firstErr, firstBad = err, bad
-				}
-				mu.Unlock()
-			}
-		}(s, g)
-	}
-	wg.Wait()
-	return firstBad, firstErr
-}
-
-// readSpansCoalesced fills a multi-block read by merging the spans
-// into runs of disk-adjacent blocks — split at segment boundaries
-// (the metadata block between two segments breaks disk adjacency) and
-// at shard stripe boundaries (so each backend read lands on exactly
-// one shard). Each run costs at most one backend read; within a run,
-// pending and cached blocks are served from memory and hole slots
-// read as zeros without touching the backend at all. Over a sharded
-// store the runs of different shards are fetched on their own
-// goroutines, with the same no-pool-slot rule as readSpansSharded.
-//
-// On failure it returns the number of leading valid bytes of p, as
-// readSpansSharded does.
-func (f *file) readSpansCoalesced(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
+// valid: extents are planned in ascending buffer order and the
+// dispatcher reports its lowest failing index, so the lowest failing
+// buffer position wins.
+func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
 	geo := f.fs.geo
-	runs := mergeRuns(len(spans), int64(geo.BlockSize), f.stripeBytes(),
-		func(i int) int64 { return geo.DataBlockOffset(spans[i].Index) },
-		func(i int) bool {
-			return spans[i].Index == spans[i-1].Index+1 &&
-				geo.SegmentOfBlock(spans[i].Index) == geo.SegmentOfBlock(spans[i-1].Index)
+	bs := geo.BlockSize
+	var (
+		held  []*segment                                 // read-locked until fetch returns
+		left  = make([]vfs.Span, 0, len(spans))          // blocks memory could not serve
+		metas = make([]*layout.MetaBlock, 0, len(spans)) // left[i]'s segment metadata
+	)
+	// fetch reads everything in left, then releases the held segments.
+	fetch := func() (int, error) {
+		exts := f.planExtents(len(left),
+			func(i int) int64 { return left[i].Index },
+			func(i int) int { return storedBytes(metas[i], geo.SlotOfBlock(left[i].Index), bs) })
+		idx, err := f.dispatchExtents(ctx, exts, false, func(e int) error {
+			x := exts[e]
+			if bad, err := f.fetchContig(ctx, p, left[x.lo:x.hi], metas[x.lo], x.shard); err != nil {
+				return &spanError{bad, err}
+			}
+			return nil
 		})
-	if f.fs.sharded == nil {
-		// With an I/O window configured, independent runs of one request
-		// overlap on the wire instead of paying one round trip each in
-		// sequence; the window slot is taken inside fetchRun around the
-		// backend read only, so a run blocked on a segment lock or a
-		// pool decode slot never holds wire budget. Error semantics are
-		// preserved: runs are in ascending buffer order, so the lowest
-		// failing run index carries the lowest failing buffer position.
-		if f.fs.iow != nil && len(runs) > 1 {
-			idx, err := f.fs.runWindowed(ctx, len(runs), func(i int) error {
-				r := runs[i]
-				if bad, rerr := f.readRun(ctx, p, spans[r.lo:r.hi], -1); rerr != nil {
-					return &spanError{bad, rerr}
-				}
-				return nil
-			})
-			if err != nil {
-				if se, ok := err.(*spanError); ok {
-					return se.bufOff, se.err
-				}
-				return spans[runs[idx].lo].BufOff, err
-			}
-			return 0, nil
+		bad := 0
+		if se, ok := err.(*spanError); ok {
+			bad, err = se.bufOff, se.err
+		} else if err != nil { // the dispatcher's own: ctx died before extent idx started
+			bad = left[exts[idx].lo].BufOff
 		}
-		for _, r := range runs {
-			if err := backend.CtxErr(ctx); err != nil {
-				return spans[r.lo].BufOff, err
+		for _, seg := range held {
+			seg.mu.RUnlock()
+		}
+		held, left, metas = held[:0], left[:0], metas[:0]
+		return bad, err
+	}
+
+	var scratch []byte // lazily pooled block for partial-span cache hits
+	defer func() {
+		if scratch != nil {
+			f.fs.slabs.put(scratch)
+		}
+	}()
+	for lo := 0; lo < len(spans); {
+		si := geo.SegmentOfBlock(spans[lo].Index)
+		hi := lo + 1
+		for hi < len(spans) && geo.SegmentOfBlock(spans[hi].Index) == si {
+			hi++
+		}
+		seg := f.segment(si)
+		if err := f.rlockLoaded(ctx, seg, si); err != nil {
+			// Everything planned so far is still fetched, so the
+			// leading-valid-bytes contract holds whichever fails.
+			if bad, ferr := fetch(); ferr != nil {
+				return bad, ferr
 			}
-			if bad, err := f.readRun(ctx, p, spans[r.lo:r.hi], -1); err != nil {
+			return spans[lo].BufOff, err
+		}
+		if seg.meta.MidUpdate() {
+			// Crash-recovery state: the per-block path knows how to try
+			// the transient keys; planning a mid-update segment is not
+			// worth the duplicated logic. It takes the segment lock
+			// itself, and runs after what was planned so far (the
+			// leading-valid-bytes contract again).
+			seg.mu.RUnlock()
+			if bad, err := fetch(); err != nil {
 				return bad, err
 			}
-		}
-		return 0, nil
-	}
-	groups := make(map[int][]ioRun)
-	for _, r := range runs {
-		s := f.fs.sharded.ShardOf(f.name, r.off)
-		groups[s] = append(groups[s], r)
-	}
-	return shardFanOut(groups, func(s int, g []ioRun) (int, error) {
-		for _, r := range g {
-			if bad, err := f.readRun(ctx, p, spans[r.lo:r.hi], s); err != nil {
+			if bad, err := f.readSpansBlocks(ctx, p, spans[lo:hi]); err != nil {
 				return bad, err
 			}
+			lo = hi
+			continue
 		}
-		return 0, nil
-	})
+		held = append(held, seg)
+		meta := seg.meta
+		for _, sp := range spans[lo:hi] {
+			slot := geo.SlotOfBlock(sp.Index)
+			dst := p[sp.BufOff : sp.BufOff+sp.Len]
+			served := true
+			if plain, ok := seg.pending[slot]; ok {
+				copy(dst, plain[sp.Start:sp.Start+sp.Len])
+			} else if meta.StableKey(slot).IsZero() {
+				zero(dst)
+			} else if sp.Full(bs) {
+				served = f.fs.cache.getData(f.name, sp.Index, dst)
+			} else {
+				if scratch == nil {
+					scratch = f.fs.slabs.get(bs)
+				}
+				if served = f.fs.cache.getData(f.name, sp.Index, scratch); served {
+					copy(dst, scratch[sp.Start:sp.Start+sp.Len])
+				}
+			}
+			if !served {
+				left = append(left, sp)
+				metas = append(metas, meta)
+			}
+		}
+		lo = hi
+	}
+	return fetch()
+}
+
+// rlockLoaded returns with seg.mu read-locked and the segment's
+// metadata resident, loading it under the exclusive lock first when
+// needed. On error no lock is held.
+func (f *file) rlockLoaded(ctx context.Context, seg *segment, si int64) error {
+	for {
+		seg.mu.RLock()
+		if seg.meta != nil {
+			return nil
+		}
+		seg.mu.RUnlock()
+		seg.mu.Lock()
+		err := f.ensureMeta(ctx, seg, si)
+		seg.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // spanError carries the buffer position of a failed span through the
-// worker pool, whose lowest-task-index error semantics then yield the
-// lowest failing position deterministically.
+// worker pool and the extent dispatcher, whose lowest-index error
+// semantics then yield the lowest failing position deterministically.
 type spanError struct {
 	bufOff int
 	err    error
@@ -413,113 +385,9 @@ type spanError struct {
 func (e *spanError) Error() string { return e.err.Error() }
 func (e *spanError) Unwrap() error { return e.err }
 
-// readRun serves one run of disk-adjacent spans within a single
-// segment (and, when sharded, a single stripe owned by shard s; pass
-// s < 0 when unsharded). Pending, cached and hole blocks are filled
-// from memory; the remaining blocks are fetched in contiguous
-// sub-runs, one backend read each, with the per-block decrypt and
-// integrity verification fanned out across the worker pool.
-func (f *file) readRun(ctx context.Context, p []byte, spans []vfs.Span, shard int) (int, error) {
-	geo := f.fs.geo
-	bs := geo.BlockSize
-	si := geo.SegmentOfBlock(spans[0].Index)
-	seg := f.segment(si)
-	for {
-		seg.mu.RLock()
-		if seg.meta != nil {
-			break
-		}
-		seg.mu.RUnlock()
-		seg.mu.Lock()
-		err := f.ensureMeta(ctx, seg, si)
-		seg.mu.Unlock()
-		if err != nil {
-			return spans[0].BufOff, err
-		}
-	}
-	meta := seg.meta
-	if meta.MidUpdate() {
-		// Crash-recovery state: the per-block path knows how to try
-		// the transient keys; coalescing a mid-update segment is not
-		// worth the duplicated logic.
-		seg.mu.RUnlock()
-		return f.readSpansBlocks(ctx, p, spans)
-	}
-	defer seg.mu.RUnlock()
-
-	var scratch []byte // lazily pooled block for partial-span copies
-	defer func() {
-		if scratch != nil {
-			f.fs.slabs.put(scratch)
-		}
-	}()
-	fetchFrom := -1
-	for i := 0; i <= len(spans); i++ {
-		served := true
-		if i < len(spans) {
-			sp := spans[i]
-			slot := geo.SlotOfBlock(sp.Index)
-			if plain, ok := seg.pending[slot]; ok {
-				copy(p[sp.BufOff:sp.BufOff+sp.Len], plain[sp.Start:sp.Start+sp.Len])
-			} else if meta.StableKey(slot).IsZero() {
-				zero(p[sp.BufOff : sp.BufOff+sp.Len])
-			} else if sp.Full(bs) && f.fs.cache.getData(f.name, sp.Index, p[sp.BufOff:sp.BufOff+bs]) {
-				// served straight into p
-			} else if !sp.Full(bs) {
-				if scratch == nil {
-					scratch = f.fs.slabs.get(bs)
-				}
-				if f.fs.cache.getData(f.name, sp.Index, scratch) {
-					copy(p[sp.BufOff:sp.BufOff+sp.Len], scratch[sp.Start:sp.Start+sp.Len])
-				} else {
-					served = false
-				}
-			} else {
-				served = false
-			}
-		}
-		if served {
-			if fetchFrom >= 0 {
-				if bad, err := f.fetchRun(ctx, p, spans[fetchFrom:i], meta, shard); err != nil {
-					return bad, err
-				}
-				fetchFrom = -1
-			}
-		} else if fetchFrom < 0 {
-			fetchFrom = i
-		}
-	}
-	return 0, nil
-}
-
-// fetchRun reads one sub-run of uncached, live blocks. For a raw
-// segment the whole run is a single contiguous backend read. For a
-// compressed segment the payloads are only contiguous while each
-// block before the last is stored full-slot — a short block leaves
-// dead slack before the next slot — so the run is partitioned at
-// every short block and each piece fetched contiguously, the same
-// adjacency rule writeStoredRuns commits under.
-func (f *file) fetchRun(ctx context.Context, p []byte, spans []vfs.Span, meta *layout.MetaBlock, shard int) (int, error) {
-	if !meta.Compressed() {
-		return f.fetchContig(ctx, p, spans, meta, shard)
-	}
-	geo := f.fs.geo
-	bs := geo.BlockSize
-	lo := 0
-	for i := 1; i <= len(spans); i++ {
-		if i < len(spans) && storedBytes(meta, geo.SlotOfBlock(spans[i-1].Index), bs) == bs {
-			continue
-		}
-		if bad, err := f.fetchContig(ctx, p, spans[lo:i], meta, shard); err != nil {
-			return bad, err
-		}
-		lo = i
-	}
-	return 0, nil
-}
-
-// fetchContig reads one payload-contiguous sub-run of uncached, live
-// blocks with a single backend read and fans the per-block decode
+// fetchContig reads one planned extent of uncached, live blocks (shard
+// is its owner, < 0 when unsharded) with a single backend read — the
+// only multi-block data read there is — and fans the per-block decode
 // (AES-CBC decrypt, decompress for short-stored blocks) and §2.5 hash
 // verification across the worker pool. In a compressed segment only
 // the final block may be stored short, so the ranged read trims its
@@ -648,7 +516,7 @@ func (f *file) noteSequential(off, n, size int64) {
 	go f.prefetch(start, int(cnt))
 }
 
-// prefetch reads blocks [db, db+n) through the coalesced run reader,
+// prefetch reads blocks [db, db+n) through the multi-block reader,
 // populating the block cache as a side effect. It is best-effort:
 // errors are dropped (the foreground read that eventually arrives
 // re-reads and re-verifies), and the handle's operation gate is held
@@ -671,7 +539,7 @@ func (f *file) prefetch(db int64, n int) {
 	// Deliberately detached from any caller context: readahead is
 	// best-effort background work, and the read that armed it has
 	// already returned.
-	_, _ = f.readSpansCoalesced(nil, buf, spans)
+	_, _ = f.readSpans(nil, buf, spans)
 }
 
 // readBlock places the full plaintext of logical data block dbi into
@@ -812,28 +680,9 @@ func (f *file) readBlockMeta(ctx context.Context, seg *segment, dbi int64, slot 
 	}
 	if meta.MidUpdate() {
 		// Interrupted commit: the old key for this block is among the
-		// transient slots (§2.4), paired with its old stored length in
-		// compressed mode. Identify it by the hash check; a candidate
-		// that fails to decode is simply not this block's old state.
-		for r := 0; r < int(meta.NTransient); r++ {
-			old := meta.TransientKey(r)
-			if old.IsZero() {
-				// Block was a hole before the interrupted update.
-				continue
-			}
-			oldStored := bs
-			if meta.Compressed() {
-				oldStored = meta.OldLen(r) * layout.LenUnit
-				if oldStored <= 0 {
-					continue
-				}
-			}
-			if err := f.fs.decodeStored(dst, ct, old, oldStored); err != nil {
-				continue
-			}
-			if f.fs.verifyBlock(dst, old) {
-				return nil
-			}
+		// transient slots (§2.4); the hash check identifies it.
+		if f.fs.matchesTransient(meta, ct, dst) >= 0 {
+			return nil
 		}
 		// A pre-update hole whose new data write never landed reads
 		// back as the zero block under hole semantics.
@@ -916,13 +765,13 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 
 // writeSpan applies one block-intersecting span of a write under the
 // segment's exclusive lock, extending the logical size and committing
-// the segment when the batching policy fires. The paper's policy — a
-// commit once every R block writes (§2.4) — governs the per-block
-// engine and, under coalescing, writes that replace live blocks (which
-// claim the R transient slots). Pending blocks that were holes claim
-// no transient slot, so fresh data batches until the segment is full:
-// a sequential append commits a whole segment at once, which the
-// coalescing layer then writes as a single run.
+// the segment when the batching policy fires (batchCaps). The paper's
+// policy — a commit once every R block writes (§2.4) — governs the
+// per-block mode and, by default, writes that replace live blocks
+// (which claim the R transient slots). Pending blocks that were holes
+// claim no transient slot, so fresh data batches until the segment is
+// full: a sequential append commits a whole segment at once, which the
+// planner then writes as a single extent.
 func (f *file) writeSpan(ctx context.Context, seg *segment, si int64, slot int, sp vfs.Span, p []byte, off int64) error {
 	buf, err := f.pendingBlock(ctx, seg, si, slot, sp.Index, sp.Full(f.fs.geo.BlockSize))
 	if err != nil {
@@ -936,25 +785,31 @@ func (f *file) writeSpan(ctx context.Context, seg *segment, si int64, slot int, 
 		f.sizeDirty = true
 	}
 	f.stateMu.Unlock()
-	// With compression on, the length table occupies LenSlots of the R
-	// reserved slots, so batches bound themselves to the compressed-mode
-	// transient capacity. (A compression-off FS keeps the full-R
-	// triggers even over segments some other mount compressed; the
-	// commit path chunks such batches to fit.)
-	rCap := f.fs.geo.Reserved
-	if f.fs.cfg.Compression {
-		rCap = f.fs.geo.CompressedReserved()
-	}
-	if f.fs.cfg.DisableCoalescing {
-		if len(seg.pending) >= rCap {
-			return f.commitSegment(ctx, seg, si)
-		}
-		return nil
-	}
-	if seg.liveOverwrites >= rCap || len(seg.pending) >= f.fs.geo.KeysPerSegment() {
+	if liveCap, pendCap := f.fs.batchCaps(); seg.liveOverwrites >= liveCap || len(seg.pending) >= pendCap {
 		return f.commitSegment(ctx, seg, si)
 	}
 	return nil
+}
+
+// batchCaps returns the write-trigger policy: a segment commits once
+// its pending live overwrites reach liveCap (each claims a transient
+// slot) or its pending blocks reach pendCap. Fresh blocks claim no
+// transient slot, so by default they batch until the segment is full;
+// the paper's per-block mode commits every R block writes whatever
+// they replace. With compression on, the length table occupies
+// LenSlots of the R reserved slots, so batches bound themselves to the
+// compressed-mode transient capacity. (A compression-off FS keeps the
+// full-R triggers even over segments some other mount compressed; the
+// commit path chunks such batches to fit.)
+func (fs *FS) batchCaps() (liveCap, pendCap int) {
+	liveCap = fs.geo.Reserved
+	if fs.cfg.Compression {
+		liveCap = fs.geo.CompressedReserved()
+	}
+	if fs.cfg.DisableCoalescing {
+		return liveCap, liveCap
+	}
+	return liveCap, fs.geo.KeysPerSegment()
 }
 
 // pendingBlock returns the mutable plaintext buffer for (seg, slot),

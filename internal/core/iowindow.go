@@ -24,7 +24,7 @@ import (
 // operation and nothing else — a window-slot holder never takes a
 // mutex, a pool slot or another window slot, so slots always drain.
 // The converse order is therefore safe too: a commit task already
-// holding a pool slot may wait for a window slot (commitBlocks does),
+// holding a pool slot may wait for a window slot (writeExtents does),
 // because every current slot holder is a pure backend call that
 // completes without needing anything the waiter holds.
 type ioWindow struct {
@@ -100,7 +100,7 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 // bound would needlessly cap the overlap. Concurrency is bounded by
 // the I/O window itself: each task brackets its backend call with
 // acquire/release, so the dispatcher spawns freely (callers' batches
-// are bounded by one request's runs or one segment's commit) while
+// are bounded by one request's extents or one segment's commit) while
 // the wire sees at most Config.IOWindow requests.
 //
 // Error semantics match pool.run: every spawned task runs even if an

@@ -48,8 +48,8 @@ type pool struct {
 // budget is one shard's slice of the pool, plus its activity gauges.
 // The gauges also count the read fan-out, which deliberately does NOT
 // take the semaphores: a reader blocked on a segment lock must never
-// hold a slot a commit needs to release that lock (see file.go's
-// readSpansSharded).
+// hold a slot a commit needs to release that lock (see
+// dispatchExtents).
 type budget struct {
 	width  int
 	sem    chan struct{}
@@ -116,9 +116,9 @@ func (p *pool) loadBudgets() []*budget {
 // shard slot on the caller's goroutine would head-of-line-block tasks
 // bound for other shards behind one hot shard. The spawn is bounded
 // all the same — callers are commit phases, whose batches hold at
-// most one segment's worth of tasks (per-block writes bounded by R,
-// coalesced run writes by the runs of one segment) — so the parked
-// goroutines per in-flight commit stay within one segment's K.
+// most one segment's worth of tasks (the planned extents of one
+// chunk) — so the parked goroutines per in-flight commit stay within
+// one segment's K.
 func (p *pool) runSharded(ctx context.Context, n int, shardOf func(int) int, fn func(int) error) error {
 	budgets := p.loadBudgets()
 	if budgets == nil {
@@ -209,8 +209,8 @@ func (p *pool) runSharded(ctx context.Context, n int, shardOf func(int) int, fn 
 }
 
 // noteShardRead brackets one read-path backend fetch routed to shard
-// s in that shard's gauges (no semaphore — see budget). A fetch is a
-// single block on the per-block path or a whole coalesced run. The
+// s in that shard's gauges (no semaphore — see budget). A fetch is
+// one planned extent: a single block in per-block mode. The
 // returned func must be called when the fetch completes, with
 // cached=true when it was served from pending state or the cache:
 // those cost no backend I/O and are kept out of the task and

@@ -88,32 +88,11 @@ func (f *file) recoverSegment(ctx context.Context, meta *layout.MetaBlock) error
 			f.fs.verifyBlock(plain, key) {
 			continue // new write landed
 		}
-		repaired := false
-		for r := 0; r < int(meta.NTransient); r++ {
-			old := meta.TransientKey(r)
-			if old.IsZero() {
-				continue
-			}
-			oldStored := bs
+		if r := f.fs.matchesTransient(meta, ct, plain); r >= 0 {
+			meta.SetStableKey(slot, meta.TransientKey(r))
 			if meta.Compressed() {
-				oldStored = meta.OldLen(r) * layout.LenUnit
-				if oldStored <= 0 {
-					continue
-				}
+				meta.SetStoredLen(slot, uint8(meta.OldLen(r)))
 			}
-			if err := f.fs.decodeStored(plain, ct, old, oldStored); err != nil {
-				continue
-			}
-			if f.fs.verifyBlock(plain, old) {
-				meta.SetStableKey(slot, old)
-				if meta.Compressed() {
-					meta.SetStoredLen(slot, uint8(oldStored/layout.LenUnit))
-				}
-				repaired = true
-				break
-			}
-		}
-		if repaired {
 			continue
 		}
 		if allZero(ct) {
@@ -328,7 +307,7 @@ func (fs *FS) CheckCtx(ctx context.Context, name string) (CheckReport, error) {
 				fs.verifyBlock(plain, key) {
 				continue
 			}
-			if meta.MidUpdate() && fs.matchesTransient(meta, ct, plain) {
+			if meta.MidUpdate() && fs.matchesTransient(meta, ct, plain) >= 0 {
 				continue
 			}
 			if meta.MidUpdate() && allZero(ct) {
@@ -340,31 +319,32 @@ func (fs *FS) CheckCtx(ctx context.Context, name string) (CheckReport, error) {
 	return rep, nil
 }
 
-// matchesTransient reports whether ct verifies under any transient key
-// of meta (decoded at that key's paired old stored length when the
-// segment is compressed).
-func (fs *FS) matchesTransient(meta *layout.MetaBlock, ct, scratch []byte) bool {
-	bs := len(ct)
+// matchesTransient identifies a block's pre-update state: it returns
+// the index of the transient slot whose key — paired with its old
+// stored length when the segment is compressed — decodes the full-slot
+// ciphertext ct and passes the §2.5 hash check, leaving that plaintext
+// in dst; -1 if there is none. A zero transient key is a slot that
+// staged nothing, and a candidate that fails to decode is simply not
+// this block's old state. Mid-update reads, recovery and Check all ask
+// here, so they cannot disagree about what counts.
+func (fs *FS) matchesTransient(meta *layout.MetaBlock, ct, dst []byte) int {
 	for r := 0; r < int(meta.NTransient); r++ {
 		old := meta.TransientKey(r)
 		if old.IsZero() {
 			continue
 		}
-		oldStored := bs
+		oldStored := fs.geo.BlockSize
 		if meta.Compressed() {
 			oldStored = meta.OldLen(r) * layout.LenUnit
 			if oldStored <= 0 {
 				continue
 			}
 		}
-		if err := fs.decodeStored(scratch, ct, old, oldStored); err != nil {
-			continue
-		}
-		if fs.verifyBlock(scratch, old) {
-			return true
+		if fs.decodeStored(dst, ct, old, oldStored) == nil && fs.verifyBlock(dst, old) {
+			return r
 		}
 	}
-	return false
+	return -1
 }
 
 // IsUnrecoverable reports whether err indicates crash damage that

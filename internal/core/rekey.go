@@ -111,20 +111,25 @@ func (fs *FS) RekeyOuterCtx(ctx context.Context, name string, newOuter cryptouti
 // RekeyFull re-encrypts the named file under a new (inner, outer) key
 // pair: every data block is decrypted with its old convergent key,
 // re-keyed under newInner, re-encrypted, and every metadata block is
-// re-sealed under newOuter. The file must be idle. The rewrite is
-// performed segment-at-a-time with the same multiphase commit used by
-// normal writes, so a crash during rotation is recoverable — but note
-// that after a crash the file may hold segments under both key pairs;
-// the caller must retain the old pair until rotation completes.
+// re-sealed under newOuter. The file must be idle. The rewrite goes
+// segment at a time — a segment's data blocks are rewritten in place,
+// then its metadata block is resealed — and is resumable at segment
+// boundaries: after an interruption BETWEEN segments the file holds
+// segments under both key pairs, and rerunning with the old pair still
+// at hand finishes the job. It does NOT use the multiphase commit of
+// normal writes: there is no phase-1 barrier, so a crash INSIDE a
+// segment leaves data blocks under new keys the old metadata does not
+// describe, which recovery cannot repair (ROADMAP item 4 records the
+// hole). Back the file up, or rotate a copy, when that matters.
 func (fs *FS) RekeyFull(name string, newInner, newOuter cryptoutil.Key) (RekeyStats, error) {
 	return fs.RekeyFullCtx(nil, name, newInner, newOuter)
 }
 
-// RekeyFullCtx is RekeyFull observing ctx between segments. The
-// rotation is segment-atomic (a segment's data rewrite lands before
-// its metadata reseal), so a canceled pass leaves a file whose
-// segments are split between the two key pairs — the same state the
-// crash note above describes; retain both pairs and rerun to finish.
+// RekeyFullCtx is RekeyFull observing ctx between segments only (a
+// segment that has started rotating runs to its metadata reseal), so a
+// canceled pass leaves a file whose segments are split between the two
+// key pairs — the resumable state described above; retain both pairs
+// and rerun to finish.
 func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter cryptoutil.Key) (RekeyStats, error) {
 	if newInner.IsZero() || newOuter.IsZero() {
 		return RekeyStats{}, errors.New("lamassu: new keys must be set")
@@ -228,22 +233,15 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 			if err != nil {
 				return stats, err
 			}
+			n, err := newFS.encode(ct, plain, newKey, fs.cfg.Compression)
+			if err != nil {
+				return stats, err
+			}
+			if _, err := bf.WriteAt(ct[:n], off); err != nil {
+				return stats, err
+			}
 			if fs.cfg.Compression {
-				n, err := newFS.encodeStored(ct, plain, newKey)
-				if err != nil {
-					return stats, err
-				}
-				if _, err := bf.WriteAt(ct[:n], off); err != nil {
-					return stats, err
-				}
 				newMeta.SetStoredLen(slot, uint8(n/layout.LenUnit))
-			} else {
-				if err := newFS.encryptBlock(ct, plain, newKey); err != nil {
-					return stats, err
-				}
-				if _, err := bf.WriteAt(ct, off); err != nil {
-					return stats, err
-				}
 			}
 			newMeta.SetStableKey(slot, newKey)
 			stats.DataBlocks++

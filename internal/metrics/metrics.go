@@ -70,15 +70,14 @@ const (
 	PoolBatch
 	PoolTask
 	// ShardTask counts commit tasks routed through a per-shard worker
-	// budget; ShardRead counts read-path backend fetches (blocks or
-	// coalesced runs) fanned out across shards. Both zero on unsharded
-	// mounts.
+	// budget; ShardRead counts read-path backend fetches (planned
+	// extents) fanned out across shards. Both zero on unsharded mounts.
 	ShardTask
 	ShardRead
-	// WriteRun / ReadRun count coalesced backend I/Os: one WriteRun per
-	// run of adjacent data blocks written by a commit with a single
-	// WriteAt, one ReadRun per run of adjacent ciphertext blocks
-	// fetched by a multi-block read with a single backend read.
+	// WriteRun / ReadRun count planned data extents issued, in every
+	// mode: one WriteRun per extent a commit writes with a single
+	// WriteAt, one ReadRun per extent a multi-block read fetches with a
+	// single backend read (one block each in per-block mode).
 	WriteRun
 	ReadRun
 	// Prefetch counts asynchronous readahead fetches issued by the

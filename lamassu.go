@@ -746,10 +746,11 @@ type EngineStats struct {
 	// once runs merge).
 	IOBytes    int64
 	BytesPerIO float64
-	// WriteRuns and ReadRuns count coalesced backend I/Os (one per run
-	// of adjacent blocks written or fetched in a single call);
-	// Prefetches counts readahead windows issued by the
-	// sequential-read detector.
+	// WriteRuns and ReadRuns count planned data extents issued, in
+	// every mode: one per extent of payload-contiguous blocks a commit
+	// writes, or a multi-block read fetches, in a single backend call
+	// (one block each under DisableCoalescing). Prefetches counts
+	// readahead windows issued by the sequential-read detector.
 	WriteRuns, ReadRuns, Prefetches int64
 	// SlabHits and SlabMisses count scratch-buffer requests served
 	// from the slab pool versus freshly allocated.
