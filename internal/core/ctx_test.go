@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -16,40 +17,73 @@ import (
 
 // cancelTrigger cancels a context after a configured number of
 // context-aware backend writes have completed — the cancellation
-// analogue of faultfs's crash-after-N-writes trigger. Several
+// analogue of faultfs's crash-after-N-writes trigger — or, armed for
+// reads, as the N-th context-aware backend read is issued. Several
 // cancelStore wrappers (one per shard) may share one trigger.
 type cancelTrigger struct {
-	mu     sync.Mutex
-	count  int64
+	mu sync.Mutex
+	w  cancelCount // ticked after each write
+	r  cancelCount // ticked before each read
+}
+
+// cancelCount counts one kind of operation and cancels at the at-th.
+type cancelCount struct {
+	n      int64
 	at     int64 // 0 = disarmed
 	cancel context.CancelFunc
 }
 
+func (c *cancelCount) tick() {
+	c.n++
+	if c.at > 0 && c.n == c.at && c.cancel != nil {
+		c.cancel()
+	}
+}
+
+// arm resets the write counter and cancels after the at-th write
+// (0 = count only); armReads is the same for reads.
 func (c *cancelTrigger) arm(at int64, cancel context.CancelFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.count, c.at, c.cancel = 0, at, cancel
+	c.w = cancelCount{at: at, cancel: cancel}
 }
 
+func (c *cancelTrigger) armReads(at int64, cancel context.CancelFunc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.r = cancelCount{at: at, cancel: cancel}
+}
+
+// disarm stops both triggers; the counters keep their values.
 func (c *cancelTrigger) disarm() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.at, c.cancel = 0, nil
+	c.w.at, c.w.cancel = 0, nil
+	c.r.at, c.r.cancel = 0, nil
 }
 
 func (c *cancelTrigger) wrote() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.count++
-	if c.at > 0 && c.count == c.at && c.cancel != nil {
-		c.cancel()
-	}
+	c.w.tick()
+}
+
+func (c *cancelTrigger) read() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.r.tick()
 }
 
 func (c *cancelTrigger) writes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.count
+	return c.w.n
+}
+
+func (c *cancelTrigger) reads() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.r.n
 }
 
 // cancelStore wraps a backend.Store, counting context-aware writes
@@ -94,7 +128,11 @@ func (f *cancelFile) Size() (int64, error)      { return f.inner.Size() }
 func (f *cancelFile) Sync() error               { return f.inner.Sync() }
 func (f *cancelFile) Close() error              { return f.inner.Close() }
 
+// ReadAtCtx ticks the trigger, then reads — so a cancellation armed for
+// this read lands before the backend sees it, and the read itself is
+// the first to observe the dead ctx.
 func (f *cancelFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
+	f.trig.read()
 	return backend.ReadAtCtx(ctx, f.inner, p, off)
 }
 
@@ -378,58 +416,80 @@ func TestCancelRetryConverges(t *testing.T) {
 
 // TestPreCanceledContext: an already-canceled context fails fast on
 // every context-aware operation, with both sentinels visible, and a
-// nil context means "no cancellation" everywhere.
+// nil context means "no cancellation" everywhere — on the plain engine
+// and on the sharded + compressed + windowed one, whose multi-block
+// reads dispatch on the I/O window.
 func TestPreCanceledContext(t *testing.T) {
-	lfs, err := New(backend.NewMemStore(), Config{Inner: testKey(1), Outer: testKey(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vfs.WriteAll(lfs, "f", bytes.Repeat([]byte{7}, 8192)); err != nil {
-		t.Fatal(err)
-	}
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
+	geo := layout.Default()
+	windowed := compressedConfig()
+	windowed.IOWindow = 32
+	for _, tc := range []struct {
+		name  string
+		store backend.Store
+		cfg   Config
+		data  []byte
+	}{
+		{"unsharded", backend.NewMemStore(), testConfig(), bytes.Repeat([]byte{7}, 8192)},
+		{"sharded-compressed-windowed", cancelFixture(t, geo, true, &cancelTrigger{}), windowed,
+			shortBlocks(geo.KeysPerSegment() + 10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lfs := newFS(t, tc.store, tc.cfg)
+			if err := vfs.WriteAll(lfs, "f", tc.data); err != nil {
+				t.Fatal(err)
+			}
+			dead, cancel := context.WithCancel(context.Background())
+			cancel()
 
-	if _, err := lfs.OpenCtx(dead, "f"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("OpenCtx: %v", err)
-	}
-	if _, err := lfs.StatCtx(dead, "f"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StatCtx: %v", err)
-	}
-	if _, err := lfs.CheckCtx(dead, "f"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("CheckCtx: %v", err)
-	}
-	if _, err := lfs.RecoverCtx(dead, "f"); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RecoverCtx: %v", err)
-	}
-	if _, err := lfs.RekeyOuterCtx(dead, "f", testKey(3)); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RekeyOuterCtx: %v", err)
-	}
+			if _, err := lfs.OpenCtx(dead, "f"); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("OpenCtx: %v", err)
+			}
+			if _, err := lfs.StatCtx(dead, "f"); !errors.Is(err, context.Canceled) {
+				t.Fatalf("StatCtx: %v", err)
+			}
+			if _, err := lfs.CheckCtx(dead, "f"); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("CheckCtx: %v", err)
+			}
+			if _, err := lfs.RecoverCtx(dead, "f"); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("RecoverCtx: %v", err)
+			}
+			if _, err := lfs.RekeyOuterCtx(dead, "f", testKey(3)); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("RekeyOuterCtx: %v", err)
+			}
 
-	f, err := lfs.OpenRW("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 512)
-	if _, err := f.ReadAtCtx(dead, buf, 0); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("ReadAtCtx: %v", err)
-	}
-	if _, err := f.WriteAtCtx(dead, buf, 0); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("WriteAtCtx: %v", err)
-	}
-	if err := f.SyncCtx(dead); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("SyncCtx: %v", err)
-	}
-	// nil context: everything proceeds.
-	if _, err := f.ReadAtCtx(nil, buf, 0); err != nil {
-		t.Fatalf("nil-ctx ReadAtCtx: %v", err)
-	}
-	if _, err := f.WriteAtCtx(nil, buf, 0); err != nil {
-		t.Fatalf("nil-ctx WriteAtCtx: %v", err)
-	}
-	if err := f.SyncCtx(nil); err != nil {
-		t.Fatalf("nil-ctx SyncCtx: %v", err)
+			f, err := lfs.OpenRW("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf := make([]byte, 512)
+			whole := make([]byte, len(tc.data)) // multi-block: planned and dispatched
+			if _, err := f.ReadAtCtx(dead, buf, 0); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("ReadAtCtx: %v", err)
+			}
+			if n, err := f.ReadAtCtx(dead, whole, 0); n != 0 || !errors.Is(err, ErrCanceled) {
+				t.Fatalf("multi-block ReadAtCtx: n=%d, %v", n, err)
+			}
+			if _, err := f.WriteAtCtx(dead, buf, 0); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("WriteAtCtx: %v", err)
+			}
+			if err := f.SyncCtx(dead); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("SyncCtx: %v", err)
+			}
+			// nil context: everything proceeds.
+			if _, err := f.ReadAtCtx(nil, buf, 0); err != nil {
+				t.Fatalf("nil-ctx ReadAtCtx: %v", err)
+			}
+			if _, err := f.ReadAtCtx(nil, whole, 0); (err != nil && err != io.EOF) || !bytes.Equal(whole, tc.data) {
+				t.Fatalf("nil-ctx multi-block ReadAtCtx: %v", err)
+			}
+			if _, err := f.WriteAtCtx(nil, buf, 0); err != nil {
+				t.Fatalf("nil-ctx WriteAtCtx: %v", err)
+			}
+			if err := f.SyncCtx(nil); err != nil {
+				t.Fatalf("nil-ctx SyncCtx: %v", err)
+			}
+		})
 	}
 }
 

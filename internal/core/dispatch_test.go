@@ -1,0 +1,448 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"lamassu/internal/backend"
+	"lamassu/internal/layout"
+)
+
+// shortBlocks is the dispatch tests' workload: n compressible 4 KiB
+// blocks, each different, so a compressed commit stores every one short
+// and a cold read of the file is n single-block extents — the shape of
+// the benchmark's remote workload, where the dispatch rule decides how
+// many round trips a read waits through.
+func shortBlocks(n int) []byte {
+	const bs = 4096
+	data := make([]byte, n*bs)
+	for i := 0; i < n; i++ {
+		copy(data[i*bs:], compressibleBytes(int64(100+i), bs, 0.1))
+	}
+	return data
+}
+
+// writeShortBlocks commits data as file "f" through lfs and returns the
+// data reads a cold whole-file read must issue, derived from the sealed
+// length table exactly as TestCompressedExtentPlan derives them: one
+// read per block (every block is short, so no two merge), at the
+// block's slot offset, of its stored length.
+func writeShortBlocks(t *testing.T, lfs *FS, data []byte) []planOp {
+	t.Helper()
+	f, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bf, err := lfs.store.Open("f", backend.OpenRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	meta, err := lfs.readMeta(nil, bf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := lfs.geo.BlockSize
+	var want []planOp
+	for i := 0; i < len(data)/bs; i++ {
+		stored := meta.StoredLen(i) * layout.LenUnit
+		if stored <= 0 || stored >= bs {
+			t.Fatalf("block %d stored %d bytes; the workload needs every block short", i, stored)
+		}
+		want = append(want, planOp{off: lfs.geo.DataBlockOffset(int64(i)), n: stored})
+	}
+	return want
+}
+
+// rendezvousSettle is how long the rendezvous driver waits without a
+// new arrival before it takes the parked reads to be a whole round. It
+// only ever decides the FIRST round of a run (and a round after a lane
+// ran out of work): every other round is released the moment as many
+// reads have parked as the round before, by count. The memory store
+// answers in microseconds, so the margin is three orders of magnitude.
+const rendezvousSettle = 50 * time.Millisecond
+
+// rendezvousStore parks every data ReadAt until the test's driver
+// releases the round, and records how many were parked together — so a
+// test counts a read's critical path in rounds of backend round trips
+// instead of timing it.
+type rendezvousStore struct {
+	backend.Store
+	metaOff int64 // reads at this offset (the metadata block) pass through
+
+	mu     sync.Mutex
+	parked int
+	round  chan struct{} // closed to release the reads parked on it
+	wake   chan struct{} // cap 1: an arrival nudges the driver
+}
+
+func newRendezvousStore(inner backend.Store, metaOff int64) *rendezvousStore {
+	return &rendezvousStore{Store: inner, metaOff: metaOff,
+		round: make(chan struct{}), wake: make(chan struct{}, 1)}
+}
+
+func (s *rendezvousStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := s.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &rendezvousFile{File: f, s: s}, nil
+}
+
+type rendezvousFile struct {
+	backend.File
+	s *rendezvousStore
+}
+
+func (f *rendezvousFile) ReadAt(p []byte, off int64) (int, error) {
+	s := f.s
+	if off == s.metaOff {
+		return f.File.ReadAt(p, off)
+	}
+	s.mu.Lock()
+	// Counting the arrival and picking the channel it waits on are one
+	// critical section with the driver's release, so every read is
+	// counted in exactly the round that releases it.
+	s.parked++
+	round := s.round
+	s.mu.Unlock()
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+	<-round
+	return f.File.ReadAt(p, off)
+}
+
+// drive releases rounds until done closes and returns each round's
+// size. A round is complete when as many reads are parked as the round
+// before released (the lanes that were let go have all come back), or
+// when nothing new has arrived for rendezvousSettle.
+func (s *rendezvousStore) drive(done <-chan struct{}) []int {
+	var rounds []int
+	for {
+		settled := false
+		select {
+		case <-done:
+			return rounds
+		case <-s.wake:
+		case <-time.After(rendezvousSettle):
+			settled = true
+		}
+		s.mu.Lock()
+		if n := s.parked; n > 0 && (settled || (len(rounds) > 0 && n == rounds[len(rounds)-1])) {
+			rounds = append(rounds, n)
+			s.parked = 0
+			close(s.round)
+			s.round = make(chan struct{})
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestShardedWindowedReadRounds pins the dispatch rule's critical path
+// by count. A cold read of one compressed segment of 64 short blocks is
+// 64 single-block extents; the rendezvous store holds every data read
+// until the round is released, so the number of rounds IS the number of
+// sequential round trips the read waits through on a remote store, and
+// a round's size is the overlap. With a window, a sharded read keeps
+// shardedReadDepth extents per owning shard in flight (16 rounds of 4
+// inside one stripe — it was 64 rounds of 1 — and 8 at a time across
+// two stripes); without one it keeps its one lane per shard; an
+// unsharded windowed read fills the window. The reads issued are the
+// same multiset whatever the dispatch: the plan is not the dispatcher's
+// to change.
+func TestShardedWindowedReadRounds(t *testing.T) {
+	const bs, nblocks = 4096, 64
+	data := shortBlocks(nblocks)
+	repeat := func(size, times int) []int {
+		out := make([]int, times)
+		for i := range out {
+			out[i] = size
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		stripe int64 // bytes; 0 = unsharded
+		window int
+		rounds []int
+	}{
+		// Physical block 0 is the segment's metadata block, so a
+		// 128-block stripe holds all 64 data blocks and a 33-block
+		// stripe splits them 32 / 32 between the two shards.
+		{"sharded-one-stripe-window-32", 128 * bs, 32, repeat(4, 16)},
+		{"sharded-two-stripes-window-32", 33 * bs, 32, repeat(8, 8)},
+		{"sharded-one-stripe-no-window", 128 * bs, 0, repeat(1, 64)},
+		{"sharded-two-stripes-no-window", 33 * bs, 0, repeat(2, 32)},
+		{"unsharded-window-32", 0, 32, repeat(32, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
+			ps := &planStore{Store: rs, stripe: tc.stripe}
+			var store backend.Store = ps
+			if tc.stripe > 0 {
+				store = stripedPlanStore{ps}
+			}
+			cfg := compressedConfig()
+			cfg.IOWindow = tc.window
+			lfs := newFS(t, store, cfg)
+			want := writeShortBlocks(t, lfs, data)
+			ps.take()
+
+			r, err := lfs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got := make([]byte, len(data))
+			done := make(chan struct{})
+			var rerr error
+			go func() {
+				defer close(done)
+				if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
+					rerr = err
+				}
+			}()
+			rounds := rs.drive(done)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("round trip mismatch")
+			}
+			if !reflect.DeepEqual(rounds, tc.rounds) {
+				t.Fatalf("rounds of data reads in flight together:\n got  %d rounds %v\n want %d rounds %v",
+					len(rounds), rounds, len(tc.rounds), tc.rounds)
+			}
+			reads, _ := ps.take()
+			var dataReads []planOp
+			for _, op := range reads {
+				if op.off != rs.metaOff {
+					dataReads = append(dataReads, op)
+				}
+			}
+			if !reflect.DeepEqual(dataReads, want) {
+				t.Fatalf("data reads (off, len):\n got  %v\n want %v", dataReads, want)
+			}
+		})
+	}
+}
+
+// failingReadStore fails the data reads at two offsets, in a chosen
+// order in time: the read at loOff returns errLo, the read at hiOff
+// returns errHi, and when ordered the lower one waits until the higher
+// has failed — the adversarial schedule for "lowest position wins".
+type failingReadStore struct {
+	backend.Store
+	loOff, hiOff int64
+	ordered      bool
+	hiFailed     chan struct{}
+	once         sync.Once
+}
+
+var (
+	errLoExtent = errors.New("injected: lower extent")
+	errHiExtent = errors.New("injected: higher extent")
+)
+
+func (s *failingReadStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := s.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &failingReadFile{File: f, s: s}, nil
+}
+
+type failingReadFile struct {
+	backend.File
+	s *failingReadStore
+}
+
+func (f *failingReadFile) ReadAt(p []byte, off int64) (int, error) {
+	switch off {
+	case f.s.hiOff:
+		f.s.once.Do(func() { close(f.s.hiFailed) })
+		return 0, errHiExtent
+	case f.s.loOff:
+		if f.s.ordered {
+			<-f.s.hiFailed
+		}
+		return 0, errLoExtent
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestReadFailurePosition pins readSpans' failure contract on every
+// dispatch form: when extents 5 and 9 of a read both fail — and, where
+// the dispatcher runs them concurrently, 9 fails FIRST in time — ReadAt
+// returns the buffer position of extent 5, its error, and p[:n] holding
+// exactly the plaintext that precedes it.
+func TestReadFailurePosition(t *testing.T) {
+	const bs, nblocks, lo, hi = 4096, 64, 5, 9
+	data := shortBlocks(nblocks)
+	for _, tc := range []struct {
+		name    string
+		stripe  int64
+		window  int
+		ordered bool // extents lo and hi can be in flight together
+	}{
+		{"sharded-windowed", 128 * bs, 32, true},
+		{"sharded-two-stripes-windowed", 33 * bs, 32, true},
+		{"unsharded-windowed", 0, 32, true},
+		{"sharded-no-window", 128 * bs, 0, false},
+		{"unsharded-no-window", 0, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			geo := layout.Default()
+			frs := &failingReadStore{Store: backend.NewMemStore(), ordered: tc.ordered,
+				loOff: -1, hiOff: -1, hiFailed: make(chan struct{})}
+			ps := &planStore{Store: frs, stripe: tc.stripe}
+			var store backend.Store = ps
+			if tc.stripe > 0 {
+				store = stripedPlanStore{ps}
+			}
+			cfg := compressedConfig()
+			cfg.IOWindow = tc.window
+			lfs := newFS(t, store, cfg)
+			writeShortBlocks(t, lfs, data)
+
+			r, err := lfs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			frs.loOff, frs.hiOff = geo.DataBlockOffset(lo), geo.DataBlockOffset(hi)
+			got := bytes.Repeat([]byte{0xA5}, len(data))
+			n, err := r.ReadAt(got, 0)
+			if !errors.Is(err, errLoExtent) {
+				t.Fatalf("error %v, want extent %d's", err, lo)
+			}
+			if n != lo*bs {
+				t.Fatalf("n = %d, want %d (the buffer position of extent %d)", n, lo*bs, lo)
+			}
+			if !bytes.Equal(got[:n], data[:n]) {
+				t.Fatal("bytes before the failure position are not the plaintext")
+			}
+			if tc.ordered {
+				select {
+				case <-frs.hiFailed:
+				default:
+					t.Fatalf("extent %d never ran: the schedule under test did not happen", hi)
+				}
+			}
+		})
+	}
+}
+
+// TestReadFailurePositionUnderCancel sweeps a cancellation across a
+// sharded + compressed + windowed read: the ctx dies as the k-th backend
+// read is issued, for every k. Whatever was in flight, ReadAtCtx reports
+// ErrCanceled with n leading valid bytes; nothing touches p after it
+// returns (the test scribbles over p at once — under -race a straggling
+// lane would be a reported race); and a retry on the same handle with a
+// live ctx returns the right bytes (no lock or window slot leaked).
+func TestReadFailurePositionUnderCancel(t *testing.T) {
+	geo := layout.Default()
+	cfg := compressedConfig()
+	cfg.IOWindow = 32
+	// Two segments on a real shard.Store striping by segment: the first
+	// read of the sweep straddles the segment edge and so both shards
+	// (depth 8), the second stays in one (depth 4).
+	kps := geo.KeysPerSegment()
+	nblocks := kps + 40
+	data := shortBlocks(nblocks)
+	trig := &cancelTrigger{}
+	store := cancelFixture(t, geo, true, trig)
+	lfs := newFS(t, store, cfg)
+	f, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, span := range []struct {
+		name     string
+		off, len int
+	}{
+		{"two-shards", (kps - 20) * geo.BlockSize, 40 * geo.BlockSize},
+		{"one-shard", 3 * geo.BlockSize, 24 * geo.BlockSize},
+	} {
+		t.Run(span.name, func(t *testing.T) {
+			want := data[span.off : span.off+span.len]
+			p := make([]byte, span.len)
+			// attempt reads the span through a cold handle — so every
+			// attempt issues the same backend reads, metadata included —
+			// with the trigger armed to cancel as the k-th of them is
+			// issued (k == 0: count only), checks the outcome, and retries
+			// on the same handle with a live ctx.
+			attempt := func(ctx context.Context, k int64, cancel context.CancelFunc) {
+				r, err := lfs.Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				for i := range p {
+					p[i] = 0xA5
+				}
+				trig.armReads(k, cancel)
+				n, err := r.ReadAtCtx(ctx, p, int64(span.off))
+				trig.disarm()
+				if ctx.Err() == nil {
+					if (err != nil && err != io.EOF) || n != span.len || !bytes.Equal(p, want) {
+						t.Fatalf("live ctx: n=%d err=%v", n, err)
+					}
+					return
+				}
+				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+					t.Fatalf("k=%d: n=%d err=%v, want ErrCanceled", k, n, err)
+				}
+				if n < 0 || n >= span.len || !bytes.Equal(p[:n], want[:n]) {
+					t.Fatalf("k=%d: n=%d is not a count of leading valid bytes", k, n)
+				}
+				// No lane may still be writing into p.
+				for i := range p {
+					p[i] = 0x5A
+				}
+				if n, err := r.ReadAtCtx(context.Background(), p, int64(span.off)); (err != nil && err != io.EOF) ||
+					n != span.len || !bytes.Equal(p, want) {
+					t.Fatalf("k=%d: retry with a live ctx: n=%d err=%v", k, n, err)
+				}
+			}
+			// Dry run: count the read's context-aware backend reads.
+			attempt(context.Background(), 0, nil)
+			total := trig.reads()
+			if total < int64(span.len/geo.BlockSize) {
+				t.Fatalf("read issued only %d ctx reads for %d short blocks", total, span.len/geo.BlockSize)
+			}
+			for k := int64(0); k <= total; k++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				if k == 0 {
+					cancel() // dead on entry
+				}
+				attempt(ctx, k, cancel)
+				if ctx.Err() == nil {
+					t.Fatalf("k=%d of %d: the trigger never fired", k, total)
+				}
+				cancel()
+			}
+		})
+	}
+}

@@ -244,17 +244,22 @@ func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) 
 // backend at all; what is left is planned into extents (planExtents —
 // the plan the commit wrote them under) and each extent is fetched
 // with one backend read, dispatched as commits dispatch their writes
-// (dispatchExtents: over a sharded store one goroutine per shard, else
-// the I/O window if configured, else back to back). Every segment stays
-// read-locked from its memory pass until its extents are fetched, so a
-// commit cannot change the keys or lengths the plan was made from;
-// segments lock in ascending order and writers hold one segment at a
-// time, so the locks cannot cycle.
+// (dispatchExtents: on the I/O window if one is configured — at a
+// bounded depth per owning shard over a sharded store — else one
+// goroutine per shard, else back to back). Every segment stays
+// read-locked from its memory pass until its extents are fetched —
+// every dispatch form joins its goroutines before it returns, so no
+// fetch outlives the locks or touches p after readSpans has returned —
+// and a commit cannot change the keys or lengths the plan was made
+// from; segments lock in ascending order and writers hold one segment
+// at a time, so the locks cannot cycle.
 //
 // On failure it returns the number of leading bytes of p that are
-// valid: extents are planned in ascending buffer order and the
-// dispatcher reports its lowest failing index, so the lowest failing
-// buffer position wins.
+// valid: extents are planned in ascending buffer order and every
+// dispatch form reports its lowest failing (or first unstarted) index
+// only once every extent below it has been fetched and verified, so
+// the lowest failing buffer position wins — however many fetches were
+// in flight and whichever failed first in time.
 func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
 	geo := f.fs.geo
 	bs := geo.BlockSize

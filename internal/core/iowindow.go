@@ -94,53 +94,77 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 	}
 }
 
-// runWindowed dispatches fn(0) … fn(n-1), each on its own goroutine,
-// and waits for all of them — the fan-out driver for batches whose
-// tasks are (almost) pure backend I/O, where the worker pool's CPU
-// bound would needlessly cap the overlap. Concurrency is bounded by
-// the I/O window itself: each task brackets its backend call with
-// acquire/release, so the dispatcher spawns freely (callers' batches
-// are bounded by one request's extents or one segment's commit) while
-// the wire sees at most Config.IOWindow requests.
+// runWindowed runs fn(0) … fn(n-1) on lanes that pull task indices in
+// ascending order from a shared counter, and waits for all of them —
+// the fan-out driver for batches whose tasks are (almost) pure backend
+// I/O, where the worker pool's CPU bound would needlessly cap the
+// overlap. Each task brackets its backend call with acquire/release,
+// so the wire never sees more than Config.IOWindow requests whatever
+// the lane count; depth bounds how many of THIS batch's tasks are in
+// flight at once:
 //
-// Error semantics match pool.run: every spawned task runs even if an
-// earlier one fails, the lowest failing index wins, and a dead ctx
-// stops dispatch of tasks not yet spawned, reporting the cancellation
-// at the first undispatched index. The failing index is returned with
-// the error so read paths can map it to a buffer position.
-func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, error) {
+//   - depth <= 0 or depth >= n: one lane per task. The window alone
+//     bounds the wire (callers' batches are bounded by one request's
+//     extents or one segment's commit, so spawning n is safe). Commits
+//     and unsharded reads dispatch this way.
+//   - 0 < depth < n: depth lanes, so at most depth tasks are in flight
+//     and a task starts as soon as any earlier one finishes. A read
+//     over a sharded store dispatches this way (shardedReadDepth).
+//
+// A single task runs inline on the caller's goroutine.
+//
+// Error semantics match pool.run: every started task runs to completion
+// even if an earlier one fails, and the lowest failing index wins. A
+// dead ctx stops lanes from starting further tasks and is reported at
+// the first unstarted index (indices are claimed in ascending order, so
+// every index below the one returned has run and succeeded). The failing
+// index is returned with the error so read paths can map it to a buffer
+// position. All lanes are joined before return: read tasks write into
+// the caller's buffer under segment read locks the caller holds, and
+// neither may be touched once the caller moves on.
+func (fs *FS) runWindowed(ctx context.Context, n, depth int, fn func(int) error) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
 	if n == 1 {
 		return 0, fn(0)
 	}
+	lanes := depth
+	if depth <= 0 || depth > n {
+		lanes = n
+	}
 	var (
 		wg       sync.WaitGroup
+		next     atomic.Int64 // next unclaimed task index
 		mu       sync.Mutex
 		firstErr error
 		firstIdx int
 	)
-	for i := 0; i < n; i++ {
-		if err := backend.CtxErr(ctx); err != nil {
-			mu.Lock()
-			if firstErr == nil || i < firstIdx {
-				firstErr, firstIdx = err, i
-			}
-			mu.Unlock()
-			break
+	fail := func(i int, err error) {
+		mu.Lock()
+		if firstErr == nil || i < firstIdx {
+			firstErr, firstIdx = err, i
 		}
-		wg.Add(1)
-		go func(i int) {
+		mu.Unlock()
+	}
+	wg.Add(lanes)
+	for l := 0; l < lanes; l++ {
+		go func() {
 			defer wg.Done()
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if firstErr == nil || i < firstIdx {
-					firstErr, firstIdx = err, i
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-				mu.Unlock()
+				if err := backend.CtxErr(ctx); err != nil {
+					fail(i, err)
+					return
+				}
+				if err := fn(i); err != nil {
+					fail(i, err)
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	return firstIdx, firstErr
