@@ -53,7 +53,6 @@ func main() {
 	zone := fs.Uint("zone", 1, "isolation zone when using -kmip")
 	newKeyfile := fs.String("newkeyfile", "", "rekey: file with the new key pair")
 	newShards := fs.String("newshards", "", "rebalance: comma-separated directories of the NEW topology (grow by appending, shrink by removing a suffix)")
-	offline := fs.Bool("offline", false, "rebalance: use the offline mover (no mount may be active)")
 	full := fs.Bool("full", false, "rekey: rotate the inner key too (re-encrypts all data)")
 	blockSize := fs.Int("block", 4096, "layout block size")
 	reserved := fs.Int("r", 8, "reserved key slots per metadata block (R)")
@@ -202,30 +201,20 @@ func main() {
 		fmt.Printf("reclaimable:      %.2f%%\n", 100*rep.SavedFraction())
 
 	case "rebalance":
-		// Migrate the deployment to the -newshards topology. By default
-		// this drives the ONLINE path — the same epoch machinery a live
-		// mount uses (dual-ring reads, mirrored writes, resumable mover,
-		// persisted layout record), so a Ctrl-C here leaves the
-		// deployment consistent and the next run resumes it. -offline
-		// uses the record-free offline mover instead.
+		// Migrate the deployment to the -newshards topology through this
+		// process's own mount — the epoch machinery every rebalance uses
+		// (dual-ring reads, mirrored writes, resumable mover, persisted
+		// layout record), so a Ctrl-C here leaves the deployment
+		// consistent and the next run resumes it.
 		if *shards == "" {
 			die(fmt.Errorf("rebalance requires -shards (the CURRENT topology)"))
 		}
 		if *newShards == "" {
 			die(fmt.Errorf("rebalance requires -newshards"))
 		}
-		newStorage, newList, err := openNewTopology(*newShards, shardDirs, shardStores, *vnodes, *stripeKB<<10)
+		newList, err := openNewTopology(*newShards, shardDirs, shardStores)
 		if err != nil {
 			die(err)
-		}
-		if *offline {
-			st, err := lamassu.RebalanceShardsCtx(ctx, storage, newStorage)
-			if err != nil {
-				die(err)
-			}
-			fmt.Printf("offline rebalance: %d files examined, %d moved (%d keys, %d bytes), %d stale copies removed\n",
-				st.Files, st.MovedFiles, st.MovedStripes, st.MovedBytes, st.RemovedCopies)
-			return
 		}
 		reb, err := m.StartRebalance(ctx, newList...)
 		if err != nil {
@@ -242,7 +231,7 @@ func main() {
 		}
 		st := reb.Stats()
 		status := m.RebalanceStatus()
-		fmt.Printf("online rebalance committed epoch %d: %d files examined, %d moved (%d keys, %d bytes), %d stale copies removed\n",
+		fmt.Printf("rebalance committed epoch %d: %d files examined, %d moved (%d keys, %d bytes), %d stale copies removed\n",
 			status.Epoch, st.Files, st.MovedFiles, st.MovedStripes, st.MovedBytes, st.RemovedCopies)
 
 	case "rekey":
@@ -319,22 +308,22 @@ func splitDirs(list string) []string {
 
 // openNewTopology resolves the -newshards directory list against the
 // currently opened stores: a directory both topologies share keeps
-// its already-open store (both movers compare stores by IDENTITY to
+// its already-open store (the mover compares stores by IDENTITY to
 // decide what to copy — distinct handles over one directory would
 // read as a full move), new directories open fresh. The grow/shrink
 // prefix contract is enforced up front for a readable error.
-func openNewTopology(newShards string, curDirs []string, curStores []lamassu.Storage, vnodes int, stripeBytes int64) (lamassu.Storage, []lamassu.Storage, error) {
+func openNewTopology(newShards string, curDirs []string, curStores []lamassu.Storage) ([]lamassu.Storage, error) {
 	newDirs := splitDirs(newShards)
 	if len(newDirs) == 0 {
-		return nil, nil, fmt.Errorf("-newshards lists no directories")
+		return nil, fmt.Errorf("-newshards lists no directories")
 	}
 	short := min(len(newDirs), len(curDirs))
 	if len(newDirs) == len(curDirs) {
-		return nil, nil, fmt.Errorf("-newshards lists the same number of directories as -shards; nothing to rebalance")
+		return nil, fmt.Errorf("-newshards lists the same number of directories as -shards; nothing to rebalance")
 	}
 	for i := 0; i < short; i++ {
 		if newDirs[i] != curDirs[i] {
-			return nil, nil, fmt.Errorf("-newshards directory %d is %q but the current topology has %q; grow by appending directories, shrink by removing a suffix", i, newDirs[i], curDirs[i])
+			return nil, fmt.Errorf("-newshards directory %d is %q but the current topology has %q; grow by appending directories, shrink by removing a suffix", i, newDirs[i], curDirs[i])
 		}
 	}
 	stores := make([]lamassu.Storage, len(newDirs))
@@ -345,15 +334,11 @@ func openNewTopology(newShards string, curDirs []string, curStores []lamassu.Sto
 		}
 		s, err := lamassu.NewDirStorage(newDirs[i])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		stores[i] = s
 	}
-	storage, err := lamassu.NewShardedStorage(stores, &lamassu.ShardOptions{
-		Vnodes:      vnodes,
-		StripeBytes: stripeBytes,
-	})
-	return storage, stores, err
+	return stores, nil
 }
 
 // forEach applies f to the named files, or to every file when none
@@ -434,9 +419,9 @@ subcommands:
   recover [name...]                          repair interrupted multiphase commits
   df                                         dedup savings a filer would reclaim
   rekey   -newkeyfile F [-full] [name...]    rotate outer key (or both with -full)
-  rebalance -newshards D1,D2,... [-offline]  migrate to a new shard topology
-                                             (online by default: resumable, epoch-
-                                             versioned; Ctrl-C-safe)
+  rebalance -newshards D1,D2,...             migrate to a new shard topology
+                                             (resumable, epoch-versioned,
+                                             Ctrl-C-safe)
 
 common flags: -store DIR (or -shards DIR1,DIR2,... [-vnodes N] [-stripe KIB]),
               and -keyfile F or -kmip ADDR -zone N

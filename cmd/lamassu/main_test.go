@@ -80,10 +80,13 @@ func TestReadKeyfileMatchesPackage(t *testing.T) {
 func TestUsageListsAllSubcommands(t *testing.T) {
 	// usage() writes to stderr; here we only assert the string
 	// constants stay in sync with the dispatch switch.
-	for _, sub := range []string{"keygen", "put", "get", "ls", "stat", "rm", "fsck", "recover", "df", "rekey"} {
+	for _, sub := range []string{"keygen", "put", "get", "ls", "stat", "rm", "fsck", "recover", "df", "rekey", "rebalance"} {
 		if !strings.Contains(usageMessage, sub) {
 			t.Errorf("usage text missing subcommand %q", sub)
 		}
+	}
+	if strings.Contains(usageMessage, "offline") {
+		t.Error("usage text still advertises the removed -offline flag")
 	}
 }
 
@@ -147,9 +150,9 @@ func TestOpenStorageSharded(t *testing.T) {
 }
 
 // The rebalance subcommand's topology resolution: shared directories
-// keep their already-open stores (identity is what the movers compare
-// by), the prefix contract is enforced, and the resulting topologies
-// drive an online StartRebalance over real directories end to end.
+// keep their already-open stores (identity is what the mover compares
+// by), the prefix contract is enforced, and the resulting topology
+// drives StartRebalance over real directories end to end.
 func TestOpenNewTopologyRebalance(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
 	storage, stores, gotDirs, err := openStorage("", strings.Join(dirs, ","), 0, 64<<10)
@@ -170,18 +173,18 @@ func TestOpenNewTopologyRebalance(t *testing.T) {
 	}
 
 	// Contract violations are caught before any store is touched.
-	if _, _, err := openNewTopology("", gotDirs, stores, 0, 64<<10); err == nil {
+	if _, err := openNewTopology("", gotDirs, stores); err == nil {
 		t.Error("empty -newshards accepted")
 	}
-	if _, _, err := openNewTopology(strings.Join(dirs, ","), gotDirs, stores, 0, 64<<10); err == nil {
+	if _, err := openNewTopology(strings.Join(dirs, ","), gotDirs, stores); err == nil {
 		t.Error("same-count -newshards accepted")
 	}
-	if _, _, err := openNewTopology(t.TempDir()+","+dirs[1]+","+t.TempDir(), gotDirs, stores, 0, 64<<10); err == nil {
+	if _, err := openNewTopology(t.TempDir()+","+dirs[1]+","+t.TempDir(), gotDirs, stores); err == nil {
 		t.Error("swapped prefix directory accepted")
 	}
 
 	third := t.TempDir()
-	_, newList, err := openNewTopology(strings.Join(append(append([]string{}, dirs...), third), ","), gotDirs, stores, 0, 64<<10)
+	newList, err := openNewTopology(strings.Join(append(append([]string{}, dirs...), third), ","), gotDirs, stores)
 	if err != nil {
 		t.Fatal(err)
 	}

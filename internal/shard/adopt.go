@@ -56,10 +56,10 @@ func (e *TopologyError) Error() string {
 // Records written by one deployment can diverge across shards after a
 // crash mid-fanout; the most advanced record wins (Record.Newer),
 // because every phase finishes its data work before fanning out the
-// next record. expectEpoch, when nonzero, asserts the settled epoch
-// after adoption and fails the open on mismatch — a guard against
-// mounting a rebalanced deployment with a stale topology.
-func (s *Store) AdoptLayout(ctx context.Context, expectEpoch uint64) error {
+// next record. A stale store list never adopts: the record's shard and
+// vnode counts must match the configured ones (TopologyError when too
+// few stores were mounted).
+func (s *Store) AdoptLayout(ctx context.Context) error {
 	s.migMu.Lock()
 	defer s.migMu.Unlock()
 	t := s.topo.Load()
@@ -80,9 +80,6 @@ func (s *Store) AdoptLayout(ctx context.Context, expectEpoch uint64) error {
 		}
 	}
 	if !found {
-		if expectEpoch != 0 {
-			return fmt.Errorf("shard: layout epoch is 0 (no record), want %d", expectEpoch)
-		}
 		// A replicated deployment that never migrated has no record,
 		// which would let a later single-copy open adopt it silently
 		// and stop maintaining replicas. Pin the factor on disk at
@@ -155,7 +152,7 @@ func (s *Store) AdoptLayout(ctx context.Context, expectEpoch uint64) error {
 		}
 		s.topo.Store(nt)
 		s.routeGen.Add(1)
-		return checkEpoch(nt.lay.Epoch(), expectEpoch)
+		return nil
 	case layout.StateMigrating:
 		union := max(best.Shards, best.PrevShards)
 		switch {
@@ -184,7 +181,7 @@ func (s *Store) AdoptLayout(ctx context.Context, expectEpoch uint64) error {
 				health: t.health,
 			})
 			s.routeGen.Add(1)
-			return checkEpoch(prevLay.Epoch(), expectEpoch)
+			return nil
 		case len(t.stores) == best.PrevShards:
 			// The previous epoch's view of a grow that crashed
 			// mid-migration: dual-writes kept these shards complete, so
@@ -200,7 +197,7 @@ func (s *Store) AdoptLayout(ctx context.Context, expectEpoch uint64) error {
 				health: t.health,
 			})
 			s.routeGen.Add(1)
-			return checkEpoch(best.Epoch-1, expectEpoch)
+			return nil
 		default:
 			return fmt.Errorf("shard: interrupted migration %d->%d shards: open with the previous %d stores or the full %d to resume (got %d)",
 				best.PrevShards, best.Shards, best.PrevShards, union, len(t.stores))
@@ -208,14 +205,6 @@ func (s *Store) AdoptLayout(ctx context.Context, expectEpoch uint64) error {
 	default:
 		return fmt.Errorf("shard: layout record in unknown state %v", best.State)
 	}
-}
-
-// checkEpoch enforces the expectEpoch assertion (0 = any).
-func checkEpoch(got, want uint64) error {
-	if want != 0 && got != want {
-		return fmt.Errorf("shard: layout epoch is %d, want %d", got, want)
-	}
-	return nil
 }
 
 // ResumableMigration reports whether the store reopened into an

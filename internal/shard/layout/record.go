@@ -28,9 +28,11 @@ func IsReserved(name string) bool {
 	return name == RecordName || strings.HasPrefix(name, RecordName+".")
 }
 
-// State is the phase of the epoch state machine a record captures.
+// State is the phase of the epoch state machine a record captures —
+// the one machine every relocation walks, under a live mount
+// (StartRebalance) or without one (RebalanceShards):
 //
-//	stable ──StartRebalance──▶ migrating ──copies done──▶ reaping ──stale copies removed──▶ stable
+//	stable ──BeginMigration──▶ migrating ──copies done──▶ reaping ──stale copies removed──▶ stable
 //
 // A migrating record carries BOTH placements (current = the epoch
 // being served, target parameters in Shards/Vnodes with the previous

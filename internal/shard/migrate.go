@@ -86,9 +86,12 @@ func (m *migration) confirm(key string) {
 	m.rec.CountEvent(metrics.MoveCopy, 1)
 }
 
-// forgetName drops the confirmations and locks of every key derived
-// from name (called when the file is removed or renamed: a later
-// incarnation of the name must restart unconfirmed).
+// forgetName drops the confirmations of every key derived from name
+// (called when the file is removed or renamed: a later incarnation of
+// the name must restart unconfirmed). The key and file locks stay: the
+// caller holds the file's lock right now, and dropping a held mutex
+// from the map would hand the next operation a fresh one and break the
+// exclusion. They are reclaimed with the migration at the epoch commit.
 func (m *migration) forgetName(name string) {
 	prefix := name + "\x00"
 	m.mu.Lock()
@@ -187,7 +190,8 @@ func (s *Store) MigrationStatus() MigrationStatus {
 // persisted to every participating store BEFORE any routing changes.
 //
 // Calling BeginMigration again with the same target while a migration
-// is active is a resume: hooks are replaced, nothing else changes.
+// is active is a resume: hooks are replaced, nothing else changes. It
+// fails while the mover runs — the mover reads the hooks unlocked.
 // The data copies happen in RunMover; until it completes (idempotent,
 // rerunnable) the deployment stays fully readable and writable.
 func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h MigrateHooks) error {
@@ -203,6 +207,9 @@ func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h
 			if t.stores[i] != st {
 				return fmt.Errorf("shard: store %d differs from the in-progress migration's target", i)
 			}
+		}
+		if t.mig.moverRunning.Load() {
+			return errMoverRunning
 		}
 		t.mig.rec = h.Recorder
 		t.mig.invalidate = h.Invalidate
@@ -276,6 +283,10 @@ func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h
 	return nil
 }
 
+// prefixRule is the one shape of topology change a migration accepts;
+// every rejection of another shape names it.
+const prefixRule = "a migration grows by appending shards or shrinks by removing a suffix"
+
 // unionStoreList validates the grow/shrink prefix rule and returns
 // the slot list covering both epochs.
 func unionStoreList(cur, next []backend.Store) ([]backend.Store, error) {
@@ -286,19 +297,21 @@ func unionStoreList(cur, next []backend.Store) ([]backend.Store, error) {
 	if len(next) > len(cur) {
 		long, short = next, cur
 	}
-	if len(long) == len(short) {
-		return nil, errors.New("shard: migration must add or remove shards (same count given)")
-	}
 	for i, st := range short {
 		if st == nil || long[i] == nil {
 			return nil, fmt.Errorf("shard: store %d is nil", i)
 		}
 		if long[i] != st {
-			return nil, fmt.Errorf("shard: store %d differs between epochs; online rebalance grows by appending shards or shrinks by removing a suffix", i)
+			return nil, fmt.Errorf("shard: store %d differs between epochs; %s", i, prefixRule)
 		}
+	}
+	if len(long) == len(short) {
+		return nil, errors.New("shard: migration must add or remove shards (same count given); " + prefixRule)
 	}
 	return append([]backend.Store(nil), long...), nil
 }
+
+var errMoverRunning = errors.New("shard: mover already running")
 
 // RunMover copies every placement key whose owner changed between the
 // two epochs from its old owner to its new one, confirms each key
@@ -321,8 +334,14 @@ func (s *Store) RunMover(ctx context.Context) (RebalanceStats, error) {
 	if mig == nil {
 		return st, errors.New("shard: no migration in progress")
 	}
-	if !mig.moverRunning.CompareAndSwap(false, true) {
-		return st, errors.New("shard: mover already running")
+	// Claimed under migMu so a resuming BeginMigration, which replaces
+	// the hooks this goroutine reads unlocked, sees the mover or has
+	// finished before it starts.
+	s.migMu.Lock()
+	claimed := mig.moverRunning.CompareAndSwap(false, true)
+	s.migMu.Unlock()
+	if !claimed {
+		return st, errMoverRunning
 	}
 	defer mig.moverRunning.Store(false)
 
@@ -414,38 +433,75 @@ func (t *topology) keyRelocated(key string) bool {
 	return false
 }
 
+// keyRange is one placement key of a file with the byte range it
+// covers; hi < 0 marks a whole-file key.
+type keyRange struct {
+	key    string
+	lo, hi int64
+}
+
 // changedKeys lists the placement keys of a file whose owner set
 // differs between the previous and current epochs.
-func changedKeys(t *topology, name string, phys int64) []string {
+func changedKeys(t *topology, name string, phys int64) []keyRange {
 	stripe := t.lay.StripeBytes()
 	if stripe <= 0 {
 		if t.keyRelocated(name) {
-			return []string{name}
+			return []keyRange{{name, 0, -1}}
 		}
 		return nil
 	}
 	// An empty file has no stripes to copy; its existence under the
 	// new epoch is the home-copy creation moverFile performs anyway.
-	var keys []string
-	nStripes := (phys + stripe - 1) / stripe
-	for i := int64(0); i < nStripes; i++ {
-		key := layout.StripeKey(name, i)
+	var keys []keyRange
+	for lo := int64(0); lo < phys; lo += stripe {
+		key := layout.StripeKey(name, lo/stripe)
 		if t.keyRelocated(key) {
-			keys = append(keys, key)
+			keys = append(keys, keyRange{key, lo, min(lo+stripe, phys)})
 		}
 	}
 	return keys
 }
 
+// copySizes stats name on every participating store once: the size of
+// each copy found, and the longest of them — the file's global
+// physical size (0 when no store holds it).
+func copySizes(uniq []uniqueStore, name string) (sizes map[backend.Store]int64, phys int64, err error) {
+	sizes = make(map[backend.Store]int64, len(uniq))
+	for _, u := range uniq {
+		sz, err := u.store.Stat(name)
+		if errors.Is(err, backend.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		sizes[u.store] = sz
+		phys = max(phys, sz)
+	}
+	return sizes, phys, nil
+}
+
+// heldBy reports whether a store behind one of slots has a copy in
+// sizes.
+func heldBy(sizes map[backend.Store]int64, stores []backend.Store, slots []int) bool {
+	for _, sl := range slots {
+		if _, ok := sizes[stores[sl]]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // copyKeyToOwners copies one key's range from the first previous-epoch
 // owner holding the file to every current-epoch owner that is not
 // itself a previous owner (those copies are authoritative already —
-// the dual writes kept them fresh). Whole-file keys (hi < 0) replace
-// the destination copy outright. Returns the payload bytes copied.
-func (t *topology) copyKeyToOwners(name, key string, lo, hi int64) (int64, error) {
-	prevSet := t.storeSet(t.mig.prev.Owners(key))
+// the dual writes kept them fresh). Whole-file keys replace the
+// destination copy outright. Returns the payload bytes copied.
+func (t *topology) copyKeyToOwners(name string, k keyRange) (int64, error) {
+	prevSlots := t.dedupSlots(t.mig.prev.Owners(k.key))
+	prevSet := t.storeSet(prevSlots)
 	var src backend.Store
-	for _, sl := range t.dedupSlots(t.mig.prev.Owners(key)) {
+	for _, sl := range prevSlots {
 		has, err := storeHas(t.stores[sl], name)
 		if err != nil {
 			return 0, err
@@ -461,17 +517,17 @@ func (t *topology) copyKeyToOwners(name, key string, lo, hi int64) (int64, error
 		return 0, nil
 	}
 	var total int64
-	for _, sl := range t.dedupSlots(t.lay.Owners(key)) {
+	for _, sl := range t.dedupSlots(t.lay.Owners(k.key)) {
 		dst := t.stores[sl]
-		if dst == src || prevSet[dst] {
+		if prevSet[dst] {
 			continue
 		}
 		var n int64
 		var err error
-		if hi < 0 {
+		if k.hi < 0 {
 			n, err = copyNamed(src, name, dst, name)
 		} else {
-			n, err = copyRange(src, dst, name, lo, hi)
+			n, err = copyRange(src, dst, name, k.lo, k.hi)
 		}
 		if err != nil {
 			return total, err
@@ -481,11 +537,12 @@ func (t *topology) copyKeyToOwners(name, key string, lo, hi int64) (int64, error
 	return total, nil
 }
 
-// moverFile relocates one file's changed keys old→new. It holds the
-// file's migration lock throughout, excluding truncate/remove/rename
-// (whose whole-file effects must not interleave with per-key copies);
-// per-key it additionally takes the key lock, excluding the
-// dual-writes to that key.
+// moverFile relocates one file's changed keys old→new — the only code
+// that copies a placement key between stores. It holds the file's
+// migration lock throughout, excluding truncate/remove/rename (whose
+// whole-file effects must not interleave with per-key copies); per-key
+// it additionally takes the key lock, excluding the dual-writes to
+// that key.
 func (s *Store) moverFile(ctx context.Context, t *topology, name string, st *RebalanceStats) error {
 	mig := t.mig
 	fl := mig.fileLock(name)
@@ -498,55 +555,18 @@ func (s *Store) moverFile(ctx context.Context, t *topology, name string, st *Reb
 		defer mig.invalidate(name)
 	}
 
+	// Existence and physical size are judged across BOTH epochs: after
+	// an interrupted run the file's home copy may already sit on the new
+	// home only, and its tail only on the new anchor store.
+	sizes, phys, err := copySizes(t.uniq, name)
+	if err != nil {
+		return err
+	}
 	curHomes := t.dedupSlots(t.lay.Owners(t.lay.KeyOf(name, 0)))
-	prevHomes := t.dedupSlots(mig.prev.Owners(mig.prev.KeyOf(name, 0)))
-	curHas, prevHas := false, false
-	for _, sl := range curHomes {
-		has, err := storeHas(t.stores[sl], name)
-		if err != nil {
-			return err
-		}
-		if has {
-			curHas = true
-			break
-		}
-	}
-	for _, sl := range prevHomes {
-		has, err := storeHas(t.stores[sl], name)
-		if err != nil {
-			return err
-		}
-		if has {
-			prevHas = true
-			break
-		}
-	}
-	if !curHas && !prevHas {
+	if !heldBy(sizes, t.stores, curHomes) && !heldBy(sizes, t.stores, mig.prev.Owners(mig.prev.KeyOf(name, 0))) {
 		// Unreachable under either epoch: stale copies from an older
-		// placement. Reap them.
-		for _, u := range t.uniq {
-			switch rerr := u.store.Remove(name); {
-			case rerr == nil:
-				st.RemovedCopies++
-			case errors.Is(rerr, backend.ErrNotExist):
-			default:
-				return rerr
-			}
-		}
+		// placement, left for the epoch commit's reapStale.
 		return nil
-	}
-	var phys int64
-	for _, u := range t.uniq {
-		sz, err := u.store.Stat(name)
-		if errors.Is(err, backend.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if sz > phys {
-			phys = sz
-		}
 	}
 
 	// The new home owners define existence once the epoch commits;
@@ -557,74 +577,49 @@ func (s *Store) moverFile(ctx context.Context, t *topology, name string, st *Reb
 			return err
 		}
 	}
-	for _, key := range changedKeys(t, name, phys) {
-		if !mig.confirmed(key) {
+	keys := changedKeys(t, name, phys)
+	for _, k := range keys {
+		if !mig.confirmed(k.key) {
 			mig.totalKeys.Add(1)
 		}
 	}
 
 	moved := false
-	stripe := t.lay.StripeBytes()
-	if stripe <= 0 {
-		if t.keyRelocated(name) && !mig.confirmed(name) {
-			if err := backend.CtxErr(ctx); err != nil {
-				return err
-			}
-			kl := mig.keyLock(name)
-			kl.Lock()
-			n, err := t.copyKeyToOwners(name, name, 0, -1)
-			kl.Unlock()
-			if err != nil {
-				return err
-			}
-			mig.confirm(name)
-			s.routeGen.Add(1)
-			st.MovedStripes++
-			st.MovedBytes += n
-			mig.movedBytes.Add(n)
-			moved = true
-			if mig.onKeyMoved != nil {
-				mig.onKeyMoved(name)
-			}
+	for _, k := range keys {
+		if mig.confirmed(k.key) {
+			continue
 		}
-	} else {
-		nStripes := (phys + stripe - 1) / stripe
-		for i := int64(0); i < nStripes; i++ {
-			key := layout.StripeKey(name, i)
-			if !t.keyRelocated(key) || mig.confirmed(key) {
-				continue
-			}
-			if err := backend.CtxErr(ctx); err != nil {
-				return err
-			}
-			lo := i * stripe
-			hi := min(lo+stripe, phys)
-			kl := mig.keyLock(key)
-			kl.Lock()
-			n, err := t.copyKeyToOwners(name, key, lo, hi)
-			kl.Unlock()
-			if err != nil {
-				return err
-			}
-			mig.confirm(key)
-			s.routeGen.Add(1)
-			st.MovedStripes++
-			st.MovedBytes += n
-			mig.movedBytes.Add(n)
-			moved = true
-			if mig.onKeyMoved != nil {
-				mig.onKeyMoved(key)
-			}
+		// The cancellation point sits BETWEEN key copies: a canceled
+		// run is cut at a copy boundary, the crash case the resume
+		// contract already covers.
+		if err := backend.CtxErr(ctx); err != nil {
+			return err
 		}
-		// Anchor the global size: every owner of the final byte under
-		// the new placement must reach exactly phys, even when the final
-		// stripe is a hole with no bytes to copy. (extendTo never
-		// shrinks, so a concurrent append that outgrew phys is safe.)
-		if phys > 0 {
-			for _, sl := range t.dedupSlots(t.lay.Owners(t.lay.KeyOf(name, phys-1))) {
-				if err := extendTo(t.stores[sl], name, phys); err != nil {
-					return err
-				}
+		kl := mig.keyLock(k.key)
+		kl.Lock()
+		n, err := t.copyKeyToOwners(name, k)
+		kl.Unlock()
+		if err != nil {
+			return err
+		}
+		mig.confirm(k.key)
+		s.routeGen.Add(1)
+		st.MovedStripes++
+		st.MovedBytes += n
+		mig.movedBytes.Add(n)
+		moved = true
+		if mig.onKeyMoved != nil {
+			mig.onKeyMoved(k.key)
+		}
+	}
+	// Anchor the global size: every owner of the final byte under the
+	// new placement must reach exactly phys, even when the final stripe
+	// is a hole with no bytes to copy. (extendTo never shrinks, so a
+	// concurrent append that outgrew phys is safe.)
+	if t.lay.StripeBytes() > 0 && phys > 0 {
+		for _, sl := range t.dedupSlots(t.lay.Owners(t.lay.KeyOf(name, phys-1))) {
+			if err := extendTo(t.stores[sl], name, phys); err != nil {
+				return err
 			}
 		}
 	}
@@ -696,7 +691,9 @@ func (s *Store) commitEpoch(ctx context.Context, t *topology, st *RebalanceStats
 }
 
 // reapStale removes per-file copies from stores that own nothing
-// under lay — the same cleanup the offline Rebalance performs inline.
+// under lay, and every copy of a file none of lay's home owners holds
+// (unreachable: a leftover of an older placement). It runs only once
+// the epoch is authoritative — every live file then has its home copy.
 // stores is the dense slot list lay's lookups index into.
 func reapStale(ctx context.Context, stores []backend.Store, uniq []uniqueStore, lay *layout.Layout, st *RebalanceStats) error {
 	names, err := unionNamespace(uniq)
@@ -707,20 +704,14 @@ func reapStale(ctx context.Context, stores []backend.Store, uniq []uniqueStore, 
 		if err := backend.CtxErr(ctx); err != nil {
 			return err
 		}
-		var phys int64
-		for _, u := range uniq {
-			sz, err := u.store.Stat(name)
-			if errors.Is(err, backend.ErrNotExist) {
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			if sz > phys {
-				phys = sz
-			}
+		sizes, phys, err := copySizes(uniq, name)
+		if err != nil {
+			return err
 		}
-		owners := ownerStores(stores, lay, name, phys)
+		var owners map[backend.Store]bool
+		if heldBy(sizes, stores, lay.Owners(lay.KeyOf(name, 0))) {
+			owners = ownerStores(stores, lay, name, phys)
+		}
 		for _, u := range uniq {
 			if owners[u.store] {
 				continue

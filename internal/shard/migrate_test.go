@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,43 +97,22 @@ func compareDumps(t *testing.T, label string, got, want []map[string][]byte) {
 	}
 }
 
-// The tentpole acceptance: growing 2 -> 3 shards ONLINE converges to
-// a layout byte-identical to the offline Rebalance of the same
-// topology, for both whole-file and striped placement, and the
-// deployment reopens at the committed epoch.
+// Growing 2 -> 3 shards ONLINE converges to the pinned relocation
+// layout (RelocationGolden: the bytes the retired offline pass produced
+// for the same fixture) and passes the placement oracle, for both
+// whole-file and striped placement, and the deployment reopens at the
+// committed epoch. (The name keeps its "MatchesOffline": the golden IS
+// the offline pass's output.)
 func TestOnlineRebalanceGrowMatchesOffline(t *testing.T) {
 	for _, stripe := range []int64{0, 4096} {
 		t.Run(fmt.Sprintf("stripe=%d", stripe), func(t *testing.T) {
-			cfg := shard.Config{StripeBytes: stripe}
-			base, _ := memStores(2)
-			orig, err := shard.New(base, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			contents := populate(t, orig, 51)
-
-			// Offline reference over a byte-identical clone.
-			offStores := rawClone(t, base)
-			offOld, err := shard.New(offStores, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			offAll := append(append([]backend.Store(nil), offStores...), backend.NewMemStore())
-			offNew, err := shard.New(offAll, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := shard.Rebalance(offOld, offNew); err != nil {
-				t.Fatal(err)
-			}
-
-			// Online run over another clone.
-			onStores := rawClone(t, base)
+			row := relocationRow{from: 2, to: 3, replicas: 1, stripe: stripe}
+			onAll, cfg, raw := row.build(t)
+			onStores := onAll[:2]
 			on, err := shard.New(onStores, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			onAll := append(append([]backend.Store(nil), onStores...), backend.NewMemStore())
 			ctx := context.Background()
 			if err := on.BeginMigration(ctx, onAll, shard.MigrateHooks{}); err != nil {
 				t.Fatal(err)
@@ -154,34 +134,29 @@ func TestOnlineRebalanceGrowMatchesOffline(t *testing.T) {
 				t.Fatalf("Epoch = %d after commit, want 1", on.Epoch())
 			}
 
-			compareDumps(t, "online vs offline", rawDump(t, onAll), rawDump(t, offAll))
-			verify(t, on, contents)
+			row.assertRelocated(t, "online", onAll, on, raw)
+			verifyRaw(t, on, raw)
 
 			// Reopening with the new topology adopts the committed epoch.
 			fresh, err := shard.New(onAll, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.AdoptLayout(nil, 0); err != nil {
+			if err := fresh.AdoptLayout(nil); err != nil {
 				t.Fatal(err)
 			}
 			if fresh.Epoch() != 1 || fresh.Migrating() {
 				t.Fatalf("reopen: epoch %d migrating %v", fresh.Epoch(), fresh.Migrating())
 			}
-			verify(t, fresh, contents)
+			verifyRaw(t, fresh, raw)
 
 			// Reopening with a stale topology is rejected.
 			stale, err := shard.New(onStores, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := stale.AdoptLayout(nil, 0); err == nil {
+			if err := stale.AdoptLayout(nil); err == nil {
 				t.Fatal("adopting a 3-shard deployment with 2 stores succeeded")
-			}
-			// And the epoch assertion catches mismatches.
-			again, _ := shard.New(onAll, cfg)
-			if err := again.AdoptLayout(nil, 2); err == nil {
-				t.Fatal("epoch assertion 2 on an epoch-1 deployment succeeded")
 			}
 		})
 	}
@@ -304,26 +279,13 @@ loop:
 //
 //   - with the OLD store list, it serves the previous epoch, complete;
 //   - with the full list, it resumes dual-ring mode mid-migration,
-//     serves everything, and rerunning the mover converges to a layout
-//     byte-identical to the offline Rebalance.
+//     serves everything, and rerunning the mover converges to the
+//     pinned relocation layout (RelocationGolden) and the placement
+//     oracle, whichever boundary it was killed at.
 func TestMoverCrashSweepEitherEpoch(t *testing.T) {
-	cfg := shard.Config{StripeBytes: 4096}
-	base, _ := memStores(2)
-	orig, err := shard.New(base, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	contents := populate(t, orig, 53)
-
-	// Offline reference for the final layout.
-	offStores := rawClone(t, base)
-	offOld, _ := shard.New(offStores, cfg)
-	offAll := append(append([]backend.Store(nil), offStores...), backend.NewMemStore())
-	offNew, _ := shard.New(offAll, cfg)
-	if _, err := shard.Rebalance(offOld, offNew); err != nil {
-		t.Fatal(err)
-	}
-	wantDump := rawDump(t, offAll)
+	row := relocationRow{from: 2, to: 3, replicas: 1, stripe: 4096}
+	built, cfg, raw := row.build(t)
+	base := built[:2]
 
 	// Count the copy boundaries with a dry full run.
 	dryStores := rawClone(t, base)
@@ -373,13 +335,13 @@ func TestMoverCrashSweepEitherEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := oldView.AdoptLayout(nil, 0); err != nil {
+		if err := oldView.AdoptLayout(nil); err != nil {
 			t.Fatalf("k=%d: reopen old epoch: %v", k, err)
 		}
 		if oldView.Epoch() != 0 || oldView.Migrating() {
 			t.Fatalf("k=%d: old view epoch %d migrating %v", k, oldView.Epoch(), oldView.Migrating())
 		}
-		verify(t, oldView, contents)
+		verifyRaw(t, oldView, raw)
 
 		// Reopen on the NEW epoch (full list): dual-ring mode resumes,
 		// everything is readable mid-migration, and the rerun converges.
@@ -387,7 +349,7 @@ func TestMoverCrashSweepEitherEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.AdoptLayout(nil, 0); err != nil {
+		if err := resumed.AdoptLayout(nil); err != nil {
 			t.Fatalf("k=%d: reopen union: %v", k, err)
 		}
 		if !resumed.Migrating() {
@@ -396,21 +358,21 @@ func TestMoverCrashSweepEitherEpoch(t *testing.T) {
 		if st := resumed.MigrationStatus(); st.Epoch != 0 || st.TargetEpoch != 1 {
 			t.Fatalf("k=%d: resumed status %+v", k, st)
 		}
-		verify(t, resumed, contents)
+		verifyRaw(t, resumed, raw)
 		if _, err := resumed.RunMover(context.Background()); err != nil {
 			t.Fatalf("k=%d: resumed mover: %v", k, err)
 		}
 		if resumed.Epoch() != 1 || resumed.Migrating() {
 			t.Fatalf("k=%d: post-resume epoch %d migrating %v", k, resumed.Epoch(), resumed.Migrating())
 		}
-		verify(t, resumed, contents)
-		compareDumps(t, fmt.Sprintf("k=%d final layout", k), rawDump(t, all), wantDump)
+		verifyRaw(t, resumed, raw)
+		row.assertRelocated(t, fmt.Sprintf("k=%d final layout", k), all, resumed, raw)
 	}
 }
 
 // cancelStore wraps a backend.Store and fires a context cancellation
 // after a fixed number of WriteAt calls — the deterministic
-// interruption the offline-cancellation test needs.
+// interruption the rebalance-cancellation test needs.
 type cancelStore struct {
 	inner  backend.Store
 	writes atomic.Int64
@@ -443,50 +405,120 @@ func (f *cancelFile) WriteAt(p []byte, off int64) (int, error) {
 	return f.File.WriteAt(p, off)
 }
 
-// Offline Rebalance honors ctx between key copies (the satellite fix):
-// a canceled pass returns ErrCanceled cut at a copy boundary, and the
-// rerun converges to the verified layout.
+// Rebalance — begin, run the mover, wait — honors ctx between key
+// copies: a canceled pass returns ErrCanceled cut at a copy boundary
+// with the migration persisted, and the rerun converges to the verified
+// layout, on the same Store objects (a retry in-process) and on fresh
+// ones (a new process: the migrating record plus the old store list
+// adopts the previous epoch and starts the migration over).
 func TestOfflineRebalanceCtxCancelConverges(t *testing.T) {
-	cfg := shard.Config{StripeBytes: 4096}
+	for _, rerun := range []string{"same objects", "fresh objects"} {
+		t.Run(rerun, func(t *testing.T) {
+			cfg := shard.Config{StripeBytes: 4096}
+			base, _ := memStores(2)
+			old, err := shard.New(base, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			contents := populate(t, old, 54)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// Growth moves keys only onto the new shard, so counting its
+			// writes interrupts the pass partway deterministically (the
+			// first write is the migrating record, the second a copy).
+			cs := &cancelStore{inner: backend.NewMemStore(), limit: 2, cancel: cancel}
+			all := append(append([]backend.Store(nil), base...), cs)
+			grown, err := shard.New(all, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = shard.RebalanceCtx(ctx, old, grown)
+			if !errors.Is(err, backend.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled rebalance returned %v", err)
+			}
+			if cs.writes.Load() < cs.limit {
+				t.Fatalf("pass stopped after %d writes, before the trigger", cs.writes.Load())
+			}
+			if st := old.MigrationStatus(); !st.Active || st.MovedKeys == 0 {
+				t.Fatalf("cancellation did not cut a running migration: %+v", st)
+			}
+
+			if rerun == "fresh objects" {
+				if old, err = shard.New(base, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if grown, err = shard.New(all, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Rerun with a live context: converges, then a settled pass
+			// is a no-op.
+			if _, err := shard.RebalanceCtx(context.Background(), old, grown); err != nil {
+				t.Fatal(err)
+			}
+			verify(t, grown, contents)
+			st, err := shard.RebalanceCtx(context.Background(), grown, grown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.MovedStripes != 0 {
+				t.Fatalf("settled pass moved %d stripes", st.MovedStripes)
+			}
+			verify(t, grown, contents)
+		})
+	}
+}
+
+// A second BeginMigration while the mover runs would replace the hooks
+// the mover reads unlocked; it is refused instead (under -race this
+// test is the proof: the resume below used to write what the parked
+// mover goroutine reads).
+func TestBeginMigrationWhileMoverRuns(t *testing.T) {
 	base, _ := memStores(2)
-	old, err := shard.New(base, cfg)
+	ss, err := shard.New(base, shard.Config{StripeBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	contents := populate(t, old, 54)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Growth moves keys only onto the new shard, so counting its
-	// writes interrupts the pass partway deterministically.
-	cs := &cancelStore{inner: backend.NewMemStore(), limit: 2, cancel: cancel}
-	all := append(append([]backend.Store(nil), base...), cs)
-	grown, err := shard.New(all, cfg)
+	populate(t, ss, 57)
+	grown := append(append([]backend.Store(nil), base...), backend.NewMemStore())
+	parked, release := make(chan struct{}), make(chan struct{})
+	first := true
+	hooks := shard.MigrateHooks{OnKeyMoved: func(string) {
+		if first {
+			first = false
+			close(parked)
+			<-release
+		}
+	}}
+	ctx := context.Background()
+	if err := ss.BeginMigration(ctx, grown, hooks); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ss.RunMover(ctx)
+		done <- err
+	}()
+	<-parked
+	if err := ss.BeginMigration(ctx, grown, shard.MigrateHooks{}); err == nil || !strings.Contains(err.Error(), "mover already running") {
+		t.Errorf("BeginMigration under a running mover returned %v", err)
+	}
+	other, err := shard.New(grown, shard.Config{StripeBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = shard.RebalanceCtx(ctx, old, grown)
-	if !errors.Is(err, backend.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled rebalance returned %v", err)
+	if _, err := shard.RebalanceCtx(ctx, ss, other); err == nil {
+		t.Error("Rebalance over a store whose mover is running succeeded")
 	}
-	if cs.writes.Load() < cs.limit {
-		t.Fatalf("pass stopped after %d writes, before the trigger", cs.writes.Load())
-	}
-
-	// Rerun with a live context: converges, then a settled pass is a
-	// no-op.
-	if _, err := shard.RebalanceCtx(context.Background(), old, grown); err != nil {
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	verify(t, grown, contents)
-	st, err := shard.RebalanceCtx(context.Background(), grown, grown)
-	if err != nil {
-		t.Fatal(err)
+	// With the mover gone the same call is the documented no-op.
+	if st, err := shard.RebalanceCtx(ctx, ss, other); err != nil || st != (shard.RebalanceStats{}) {
+		t.Fatalf("settled rebalance: %+v, %v", st, err)
 	}
-	if st.MovedStripes != 0 {
-		t.Fatalf("settled pass moved %d stripes", st.MovedStripes)
-	}
-	verify(t, grown, contents)
 }
 
 // The sweep above kills the mover with the data untouched; this one
@@ -578,7 +610,7 @@ func TestMoverCrashSweepWithWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := oldView.AdoptLayout(nil, 0); err != nil {
+		if err := oldView.AdoptLayout(nil); err != nil {
 			t.Fatalf("k=%d: reopen old epoch: %v", k, err)
 		}
 		verify(t, oldView, iterContents)
@@ -587,7 +619,7 @@ func TestMoverCrashSweepWithWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := resumed.AdoptLayout(nil, 0); err != nil {
+		if err := resumed.AdoptLayout(nil); err != nil {
 			t.Fatalf("k=%d: reopen union: %v", k, err)
 		}
 		verify(t, resumed, iterContents)

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/shard/layout"
 )
 
-// RebalanceStats summarizes an offline Rebalance pass.
+// RebalanceStats summarizes one relocation pass: a RunMover run, and so
+// equally a Rebalance, which is nothing more than one.
 type RebalanceStats struct {
 	// Files is the number of files examined.
 	Files int
@@ -25,31 +25,37 @@ type RebalanceStats struct {
 }
 
 // Rebalance migrates a sharded deployment from one placement to
-// another — the offline step behind adding or removing shards. Both
-// views must be over the same stripe unit; the underlying stores may
-// overlap arbitrarily (adding a shard passes the old stores plus one).
+// another and waits for it: it opens the migration on from
+// (BeginMigration towards to's store list) and runs the mover to the
+// epoch commit — the same engine, locks and layout record as a live
+// Mount's online rebalance, so there is one relocation routine to
+// reason about. Both views must share the stripe unit, replication
+// factor and vnode count, and to's store list must extend from's
+// (grow by appending shards) or be a prefix of it (shrink by removing
+// a suffix); anything else is rejected before a byte moves.
 //
 // Consistent hashing keeps the work proportional to the placement
 // delta: only keys whose owning store actually changed are touched —
 // growing N stores to N+1 moves about 1/(N+1) of the keys, all of
-// them onto the new store. Identical rings move nothing.
+// them onto the new store. Identical placements move nothing.
 //
-// Rebalance is OFFLINE: no Mount or handle may be using either view
-// while it runs. It is idempotent — rerunning after a crash midway
-// completes the migration (a stripe already copied is simply copied
-// again; removals only happen after the copy landed). For migrating a
-// LIVE deployment without downtime see BeginMigration/RunMover.
+// On success from itself has moved to the new placement, and the
+// deployment carries a stable layout record one epoch on: opening it
+// with the old store list afterwards is refused. Rebalance is
+// idempotent — rerunning after a crash or cancellation midway resumes
+// the persisted migration and converges.
 func Rebalance(from, to *Store) (RebalanceStats, error) { return RebalanceCtx(nil, from, to) }
 
 // RebalanceCtx is Rebalance honoring ctx between key copies: a
-// cancellation returns ErrCanceled with the pass cut at a copy
-// boundary — exactly the crash case the idempotency contract covers —
-// and rerunning with a live context converges.
+// cancellation returns ErrCanceled with the migration cut at a copy
+// boundary and still active — every byte readable through from's dual
+// rings — and rerunning with a live context converges, on the same
+// Store objects or on fresh ones over the same stores.
 func RebalanceCtx(ctx context.Context, from, to *Store) (RebalanceStats, error) {
 	var st RebalanceStats
 	ft, tt := from.topo.Load(), to.topo.Load()
-	if ft.mig != nil || tt.mig != nil {
-		return st, errors.New("shard: offline rebalance over a store with an active migration")
+	if tt.mig != nil {
+		return st, errors.New("shard: rebalance target view has an active migration")
 	}
 	if ft.lay.StripeBytes() != tt.lay.StripeBytes() {
 		return st, fmt.Errorf("shard: rebalance stripe mismatch: %d vs %d",
@@ -59,256 +65,25 @@ func RebalanceCtx(ctx context.Context, from, to *Store) (RebalanceStats, error) 
 		return st, fmt.Errorf("shard: rebalance replication mismatch: %d-way vs %d-way",
 			ft.lay.Replicas(), tt.lay.Replicas())
 	}
-	// Iterate the union of every store's raw namespace, not the
-	// home-filtered List: a rerun after a crash mid-pass must still
-	// reach files whose old-home copy was already moved, and stale
-	// copies stranded on non-owner stores must still be reaped. The
-	// layout record never migrates (it is per-store state, maintained
-	// below).
-	seen := make(map[string]bool)
-	var names []string
-	for _, s := range uniqueStores(ft.stores, tt.stores) {
-		ns, err := s.List()
-		if err != nil {
+	if ft.lay.Vnodes() != tt.lay.Vnodes() {
+		return st, fmt.Errorf("shard: rebalance vnode mismatch: %d vs %d; %s under one vnode count",
+			ft.lay.Vnodes(), tt.lay.Vnodes(), prefixRule)
+	}
+	if ft.mig == nil {
+		// Pick up the persisted epoch (and refuse a stale store list)
+		// exactly as a mount would; a Store already mid-migration in
+		// this process carries newer state than its record.
+		if err := from.AdoptLayout(ctx); err != nil {
 			return st, err
 		}
-		for _, n := range ns {
-			if !layout.IsReserved(n) && !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
+		if ft = from.topo.Load(); ft.mig == nil && slices.Equal(ft.stores, tt.stores) {
+			return st, nil
 		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := backend.CtxErr(ctx); err != nil {
-			return st, err
-		}
-		if err := rebalanceFile(ctx, ft, tt, name, &st); err != nil {
-			return st, fmt.Errorf("shard: rebalancing %q: %w", name, err)
-		}
-	}
-	if err := settleRecords(ctx, ft, tt); err != nil {
+	if err := from.BeginMigration(ctx, tt.stores, MigrateHooks{}); err != nil {
 		return st, err
 	}
-	return st, nil
-}
-
-// settleRecords updates persisted layout records after an offline
-// rebalance, for deployments that have them (i.e. ones that were at
-// some point rebalanced online): the destination view gets a stable
-// record one epoch past the newest seen, stores leaving the
-// deployment lose theirs. Deployments without records stay
-// record-free — the offline path adds no on-disk state of its own.
-func settleRecords(ctx context.Context, ft, tt *topology) error {
-	var (
-		maxEpoch uint64
-		found    bool
-	)
-	for _, s := range uniqueStores(ft.stores, tt.stores) {
-		rec, ok, err := layout.ReadRecord(ctx, s)
-		if err != nil {
-			return err
-		}
-		if ok {
-			found = true
-			if rec.Epoch > maxEpoch {
-				maxEpoch = rec.Epoch
-			}
-		}
-	}
-	if !found {
-		return nil
-	}
-	rec := layout.Record{
-		Epoch:       maxEpoch + 1,
-		State:       layout.StateStable,
-		Shards:      tt.lay.Shards(),
-		Vnodes:      tt.lay.Vnodes(),
-		StripeBytes: tt.lay.StripeBytes(),
-		Replicas:    recReplicas(tt.lay),
-	}
-	inTo := make(map[backend.Store]bool)
-	for _, u := range tt.uniq {
-		inTo[u.store] = true
-		if err := layout.WriteRecord(ctx, u.store, rec); err != nil {
-			return err
-		}
-	}
-	for _, u := range ft.uniq {
-		if !inTo[u.store] {
-			if err := layout.RemoveRecord(ctx, u.store); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func rebalanceFile(ctx context.Context, from, to *topology, name string, st *RebalanceStats) error {
-	st.Files++
-	all := uniqueStores(from.stores, to.stores)
-
-	// Existence and physical size are judged across BOTH views: after
-	// an interrupted pass, the file's home copy may already sit on the
-	// new home only, and its tail may live only on the new anchor
-	// store — one the old view cannot see. Judging from the old view
-	// alone would under-size the file and reap its tail as garbage.
-	anyHas := func(t *topology, slots []int) (bool, error) {
-		for _, sl := range slots {
-			has, err := storeHas(t.stores[sl], name)
-			if err != nil || has {
-				return has, err
-			}
-		}
-		return false, nil
-	}
-	fromHomes := from.dedupSlots(from.lay.Owners(from.lay.KeyOf(name, 0)))
-	toHomes := to.dedupSlots(to.lay.Owners(to.lay.KeyOf(name, 0)))
-	fromHome, err := anyHas(from, fromHomes)
-	if err != nil {
-		return err
-	}
-	toHome, err := anyHas(to, toHomes)
-	if err != nil {
-		return err
-	}
-	if !fromHome && !toHome {
-		// Unreachable under either view: stale copies from an older
-		// placement epoch. Reap them.
-		for _, s := range all {
-			switch rerr := s.Remove(name); {
-			case rerr == nil:
-				st.RemovedCopies++
-			case errors.Is(rerr, backend.ErrNotExist):
-			default:
-				return rerr
-			}
-		}
-		return nil
-	}
-	var phys int64
-	for _, s := range all {
-		sz, err := s.Stat(name)
-		if errors.Is(err, backend.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		if sz > phys {
-			phys = sz
-		}
-	}
-
-	// The new home owners define existence under the new placement;
-	// create their copies first (OpenCreate does not truncate, so data a
-	// home store already holds survives).
-	for _, sl := range toHomes {
-		if err := ensureExists(to.stores[sl], name); err != nil {
-			return err
-		}
-	}
-
-	moved := false
-	owners := make(map[backend.Store]bool)
-	for _, sl := range toHomes {
-		owners[to.stores[sl]] = true
-	}
-	// copyKey moves one key's range from the first from-owner holding a
-	// copy to every to-owner that is not itself a from-owner (those
-	// copies are authoritative already). hi < 0 selects a whole-file
-	// copy. The cancellation point sits BETWEEN key copies: a canceled
-	// pass is cut at a copy boundary, the crash case the idempotency
-	// contract already covers.
-	copyKey := func(key string, lo, hi int64) error {
-		fromSlots := from.dedupSlots(from.lay.Owners(key))
-		fromSet := make(map[backend.Store]bool, len(fromSlots))
-		for _, sl := range fromSlots {
-			fromSet[from.stores[sl]] = true
-		}
-		var src backend.Store
-		for _, sl := range fromSlots {
-			has, err := storeHas(from.stores[sl], name)
-			if err != nil {
-				return err
-			}
-			if has {
-				src = from.stores[sl]
-				break
-			}
-		}
-		for _, sl := range to.dedupSlots(to.lay.Owners(key)) {
-			dst := to.stores[sl]
-			owners[dst] = true
-			// src == nil: no from-owner holds a copy — already moved by
-			// an interrupted earlier pass (or never written).
-			if src == nil || dst == src || fromSet[dst] {
-				continue
-			}
-			if err := backend.CtxErr(ctx); err != nil {
-				return err
-			}
-			var n int64
-			var err error
-			if hi < 0 {
-				n, err = copyNamed(src, name, dst, name)
-			} else {
-				n, err = copyRange(src, dst, name, lo, hi)
-			}
-			if err != nil {
-				return err
-			}
-			st.MovedStripes++
-			st.MovedBytes += n
-			moved = true
-		}
-		return nil
-	}
-	if stripe := to.lay.StripeBytes(); stripe <= 0 {
-		// Whole-file placement: one key per file.
-		if err := copyKey(name, 0, -1); err != nil {
-			return err
-		}
-	} else {
-		nStripes := (phys + stripe - 1) / stripe
-		for s := int64(0); s < nStripes; s++ {
-			lo := s * stripe
-			hi := min(lo+stripe, phys)
-			if err := copyKey(layout.StripeKey(name, s), lo, hi); err != nil {
-				return err
-			}
-		}
-		// Anchor the global size: every owner of the final byte under
-		// the new placement must reach exactly phys, even when the final
-		// stripe is a hole with no bytes to copy.
-		if phys > 0 {
-			for _, sl := range to.dedupSlots(to.lay.Owners(to.lay.KeyOf(name, phys-1))) {
-				if err := extendTo(to.stores[sl], name, phys); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if moved {
-		st.MovedFiles++
-	}
-
-	// Drop copies on stores that own nothing under the new placement.
-	for _, s := range uniqueStores(from.stores, to.stores) {
-		if owners[s] {
-			continue
-		}
-		err := s.Remove(name)
-		switch {
-		case err == nil:
-			st.RemovedCopies++
-		case errors.Is(err, backend.ErrNotExist):
-		default:
-			return err
-		}
-	}
-	return nil
+	return from.RunMover(ctx)
 }
 
 // copyRange copies name's bytes [lo, hi) from src to dst at the same
@@ -451,23 +226,4 @@ func extendTo(s backend.Store, name string, size int64) error {
 		return nil
 	}
 	return f.Truncate(size)
-}
-
-// uniqueStores returns the distinct stores across both views.
-func uniqueStores(a, b []backend.Store) []backend.Store {
-	seen := make(map[backend.Store]bool)
-	var out []backend.Store
-	for _, s := range a {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range b {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -424,7 +424,7 @@ func TestReplicatedMigrationGrow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.AdoptLayout(nil, 0); err != nil {
+			if err := fresh.AdoptLayout(nil); err != nil {
 				t.Fatalf("AdoptLayout: %v", err)
 			}
 			if got := fresh.Epoch(); got != 1 {
@@ -471,15 +471,15 @@ func TestAdoptReplicaTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.AdoptLayout(nil, 1); err != nil {
-		t.Fatalf("v1 record adopts as R=1: %v", err)
+	if err := r1.AdoptLayout(nil); err != nil || r1.Epoch() != 1 {
+		t.Fatalf("v1 record adopts as R=1 at epoch 1: epoch %d, %v", r1.Epoch(), err)
 	}
 	r2, err := shard.New(grown, shard.Config{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var te *shard.TopologyError
-	if err := r2.AdoptLayout(nil, 0); !errors.As(err, &te) {
+	if err := r2.AdoptLayout(nil); !errors.As(err, &te) {
 		t.Fatalf("adopting a v1 record R=2: %v, want TopologyError", err)
 	} else if te.RecordReplicas != 1 || te.Replicas != 2 {
 		t.Fatalf("TopologyError = %+v, want 1 vs 2", te)
@@ -501,7 +501,7 @@ func TestAdoptReplicaTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	te = nil
-	if err := rs.AdoptLayout(nil, 0); !errors.As(err, &te) {
+	if err := rs.AdoptLayout(nil); !errors.As(err, &te) {
 		t.Fatalf("adopting an R=2 record single-copy: %v, want TopologyError", err)
 	} else if te.RecordReplicas != 2 || te.Replicas != 1 {
 		t.Fatalf("TopologyError = %+v, want 2 vs 1", te)
@@ -517,7 +517,7 @@ func TestAdoptReplicaTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pin.AdoptLayout(nil, 0); err != nil {
+	if err := pin.AdoptLayout(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, m := range pinMems {
@@ -533,7 +533,7 @@ func TestAdoptReplicaTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := again.AdoptLayout(nil, 0); err != nil {
+	if err := again.AdoptLayout(nil); err != nil {
 		t.Fatalf("re-adopting the pinned record at R=2: %v", err)
 	}
 	if got := again.Epoch(); got != 0 {
@@ -544,7 +544,7 @@ func TestAdoptReplicaTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	te = nil
-	if err := down.AdoptLayout(nil, 0); !errors.As(err, &te) {
+	if err := down.AdoptLayout(nil); !errors.As(err, &te) {
 		t.Fatalf("single-copy open of a pinned R=2 deployment: %v, want TopologyError", err)
 	} else if te.RecordReplicas != 2 || te.Replicas != 1 {
 		t.Fatalf("TopologyError = %+v, want 2 vs 1", te)
@@ -567,7 +567,7 @@ func TestAdoptReplicaTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	te = nil
-	if err := few.AdoptLayout(nil, 0); !errors.As(err, &te) {
+	if err := few.AdoptLayout(nil); !errors.As(err, &te) {
 		t.Fatalf("adopting a 5-shard record over 3 stores: %v, want TopologyError", err)
 	} else if te.RecordShards != 5 || te.Mounted != 3 {
 		t.Fatalf("TopologyError = %+v, want 5 vs 3", te)

@@ -32,15 +32,14 @@
 // to internal/core except where it helps: core detects a sharded store
 // and (a) carves its commit worker pool into per-shard budgets so one
 // hot shard cannot monopolize the encrypt+write fan-out, and (b) fans
-// multi-block reads out across the owning shards. Topology change is
-// either offline (Rebalance, no mount may be active) or ONLINE
-// (BeginMigration/RunMover): the store then serves two placement
-// epochs at once — writes route by the new ring and mirror to the old
-// owner, reads route to the new owner once the mover has confirmed
-// the key and fall back to the old owner until then — while a
-// background mover copies only the keys whose owner changed and then
-// atomically commits the epoch bump (see migrate.go and the layout
-// package's Record).
+// multi-block reads out across the owning shards. Topology change has
+// one engine (BeginMigration/RunMover; Rebalance is begin, run, wait):
+// the store serves two placement epochs at once — writes route by the
+// new ring and mirror to the old owner, reads route to the new owner
+// once the mover has confirmed the key and fall back to the old owner
+// until then — while a background mover copies only the keys whose
+// owner changed and then atomically commits the epoch bump (see
+// migrate.go and the layout package's Record).
 package shard
 
 import "lamassu/internal/shard/layout"

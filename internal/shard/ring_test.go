@@ -34,6 +34,27 @@ func TestRingGoldenPlacement(t *testing.T) {
 	}
 }
 
+// RelocationGolden pins what a relocation leaves on the stores: the
+// SHA-256 of the sorted (slot, name, bytes) raw dump after rebalancing
+// relocationFixture (rebalance_test.go) across each topology change.
+// The digests were captured from the offline Rebalance pass this
+// repository carried until PR 18 — a second, independently written
+// relocation routine — immediately before it was deleted, so they are
+// a reference the surviving mover did not produce. Where bytes land,
+// which stale ranges are wiped and which copies are reaped are all
+// deployment-visible: a failure here means rebalanced deployments would
+// come out different, not a stale test.
+var RelocationGolden = map[string]string{
+	"2->3/r=1/stripe=0":    "8f60698f3c1163f8271cda64e8f34465316680676e8cd38eeba45c2b39a8405b",
+	"2->3/r=1/stripe=4096": "7571b7ced36e59694a184c1af5a8a2c35d73eb38cbd05410e1727ee267e1bc5d",
+	"4->3/r=1/stripe=0":    "8f60698f3c1163f8271cda64e8f34465316680676e8cd38eeba45c2b39a8405b",
+	"4->3/r=1/stripe=4096": "55535d723b7b60e0bddb1d8b2bf76d9a89b812a6a7a1e0569df5c4587420ed5c",
+	"3->4/r=2/stripe=0":    "1f048d0605f92a13c81ff80261d544105dff16354cd1fc2314d9c4b04a839e31",
+	"3->4/r=2/stripe=4096": "cc90241bc7bf56293962b2b6e5c593009b9495dc671d405f33fa232f4561428a",
+	"4->3/r=2/stripe=0":    "7ef3323b1535b11f077b12e18ced95a347157afbe26c52d32a9b75816e160de0",
+	"4->3/r=2/stripe=4096": "8157a8189beb535b594eb06b9ca2f08b080c30240f88c0d7a3d84faf3cf76a43",
+}
+
 // Replica placement is equally part of the on-disk format: the next R
 // distinct shards clockwise from the owner hold the copies, so a ring
 // built from the same parameters must produce the same owner LIST for

@@ -18,7 +18,7 @@ type Config struct {
 	// Vnodes is the virtual-node count per shard on the placement
 	// ring. 0 selects DefaultVnodes. Changing it changes placement, so
 	// it must match between the process that wrote a store and every
-	// process that opens it (see Rebalance to migrate).
+	// process that opens it; no migration changes it.
 	Vnodes int
 	// StripeBytes, when > 0, additionally stripes each backing file:
 	// its bytes [s·StripeBytes, (s+1)·StripeBytes) live on the shard

@@ -263,8 +263,8 @@ type Options struct {
 	Shards int
 	// ShardVnodes is the virtual-node count per shard on the placement
 	// ring (0 selects the default, 64). It must be the same every time
-	// a sharded store is mounted; see RebalanceShards (offline) or
-	// Mount.StartRebalance (online) to migrate.
+	// a sharded store is mounted, and no rebalance (RebalanceShards,
+	// Mount.StartRebalance) changes it.
 	ShardVnodes int
 	// Replicas, when nonzero, asserts the replication factor of the
 	// sharded store the mount is given (see ShardOptions.Replicas,
@@ -274,19 +274,6 @@ type Options struct {
 	// shards (Shards) cannot replicate, since every copy would land on
 	// the same physical store.
 	Replicas int
-	// LayoutEpoch, when nonzero, asserts the sharded deployment's
-	// placement epoch at mount time: the mount fails unless the layout
-	// record persisted on the shards (see Mount.StartRebalance) settles
-	// at exactly this epoch — a guard against mounting a rebalanced
-	// deployment with a stale store list. 0 accepts any epoch.
-	LayoutEpoch uint64
-	// DisableLayoutAdoption skips reading the persisted layout record
-	// when mounting a sharded store. The mount then serves whatever
-	// topology the options describe, epoch checks and interrupted-
-	// migration resume included — an escape hatch for byte-exact
-	// store inspection; do not use it on deployments that rebalance
-	// online.
-	DisableLayoutAdoption bool
 	// Retry, when non-nil, wraps every backing store (each shard of a
 	// sharded deployment, and stores joining it later) with bounded
 	// retry of transient backend failures — see RetryPolicy and
@@ -519,14 +506,11 @@ func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
 		}
 		// Pick up the persisted layout epoch (and any interrupted
 		// migration: the mount then reopens in dual-ring mode, every
-		// byte readable, resumable via StartRebalance).
-		if !o.DisableLayoutAdoption {
-			if err := shardStore.AdoptLayout(nil, o.LayoutEpoch); err != nil {
-				return nil, err
-			}
+		// byte readable, resumable via StartRebalance). A store list
+		// the record does not describe fails the mount here.
+		if err := shardStore.AdoptLayout(nil); err != nil {
+			return nil, err
 		}
-	} else if o.LayoutEpoch != 0 {
-		return nil, errors.New("lamassu: LayoutEpoch requires a sharded store")
 	}
 	var deriver func(cryptoutil.Hash) (cryptoutil.Key, error)
 	if o.KeyDeriver != nil {
@@ -1006,7 +990,8 @@ type ShardOptions struct {
 // ring (deterministic across processes; see internal/shard), and a
 // Mount over the result carves its commit worker pool into per-shard
 // budgets automatically. The store order is part of the placement
-// contract. Use RebalanceShards to add or remove shards offline.
+// contract. Use RebalanceShards, or Mount.StartRebalance under a live
+// mount, to add or remove shards.
 func NewShardedStorage(stores []Storage, opts *ShardOptions) (Storage, error) {
 	var o ShardOptions
 	if opts != nil {
@@ -1156,13 +1141,25 @@ func (m *Mount) Scrub(ctx context.Context) (ScrubStats, error) {
 // ShardRebalanceStats summarizes a RebalanceShards pass.
 type ShardRebalanceStats = shard.RebalanceStats
 
-// RebalanceShards migrates files between two sharded-storage views of
-// the same deployment — the offline step behind adding or removing
-// shards. Both arguments must come from NewShardedStorage (typically
-// sharing the surviving underlying stores); consistent hashing keeps
-// the copying proportional to the placement change, about K/N of the
-// keys when one of N shards is added or removed. No Mount may be
-// using either view while it runs.
+// RebalanceShards migrates a deployment between two sharded-storage
+// views of it and waits for the result: the unmounted form of
+// Mount.StartRebalance, and the same engine — it opens a placement
+// epoch on from towards to's store list, runs the mover, and commits.
+// Both arguments must come from NewShardedStorage with the same stripe
+// unit, vnode count and replication factor, and to's store list must
+// be from's with shards appended (grow) or a suffix removed (shrink);
+// a list that replaces or reorders stores, or a different vnode count,
+// is refused with an error naming that rule before a byte moves.
+// Consistent hashing keeps the copying proportional to the placement
+// change, about K/N of the keys when one of N shards is added or
+// removed. No Mount on another view of the deployment may be open
+// while it runs (use Mount.StartRebalance for a live one).
+//
+// A rebalance always leaves the deployment's layout record behind — a
+// stable record one epoch on, on every shard of the new view — even on
+// a deployment that had none: mounting it with the old store list
+// afterwards fails instead of silently serving the old placement.
+// Treat from as consumed by a successful rebalance, and mount to.
 //
 // A deployment written with Options.EncryptNames places files by
 // their PLAINTEXT names while storing them under encrypted ones, so
@@ -1174,10 +1171,10 @@ func RebalanceShards(from, to Storage, encryptNamesKeys ...KeyPair) (ShardRebala
 }
 
 // RebalanceShardsCtx is RebalanceShards honoring ctx between key
-// copies: a cancellation returns ErrCanceled with the pass cut at a
-// copy boundary — the crash case the idempotency contract already
-// covers — and rerunning with a live context converges without
-// re-copying what already landed on stores it has since left.
+// copies: a cancellation returns ErrCanceled with the migration cut at
+// a copy boundary and persisted — the crash case the engine already
+// covers — and rerunning with a live context, in this process or a new
+// one, resumes it and converges.
 func RebalanceShardsCtx(ctx context.Context, from, to Storage, encryptNamesKeys ...KeyPair) (ShardRebalanceStats, error) {
 	fs, ok := from.(*shard.Store)
 	if !ok {
@@ -1286,8 +1283,8 @@ func (m *Mount) RebalanceStatus() RebalanceStatus {
 }
 
 // StartRebalance migrates a live sharded mount to a new store
-// topology WITHOUT unmounting — the online counterpart of
-// RebalanceShards. newStores is the complete new store list: grow by
+// topology WITHOUT unmounting — RebalanceShards under live traffic,
+// through the same engine. newStores is the complete new store list: grow by
 // passing the current stores plus the new ones appended, shrink by
 // passing a prefix of the current list. The mount keeps serving reads
 // and writes throughout: a new placement epoch opens immediately

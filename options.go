@@ -115,22 +115,6 @@ func WithShardVnodes(vnodes int) Option {
 	return func(o *Options) { o.ShardVnodes = vnodes }
 }
 
-// WithLayoutEpoch asserts the sharded deployment's placement epoch at
-// mount time: the mount fails unless the layout record persisted on
-// the shards settles at exactly this epoch — a guard against mounting
-// a rebalanced deployment with a stale store list.
-func WithLayoutEpoch(epoch uint64) Option {
-	return func(o *Options) { o.LayoutEpoch = epoch }
-}
-
-// WithoutLayoutAdoption skips reading the persisted layout record
-// when mounting a sharded store — an escape hatch for byte-exact
-// store inspection. Do not use it on deployments that rebalance
-// online.
-func WithoutLayoutAdoption() Option {
-	return func(o *Options) { o.DisableLayoutAdoption = true }
-}
-
 // WithRetry wraps the backing store (every shard of a sharded
 // deployment) with bounded retry of transient backend failures, per
 // policy. Retryable errors (see IsRetryable) are re-issued with

@@ -47,8 +47,8 @@ func rebalanceFixture(t *testing.T, keys KeyPair) (*Mount, []Storage, map[string
 // The public acceptance path: a mount serving concurrent reads and
 // writes throughout StartRebalance (grow 2 -> 3 shards) returns
 // byte-identical data before, during, and after the migration; the
-// epoch commits; and the deployment reopens at the new epoch — with
-// WithLayoutEpoch catching stale topologies.
+// epoch commits; and the deployment reopens at the new epoch — while
+// a stale store list is refused.
 func TestMountStartRebalanceGrow(t *testing.T) {
 	keys := mustKeys(t)
 	m, stores, contents := rebalanceFixture(t, keys)
@@ -174,7 +174,7 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 		t.Fatal("new shard holds nothing after the grow")
 	}
 
-	// Reopen at the committed epoch; assert it via WithLayoutEpoch.
+	// Reopen at the committed epoch.
 	stripe, _ := SegmentStripeBytes(nil, 1<<16)
 	reopenStorage := func() Storage {
 		s, err := NewShardedStorage([]Storage{stores[0], stores[1], third}, &ShardOptions{StripeBytes: stripe})
@@ -183,7 +183,7 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 		}
 		return s
 	}
-	m2, err := New(reopenStorage(), keys, WithLayoutEpoch(1))
+	m2, err := New(reopenStorage(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,6 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 			t.Fatalf("%s after reopen: %d bytes, %v", name, len(got), err)
 		}
 	}
-	if _, err := New(reopenStorage(), keys, WithLayoutEpoch(7)); err == nil {
-		t.Fatal("WithLayoutEpoch(7) accepted an epoch-1 deployment")
-	}
 	// A stale 2-store open is rejected outright (the record pins 3).
 	staleStorage, err := NewShardedStorage([]Storage{stores[0], stores[1]}, &ShardOptions{StripeBytes: stripe})
 	if err != nil {
@@ -206,9 +203,6 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 	}
 	if _, err := New(staleStorage, keys); err == nil {
 		t.Fatal("mounting the rebalanced deployment with 2 stores succeeded")
-	}
-	if _, err := New(staleStorage, keys, WithoutLayoutAdoption()); err != nil {
-		t.Fatalf("WithoutLayoutAdoption escape hatch failed: %v", err)
 	}
 }
 
@@ -358,10 +352,6 @@ func TestStartRebalanceErrors(t *testing.T) {
 	// Replacing a store mid-list violates the grow/shrink contract.
 	if _, err := sm.StartRebalance(context.Background(), stores[0], NewMemStorage(), NewMemStorage()); err == nil {
 		t.Fatal("StartRebalance with a swapped store succeeded")
-	}
-	// LayoutEpoch on an unsharded store is rejected.
-	if _, err := New(NewMemStorage(), keys, WithLayoutEpoch(1)); err == nil {
-		t.Fatal("WithLayoutEpoch on an unsharded store succeeded")
 	}
 	// A closed mount refuses.
 	if err := sm.Close(); err != nil {

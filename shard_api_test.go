@@ -234,61 +234,69 @@ func TestEncryptNamesOverShardedStorage(t *testing.T) {
 // give RebalanceShards the same plaintext-name placement view the
 // mount used, so every file survives the migration.
 func TestRebalanceShardsEncryptedNames(t *testing.T) {
-	keys := mustKeys(t)
-	stores := []Storage{NewMemStorage(), NewMemStorage(), NewMemStorage()}
-	old, err := NewShardedStorage(stores, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMount(old, keys, &Options{EncryptNames: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	contents := map[string][]byte{}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("secret-doc-%d", i)
-		data := make([]byte, 7000+i*450)
-		rng.Read(data)
-		contents[name] = data
-		if err := m.WriteFile(name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
+	for _, replicas := range []int{0, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			var so *ShardOptions
+			if replicas > 0 {
+				so = &ShardOptions{Replicas: replicas}
+			}
+			keys := mustKeys(t)
+			stores := []Storage{NewMemStorage(), NewMemStorage(), NewMemStorage()}
+			old, err := NewShardedStorage(stores, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMount(old, keys, &Options{EncryptNames: true, Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			contents := map[string][]byte{}
+			rng := rand.New(rand.NewSource(6))
+			for i := 0; i < 8; i++ {
+				name := fmt.Sprintf("secret-doc-%d", i)
+				data := make([]byte, 7000+i*450)
+				rng.Read(data)
+				contents[name] = data
+				if err := m.WriteFile(name, data); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	grown, err := NewShardedStorage(append(stores, NewMemStorage()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := RebalanceShards(old, grown, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Files != len(contents) {
-		t.Fatalf("rebalance examined %d files, want %d", st.Files, len(contents))
-	}
+			grown, err := NewShardedStorage(append(stores, NewMemStorage()), so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := RebalanceShards(old, grown, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Files != len(contents) {
+				t.Fatalf("rebalance examined %d files, want %d", st.Files, len(contents))
+			}
 
-	m2, err := NewMount(grown, keys, &Options{EncryptNames: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := m2.List()
-	if err != nil || len(names) != len(contents) {
-		t.Fatalf("List after rebalance = %d files (%v), want %d", len(names), err, len(contents))
-	}
-	for name, want := range contents {
-		got, err := m2.ReadFile(name)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%s: read after rebalance: %v", name, err)
-		}
-	}
-	if _, err := RebalanceShards(old, grown, keys, keys); err == nil {
-		t.Fatal("two key pairs accepted")
+			m2, err := NewMount(grown, keys, &Options{EncryptNames: true, Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, err := m2.List()
+			if err != nil || len(names) != len(contents) {
+				t.Fatalf("List after rebalance = %d files (%v), want %d", len(names), err, len(contents))
+			}
+			for name, want := range contents {
+				got, err := m2.ReadFile(name)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s: read after rebalance: %v", name, err)
+				}
+			}
+			if _, err := RebalanceShards(old, grown, keys, keys); err == nil {
+				t.Fatal("two key pairs accepted")
+			}
+		})
 	}
 }
 
-// Growing a sharded deployment through the public API: rebalance
-// offline, then mount the grown view and read everything back.
+// Growing a sharded deployment through the public API: rebalance,
+// then mount the grown view and read everything back.
 func TestRebalanceShardsPublicAPI(t *testing.T) {
 	keys := mustKeys(t)
 	stores := []Storage{NewMemStorage(), NewMemStorage()}
