@@ -299,8 +299,9 @@ func (f *cancelAfterFile) Close() error              { return f.inner.Close() }
 // TestCancelMidCommitPublicAPI is the acceptance check at the public
 // surface: a deadline/cancel firing inside a large coalesced commit
 // surfaces as ErrCanceled (with context.Canceled visible), and the
-// file recovers to a clean, fully-readable state — over both engines,
-// sharded and unsharded.
+// file recovers to a clean, fully-readable state — sharded and
+// unsharded. (internal/core's TestCancelMidCommitSweep cuts at every
+// backend write, over the per-block reference engine too.)
 func TestCancelMidCommitPublicAPI(t *testing.T) {
 	keys, err := GenerateKeys()
 	if err != nil {
@@ -311,9 +312,7 @@ func TestCancelMidCommitPublicAPI(t *testing.T) {
 		opts []Option
 	}{
 		{"coalesced", nil},
-		{"per-block", []Option{WithoutCoalescing()}},
 		{"sharded-coalesced", []Option{WithShards(4)}},
-		{"sharded-per-block", []Option{WithShards(4), WithoutCoalescing()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := &cancelAfterStore{inner: backend.NewMemStore()}

@@ -9,7 +9,7 @@ package lamassu
 //
 //	go test -bench=. -benchmem
 //
-// prints the rows the paper reports. cmd/lmsbench prints the same
+// prints the rows the paper reports. cmd/lmsbench prints the figure
 // experiments as full text tables at configurable sizes.
 
 import (
@@ -25,10 +25,8 @@ import (
 	"lamassu/internal/dedupe"
 	"lamassu/internal/dupless"
 	"lamassu/internal/experiments"
-	"lamassu/internal/filece"
 	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
-	"lamassu/internal/vfs"
 )
 
 // benchBytes is the workload size for the figure benchmarks.
@@ -267,76 +265,66 @@ func BenchmarkRead4KThroughMount(b *testing.B) {
 	b.Run("meta-only", func(b *testing.B) { bench(b, IntegrityMetaOnly) })
 }
 
-// Sequential append throughput: the coalesced engine (fresh blocks
-// batch to a whole segment, one run write per commit) against the
-// paper's per-block engine (R-batch, one backend write per block).
-// Allocations per op are reported — the slab allocator keeps the
-// steady state near zero beyond the per-block AES state.
+// Sequential append throughput: fresh blocks batch to a whole segment,
+// one run write per commit. Allocations per op are reported — the slab
+// allocator keeps the steady state near zero beyond the per-block AES
+// state.
 func BenchmarkSequentialWriteCoalesced(b *testing.B) {
-	bench := func(b *testing.B, disable bool) {
-		m, err := NewMount(NewMemStorage(), benchKeys(b), &Options{DisableCoalescing: disable})
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := m.Create("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		buf := make([]byte, 4096)
-		rand.New(rand.NewSource(11)).Read(buf)
-		const cycle = 16384 // restart the file at 64 MiB so appends stay fresh
-		b.SetBytes(4096)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%cycle == 0 {
-				if err := f.Truncate(0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			buf[0] = byte(i)
-			if _, err := f.WriteAt(buf, int64(i%cycle)*4096); err != nil {
+	m, err := NewMount(NewMemStorage(), benchKeys(b), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := m.Create("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4096)
+	rand.New(rand.NewSource(11)).Read(buf)
+	const cycle = 16384 // restart the file at 64 MiB so appends stay fresh
+	b.SetBytes(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%cycle == 0 {
+			if err := f.Truncate(0); err != nil {
 				b.Fatal(err)
 			}
 		}
+		buf[0] = byte(i)
+		if _, err := f.WriteAt(buf, int64(i%cycle)*4096); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("coalesced", func(b *testing.B) { bench(b, false) })
-	b.Run("per-block", func(b *testing.B) { bench(b, true) })
 }
 
-// Sequential read throughput in 1 MiB requests: the coalesced engine
-// fetches each segment's blocks with one backend read and fans the
-// decrypt across the pool; the per-block engine pays one backend read
-// per 4 KiB block.
+// Sequential read throughput in 1 MiB requests: each segment's blocks
+// are fetched with one backend read and the decrypt fans across the
+// pool.
 func BenchmarkSequentialReadCoalesced(b *testing.B) {
-	bench := func(b *testing.B, disable bool) {
-		m, err := NewMount(NewMemStorage(), benchKeys(b), &Options{DisableCoalescing: disable})
-		if err != nil {
+	m, err := NewMount(NewMemStorage(), benchKeys(b), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 16<<20)
+	rand.New(rand.NewSource(12)).Read(data)
+	if err := m.WriteFile("bench", data); err != nil {
+		b.Fatal(err)
+	}
+	f, err := m.Open("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	chunk := make([]byte, 1<<20)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.ReadAt(chunk, int64(i%16)<<20); err != nil {
 			b.Fatal(err)
-		}
-		data := make([]byte, 16<<20)
-		rand.New(rand.NewSource(12)).Read(data)
-		if err := m.WriteFile("bench", data); err != nil {
-			b.Fatal(err)
-		}
-		f, err := m.Open("bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		chunk := make([]byte, 1<<20)
-		b.SetBytes(1 << 20)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := f.ReadAt(chunk, int64(i%16)<<20); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
-	b.Run("coalesced", func(b *testing.B) { bench(b, false) })
-	b.Run("per-block", func(b *testing.B) { bench(b, true) })
 }
 
 // The block cache against the uncached read path: hits skip backend
@@ -496,67 +484,6 @@ func BenchmarkAblationRekey(b *testing.B) {
 // mustStore digs the backing store back out for rekey iteration; the
 // benchmark keeps a single store alive across key changes.
 func mustStore(m *Mount) Storage { return m.fs.Store() }
-
-// Ablation: per-block vs per-file convergent encryption (§5.2's
-// Tahoe-LAFS comparison). A one-byte edit to a 118-block file: per-
-// block CE keeps 117 deduplicable blocks; per-file CE keeps none.
-func BenchmarkAblationPerFileVsPerBlock(b *testing.B) {
-	var inner, outer Key
-	for i := range inner {
-		inner[i] = byte(i + 1)
-		outer[i] = byte(i + 7)
-	}
-	base := make([]byte, 118*4096)
-	rand.New(rand.NewSource(7)).Read(base)
-	edited := append([]byte(nil), base...)
-	edited[50*4096] ^= 0xFF
-	eng, _ := dedupe.NewEngine(4096)
-
-	b.Run("per-block-lamassu", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store := backend.NewMemStore()
-			lfs, err := core.New(store, core.Config{Inner: inner, Outer: outer})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := vfs.WriteAll(lfs, "v1", base); err != nil {
-				b.Fatal(err)
-			}
-			if err := vfs.WriteAll(lfs, "v2", edited); err != nil {
-				b.Fatal(err)
-			}
-			rep, err := eng.Scan(store)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(rep.DuplicateBlocks), "dup-blocks-after-1B-edit")
-			}
-		}
-	})
-	b.Run("per-file-tahoe-style", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store := backend.NewMemStore()
-			ffs, err := filece.New(store, filece.Config{Inner: inner, Outer: outer})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := vfs.WriteAll(ffs, "v1", base); err != nil {
-				b.Fatal(err)
-			}
-			if err := vfs.WriteAll(ffs, "v2", edited); err != nil {
-				b.Fatal(err)
-			}
-			rep, err := eng.Scan(store)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(rep.DuplicateBlocks), "dup-blocks-after-1B-edit")
-			}
-		}
-	})
-}
 
 // Ablation: local inner-key KDF vs DupLESS server-aided OPRF (§1).
 // Reports nanoseconds per derived convergent key.

@@ -1,7 +1,7 @@
 // Command lmsbench regenerates the tables and figures of the paper's
-// evaluation (§4). Each experiment prints a text table in the shape of
-// the corresponding figure; EXPERIMENTS.md records a reference run
-// against the paper's numbers.
+// evaluation (§4) at any size up to the paper's. Each experiment is an
+// internal/experiments function plus its Format printer, and prints a
+// text table in the shape of the corresponding figure.
 //
 // Usage:
 //
@@ -9,1226 +9,94 @@
 //	lmsbench -exp fig7 -mb 256       # Figure 7 at the paper's file size
 //	lmsbench -exp table1 -scale 16   # Table 1 with images scaled 1/16
 //
-// Experiments: fig6, table1, fig7, fig8, fig9, fig10, fig11,
-// unaligned, scaling, shardscale, coalesce, rebalance, faults,
-// replica, remote, serve, compress, all. The scaling, shardscale, coalesce,
-// rebalance, faults, replica, remote, serve and compress experiments are this
-// repository's extensions beyond the paper: scaling sweeps the concurrent engine's commit parallelism
-// and block cache; shardscale sweeps the consistent-hash storage
-// sharding from 1 to 8 backends and reports the per-shard throughput
-// and queue-depth numbers from Mount.ShardStats; coalesce A/Bs the
-// I/O coalescing layer against the paper's per-block engine and
-// FAILS (exit 1) if coalescing does not strictly reduce the backend
-// I/O count on the sequential workload; faults A/Bs a transiently
-// failing backend with and without WithRetry and FAILS unless the
-// retry-enabled run completes fault-free with byte-identical readback
-// while the retry-disabled control surfaces a retryable error; replica
-// A/Bs a 3-shard deployment at R=2 vs R=1 with one shard killed
-// permanently mid-workload and FAILS unless the replicated run stays
-// error-free with byte-identical readback and a Scrub pass restores
-// full redundancy while the R=1 control visibly fails; remote
-// runs against the in-memory object server at real-clock round-trip
-// latencies and FAILS unless (a) the coalesced engine with a deep I/O
-// window (WithIOWindow) beats the per-block window-1 baseline by >= 3x
-// at 2 ms RTT and (b) hedged reads (WithHedgedReads) cut the per-read
-// p99 on a tail-heavy link while issuing <= 10% extra requests; serve
-// drives the lamassud HTTP file API over real TCP with an N-tenant
-// mixed workload against an equal-concurrency in-process baseline and
-// FAILS unless wire throughput stays within 5x of in-process AND an
-// overload run (admission bound below the client count) sheds load
-// with 503s while the in-flight peak never exceeds the bound; compress
-// A/Bs the WithCompression encode stage against the raw encoder over
-// the object store at fixed RTT across a 1x-4x compressibility sweep
-// and FAILS unless compressible data strictly reduces bytes on the
-// wire in both directions while incompressible data never stores more
-// than raw and stays within noise of its throughput — CI runs
-// coalesce, faults, replica, remote, serve and compress as regression
-// gates.
+// Experiments: fig6, table1, fig7, fig8, fig9, fig10, fig11, unaligned,
+// all. Sizes default to a scaled-down configuration that finishes in
+// about a minute; all shapes are size-independent.
 //
-// With -json PATH, the extension experiments additionally emit their
-// rows as machine-readable JSON (experiment, configuration, MB/s,
-// backend I/O count from the metrics.IO counter, bytes per I/O and
-// allocs per block op), the feed for the BENCH_*.json perf trajectory.
-//
-// Sizes default to a scaled-down configuration that finishes in about
-// a minute; all shapes are size-independent (see DESIGN.md §3).
+// This binary measures the paper, not this repository: the repository's
+// performance is judged by bench/ (bash bench/run.sh, BENCHMARK.json)
+// and its behaviour by go test.
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/signal"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"lamassu"
-	"lamassu/internal/backend"
-	"lamassu/internal/backend/objstore"
 	"lamassu/internal/experiments"
-	"lamassu/internal/faultfs"
-	"lamassu/internal/shard"
 )
 
-// benchResult is one machine-readable measurement row for -json.
-type benchResult struct {
-	Experiment  string  `json:"experiment"`
-	Config      string  `json:"config"`
-	MBps        float64 `json:"mbps,omitempty"`
-	BackendIOs  int64   `json:"backend_ios,omitempty"`
-	BytesPerIO  float64 `json:"bytes_per_io,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	P50Ms       float64 `json:"p50_ms,omitempty"`
-	P99Ms       float64 `json:"p99_ms,omitempty"`
-	HedgeRate   float64 `json:"hedge_rate,omitempty"`
-	IOWindow    int     `json:"io_window,omitempty"`
-	Failovers   int64   `json:"failover_reads,omitempty"`
-	Repairs     int64   `json:"scrub_repairs,omitempty"`
-	Rejected    int64   `json:"rejected_503,omitempty"`
-
-	LogicalBytes int64   `json:"logical_bytes,omitempty"`
-	StoredBytes  int64   `json:"stored_bytes,omitempty"`
-	Ratio        float64 `json:"compression_ratio,omitempty"`
+// experiment is one -exp name and the table it prints. fileBytes is
+// -mb in bytes, scale the Table 1 image-size divisor.
+type experiment struct {
+	name string
+	run  func(fileBytes, scale int64) (string, error)
 }
 
-// results accumulates rows from the extension experiments for -json.
-var results []benchResult
+// table adapts an experiments function and its Format printer.
+func table[R any](rows func() (R, error), format func(R) string) (string, error) {
+	r, err := rows()
+	if err != nil {
+		return "", err
+	}
+	return format(r), nil
+}
+
+var experimentList = []experiment{
+	{"fig6", func(fileBytes, _ int64) (string, error) {
+		return table(func() ([]experiments.Fig6Row, error) { return experiments.Fig6(fileBytes, nil) }, experiments.FormatFig6)
+	}},
+	{"table1", func(_, scale int64) (string, error) {
+		return table(func() ([]experiments.Table1Row, error) { return experiments.Table1(scale) }, experiments.FormatTable1)
+	}},
+	{"fig7", func(fileBytes, _ int64) (string, error) {
+		return table(func() (experiments.ThroughputTable, error) { return experiments.Fig7(fileBytes) }, experiments.FormatThroughput)
+	}},
+	{"fig8", func(fileBytes, _ int64) (string, error) {
+		return table(func() (experiments.ThroughputTable, error) { return experiments.Fig8(fileBytes) }, experiments.FormatThroughput)
+	}},
+	{"fig9", func(fileBytes, _ int64) (string, error) {
+		return table(func() ([]experiments.Fig9Row, error) { return experiments.Fig9(fileBytes) }, experiments.FormatFig9)
+	}},
+	{"fig10", func(fileBytes, _ int64) (string, error) {
+		return table(func() ([]experiments.Fig10Row, error) { return experiments.Fig10(fileBytes, nil) }, experiments.FormatFig10)
+	}},
+	{"fig11", func(fileBytes, _ int64) (string, error) {
+		return table(func() ([]experiments.Fig11Row, error) { return experiments.Fig11(fileBytes, nil) }, experiments.FormatFig11)
+	}},
+	{"unaligned", func(fileBytes, _ int64) (string, error) {
+		return table(func() ([]experiments.UnalignedRow, error) { return experiments.UnalignedEncFS(fileBytes) }, experiments.FormatUnaligned)
+	}},
+}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig6|table1|fig7|fig8|fig9|fig10|fig11|unaligned|scaling|shardscale|coalesce|rebalance|faults|replica|remote|serve|compress|all")
+	names := make([]string, 0, len(experimentList)+1)
+	for _, e := range experimentList {
+		names = append(names, e.name)
+	}
+	want := strings.Join(append(names, "all"), "|")
+
+	exp := flag.String("exp", "all", "experiment to run: "+want)
 	mb := flag.Int64("mb", 32, "workload file size in MiB (paper: 4096 for fig6/fig11, 256 for fig7-fig10)")
 	scale := flag.Int64("scale", 16, "Table 1 VM image size divisor (1 = paper sizes)")
-	jsonPath := flag.String("json", "", "write machine-readable results (JSON) to PATH")
 	flag.Parse()
 
-	fileBytes := *mb << 20
-
-	// SIGINT/SIGTERM cancel a context that the extension experiments
-	// thread through the mount API (WriteFileCtx/ReadFileCtx): an
-	// interrupted experiment aborts between blocks/commit phases,
-	// remaining experiments are skipped, and the -json rows measured so
-	// far are still flushed before exiting with the conventional 130.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	flush := func() {
-		if *jsonPath == "" {
-			return
+	ran := false
+	for _, e := range experimentList {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		doc := struct {
-			Generated string        `json:"generated"`
-			FileMiB   int64         `json:"file_mib"`
-			Results   []benchResult `json:"results"`
-		}{time.Now().UTC().Format(time.RFC3339), *mb, results}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
-		}
+		ran = true
+		out, err := e.run(*mb<<20, *scale)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lmsbench: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-	}
-
-	run := func(name string, f func() (string, error)) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if ctx.Err() != nil {
-			return // interrupted: skip the remaining experiments
-		}
-		out, err := f()
-		if err != nil {
-			if lamassu.IsCanceled(err) || ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "lmsbench: %s: interrupted\n", name)
-				return
-			}
-			// A gate failure still returns the measured table: print it
-			// before the error so the failing run's numbers are on the
-			// record, and flush the -json rows measured so far.
-			if out != "" {
-				fmt.Println(out)
-			}
-			fmt.Fprintf(os.Stderr, "lmsbench: %s: %v\n", name, err)
-			flush()
+			fmt.Fprintf(os.Stderr, "lmsbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Println(out)
 	}
-
-	run("fig6", func() (string, error) {
-		rows, err := experiments.Fig6(fileBytes, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig6(rows), nil
-	})
-	run("table1", func() (string, error) {
-		rows, err := experiments.Table1(*scale)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatTable1(rows), nil
-	})
-	run("fig7", func() (string, error) {
-		tab, err := experiments.Fig7(fileBytes)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatThroughput(tab), nil
-	})
-	run("fig8", func() (string, error) {
-		tab, err := experiments.Fig8(fileBytes)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatThroughput(tab), nil
-	})
-	run("fig9", func() (string, error) {
-		rows, err := experiments.Fig9(fileBytes)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig9(rows), nil
-	})
-	run("fig10", func() (string, error) {
-		rows, err := experiments.Fig10(fileBytes, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig10(rows), nil
-	})
-	run("fig11", func() (string, error) {
-		rows, err := experiments.Fig11(fileBytes, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatFig11(rows), nil
-	})
-	run("unaligned", func() (string, error) {
-		rows, err := experiments.UnalignedEncFS(fileBytes)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatUnaligned(rows), nil
-	})
-	run("scaling", func() (string, error) { return scalingTable(ctx, fileBytes) })
-	run("shardscale", func() (string, error) { return shardScaleTable(ctx, fileBytes) })
-	run("coalesce", func() (string, error) { return coalesceTable(ctx, fileBytes) })
-	run("rebalance", func() (string, error) { return rebalanceTable(ctx, fileBytes) })
-	run("faults", func() (string, error) { return faultsTable(ctx, fileBytes) })
-	run("replica", func() (string, error) { return replicaTable(ctx, fileBytes) })
-	run("remote", func() (string, error) { return remoteTable(ctx, fileBytes) })
-	run("serve", func() (string, error) { return serveTable(ctx, fileBytes) })
-	run("compress", func() (string, error) { return compressTable(ctx, fileBytes) })
-
-	if *exp != "all" && !validExp(*exp) {
-		fmt.Fprintf(os.Stderr, "lmsbench: unknown experiment %q (want fig6|table1|fig7|fig8|fig9|fig10|fig11|unaligned|scaling|shardscale|coalesce|rebalance|faults|replica|remote|serve|compress|all)\n", *exp)
-		flush() // a -json consumer still gets a (possibly empty) document
+	if !ran {
+		fmt.Fprintf(os.Stderr, "lmsbench: unknown experiment %q (want %s)\n", *exp, want)
 		os.Exit(2)
 	}
-
-	flush()
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "lmsbench: interrupted; partial results flushed")
-		os.Exit(130)
-	}
-}
-
-func validExp(e string) bool {
-	for _, v := range strings.Fields("fig6 table1 fig7 fig8 fig9 fig10 fig11 unaligned scaling shardscale coalesce rebalance faults replica remote serve compress all") {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
-
-// coalesceTable A/Bs the I/O coalescing layer against the paper's
-// per-block engine on sequential whole-file write and read of the same
-// data, reporting throughput, the backend I/O count (the metrics.IO
-// counter), mean payload per backend call and heap allocations per
-// 4 KiB block. The backend I/O counts are deterministic, so the
-// comparison doubles as a regression gate: an error is returned — and
-// lmsbench exits non-zero — if the coalesced engine does not strictly
-// reduce the I/O count on BOTH directions of the sequential workload.
-func coalesceTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	data := make([]byte, fileBytes)
-	rand.New(rand.NewSource(3)).Read(data)
-	blocks := float64(fileBytes / 4096)
-
-	type row struct {
-		config      string
-		mbps        float64
-		ios         int64
-		bytesPerIO  float64
-		allocsPerOp float64
-	}
-	var rows []row
-	measure := func(config string, f func() error, stats func() lamassu.EngineStats) error {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		if err := f(); err != nil {
-			return err
-		}
-		elapsed := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		st := stats()
-		r := row{
-			config:      config,
-			mbps:        float64(fileBytes) / (1 << 20) / elapsed,
-			ios:         st.BackendIOs,
-			bytesPerIO:  st.BytesPerIO,
-			allocsPerOp: float64(after.Mallocs-before.Mallocs) / blocks,
-		}
-		rows = append(rows, r)
-		results = append(results, benchResult{
-			Experiment:  "coalesce",
-			Config:      config,
-			MBps:        r.mbps,
-			BackendIOs:  r.ios,
-			BytesPerIO:  r.bytesPerIO,
-			AllocsPerOp: r.allocsPerOp,
-		})
-		return nil
-	}
-
-	for _, disable := range []bool{false, true} {
-		label := "coalesced"
-		if disable {
-			label = "per-block"
-		}
-		store := lamassu.NewMemStorage()
-		mw, err := lamassu.NewMount(store, keys, &lamassu.Options{
-			CollectLatency: true, DisableCoalescing: disable,
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := measure("seq-write/"+label, func() error {
-			return mw.WriteFileCtx(ctx, "f", data)
-		}, mw.EngineStats); err != nil {
-			return "", err
-		}
-		mr, err := lamassu.NewMount(store, keys, &lamassu.Options{
-			CollectLatency: true, DisableCoalescing: disable,
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := measure("seq-read/"+label, func() error {
-			got, err := mr.ReadFileCtx(ctx, "f")
-			if err != nil {
-				return err
-			}
-			if len(got) != len(data) {
-				return fmt.Errorf("read %d bytes, want %d", len(got), len(data))
-			}
-			return nil
-		}, mr.EngineStats); err != nil {
-			return "", err
-		}
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "I/O coalescing A/B (sequential %d MiB, RAM store, GOMAXPROCS=%d)\n",
-		fileBytes>>20, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-22s %10s %12s %12s %12s\n", "configuration", "MB/s", "backend-I/Os", "bytes/I-O", "allocs/blk")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %10.1f %12d %12.0f %12.1f\n", r.config, r.mbps, r.ios, r.bytesPerIO, r.allocsPerOp)
-	}
-
-	// Regression gate: rows are [coalesced-write, coalesced-read,
-	// per-block-write, per-block-read].
-	if rows[0].ios >= rows[2].ios {
-		return b.String(), fmt.Errorf("coalesced seq-write backend I/Os (%d) not strictly below per-block (%d)",
-			rows[0].ios, rows[2].ios)
-	}
-	if rows[1].ios >= rows[3].ios {
-		return b.String(), fmt.Errorf("coalesced seq-read backend I/Os (%d) not strictly below per-block (%d)",
-			rows[1].ios, rows[3].ios)
-	}
-	return b.String(), nil
-}
-
-// rebalanceTable measures shard-topology migration under a live mount
-// (grow 2 -> 3 RAM stores): the mover's copy throughput plus the reads
-// the mount answered DURING the migration. It is also a regression
-// gate: an error is returned — and lmsbench exits non-zero — if the
-// migration serves no reads mid-flight or ends on the wrong epoch.
-func rebalanceTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	stripe, err := lamassu.SegmentStripeBytes(nil, 1<<20)
-	if err != nil {
-		return "", err
-	}
-	const nFiles = 8
-	perFile := fileBytes / nFiles
-	rng := rand.New(rand.NewSource(4))
-
-	// A fresh 2-store deployment with nFiles written. The mover is
-	// deliberately interrupted partway (a write-counting wrapper on the
-	// incoming shard cancels its context), so the mount is DEMONSTRABLY
-	// mid-migration while the benchmark sweeps every file back through
-	// the dual-ring read path; a second StartRebalance then resumes and
-	// commits. In production the readers would simply run concurrently
-	// — the pause here makes the reads-during-migration number
-	// deterministic at every -mb size. Background readers run
-	// throughout as well.
-	onStores := []lamassu.Storage{lamassu.NewMemStorage(), lamassu.NewMemStorage()}
-	storage, err := lamassu.NewShardedStorage(onStores, &lamassu.ShardOptions{StripeBytes: stripe})
-	if err != nil {
-		return "", err
-	}
-	onMount, err := lamassu.NewMount(storage, keys, &lamassu.Options{Parallelism: 4})
-	if err != nil {
-		return "", err
-	}
-	data := make([]byte, perFile)
-	for i := 0; i < nFiles; i++ {
-		rng.Read(data)
-		if err := onMount.WriteFileCtx(ctx, fmt.Sprintf("f%d", i), data); err != nil {
-			return "", err
-		}
-	}
-	var (
-		readsServed atomic.Int64
-		readBytes   atomic.Int64
-		readErr     atomic.Value
-		stopReaders = make(chan struct{})
-		readersDone sync.WaitGroup
-	)
-	// sweepReads counts ONLY the deterministic mid-migration sweep —
-	// the number the CI gate checks; the background readers' counts
-	// feed the throughput figure but can straddle the commit.
-	var sweepReads int64
-	sweep := func() error {
-		for i := 0; i < nFiles; i++ {
-			data, err := onMount.ReadFileCtx(ctx, fmt.Sprintf("f%d", i))
-			if err != nil {
-				return err
-			}
-			sweepReads++
-			readsServed.Add(1)
-			readBytes.Add(int64(len(data)))
-		}
-		return nil
-	}
-	for w := 0; w < 2; w++ {
-		readersDone.Add(1)
-		go func(w int) {
-			defer readersDone.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stopReaders:
-					return
-				default:
-				}
-				data, err := onMount.ReadFileCtx(ctx, fmt.Sprintf("f%d", (i+w)%nFiles))
-				if err != nil {
-					readErr.Store(err)
-					return
-				}
-				readsServed.Add(1)
-				readBytes.Add(int64(len(data)))
-			}
-		}(w)
-	}
-	moverCtx, interrupt := context.WithCancel(ctx)
-	defer interrupt()
-	incoming := &interruptStore{inner: lamassu.NewMemStorage(), limit: 2, cancel: interrupt}
-	onAll := append(append([]lamassu.Storage(nil), onStores...), lamassu.Storage(incoming))
-	onStart := time.Now()
-	reb, err := onMount.StartRebalance(moverCtx, onAll...)
-	if err != nil {
-		return "", err
-	}
-	var onStats lamassu.ShardRebalanceStats
-	var fallbackReads int64
-	switch err := reb.Wait(); {
-	case err == nil:
-		onStats = reb.Stats() // tiny -mb: the mover beat the interrupt
-	case lamassu.IsCanceled(err) && ctx.Err() == nil:
-		// Paused mid-migration: serve a full read sweep through the
-		// dual rings, then resume to completion.
-		if err := sweep(); err != nil {
-			return "", fmt.Errorf("read mid-migration failed: %w", err)
-		}
-		fallbackReads = onMount.RebalanceStatus().FallbackReads
-		onStats = reb.Stats()
-		resumed, err := onMount.StartRebalance(ctx, onAll...)
-		if err != nil {
-			return "", err
-		}
-		if err := resumed.Wait(); err != nil {
-			return "", err
-		}
-		st := resumed.Stats()
-		// Both passes walk the full namespace, so Files is a max, not a
-		// sum; the move counters partition across the passes and add.
-		onStats.Files = max(onStats.Files, st.Files)
-		onStats.MovedFiles += st.MovedFiles
-		onStats.MovedStripes += st.MovedStripes
-		onStats.MovedBytes += st.MovedBytes
-		onStats.RemovedCopies += st.RemovedCopies
-	default:
-		return "", err
-	}
-	onElapsed := time.Since(onStart).Seconds()
-	close(stopReaders)
-	readersDone.Wait()
-	if err, ok := readErr.Load().(error); ok && err != nil {
-		return "", fmt.Errorf("read during migration failed: %w", err)
-	}
-	onMBps := float64(onStats.MovedBytes) / (1 << 20) / onElapsed
-	readMBps := float64(readBytes.Load()) / (1 << 20) / onElapsed
-
-	results = append(results,
-		benchResult{Experiment: "rebalance", Config: "online", MBps: onMBps},
-		benchResult{Experiment: "rebalance", Config: fmt.Sprintf("online-reads-during-migration=%d", readsServed.Load()), MBps: readMBps},
-	)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Online rebalance (grow 2 -> 3 shards, %d x %d MiB files, stripe %d KiB, RAM stores)\n",
-		nFiles, perFile>>20, stripe>>10)
-	fmt.Fprintf(&b, "%-10s %12s %12s %10s %22s\n", "mover", "moved-keys", "moved-MiB", "MB/s", "reads-during-migration")
-	fmt.Fprintf(&b, "%-10s %12d %12.1f %10.1f %14d (%.1f MB/s)\n", "online", onStats.MovedStripes,
-		float64(onStats.MovedBytes)/(1<<20), onMBps, readsServed.Load(), readMBps)
-	fmt.Fprintf(&b, "online mid-migration sweep: %d reads, %d served by the previous epoch's owners (dual-ring fallback)\n",
-		sweepReads, fallbackReads)
-
-	// Gate on the sweep, which runs strictly mid-migration; the only
-	// legitimate way for it to be empty is the mover finishing before
-	// the 2-write interrupt could fire (≤1 relocated key).
-	if sweepReads == 0 && onStats.MovedStripes >= 2 {
-		return b.String(), fmt.Errorf("online rebalance served no reads during the migration")
-	}
-	if st := onMount.RebalanceStatus(); st.Epoch != 1 || st.Active {
-		return b.String(), fmt.Errorf("online rebalance did not commit epoch 1 (status %+v)", st)
-	}
-	return b.String(), nil
-}
-
-// faultsTable A/Bs a flaky backend (faultfs transient-fault injection
-// over a RAM store) with and without the WithRetry layer. The
-// retry-enabled run must complete the whole write+read workload with
-// ZERO caller-visible errors and byte-identical readback while the
-// injector fires a transient-fault burst before every file; the
-// retry-disabled control must FAIL on the very first fault and the
-// surfaced error must classify retryable (lamassu.IsRetryable). Either
-// way the comparison is a regression gate: an error is returned — and
-// lmsbench exits non-zero — if the retry run sees any error, reads
-// back different bytes, injects no faults, records no retry attempts,
-// or the control unexpectedly succeeds.
-func faultsTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	const nFiles = 8
-	perFile := fileBytes / nFiles
-	files := make([][]byte, nFiles)
-	rng := rand.New(rand.NewSource(5))
-	for i := range files {
-		files[i] = make([]byte, perFile)
-		rng.Read(files[i])
-	}
-	policy := lamassu.RetryPolicy{MaxAttempts: 6, BaseDelay: 100 * time.Microsecond}
-
-	// Retry-enabled run: a burst of transient faults (write, read,
-	// open, sync) is armed before every file; bursts are shorter than
-	// the retry budget, so the mount must absorb every one.
-	fs := faultfs.New(backend.NewMemStore())
-	m, err := lamassu.New(fs, keys, lamassu.WithRetry(policy), lamassu.WithLatencyCollection())
-	if err != nil {
-		return "", err
-	}
-	// Bursts are armed per phase with the ops that phase actually
-	// issues — pending faults for an op the workload never touches
-	// would pile up across files into a run longer than the budget.
-	start := time.Now()
-	for i, data := range files {
-		fs.ArmTransient(faultfs.OpWrite, 3)
-		fs.ArmTransient(faultfs.OpOpen, 2)
-		fs.ArmTransient(faultfs.OpSync, 1)
-		if err := m.WriteFileCtx(ctx, fmt.Sprintf("f%d", i), data); err != nil {
-			return "", fmt.Errorf("retry-enabled write f%d failed: %w", i, err)
-		}
-		fs.DisarmTransient() // drop any unconsumed remainder of the burst
-	}
-	writeElapsed := time.Since(start).Seconds()
-	start = time.Now()
-	for i, data := range files {
-		fs.ArmTransient(faultfs.OpRead, 2)
-		fs.ArmTransient(faultfs.OpOpen, 2)
-		got, err := m.ReadFileCtx(ctx, fmt.Sprintf("f%d", i))
-		fs.DisarmTransient()
-		if err != nil {
-			return "", fmt.Errorf("retry-enabled read f%d failed: %w", i, err)
-		}
-		if !bytes.Equal(got, data) {
-			return "", fmt.Errorf("retry-enabled readback of f%d differs from the written bytes", i)
-		}
-	}
-	readElapsed := time.Since(start).Seconds()
-	fs.DisarmTransient()
-	injected := fs.TransientInjected()
-	st := m.EngineStats()
-	if injected == 0 {
-		return "", fmt.Errorf("fault injector fired zero faults; the A/B measured nothing")
-	}
-	if st.RetryAttempts == 0 {
-		return "", fmt.Errorf("retry-enabled run recorded no retry attempts despite %d injected faults", injected)
-	}
-	if st.RetriesExhausted != 0 {
-		return "", fmt.Errorf("retry-enabled run exhausted %d retry loops; bursts must fit the budget", st.RetriesExhausted)
-	}
-	writeMBps := float64(fileBytes) / (1 << 20) / writeElapsed
-	readMBps := float64(fileBytes) / (1 << 20) / readElapsed
-
-	// Retry-disabled control: the identical first burst must surface
-	// as a caller-visible, retryable-classified error.
-	cfs := faultfs.New(backend.NewMemStore())
-	mc, err := lamassu.New(cfs, keys)
-	if err != nil {
-		return "", err
-	}
-	cfs.ArmTransient(faultfs.OpWrite, 3)
-	cerr := mc.WriteFileCtx(ctx, "f0", files[0])
-	if cerr == nil {
-		return "", fmt.Errorf("retry-disabled control absorbed an injected fault; injection is broken")
-	}
-	if lamassu.IsCanceled(cerr) || ctx.Err() != nil {
-		return "", cerr // a real interrupt, not the injected fault
-	}
-	if !lamassu.IsRetryable(cerr) {
-		return "", fmt.Errorf("control error is not classified retryable: %v", cerr)
-	}
-
-	results = append(results,
-		benchResult{Experiment: "faults", Config: fmt.Sprintf("retry=on/write faults=%d retries=%d", injected, st.RetryAttempts), MBps: writeMBps},
-		benchResult{Experiment: "faults", Config: "retry=on/read", MBps: readMBps},
-		benchResult{Experiment: "faults", Config: "retry=off/first-fault-fails"},
-	)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Flaky-store A/B (faultfs transient injection, %d x %d MiB files, RAM store)\n",
-		nFiles, perFile>>20)
-	fmt.Fprintf(&b, "%-26s %10s %14s %14s\n", "configuration", "MB/s", "injected", "retries")
-	fmt.Fprintf(&b, "%-26s %10.1f %14d %14d\n", "retry=on  seq-write", writeMBps, injected, st.RetryAttempts)
-	fmt.Fprintf(&b, "%-26s %10.1f %14s %14s\n", "retry=on  seq-read", readMBps, "(above)", "(above)")
-	fmt.Fprintf(&b, "%-26s %10s %14d %14s\n", "retry=off seq-write", "FAILED", int64(3), "n/a")
-	fmt.Fprintf(&b, "retry=on completed %d files with zero caller-visible errors and byte-identical readback\n", nFiles)
-	fmt.Fprintf(&b, "retry=off surfaced on the first fault: %v\n", cerr)
-	return b.String(), nil
-}
-
-// replicaTable A/Bs shard-loss survival: the same write+read workload
-// over a 3-shard deployment at R=2 and at R=1, with one shard killed
-// permanently (faultfs ArmDownAll) midway through the writes. The
-// replicated run must finish every write and read back every byte
-// identical with ZERO caller-visible errors while the loss is live,
-// then — after the shard "returns" — a Scrub pass must restore full
-// redundancy, proven by re-reading the whole dataset with each shard
-// killed in turn. The unreplicated control must surface the loss on
-// the very first read sweep. Either way the comparison is a
-// regression gate: an error is returned — and lmsbench exits non-zero
-// — if the R=2 run sees any error or divergent byte, records no
-// failover reads, scrubs nothing, or the R=1 control survives.
-func replicaTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	stripe, err := lamassu.SegmentStripeBytes(nil, 1<<20)
-	if err != nil {
-		return "", err
-	}
-	const nFiles, shards = 8, 3
-	perFile := fileBytes / nFiles
-	files := make([][]byte, nFiles)
-	rng := rand.New(rand.NewSource(8))
-	for i := range files {
-		files[i] = make([]byte, perFile)
-		rng.Read(files[i])
-	}
-
-	// The victim is f0's PRIMARY owner, so the loss provably sits in
-	// the preferred read path — killing a shard that only holds
-	// secondary copies would let every read serve from its primary and
-	// measure nothing.
-	victim := -1
-	build := func(r int) (*lamassu.Mount, []*faultfs.Store, error) {
-		stores := make([]lamassu.Storage, shards)
-		faults := make([]*faultfs.Store, shards)
-		for i := range stores {
-			faults[i] = faultfs.New(backend.NewMemStore())
-			stores[i] = faults[i]
-		}
-		storage, err := lamassu.NewShardedStorage(stores, &lamassu.ShardOptions{
-			StripeBytes: stripe, Replicas: r,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		lay := storage.(*shard.Store).Layout()
-		victim = lay.Owners(lay.KeyOf("f0", 0))[0]
-		m, err := lamassu.NewMount(storage, keys, &lamassu.Options{Parallelism: 4, Replicas: r})
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, faults, nil
-	}
-
-	// --- R=2: the loss must be invisible -------------------------------
-	m, faults, err := build(2)
-	if err != nil {
-		return "", err
-	}
-	start := time.Now()
-	for i, data := range files {
-		if i == nFiles/2 {
-			faults[victim].ArmDownAll() // the shard dies mid-workload
-		}
-		if err := m.WriteFileCtx(ctx, fmt.Sprintf("f%d", i), data); err != nil {
-			return "", fmt.Errorf("R=2 write f%d with shard %d down: %w", i, victim, err)
-		}
-	}
-	writeElapsed := time.Since(start).Seconds()
-	start = time.Now()
-	for i, data := range files {
-		got, err := m.ReadFileCtx(ctx, fmt.Sprintf("f%d", i))
-		if err != nil {
-			return "", fmt.Errorf("R=2 read f%d with shard %d down: %w", i, victim, err)
-		}
-		if !bytes.Equal(got, data) {
-			return "", fmt.Errorf("R=2 readback of f%d differs from the written bytes", i)
-		}
-	}
-	readElapsed := time.Since(start).Seconds()
-	st := m.EngineStats()
-	if st.FailoverReads == 0 {
-		return "", fmt.Errorf("R=2 run recorded no failover reads; the outage measured nothing")
-	}
-
-	// The shard returns with whatever it held at death; Scrub restores
-	// full redundancy.
-	faults[victim].DisarmDown()
-	scrub, err := m.Scrub(ctx)
-	if err != nil {
-		return "", fmt.Errorf("scrub after the shard returned: %w", err)
-	}
-	if scrub.Repairs == 0 {
-		return "", fmt.Errorf("scrub repaired nothing after a mid-workload shard loss (%+v)", scrub)
-	}
-	if scrub.Unrepaired != 0 {
-		return "", fmt.Errorf("scrub left %d ranges unrepaired with every shard live", scrub.Unrepaired)
-	}
-	// Full redundancy restored = ANY single shard can die and every
-	// byte is still served.
-	for k := 0; k < shards; k++ {
-		faults[k].ArmDownAll()
-		for i, data := range files {
-			got, err := m.ReadFileCtx(ctx, fmt.Sprintf("f%d", i))
-			if err != nil {
-				return "", fmt.Errorf("post-scrub read f%d with shard %d down: %w", i, k, err)
-			}
-			if !bytes.Equal(got, data) {
-				return "", fmt.Errorf("post-scrub readback of f%d differs with shard %d down", i, k)
-			}
-		}
-		faults[k].DisarmDown()
-	}
-	writeMBps := float64(fileBytes) / (1 << 20) / writeElapsed
-	readMBps := float64(fileBytes) / (1 << 20) / readElapsed
-
-	// --- R=1 control: the loss must be visible -------------------------
-	mc, cfaults, err := build(1)
-	if err != nil {
-		return "", err
-	}
-	for i, data := range files {
-		if err := mc.WriteFileCtx(ctx, fmt.Sprintf("f%d", i), data); err != nil {
-			return "", fmt.Errorf("R=1 pre-outage write f%d: %w", i, err)
-		}
-	}
-	cfaults[victim].ArmDownAll()
-	var cerr error
-	for i := range files {
-		if _, err := mc.ReadFileCtx(ctx, fmt.Sprintf("f%d", i)); err != nil {
-			cerr = err
-			break
-		}
-	}
-	if cerr == nil {
-		return "", fmt.Errorf("R=1 control served every read with shard %d permanently down", victim)
-	}
-	if lamassu.IsCanceled(cerr) || ctx.Err() != nil {
-		return "", cerr // a real interrupt, not the outage
-	}
-
-	results = append(results,
-		benchResult{Experiment: "replica", Config: "r2/outage-write", MBps: writeMBps, Failovers: st.FailoverReads},
-		benchResult{Experiment: "replica", Config: "r2/outage-read", MBps: readMBps, Failovers: st.FailoverReads},
-		benchResult{Experiment: "replica", Config: "r2/scrub", Repairs: scrub.Repairs},
-		benchResult{Experiment: "replica", Config: "r1/control-fails"},
-	)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shard-loss A/B (3 shards, shard %d killed mid-workload, %d x %d MiB files, stripe %d KiB, RAM stores)\n",
-		victim, nFiles, perFile>>20, stripe>>10)
-	fmt.Fprintf(&b, "%-26s %10s %14s %14s\n", "configuration", "MB/s", "failover-reads", "scrub-repairs")
-	fmt.Fprintf(&b, "%-26s %10.1f %14d %14d\n", "R=2 outage seq-write", writeMBps, st.FailoverReads, scrub.Repairs)
-	fmt.Fprintf(&b, "%-26s %10.1f %14s %14s\n", "R=2 outage seq-read", readMBps, "(above)", "(above)")
-	fmt.Fprintf(&b, "%-26s %10s %14s %14s\n", "R=1 outage seq-read", "FAILED", "n/a", "n/a")
-	fmt.Fprintf(&b, "R=2 completed %d files with zero caller-visible errors and byte-identical readback through the loss\n", nFiles)
-	fmt.Fprintf(&b, "scrub restored full redundancy: every shard killed in turn, all bytes still served\n")
-	fmt.Fprintf(&b, "R=1 surfaced the loss: %v\n", cerr)
-	return b.String(), nil
-}
-
-// remoteTable measures the latency-tolerance pair against the
-// in-memory object server (objstore.Memserver on the real clock), the
-// regime the RAM-store experiments cannot reach: every backend call
-// pays a round trip, so wall time is set by request count and overlap
-// rather than by crypto throughput.
-//
-// Part one A/Bs pipelining: sequential whole-file write+read with the
-// paper's per-block engine serialized to one outstanding request
-// (WithoutCoalescing + WithIOWindow(1) — the classic remote-filesystem
-// baseline) against the coalesced engine with a deep I/O window
-// (WithIOWindow(32)), at 0.2 ms and 2 ms RTT. Part two A/Bs hedged
-// reads on a tail-heavy 2 ms link (every 32nd request is 10x slower):
-// the same chunked sequential read workload with and without
-// WithHedgedReads, reporting per-read p50/p99 and the server's GET
-// counter. Both comparisons are regression gates: an error is
-// returned — and lmsbench exits non-zero — unless the pipelined
-// configuration reaches 3x the baseline throughput in both directions
-// at 2 ms RTT, the hedged p99 lands strictly below the unhedged p99,
-// and hedging inflates the read-phase GET count by at most 10%.
-func remoteTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	// Every request costs real wall time here, so cap the workload: the
-	// per-block window-1 baseline at 2 ms RTT pays ~0.5 s per MiB.
-	if fileBytes > 4<<20 {
-		fileBytes = 4 << 20
-	}
-	data := make([]byte, fileBytes)
-	rand.New(rand.NewSource(6)).Read(data)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Remote object store (in-memory object server, real clock, %d MiB file, GOMAXPROCS=%d)\n",
-		fileBytes>>20, runtime.GOMAXPROCS(0))
-
-	// --- Part one: I/O-window pipelining ---------------------------------
-	fmt.Fprintf(&b, "%-34s %12s %12s %8s\n", "configuration", "write-MB/s", "read-MB/s", "peakQ")
-	// base/pipe hold the 2 ms-RTT rows the gate compares.
-	type tput struct{ write, read float64 }
-	var base, pipe tput
-	for _, rtt := range []time.Duration{200 * time.Microsecond, 2 * time.Millisecond} {
-		for _, pipelined := range []bool{false, true} {
-			label := fmt.Sprintf("per-block window=1 rtt=%s", rtt)
-			window := 1
-			opts := []lamassu.Option{lamassu.WithoutCoalescing(), lamassu.WithIOWindow(1)}
-			if pipelined {
-				window = 32
-				label = fmt.Sprintf("coalesced window=32 rtt=%s", rtt)
-				opts = []lamassu.Option{lamassu.WithIOWindow(32)}
-			}
-			storage := lamassu.NewMemObjectStorage(lamassu.ObjectStoreParams{RTT: rtt})
-			mw, err := lamassu.New(storage, keys, opts...)
-			if err != nil {
-				return "", err
-			}
-			start := time.Now()
-			if err := mw.WriteFileCtx(ctx, "f", data); err != nil {
-				return "", err
-			}
-			writeMBps := float64(fileBytes) / (1 << 20) / time.Since(start).Seconds()
-			mr, err := lamassu.New(storage, keys, opts...) // fresh mount: cold read
-			if err != nil {
-				return "", err
-			}
-			start = time.Now()
-			got, err := mr.ReadFileCtx(ctx, "f")
-			if err != nil {
-				return "", err
-			}
-			readMBps := float64(fileBytes) / (1 << 20) / time.Since(start).Seconds()
-			if !bytes.Equal(got, data) {
-				return "", fmt.Errorf("%s: readback differs from the written bytes", label)
-			}
-			peak := mr.EngineStats().IOPeakInFlight
-			if pipelined && rtt == 2*time.Millisecond {
-				pipe = tput{writeMBps, readMBps}
-			} else if !pipelined && rtt == 2*time.Millisecond {
-				base = tput{writeMBps, readMBps}
-			}
-			results = append(results,
-				benchResult{Experiment: "remote", Config: "seq-write/" + label, MBps: writeMBps, IOWindow: window},
-				benchResult{Experiment: "remote", Config: "seq-read/" + label, MBps: readMBps, IOWindow: window},
-			)
-			fmt.Fprintf(&b, "%-34s %12.1f %12.1f %8d\n", label, writeMBps, readMBps, peak)
-		}
-	}
-
-	// --- Part two: hedged reads on a tail-heavy link ---------------------
-	// Chunked sequential read so every chunk is one latency sample; the
-	// deterministic two-point tail (every 32nd request 10x slower) puts
-	// ~3% of requests at 20 ms, which an unhedged p99 cannot miss.
-	// The hedge delay is pinned rather than adaptive: the gate must be
-	// deterministic, and the adaptive quantile tracker needs a quieter
-	// host than CI to converge inside a 256-read run. 8 ms sits 4x
-	// above the body latency (no spurious hedges) and well under the
-	// 20 ms tail (every tail is rescued around 10 ms).
-	const (
-		hedgeRTT   = 2 * time.Millisecond
-		tailEvery  = 32
-		tailMult   = 10
-		chunk      = 16 << 10
-		hedgeDelay = 8 * time.Millisecond
-	)
-	type hedgeRow struct {
-		label     string
-		p50, p99  time.Duration
-		gets      int64
-		hedges    int64
-		hedgeRate float64
-	}
-	var hrows []hedgeRow
-	for _, hedged := range []bool{false, true} {
-		// The server handle itself (not the public wrapper) so the GET
-		// counter is observable — the request-amplification gate's input.
-		srv := objstore.NewMemserver(objstore.ServerParams{
-			RTT: hedgeRTT, TailEvery: tailEvery, TailMult: tailMult,
-		}, nil)
-		mw, err := lamassu.New(objstore.New(srv), keys, lamassu.WithIOWindow(32))
-		if err != nil {
-			return "", err
-		}
-		if err := mw.WriteFileCtx(ctx, "f", data); err != nil {
-			return "", err
-		}
-		getsBefore := srv.Stats().Gets
-
-		opts := []lamassu.Option{lamassu.WithIOWindow(32), lamassu.WithCache(2048)}
-		label := "hedge=off"
-		if hedged {
-			opts = append(opts, lamassu.WithHedgedReads(lamassu.HedgePolicy{Delay: hedgeDelay}))
-			label = "hedge=on "
-		}
-		mr, err := lamassu.New(objstore.New(srv), keys, opts...)
-		if err != nil {
-			return "", err
-		}
-		f, err := mr.OpenCtx(ctx, "f")
-		if err != nil {
-			return "", err
-		}
-		buf := make([]byte, chunk)
-		samples := make([]time.Duration, 0, int(fileBytes/chunk))
-		for off := int64(0); off < fileBytes; off += chunk {
-			start := time.Now()
-			n, err := f.ReadAtCtx(ctx, buf, off)
-			if err != nil {
-				return "", fmt.Errorf("%s: read at %d: %w", label, off, err)
-			}
-			samples = append(samples, time.Since(start))
-			if !bytes.Equal(buf[:n], data[off:off+int64(n)]) {
-				return "", fmt.Errorf("%s: readback at %d differs from the written bytes", label, off)
-			}
-		}
-		if err := f.Close(); err != nil {
-			return "", err
-		}
-		sorted := append([]time.Duration(nil), samples...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		row := hedgeRow{
-			label: label,
-			p50:   sorted[len(sorted)/2],
-			p99:   sorted[len(sorted)*99/100],
-			gets:  srv.Stats().Gets - getsBefore,
-		}
-		for _, hs := range mr.HedgedReadStats() {
-			row.hedges += hs.Hedges
-			if hs.Reads > 0 {
-				row.hedgeRate = float64(row.hedges) / float64(hs.Reads)
-			}
-		}
-		hrows = append(hrows, row)
-		results = append(results, benchResult{
-			Experiment: "remote",
-			Config:     fmt.Sprintf("chunk-read/%s rtt=%s tail=%dx%d", strings.TrimSpace(label), hedgeRTT, tailEvery, tailMult),
-			P50Ms:      float64(row.p50) / float64(time.Millisecond),
-			P99Ms:      float64(row.p99) / float64(time.Millisecond),
-			HedgeRate:  row.hedgeRate,
-			IOWindow:   32,
-		})
-	}
-	fmt.Fprintf(&b, "hedged reads (%d x %d KiB chunk reads, rtt=%s, every %dth request %dx slower)\n",
-		fileBytes/chunk, chunk>>10, hedgeRTT, tailEvery, tailMult)
-	fmt.Fprintf(&b, "%-12s %10s %10s %8s %8s %10s\n", "config", "p50-ms", "p99-ms", "GETs", "hedges", "hedge-rate")
-	for _, r := range hrows {
-		fmt.Fprintf(&b, "%-12s %10.2f %10.2f %8d %8d %9.1f%%\n", r.label,
-			float64(r.p50)/float64(time.Millisecond), float64(r.p99)/float64(time.Millisecond),
-			r.gets, r.hedges, 100*r.hedgeRate)
-	}
-
-	// Regression gates; rows are appended above, so a failing run still
-	// flushes its measurements.
-	if pipe.write < 3*base.write || pipe.read < 3*base.read {
-		return b.String(), fmt.Errorf("pipelined throughput (%.1f/%.1f MB/s write/read) below 3x the window-1 per-block baseline (%.1f/%.1f MB/s) at 2ms RTT",
-			pipe.write, pipe.read, base.write, base.read)
-	}
-	if hrows[1].p99 >= hrows[0].p99 {
-		return b.String(), fmt.Errorf("hedged p99 (%s) not strictly below unhedged p99 (%s)", hrows[1].p99, hrows[0].p99)
-	}
-	if float64(hrows[1].gets) > 1.1*float64(hrows[0].gets) {
-		return b.String(), fmt.Errorf("hedged read phase issued %d GETs, more than 1.1x the unhedged %d", hrows[1].gets, hrows[0].gets)
-	}
-	return b.String(), nil
-}
-
-// interruptStore wraps a Storage and cancels a context after a fixed
-// number of WriteAt calls — how the rebalance experiment pauses the
-// online mover mid-copy deterministically (growth writes land only on
-// the incoming shard, so counting there is exact).
-type interruptStore struct {
-	inner  lamassu.Storage
-	count  atomic.Int64
-	limit  int64
-	cancel context.CancelFunc
-}
-
-func (s *interruptStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.inner.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &interruptFile{File: f, s: s}, nil
-}
-
-func (s *interruptStore) Remove(name string) error        { return s.inner.Remove(name) }
-func (s *interruptStore) Rename(o, n string) error        { return s.inner.Rename(o, n) }
-func (s *interruptStore) List() ([]string, error)         { return s.inner.List() }
-func (s *interruptStore) Stat(name string) (int64, error) { return s.inner.Stat(name) }
-
-type interruptFile struct {
-	backend.File
-	s *interruptStore
-}
-
-func (f *interruptFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.s.count.Add(1) == f.s.limit {
-		f.s.cancel()
-	}
-	return f.File.WriteAt(p, off)
-}
-
-// shardScaleTable measures the storage sharding layer: concurrent
-// whole-file writes through one mount as the number of backing stores
-// grows 1 -> 8, with the per-shard breakdown (bytes routed, commit
-// tasks, worker budget, peak queue depth) from Mount.ShardStats. Each
-// shard is an independent RAM store, so the distribution of bytes
-// shows the consistent-hash striping at work; on a multi-core host
-// the fan-out across per-shard budgets is what lifts MB/s.
-func shardScaleTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	const writers = 4
-	perFile := fileBytes / writers
-	data := make([]byte, perFile)
-	rand.New(rand.NewSource(2)).Read(data)
-	stripe, err := lamassu.SegmentStripeBytes(nil, 1<<20)
-	if err != nil {
-		return "", err
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shard scaling (consistent-hash striping, %d x %d MiB files, stripe %d KiB, RAM stores, GOMAXPROCS=%d)\n",
-		writers, perFile>>20, stripe>>10, runtime.GOMAXPROCS(0))
-	for _, shards := range []int{1, 2, 4, 8} {
-		stores := make([]lamassu.Storage, shards)
-		for i := range stores {
-			stores[i] = lamassu.NewMemStorage()
-		}
-		storage, err := lamassu.NewShardedStorage(stores, &lamassu.ShardOptions{StripeBytes: stripe})
-		if err != nil {
-			return "", err
-		}
-		// Floor the pool at 4 workers so the per-shard budgets engage
-		// even on a single-core host (there the fan-out costs a little
-		// throughput but keeps the budget columns meaningful).
-		par := runtime.GOMAXPROCS(0)
-		if par < 4 {
-			par = 4
-		}
-		m, err := lamassu.NewMount(storage, keys, &lamassu.Options{Parallelism: par})
-		if err != nil {
-			return "", err
-		}
-
-		// Sample the per-shard queue depth while the writers run.
-		peak := make([]int64, shards)
-		stop := make(chan struct{})
-		sampled := make(chan struct{})
-		go func() {
-			defer close(sampled)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, s := range m.ShardStats() {
-					if s.QueueDepth > peak[s.Shard] {
-						peak[s.Shard] = s.QueueDepth
-					}
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}()
-
-		start := time.Now()
-		errc := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			go func(w int) {
-				errc <- m.WriteFileCtx(ctx, fmt.Sprintf("f%d", w), data)
-			}(w)
-		}
-		for w := 0; w < writers; w++ {
-			if err := <-errc; err != nil {
-				close(stop)
-				return "", err
-			}
-		}
-		elapsed := time.Since(start).Seconds()
-		close(stop)
-		<-sampled
-
-		mbs := float64(writers) * float64(perFile) / (1 << 20) / elapsed
-		results = append(results, benchResult{
-			Experiment: "shardscale",
-			Config:     fmt.Sprintf("shards=%d", shards),
-			MBps:       mbs,
-		})
-		fmt.Fprintf(&b, "shards=%d %38.1f MB/s\n", shards, mbs)
-		fmt.Fprintf(&b, "  %5s %7s %9s %9s %9s %7s\n", "shard", "budget", "writes", "MiB-out", "tasks", "peakQ")
-		for _, s := range m.ShardStats() {
-			fmt.Fprintf(&b, "  %5d %7d %9d %9.1f %9d %7d\n",
-				s.Shard, s.Budget, s.Writes, float64(s.BytesWritten)/(1<<20), s.Tasks, peak[s.Shard])
-		}
-	}
-	return b.String(), nil
-}
-
-// scalingTable measures the concurrent engine beyond the paper's
-// serial prototype: sequential-write throughput as commit parallelism
-// grows from 1 (the paper's engine) to GOMAXPROCS, and repeated-read
-// throughput with the block cache off and on. All runs use the
-// RAM-backed store, the regime of Figures 8-10, so the CPU-bound
-// crypto dominates and the fan-out is visible.
-func scalingTable(ctx context.Context, fileBytes int64) (string, error) {
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		return "", err
-	}
-	data := make([]byte, fileBytes)
-	rand.New(rand.NewSource(1)).Read(data)
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scaling (concurrent engine, %d MiB file, RAM store, GOMAXPROCS=%d)\n",
-		fileBytes>>20, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-28s %12s\n", "configuration", "MB/s")
-
-	writeOnce := func(par int) (float64, error) {
-		m, err := lamassu.NewMount(lamassu.NewMemStorage(), keys, &lamassu.Options{Parallelism: par})
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if err := m.WriteFileCtx(ctx, "f", data); err != nil {
-			return 0, err
-		}
-		return float64(fileBytes) / (1 << 20) / time.Since(start).Seconds(), nil
-	}
-	pars := []int{1}
-	for p := 2; p < runtime.GOMAXPROCS(0); p *= 2 {
-		pars = append(pars, p)
-	}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		pars = append(pars, n)
-	}
-	for _, par := range pars {
-		mbs, err := writeOnce(par)
-		if err != nil {
-			return "", err
-		}
-		label := fmt.Sprintf("seq-write parallelism=%d", par)
-		results = append(results, benchResult{Experiment: "scaling", Config: label, MBps: mbs})
-		fmt.Fprintf(&b, "%-28s %12.1f\n", label, mbs)
-	}
-
-	readOnce := func(cacheBlocks int) (float64, error) {
-		m, err := lamassu.NewMount(lamassu.NewMemStorage(), keys, &lamassu.Options{CacheBlocks: cacheBlocks})
-		if err != nil {
-			return 0, err
-		}
-		if err := m.WriteFileCtx(ctx, "f", data); err != nil {
-			return 0, err
-		}
-		if _, err := m.ReadFileCtx(ctx, "f"); err != nil { // warm the cache
-			return 0, err
-		}
-		start := time.Now()
-		const sweeps = 4
-		for i := 0; i < sweeps; i++ {
-			if _, err := m.ReadFileCtx(ctx, "f"); err != nil {
-				return 0, err
-			}
-		}
-		return sweeps * float64(fileBytes) / (1 << 20) / time.Since(start).Seconds(), nil
-	}
-	// Size the cache over the full working set: every data block PLUS
-	// one decoded-meta entry per segment (~1/118 of the data blocks),
-	// with slack — a cyclic sweep over a set even one entry larger than
-	// the capacity LRU-thrashes to ~0% hits.
-	ndb := int(fileBytes / 4096)
-	blocks := ndb + ndb/100 + 128
-	for _, cb := range []int{0, blocks} {
-		mbs, err := readOnce(cb)
-		if err != nil {
-			return "", err
-		}
-		label := "seq-read cache=off"
-		if cb > 0 {
-			label = fmt.Sprintf("seq-read cache=%dblk", cb)
-		}
-		results = append(results, benchResult{Experiment: "scaling", Config: label, MBps: mbs})
-		fmt.Fprintf(&b, "%-28s %12.1f\n", label, mbs)
-	}
-	return b.String(), nil
 }

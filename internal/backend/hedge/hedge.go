@@ -19,7 +19,7 @@
 // fast, hedging is pointless), reads take a synchronous fast path
 // that performs no allocation — pinned by an AllocsPerRun guard in
 // the tests. Time is read off an injectable simclock.Clock, so tests
-// and lmsbench get deterministic hedging decisions.
+// get deterministic hedging decisions.
 package hedge
 
 import (

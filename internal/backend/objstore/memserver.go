@@ -45,10 +45,10 @@ type ServerStats struct {
 }
 
 // Memserver is an in-process, in-memory Transport: the object server
-// lmsbench and the tests run against. Latency is charged through an
-// injectable simclock.Clock so a virtual clock makes runs instant and
-// deterministic, while lmsbench uses the real clock to let pipelining
-// and hedging overlap wall time.
+// the tests and the benchmark run against. Latency is charged through
+// an injectable simclock.Clock so a virtual clock makes runs instant
+// and deterministic, while the benchmark uses the real clock to let
+// pipelining and hedging overlap wall time.
 type Memserver struct {
 	params ServerParams
 	clock  simclock.Clock

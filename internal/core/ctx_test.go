@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/backend/objstore"
 	"lamassu/internal/layout"
 	"lamassu/internal/shard"
+	"lamassu/internal/simclock"
 	"lamassu/internal/vfs"
 )
 
@@ -184,12 +186,21 @@ func writeWorkloadCtx(ctx context.Context, f vfs.File, oldData []byte, seed int6
 // behind a striping shard.Store, stripe = one segment).
 func cancelFixture(t *testing.T, geo layout.Geometry, sharded bool, trig *cancelTrigger) backend.Store {
 	t.Helper()
+	return cancelFixtureOver(t, geo, sharded, trig, memLeaf)
+}
+
+func memLeaf() backend.Store { return backend.NewMemStore() }
+
+// cancelFixtureOver is cancelFixture over leaves of the caller's
+// choosing.
+func cancelFixtureOver(t *testing.T, geo layout.Geometry, sharded bool, trig *cancelTrigger, leaf func() backend.Store) backend.Store {
+	t.Helper()
 	if !sharded {
-		return &cancelStore{inner: backend.NewMemStore(), trig: trig}
+		return &cancelStore{inner: leaf(), trig: trig}
 	}
 	stores := []backend.Store{
-		&cancelStore{inner: backend.NewMemStore(), trig: trig},
-		&cancelStore{inner: backend.NewMemStore(), trig: trig},
+		&cancelStore{inner: leaf(), trig: trig},
+		&cancelStore{inner: leaf(), trig: trig},
 	}
 	ss, err := shard.New(stores, shard.Config{StripeBytes: geo.SegmentPhysBytes()})
 	if err != nil {
@@ -203,7 +214,11 @@ func cancelFixture(t *testing.T, geo layout.Geometry, sharded bool, trig *cancel
 // after the 1st, 2nd, 3rd, ... backend write; the failing operation
 // must report ErrCanceled (wrapping context.Canceled), and after
 // recovery every block must hold a state the workload legitimately
-// produced. Swept over both engines, sharded and unsharded.
+// produced. Swept over both engines, sharded and unsharded — and, for
+// the per-block engine, once more with its writes pipelined on an I/O
+// window over the object backend, where a cut also strands multipart
+// sessions (the public API can no longer select that combination; the
+// coalesced one is the root package's TestRemoteCancelMidCommit).
 func TestCancelMidCommitSweep(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		name := "unsharded"
@@ -211,26 +226,39 @@ func TestCancelMidCommitSweep(t *testing.T) {
 			name = "sharded"
 		}
 		t.Run(name, func(t *testing.T) {
-			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false) })
-			t.Run("per-block", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true) })
+			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, false) })
+			t.Run("per-block", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, false) })
+			t.Run("per-block-windowed-objstore", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, true) })
 		})
 	}
 }
 
-func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
+// cancelMidCommitSweep runs the sweep over memory stores, or — remote —
+// over zero-latency object stores with an I/O window of 8.
+func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing, remote bool) {
 	geo, err := layout.NewGeometry(512, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo,
 		DisableCoalescing: disableCoalescing}
+	var servers []*objstore.Memserver
+	leaf := memLeaf
+	if remote {
+		cfg.IOWindow = 8
+		leaf = func() backend.Store {
+			srv := objstore.NewMemserver(objstore.ServerParams{}, simclock.NewVirtual())
+			servers = append(servers, srv)
+			return objstore.New(srv)
+		}
+	}
 
 	oldData := make([]byte, 40*1024)
 	rand.New(rand.NewSource(99)).Read(oldData)
 
 	// Dry run: count the workload's context-aware backend writes.
 	trig := &cancelTrigger{}
-	store := cancelFixture(t, geo, sharded, trig)
+	store := cancelFixtureOver(t, geo, sharded, trig, leaf)
 	lfs, err := New(store, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +289,8 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
 	}
 	for cancelAt := int64(1); cancelAt <= totalWrites; cancelAt += stride {
 		trig := &cancelTrigger{}
-		store := cancelFixture(t, geo, sharded, trig)
+		servers = servers[:0]
+		store := cancelFixtureOver(t, geo, sharded, trig, leaf)
 		lfs, err := New(store, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -320,6 +349,18 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing bool) {
 			}
 			if !hist[b][string(got[lo:hi])] {
 				t.Fatalf("cancelAt=%d: block %d holds a state the workload never produced", cancelAt, b)
+			}
+		}
+		// The cut may strand multipart sessions — crash state on the
+		// server — but a committed write after it leaves none behind.
+		if remote {
+			if err := vfs.WriteAll(lfs2, "f", oldData); err != nil {
+				t.Fatalf("cancelAt=%d: rewrite after recovery: %v", cancelAt, err)
+			}
+			for i, srv := range servers {
+				if open := srv.Stats().OpenUploads; open != 0 {
+					t.Fatalf("cancelAt=%d: %d multipart sessions open on leaf %d after a committed write", cancelAt, open, i)
+				}
 			}
 		}
 	}

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/layout"
+	"lamassu/internal/vfs"
 )
 
 // shortBlocks is the dispatch tests' workload: n compressible 4 KiB
@@ -74,13 +76,15 @@ func writeShortBlocks(t *testing.T, lfs *FS, data []byte) []planOp {
 // answers in microseconds, so the margin is three orders of magnitude.
 const rendezvousSettle = 50 * time.Millisecond
 
-// rendezvousStore parks every data ReadAt until the test's driver
-// releases the round, and records how many were parked together — so a
-// test counts a read's critical path in rounds of backend round trips
-// instead of timing it.
+// rendezvousStore parks every data ReadAt — or, with parkWrites, every
+// data WriteAt instead — until the test's driver releases the round,
+// and records how many were parked together, so a test counts an
+// operation's critical path in rounds of backend round trips instead of
+// timing it.
 type rendezvousStore struct {
 	backend.Store
-	metaOff int64 // reads at this offset (the metadata block) pass through
+	metaOff    int64 // I/O at this offset (the metadata block) passes through
+	parkWrites bool  // park data writes and let data reads through
 
 	mu     sync.Mutex
 	parked int
@@ -107,13 +111,25 @@ type rendezvousFile struct {
 }
 
 func (f *rendezvousFile) ReadAt(p []byte, off int64) (int, error) {
-	s := f.s
-	if off == s.metaOff {
-		return f.File.ReadAt(p, off)
+	if off != f.s.metaOff && !f.s.parkWrites {
+		f.s.park()
 	}
+	return f.File.ReadAt(p, off)
+}
+
+func (f *rendezvousFile) WriteAt(p []byte, off int64) (int, error) {
+	if off != f.s.metaOff && f.s.parkWrites {
+		f.s.park()
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// park blocks the caller until the driver releases the round it
+// arrived in.
+func (s *rendezvousStore) park() {
 	s.mu.Lock()
 	// Counting the arrival and picking the channel it waits on are one
-	// critical section with the driver's release, so every read is
+	// critical section with the driver's release, so every arrival is
 	// counted in exactly the round that releases it.
 	s.parked++
 	round := s.round
@@ -123,7 +139,6 @@ func (f *rendezvousFile) ReadAt(p []byte, off int64) (int, error) {
 	default:
 	}
 	<-round
-	return f.File.ReadAt(p, off)
 }
 
 // drive releases rounds until done closes and returns each round's
@@ -161,9 +176,11 @@ func (s *rendezvousStore) drive(done <-chan struct{}) []int {
 // shardedReadDepth extents per owning shard in flight (16 rounds of 4
 // inside one stripe — it was 64 rounds of 1 — and 8 at a time across
 // two stripes); without one it keeps its one lane per shard; an
-// unsharded windowed read fills the window. The reads issued are the
-// same multiset whatever the dispatch: the plan is not the dispatcher's
-// to change.
+// unsharded windowed read fills the window — 2 rounds of 32 where the
+// unsharded read without a window waits through all 64, the count
+// behind "a deep window beats window 1 on a 2 ms link". The reads issued
+// are the same multiset whatever the dispatch: the plan is not the
+// dispatcher's to change.
 func TestShardedWindowedReadRounds(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
@@ -188,6 +205,7 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 		{"sharded-one-stripe-no-window", 128 * bs, 0, repeat(1, 64)},
 		{"sharded-two-stripes-no-window", 33 * bs, 0, repeat(2, 32)},
 		{"unsharded-window-32", 0, 32, repeat(32, 2)},
+		{"unsharded-no-window", 0, 0, repeat(1, 64)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
@@ -236,6 +254,68 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 			}
 			if !reflect.DeepEqual(dataReads, want) {
 				t.Fatalf("data reads (off, len):\n got  %v\n want %v", dataReads, want)
+			}
+		})
+	}
+}
+
+// TestWindowedCommitRounds is the commit direction of the same count:
+// phase 2 of a fresh segment of 64 short blocks is 64 single-block
+// extents, and the rendezvous store now holds the data writes. On a
+// window of 32 the commit waits through 2 rounds of 32; the serial
+// engine without one through 64. Both write the same plan and the same
+// bytes.
+func TestWindowedCommitRounds(t *testing.T) {
+	const nblocks = 64
+	data := shortBlocks(nblocks)
+	for _, tc := range []struct {
+		name   string
+		window int
+		rounds []int
+	}{
+		{"window-32", 32, []int{32, 32}},
+		{"serial-no-window", 0, slices.Repeat([]int{1}, nblocks)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := backend.NewMemStore()
+			rs := newRendezvousStore(inner, layout.Default().MetaBlockOffset(0))
+			rs.parkWrites = true
+			ps := &planStore{Store: rs}
+			cfg := compressedConfig()
+			cfg.IOWindow = tc.window
+			cfg.Parallelism = 1
+			lfs := newFS(t, ps, cfg)
+
+			done := make(chan struct{})
+			var werr error
+			go func() {
+				defer close(done)
+				werr = vfs.WriteAll(lfs, "f", data)
+			}()
+			rounds := rs.drive(done)
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			if !reflect.DeepEqual(rounds, tc.rounds) {
+				t.Fatalf("rounds of data writes in flight together:\n got  %d rounds %v\n want %d rounds %v",
+					len(rounds), rounds, len(tc.rounds), tc.rounds)
+			}
+			_, writes := ps.take()
+			dataWrites := 0
+			for _, op := range writes {
+				if op.off != rs.metaOff {
+					dataWrites++
+				}
+			}
+			if dataWrites != nblocks {
+				t.Fatalf("%d data writes, want one per short block = %d", dataWrites, nblocks)
+			}
+			got, err := vfs.ReadAll(newFS(t, inner, cfg), "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("round trip mismatch")
 			}
 		})
 	}

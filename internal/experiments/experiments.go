@@ -1,13 +1,12 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§4). Each experiment returns structured rows;
-// Format renders them as the text tables printed by cmd/lmsbench and
-// recorded in EXPERIMENTS.md. The root bench_test.go exposes each as
-// a testing.B benchmark.
+// Format renders them as the text tables cmd/lmsbench prints. The root
+// bench_test.go exposes each as a testing.B benchmark.
 //
 // Sizes are parameterized: the paper used 4 GiB synthetic files and a
 // 256 MiB FIO file on real hardware; the defaults here are scaled down
-// so a full run finishes in seconds, and can be scaled back up from
-// the lmsbench command line. Scaling preserves every shape the paper
+// so a full run finishes in seconds, and can be scaled back up with
+// lmsbench's -mb and -scale. Scaling preserves every shape the paper
 // reports (who wins, by what factor, where curves peak) because all
 // effects — dedup ratios, I/O amplification, per-block CPU cost — are
 // per-block, not per-file.

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 )
 
 // file is an open handle to one (possibly striped) backing file. The
@@ -271,7 +270,7 @@ func (f *file) readChunkReplicated(ctx context.Context, t *topology, chunk []byt
 	s := f.store
 	slots, fellBack := t.readTargets(f.name, off)
 	if fellBack {
-		t.mig.noteFallback()
+		s.noteFallback(t.mig)
 	}
 	var order, deferred []int
 	pref := -1
@@ -402,7 +401,7 @@ func (f *file) readAt(ctx context.Context, p []byte, off int64) (int, error) {
 		}
 		slot, fellBack := t.readTarget(f.name, 0)
 		if fellBack {
-			t.mig.noteFallback()
+			f.store.noteFallback(t.mig)
 		}
 		h, err := f.handle(ctx, t, slot, false)
 		if err != nil {
@@ -450,7 +449,7 @@ func (f *file) readAt(ctx context.Context, p []byte, off int64) (int, error) {
 		} else {
 			slot, fellBack := t.readTarget(f.name, r.off)
 			if fellBack {
-				t.mig.noteFallback()
+				f.store.noteFallback(t.mig)
 			}
 			h, err := f.handle(ctx, t, slot, false)
 			if err != nil {
@@ -523,7 +522,7 @@ func (f *file) writeRange(ctx context.Context, t *topology, chunk []byte, off in
 		kl := t.mig.keyLock(key)
 		kl.Lock()
 		defer kl.Unlock()
-		t.mig.noteMirror()
+		f.store.noteMirror(t.mig)
 	}
 	h, err := f.handle(ctx, t, primary, true)
 	if err != nil {
@@ -569,7 +568,7 @@ func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []by
 		kl := t.mig.keyLock(key)
 		kl.Lock()
 		defer kl.Unlock()
-		t.mig.noteMirror()
+		s.noteMirror(t.mig)
 	} else if sc := s.scrub.Load(); sc != nil {
 		kl := sc.keyLock(key)
 		kl.Lock()
@@ -945,17 +944,4 @@ func (f *file) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// noteFallback counts one dual-ring read served by the previous
-// epoch's owner.
-func (m *migration) noteFallback() {
-	m.fallbackReads.Add(1)
-	m.rec.CountEvent(metrics.FallbackRead, 1)
-}
-
-// noteMirror counts one write mirrored to the previous epoch's owner.
-func (m *migration) noteMirror() {
-	m.mirrorWrites.Add(1)
-	m.rec.CountEvent(metrics.MirrorWrite, 1)
 }

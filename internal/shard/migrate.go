@@ -31,7 +31,6 @@ import (
 //     it converges.
 type migration struct {
 	prev *layout.Layout
-	rec  *metrics.Recorder
 	// invalidate, when non-nil, brackets the mover's per-file copies:
 	// it is called before the first and after the last stripe of a
 	// file moves, so a block cache above the store can drop entries
@@ -83,7 +82,6 @@ func (m *migration) confirm(key string) {
 	m.moved[key] = true
 	m.mu.Unlock()
 	m.movedKeys.Add(1)
-	m.rec.CountEvent(metrics.MoveCopy, 1)
 }
 
 // forgetName drops the confirmations of every key derived from name
@@ -127,9 +125,6 @@ func (m *migration) fileLock(name string) *sync.Mutex {
 
 // MigrateHooks configures the observability side of a migration.
 type MigrateHooks struct {
-	// Recorder receives FallbackRead / MirrorWrite / MoveCopy /
-	// EpochBump events; nil disables them.
-	Recorder *metrics.Recorder
 	// Invalidate brackets each file's relocation (called before the
 	// first and after the last key of the file moves) so caches above
 	// the store can drop entries around the window.
@@ -211,7 +206,6 @@ func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h
 		if t.mig.moverRunning.Load() {
 			return errMoverRunning
 		}
-		t.mig.rec = h.Recorder
 		t.mig.invalidate = h.Invalidate
 		t.mig.onKeyMoved = h.OnKeyMoved
 		return nil
@@ -257,7 +251,6 @@ func (s *Store) BeginMigration(ctx context.Context, newStores []backend.Store, h
 		}
 	}
 	mig := newMigration(t.lay)
-	mig.rec = h.Recorder
 	mig.invalidate = h.Invalidate
 	mig.onKeyMoved = h.OnKeyMoved
 	// Copy before growing: older topology snapshots still held by
@@ -603,6 +596,7 @@ func (s *Store) moverFile(ctx context.Context, t *topology, name string, st *Reb
 			return err
 		}
 		mig.confirm(k.key)
+		s.rec.Load().CountEvent(metrics.MoveCopy, 1)
 		s.routeGen.Add(1)
 		st.MovedStripes++
 		st.MovedBytes += n
@@ -686,7 +680,7 @@ func (s *Store) commitEpoch(ctx context.Context, t *topology, st *RebalanceStats
 		health: append([]*slotHealth(nil), t.health[:len(cur)]...),
 	})
 	s.routeGen.Add(1)
-	mig.rec.CountEvent(metrics.EpochBump, 1)
+	s.rec.Load().CountEvent(metrics.EpochBump, 1)
 	return nil
 }
 

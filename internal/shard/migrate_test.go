@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -518,6 +520,67 @@ func TestBeginMigrationWhileMoverRuns(t *testing.T) {
 	// With the mover gone the same call is the documented no-op.
 	if st, err := shard.RebalanceCtx(ctx, ss, other); err != nil || st != (shard.RebalanceStats{}) {
 		t.Fatalf("settled rebalance: %+v, %v", st, err)
+	}
+}
+
+// Resuming a migration re-arms its hooks while the data path keeps
+// serving dual-ring reads. The events those reads count go through the
+// store's recorder, so the resume shares no field with them (under
+// -race this test is the proof: the resume used to plain-write the
+// migration's recorder, which every fallback read loaded).
+func TestBeginMigrationResumeWhileReadsFallBack(t *testing.T) {
+	base, _ := memStores(2)
+	ss, err := shard.New(base, shard.Config{StripeBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	contents := populate(t, ss, 58)
+	grown := append(append([]backend.Store(nil), base...), backend.NewMemStore())
+	ctx := context.Background()
+	if err := ss.BeginMigration(ctx, grown, shard.MigrateHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	// No mover runs: every relocated key stays unconfirmed, so reads of
+	// it fall back to the previous owner for the whole test.
+	fs, err := core.New(ss, core.Config{Inner: testKey(1), Outer: testKey(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, firstPass := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for pass := 0; ; pass++ {
+			for name, want := range contents {
+				got, err := vfs.ReadAll(fs, name)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("mid-migration read of %s: %d bytes, %v", name, len(got), err)
+					return
+				}
+			}
+			if pass == 0 {
+				close(firstPass)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-firstPass
+	for i := 0; i < 50; i++ {
+		if err := ss.BeginMigration(ctx, grown, shard.MigrateHooks{}); err != nil {
+			t.Errorf("resume %d: %v", i, err)
+			break
+		}
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	if ss.MigrationStatus().FallbackReads == 0 {
+		t.Fatal("no read fell back; the resume raced nothing")
 	}
 }
 

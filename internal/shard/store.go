@@ -176,16 +176,17 @@ type Store struct {
 	// its per-key lock so a repair copy cannot interleave with a live
 	// write of the same key.
 	scrub atomic.Pointer[scrubState]
-	// rec is the optional metrics recorder for replication events
-	// (nil-safe; migrations carry their own via MigrateHooks).
+	// rec is the optional metrics recorder for replication and
+	// migration events (nil-safe).
 	rec atomic.Pointer[metrics.Recorder]
 	// Replication event counters (always live, recorder or not).
 	replicaWrites, failoverReads, scrubRepairs, breakerOpens atomic.Int64
 }
 
 // SetRecorder attaches a metrics recorder to the store's replication
-// events (ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen). A nil
-// recorder detaches.
+// events (ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen) and
+// migration events (FallbackRead, MirrorWrite, MoveCopy, EpochBump). A
+// nil recorder detaches.
 func (s *Store) SetRecorder(rec *metrics.Recorder) { s.rec.Store(rec) }
 
 func (s *Store) noteReplicaWrite() {
@@ -206,6 +207,19 @@ func (s *Store) noteScrubRepair() {
 func (s *Store) noteBreakerOpen() {
 	s.breakerOpens.Add(1)
 	s.rec.Load().CountEvent(metrics.BreakerOpen, 1)
+}
+
+// noteFallback counts one dual-ring read served by the previous
+// epoch's owner.
+func (s *Store) noteFallback(m *migration) {
+	m.fallbackReads.Add(1)
+	s.rec.Load().CountEvent(metrics.FallbackRead, 1)
+}
+
+// noteMirror counts one write mirrored to the previous epoch's owner.
+func (s *Store) noteMirror(m *migration) {
+	m.mirrorWrites.Add(1)
+	s.rec.Load().CountEvent(metrics.MirrorWrite, 1)
 }
 
 // ReplicationStats is a snapshot of the store's replication counters.

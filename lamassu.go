@@ -232,22 +232,10 @@ type Options struct {
 	// paper's configuration. See the package comment for the cache's
 	// coherence rules.
 	CacheBlocks int
-	// DisableCoalescing turns off the I/O coalescing layer and restores
-	// the paper's per-block engine: one backend WriteAt per committed
-	// data block, one backend ReadAt per block read, and commit batching
-	// at R pending blocks. By default the engine merges disk-adjacent
-	// blocks into runs — one backend I/O per run — and lets fresh
-	// (previously-hole) blocks batch beyond R, since only overwrites of
-	// live data claim the R transient key slots; a sequential
-	// full-segment append then commits with runs+2 backend writes
-	// instead of m+2. The §2.4 barriers, crash recovery and on-disk
-	// layout are identical either way; the knob exists for A/B
-	// measurement and paper-exact cost accounting.
-	DisableCoalescing bool
 	// Readahead is the number of blocks the sequential-read detector
 	// prefetches asynchronously into the block cache when consecutive
 	// reads form a forward scan. 0 disables readahead. It requires
-	// CacheBlocks > 0 and is ignored when DisableCoalescing is set.
+	// CacheBlocks > 0.
 	Readahead int
 	// Shards, when >= 1, carves the provided store into that many
 	// logical shards behind a consistent-hash placement map: backing
@@ -518,18 +506,17 @@ func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
 		deriver = func(h cryptoutil.Hash) (cryptoutil.Key, error) { return kd(h) }
 	}
 	fs, err := core.New(store, core.Config{
-		Geometry:          geo,
-		Inner:             keys.Inner,
-		Outer:             keys.Outer,
-		Integrity:         mode,
-		Recorder:          rec,
-		KeyDeriver:        deriver,
-		Parallelism:       o.Parallelism,
-		CacheBlocks:       o.CacheBlocks,
-		DisableCoalescing: o.DisableCoalescing,
-		Readahead:         o.Readahead,
-		IOWindow:          o.IOWindow,
-		Compression:       o.Compression,
+		Geometry:    geo,
+		Inner:       keys.Inner,
+		Outer:       keys.Outer,
+		Integrity:   mode,
+		Recorder:    rec,
+		KeyDeriver:  deriver,
+		Parallelism: o.Parallelism,
+		CacheBlocks: o.CacheBlocks,
+		Readahead:   o.Readahead,
+		IOWindow:    o.IOWindow,
+		Compression: o.Compression,
 	})
 	if err != nil {
 		return nil, err
@@ -733,11 +720,10 @@ type EngineStats struct {
 	// once runs merge).
 	IOBytes    int64
 	BytesPerIO float64
-	// WriteRuns and ReadRuns count planned data extents issued, in
-	// every mode: one per extent of payload-contiguous blocks a commit
-	// writes, or a multi-block read fetches, in a single backend call
-	// (one block each under DisableCoalescing). Prefetches counts
-	// readahead windows issued by the sequential-read detector.
+	// WriteRuns and ReadRuns count planned data extents issued: one
+	// per extent of payload-contiguous blocks a commit writes, or a
+	// multi-block read fetches, in a single backend call. Prefetches
+	// counts readahead windows issued by the sequential-read detector.
 	WriteRuns, ReadRuns, Prefetches int64
 	// SlabHits and SlabMisses count scratch-buffer requests served
 	// from the slab pool versus freshly allocated.
@@ -1326,10 +1312,7 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 	if err != nil {
 		return nil, err
 	}
-	hooks := shard.MigrateHooks{
-		Recorder:   m.rec,
-		Invalidate: m.fs.InvalidateFile,
-	}
+	hooks := shard.MigrateHooks{Invalidate: m.fs.InvalidateFile}
 	if err := m.shard.BeginMigration(ctx, internal, hooks); err != nil {
 		return nil, err
 	}

@@ -77,13 +77,6 @@ func WithCache(blocks int) Option {
 	return func(o *Options) { o.CacheBlocks = blocks }
 }
 
-// WithoutCoalescing restores the paper's per-block I/O engine (one
-// backend call per block) for A/B measurement and paper-exact cost
-// accounting.
-func WithoutCoalescing() Option {
-	return func(o *Options) { o.DisableCoalescing = true }
-}
-
 // WithReadahead arms the sequential-read detector to prefetch the next
 // n blocks into the cache; requires WithCache.
 func WithReadahead(blocks int) Option {

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -30,9 +31,10 @@ func newObjStore() (*objstore.Memserver, backend.Store) {
 // backend writes into a large commit is a crash cut — the abandoned
 // multipart session must never become visible, recovery must come back
 // clean, every recovered byte is new-data-or-hole, and a retry with a
-// live context converges. Swept over both engines, sharded and
-// unsharded, because the window dispatcher replaces the pool dispatch
-// on exactly these paths.
+// live context converges. Swept sharded and unsharded, because the
+// window dispatcher replaces the pool dispatch on exactly these paths;
+// the per-block reference engine takes the same cuts in internal/core
+// (TestCancelMidCommitSweep/*/per-block-windowed-objstore).
 func TestRemoteCancelMidCommit(t *testing.T) {
 	keys, err := GenerateKeys()
 	if err != nil {
@@ -43,9 +45,7 @@ func TestRemoteCancelMidCommit(t *testing.T) {
 		opts []Option
 	}{
 		{"coalesced", []Option{WithIOWindow(8)}},
-		{"per-block", []Option{WithIOWindow(8), WithoutCoalescing()}},
 		{"sharded-coalesced", []Option{WithIOWindow(8), WithShards(4)}},
-		{"sharded-per-block", []Option{WithIOWindow(8), WithShards(4), WithoutCoalescing()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, inner := newObjStore()
@@ -166,5 +166,79 @@ func TestHedgedLoserNoState(t *testing.T) {
 	}
 	if after.OpenUploads != 0 {
 		t.Fatalf("%d multipart sessions open after a read-only workload", after.OpenUploads)
+	}
+}
+
+// TestHedgedRequestAmplification counts what hedging costs on a
+// tail-heavy link (every 32nd request 10x slower): with the delay pinned
+// between the body latency and the tail, a chunked read workload hedges
+// at least once, issues at most 10% extra reads, and the server serves
+// at most 10% more GETs than for the same reads unhedged (a canceled
+// loser is never served) — only the tails are duplicated. The delay is
+// pinned, not adaptive, so the counts do not depend on how quiet the
+// host is; the p99 the hedges buy is wall-clock and is not asserted
+// here (internal/backend/hedge's TestHedgeFirstResponseWins pins the
+// mechanism).
+func TestHedgedRequestAmplification(t *testing.T) {
+	keys, err := GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		rtt   = time.Millisecond
+		delay = 5 * rtt // 5x the body latency, half the 10 ms tail
+		chunk = 16 << 10
+	)
+	data := make([]byte, 2<<20)
+	rand.New(rand.NewSource(6)).Read(data)
+
+	// readPhase writes data through a fresh server, reads it back in
+	// chunks through a cold mount with opts, and returns the GETs the
+	// server counted over the read phase and the mount's hedge counters.
+	readPhase := func(opts ...Option) (gets int64, hs HedgedReadStats) {
+		srv := objstore.NewMemserver(objstore.ServerParams{RTT: rtt, TailEvery: 32, TailMult: 10}, nil)
+		mw, err := New(objstore.New(srv), keys, WithIOWindow(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mw.WriteFile("f", data); err != nil {
+			t.Fatal(err)
+		}
+		before := srv.Stats().Gets
+		m, err := New(objstore.New(srv), keys, append(opts, WithIOWindow(32), WithCache(2048))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := m.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		buf := make([]byte, chunk)
+		for off := 0; off < len(data); off += chunk {
+			if _, err := f.ReadAt(buf, int64(off)); err != nil {
+				t.Fatalf("read at %d: %v", off, err)
+			}
+			if !bytes.Equal(buf, data[off:off+chunk]) {
+				t.Fatalf("readback at %d differs from the written bytes", off)
+			}
+		}
+		for _, s := range m.HedgedReadStats() {
+			hs.Reads += s.Reads
+			hs.Hedges += s.Hedges
+		}
+		return srv.Stats().Gets - before, hs
+	}
+
+	plain, _ := readPhase()
+	hedged, hs := readPhase(WithHedgedReads(HedgePolicy{Delay: delay}))
+	if hs.Hedges == 0 {
+		t.Fatalf("no hedge over %d reads with every 32nd request 10x slow", hs.Reads)
+	}
+	if 10*hs.Hedges > hs.Reads {
+		t.Fatalf("%d hedges over %d reads: more than 10%% extra requests", hs.Hedges, hs.Reads)
+	}
+	if float64(hedged) > 1.1*float64(plain) {
+		t.Fatalf("hedged read phase was served %d GETs, more than 1.1x the unhedged %d", hedged, plain)
 	}
 }
