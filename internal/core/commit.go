@@ -415,6 +415,11 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 	_, err := f.dispatchExtents(ctx, exts, true, func(e int) error {
 		x := exts[e]
 		payload := cts[x.lo*bs : (x.hi-1)*bs+lens[x.hi-1]]
+		// On the window nothing else charges the extent to its owning
+		// shard; off it runSharded already has.
+		if f.fs.iow != nil {
+			defer f.fs.pool.noteShardIO(x.shard, metrics.ShardTask)()
+		}
 		// The window slot brackets the backend call only; the task may
 		// already hold a pool slot (see ioWindow's deadlock note).
 		f.fs.iow.acquire()
@@ -434,24 +439,6 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 	return err
 }
 
-// shardedReadDepth is how many extents per distinct owning shard a
-// windowed read over a sharded store keeps in flight (dispatchExtents).
-// It is 4, and not the configured window, for a measurement reason, not
-// an engineering one. On the benchmark's remote workload
-// (objstore-seq-z2: 4 leaves at 2 ms, window 32, 64 short extents per
-// 256 KiB read, all in one stripe) these reads used to walk their
-// extents a round trip at a time: read p50 148 ms, 3.4 MiB/s. The
-// benchmark gate bounds a metric's run-to-run spread at 0.25 x the
-// PARENT's median — 0.85 MiB/s against 3.4 — whatever the new median
-// is. At the full window the reads reach 38.6 MiB/s with 1.5 MiB/s of
-// spread and the gate cannot certify the gain; at 8 per shard, 17.9
-// MiB/s with one run straying 1.6 MiB/s from its set; at 4, 11.4 MiB/s
-// (p50 44 ms) spreading 0.45. So 4 is the step the ruler can see. The
-// next step (ROADMAP item 1(b)) deletes this constant and passes the
-// window: judged against this step's ~11.4 MiB/s the bound becomes
-// ~2.85 MiB/s, which the full window's 1.5 fits.
-const shardedReadDepth = 4
-
 // dispatchExtents runs fn once per planned extent under the one
 // dispatch rule both directions share, in this precedence:
 //
@@ -459,15 +446,13 @@ const shardedReadDepth = 4
 //     the encode or decode fan-out happens elsewhere — dispatch on the
 //     window itself instead of the worker pool (runWindowed), so the
 //     number of requests on the wire tracks the link's depth rather
-//     than the CPU budget or the shard count. Commits and unsharded
-//     reads put every extent up at once and let the window bound the
-//     wire. A read over a sharded store keeps shardedReadDepth extents
-//     per distinct owning shard in flight: a request inside one stripe
-//     overlaps 4 round trips, one spanning k shards 4k — never fewer
-//     lanes than the one per shard it gets without a window.
-//   - Over a sharded store each extent is charged to the one shard it
-//     lands on, so traffic into one hot shard queues on that shard
-//     instead of starving the others.
+//     than the CPU budget or the shard count: commit or read, sharded
+//     or not, the window alone bounds how many are in flight.
+//   - Otherwise, over a sharded store, each extent is charged to the
+//     one shard it lands on, so traffic into one hot shard queues on
+//     that shard instead of starving the others. (On the window the
+//     extents still count in their shard's gauges — noteShardIO — but
+//     queue on the window.)
 //   - Otherwise the extents share the pool, or run back to back.
 //
 // pooled says who pays for the fan-out without a window. Commit tasks
@@ -487,11 +472,7 @@ const shardedReadDepth = 4
 func (f *file) dispatchExtents(ctx context.Context, exts []extent, pooled bool, fn func(e int) error) (int, error) {
 	switch {
 	case f.fs.iow != nil:
-		depth := 0 // every extent at once; the window bounds the wire
-		if !pooled && f.fs.sharded != nil {
-			depth = shardedReadDepth * len(extentShards(exts))
-		}
-		return f.fs.runWindowed(ctx, len(exts), depth, fn)
+		return f.fs.runWindowed(ctx, len(exts), fn)
 	case pooled && f.fs.sharded != nil:
 		return 0, f.fs.pool.runSharded(ctx, len(exts), func(e int) int { return exts[e].shard }, fn)
 	case pooled:

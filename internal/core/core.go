@@ -192,10 +192,10 @@ type Config struct {
 	// latency×bandwidth product rather than by core count. 0 disables
 	// the window (backend concurrency follows the worker pool — the
 	// historical behavior, right for local disks); 1 serializes
-	// backend I/O, the A/B baseline. Commits and reads both dispatch
-	// their extents on the window (dispatchExtents); a read over a
-	// sharded store at shardedReadDepth per owning shard, everything
-	// else as deep as the window lets it. The window changes scheduling
+	// backend I/O, the A/B baseline. Commits and reads, sharded or not,
+	// dispatch their extents on the window (dispatchExtents), and the
+	// window alone bounds the requests in flight per mount, however
+	// many handles are busy. The window changes scheduling
 	// only: the §2.4 phase barriers remain hard synchronization points
 	// (the serialized metadata barrier writes bypass the window), the
 	// on-disk bytes are identical at every setting, and commit errors

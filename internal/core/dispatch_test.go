@@ -13,6 +13,7 @@ import (
 
 	"lamassu/internal/backend"
 	"lamassu/internal/layout"
+	"lamassu/internal/metrics"
 	"lamassu/internal/vfs"
 )
 
@@ -172,15 +173,14 @@ func (s *rendezvousStore) drive(done <-chan struct{}) []int {
 // 64 single-block extents; the rendezvous store holds every data read
 // until the round is released, so the number of rounds IS the number of
 // sequential round trips the read waits through on a remote store, and
-// a round's size is the overlap. With a window, a sharded read keeps
-// shardedReadDepth extents per owning shard in flight (16 rounds of 4
-// inside one stripe — it was 64 rounds of 1 — and 8 at a time across
-// two stripes); without one it keeps its one lane per shard; an
-// unsharded windowed read fills the window — 2 rounds of 32 where the
-// unsharded read without a window waits through all 64, the count
-// behind "a deep window beats window 1 on a 2 ms link". The reads issued
-// are the same multiset whatever the dispatch: the plan is not the
-// dispatcher's to change.
+// a round's size is the overlap. With a window a read fills it, sharded
+// or not, inside one stripe or across two: 2 rounds of 32 (the sharded
+// rows were 16 rounds of 4 and 8 of 8 at a depth per owning shard, and
+// 64 rounds of 1 before that). Without a window a sharded read keeps
+// its one lane per shard and an unsharded one waits through all 64 —
+// the count behind "a deep window beats window 1 on a 2 ms link". The
+// reads issued are the same multiset whatever the dispatch: the plan is
+// not the dispatcher's to change.
 func TestShardedWindowedReadRounds(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
@@ -200,8 +200,8 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 		// Physical block 0 is the segment's metadata block, so a
 		// 128-block stripe holds all 64 data blocks and a 33-block
 		// stripe splits them 32 / 32 between the two shards.
-		{"sharded-one-stripe-window-32", 128 * bs, 32, repeat(4, 16)},
-		{"sharded-two-stripes-window-32", 33 * bs, 32, repeat(8, 8)},
+		{"sharded-one-stripe-window-32", 128 * bs, 32, repeat(32, 2)},
+		{"sharded-two-stripes-window-32", 33 * bs, 32, repeat(32, 2)},
 		{"sharded-one-stripe-no-window", 128 * bs, 0, repeat(1, 64)},
 		{"sharded-two-stripes-no-window", 33 * bs, 0, repeat(2, 32)},
 		{"unsharded-window-32", 0, 32, repeat(32, 2)},
@@ -254,6 +254,108 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 			}
 			if !reflect.DeepEqual(dataReads, want) {
 				t.Fatalf("data reads (off, len):\n got  %v\n want %v", dataReads, want)
+			}
+		})
+	}
+}
+
+// TestWindowSharedByConcurrentReaders is the benchmark's real shape: two
+// handles read 64 short extents each, concurrently, over one sharded +
+// compressed FS on a window of 32. Every request now asks for the whole
+// window, so the window is a mount-wide bound: the data reads parked
+// together reach exactly 32 — never 64 — in every round, the window's
+// own gauge peaks at 32, and both buffers come back byte-exact.
+func TestWindowSharedByConcurrentReaders(t *testing.T) {
+	const bs, nblocks, window = 4096, 64, 32
+	names := []string{"a", "b"}
+	data := shortBlocks(len(names) * nblocks)
+	rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
+	store := stripedPlanStore{&planStore{Store: rs, stripe: 33 * bs}}
+	cfg := compressedConfig()
+	for i, name := range names {
+		// No window on the writer: the reading FS below starts with cold
+		// window gauges, so its peak is the reads' alone.
+		if err := vfs.WriteAll(newFS(t, store, cfg), name, data[i*nblocks*bs:(i+1)*nblocks*bs]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.IOWindow = window
+	lfs := newFS(t, store, cfg)
+
+	got := make([]byte, len(data))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		r, err := lfs.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.ReadAt(got[i*nblocks*bs:(i+1)*nblocks*bs], 0); err != nil && err != io.EOF {
+				errs[i] = err
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	rounds := rs.drive(done)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("reader %q: %v", names[i], err)
+		}
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("round trip mismatch")
+	}
+	if want := slices.Repeat([]int{window}, len(names)*nblocks/window); !reflect.DeepEqual(rounds, want) {
+		t.Fatalf("rounds of data reads in flight together:\n got  %d rounds %v\n want %d rounds %v",
+			len(rounds), rounds, len(want), want)
+	}
+	if st := lfs.IOWindowStats(); st.Peak != window || st.InFlight != 0 {
+		t.Fatalf("window gauges after the reads: %+v, want peak %d and nothing in flight", st, window)
+	}
+}
+
+// TestWindowedCommitChargesShards: a commit dispatched on the I/O window
+// never passes through runSharded, so writeExtents charges each extent
+// to its owning shard itself. The same 64 extents, 32 per shard, report
+// the same per-shard Tasks and ShardTask events with and without a
+// window — counted once on either path — and QueueDepth returns to 0.
+func TestWindowedCommitChargesShards(t *testing.T) {
+	const bs, nblocks = 4096, 64
+	data := shortBlocks(nblocks)
+	want := []ShardStats{{Shard: 0, Tasks: 32}, {Shard: 1, Tasks: 32}}
+	for _, tc := range []struct {
+		name                string
+		window, parallelism int
+	}{
+		{"window-32", 32, 4},
+		{"window-32-serial-pool", 32, 1},
+		{"no-window", 0, 4},
+		{"no-window-serial-pool", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := stripedPlanStore{&planStore{Store: backend.NewMemStore(), stripe: 33 * bs}}
+			cfg := compressedConfig()
+			cfg.IOWindow = tc.window
+			cfg.Parallelism = tc.parallelism
+			cfg.Recorder = metrics.New()
+			lfs := newFS(t, store, cfg)
+			if err := vfs.WriteAll(lfs, "f", data); err != nil {
+				t.Fatal(err)
+			}
+			got := lfs.ShardStats()
+			for i := range got {
+				got[i].Budget = 0 // the carve follows Parallelism, not the dispatch
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("per-shard gauges after one commit of %d extents:\n got  %+v\n want %+v", nblocks, got, want)
+			}
+			if n := cfg.Recorder.Snapshot().Event(metrics.ShardTask); n != nblocks {
+				t.Fatalf("ShardTask events = %d, want %d", n, nblocks)
 			}
 		})
 	}
@@ -440,7 +542,8 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 	cfg.IOWindow = 32
 	// Two segments on a real shard.Store striping by segment: the first
 	// read of the sweep straddles the segment edge and so both shards
-	// (depth 8), the second stays in one (depth 4).
+	// (40 extents on a window of 32), the second stays in one (24, all
+	// in flight at once).
 	kps := geo.KeysPerSegment()
 	nblocks := kps + 40
 	data := shortBlocks(nblocks)

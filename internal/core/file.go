@@ -244,8 +244,7 @@ func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) 
 // backend at all; what is left is planned into extents (planExtents —
 // the plan the commit wrote them under) and each extent is fetched
 // with one backend read, dispatched as commits dispatch their writes
-// (dispatchExtents: on the I/O window if one is configured — at a
-// bounded depth per owning shard over a sharded store — else one
+// (dispatchExtents: on the I/O window if one is configured, else one
 // goroutine per shard, else back to back). Every segment stays
 // read-locked from its memory pass until its extents are fetched —
 // every dispatch form joins its goroutines before it returns, so no
@@ -414,7 +413,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	defer f.fs.slabs.put(slab)
 	gen := f.fs.cache.snapshot()
 
-	done := f.fs.pool.noteShardRead(shard)
+	done := f.fs.pool.noteShardIO(shard, metrics.ShardRead)
 	// Window slot around the backend read only — released before the
 	// decode fan-out below takes pool slots (see ioWindow).
 	f.fs.iow.acquire()
@@ -425,7 +424,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
 	f.fs.cfg.Recorder.CountDataBytes(int64(n*bs), int64(readLen))
 	f.fs.cfg.Recorder.CountEvent(metrics.ReadRun, 1)
-	done(false)
+	done()
 	if err != nil {
 		return spans[0].BufOff, fmt.Errorf("lamassu: reading run of %d blocks at block %d: %w",
 			n, spans[0].Index, err)

@@ -98,20 +98,13 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 // ascending order from a shared counter, and waits for all of them —
 // the fan-out driver for batches whose tasks are (almost) pure backend
 // I/O, where the worker pool's CPU bound would needlessly cap the
-// overlap. Each task brackets its backend call with acquire/release,
-// so the wire never sees more than Config.IOWindow requests whatever
-// the lane count; depth bounds how many of THIS batch's tasks are in
-// flight at once:
-//
-//   - depth <= 0 or depth >= n: one lane per task. The window alone
-//     bounds the wire (callers' batches are bounded by one request's
-//     extents or one segment's commit, so spawning n is safe). Commits
-//     and unsharded reads dispatch this way.
-//   - 0 < depth < n: depth lanes, so at most depth tasks are in flight
-//     and a task starts as soon as any earlier one finishes. A read
-//     over a sharded store dispatches this way (shardedReadDepth).
-//
-// A single task runs inline on the caller's goroutine.
+// overlap. It needs a configured window (fs.iow != nil). Each task
+// brackets its backend call with acquire/release, so the window alone
+// bounds the requests in flight — of this batch and of the whole mount,
+// every concurrent batch sharing the same slots. The batch gets
+// min(n, window) lanes: more could only ever park on acquire, and a
+// task starts as soon as any earlier one finishes. A single task runs
+// inline on the caller's goroutine.
 //
 // Error semantics match pool.run: every started task runs to completion
 // even if an earlier one fails, and the lowest failing index wins. A
@@ -122,17 +115,14 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 // position. All lanes are joined before return: read tasks write into
 // the caller's buffer under segment read locks the caller holds, and
 // neither may be touched once the caller moves on.
-func (fs *FS) runWindowed(ctx context.Context, n, depth int, fn func(int) error) (int, error) {
+func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, error) {
 	if n <= 0 {
 		return 0, nil
 	}
 	if n == 1 {
 		return 0, fn(0)
 	}
-	lanes := depth
-	if depth <= 0 || depth > n {
-		lanes = n
-	}
+	lanes := min(n, cap(fs.iow.sem))
 	var (
 		wg       sync.WaitGroup
 		next     atomic.Int64 // next unclaimed task index

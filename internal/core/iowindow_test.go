@@ -14,47 +14,48 @@ import (
 	"lamassu/internal/backend"
 )
 
-// windowedCases is the n × depth table every runWindowed test walks:
-// depth 0 and depth >= n select one lane per task, 0 < depth < n a
-// bounded lane set, and n <= 1 the inline forms.
-func windowedCases(fn func(n, depth int)) {
+// windowedCases is the n × window table every runWindowed test walks,
+// each case on an FS of its own with that window: a window below n is a
+// bounded lane set, a window of n or more one lane per task, and n <= 1
+// the inline forms.
+func windowedCases(t *testing.T, fn func(fs *FS, n, window int)) {
+	t.Helper()
 	for _, n := range []int{0, 1, 2, 7, 64} {
-		for _, depth := range []int{0, 1, 4, n, n + 1} {
-			fn(n, depth)
+		for _, window := range []int{1, 4, n, n + 1} {
+			if window < 1 {
+				continue // no window, no runWindowed
+			}
+			cfg := testConfig()
+			cfg.IOWindow = window
+			fn(newFS(t, backend.NewMemStore(), cfg), n, window)
 		}
 	}
 }
 
-// wantLanes is the concurrency runWindowed promises for (n, depth).
-func wantLanes(n, depth int) int {
-	if depth <= 0 || depth > n {
-		return n
-	}
-	return depth
-}
+// wantLanes is the concurrency runWindowed promises for (n, window).
+func wantLanes(n, window int) int { return min(n, window) }
 
 // TestRunWindowedRunsEveryTaskOnce: each index runs exactly once, no
 // error means (0, nil), and no task body runs after runWindowed has
 // returned.
 func TestRunWindowedRunsEveryTaskOnce(t *testing.T) {
-	fs := newFS(t, backend.NewMemStore(), testConfig())
-	windowedCases(func(n, depth int) {
+	windowedCases(t, func(fs *FS, n, window int) {
 		runs := make([]atomic.Int32, n)
 		var returned atomic.Bool
-		idx, err := fs.runWindowed(context.Background(), n, depth, func(i int) error {
+		idx, err := fs.runWindowed(context.Background(), n, func(i int) error {
 			if returned.Load() {
-				t.Errorf("n=%d depth=%d: task %d running after return", n, depth, i)
+				t.Errorf("n=%d window=%d: task %d running after return", n, window, i)
 			}
 			runs[i].Add(1)
 			return nil
 		})
 		returned.Store(true)
 		if idx != 0 || err != nil {
-			t.Fatalf("n=%d depth=%d: got (%d, %v), want (0, nil)", n, depth, idx, err)
+			t.Fatalf("n=%d window=%d: got (%d, %v), want (0, nil)", n, window, idx, err)
 		}
 		for i := range runs {
 			if c := runs[i].Load(); c != 1 {
-				t.Fatalf("n=%d depth=%d: task %d ran %d times", n, depth, i, c)
+				t.Fatalf("n=%d window=%d: task %d ran %d times", n, window, i, c)
 			}
 		}
 	})
@@ -72,38 +73,39 @@ func goroutineHeader() string {
 }
 
 // TestRunWindowedSingleTaskInline: with n == 1 the task runs on the
-// caller's own goroutine whatever the depth, and the dispatcher does not
+// caller's own goroutine whatever the window, and the dispatcher does not
 // consult ctx for it (the task's own backend call does) — both as
 // before the dispatcher had lanes.
 func TestRunWindowedSingleTaskInline(t *testing.T) {
-	fs := newFS(t, backend.NewMemStore(), testConfig())
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	me := goroutineHeader()
-	for _, depth := range []int{0, 1, 4, 2} {
+	windowedCases(t, func(fs *FS, n, window int) {
+		if n != 1 {
+			return
+		}
 		var on string
-		idx, err := fs.runWindowed(dead, 1, depth, func(int) error { on = goroutineHeader(); return nil })
+		idx, err := fs.runWindowed(dead, 1, func(int) error { on = goroutineHeader(); return nil })
 		if idx != 0 || err != nil {
-			t.Fatalf("depth=%d: got (%d, %v)", depth, idx, err)
+			t.Fatalf("window=%d: got (%d, %v)", window, idx, err)
 		}
 		if on != me {
-			t.Fatalf("depth=%d: single task ran on %q, caller is %q", depth, on, me)
+			t.Fatalf("window=%d: single task ran on %q, caller is %q", window, on, me)
 		}
-	}
+	})
 }
 
-// TestRunWindowedPeakConcurrency: tasks in flight reach min(depth, n)
-// — n when depth <= 0 — and never exceed it. Every task parks until the
+// TestRunWindowedPeakConcurrency: tasks in flight reach min(n, window)
+// and never exceed it. Every task parks until the
 // promised number are inside together (so the peak is reached by
 // construction or the test deadlocks into its timeout), then the gate
 // opens for good and the rest drain.
 func TestRunWindowedPeakConcurrency(t *testing.T) {
-	fs := newFS(t, backend.NewMemStore(), testConfig())
-	windowedCases(func(n, depth int) {
+	windowedCases(t, func(fs *FS, n, window int) {
 		if n == 0 {
 			return
 		}
-		want := wantLanes(n, depth)
+		want := wantLanes(n, window)
 		var (
 			mu       sync.Mutex
 			inFlight int
@@ -113,7 +115,7 @@ func TestRunWindowedPeakConcurrency(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			fs.runWindowed(context.Background(), n, depth, func(int) error {
+			fs.runWindowed(context.Background(), n, func(int) error {
 				mu.Lock()
 				inFlight++
 				if inFlight > peak {
@@ -137,10 +139,10 @@ func TestRunWindowedPeakConcurrency(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(30 * time.Second):
-			t.Fatalf("n=%d depth=%d: never reached %d tasks in flight", n, depth, want)
+			t.Fatalf("n=%d window=%d: never reached %d tasks in flight", n, window, want)
 		}
 		if peak != want {
-			t.Fatalf("n=%d depth=%d: peak %d tasks in flight, want %d", n, depth, peak, want)
+			t.Fatalf("n=%d window=%d: peak %d tasks in flight, want %d", n, window, peak, want)
 		}
 	})
 }
@@ -150,12 +152,11 @@ func TestRunWindowedPeakConcurrency(t *testing.T) {
 // error is what comes back, and every task still ran — an earlier
 // failure stops nothing that could start.
 func TestRunWindowedLowestErrorWins(t *testing.T) {
-	fs := newFS(t, backend.NewMemStore(), testConfig())
-	windowedCases(func(n, depth int) {
+	windowedCases(t, func(fs *FS, n, window int) {
 		if n < 2 {
 			return
 		}
-		lanes := wantLanes(n, depth)
+		lanes := wantLanes(n, window)
 		// lo and hi must be able to be in flight together for lo to wait
 		// on hi; with one lane hi simply fails later in time, and lowest
 		// still wins.
@@ -165,7 +166,7 @@ func TestRunWindowedLowestErrorWins(t *testing.T) {
 		}
 		hiFailed := make(chan struct{})
 		var ran atomic.Int32
-		idx, err := fs.runWindowed(context.Background(), n, depth, func(i int) error {
+		idx, err := fs.runWindowed(context.Background(), n, func(i int) error {
 			ran.Add(1)
 			switch i {
 			case hi:
@@ -180,10 +181,10 @@ func TestRunWindowedLowestErrorWins(t *testing.T) {
 			return nil
 		})
 		if idx != lo || err == nil || err.Error() != fmt.Sprintf("task %d", lo) {
-			t.Fatalf("n=%d depth=%d: got (%d, %v), want task %d's failure", n, depth, idx, err, lo)
+			t.Fatalf("n=%d window=%d: got (%d, %v), want task %d's failure", n, window, idx, err, lo)
 		}
 		if int(ran.Load()) != n {
-			t.Fatalf("n=%d depth=%d: %d of %d tasks ran after a failure", n, depth, ran.Load(), n)
+			t.Fatalf("n=%d window=%d: %d of %d tasks ran after a failure", n, window, ran.Load(), n)
 		}
 	})
 }
@@ -196,8 +197,7 @@ func TestRunWindowedLowestErrorWins(t *testing.T) {
 // dead before starting it — then THAT is the first unstarted index, even
 // if it is task 0, the one told to fail.)
 func TestRunWindowedCancel(t *testing.T) {
-	fs := newFS(t, backend.NewMemStore(), testConfig())
-	windowedCases(func(n, depth int) {
+	windowedCases(t, func(fs *FS, n, window int) {
 		if n < 2 {
 			return
 		}
@@ -208,7 +208,7 @@ func TestRunWindowedCancel(t *testing.T) {
 			finished := make([]atomic.Bool, n)
 			var canceled atomic.Bool
 			var late atomic.Int32 // tasks that started after cancel returned
-			idx, err := fs.runWindowed(ctx, n, depth, func(i int) error {
+			idx, err := fs.runWindowed(ctx, n, func(i int) error {
 				if canceled.Load() {
 					late.Add(1)
 				}
@@ -233,33 +233,33 @@ func TestRunWindowedCancel(t *testing.T) {
 			}
 			for i := range started {
 				if started[i].Load() != finished[i].Load() {
-					t.Fatalf("n=%d depth=%d: task %d started but did not run to completion", n, depth, i)
+					t.Fatalf("n=%d window=%d: task %d started but did not run to completion", n, window, i)
 				}
 			}
 			if !started[j].Load() {
-				t.Fatalf("n=%d depth=%d: canceling task %d never started", n, depth, j)
+				t.Fatalf("n=%d window=%d: canceling task %d never started", n, window, j)
 			}
 			switch {
 			case failLower && started[0].Load():
 				if idx != 0 || err == nil || err.Error() != "task 0" {
-					t.Fatalf("n=%d depth=%d: got (%d, %v), want task 0's failure over the cancellation", n, depth, idx, err)
+					t.Fatalf("n=%d window=%d: got (%d, %v), want task 0's failure over the cancellation", n, window, idx, err)
 				}
 			case first == n:
 				// Every task had started before the cancel landed (one
 				// lane per task, or j was the last index): nothing was
 				// stopped, nothing to report.
 				if idx != 0 || err != nil {
-					t.Fatalf("n=%d depth=%d: got (%d, %v) with every task started", n, depth, idx, err)
+					t.Fatalf("n=%d window=%d: got (%d, %v) with every task started", n, window, idx, err)
 				}
 			default:
 				if idx != first || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-					t.Fatalf("n=%d depth=%d: got (%d, %v), want ErrCanceled at first unstarted index %d", n, depth, idx, err, first)
+					t.Fatalf("n=%d window=%d: got (%d, %v), want ErrCanceled at first unstarted index %d", n, window, idx, err, first)
 				}
 			}
 			// A lane that saw a live ctx just before the cancel may still
 			// start the one task it had claimed; none starts a second.
-			if lanes := wantLanes(n, depth); int(late.Load()) > lanes-1 {
-				t.Fatalf("n=%d depth=%d: %d tasks started after the cancel, %d lanes", n, depth, late.Load(), lanes)
+			if lanes := wantLanes(n, window); int(late.Load()) > lanes-1 {
+				t.Fatalf("n=%d window=%d: %d tasks started after the cancel, %d lanes", n, window, late.Load(), lanes)
 			}
 		}
 	})
@@ -268,17 +268,16 @@ func TestRunWindowedCancel(t *testing.T) {
 // TestRunWindowedPreCanceled: a ctx dead on entry starts nothing (n >= 2)
 // and reports the cancellation at index 0.
 func TestRunWindowedPreCanceled(t *testing.T) {
-	fs := newFS(t, backend.NewMemStore(), testConfig())
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	windowedCases(func(n, depth int) {
+	windowedCases(t, func(fs *FS, n, window int) {
 		if n < 2 {
 			return
 		}
 		var ran atomic.Int32
-		idx, err := fs.runWindowed(dead, n, depth, func(int) error { ran.Add(1); return nil })
+		idx, err := fs.runWindowed(dead, n, func(int) error { ran.Add(1); return nil })
 		if idx != 0 || !errors.Is(err, ErrCanceled) || ran.Load() != 0 {
-			t.Fatalf("n=%d depth=%d: got (%d, %v) with %d tasks run", n, depth, idx, err, ran.Load())
+			t.Fatalf("n=%d window=%d: got (%d, %v) with %d tasks run", n, window, idx, err, ran.Load())
 		}
 	})
 }

@@ -46,10 +46,11 @@ type pool struct {
 }
 
 // budget is one shard's slice of the pool, plus its activity gauges.
-// The gauges also count the read fan-out, which deliberately does NOT
-// take the semaphores: a reader blocked on a segment lock must never
-// hold a slot a commit needs to release that lock (see
-// dispatchExtents).
+// The gauges also count the read fan-out and the windowed commit
+// fan-out (noteShardIO), which deliberately do NOT take the semaphores:
+// a reader blocked on a segment lock must never hold a slot a commit
+// needs to release that lock, and a windowed extent is bounded by the
+// window, not the pool (see dispatchExtents).
 type budget struct {
 	width  int
 	sem    chan struct{}
@@ -208,26 +209,21 @@ func (p *pool) runSharded(ctx context.Context, n int, shardOf func(int) int, fn 
 	return firstErr
 }
 
-// noteShardRead brackets one read-path backend fetch routed to shard
-// s in that shard's gauges (no semaphore — see budget). A fetch is
-// one planned extent: a single block in per-block mode. The
-// returned func must be called when the fetch completes, with
-// cached=true when it was served from pending state or the cache:
-// those cost no backend I/O and are kept out of the task and
-// ShardRead counters so the per-shard numbers measure real fan-out,
-// not cache hits.
-func (p *pool) noteShardRead(s int) func(cached bool) {
+// noteShardIO brackets one planned extent's backend I/O on shard s in
+// that shard's gauges, taking no semaphore (see budget) — every read
+// fetch (ev ShardRead), and a commit write dispatched on the I/O window
+// (ev ShardTask), which runSharded never sees. The returned func must be
+// called when the I/O completes.
+func (p *pool) noteShardIO(s int, ev metrics.Event) func() {
 	budgets := p.loadBudgets()
 	if budgets == nil || s < 0 || s >= len(budgets) {
-		return func(bool) {}
+		return func() {}
 	}
 	b := budgets[s]
 	b.queued.Add(1)
-	return func(cached bool) {
-		if !cached {
-			b.tasks.Add(1)
-			p.rec.CountEvent(metrics.ShardRead, 1)
-		}
+	return func() {
+		b.tasks.Add(1)
+		p.rec.CountEvent(ev, 1)
 		b.queued.Add(-1)
 	}
 }

@@ -69,9 +69,10 @@ const (
 	// PoolTask counts the individual per-block tasks it executed.
 	PoolBatch
 	PoolTask
-	// ShardTask counts commit tasks routed through a per-shard worker
-	// budget; ShardRead counts read-path backend fetches (planned
-	// extents) fanned out across shards. Both zero on unsharded mounts.
+	// ShardTask counts commit extents charged to their owning shard —
+	// through its worker budget, or on the I/O window; ShardRead counts
+	// read-path backend fetches (planned extents) fanned out across
+	// shards. Both zero on unsharded mounts.
 	ShardTask
 	ShardRead
 	// WriteRun / ReadRun count planned data extents issued, in every

@@ -274,10 +274,9 @@ type Options struct {
 	// (NewObjectStorage, WithSimulatedNFS), where useful concurrency is
 	// set by the link's latency×bandwidth product rather than core
 	// count. Independent runs of one read and the data writes of one
-	// commit batch then overlap on the wire, up to this many requests
-	// outstanding; over a sharded store one read request additionally
-	// keeps at most 4 extents per shard it touches in flight (sharded
-	// or not, every fetch holds a window slot for its backend call).
+	// commit batch then overlap on the wire, sharded or not, and the
+	// window alone bounds the requests outstanding per mount: every
+	// handle's reads and commits share its slots.
 	// 0 keeps the historical behavior (backend concurrency
 	// follows the worker pool — right for local disks); 1 serializes
 	// backend I/O, the A/B baseline. The §2.4 phase barriers remain

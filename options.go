@@ -122,8 +122,8 @@ func WithRetry(policy RetryPolicy) Option {
 // budget — the pipelining knob for high-latency stores, where the
 // useful request depth is set by the link rather than by core count.
 // The data writes of a commit and the extents of a read overlap on the
-// wire up to this bound; over a sharded store one read request
-// additionally keeps at most 4 extents per shard it touches in flight.
+// wire, sharded or not, and this bound alone limits the requests in
+// flight per mount — every handle shares it.
 // 0 (the default) keeps backend concurrency on the worker pool; 1
 // serializes backend I/O, the A/B baseline. The §2.4 barriers are
 // unchanged at any setting.
