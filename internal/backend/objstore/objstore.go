@@ -181,6 +181,15 @@ type extent struct {
 type objState struct {
 	refs int
 
+	// syncMu serializes barriers on this object, taken before mu and
+	// held from the snapshot of the upload id to the state reset. The
+	// handles sharing this state are flushed together (one Sync per
+	// shard handle, see SyncCtx), and two barriers that both snapshot
+	// the same id would both Complete it — the second one failing "no
+	// such upload". The loser of the lock finds the state clean and has
+	// nothing left to do.
+	syncMu sync.Mutex
+
 	mu       sync.Mutex
 	uploadID string
 	staged   []extent
@@ -370,13 +379,16 @@ func (f *file) Sync() error { return f.SyncCtx(nil) }
 // the logical size in one atomic Complete. Until it (or Close) runs,
 // nothing written since the previous barrier is visible remotely. The
 // staged state is shared, so one handle's Sync commits every
-// handle's writes — the engine's barrier syncs every shard handle,
-// and the first one does the work.
+// handle's writes — the engine's barrier syncs every shard handle at
+// once, the first one in does the work and the rest, serialized behind
+// it on syncMu, find nothing staged.
 func (f *file) SyncCtx(ctx context.Context) error {
 	if err := backend.CtxErr(ctx); err != nil {
 		return err
 	}
 	st := f.st
+	st.syncMu.Lock()
+	defer st.syncMu.Unlock()
 	st.mu.Lock()
 	if f.closed {
 		st.mu.Unlock()

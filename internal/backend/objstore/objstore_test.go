@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -251,6 +252,79 @@ func TestDeterministicTail(t *testing.T) {
 	}
 	if st := srv.Stats(); st.TailEvents != 2 {
 		t.Fatalf("TailEvents = %d, want 2", st.TailEvents)
+	}
+}
+
+// slowComplete widens the window between a barrier's snapshot of the
+// upload id and its state reset to a millisecond of wall time, so two
+// barriers started together overlap whenever nothing orders them.
+type slowComplete struct{ *Memserver }
+
+func (s slowComplete) Complete(ctx context.Context, key, id string, size int64) error {
+	time.Sleep(time.Millisecond)
+	return s.Memserver.Complete(ctx, key, id, size)
+}
+
+// TestConcurrentSyncSharedState: handles on one object share one staged
+// state and one multipart session, and shard's barrier flushes its
+// handles together — with WithShards(n) carving one physical store that
+// is n handles on this state syncing at once. Exactly one of them must
+// Complete the session; the other finds the barrier done. Without the
+// per-state barrier lock both snapshot the same upload id and the second
+// Complete fails "no such upload".
+func TestConcurrentSyncSharedState(t *testing.T) {
+	srv := NewMemserver(ServerParams{}, simclock.NewVirtual())
+	s := New(slowComplete{srv})
+	if err := backend.WriteFile(s, "o", []byte("seed")); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Open("o", backend.OpenWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Open("o", backend.OpenWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		before := srv.Stats().Completes
+		payload := []byte{byte(i), byte(i), byte(i), byte(i)}
+		if _, err := a.WriteAt(payload, int64(4*i)); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for j, h := range []backend.File{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[j] = h.Sync()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for j, err := range errs {
+			if err != nil {
+				t.Fatalf("barrier %d, handle %d: %v", i, j, err)
+			}
+		}
+		st := srv.Stats()
+		if got := st.Completes - before; got != 1 {
+			t.Fatalf("barrier %d: %d Completes, want exactly 1", i, got)
+		}
+		if st.OpenUploads != 0 {
+			t.Fatalf("barrier %d: %d multipart sessions left open", i, st.OpenUploads)
+		}
+		if obj, _ := srv.Object("o"); !bytes.Equal(obj[4*i:4*i+4], payload) {
+			t.Fatalf("barrier %d returned but the write is not committed: %v", i, obj[4*i:])
+		}
+	}
+	for _, h := range []backend.File{a, b} {
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
+	"lamassu/internal/shard"
 	"lamassu/internal/vfs"
 )
 
@@ -86,6 +87,12 @@ type rendezvousStore struct {
 	backend.Store
 	metaOff    int64 // I/O at this offset (the metadata block) passes through
 	parkWrites bool  // park data writes and let data reads through
+	parkMeta   bool  // with parkWrites: park the metadata writes as well
+	// sizes, when set, is the size the test expects of each round in
+	// turn: round i is released the moment sizes[i] operations have
+	// parked, so rounds of different sizes need no settling. A run that
+	// never gets there still settles, and reports what it did instead.
+	sizes []int
 
 	mu     sync.Mutex
 	parked int
@@ -99,11 +106,27 @@ func newRendezvousStore(inner backend.Store, metaOff int64) *rendezvousStore {
 }
 
 func (s *rendezvousStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.Store.Open(name, flag)
+	return s.leaf(s.Store).Open(name, flag)
+}
+
+// leaf returns inner behind this rendezvous: the leaves of one sharded
+// store park on one driver, so a round counts leaf requests across all
+// of them.
+func (s *rendezvousStore) leaf(inner backend.Store) backend.Store {
+	return rendezvousLeaf{Store: inner, s: s}
+}
+
+type rendezvousLeaf struct {
+	backend.Store
+	s *rendezvousStore
+}
+
+func (l rendezvousLeaf) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := l.Store.Open(name, flag)
 	if err != nil {
 		return nil, err
 	}
-	return &rendezvousFile{File: f, s: s}, nil
+	return &rendezvousFile{File: f, s: l.s}, nil
 }
 
 type rendezvousFile struct {
@@ -119,7 +142,7 @@ func (f *rendezvousFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *rendezvousFile) WriteAt(p []byte, off int64) (int, error) {
-	if off != f.s.metaOff && f.s.parkWrites {
+	if (off != f.s.metaOff || f.s.parkMeta) && f.s.parkWrites {
 		f.s.park()
 	}
 	return f.File.WriteAt(p, off)
@@ -158,7 +181,14 @@ func (s *rendezvousStore) drive(done <-chan struct{}) []int {
 			settled = true
 		}
 		s.mu.Lock()
-		if n := s.parked; n > 0 && (settled || (len(rounds) > 0 && n == rounds[len(rounds)-1])) {
+		want := -1
+		switch {
+		case len(rounds) < len(s.sizes):
+			want = s.sizes[len(rounds)]
+		case len(rounds) > 0:
+			want = rounds[len(rounds)-1]
+		}
+		if n := s.parked; n > 0 && (settled || n == want) {
 			rounds = append(rounds, n)
 			s.parked = 0
 			close(s.round)
@@ -367,26 +397,64 @@ func TestWindowedCommitChargesShards(t *testing.T) {
 // window of 32 the commit waits through 2 rounds of 32; the serial
 // engine without one through 64. Both write the same plan and the same
 // bytes.
+//
+// The replicated rows run the same commit over a shard.Store with R=2 on
+// two rendezvous leaves, metadata writes parked as well, and count LEAF
+// requests: a key's owners are written together, so each of the two
+// rounds of 32 extents is 64 leaf writes in flight and each metadata
+// barrier is one round of 2 (one owner after the other, the same 128 + 4
+// leaf writes took 4 rounds of 32 and 2 rounds of 1 per barrier). That
+// is the window's meaning under replication — 32 engine operations, each
+// R leaf requests wide — and the window-1 row is why it cannot be 32 leaf
+// requests: an owner write takes no slot of its own, or a full window
+// would wait on itself and this row would never return.
 func TestWindowedCommitRounds(t *testing.T) {
-	const nblocks = 64
+	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
 	for _, tc := range []struct {
-		name   string
-		window int
-		rounds []int
+		name     string
+		window   int
+		replicas int // > 0: shard.Store over this many rendezvous leaves
+		rounds   []int
 	}{
-		{"window-32", 32, []int{32, 32}},
-		{"serial-no-window", 0, slices.Repeat([]int{1}, nblocks)},
+		{"window-32", 32, 0, []int{32, 32}},
+		{"serial-no-window", 0, 0, slices.Repeat([]int{1}, nblocks)},
+		{"replicated-window-32", 32, 2, []int{2, 64, 64, 2}},
+		{"replicated-window-1", 1, 2, slices.Repeat([]int{2}, nblocks+2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inner := backend.NewMemStore()
-			rs := newRendezvousStore(inner, layout.Default().MetaBlockOffset(0))
+			rs := newRendezvousStore(nil, layout.Default().MetaBlockOffset(0))
 			rs.parkWrites = true
-			ps := &planStore{Store: rs}
+			// copies are the unsharded stores that must each hold the
+			// whole file afterwards, leaves the recorders in front of them.
+			var copies []backend.Store
+			var leaves []*planStore
+			var store backend.Store
+			if tc.replicas == 0 {
+				rs.Store = backend.NewMemStore()
+				copies = []backend.Store{rs.Store}
+				leaves = []*planStore{{Store: rs}}
+				store = leaves[0]
+			} else {
+				rs.parkMeta, rs.sizes = true, tc.rounds
+				owners := make([]backend.Store, tc.replicas)
+				for i := range owners {
+					mem := backend.NewMemStore()
+					ps := &planStore{Store: rs.leaf(mem)}
+					copies, leaves, owners[i] = append(copies, mem), append(leaves, ps), ps
+				}
+				// R == leaves: every leaf owns every key, at its global
+				// offset, so each is a whole unsharded copy.
+				ss, err := shard.New(owners, shard.Config{StripeBytes: 128 * bs, Replicas: tc.replicas})
+				if err != nil {
+					t.Fatal(err)
+				}
+				store = ss
+			}
 			cfg := compressedConfig()
 			cfg.IOWindow = tc.window
 			cfg.Parallelism = 1
-			lfs := newFS(t, ps, cfg)
+			lfs := newFS(t, store, cfg)
 
 			done := make(chan struct{})
 			var werr error
@@ -399,25 +467,34 @@ func TestWindowedCommitRounds(t *testing.T) {
 				t.Fatal(werr)
 			}
 			if !reflect.DeepEqual(rounds, tc.rounds) {
-				t.Fatalf("rounds of data writes in flight together:\n got  %d rounds %v\n want %d rounds %v",
+				t.Fatalf("rounds of writes in flight together:\n got  %d rounds %v\n want %d rounds %v",
 					len(rounds), rounds, len(tc.rounds), tc.rounds)
 			}
-			_, writes := ps.take()
-			dataWrites := 0
-			for _, op := range writes {
-				if op.off != rs.metaOff {
-					dataWrites++
+			dataWrites, metaWrites := 0, 0
+			for _, ps := range leaves {
+				_, writes := ps.take()
+				for _, op := range writes {
+					if op.off != rs.metaOff {
+						dataWrites++
+					} else {
+						metaWrites++
+					}
 				}
 			}
-			if dataWrites != nblocks {
-				t.Fatalf("%d data writes, want one per short block = %d", dataWrites, nblocks)
+			if want := nblocks * len(copies); dataWrites != want {
+				t.Fatalf("%d data writes, want one per short block per copy = %d", dataWrites, want)
 			}
-			got, err := vfs.ReadAll(newFS(t, inner, cfg), "f")
-			if err != nil {
-				t.Fatal(err)
+			if want := 2 * tc.replicas; tc.replicas > 0 && metaWrites != want {
+				t.Fatalf("%d metadata writes, want phase 1 and phase 3 on each owner = %d", metaWrites, want)
 			}
-			if !bytes.Equal(got, data) {
-				t.Fatal("round trip mismatch")
+			for i, c := range copies {
+				got, err := vfs.ReadAll(newFS(t, c, cfg), "f")
+				if err != nil {
+					t.Fatalf("copy %d: %v", i, err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatalf("copy %d: round trip mismatch", i)
+				}
 			}
 		})
 	}

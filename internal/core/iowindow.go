@@ -20,6 +20,13 @@ import (
 // disables the bound; backend concurrency then follows the pool, the
 // historical behavior.
 //
+// What a slot bounds is an ENGINE operation — one extent read or write
+// handed to the store — not a leaf request. A replicated shard.Store
+// writes an extent to its R owners together, all on the one slot the
+// extent holds, so the leaves see at most window × R write requests.
+// The owners could not take a slot each: a full window of extents would
+// then wait on itself (TestWindowedCommitRounds' window-1 row).
+//
 // Deadlock safety: acquire/release bracket exactly one backend
 // operation and nothing else — a window-slot holder never takes a
 // mutex, a pool slot or another window slot, so slots always drain.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 
 	"lamassu/internal/backend"
@@ -553,6 +555,29 @@ func immediateErr(ctx context.Context, err error) bool {
 		errors.Is(err, backend.ErrClosed) || errors.Is(err, backend.ErrReadOnly)
 }
 
+// together runs fn(0) … fn(n-1) at once — fn(0) on the caller's
+// goroutine, the rest on their own — and returns when all have. It is
+// the whole of shard's write-side concurrency: the owners of one epoch
+// group, and the per-shard flushes of one barrier.
+func together(n int, fn func(i int)) {
+	if n < 2 {
+		if n == 1 {
+			fn(0)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	fn(0)
+	wg.Wait()
+}
+
 // writeRangeReplicated lands one stripe-aligned chunk on every owner
 // of its key. The write succeeds when each epoch group (one group when
 // stable, previous-then-current mid-migration) has at least one copy
@@ -561,6 +586,42 @@ func immediateErr(ctx context.Context, err error) bool {
 // Breaker-open owners are skipped (and journaled) unless they are a
 // group's last hope, in which case they are attempted anyway — the
 // breaker sheds latency, never durability.
+//
+// The owners of one group are written TOGETHER, one round trip for R
+// copies, and joined before anything is accounted or the next group
+// starts. What that keeps and what it gives up:
+//
+//   - The call still returns only after every owner write it issued has
+//     returned, so group-success (returned ⇒ on every healthy owner)
+//     and the engine's §2.4 barriers, which are built from "this call
+//     returned", are unchanged; the previous epoch's group still
+//     completes before the current epoch's starts.
+//   - Written one after another, owners gave "owner 0 has it whenever
+//     owner 1 does" at a crash cut. That is gone: per owner, the state
+//     at a cut is now an arbitrary subset of the writes in flight. Each
+//     owner was already in that position ACROSS extents — the I/O window
+//     keeps a window's worth (32 on the benchmark's remote stack) of one
+//     commit's extent writes in flight, and a cut lands any subset of
+//     them — so recovery through one owner never relied on more than
+//     whole-block atomicity per write (§2.4's matchesTransient argument,
+//     block by block).
+//   - Across owners the replicas of a cut key may differ until a Scrub,
+//     each holding a value the workload wrote — as they could before,
+//     with owner 0 ahead; now either may be. Nothing elects a "newest":
+//     a read goes primary-first, and scrubKey takes the copy the damage
+//     journal does not implicate, else the primary-most reachable one,
+//     as its source — the same copy a primary-first read serves and
+//     Recover therefore repaired from — and rewrites the others to match
+//     it. Which owner was ahead never entered into it.
+//
+// TestReplicatedOwnerSubsetCut cuts after every subset of a group's
+// owner writes, for a data extent and for both metadata barriers, and
+// recovers through each replica alone.
+//
+// An owner write takes no I/O-window slot of its own: it rides the slot
+// its extent's engine operation already holds, so a window of W bounds W
+// operations in flight, each at most R leaf requests wide (taking R
+// slots per operation would deadlock a full window against itself).
 func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []byte, off int64) (int, error) {
 	s := f.store
 	groups, key, mirrored := t.writeGroups(f.name, off)
@@ -574,27 +635,22 @@ func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []by
 		kl.Lock()
 		defer kl.Unlock()
 	}
-	type outcome struct {
-		n   int
-		err error
-	}
 	// One write per physical store, even when a slot appears in both
-	// epoch groups (or several carve slots share a store).
-	results := make(map[backend.Store]outcome, 4)
-	attempt := func(slot int) outcome {
-		st := t.stores[slot]
-		if r, ok := results[st]; ok {
-			return r
+	// epoch groups (or several carve slots share a store). R is 2–3, so
+	// finding a store's write is a scan, not a map.
+	type ownerWrite struct {
+		slot int // the slot the write was issued through
+		n    int
+		err  error
+	}
+	writes := make([]ownerWrite, 0, 4)
+	find := func(slot int) int {
+		for i := range writes {
+			if t.stores[writes[i].slot] == t.stores[slot] {
+				return i
+			}
 		}
-		var r outcome
-		h, err := f.handle(ctx, t, slot, true)
-		if err == nil {
-			r.n, err = backend.WriteAtCtx(ctx, h, chunk, off)
-			t.countWrite(slot, r.n)
-		}
-		r.err = err
-		results[st] = r
-		return r
+		return -1
 	}
 	n := -1
 	for _, group := range groups {
@@ -610,26 +666,47 @@ func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []by
 		okCount := 0
 		var firstErr error
 		runList := func(list []int) error {
+			// Issue together the writes of this list no earlier group
+			// made, join, then account for every slot in slot order.
+			issued := len(writes)
 			for _, sl := range list {
-				r := attempt(sl)
-				if r.err == nil {
+				if find(sl) < 0 {
+					writes = append(writes, ownerWrite{slot: sl})
+				}
+			}
+			fresh := writes[issued:]
+			together(len(fresh), func(i int) {
+				w := &fresh[i]
+				h, err := f.handle(ctx, t, w.slot, true)
+				if err == nil {
+					w.n, err = backend.WriteAtCtx(ctx, h, chunk, off)
+					t.countWrite(w.slot, w.n)
+				}
+				w.err = err
+			})
+			for _, sl := range list {
+				at := find(sl)
+				w := writes[at]
+				if w.err == nil {
 					t.health[sl].ok()
 					okCount++
 					if n < 0 {
-						n = r.n
+						n = w.n
 					}
-					if sl != group[0] {
+					// Counted where a write was issued, not where an
+					// earlier group's outcome is reused.
+					if sl != group[0] && at >= issued {
 						s.noteReplicaWrite()
 					}
 					continue
 				}
-				if immediateErr(ctx, r.err) {
-					return r.err
+				if immediateErr(ctx, w.err) {
+					return w.err
 				}
 				s.slotFailed(t, sl)
 				s.noteWriteMiss(key, sl)
 				if firstErr == nil {
-					firstErr = r.err
+					firstErr = w.err
 				}
 			}
 			return nil
@@ -877,8 +954,9 @@ func (f *file) truncateAnchor(ctx context.Context, t *topology, slot int, size i
 // is flushed.
 func (f *file) Sync() error { return f.sync(nil) }
 
-// SyncCtx implements backend.FileCtx, observing ctx between per-shard
-// flushes.
+// SyncCtx implements backend.FileCtx. The per-shard flushes of one
+// barrier run together, so ctx is observed before they start and by
+// each shard's store.
 func (f *file) SyncCtx(ctx context.Context) error { return f.sync(ctx) }
 
 func (f *file) sync(ctx context.Context) error {
@@ -886,33 +964,44 @@ func (f *file) sync(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	t := f.store.topo.Load()
-	synced, failed := 0, 0
-	var firstErr error
-	for s, h := range open {
-		if err := backend.CtxErr(ctx); err != nil {
-			return err
-		}
-		if err := backend.SyncCtx(ctx, h); err != nil {
-			if t.replicated() && !immediateErr(ctx, err) {
-				// A dead shard's flush failing must not fail the sync:
-				// every key it holds has a replica among the handles
-				// that did flush, and its copies are suspect anyway —
-				// Scrub reconverges them from the surviving owners.
-				f.store.slotFailed(t, s)
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			return err
-		}
-		t.countSync(s)
-		synced++
+	if err := backend.CtxErr(ctx); err != nil {
+		return err
 	}
-	if failed > 0 && synced == 0 {
-		return firstErr
+	t := f.store.topo.Load()
+	slots := slices.Sorted(maps.Keys(open)) // barriers account and report in slot order
+	errs := make([]error, len(slots))
+	together(len(slots), func(i int) {
+		errs[i] = backend.SyncCtx(ctx, open[slots[i]])
+	})
+	// Accounting after the join, in slot order, and the error reported
+	// is the lowest slot's (runWindowed's rule). This loop used to
+	// report whichever failure Go's map iteration met first, so nothing
+	// can have depended on which one it is.
+	synced := 0
+	var tolerated, fatal error
+	for i, s := range slots {
+		switch err := errs[i]; {
+		case err == nil:
+			t.countSync(s)
+			synced++
+		case t.replicated() && !immediateErr(ctx, err):
+			// A dead shard's flush failing must not fail the sync:
+			// every key it holds has a replica among the handles
+			// that did flush, and its copies are suspect anyway —
+			// Scrub reconverges them from the surviving owners.
+			f.store.slotFailed(t, s)
+			if tolerated == nil {
+				tolerated = err
+			}
+		case fatal == nil:
+			fatal = err
+		}
+	}
+	if fatal != nil {
+		return fatal
+	}
+	if synced == 0 {
+		return tolerated
 	}
 	return nil
 }
@@ -937,11 +1026,18 @@ func (f *file) Close() error {
 	files := f.files
 	f.files = nil
 	f.mu.Unlock()
-	var firstErr error
-	for _, h := range files {
-		if err := h.Close(); err != nil && firstErr == nil {
-			firstErr = err
+	// A Close is a flush on stores that persist at Close (objstore
+	// Completes its staged parts), so the shards close together like
+	// sync's; the lowest slot's error is the one reported.
+	slots := slices.Sorted(maps.Keys(files))
+	errs := make([]error, len(slots))
+	together(len(slots), func(i int) {
+		errs[i] = files[slots[i]].Close()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }

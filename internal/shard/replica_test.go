@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -383,8 +384,57 @@ func TestReplicatedMigrationGrow(t *testing.T) {
 			newMem := backend.NewMemStore()
 			newFault := faultfs.New(newMem)
 			grown := append(append([]backend.Store{}, s.Shards()...), newFault)
+			prev := s.Layout()
 			if err := s.BeginMigration(context.Background(), grown, shard.MigrateHooks{}); err != nil {
 				t.Fatal(err)
+			}
+			// Live writes mid-migration: a relocated key is written to both
+			// epochs' owner groups, and a slot sitting in both is written
+			// ONCE. A replica write is counted where a write was issued —
+			// one per non-primary member of the previous group, plus the
+			// current group's non-primary members the previous group did
+			// not already cover.
+			cur := s.Layout()
+			wantReplica, reused := int64(0), 0
+			before := s.ReplicationStats().ReplicaWrites
+			for name := range files {
+				data := files[name]
+				rand.New(rand.NewSource(int64(len(data)))).Read(data)
+				span := int64(len(data))
+				if stripe > 0 {
+					span = stripe
+				}
+				for lo := int64(0); lo < int64(len(data)); lo += span {
+					key := cur.KeyOf(name, lo)
+					po, co := prev.Owners(key), cur.Owners(key)
+					wantReplica += int64(len(po) - 1)
+					moved := slices.ContainsFunc(co, func(c int) bool { return !slices.Contains(po, c) })
+					for _, sl := range co[1:] {
+						switch {
+						case !slices.Contains(po, sl):
+							wantReplica++
+						case moved:
+							reused++
+						}
+					}
+				}
+				h, err := s.Open(name, backend.OpenWrite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := h.WriteAt(data, 0); err != nil {
+					t.Fatalf("%s: write mid-migration: %v", name, err)
+				}
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reused == 0 {
+				t.Fatal("no written key has a replica slot in both epoch groups; widen the corpus")
+			}
+			if got := s.ReplicationStats().ReplicaWrites - before; got != wantReplica {
+				t.Fatalf("%d replica writes mid-migration, want %d (one per write issued to a non-primary owner; %d reused outcomes must not count)",
+					got, wantReplica, reused)
 			}
 			if _, err := s.RunMover(context.Background()); err != nil {
 				t.Fatal(err)

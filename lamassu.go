@@ -275,8 +275,11 @@ type Options struct {
 	// set by the link's latency×bandwidth product rather than core
 	// count. Independent runs of one read and the data writes of one
 	// commit batch then overlap on the wire, sharded or not, and the
-	// window alone bounds the requests outstanding per mount: every
-	// handle's reads and commits share its slots.
+	// window alone bounds the engine operations outstanding per mount:
+	// every handle's reads and commits share its slots. One operation
+	// is one extent read or write; a replicated write reaches its R
+	// owners together on the slot it holds, so leaf stores see at most
+	// IOWindow × R write requests at once.
 	// 0 keeps the historical behavior (backend concurrency
 	// follows the worker pool — right for local disks); 1 serializes
 	// backend I/O, the A/B baseline. The §2.4 phase barriers remain

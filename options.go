@@ -122,8 +122,11 @@ func WithRetry(policy RetryPolicy) Option {
 // budget — the pipelining knob for high-latency stores, where the
 // useful request depth is set by the link rather than by core count.
 // The data writes of a commit and the extents of a read overlap on the
-// wire, sharded or not, and this bound alone limits the requests in
-// flight per mount — every handle shares it.
+// wire, sharded or not, and this bound alone limits the operations in
+// flight per mount — every handle shares it. An operation is one extent
+// read or write; under WithReplication(R) a write reaches its R owners
+// together on the one slot it holds, so the leaf stores see at most
+// n × R write requests at once.
 // 0 (the default) keeps backend concurrency on the worker pool; 1
 // serializes backend I/O, the A/B baseline. The §2.4 barriers are
 // unchanged at any setting.
