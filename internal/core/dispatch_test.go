@@ -706,3 +706,157 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 		})
 	}
 }
+
+// leafLog records, in order, the calls the leaves of one sharded store
+// see that cost a round trip on a remote leaf: Stat and Open by name,
+// and ReadAt, WriteAt and Truncate on a handle. (Size is local on every
+// backend in the tree; Sync is the barrier itself.)
+type leafLog struct {
+	mu    sync.Mutex
+	calls []leafCall
+}
+
+type leafCall struct {
+	kind string // "stat", "open", "read", "write", "truncate"
+	off  int64
+}
+
+func (l *leafLog) note(kind string, off int64) {
+	l.mu.Lock()
+	l.calls = append(l.calls, leafCall{kind, off})
+	l.mu.Unlock()
+}
+
+func (l *leafLog) take() []leafCall {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	calls := l.calls
+	l.calls = nil
+	return calls
+}
+
+type loggedLeaf struct {
+	backend.Store
+	log *leafLog
+}
+
+func (l loggedLeaf) Stat(name string) (int64, error) {
+	l.log.note("stat", 0)
+	return l.Store.Stat(name)
+}
+
+func (l loggedLeaf) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	l.log.note("open", 0)
+	f, err := l.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return loggedFile{File: f, log: l.log}, nil
+}
+
+type loggedFile struct {
+	backend.File
+	log *leafLog
+}
+
+func (f loggedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.log.note("read", off)
+	return f.File.ReadAt(p, off)
+}
+
+func (f loggedFile) WriteAt(p []byte, off int64) (int, error) {
+	f.log.note("write", off)
+	return f.File.WriteAt(p, off)
+}
+
+func (f loggedFile) Truncate(size int64) error {
+	f.log.note("truncate", size)
+	return f.File.Truncate(size)
+}
+
+// TestCommitAsksNoSizes: a §2.4 commit costs its two metadata writes and
+// its data writes — the paper's point in embedding the metadata — and on
+// a striped, replicated store no size round trips on top. A fresh
+// 118-block compressed segment on a shard.Store, R=2 over 4 leaves,
+// window 32: between the first phase-1 and the last phase-3 metadata
+// write the leaves see exactly the planned data writes, one per block per
+// owner, plus at most the two owners' Truncate that pads the extent; no
+// leaf is asked anything by name. The engine does ask its backing file's
+// Size twice per commit; the handle answers from the stores it has
+// already probed, so the second segment on the same handle — same stripe,
+// same owners — adds no Stat and no Open anywhere in its commit.
+func TestCommitAsksNoSizes(t *testing.T) {
+	geo := layout.Default()
+	nblocks := geo.KeysPerSegment()
+	data := shortBlocks(2 * nblocks)
+	segBytes := nblocks * geo.BlockSize
+
+	log := &leafLog{}
+	leaves := make([]backend.Store, 4)
+	for i := range leaves {
+		leaves[i] = loggedLeaf{Store: backend.NewMemStore(), log: log}
+	}
+	const replicas = 2
+	ss, err := shard.New(leaves, shard.Config{StripeBytes: 2 * geo.SegmentPhysBytes(), Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := compressedConfig()
+	cfg.IOWindow = 32
+	cfg.Parallelism = 1
+	lfs := newFS(t, ss, cfg)
+	f, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for seg := 0; seg < 2; seg++ {
+		log.take()
+		if _, err := f.WriteAt(data[seg*segBytes:(seg+1)*segBytes], int64(seg*segBytes)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		calls := log.take()
+		metaOff := geo.MetaBlockOffset(int64(seg))
+		isMeta := func(c leafCall) bool { return c.kind == "write" && c.off == metaOff }
+		first := slices.IndexFunc(calls, isMeta)
+		if first < 0 {
+			t.Fatalf("segment %d: no metadata write among %d leaf calls", seg, len(calls))
+		}
+		last := len(calls) - 1
+		for !isMeta(calls[last]) {
+			last--
+		}
+		count := make(map[string]int)
+		for _, c := range calls[first : last+1] {
+			if isMeta(c) {
+				count["meta"]++
+			} else {
+				count[c.kind]++
+			}
+		}
+		truncates := count["truncate"]
+		delete(count, "truncate")
+		want := map[string]int{"meta": 2 * replicas, "write": nblocks * replicas}
+		if !reflect.DeepEqual(count, want) || truncates > replicas {
+			t.Errorf("segment %d, leaf calls from phase 1 to phase 3:\n got  %v and %d truncate\n want %v and at most %d truncate",
+				seg, count, truncates, want, replicas)
+		}
+		all := make(map[string]int)
+		for _, c := range calls {
+			all[c.kind]++
+		}
+		if all["stat"] != 0 || (seg > 0 && all["open"] != 0) {
+			t.Errorf("segment %d: %d Stat and %d Open over the whole commit; a commit asks no leaf by name", seg, all["stat"], all["open"])
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := vfs.ReadAll(lfs, "f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip: %v, equal %v", err, bytes.Equal(got, data))
+	}
+}

@@ -262,15 +262,23 @@ func TestFig10Shapes(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Write throughput improves substantially from R=1 to R=48
-	// (paper: 1.6x at the peak).
-	if rows[2].SeqWrite <= rows[0].SeqWrite {
-		t.Errorf("seq-write did not improve with R: R=1 %.1f, R=48 %.1f",
-			rows[0].SeqWrite, rows[2].SeqWrite)
-	}
-	if rows[2].RandWrite <= rows[0].RandWrite {
-		t.Errorf("rand-write did not improve with R: R=1 %.1f, R=48 %.1f",
-			rows[0].RandWrite, rows[2].RandWrite)
+	// Write throughput improves substantially from R=1 to R=48 (paper:
+	// 1.6x at the peak) because a commit's two metadata writes are paid
+	// once per up to R overwritten blocks. The MB/s columns are wall
+	// clock and cross on a busy box, so the shape is asserted on its
+	// cause: backend I/Os per MiB written fall strictly with R (770 →
+	// 100 → 23.5 sequential, 770 → 298 → 95 random; counts, the same on
+	// every run).
+	for i := 1; i < len(rows); i++ {
+		lo, hi := rows[i-1], rows[i]
+		if hi.seqWriteIOs >= lo.seqWriteIOs {
+			t.Errorf("seq-write backend I/Os per MiB did not fall with R: R=%d %.1f, R=%d %.1f",
+				lo.R, lo.seqWriteIOs, hi.R, hi.seqWriteIOs)
+		}
+		if hi.randWriteIOs >= lo.randWriteIOs {
+			t.Errorf("rand-write backend I/Os per MiB did not fall with R: R=%d %.1f, R=%d %.1f",
+				lo.R, lo.randWriteIOs, hi.R, hi.randWriteIOs)
+		}
 	}
 	out := FormatFig10(rows)
 	if !strings.Contains(out, "seq-write") {

@@ -24,6 +24,15 @@ import (
 // concurrent ReadAt and concurrent WriteAt are safe (the handle map
 // has its own mutex; the per-shard files do their own serialization),
 // so commit fan-out may write several stripes of one file at once.
+//
+// "Does this store hold a piece of this file, and how long is it" has
+// ONE rule, for reads, Size and Truncate alike: handle(…, false). An
+// open handle answers for its store (its own Size() is local on every
+// backend in the tree); a store that probed empty is remembered in
+// missing. The licence is the single-writer model the engine already
+// assumes of a backing file — nobody else creates, extends or cuts a
+// stripe while this handle is open — with the two exceptions the Store
+// itself makes (the mover and the scrubber), which move routeGen.
 type file struct {
 	store *Store
 	name  string
@@ -32,14 +41,16 @@ type file struct {
 	mu     sync.Mutex
 	closed bool
 	files  map[int]backend.File
-	// missing marks shards a read probed and found without a stripe
-	// file; their ranges read as zeros (hole semantics) without
-	// re-probing. A write through THIS handle clears the mark when it
-	// creates the stripe; another handle creating it is outside the
-	// single-writer model, as with every other stale-read case. The
-	// marks are valid only for one routing generation: a migration can
-	// relocate data ONTO a slot that legitimately probed empty earlier,
-	// so handle() drops them all when Store.routeGen moves.
+	// missing marks shards a read, a size or a cut probed and found
+	// without a stripe file: their ranges read as zeros (hole
+	// semantics), they add nothing to the size and a cut has nothing to
+	// cap there, all without re-probing. A write through THIS handle
+	// clears the mark when it creates the stripe; another handle
+	// creating it is outside the single-writer model, as with every
+	// other stale-read case. The marks are valid only for one routing
+	// generation: a migration can relocate data — and a scrub repair
+	// re-create a copy — ONTO a slot that legitimately probed empty
+	// earlier, so known() drops them all when Store.routeGen moves.
 	missing    map[int]bool
 	missingGen uint64
 }
@@ -50,24 +61,8 @@ type file struct {
 // hole — a pure read workload must never materialize empty stripe
 // files on shards that hold no data.
 func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool) (backend.File, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, backend.ErrClosed
-	}
-	if h, ok := f.files[shard]; ok {
-		f.mu.Unlock()
-		return h, nil
-	}
-	if gen := f.store.routeGen.Load(); gen != f.missingGen {
-		// Routing moved (migration progress or an epoch transition):
-		// negative probes may have been invalidated by relocated data.
-		f.missing = nil
-		f.missingGen = gen
-	}
-	if !forWrite && f.missing[shard] {
-		f.mu.Unlock()
-		return nil, nil
+	if h, known, err := f.known(shard, forWrite); known {
+		return h, err
 	}
 	flag := backend.OpenWrite
 	switch {
@@ -79,7 +74,6 @@ func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool
 	// Open outside the lock: a slow first-touch open (network
 	// backend) must not stall I/O to shards that are already open.
 	// Concurrent openers race; the loser closes its handle.
-	f.mu.Unlock()
 	h, err := backend.OpenCtx(ctx, t.stores[shard], f.name, flag)
 
 	f.mu.Lock()
@@ -107,6 +101,51 @@ func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool
 	return h, nil
 }
 
+// known answers handle's question from the handle map alone, without
+// I/O: an open handle, a remembered miss (never for a write, which must
+// create the stripe), or the handle being closed. known=false means the
+// shard has to be probed.
+func (f *file) known(shard int, forWrite bool) (h backend.File, known bool, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil, true, backend.ErrClosed
+	}
+	if h, ok := f.files[shard]; ok {
+		return h, true, nil
+	}
+	if gen := f.store.routeGen.Load(); gen != f.missingGen {
+		// Routing moved (migration progress, an epoch transition or a
+		// scrub repair): negative probes may have been invalidated by
+		// relocated data.
+		f.missing = nil
+		f.missingGen = gen
+	}
+	return nil, !forWrite && f.missing[shard], nil
+}
+
+// handles resolves each of slots through handle(…, false): hs[i] (nil:
+// no stripe file there) and errs[i] are handle's answer for slots[i].
+// Answers the handle map already holds cost nothing; the first-touch
+// opens of one call go out together, so the first size or cut through a
+// handle is one round trip however many stores there are, and every
+// later one is local.
+func (f *file) handles(ctx context.Context, t *topology, slots []int) (hs []backend.File, errs []error) {
+	hs, errs = make([]backend.File, len(slots)), make([]error, len(slots))
+	var cold []int
+	for i, sl := range slots {
+		var known bool
+		if hs[i], known, errs[i] = f.known(sl, false); !known {
+			cold = append(cold, i)
+		}
+	}
+	together(len(cold), func(i int) {
+		at := cold[i]
+		hs[at], errs[at] = f.handle(ctx, t, slots[at], false)
+	})
+	return hs, errs
+}
+
 // openHandles snapshots the currently open per-shard handles.
 func (f *file) openHandles() (map[int]backend.File, error) {
 	f.mu.Lock()
@@ -126,7 +165,11 @@ func (f *file) openHandles() (map[int]backend.File, error) {
 func striped(t *topology) bool { return t.lay.StripeBytes() > 0 }
 
 // Size implements backend.File: the maximum local size across shards
-// (see Store.Stat for why the maximum is exact).
+// (see Store.Stat for why the maximum is exact). Every store is
+// resolved through handle(…, false), so the first Size through a handle
+// costs one round of first-touch opens and every later one is local
+// until routeGen moves; what it may miss is a stripe somebody else
+// created since (see the struct comment).
 func (f *file) Size() (int64, error) { return f.size(nil, f.store.topo.Load()) }
 
 func (f *file) size(ctx context.Context, t *topology) (int64, error) {
@@ -148,30 +191,19 @@ func (f *file) size(ctx context.Context, t *topology) (int64, error) {
 	if !striped(t) {
 		return size, nil
 	}
-	sized := t.stores[slot]
-	open, err := f.openHandles()
-	if err != nil {
-		return 0, err
-	}
-	for _, u := range t.uniq {
-		if u.store == sized {
+	hs, errs := f.handles(ctx, t, t.otherSlots(t.stores[slot]))
+	for i, h := range hs {
+		if errs[i] != nil {
+			return 0, errs[i]
+		}
+		if h == nil {
 			continue
 		}
-		var sz int64
-		if oh, ok := open[u.shard]; ok {
-			sz, err = oh.Size()
-		} else {
-			sz, err = u.store.Stat(f.name)
-			if errors.Is(err, backend.ErrNotExist) {
-				continue
-			}
-		}
+		sz, err := h.Size()
 		if err != nil {
 			return 0, err
 		}
-		if sz > size {
-			size = sz
-		}
+		size = max(size, sz)
 	}
 	return size, nil
 }
@@ -187,9 +219,9 @@ func (f *file) sizeReplicated(ctx context.Context, t *topology) (int64, error) {
 	var size int64
 	got := false
 	var firstErr error
-	consulted := make(map[backend.Store]bool, len(t.uniq))
+	var consulted []backend.Store
 	for _, sl := range t.dedupSlots(slots) {
-		consulted[t.stores[sl]] = true
+		consulted = append(consulted, t.stores[sl])
 		h, err := f.handle(ctx, t, sl, false)
 		if err != nil {
 			if immediateErr(ctx, err) {
@@ -228,34 +260,25 @@ func (f *file) sizeReplicated(ctx context.Context, t *topology) (int64, error) {
 	if !striped(t) {
 		return size, nil
 	}
-	open, err := f.openHandles()
-	if err != nil {
-		return 0, err
-	}
-	for _, u := range t.uniq {
-		if consulted[u.store] {
-			continue
-		}
+	rest := t.otherSlots(consulted...)
+	hs, errs := f.handles(ctx, t, rest)
+	for i, sl := range rest {
 		var sz int64
-		var serr error
-		if oh, ok := open[u.shard]; ok {
-			sz, serr = oh.Size()
-		} else {
-			sz, serr = u.store.Stat(f.name)
-			if errors.Is(serr, backend.ErrNotExist) {
+		err := errs[i]
+		if err == nil {
+			if hs[i] == nil {
 				continue
 			}
+			sz, err = hs[i].Size()
 		}
-		if serr != nil {
-			if immediateErr(ctx, serr) {
-				return 0, serr
+		if err != nil {
+			if immediateErr(ctx, err) {
+				return 0, err
 			}
-			s.slotFailed(t, u.shard)
+			s.slotFailed(t, sl)
 			continue
 		}
-		if sz > size {
-			size = sz
-		}
+		size = max(size, sz)
 	}
 	return size, nil
 }
@@ -557,8 +580,9 @@ func immediateErr(ctx context.Context, err error) bool {
 
 // together runs fn(0) … fn(n-1) at once — fn(0) on the caller's
 // goroutine, the rest on their own — and returns when all have. It is
-// the whole of shard's write-side concurrency: the owners of one epoch
-// group, and the per-shard flushes of one barrier.
+// the whole of shard's own concurrency: the owners of one epoch group,
+// the per-shard flushes of one barrier, and the per-store probes of one
+// size, cut or by-name Stat.
 func together(n int, fn func(i int)) {
 	if n < 2 {
 		if n == 1 {
@@ -894,9 +918,12 @@ func (f *file) truncateAnchorGroup(ctx context.Context, t *topology, slots []int
 	return nil
 }
 
-// truncateSlots caps every store holding more than size. Stores never
-// probed are checked by name so stripes written by an earlier handle
-// are cut too. Under replication an unreachable store is journaled and
+// truncateSlots caps every store holding more than size, each resolved
+// through handle(…, false) like Size: stripes written by an earlier
+// handle are cut too because the probe OPENS them (a non-create handle
+// is all a cut of a file that exists needs), and a store that probed
+// empty has nothing to cap until routeGen moves or this handle creates
+// its stripe. Under replication an unreachable store is journaled and
 // skipped instead of failing the cut.
 func (f *file) truncateSlots(ctx context.Context, t *topology, size int64) error {
 	tolerate := func(err error, shard int) bool {
@@ -907,34 +934,23 @@ func (f *file) truncateSlots(ctx context.Context, t *topology, size int64) error
 		f.store.noteSizeMiss(f.name, shard)
 		return true
 	}
-	for _, u := range t.uniq {
+	slots := t.otherSlots()
+	hs, errs := f.handles(ctx, t, slots)
+	for i, sl := range slots {
 		if err := backend.CtxErr(ctx); err != nil {
 			return err
 		}
-		local, err := u.store.Stat(f.name)
-		if errors.Is(err, backend.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			if tolerate(err, u.shard) {
+		err := errs[i]
+		if err == nil {
+			if hs[i] == nil {
 				continue
 			}
-			return err
-		}
-		if local <= size {
-			continue
-		}
-		h, err := f.handle(ctx, t, u.shard, true)
-		if err != nil {
-			if tolerate(err, u.shard) {
-				continue
+			var local int64
+			if local, err = hs[i].Size(); err == nil && local > size {
+				err = backend.TruncateCtx(ctx, hs[i], size)
 			}
-			return err
 		}
-		if err := backend.TruncateCtx(ctx, h, size); err != nil {
-			if tolerate(err, u.shard) {
-				continue
-			}
+		if err != nil && !tolerate(err, sl) {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -163,8 +164,10 @@ type Store struct {
 	// reasons a long-lived handle cannot see locally: a topology swap
 	// (BeginMigration, epoch commit, record adoption) or a mover
 	// confirmation (which redirects the key's reads to a slot that may
-	// previously have held nothing). Handles compare it to invalidate
-	// their negative probe cache (file.missing).
+	// previously have held nothing) — or whenever the Store itself puts
+	// a copy where a handle may have probed none (a scrub repair).
+	// Handles compare it to invalidate their negative probe cache
+	// (file.missing), which reads, Size and Truncate all answer from.
 	routeGen atomic.Uint64
 	// migMu serializes topology transitions; the data path never takes
 	// it.
@@ -201,6 +204,9 @@ func (s *Store) noteFailoverRead() {
 
 func (s *Store) noteScrubRepair() {
 	s.scrubRepairs.Add(1)
+	// The repair may have re-created a copy on a store some open handle
+	// remembers as empty; its next size or cut must see that copy.
+	s.routeGen.Add(1)
 	s.rec.Load().CountEvent(metrics.ScrubRepair, 1)
 }
 
@@ -832,22 +838,42 @@ func (s *Store) Stat(name string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, u := range t.uniq {
-		if u.store == homeStore {
-			continue
-		}
-		sz, err := u.store.Stat(name)
-		if err != nil {
-			if errors.Is(err, backend.ErrNotExist) {
+	rest := t.otherSlots(homeStore)
+	sizes, errs := t.statTogether(rest, name)
+	for i := range rest {
+		if errs[i] != nil {
+			if errors.Is(errs[i], backend.ErrNotExist) {
 				continue
 			}
-			return 0, err
+			return 0, errs[i]
 		}
-		if sz > size {
-			size = sz
-		}
+		size = max(size, sizes[i])
 	}
 	return size, nil
+}
+
+// otherSlots returns the representative slot of every distinct store
+// not among consulted, in slot order: the stores a sweep still has to
+// ask once the home group has answered.
+func (t *topology) otherSlots(consulted ...backend.Store) []int {
+	rest := make([]int, 0, len(t.uniq))
+	for _, u := range t.uniq {
+		if !slices.Contains(consulted, u.store) {
+			rest = append(rest, u.shard)
+		}
+	}
+	return rest
+}
+
+// statTogether stats name on the stores behind slots, all at once. A
+// by-name sweep has no handle to remember anything in, so it asks every
+// time — but one round trip per list, not one per store.
+func (t *topology) statTogether(slots []int, name string) (sizes []int64, errs []error) {
+	sizes, errs = make([]int64, len(slots)), make([]error, len(slots))
+	together(len(slots), func(i int) {
+		sizes[i], errs[i] = t.stores[slots[i]].Stat(name)
+	})
+	return sizes, errs
 }
 
 // statReplicated is Stat with failover: existence is decided by the
@@ -860,16 +886,14 @@ func (s *Store) statReplicated(t *topology, name string) (int64, error) {
 	var size int64
 	found, sawMissing := false, false
 	var firstErr error
-	done := make(map[backend.Store]bool, len(t.uniq))
-	for _, sl := range homes {
-		done[t.stores[sl]] = true
-		sz, err := t.stores[sl].Stat(name)
-		switch {
+	homeStores := make([]backend.Store, len(homes))
+	sizes, errs := t.statTogether(homes, name)
+	for i, sl := range homes {
+		homeStores[i] = t.stores[sl]
+		switch err := errs[i]; {
 		case err == nil:
 			t.health[sl].ok()
-			if !found || sz > size {
-				size = sz
-			}
+			size = max(size, sizes[i])
 			found = true
 		case errors.Is(err, backend.ErrNotExist):
 			sawMissing = true
@@ -886,20 +910,16 @@ func (s *Store) statReplicated(t *topology, name string) (int64, error) {
 		}
 		return 0, firstErr
 	}
-	for _, u := range t.uniq {
-		if done[u.store] {
-			continue
-		}
-		sz, err := u.store.Stat(name)
-		if err != nil {
-			if !errors.Is(err, backend.ErrNotExist) {
-				s.slotFailed(t, u.shard)
+	rest := t.otherSlots(homeStores...)
+	sizes, errs = t.statTogether(rest, name)
+	for i, sl := range rest {
+		if errs[i] != nil {
+			if !errors.Is(errs[i], backend.ErrNotExist) {
+				s.slotFailed(t, sl)
 			}
 			continue
 		}
-		if sz > size {
-			size = sz
-		}
+		size = max(size, sizes[i])
 	}
 	return size, nil
 }
