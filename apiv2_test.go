@@ -44,8 +44,8 @@ func testMount(t *testing.T, opts ...Option) *Mount {
 	return m
 }
 
-// TestFunctionalOptions: New with options must configure exactly what
-// the legacy Options struct does.
+// TestFunctionalOptions: each option New is given configures the
+// mount.
 func TestFunctionalOptions(t *testing.T) {
 	m := testMount(t,
 		WithBlockSize(512),
@@ -62,11 +62,6 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 	if m.EngineStats().BackendIOs == 0 {
 		t.Fatal("WithLatencyCollection not applied")
-	}
-	// WithOptions bridges the legacy struct; later options override it.
-	m2 := testMount(t, WithOptions(&Options{BlockSize: 4096}), WithBlockSize(512))
-	if !strings.Contains(m2.String(), "block=512B") {
-		t.Fatalf("option override after WithOptions failed: %s", m2)
 	}
 }
 

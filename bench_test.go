@@ -165,8 +165,8 @@ func BenchmarkFig11SpaceVsR(b *testing.B) {
 // --- Micro-benchmarks on the public API -------------------------
 
 func BenchmarkWrite4KThroughMount(b *testing.B) {
-	bench := func(b *testing.B, opts *Options) {
-		m, err := NewMount(NewMemStorage(), benchKeys(b), opts)
+	bench := func(b *testing.B, opts ...Option) {
+		m, err := New(NewMemStorage(), benchKeys(b), opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,8 +191,8 @@ func BenchmarkWrite4KThroughMount(b *testing.B) {
 	}
 	// serial is the paper's single-threaded engine; parallel fans the
 	// per-block commit work across GOMAXPROCS workers.
-	b.Run("serial", func(b *testing.B) { bench(b, &Options{Parallelism: 1}) })
-	b.Run("parallel", func(b *testing.B) { bench(b, nil) })
+	b.Run("serial", func(b *testing.B) { bench(b, WithParallelism(1)) })
+	b.Run("parallel", func(b *testing.B) { bench(b) })
 }
 
 // Parallel application threads over one mount: every goroutine writes
@@ -204,7 +204,7 @@ func BenchmarkWrite4KConcurrentFiles(b *testing.B) {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
-			m, err := NewMount(NewMemStorage(), benchKeys(b), &Options{Parallelism: par})
+			m, err := New(NewMemStorage(), benchKeys(b), WithParallelism(par))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func BenchmarkWrite4KConcurrentFiles(b *testing.B) {
 
 func BenchmarkRead4KThroughMount(b *testing.B) {
 	bench := func(b *testing.B, integrity Integrity) {
-		m, err := NewMount(NewMemStorage(), benchKeys(b), &Options{Integrity: integrity})
+		m, err := New(NewMemStorage(), benchKeys(b), WithIntegrity(integrity))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkRead4KThroughMount(b *testing.B) {
 // allocator keeps the steady state near zero beyond the per-block AES
 // state.
 func BenchmarkSequentialWriteCoalesced(b *testing.B) {
-	m, err := NewMount(NewMemStorage(), benchKeys(b), nil)
+	m, err := New(NewMemStorage(), benchKeys(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func BenchmarkSequentialWriteCoalesced(b *testing.B) {
 // are fetched with one backend read and the decrypt fans across the
 // pool.
 func BenchmarkSequentialReadCoalesced(b *testing.B) {
-	m, err := NewMount(NewMemStorage(), benchKeys(b), nil)
+	m, err := New(NewMemStorage(), benchKeys(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func BenchmarkSequentialReadCoalesced(b *testing.B) {
 // I/O, AES-CBC and the SHA-256 integrity re-hash entirely.
 func BenchmarkRead4KCached(b *testing.B) {
 	bench := func(b *testing.B, cacheBlocks int) {
-		m, err := NewMount(NewMemStorage(), benchKeys(b), &Options{CacheBlocks: cacheBlocks})
+		m, err := New(NewMemStorage(), benchKeys(b), WithCache(cacheBlocks))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func BenchmarkAblationMetadataOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		store := NewMemStorage()
-		m, err := NewMount(store, keys, nil)
+		m, err := New(store, keys)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func BenchmarkAblationRekey(b *testing.B) {
 	mk := func(b *testing.B) (*Mount, Storage, KeyPair) {
 		keys := benchKeys(b)
 		store := NewMemStorage()
-		m, err := NewMount(store, keys, nil)
+		m, err := New(store, keys)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func BenchmarkAblationRekey(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Keep the mount's key in sync for the next iteration.
-			m2, err := NewMount(mustStore(m), KeyPair{Inner: keys.Inner, Outer: newOuter}, nil)
+			m2, err := New(mustStore(m), KeyPair{Inner: keys.Inner, Outer: newOuter})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -472,7 +472,7 @@ func BenchmarkAblationRekey(b *testing.B) {
 			if _, err := m.RekeyFull("f", nk); err != nil {
 				b.Fatal(err)
 			}
-			m2, err := NewMount(store, nk, nil)
+			m2, err := New(store, nk)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -540,11 +540,13 @@ func BenchmarkAblationNameEncryption(b *testing.B) {
 	data := make([]byte, 64*1024)
 	for _, encNames := range []bool{false, true} {
 		name := "plain-names"
+		var opts []Option
 		if encNames {
 			name = "encrypted-names"
+			opts = append(opts, WithEncryptedNames())
 		}
 		b.Run(name, func(b *testing.B) {
-			m, err := NewMount(NewMemStorage(), keys, &Options{EncryptNames: encNames})
+			m, err := New(NewMemStorage(), keys, opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -563,7 +565,7 @@ func BenchmarkAblationNameEncryption(b *testing.B) {
 func BenchmarkDedupScan(b *testing.B) {
 	store := backend.NewMemStore()
 	keysPair, _ := GenerateKeys()
-	m, err := NewMount(store, keysPair, nil)
+	m, err := New(store, keysPair)
 	if err != nil {
 		b.Fatal(err)
 	}

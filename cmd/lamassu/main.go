@@ -35,6 +35,7 @@ import (
 	"lamassu"
 	"lamassu/internal/dedupe"
 	"lamassu/internal/keyfile"
+	"lamassu/internal/kmip"
 )
 
 func main() {
@@ -91,11 +92,14 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	opts := &lamassu.Options{BlockSize: *blockSize, ReservedSlots: *reserved, Compression: *compress}
+	opts := []lamassu.Option{lamassu.WithBlockSize(*blockSize), lamassu.WithReservedSlots(*reserved)}
 	if *metaOnly {
-		opts.Integrity = lamassu.IntegrityMetaOnly
+		opts = append(opts, lamassu.WithIntegrity(lamassu.IntegrityMetaOnly))
 	}
-	m, err := lamassu.NewMount(storage, keys, opts)
+	if *compress {
+		opts = append(opts, lamassu.WithCompression())
+	}
+	m, err := lamassu.New(storage, keys, opts...)
 	if err != nil {
 		die(err)
 	}
@@ -381,18 +385,31 @@ func loadKeys(keyfile, kmipAddr string, zone uint32) (lamassu.KeyPair, error) {
 	case keyfile != "":
 		return readKeyfile(keyfile)
 	case kmipAddr != "":
-		return lamassu.FetchKeys(kmipAddr, zone)
+		return fetchKeys(kmipAddr, kmip.Zone(zone))
 	default:
 		return lamassu.KeyPair{}, fmt.Errorf("one of -keyfile or -kmip is required")
 	}
 }
 
-func readKeyfile(path string) (lamassu.KeyPair, error) {
-	pair, err := keyfile.Load(path)
+// fetchKeys provisions (idempotently) and retrieves a zone's key pair
+// from a running key server (cmd/kmipd), the deployment model of the
+// paper's §3: clients of one isolation zone share both keys.
+func fetchKeys(addr string, zone kmip.Zone) (lamassu.KeyPair, error) {
+	c, err := kmip.Dial(addr)
 	if err != nil {
 		return lamassu.KeyPair{}, err
 	}
-	return lamassu.KeyPair{Inner: pair.Inner, Outer: pair.Outer}, nil
+	defer c.Close()
+	if _, err := c.CreateZone(zone); err != nil {
+		return lamassu.KeyPair{}, err
+	}
+	p, err := c.GetPair(zone)
+	return lamassu.KeyPair{Inner: p.Inner, Outer: p.Outer}, err
+}
+
+func readKeyfile(path string) (lamassu.KeyPair, error) {
+	pair, err := keyfile.Load(path)
+	return lamassu.KeyPair{Inner: pair.Inner, Outer: pair.Outer}, err
 }
 
 func need(args []string, n int, usage string) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"lamassu"
 	"lamassu/internal/keyfile"
+	"lamassu/internal/kmip"
 )
 
 func TestKeygenAndLoadKeys(t *testing.T) {
@@ -55,6 +57,46 @@ func TestLoadKeysValidation(t *testing.T) {
 	}
 	if _, err := loadKeys(bad, "", 1); err == nil {
 		t.Errorf("malformed key file accepted")
+	}
+}
+
+// TestLoadKeysFromKMIP drives loadKeys' -kmip branch against an
+// in-process key server.
+func TestLoadKeysFromKMIP(t *testing.T) {
+	srv := kmip.NewServer()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	k1, err := loadKeys("", addr, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := loadKeys("", addr, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !k1.Inner.Equal(k2.Inner) || !k1.Outer.Equal(k2.Outer) {
+		t.Fatalf("same zone returned different keys")
+	}
+	other, err := loadKeys("", addr, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Inner.Equal(k1.Inner) {
+		t.Fatalf("different zones share inner key")
+	}
+	// The fetched keys actually work.
+	m, err := lamassu.New(lamassu.NewMemStorage(), k1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteFile("f", []byte("via kmip")); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -109,7 +151,7 @@ func TestOpenStorageSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := lamassu.NewMount(storage, keys, nil)
+	m, err := lamassu.New(storage, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +181,7 @@ func TestOpenStorageSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := lamassu.NewMount(reopened, keys, nil)
+	m2, err := lamassu.New(reopened, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +205,7 @@ func TestOpenNewTopologyRebalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := lamassu.NewMount(storage, keys, nil)
+	m, err := lamassu.New(storage, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

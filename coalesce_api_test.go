@@ -17,7 +17,7 @@ func TestMountCoalescedSegmentCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(NewMemStorage(), keys, &Options{CollectLatency: true})
+	m, err := New(NewMemStorage(), keys, WithLatencyCollection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMountCoalescedRunsSplitAtStripeBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(storage, keys, &Options{CollectLatency: true, Parallelism: 4})
+	m, err := New(storage, keys, WithLatencyCollection(), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMountCoalescedRunsSplitAtStripeBoundary(t *testing.T) {
 
 	// Round-trip through a cold mount, exercising the coalesced read
 	// path across the same stripe boundaries.
-	m2, err := NewMount(storage, keys, &Options{CollectLatency: true})
+	m2, err := New(storage, keys, WithLatencyCollection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,18 +129,14 @@ func TestMountCoalescedRunsSplitAtStripeBoundary(t *testing.T) {
 	}
 }
 
-// Options.Readahead: a sequential scan through the mount prefetches
-// ahead into the block cache.
+// WithReadahead: a sequential scan through the mount prefetches ahead
+// into the block cache.
 func TestMountReadahead(t *testing.T) {
 	keys, err := GenerateKeys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(NewMemStorage(), keys, &Options{
-		CollectLatency: true,
-		CacheBlocks:    2048,
-		Readahead:      32,
-	})
+	m, err := New(NewMemStorage(), keys, WithLatencyCollection(), WithCache(2048), WithReadahead(32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"lamassu"
+	"lamassu/internal/nfssim"
+	"lamassu/internal/simclock"
 )
 
 func main() {
@@ -30,11 +32,9 @@ func main() {
 
 	// A slow backing store: every operation pays a simulated NFS round
 	// trip, so a multi-megabyte commit takes long enough to deadline.
-	store := lamassu.WithSimulatedNFS(lamassu.NewMemStorage(), lamassu.NFSParams{
-		RTT:                  200 * time.Microsecond,
-		WriteRTT:             400 * time.Microsecond,
-		BandwidthBytesPerSec: 50e6,
-	})
+	link := nfssim.GigabitNFS()
+	link.RTT, link.WriteRTT, link.Bandwidth = 200*time.Microsecond, 400*time.Microsecond, 50e6
+	store := nfssim.New(lamassu.NewMemStorage(), link, simclock.Real{})
 
 	// API v2 construction: functional options.
 	m, err := lamassu.New(store, keys, lamassu.WithParallelism(1))

@@ -37,11 +37,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tenant1, err := lamassu.NewMount(shared, zoneA, nil)
+	tenant1, err := lamassu.New(shared, zoneA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tenant2, err := lamassu.NewMount(shared, zoneA, nil)
+	tenant2, err := lamassu.New(shared, zoneA)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tenant3, err := lamassu.NewMount(shared, zoneB, nil)
+	tenant3, err := lamassu.New(shared, zoneB)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,13 +51,13 @@ func main() {
 	payload := bytes.Repeat([]byte{0xD5}, 64*4096) // 256 KiB, 64 identical-across-clients blocks
 	vary(payload)                                  // make blocks distinct within the file
 
-	measure := func(label string, opts *lamassu.Options) {
+	measure := func(label string, opts ...lamassu.Option) {
 		shared := lamassu.NewMemStorage()
-		m1, err := lamassu.NewMount(shared, keys, opts)
+		m1, err := lamassu.New(shared, keys, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		m2, err := lamassu.NewMount(shared, keys, opts)
+		m2, err := lamassu.New(shared, keys, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -81,16 +81,18 @@ func main() {
 	}
 
 	// Configuration 1: the paper's design — local KDF with Kin.
-	measure("local inner-key KDF:", nil)
+	measure("local inner-key KDF:")
 
-	// Configuration 2: DupLESS server-aided derivation. Each mount
-	// gets its own connection, as separate hosts would.
-	d1, c1, err := lamassu.NewDupLESSKeySource(ln.Addr().String())
+	// Configuration 2: DupLESS server-aided derivation; every derived
+	// key is one blind-signature round trip to the server.
+	nc, err := dupless.Dial(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer c1() //nolint:errcheck
-	measure("DupLESS OPRF per key:", &lamassu.Options{KeyDeriver: d1})
+	defer nc.Close()
+	measure("DupLESS OPRF per key:", lamassu.WithKeyDeriver(func(h [32]byte) (lamassu.Key, error) {
+		return nc.DeriveKey(cryptoutil.Hash(h))
+	}))
 
 	fmt.Println()
 	fmt.Println("Both configurations deduplicate equally well; the server-aided scheme is")

@@ -52,7 +52,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lmsMount, err := lamassu.NewMount(lmsStore, keys, nil)
+		lmsMount, err := lamassu.New(lmsStore, keys)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,7 +3,8 @@ package lamassu
 // Tests for the public API of the three extensions the paper
 // discusses but leaves to future work — filename encryption (§2.1),
 // the whole-file integrity layer (§2.5), and server-aided key
-// generation (§1) — as exposed through Options and the wrapper types.
+// generation (§1) — the first through an option, the other two by
+// stacking their internal packages on a Mount the way a caller would.
 
 import (
 	"bytes"
@@ -13,8 +14,12 @@ import (
 	"strings"
 	"testing"
 
+	"lamassu/internal/cryptoutil"
 	"lamassu/internal/dedupe"
 	"lamassu/internal/dupless"
+	"lamassu/internal/integrity"
+	"lamassu/internal/plainfs"
+	"lamassu/internal/vfs"
 )
 
 func TestEncryptNamesOption(t *testing.T) {
@@ -27,7 +32,7 @@ func TestEncryptNamesOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(store, keys, &Options{EncryptNames: true})
+	m, err := New(store, keys, WithEncryptedNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +63,7 @@ func TestEncryptNamesOption(t *testing.T) {
 	}
 
 	// A second mount with the same keys resolves the same names.
-	m2, err := NewMount(store, keys, &Options{EncryptNames: true})
+	m2, err := New(store, keys, WithEncryptedNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestEncryptNamesOption(t *testing.T) {
 	}
 	// A mount with a different outer key cannot even list the volume.
 	other := mustKeys(t)
-	m3, err := NewMount(store, KeyPair{Inner: keys.Inner, Outer: other.Outer}, &Options{EncryptNames: true})
+	m3, err := New(store, KeyPair{Inner: keys.Inner, Outer: other.Outer}, WithEncryptedNames())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +86,8 @@ func TestEncryptNamesPreservesDedup(t *testing.T) {
 	// one zone still converge.
 	store := NewMemStorage()
 	keys := mustKeys(t)
-	m1, _ := NewMount(store, keys, &Options{EncryptNames: true})
-	m2, _ := NewMount(store, keys, &Options{EncryptNames: true})
+	m1, _ := New(store, keys, WithEncryptedNames())
+	m2, _ := New(store, keys, WithEncryptedNames())
 	payload := bytes.Repeat([]byte{0x5E}, 32*4096)
 	if err := m1.WriteFile("a", payload); err != nil {
 		t.Fatal(err)
@@ -103,17 +108,18 @@ func TestEncryptNamesPreservesDedup(t *testing.T) {
 func TestRollbackProtection(t *testing.T) {
 	store := NewMemStorage()
 	keys := mustKeys(t)
-	m, err := NewMount(store, keys, nil)
+	m, err := New(store, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guard, err := WithRollbackProtection(m, keys, NewMemTrustStore())
+	macKey := cryptoutil.DeriveSubKey(keys.Outer, "lamassu-rollback-mac")
+	guard, err := integrity.New(m.VFS(), integrity.NewMemTrustStore(), macKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	v1 := bytes.Repeat([]byte{1}, 50000)
-	if err := guard.WriteFile("ledger", v1); err != nil {
+	if err := vfs.WriteAll(guard, "ledger", v1); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot the valid v1 state as the malicious store would.
@@ -122,10 +128,10 @@ func TestRollbackProtection(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := bytes.Repeat([]byte{2}, 50000)
-	if err := guard.WriteFile("ledger", v2); err != nil {
+	if err := vfs.WriteAll(guard, "ledger", v2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := guard.ReadFile("ledger")
+	got, err := vfs.ReadAll(guard, "ledger")
 	if err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("verified read: %v", err)
 	}
@@ -139,7 +145,7 @@ func TestRollbackProtection(t *testing.T) {
 		t.Fatalf("rollback staging failed: %v", err)
 	}
 	// ...the guard is not.
-	if _, err := guard.ReadFile("ledger"); !errors.Is(err, ErrRollback) {
+	if _, err := vfs.ReadAll(guard, "ledger"); !errors.Is(err, integrity.ErrRollback) {
 		t.Fatalf("rollback undetected: %v", err)
 	}
 	bad, err := guard.VerifyAll()
@@ -161,7 +167,7 @@ func TestReplicateVolume(t *testing.T) {
 	// key-less byte copier is fully usable at the destination.
 	src := NewMemStorage()
 	keys := mustKeys(t)
-	m, err := NewMount(src, keys, nil)
+	m, err := New(src, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +183,24 @@ func TestReplicateVolume(t *testing.T) {
 		}
 	}
 
-	// Replication needs no keys — it's a dumb byte copy.
+	// Replication needs no keys — it's a dumb byte copy of every
+	// backing file.
 	dst := NewMemStorage()
-	n, err := Replicate(dst, src)
+	names, err := src.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(payloads) {
-		t.Fatalf("replicated %d files, want %d", n, len(payloads))
+	for _, name := range names {
+		if _, err := vfs.Copy(plainfs.New(dst), name, plainfs.New(src), name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(names) != len(payloads) {
+		t.Fatalf("replicated %d files, want %d", len(names), len(payloads))
 	}
 
 	// A mount at the destination reads everything, integrity intact.
-	m2, err := NewMount(dst, keys, nil)
+	m2, err := New(dst, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +253,18 @@ func TestDupLESSKeySourceOption(t *testing.T) {
 	defer ln.Close()
 	go srv.Serve(ln) //nolint:errcheck
 
-	deriver, closeFn, err := NewDupLESSKeySource(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	dial := func() func(hash [32]byte) (Key, error) {
+		nc, err := dupless.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		return func(h [32]byte) (Key, error) { return nc.DeriveKey(cryptoutil.Hash(h)) }
 	}
-	defer closeFn() //nolint:errcheck
 
 	store := NewMemStorage()
 	keys := mustKeys(t)
-	m, err := NewMount(store, keys, &Options{KeyDeriver: deriver})
+	m, err := New(store, keys, WithKeyDeriver(dial()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +279,7 @@ func TestDupLESSKeySourceOption(t *testing.T) {
 
 	// Another mount with DIFFERENT inner/outer... the dedup domain is
 	// now the RSA server, so only the outer key must match to read.
-	deriver2, closeFn2, err := NewDupLESSKeySource(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeFn2() //nolint:errcheck
-	m2, err := NewMount(store, keys, &Options{KeyDeriver: deriver2})
+	m2, err := New(store, keys, WithKeyDeriver(dial()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,9 +165,10 @@ type Config struct {
 	DisableCoalescing bool
 	// Readahead is the number of blocks the sequential-read detector
 	// prefetches asynchronously into the block cache when consecutive
-	// ReadAt calls form a forward scan. 0 disables readahead; it also
-	// requires CacheBlocks > 0 (the prefetched plaintext has nowhere
-	// else to live) and is ignored when coalescing is disabled.
+	// ReadAt calls form a forward scan. 0 disables readahead; New
+	// rejects it without CacheBlocks > 0 (the prefetched plaintext has
+	// nowhere else to live), and it is ignored when coalescing is
+	// disabled.
 	Readahead int
 	// Compression enables the deterministic compress-then-encrypt
 	// encode stage (the paper's encode = encrypt(compress(input))):
@@ -265,6 +266,9 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 	}
 	if cfg.Readahead < 0 {
 		return nil, errors.New("lamassu: readahead must be >= 0")
+	}
+	if cfg.Readahead > 0 && cfg.CacheBlocks == 0 {
+		return nil, errors.New("lamassu: readahead requires a block cache")
 	}
 	if cfg.IOWindow < 0 {
 		return nil, errors.New("lamassu: I/O window must be >= 0")

@@ -25,9 +25,8 @@
 //	f.WriteAt([]byte("hello, deduplicating world"), 0)
 //	f.Close()
 //
-// Construction is by functional options (see New and the With*
-// options); the legacy Options struct remains supported through
-// NewMount. See the examples/ directory for complete programs: a
+// New is the one constructor; the With* functional options configure
+// it. See the examples/ directory for complete programs: a
 // quickstart, a multi-tenant isolation-zone demo over a shared
 // deduplicating store, a crash-recovery walkthrough, a Table-1-style
 // VM-image backup scenario, and a context-cancellation walkthrough.
@@ -81,10 +80,10 @@
 // One rule carries over from the paper's FUSE prototype: each file has
 // a single writing handle at a time (goroutines sharing that one
 // handle are fine). Opening two write handles to the same name, or
-// writing a store behind an active Mount's back (e.g. Replicate into
-// it), is outside the model — reads through other handles and mounts
-// may then return stale data, particularly with the block cache
-// enabled.
+// writing a store behind an active Mount's back (e.g. copying backing
+// files into it), is outside the model — reads through other handles
+// and mounts may then return stale data, particularly with the block
+// cache enabled.
 //
 // The optional per-mount cache (Options.CacheBlocks) holds verified
 // plaintext data blocks and decoded metadata blocks; hits skip backend
@@ -107,15 +106,10 @@ import (
 	"lamassu/internal/backend/objstore"
 	"lamassu/internal/core"
 	"lamassu/internal/cryptoutil"
-	"lamassu/internal/dupless"
-	"lamassu/internal/integrity"
-	"lamassu/internal/kmip"
 	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
 	"lamassu/internal/namecrypt"
-	"lamassu/internal/nfssim"
 	"lamassu/internal/shard"
-	"lamassu/internal/simclock"
 	"lamassu/internal/vfs"
 )
 
@@ -156,25 +150,6 @@ func KeysFromBytes(inner, outer []byte) (KeyPair, error) {
 	return KeyPair{Inner: in, Outer: out}, nil
 }
 
-// FetchKeys retrieves a zone's key pair from a running key-management
-// server (cmd/kmipd), the deployment model of the paper's §3: clients
-// of one isolation zone share both keys.
-func FetchKeys(serverAddr string, zone uint32) (KeyPair, error) {
-	c, err := kmip.Dial(serverAddr)
-	if err != nil {
-		return KeyPair{}, err
-	}
-	defer c.Close()
-	if _, err := c.CreateZone(kmip.Zone(zone)); err != nil {
-		return KeyPair{}, err
-	}
-	p, err := c.GetPair(kmip.Zone(zone))
-	if err != nil {
-		return KeyPair{}, err
-	}
-	return KeyPair{Inner: p.Inner, Outer: p.Outer}, nil
-}
-
 // Storage is the backing-store interface a Mount writes through; the
 // encrypted backing files it holds are ordinary flat files.
 type Storage = backend.Store
@@ -196,7 +171,8 @@ const (
 	IntegrityMetaOnly
 )
 
-// Options tunes a Mount. The zero value (or nil) selects the paper's
+// Options is what the With* options set on a Mount (and the geometry
+// SegmentStripeBytes reads). The zero value selects the paper's
 // defaults: 4096-byte blocks, R = 8 reserved slots, full integrity.
 type Options struct {
 	// BlockSize is the cipher/layout block size in bytes.
@@ -218,7 +194,7 @@ type Options struct {
 	EncryptNames bool
 	// KeyDeriver, when non-nil, replaces the local convergent KDF
 	// with an external derivation such as the DupLESS server-aided
-	// OPRF (internal/dupless, surfaced via NewDupLESSKeySource). It
+	// OPRF (internal/dupless; see examples/server-aided-keys). It
 	// must be deterministic in the block hash. Expect a severe
 	// performance cost per block (the paper's §1 objection).
 	KeyDeriver func(hash [32]byte) (Key, error)
@@ -234,8 +210,8 @@ type Options struct {
 	CacheBlocks int
 	// Readahead is the number of blocks the sequential-read detector
 	// prefetches asynchronously into the block cache when consecutive
-	// reads form a forward scan. 0 disables readahead. It requires
-	// CacheBlocks > 0.
+	// reads form a forward scan. 0 disables readahead; New rejects it
+	// without CacheBlocks > 0.
 	Readahead int
 	// Shards, when >= 1, carves the provided store into that many
 	// logical shards behind a consistent-hash placement map: backing
@@ -271,9 +247,9 @@ type Options struct {
 	// IOWindow bounds the number of backend I/O operations the engine
 	// keeps in flight at once, independent of Parallelism's CPU
 	// budget — the pipelining knob for high-latency stores
-	// (NewObjectStorage, WithSimulatedNFS), where useful concurrency is
-	// set by the link's latency×bandwidth product rather than core
-	// count. Independent runs of one read and the data writes of one
+	// (NewMemObjectStorage), where useful concurrency is set by the
+	// link's latency×bandwidth product rather than core count.
+	// Independent runs of one read and the data writes of one
 	// commit batch then overlap on the wire, sharded or not, and the
 	// window alone bounds the engine operations outstanding per mount:
 	// every handle's reads and commits share its slots. One operation
@@ -381,20 +357,16 @@ func (m *Mount) guard(op, name string) error {
 	return &PathError{Op: op, Path: name, Err: ErrClosed}
 }
 
-// NewMount opens a Lamassu file system over store with the given zone
-// keys.
-func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
+// New opens a Lamassu file system over store with the given zone keys,
+// configured by functional options. With no options it selects the
+// paper's defaults (4096-byte blocks, R = 8, full integrity, coalesced
+// I/O, no cache, no sharding).
+func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 	var o Options
-	if opts != nil {
-		o = *opts
+	for _, opt := range opts {
+		opt(&o)
 	}
-	if o.BlockSize == 0 {
-		o.BlockSize = layout.DefaultBlockSize
-	}
-	if o.ReservedSlots == 0 {
-		o.ReservedSlots = layout.DefaultReservedSlots
-	}
-	geo, err := layout.NewGeometry(o.BlockSize, o.ReservedSlots)
+	geo, err := o.geometry()
 	if err != nil {
 		return nil, err
 	}
@@ -531,11 +503,6 @@ func NewMount(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
 		shardUser: userStores,
 		wrapStore: wrapNew,
 	}, nil
-}
-
-// MountFS is shorthand for NewMount.
-func MountFS(store Storage, keys KeyPair, opts *Options) (*Mount, error) {
-	return NewMount(store, keys, opts)
 }
 
 // Create opens name read-write, creating it if absent.
@@ -943,7 +910,7 @@ type ObjectStoreParams = objstore.ServerParams
 // regime the pipelining (WithIOWindow) and hedged-read
 // (WithHedgedReads) layers are built for; transport failures are
 // classified retryable, so WithRetry composes. Waits are real
-// (wall-clock), as in WithSimulatedNFS.
+// (wall-clock).
 func NewMemObjectStorage(p ObjectStoreParams) Storage {
 	return objstore.New(objstore.NewMemserver(p, nil))
 }
@@ -999,13 +966,7 @@ func SegmentStripeBytes(opts *Options, target int64) (int64, error) {
 	if opts != nil {
 		o = *opts
 	}
-	if o.BlockSize == 0 {
-		o.BlockSize = layout.DefaultBlockSize
-	}
-	if o.ReservedSlots == 0 {
-		o.ReservedSlots = layout.DefaultReservedSlots
-	}
-	geo, err := layout.NewGeometry(o.BlockSize, o.ReservedSlots)
+	geo, err := o.geometry()
 	if err != nil {
 		return 0, err
 	}
@@ -1013,6 +974,19 @@ func SegmentStripeBytes(opts *Options, target int64) (int64, error) {
 		target = defaultStripeTarget
 	}
 	return segmentAlignedStripe(geo, target), nil
+}
+
+// geometry validates the block size and R, zero selecting the paper's
+// defaults.
+func (o Options) geometry() (layout.Geometry, error) {
+	bs, r := o.BlockSize, o.ReservedSlots
+	if bs == 0 {
+		bs = layout.DefaultBlockSize
+	}
+	if r == 0 {
+		r = layout.DefaultReservedSlots
+	}
+	return layout.NewGeometry(bs, r)
 }
 
 // defaultStripeTarget is the approximate stripe size used when no
@@ -1419,7 +1393,7 @@ func wrapShardNames(nameKey Key, views ...*shard.Store) ([]*shard.Store, error) 
 }
 
 // wrapShardLeaves rebuilds sharded views with wrap applied to each
-// leaf store — the layout NewMount uses for EncryptNames and
+// leaf store — the layout New uses for EncryptNames and
 // WithRetry, so the sharding seam stays outermost (budgets, read
 // fan-out, ShardStats) while the wrappers sit on the physical stores.
 // Slots and views sharing one physical store share ONE wrapper: the
@@ -1457,182 +1431,6 @@ func wrapShardLeaves(wrap func(backend.Store) backend.Store, views ...*shard.Sto
 // or migrated with ordinary tools.
 func NewDirStorage(dir string) (Storage, error) { return backend.NewOSStore(dir) }
 
-// NFSParams tunes the simulated NFS link of WithSimulatedNFS.
-type NFSParams struct {
-	// RTT is the per-operation round trip; WriteRTT (if nonzero)
-	// overrides it for writes.
-	RTT, WriteRTT time.Duration
-	// BandwidthBytesPerSec is the wire bandwidth.
-	BandwidthBytesPerSec float64
-	// TailEvery, when > 0, makes every TailEvery-th operation a tail
-	// event whose latency is multiplied by TailMult — a deterministic
-	// two-point tail distribution, the workload hedged reads
-	// (WithHedgedReads) are built to cut. Zero keeps the historical
-	// fixed-latency link.
-	TailEvery int
-	// TailMult is the tail event's latency multiplier; values <= 1
-	// disable the tail.
-	TailMult float64
-}
-
-// WithSimulatedNFS wraps a backing store with the latency and
-// bandwidth model of a synchronous NFSv3 mount over Gigabit Ethernet
-// (the remote-filer configuration of the paper's Figure 7). Passing a
-// zero NFSParams selects the calibrated GbE defaults. Waits are real
-// (wall-clock); the benchmark harness uses the internal virtual-clock
-// variant instead.
-func WithSimulatedNFS(store Storage, p NFSParams) Storage {
-	params := nfssim.GigabitNFS()
-	if p.RTT != 0 {
-		params.RTT = p.RTT
-	}
-	if p.WriteRTT != 0 {
-		params.WriteRTT = p.WriteRTT
-	}
-	if p.BandwidthBytesPerSec != 0 {
-		params.Bandwidth = p.BandwidthBytesPerSec
-	}
-	params.TailEvery = p.TailEvery
-	params.TailMult = p.TailMult
-	return nfssim.New(store, params, simclock.Real{})
-}
-
-// Copy streams a file between two mounts (or any two vfs.FS views),
-// e.g. from a plaintext staging area into a Lamassu mount.
-func Copy(dst *Mount, dstName string, src *Mount, srcName string) (int64, error) {
-	return vfs.Copy(dst.fs, dstName, src.fs, srcName, 1<<20)
-}
-
-// NewDupLESSKeySource starts talking to a DupLESS-style key server
-// (see internal/dupless and the server-aided-keys example) and returns
-// a KeyDeriver for Options plus a close function. Each derived key
-// costs one blind-signature round trip — the configuration the paper
-// discusses and rejects for block-level use (§1); it is provided for
-// the ablation that quantifies that choice.
-func NewDupLESSKeySource(serverAddr string) (func(hash [32]byte) (Key, error), func() error, error) {
-	nc, err := dupless.Dial(serverAddr)
-	if err != nil {
-		return nil, nil, err
-	}
-	deriver := func(h [32]byte) (Key, error) { return nc.DeriveKey(cryptoutil.Hash(h)) }
-	return deriver, nc.Close, nil
-}
-
-// TrustStore records whole-file MACs outside the untrusted storage
-// for rollback detection (paper §2.5's proposed integrity layer).
-type TrustStore = integrity.TrustStore
-
-// NewMemTrustStore returns an in-memory TrustStore.
-func NewMemTrustStore() TrustStore { return integrity.NewMemTrustStore() }
-
-// RollbackGuard is the stackable whole-file integrity layer over a
-// Mount: opening a file verifies its complete content against the
-// trust store, so even a rollback to an older self-consistent state
-// is detected — the attack the base system cannot see (§2.5).
-type RollbackGuard struct {
-	fs *integrity.FS
-}
-
-// WithRollbackProtection layers rollback detection over a mount. The
-// MAC key is derived from the zone's outer key; trust must live
-// somewhere the storage system cannot write (memory, a local file, or
-// the key server).
-func WithRollbackProtection(m *Mount, keys KeyPair, trust TrustStore) (*RollbackGuard, error) {
-	macKey := cryptoutil.DeriveSubKey(keys.Outer, "lamassu-rollback-mac")
-	fs, err := integrity.New(m.fs, trust, macKey)
-	if err != nil {
-		return nil, err
-	}
-	return &RollbackGuard{fs: fs}, nil
-}
-
-// Create opens name read-write, creating it if absent.
-func (g *RollbackGuard) Create(name string) (File, error) { return g.fs.Create(name) }
-
-// Open opens read-only, verifying the whole file against the trust
-// store first.
-func (g *RollbackGuard) Open(name string) (File, error) { return g.fs.Open(name) }
-
-// OpenRW opens read-write, verifying first.
-func (g *RollbackGuard) OpenRW(name string) (File, error) { return g.fs.OpenRW(name) }
-
-// Remove deletes the file and its trust record.
-func (g *RollbackGuard) Remove(name string) error { return g.fs.Remove(name) }
-
-// WriteFile writes data as the complete content of name.
-func (g *RollbackGuard) WriteFile(name string, data []byte) error {
-	return vfs.WriteAll(g.fs, name, data)
-}
-
-// ReadFile reads and verifies the complete content of name.
-func (g *RollbackGuard) ReadFile(name string) ([]byte, error) {
-	return vfs.ReadAll(g.fs, name)
-}
-
-// VerifyAll audits every tracked file, returning the names that fail.
-func (g *RollbackGuard) VerifyAll() ([]string, error) { return g.fs.VerifyAll() }
-
-// ErrRollback reports a file that no longer matches its trusted
-// state.
-var ErrRollback = integrity.ErrRollback
-
-// Replicate copies every backing file from src to dst byte-for-byte.
-// This is the portability property the paper's embedded-metadata
-// design buys (§1): because the cryptographic metadata travels inside
-// each file's data stream, an encrypted volume can be replicated,
-// migrated or backed up by ANY tool that copies files — no key
-// database to move in parallel, no storage-controller support needed.
-// The function itself needs no keys; it never decrypts anything. It
-// returns the number of files copied.
-func Replicate(dst, src Storage) (int, error) {
-	names, err := src.List()
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, 1<<20)
-	for i, name := range names {
-		if err := replicateFile(dst, src, name, buf); err != nil {
-			return i, fmt.Errorf("lamassu: replicating %q: %w", name, err)
-		}
-	}
-	return len(names), nil
-}
-
-func replicateFile(dst, src Storage, name string, buf []byte) error {
-	in, err := src.Open(name, backend.OpenRead)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := dst.Open(name, backend.OpenCreate)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	size, err := in.Size()
-	if err != nil {
-		return err
-	}
-	if err := out.Truncate(size); err != nil {
-		return err
-	}
-	var off int64
-	for off < size {
-		n := int64(len(buf))
-		if off+n > size {
-			n = size - off
-		}
-		if err := backend.ReadFull(in, buf[:n], off); err != nil {
-			return err
-		}
-		if _, err := out.WriteAt(buf[:n], off); err != nil {
-			return err
-		}
-		off += n
-	}
-	return out.Sync()
-}
-
 // IsNotExist reports whether err indicates a missing file.
 func IsNotExist(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
 
@@ -1640,7 +1438,7 @@ func IsNotExist(err error) bool { return errors.Is(err, vfs.ErrNotExist) }
 // verification.
 func IsIntegrityError(err error) bool { return errors.Is(err, core.ErrIntegrity) }
 
-// Validate returns a human-readable summary of the mount's geometry,
+// String returns a human-readable summary of the mount's geometry,
 // useful for logs.
 func (m *Mount) String() string {
 	g := m.fs.Geometry()

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"testing"
 
 	"lamassu/internal/dedupe"
-	"lamassu/internal/kmip"
 )
 
 func mustKeys(t *testing.T) KeyPair {
@@ -23,7 +21,7 @@ func mustKeys(t *testing.T) KeyPair {
 
 func TestPublicQuickstart(t *testing.T) {
 	keys := mustKeys(t)
-	m, err := NewMount(NewMemStorage(), keys, nil)
+	m, err := New(NewMemStorage(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +68,7 @@ func TestKeysFromBytes(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	keys := mustKeys(t)
-	m, err := NewMount(NewMemStorage(), keys, nil)
+	m, err := New(NewMemStorage(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,27 +86,39 @@ func TestOptionsDefaults(t *testing.T) {
 	if got := m.SpaceOverhead(118 * 4096); got != 4096 {
 		t.Errorf("SpaceOverhead = %d", got)
 	}
-	// Bad options are rejected.
-	if _, err := NewMount(NewMemStorage(), keys, &Options{BlockSize: 100}); err == nil {
-		t.Errorf("bad block size accepted")
-	}
-	if _, err := NewMount(NewMemStorage(), keys, &Options{ReservedSlots: 999}); err == nil {
-		t.Errorf("bad reserved slots accepted")
-	}
-	// MountFS alias works.
-	if _, err := MountFS(NewMemStorage(), keys, nil); err != nil {
-		t.Errorf("MountFS: %v", err)
+}
+
+// TestNewRejectsInvalidOptions: New is where a bad option surfaces.
+func TestNewRejectsInvalidOptions(t *testing.T) {
+	keys := mustKeys(t)
+	for _, tc := range []struct {
+		name string
+		opt  Option
+	}{
+		{"negative parallelism", WithParallelism(-1)},
+		{"negative cache", WithCache(-1)},
+		{"negative readahead", WithReadahead(-1)},
+		{"negative I/O window", WithIOWindow(-1)},
+		{"negative shards", WithShards(-1)},
+		{"readahead without cache", WithReadahead(8)},
+		{"bad block size", WithBlockSize(100)},
+		{"bad reserved slots", WithReservedSlots(999)},
+		{"replication on a plain store", WithReplication(2)},
+	} {
+		if _, err := New(NewMemStorage(), keys, tc.opt); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
 func TestDedupAcrossMountsSharedZone(t *testing.T) {
 	store := NewMemStorage()
 	keys := mustKeys(t)
-	m1, err := NewMount(store, keys, nil)
+	m1, err := New(store, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewMount(store, keys, nil)
+	m2, err := New(store, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestDedupAcrossMountsSharedZone(t *testing.T) {
 
 func TestLatencyCollection(t *testing.T) {
 	keys := mustKeys(t)
-	m, err := NewMount(NewMemStorage(), keys, &Options{CollectLatency: true})
+	m, err := New(NewMemStorage(), keys, WithLatencyCollection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func TestLatencyCollection(t *testing.T) {
 	}
 
 	// Without CollectLatency, Latency is nil and Reset is a no-op.
-	m2, _ := NewMount(NewMemStorage(), keys, nil)
+	m2, _ := New(NewMemStorage(), keys)
 	if m2.Latency() != nil {
 		t.Errorf("latency collected without opt-in")
 	}
@@ -179,7 +189,7 @@ func TestLatencyCollection(t *testing.T) {
 func TestCheckRecoverRekeyThroughPublicAPI(t *testing.T) {
 	store := NewMemStorage()
 	keys := mustKeys(t)
-	m, err := NewMount(store, keys, nil)
+	m, err := New(store, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestCheckRecoverRekeyThroughPublicAPI(t *testing.T) {
 	if _, err := m.RekeyOuter("f", newKeys.Outer); err != nil {
 		t.Fatal(err)
 	}
-	rotated, err := NewMount(store, KeyPair{Inner: keys.Inner, Outer: newKeys.Outer}, nil)
+	rotated, err := New(store, KeyPair{Inner: keys.Inner, Outer: newKeys.Outer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +224,7 @@ func TestCheckRecoverRekeyThroughPublicAPI(t *testing.T) {
 	if _, err := rotated.RekeyFull("f", newKeys); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewMount(store, newKeys, nil)
+	fresh, err := New(store, newKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func TestCheckRecoverRekeyThroughPublicAPI(t *testing.T) {
 func TestIntegrityErrorSurfaced(t *testing.T) {
 	store := NewMemStorage()
 	keys := mustKeys(t)
-	m, err := NewMount(store, keys, nil)
+	m, err := New(store, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +269,7 @@ func TestDirStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := mustKeys(t)
-	m, err := NewMount(store, keys, nil)
+	m, err := New(store, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +282,7 @@ func TestDirStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewMount(store2, keys, nil)
+	m2, err := New(store2, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,86 +292,9 @@ func TestDirStorage(t *testing.T) {
 	}
 }
 
-func TestCopyBetweenMounts(t *testing.T) {
-	keys := mustKeys(t)
-	src, _ := NewMount(NewMemStorage(), keys, nil)
-	dst, _ := NewMount(NewMemStorage(), keys, nil)
-	data := bytes.Repeat([]byte{0x77}, 300000)
-	if err := src.WriteFile("s", data); err != nil {
-		t.Fatal(err)
-	}
-	n, err := Copy(dst, "d", src, "s")
-	if err != nil || n != int64(len(data)) {
-		t.Fatalf("Copy = %d, %v", n, err)
-	}
-	got, err := dst.ReadFile("d")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("copied content: %v", err)
-	}
-}
-
-func TestFetchKeysFromServer(t *testing.T) {
-	srv := kmip.NewServer()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
-
-	k1, err := FetchKeys(ln.Addr().String(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := FetchKeys(ln.Addr().String(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !k1.Inner.Equal(k2.Inner) || !k1.Outer.Equal(k2.Outer) {
-		t.Fatalf("same zone returned different keys")
-	}
-	other, err := FetchKeys(ln.Addr().String(), 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Inner.Equal(k1.Inner) {
-		t.Fatalf("different zones share inner key")
-	}
-	// The fetched keys actually work.
-	m, err := NewMount(NewMemStorage(), k1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteFile("f", []byte("via kmip")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSimulatedNFSStorage(t *testing.T) {
-	store := WithSimulatedNFS(NewMemStorage(), NFSParams{})
-	keys := mustKeys(t)
-	m, err := NewMount(store, keys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteFile("f", []byte("over simulated nfs")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.ReadFile("f")
-	if err != nil || string(got) != "over simulated nfs" {
-		t.Fatalf("NFS round trip: %q, %v", got, err)
-	}
-	// Custom params are honored (no crash; semantics identical).
-	store2 := WithSimulatedNFS(NewMemStorage(), NFSParams{RTT: 1, WriteRTT: 1, BandwidthBytesPerSec: 1e9})
-	m2, _ := NewMount(store2, keys, nil)
-	if err := m2.WriteFile("g", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFilePositionalIO(t *testing.T) {
 	keys := mustKeys(t)
-	m, _ := NewMount(NewMemStorage(), keys, nil)
+	m, _ := New(NewMemStorage(), keys)
 	f, err := m.Create("f")
 	if err != nil {
 		t.Fatal(err)

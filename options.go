@@ -8,26 +8,11 @@ package lamassu
 //		lamassu.WithParallelism(0), // GOMAXPROCS
 //	)
 //
-// Every option corresponds to one field of the legacy Options struct,
-// which remains supported through NewMount as a thin compatibility
-// adapter (NewMount(store, keys, opts) == New(store, keys,
-// WithOptions(opts))). New code should prefer New: options compose,
-// are impossible to zero-value by accident, and let the surface grow
-// without breaking callers.
+// Every option sets one field of Options; the zero Options is the
+// paper's configuration.
 
 // Option configures a Mount at construction.
 type Option func(*Options)
-
-// WithOptions applies a whole legacy Options struct (nil is a no-op).
-// It is the bridge between the two construction styles; options to the
-// right of it override the fields it set.
-func WithOptions(opts *Options) Option {
-	return func(o *Options) {
-		if opts != nil {
-			*o = *opts
-		}
-	}
-}
 
 // WithBlockSize sets the cipher/layout block size in bytes (default
 // 4096, the paper's configuration).
@@ -78,7 +63,7 @@ func WithCache(blocks int) Option {
 }
 
 // WithReadahead arms the sequential-read detector to prefetch the next
-// n blocks into the cache; requires WithCache.
+// n blocks into the cache; New fails without WithCache.
 func WithReadahead(blocks int) Option {
 	return func(o *Options) { o.Readahead = blocks }
 }
@@ -154,16 +139,4 @@ func WithHedgedReads(policy HedgePolicy) Option {
 // Options.Compression for the compatibility contract.
 func WithCompression() Option {
 	return func(o *Options) { o.Compression = true }
-}
-
-// New opens a Lamassu file system over store with the given zone keys,
-// configured by functional options. With no options it selects the
-// paper's defaults (4096-byte blocks, R = 8, full integrity, coalesced
-// I/O, no cache, no sharding).
-func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return NewMount(store, keys, &o)
 }

@@ -34,7 +34,7 @@ func TestShardsCarveByteIdentical(t *testing.T) {
 	backing := func(shards int) *backend.MemStore {
 		t.Helper()
 		mem := backend.NewMemStore()
-		m, err := NewMount(mem, keys, &Options{Shards: shards, Parallelism: 4})
+		m, err := New(mem, keys, WithShards(shards), WithParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestShardsCarveByteIdentical(t *testing.T) {
 		return mem
 	}
 	plain := backend.NewMemStore()
-	m, err := NewMount(plain, keys, nil)
+	m, err := New(plain, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestShardsCarveByteIdentical(t *testing.T) {
 		}
 		// The sharded bytes decrypt through a fresh UNSHARDED mount:
 		// the carve changed nothing the engine can observe.
-		um, err := NewMount(mem, keys, nil)
+		um, err := New(mem, keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestShardedStorageMount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(storage, keys, &Options{Parallelism: 4})
+	m, err := New(storage, keys, WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestShardedStorageMount(t *testing.T) {
 	}
 
 	// An unsharded mount reports no shard stats.
-	plain, err := NewMount(NewMemStorage(), keys, nil)
+	plain, err := New(NewMemStorage(), keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestEncryptNamesOverShardedStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(storage, keys, &Options{EncryptNames: true, Parallelism: 4})
+	m, err := New(storage, keys, WithEncryptedNames(), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRebalanceShardsEncryptedNames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := NewMount(old, keys, &Options{EncryptNames: true, Replicas: replicas})
+			m, err := New(old, keys, WithEncryptedNames(), WithReplication(replicas))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestRebalanceShardsEncryptedNames(t *testing.T) {
 				t.Fatalf("rebalance examined %d files, want %d", st.Files, len(contents))
 			}
 
-			m2, err := NewMount(grown, keys, &Options{EncryptNames: true, Replicas: replicas})
+			m2, err := New(grown, keys, WithEncryptedNames(), WithReplication(replicas))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +304,7 @@ func TestRebalanceShardsPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMount(old, keys, nil)
+	m, err := New(old, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestRebalanceShardsPublicAPI(t *testing.T) {
 		t.Fatalf("rebalance examined %d files, want %d", st.Files, len(contents))
 	}
 
-	m2, err := NewMount(grown, keys, nil)
+	m2, err := New(grown, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,9 +350,6 @@ func TestRebalanceShardsPublicAPI(t *testing.T) {
 
 func TestShardOptionErrors(t *testing.T) {
 	keys := mustKeys(t)
-	if _, err := NewMount(NewMemStorage(), keys, &Options{Shards: -1}); err == nil {
-		t.Fatal("Shards: -1 accepted")
-	}
 	// A stripe that is not a multiple of the block size would let a
 	// block write straddle two shards, breaking the §2.4 whole-block
 	// atomicity assumption; the mount must refuse it.
@@ -363,14 +360,14 @@ func TestShardOptionErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMount(misaligned, keys, nil); err == nil {
+	if _, err := New(misaligned, keys); err == nil {
 		t.Fatal("block-straddling stripe accepted")
 	}
 	sharded, err := NewShardedStorage([]Storage{NewMemStorage()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMount(sharded, keys, &Options{Shards: 2}); err == nil {
+	if _, err := New(sharded, keys, WithShards(2)); err == nil {
 		t.Fatal("double sharding accepted")
 	}
 	if _, err := NewShardedStorage(nil, nil); err == nil {
