@@ -85,35 +85,68 @@ import (
 // of this function plus the already-durable drop below re-commit only
 // what never landed).
 //
+// The pipeline is two halves. The CPU half (prepareCommit) is
+// everything up to and including the encode fan-out; the I/O half
+// (landCommit) is the chunk loop of phases 1–3 and the bookkeeping
+// after it. A commit a write triggers on a windowed mount runs its CPU
+// half on the writer and hands the I/O half to the window
+// (writebehind.go); every other commit runs both here, back to back.
+//
 // The caller must hold seg.mu exclusively.
 func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error {
+	c, err := f.prepareCommit(ctx, seg, si)
+	if err != nil || c == nil {
+		return err
+	}
+	return f.landCommit(ctx, seg, si, c)
+}
+
+// commitIO is a commit's I/O half: what its CPU half derived and
+// encoded, waiting to be written under the §2.4 barriers.
+type commitIO struct {
+	slots   []int
+	newKeys []cryptoutil.Key
+	// lens[i] payload bytes of block i sit at the front of the i-th
+	// BlockSize-strided slot of cts, a slab landCommit returns.
+	lens []int
+	cts  []byte
+	// size is the logical size when the commit was triggered; phase 1
+	// persists it.
+	size int64
+}
+
+// prepareCommit is the CPU half of commitSegment: the midupdate repair,
+// key derivation, the already-durable drop, the compressed-segment flip
+// and the encode fan-out. It returns nil with a nil error when nothing
+// is left to write. The caller must hold seg.mu exclusively.
+func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*commitIO, error) {
 	if len(seg.pending) == 0 {
 		// Nothing buffered (e.g. a truncate dropped the pending set);
 		// clear the batching counter so its staleness cannot trigger
 		// premature one-block commits later.
 		seg.liveOverwrites = 0
-		return nil
+		return nil, nil
 	}
 	if _, pendCap := f.fs.batchCaps(); len(seg.pending) > pendCap {
 		// The write trigger commits at the cap, so this is a bug guard.
-		return fmt.Errorf("lamassu: internal error: %d pending blocks exceed the batch cap %d in segment %d",
+		return nil, fmt.Errorf("lamassu: internal error: %d pending blocks exceed the batch cap %d in segment %d",
 			len(seg.pending), pendCap, si)
 	}
 	if err := f.ensureMeta(ctx, seg, si); err != nil {
-		return err
+		return nil, err
 	}
 	// Refuse to start mutating the in-memory metadata under an
 	// already-dead context; after this point cancellation is observed
 	// at backend-write boundaries only.
 	if err := backend.CtxErr(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	meta := seg.meta
 	// A segment still marked midupdate carries recovery state from an
 	// interrupted commit; repair it before reusing the transient slots.
 	if meta.MidUpdate() {
 		if err := f.recoverSegment(ctx, meta); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -135,7 +168,7 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// A pending block whose stable key already equals its derived key
@@ -162,7 +195,7 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 			// Everything was already on disk; nothing to commit. The
 			// logical size, if dirty, is persistSize's job.
 			f.releasePending(seg)
-			return nil
+			return nil, nil
 		}
 	}
 
@@ -181,24 +214,33 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 	// segment — a full-segment batch must not serialize ~half a megabyte
 	// of AES on one goroutine either way).
 	bs := f.fs.geo.BlockSize
-	cts := f.fs.slabs.get(len(slots) * bs)
-	defer f.fs.slabs.put(cts)
-	lens := make([]int, len(slots))
+	c := &commitIO{slots: slots, newKeys: newKeys, lens: make([]int, len(slots)),
+		cts: f.fs.slabs.get(len(slots) * bs), size: f.sizeNow()}
 	err = f.fs.pool.run(ctx, len(slots), func(i int) error {
-		n, err := f.fs.encode(cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i], meta.Compressed())
+		n, err := f.fs.encode(c.cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i], meta.Compressed())
 		if err != nil {
 			return fmt.Errorf("lamassu: encoding segment %d slot %d: %w", si, slots[i], err)
 		}
-		lens[i] = n
+		c.lens[i] = n
 		return nil
 	})
 	if err != nil {
-		return err
+		f.fs.slabs.put(c.cts)
+		return nil, err
 	}
+	return c, nil
+}
 
-	// One phase 1–3 commit per chunk of at most EffReserved live
-	// overwrites.
-	var sizeAtCommit int64
+// landCommit is the I/O half of commitSegment: one phase 1–3 commit per
+// chunk of at most EffReserved live overwrites, then the release of the
+// pending buffers and the size bookkeeping. Whatever happens, it
+// returns c's slab. On failure the pending blocks stay staged, so a
+// retried commit converges. The caller must hold seg.mu exclusively.
+func (f *file) landCommit(ctx context.Context, seg *segment, si int64, c *commitIO) error {
+	defer f.fs.slabs.put(c.cts)
+	meta := seg.meta
+	bs := f.fs.geo.BlockSize
+	slots := c.slots
 	for lo := 0; lo < len(slots); {
 		hi, overwrites := lo, 0
 		for hi < len(slots) {
@@ -218,8 +260,7 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 			return fmt.Errorf("lamassu: internal error: more than R=%d live blocks overwritten in segment %d",
 				f.fs.geo.Reserved, si)
 		}
-		sizeAtCommit, err = f.commitChunk(ctx, seg, si, slots[lo:hi], newKeys[lo:hi], lens[lo:hi], cts[lo*bs:hi*bs])
-		if err != nil {
+		if err := f.commitChunk(ctx, seg, si, slots[lo:hi], c.newKeys[lo:hi], c.lens[lo:hi], c.cts[lo*bs:hi*bs], c.size); err != nil {
 			return err
 		}
 		lo = hi
@@ -229,10 +270,10 @@ func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error 
 
 	// The final metadata block now carries the size this commit
 	// observed; only mark the size clean if it has not moved since
-	// (a concurrent writer may have extended the file while our
-	// barriers were in flight).
+	// (a writer may have extended the file while our barriers were in
+	// flight).
 	f.stateMu.Lock()
-	if f.size == sizeAtCommit && f.isFinalSegmentLocked(si) {
+	if f.size == c.size && f.isFinalSegmentLocked(si) {
 		f.sizeDirty = false
 	}
 	f.stateMu.Unlock()
@@ -252,10 +293,10 @@ func (f *file) releasePending(seg *segment) {
 // commitChunk runs one complete phase 1–3 commit for a chunk whose live
 // overwrites fit the segment's transient capacity. cts holds the
 // chunk's pre-encoded ciphertexts, one BlockSize-strided slot each,
-// with lens[i] valid payload bytes at the front. Returns the logical
-// size the phase-1 barrier persisted. The caller must hold seg.mu
+// with lens[i] valid payload bytes at the front; the phase-1 barrier
+// persists size as the logical size. The caller must hold seg.mu
 // exclusively.
-func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key, lens []int, cts []byte) (int64, error) {
+func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []int, newKeys []cryptoutil.Key, lens []int, cts []byte, size int64) error {
 	meta := seg.meta
 	compressed := meta.Compressed()
 	keysPerSeg := int64(f.fs.geo.KeysPerSegment())
@@ -285,10 +326,14 @@ func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []
 	}
 	meta.NTransient = uint32(ti)
 	meta.SetMidUpdate(true)
-	sizeAtCommit := f.sizeNow()
-	meta.LogicalSize = uint64(sizeAtCommit)
-	if err := f.fs.writeMeta(ctx, f.bf, f.name, meta); err != nil {
-		return 0, fmt.Errorf("lamassu: commit phase 1 (segment %d): %w", si, err)
+	meta.LogicalSize = uint64(size)
+	// The phase-1 write may be the first to reach past another
+	// segment's slots; padExtent must not probe the size around it.
+	f.extendMu.RLock()
+	err := f.fs.writeMeta(ctx, f.bf, f.name, meta)
+	f.extendMu.RUnlock()
+	if err != nil {
+		return fmt.Errorf("lamassu: commit phase 1 (segment %d): %w", si, err)
 	}
 
 	// The data writes below replace the committed blocks' on-disk
@@ -310,18 +355,18 @@ func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []
 
 	// Phase 2: write the stored payloads between the two metadata
 	// barriers.
-	err := f.writeExtents(ctx, si, slots, lens, cts)
+	err = f.writeExtents(ctx, si, slots, lens, cts)
 	// Second half of the invalidation bracket around phase 2, on the
 	// success and error paths alike.
 	if f.fs.cache != nil {
 		f.fs.cache.invalidateDataBlocks(f.name, dbis)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	last := len(slots) - 1
 	if err := f.padExtent(ctx, si*keysPerSeg+int64(slots[last]), lens[last]); err != nil {
-		return 0, fmt.Errorf("lamassu: commit phase 2 (segment %d extent pad): %w", si, err)
+		return fmt.Errorf("lamassu: commit phase 2 (segment %d extent pad): %w", si, err)
 	}
 
 	// Phase 3: clear the update marker. ClearTransient preserves the
@@ -334,9 +379,9 @@ func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []
 		// marked midupdate, so the in-memory view must agree or a
 		// commit retry would skip the repair pass.
 		meta.SetMidUpdate(true)
-		return 0, fmt.Errorf("lamassu: commit phase 3 (segment %d): %w", si, err)
+		return fmt.Errorf("lamassu: commit phase 3 (segment %d): %w", si, err)
 	}
-	return sizeAtCommit, nil
+	return nil
 }
 
 // extent is one planned backend data I/O: blocks [lo, hi) of the

@@ -38,12 +38,20 @@ func storedBytes(meta *layout.MetaBlock, slot, bs int) int {
 // audit and rekey — holds identically with compression. Ordering
 // matters: the pad lands before the phase-3 barrier, so a cleanly
 // committed segment never has a keyed slot beyond the physical extent.
+//
+// The pad only ever extends: the size probe and the cut hold extendMu
+// exclusively, so no later segment's phase-1 write — the one write of a
+// concurrent commit that can be the first past end — lands between
+// them and is cut away. A later segment whose phase 1 has landed
+// already covers end, and the pad is skipped.
 func (f *file) padExtent(ctx context.Context, dbi int64, stored int) error {
 	bs := f.fs.geo.BlockSize
 	if stored == bs {
 		return nil
 	}
 	end := f.fs.geo.DataBlockOffset(dbi) + int64(bs)
+	f.extendMu.Lock()
+	defer f.extendMu.Unlock()
 	phys, err := f.bf.Size()
 	if err != nil || phys >= end {
 		return err

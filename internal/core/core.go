@@ -44,7 +44,9 @@
 // reads and writes on one handle run concurrently; per-segment locks
 // serialize writes into — and the multiphase commit of — each
 // individual segment, so readers never observe a half-committed
-// segment and commits of distinct segments overlap. Commit's per-block
+// segment and commits of distinct segments overlap — on a windowed
+// mount also with the writer, whose commits run their backend writes
+// behind it (writebehind.go). Commit's per-block
 // work (key derivation, encryption, data writes) fans out across a
 // bounded worker pool (Config.Parallelism) without altering the §2.4
 // metadata barriers, and an optional per-FS LRU cache
@@ -52,7 +54,7 @@
 // to repeated reads; block scratch cycles through a sync.Pool slab
 // allocator so the steady-state hot paths stay allocation-free. Lock
 // order inside a handle is
-// opMu → segment.mu → stateMu, with the cache's internal mutex and
+// opMu → segment.mu → extendMu → stateMu, with the cache's internal mutex and
 // the pool semaphore as leaves. Each file still assumes a single
 // writing handle at a time (the FUSE prototype's single-mount
 // assumption); see the file struct in file.go for the details.
@@ -201,6 +203,15 @@ type Config struct {
 	// (the serialized metadata barrier writes bypass the window), the
 	// on-disk bytes are identical at every setting, and commit errors
 	// keep the deterministic lowest-index-wins semantics.
+	//
+	// A window also moves who waits for a commit a write triggers
+	// (write-behind, writebehind.go): the write waits for the encode
+	// only, and the commit's backend writes run behind it. At most
+	// IOWindow such commits are in flight per mount; Sync, Truncate and
+	// Close wait for a handle's. A failed one surfaces at the handle's
+	// next WriteAt, and at its next Sync, Truncate or Close, which
+	// clears it. Without a window every commit runs inside the call
+	// that triggers it.
 	IOWindow int
 }
 

@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/backend/objstore"
+	"lamassu/internal/faultfs"
 	"lamassu/internal/layout"
 	"lamassu/internal/shard"
 	"lamassu/internal/simclock"
@@ -23,9 +25,10 @@ import (
 // reads, as the N-th context-aware backend read is issued. Several
 // cancelStore wrappers (one per shard) may share one trigger.
 type cancelTrigger struct {
-	mu sync.Mutex
-	w  cancelCount // ticked after each write
-	r  cancelCount // ticked before each read
+	mu     sync.Mutex
+	w      cancelCount // ticked after each write
+	r      cancelCount // ticked before each read
+	truncs int64       // Truncate calls that reached the wrapped store
 }
 
 // cancelCount counts one kind of operation and cancels at the at-th.
@@ -74,6 +77,18 @@ func (c *cancelTrigger) read() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.r.tick()
+}
+
+func (c *cancelTrigger) truncated() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.truncs++
+}
+
+func (c *cancelTrigger) truncates() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.truncs
 }
 
 func (c *cancelTrigger) writes() int64 {
@@ -125,10 +140,13 @@ func (f *cancelFile) WriteAt(p []byte, off int64) (int, error) {
 	f.trig.wrote()
 	return n, err
 }
-func (f *cancelFile) Truncate(size int64) error { return f.inner.Truncate(size) }
-func (f *cancelFile) Size() (int64, error)      { return f.inner.Size() }
-func (f *cancelFile) Sync() error               { return f.inner.Sync() }
-func (f *cancelFile) Close() error              { return f.inner.Close() }
+func (f *cancelFile) Truncate(size int64) error {
+	f.trig.truncated()
+	return f.inner.Truncate(size)
+}
+func (f *cancelFile) Size() (int64, error) { return f.inner.Size() }
+func (f *cancelFile) Sync() error          { return f.inner.Sync() }
+func (f *cancelFile) Close() error         { return f.inner.Close() }
 
 // ReadAtCtx ticks the trigger, then reads — so a cancellation armed for
 // this read lands before the backend sees it, and the read itself is
@@ -151,6 +169,10 @@ func (f *cancelFile) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, 
 }
 
 func (f *cancelFile) TruncateCtx(ctx context.Context, size int64) error {
+	if err := backend.CtxErr(ctx); err != nil {
+		return err
+	}
+	f.trig.truncated()
 	return backend.TruncateCtx(ctx, f.inner, size)
 }
 
@@ -214,11 +236,10 @@ func cancelFixtureOver(t *testing.T, geo layout.Geometry, sharded bool, trig *ca
 // after the 1st, 2nd, 3rd, ... backend write; the failing operation
 // must report ErrCanceled (wrapping context.Canceled), and after
 // recovery every block must hold a state the workload legitimately
-// produced. Swept over both engines, sharded and unsharded — and, for
-// the per-block engine, once more with its writes pipelined on an I/O
-// window over the object backend, where a cut also strands multipart
-// sessions (the public API can no longer select that combination; the
-// coalesced one is the root package's TestRemoteCancelMidCommit).
+// produced. Swept over both engines, sharded and unsharded — and once
+// more each with its writes pipelined on an I/O window over the object
+// backend, where a cut also strands multipart sessions and the commits
+// the workload's writes trigger run behind them (writebehind.go).
 func TestCancelMidCommitSweep(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		name := "unsharded"
@@ -228,6 +249,7 @@ func TestCancelMidCommitSweep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, false) })
 			t.Run("per-block", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, false) })
+			t.Run("coalesced-windowed-objstore", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, true) })
 			t.Run("per-block-windowed-objstore", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, true) })
 		})
 	}
@@ -317,6 +339,13 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing, remote bool)
 		if !errors.Is(werr, context.Canceled) {
 			t.Fatalf("cancelAt=%d: error %v does not wrap context.Canceled", cancelAt, werr)
 		}
+		if remote {
+			// A write that failed up front returns with commits still
+			// behind it; closing under the dead ctx cancels and waits for
+			// them, so the cut is complete before the store is recovered.
+			// Whatever it reports is that same cancellation.
+			_ = fw.CloseCtx(ctx)
+		}
 		// Abandon the handle (as a request handler timing out would) and
 		// verify through a FRESH engine over the surviving store that the
 		// file is recoverable — the crash-equivalence guarantee.
@@ -363,6 +392,135 @@ func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing, remote bool)
 				}
 			}
 		}
+	}
+}
+
+// TestWriteBehindErrorSurfaces: a handed-off commit that fails — here
+// on a fatal fault at its phase-2 write — surfaces at the handle's next
+// operations. The next WriteAt into its segment returns that error (not
+// the internal batch-cap error a write into the still-staged segment
+// would otherwise hit), Sync returns it, and a retried Sync with the
+// fault gone leaves the audit clean and the bytes of a run that never
+// faulted.
+func TestWriteBehindErrorSurfaces(t *testing.T) {
+	geo := layout.Default()
+	data := compressibleBytes(31, geo.KeysPerSegment()*geo.BlockSize, 1) // fills segment 0
+	cfg := testConfig()
+	cfg.IOWindow = 8
+
+	// run writes data through a fresh windowed mount (faulting the
+	// segment's phase-2 write, its second, when fault is set) and
+	// returns the mount and its backing store.
+	run := func(fault bool) (*FS, backend.Store) {
+		mem := backend.NewMemStore()
+		fstore := faultfs.New(mem)
+		lfs := newFS(t, fstore, cfg)
+		f, err := lfs.Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fault {
+			fstore.Arm(faultfs.ModeCrashBefore, 2, 0)
+		}
+		if _, err := f.WriteAt(data, 0); err != nil {
+			t.Fatalf("the write that triggers the commit: %v", err)
+		}
+		if fault {
+			_, err := f.WriteAt([]byte("late"), 0) // into the failed segment
+			if !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("next WriteAt: %v, want the failed commit's %v", err, faultfs.ErrCrashed)
+			}
+			if err := f.Sync(); !errors.Is(err, faultfs.ErrCrashed) {
+				t.Fatalf("Sync: %v, want the failed commit's %v", err, faultfs.ErrCrashed)
+			}
+			fstore.Disarm()
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatalf("Sync (retried: %v): %v", fault, err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return lfs, mem
+	}
+
+	var raw [2][]byte
+	for i, fault := range []bool{false, true} {
+		lfs, mem := run(fault)
+		if rep, err := lfs.Check("f"); err != nil || !rep.Clean() {
+			t.Fatalf("fault %v: audit %+v, %v", fault, rep, err)
+		}
+		got, err := vfs.ReadAll(lfs, "f")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("fault %v: read back %d bytes, %v; want the written segment", fault, len(got), err)
+		}
+		if raw[i], err = backend.ReadFile(mem, "f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(maskMetaBlocks(raw[0]), maskMetaBlocks(raw[1])) {
+		t.Fatal("the retried commit left other data blocks than a run that never faulted")
+	}
+}
+
+// TestWriteBehindCanceledWait: a Sync whose ctx is dead cancels the
+// handle's commits in flight, whichever ctx the writes that handed them
+// off carried. Segment 0's phase-2 write is held in flight while Sync
+// waits under a dead ctx; the commit's ctx dies (the held write sees
+// it), the write lands, and the commit stops before its phase 3: Sync
+// reports ErrCanceled and the segment is left mid-update on disk, a
+// crash cut at that write. A retried Sync with a live ctx converges.
+func TestWriteBehindCanceledWait(t *testing.T) {
+	geo := layout.Default()
+	data := compressibleBytes(71, geo.KeysPerSegment()*geo.BlockSize, 1) // fills segment 0
+	phase2 := newWriteGate()
+	mem := backend.NewMemStore()
+	gs := &gateStore{Store: mem, truncated: make(chan struct{}, 16),
+		gates: map[int64]*writeGate{geo.DataBlockOffset(0): phase2}}
+	cfg := testConfig()
+	cfg.IOWindow = 8
+	lfs := newFS(t, gs, cfg)
+	f, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeBehind(t, f, data, 0)
+	<-phase2.arrived
+
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	synced := make(chan error, 1)
+	go func() { synced <- f.SyncCtx(dead) }()
+	select {
+	case <-phase2.canceled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("SyncCtx under a dead ctx left the commit in flight uncanceled")
+	}
+	close(phase2.open)
+	if err := <-synced; !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("SyncCtx under a dead ctx: %v, want ErrCanceled", err)
+	}
+	raw, err := backend.ReadFile(mem, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := layout.DecodeMetaBlock(geo, raw[:geo.BlockSize], cfg.Outer, 0)
+	if err != nil || !m.MidUpdate() {
+		t.Fatalf("segment 0 after the canceled wait: %v, mid-update %v; want the phase-3 write never issued", err, err == nil && m.MidUpdate())
+	}
+
+	if err := f.SyncCtx(context.Background()); err != nil {
+		t.Fatalf("retried Sync: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := lfs.Check("f"); err != nil || !rep.Clean() {
+		t.Fatalf("audit after the retried Sync: %+v, %v", rep, err)
+	}
+	got, err := vfs.ReadAll(lfs, "f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back %d bytes, %v; want the written segment", len(got), err)
 	}
 }
 
@@ -584,5 +742,69 @@ func TestPreCanceledTruncateToZero(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("canceled truncate-to-zero changed the file: %d bytes, want %d", len(got), len(data))
+	}
+}
+
+// TestCanceledShrinkIssuesNoTruncate: a shrink whose ctx dies at its
+// metadata write — the last write before it cuts the backing file —
+// returns ErrCanceled without issuing the backend Truncate, like every
+// other backend call of the resize; a retry with a live ctx completes
+// the cut.
+func TestCanceledShrinkIssuesNoTruncate(t *testing.T) {
+	geo := layout.Default()
+	data := make([]byte, 2*geo.KeysPerSegment()*geo.BlockSize)
+	rand.New(rand.NewSource(23)).Read(data)
+	newSize := int64(geo.KeysPerSegment()*geo.BlockSize + 100)
+
+	// shrink writes a fresh copy of the file and cuts it to newSize
+	// through a new handle, with the trigger armed to cancel after the
+	// at-th write (0: count only).
+	type shrunk struct {
+		lfs            *FS
+		f              vfs.File
+		writes, truncs int64 // during the cut
+		err            error
+	}
+	shrink := func(at int64) shrunk {
+		trig := &cancelTrigger{}
+		r := shrunk{lfs: newFS(t, &cancelStore{inner: backend.NewMemStore(), trig: trig}, testConfig())}
+		if err := vfs.WriteAll(r.lfs, "f", data); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if r.f, err = r.lfs.OpenRW("f"); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		trig.arm(at, cancel)
+		before := trig.truncates()
+		r.err = r.f.TruncateCtx(ctx, newSize)
+		trig.disarm()
+		r.writes, r.truncs = trig.writes(), trig.truncates()-before
+		return r
+	}
+
+	dry := shrink(0)
+	if dry.err != nil || dry.truncs == 0 {
+		t.Fatalf("dry run: %v, %d backend truncates; the shrink must cut the backing file", dry.err, dry.truncs)
+	}
+	dry.f.Close()
+	r := shrink(dry.writes) // the shrink's last write is its metadata write
+	if !errors.Is(r.err, ErrCanceled) {
+		t.Fatalf("shrink canceled at its metadata write: %v, want ErrCanceled", r.err)
+	}
+	if r.truncs != 0 {
+		t.Fatalf("shrink canceled at its metadata write issued %d backend truncates, want 0", r.truncs)
+	}
+	if err := r.f.TruncateCtx(context.Background(), newSize); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if err := r.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := vfs.ReadAll(r.lfs, "f")
+	if err != nil || !bytes.Equal(got, data[:newSize]) {
+		t.Fatalf("after the retried cut: %d bytes, %v; want the first %d bytes of the file", len(got), err, newSize)
 	}
 }

@@ -96,6 +96,7 @@ type rendezvousStore struct {
 
 	mu     sync.Mutex
 	parked int
+	offs   []int64       // the offsets of the parked operations
 	round  chan struct{} // closed to release the reads parked on it
 	wake   chan struct{} // cap 1: an arrival nudges the driver
 }
@@ -136,26 +137,27 @@ type rendezvousFile struct {
 
 func (f *rendezvousFile) ReadAt(p []byte, off int64) (int, error) {
 	if off != f.s.metaOff && !f.s.parkWrites {
-		f.s.park()
+		f.s.park(off)
 	}
 	return f.File.ReadAt(p, off)
 }
 
 func (f *rendezvousFile) WriteAt(p []byte, off int64) (int, error) {
 	if (off != f.s.metaOff || f.s.parkMeta) && f.s.parkWrites {
-		f.s.park()
+		f.s.park(off)
 	}
 	return f.File.WriteAt(p, off)
 }
 
-// park blocks the caller until the driver releases the round it
-// arrived in.
-func (s *rendezvousStore) park() {
+// park blocks the caller, an operation at off, until the driver
+// releases the round it arrived in.
+func (s *rendezvousStore) park(off int64) {
 	s.mu.Lock()
 	// Counting the arrival and picking the channel it waits on are one
 	// critical section with the driver's release, so every arrival is
 	// counted in exactly the round that releases it.
 	s.parked++
+	s.offs = append(s.offs, off)
 	round := s.round
 	s.mu.Unlock()
 	select {
@@ -190,12 +192,46 @@ func (s *rendezvousStore) drive(done <-chan struct{}) []int {
 		}
 		if n := s.parked; n > 0 && (settled || n == want) {
 			rounds = append(rounds, n)
-			s.parked = 0
-			close(s.round)
-			s.round = make(chan struct{})
+			s.releaseLocked()
 		}
 		s.mu.Unlock()
 	}
+}
+
+func (s *rendezvousStore) releaseLocked() {
+	s.parked, s.offs = 0, nil
+	close(s.round)
+	s.round = make(chan struct{})
+}
+
+// await is the hand-driven alternative to drive: it waits until n
+// operations are parked and returns their offsets in ascending order,
+// releasing nothing.
+func (s *rendezvousStore) await(t *testing.T, n int) []int64 {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		s.mu.Lock()
+		if s.parked >= n {
+			offs := slices.Sorted(slices.Values(s.offs))
+			s.mu.Unlock()
+			return offs
+		}
+		parked := slices.Clone(s.offs)
+		s.mu.Unlock()
+		select {
+		case <-s.wake:
+		case <-timeout:
+			t.Fatalf("waited for %d parked operations; %d arrived, at %v", n, len(parked), parked)
+		}
+	}
+}
+
+// release lets every parked operation go.
+func (s *rendezvousStore) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.releaseLocked()
 }
 
 // TestShardedWindowedReadRounds pins the dispatch rule's critical path
@@ -854,6 +890,330 @@ func TestCommitAsksNoSizes(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+	got, err := vfs.ReadAll(lfs, "f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip: %v, equal %v", err, bytes.Equal(got, data))
+	}
+}
+
+// behindWrite is one WriteAt of the write-behind tests' workload.
+type behindWrite struct {
+	off  int64
+	data []byte
+}
+
+// behindWorkload is the write-behind tests' sequential-plus-overwrite
+// workload (default geometry): segments 0 and 1 written whole, a write
+// each; an overwrite of blocks 10–17 of segment 0, whose live blocks
+// fill the transient slots and trigger a commit; and three blocks of
+// segment 2, which only Close commits.
+func behindWorkload() []behindWrite {
+	geo := layout.Default()
+	bs, kps := geo.BlockSize, geo.KeysPerSegment()
+	block := func(b int) int64 { return int64(b * bs) }
+	return []behindWrite{
+		{block(0), compressibleBytes(51, kps*bs, 0.5)},
+		{block(kps), compressibleBytes(52, kps*bs, 0.5)},
+		{block(10), compressibleBytes(53, 8*bs, 0.5)},
+		{block(2 * kps), compressibleBytes(54, 3*bs, 0.5)},
+	}
+}
+
+// writeBehind writes p at off through f and fails the test unless the
+// WriteAt returns while the backend holds the writes of the commit it
+// triggers.
+func writeBehind(t *testing.T, f vfs.File, p []byte, off int64) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.WriteAt(p, off)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the WriteAt at %d waited for its commit's round trips", off)
+	}
+}
+
+// TestWriteBehindOverlapsCommits pins on rendezvous leaves who waits for
+// a commit's round trips. On a window of 8 the WriteAt that fills
+// segment 0 returns while the commit's phase-1 write is still parked, so
+// long before its phase 3 is admitted; the next WriteAt fills segment 1
+// meanwhile, and that commit's phase-1 write is in flight in the same
+// round as segment 0's phase-2 extent. Without a window nothing is
+// handed off: the call log is the inline engine's, every commit's three
+// writes in order inside the WriteAt that triggers it.
+func TestWriteBehindOverlapsCommits(t *testing.T) {
+	geo := layout.Default()
+	bs, kps := geo.BlockSize, geo.KeysPerSegment()
+	meta := geo.MetaBlockOffset
+	data := func(b int) int64 { return geo.DataBlockOffset(int64(b)) }
+
+	t.Run("window-8", func(t *testing.T) {
+		rs := newRendezvousStore(backend.NewMemStore(), meta(0))
+		rs.parkWrites, rs.parkMeta = true, true
+		cfg := testConfig()
+		cfg.IOWindow = 8
+		lfs := newFS(t, rs, cfg)
+		f, err := lfs.Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := compressibleBytes(55, 2*kps*bs, 1)
+		// write fills segment si; with the rounds held, a WriteAt that
+		// waits for its commit never returns.
+		write := func(si int) {
+			t.Helper()
+			writeBehind(t, f, segs[si*kps*bs:(si+1)*kps*bs], int64(si*kps*bs))
+		}
+		// step checks the next round: n writes, at want (ascending).
+		step := func(n int, want ...int64) {
+			t.Helper()
+			if got := rs.await(t, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("writes in flight together: got offsets %v, want %v", got, want)
+			}
+		}
+
+		write(0)
+		step(1, meta(0)) // phase 1 of segment 0, and the writer is back
+		rs.release()
+		step(1, data(0)) // its phase 2: one extent of the whole segment
+		write(1)
+		step(2, data(0), meta(1)) // segment 1's phase 1 joins that round
+		rs.release()
+		step(2, meta(0), data(kps)) // phase 3 of 0 beside phase 2 of 1
+		rs.release()
+		step(1, meta(1))
+		rs.release()
+
+		done := make(chan struct{})
+		var cerr error
+		go func() {
+			defer close(done)
+			cerr = f.Close()
+		}()
+		if rounds := rs.drive(done); cerr != nil || len(rounds) != 0 {
+			t.Fatalf("Close: %v after %d more rounds of writes, want none", cerr, len(rounds))
+		}
+		got, err := vfs.ReadAll(lfs, "f")
+		if err != nil || !bytes.Equal(got, segs) {
+			t.Fatalf("round trip: %v, equal %v", err, bytes.Equal(got, segs))
+		}
+	})
+
+	t.Run("window-0", func(t *testing.T) {
+		log := &leafLog{}
+		lfs := newFS(t, loggedLeaf{Store: backend.NewMemStore(), log: log}, testConfig())
+		f, err := lfs.Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range behindWorkload() {
+			if _, err := f.WriteAt(w.data, w.off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		commit := func(si int64, first int) []leafCall {
+			return []leafCall{{"write", meta(si)}, {"write", data(first)}, {"write", meta(si)}}
+		}
+		want := []leafCall{{"open", 0}}
+		want = append(want, commit(0, 0)...)
+		want = append(want, commit(1, kps)...)
+		want = append(want, commit(0, 10)...)
+		want = append(want, commit(2, 2*kps)...)
+		if got := log.take(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("leaf calls without a window:\n got  %v\n want %v", got, want)
+		}
+	})
+}
+
+// TestWriteBehindSameBytes: write-behind changes who waits, never what
+// lands. The sequential-plus-overwrite workload leaves the same data
+// blocks (compared with the metadata blocks masked, as the
+// compression-off golden compares them) and the same decoded metadata
+// on a window of 8 as without a window, raw and compressed.
+func TestWriteBehindSameBytes(t *testing.T) {
+	geo := layout.Default()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"raw", testConfig()},
+		{"compressed", compressedConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var raws [2][]byte
+			for i, window := range []int{8, 0} {
+				store := backend.NewMemStore()
+				cfg := tc.cfg
+				cfg.IOWindow = window
+				f, err := newFS(t, store, cfg).Create("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range behindWorkload() {
+					if _, err := f.WriteAt(w.data, w.off); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if raws[i], err = backend.ReadFile(store, "f"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(raws[0]) != len(raws[1]) {
+				t.Fatalf("backing file is %d bytes on window 8, %d without a window", len(raws[0]), len(raws[1]))
+			}
+			if !bytes.Equal(maskMetaBlocks(raws[0]), maskMetaBlocks(raws[1])) {
+				t.Fatal("data blocks differ between window 8 and no window")
+			}
+			bs := int64(geo.BlockSize)
+			for si := int64(0); geo.MetaBlockOffset(si) < int64(len(raws[0])); si++ {
+				var metas [2]*layout.MetaBlock
+				for i, raw := range raws {
+					off := geo.MetaBlockOffset(si)
+					m, err := layout.DecodeMetaBlock(geo, raw[off:off+bs], tc.cfg.Outer, uint64(si))
+					if err != nil {
+						t.Fatalf("segment %d: %v", si, err)
+					}
+					metas[i] = m
+				}
+				if !reflect.DeepEqual(metas[0], metas[1]) {
+					t.Fatalf("segment %d: decoded metadata differs:\n window 8 %+v\n none     %+v", si, metas[0], metas[1])
+				}
+			}
+		})
+	}
+}
+
+// gateStore holds the write at each gated offset until the test opens
+// that gate, and signals every Truncate that reaches the store.
+type gateStore struct {
+	backend.Store
+	gates     map[int64]*writeGate
+	truncated chan struct{} // one send per Truncate; buffered for the test's count
+}
+
+// writeGate holds one write. arrived closes when the write reaches the
+// gate, canceled when its ctx dies while it is held; the write lands
+// once open closes, whatever its ctx.
+type writeGate struct {
+	once                    sync.Once
+	arrived, canceled, open chan struct{}
+}
+
+func newWriteGate() *writeGate {
+	return &writeGate{arrived: make(chan struct{}), canceled: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (s *gateStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := s.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{File: f, s: s}, nil
+}
+
+type gateFile struct {
+	backend.File
+	s *gateStore
+}
+
+func (f gateFile) WriteAt(p []byte, off int64) (int, error) { return f.WriteAtCtx(nil, p, off) }
+
+func (f gateFile) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
+	if err := backend.CtxErr(ctx); err != nil {
+		return 0, err
+	}
+	if g := f.s.gates[off]; g != nil {
+		first := false
+		g.once.Do(func() { first = true; close(g.arrived) })
+		if first {
+			var dead <-chan struct{}
+			if ctx != nil {
+				dead = ctx.Done()
+			}
+			select {
+			case <-g.open:
+			case <-dead:
+				close(g.canceled)
+				<-g.open
+			}
+		}
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f gateFile) Truncate(size int64) error { return f.TruncateCtx(nil, size) }
+
+func (f gateFile) TruncateCtx(ctx context.Context, size int64) error {
+	if err := backend.CtxErr(ctx); err != nil {
+		return err
+	}
+	f.s.truncated <- struct{}{}
+	return f.File.Truncate(size)
+}
+
+func (f gateFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
+	return backend.ReadAtCtx(ctx, f.File, p, off)
+}
+
+func (f gateFile) SyncCtx(ctx context.Context) error { return backend.SyncCtx(ctx, f.File) }
+
+// TestWriteBehindPadWaitsForPhase1: a compressed commit pads the backing
+// file up to its last slot by probing the size and cutting to it, and
+// with write-behind a later segment's commit may be in flight meanwhile.
+// Segment 1's phase-1 write, the first past segment 0's pad, is held in
+// flight while segment 0 finishes phase 2: the pad must not cut the file
+// while that write can still land beyond the cut. It waits for it, and
+// then, with the file already reaching past its end, cuts nothing.
+func TestWriteBehindPadWaitsForPhase1(t *testing.T) {
+	geo := layout.Default()
+	bs, kps := geo.BlockSize, geo.KeysPerSegment()
+	// Every block of segment 0 is stored full-slot but the last, which
+	// is short: phase 2 is one extent, and the pad has slack to cover.
+	data := compressibleBytes(61, 2*kps*bs, 1)
+	copy(data[(kps-1)*bs:kps*bs], compressibleBytes(62, bs, 0.1))
+	phase2, phase1 := newWriteGate(), newWriteGate()
+	gs := &gateStore{Store: backend.NewMemStore(), truncated: make(chan struct{}, 16),
+		gates: map[int64]*writeGate{geo.DataBlockOffset(0): phase2, geo.MetaBlockOffset(1): phase1}}
+	cfg := compressedConfig()
+	cfg.IOWindow = 8
+	lfs := newFS(t, gs, cfg)
+	f, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	writeBehind(t, f, data[:kps*bs], 0)
+	<-phase2.arrived
+	writeBehind(t, f, data[kps*bs:], int64(kps*bs))
+	<-phase1.arrived
+	close(phase2.open)
+	select {
+	case <-gs.truncated:
+		t.Fatal("segment 0's pad cut the file while segment 1's phase-1 write was in flight")
+	case <-time.After(rendezvousSettle):
+	}
+	close(phase1.open)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(gs.truncated); n != 0 {
+		t.Fatalf("%d truncates; segment 1's phase 1 already covers segment 0's pad", n)
+	}
+	if rep, err := lfs.Check("f"); err != nil || !rep.Clean() {
+		t.Fatalf("audit: %+v, %v", rep, err)
 	}
 	got, err := vfs.ReadAll(lfs, "f")
 	if err != nil || !bytes.Equal(got, data) {

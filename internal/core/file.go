@@ -26,12 +26,16 @@ import (
 // multiphase commit — hold it exclusively. A reader therefore never
 // observes a half-committed segment, commits of different segments
 // proceed in parallel, and readers are only ever delayed by a commit
-// of the very segment they are reading.
+// of the very segment they are reading. On a windowed mount a commit's
+// I/O half may hold its segment's lock after the write that triggered
+// it has returned (writebehind.go); the whole-file operations wait for
+// those halves once they hold opMu.
 //
-// Lock order: opMu → segment.mu → stateMu. stateMu is a leaf: no other
-// lock is acquired while holding it. The handle still assumes it is
-// the only writer of the underlying object (single-mount semantics, as
-// in the FUSE prototype); concurrent writers must share one handle.
+// Lock order: opMu → segment.mu → extendMu → stateMu. stateMu is a
+// leaf: no other lock is acquired while holding it. The handle still
+// assumes it is the only writer of the underlying object (single-mount
+// semantics, as in the FUSE prototype); concurrent writers must share
+// one handle.
 type file struct {
 	// Cursor supplies the io.Reader/io.Writer/io.Seeker methods over
 	// the positional I/O below (std-lib interop; bound in newFile).
@@ -44,6 +48,10 @@ type file struct {
 
 	// opMu is the outer operation gate described above.
 	opMu sync.RWMutex
+	// extendMu is held shared by a commit's phase-1 write and
+	// exclusively by padExtent, so the pad never cuts away a concurrent
+	// commit's first write past the pad's end.
+	extendMu sync.RWMutex
 
 	// seqEnd is the byte offset one past the last completed ReadAt —
 	// the sequential-read detector's state. A read starting exactly
@@ -69,6 +77,11 @@ type file struct {
 	closed    bool
 	// segs holds the per-segment concurrency state, created lazily.
 	segs map[int64]*segment
+	// behind holds the handle's commit I/O halves in flight, by segment;
+	// behindErr is the first of them to fail since a whole-file
+	// operation last reported one (writebehind.go).
+	behind    map[int64]*behindJob
+	behindErr error
 }
 
 // segment is the per-segment concurrency unit of a handle.
@@ -713,6 +726,13 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 // state: the §2.4 recovery protocol (run implicitly by the next commit
 // of the segment, or explicitly via Recover) repairs it, and no
 // previously committed byte is lost.
+//
+// On a windowed mount a write that triggers a commit waits only for its
+// encode: it hands the commit's backend writes to the window, still
+// under ctx, and returns (writebehind.go). At most IOWindow such
+// commits are in flight per mount; Sync, Truncate and Close wait for
+// them. If one fails, this and every later WriteAt on the handle
+// returns its error until Sync, Truncate or Close reports it.
 func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	f.opMu.RLock()
 	defer f.opMu.RUnlock()
@@ -743,9 +763,7 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 		slot := geo.SlotOfBlock(dbi)
 		seg := f.segment(si)
 		seg.mu.Lock()
-		err := f.writeSpan(ctx, seg, si, slot, sp, p, off)
-		seg.mu.Unlock()
-		if err != nil {
+		if err := f.writeSpan(ctx, seg, si, slot, sp, p, off); err != nil {
 			return 0, err
 		}
 		return len(p), nil
@@ -758,9 +776,7 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 		slot := geo.SlotOfBlock(sp.Index)
 		seg := f.segment(si)
 		seg.mu.Lock()
-		err := f.writeSpan(ctx, seg, si, slot, sp, p, off)
-		seg.mu.Unlock()
-		if err != nil {
+		if err := f.writeSpan(ctx, seg, si, slot, sp, p, off); err != nil {
 			return sp.BufOff, err
 		}
 	}
@@ -776,9 +792,18 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 // claim no transient slot, so fresh data batches until the segment is
 // full: a sequential append commits a whole segment at once, which the
 // planner then writes as a single extent.
+//
+// The caller locks seg.mu exclusively and writeSpan releases it, itself
+// or through the commit it triggers (commitTriggered). A recorded
+// write-behind failure is returned before the pending set is touched.
 func (f *file) writeSpan(ctx context.Context, seg *segment, si int64, slot int, sp vfs.Span, p []byte, off int64) error {
-	buf, err := f.pendingBlock(ctx, seg, si, slot, sp.Index, sp.Full(f.fs.geo.BlockSize))
+	err := f.behindFailure()
+	var buf []byte
+	if err == nil {
+		buf, err = f.pendingBlock(ctx, seg, si, slot, sp.Index, sp.Full(f.fs.geo.BlockSize))
+	}
 	if err != nil {
+		seg.mu.Unlock()
 		return err
 	}
 	copy(buf[sp.Start:sp.Start+sp.Len], p[sp.BufOff:sp.BufOff+sp.Len])
@@ -790,8 +815,9 @@ func (f *file) writeSpan(ctx context.Context, seg *segment, si int64, slot int, 
 	}
 	f.stateMu.Unlock()
 	if liveCap, pendCap := f.fs.batchCaps(); seg.liveOverwrites >= liveCap || len(seg.pending) >= pendCap {
-		return f.commitSegment(ctx, seg, si)
+		return f.commitTriggered(ctx, seg, si)
 	}
+	seg.mu.Unlock()
 	return nil
 }
 
@@ -879,7 +905,8 @@ func (f *file) Truncate(newSize int64) error { return f.TruncateCtx(nil, newSize
 // the block and segment operations it performs (a sub-block shrink
 // re-commits the boundary segment; a grow persists the new size). A
 // canceled cut is a crash cut — rerun it, or Recover, before trusting
-// the size.
+// the size. It first waits for the handle's write-behind commits, as
+// SyncCtx does, and reports a failed one instead of resizing.
 func (f *file) TruncateCtx(ctx context.Context, newSize int64) error {
 	f.opMu.Lock()
 	defer f.opMu.Unlock()
@@ -891,6 +918,9 @@ func (f *file) TruncateCtx(ctx context.Context, newSize int64) error {
 	}
 	if newSize < 0 {
 		return fmt.Errorf("lamassu: negative size %d", newSize)
+	}
+	if err := f.waitBehind(ctx); err != nil {
+		return err
 	}
 	if newSize == f.size {
 		return nil
@@ -904,10 +934,11 @@ func (f *file) TruncateCtx(ctx context.Context, newSize int64) error {
 // shrink truncates the file to newSize < size.
 //
 // Locking exemption (also grow, persistSize, commitAll): these run
-// only with opMu held exclusively, which drains all positional I/O,
-// so they read and write the stateMu-guarded fields and per-segment
-// state directly without taking the inner locks. Do not call them
-// from a path holding opMu shared.
+// only with opMu held exclusively and the handle's write-behind
+// commits waited for, which drains all positional I/O, so they read
+// and write the stateMu-guarded fields and per-segment state directly
+// without taking the inner locks. Do not call them from a path holding
+// opMu shared.
 func (f *file) shrink(ctx context.Context, newSize int64) error {
 	geo := f.fs.geo
 	bs := int64(geo.BlockSize)
@@ -960,7 +991,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 	if newSize == 0 {
 		f.segs = make(map[int64]*segment)
 		t := f.fs.cfg.Recorder.Start()
-		err := f.bf.Truncate(0)
+		err := backend.TruncateCtx(ctx, f.bf, 0)
 		f.fs.cfg.Recorder.Stop(metrics.IO, t)
 		// Post-truncate drop: a read that re-populated from the
 		// pre-truncate store while the cut was in flight must not
@@ -996,7 +1027,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 		}
 	}
 	t := f.fs.cfg.Recorder.Start()
-	err = f.bf.Truncate(geo.PhysicalSize(newSize))
+	err = backend.TruncateCtx(ctx, f.bf, geo.PhysicalSize(newSize))
 	f.fs.cfg.Recorder.Stop(metrics.IO, t)
 	// Post-truncate drop, as in the newSize == 0 branch above.
 	f.fs.cache.invalidateFile(f.name)
@@ -1036,6 +1067,11 @@ func (f *file) Sync() error { return f.SyncCtx(nil) }
 // commits it flushes. A canceled flush leaves uncommitted segments
 // pending (retryable with a live context) and any interrupted commit
 // in the crash-equivalent state WriteAtCtx documents.
+//
+// It first waits for the handle's write-behind commits (WriteAtCtx),
+// canceling them if ctx is or becomes dead. If one failed, SyncCtx
+// returns its error and flushes nothing; the failed segment stays
+// pending, so the next SyncCtx retries it.
 func (f *file) SyncCtx(ctx context.Context) error {
 	f.opMu.Lock()
 	defer f.opMu.Unlock()
@@ -1044,6 +1080,9 @@ func (f *file) SyncCtx(ctx context.Context) error {
 	}
 	if f.readOnly {
 		return nil
+	}
+	if err := f.waitBehind(ctx); err != nil {
+		return err
 	}
 	if err := f.commitAll(ctx); err != nil {
 		return err
@@ -1063,6 +1102,10 @@ func (f *file) Close() error { return f.CloseCtx(nil) }
 // ALWAYS marked closed and the backing handle released. Data left
 // uncommitted by a canceled close is dropped with the handle, exactly
 // as a crash would drop it; the on-disk state stays recoverable.
+//
+// Before the flush it waits for the handle's write-behind commits
+// (WriteAtCtx), canceling them under a dead ctx; a failed one is
+// reported in place of the flush, and its data dropped with the handle.
 func (f *file) CloseCtx(ctx context.Context) error {
 	f.opMu.Lock()
 	defer f.opMu.Unlock()
@@ -1071,7 +1114,9 @@ func (f *file) CloseCtx(ctx context.Context) error {
 	}
 	var err error
 	if !f.readOnly {
-		err = f.commitAll(ctx)
+		if err = f.waitBehind(ctx); err == nil {
+			err = f.commitAll(ctx)
+		}
 	}
 	f.stateMu.Lock()
 	f.closed = true

@@ -34,8 +34,15 @@ import (
 // holding a pool slot may wait for a window slot (writeExtents does),
 // because every current slot holder is a pure backend call that
 // completes without needing anything the waiter holds.
+//
+// The window also bounds write-behind (writebehind.go): at most
+// cap(sem) commit I/O halves are in flight per mount, counted on behind.
+// That is the same number on a semaphore of its own, because a half
+// spends its life waiting for window slots for its own extents — were
+// it to hold one, a full window of halves would wait on itself.
 type ioWindow struct {
-	sem chan struct{}
+	sem    chan struct{}
+	behind chan struct{}
 	// inFlight gauges the backend operations currently holding a slot;
 	// peak is its high-water mark since the FS was built.
 	inFlight atomic.Int64
@@ -48,7 +55,7 @@ func newIOWindow(n int) *ioWindow {
 	if n <= 0 {
 		return nil
 	}
-	return &ioWindow{sem: make(chan struct{}, n)}
+	return &ioWindow{sem: make(chan struct{}, n), behind: make(chan struct{}, n)}
 }
 
 // acquire takes a window slot, blocking while the window is full.

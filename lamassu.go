@@ -261,6 +261,12 @@ type Options struct {
 	// backend I/O, the A/B baseline. The §2.4 phase barriers remain
 	// hard synchronization points at any setting and the backing bytes
 	// are identical.
+	// A window also takes commits off the writer's critical path: a
+	// WriteAt that fills a batch waits for its encode only, and the
+	// commit's backend writes run behind it, at most IOWindow commits
+	// per mount. Sync, Truncate and Close wait for them. A failed one
+	// is returned by the handle's next WriteAt, and by its next Sync,
+	// Truncate or Close.
 	IOWindow int
 	// Hedge, when non-nil, wraps every physical backing store with
 	// adaptive hedged reads: a read outstanding longer than a high
