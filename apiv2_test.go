@@ -296,7 +296,7 @@ func (f *cancelAfterFile) Close() error              { return f.inner.Close() }
 // surfaces as ErrCanceled (with context.Canceled visible), and the
 // file recovers to a clean, fully-readable state — sharded and
 // unsharded. (internal/core's TestCancelMidCommitSweep cuts at every
-// backend write, over the per-block reference engine too.)
+// backend write.)
 func TestCancelMidCommitPublicAPI(t *testing.T) {
 	keys, err := GenerateKeys()
 	if err != nil {

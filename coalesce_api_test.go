@@ -9,9 +9,9 @@ import (
 
 // The coalescing acceptance bound through the public API: a sequential
 // full-segment append is one run, and costs under a quarter of the
-// paper's m+2 backend I/Os for an m-block commit. The measured ratio
-// against the per-block reference engine on the same workload is
-// internal/core's TestCoalescedSegmentCommitThreeIOs.
+// paper's m+2 backend I/Os for an m-block commit. internal/core's
+// iostats_test.go restates that cost model as counts of the engine on
+// strided overwrites, where no two blocks are adjacent.
 func TestMountCoalescedSegmentCommit(t *testing.T) {
 	keys, err := GenerateKeys()
 	if err != nil {
@@ -41,7 +41,7 @@ func TestMountCoalescedSegmentCommit(t *testing.T) {
 	}
 	st := m.EngineStats()
 	if 4*st.BackendIOs > blocks+2 {
-		t.Fatalf("%d backend I/Os for a %d-block append, want under a quarter of the per-block m+2 = %d",
+		t.Fatalf("%d backend I/Os for a %d-block append, want under a quarter of the paper's m+2 = %d",
 			st.BackendIOs, blocks, blocks+2)
 	}
 	if st.WriteRuns != 1 {

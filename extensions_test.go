@@ -294,4 +294,14 @@ func TestDupLESSKeySourceOption(t *testing.T) {
 	if rep.UniqueBlocks != 3 { // converged data + 2 metadata
 		t.Fatalf("UniqueBlocks = %d, want 3", rep.UniqueBlocks)
 	}
+
+	// The zone is the key server, not the inner key: a full rekey is
+	// refused and leaves the file readable as it was.
+	if _, err := m.RekeyFull("f", mustKeys(t)); err == nil {
+		t.Fatal("RekeyFull accepted on a WithKeyDeriver mount")
+	}
+	got, err = m.ReadFile("f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after refused RekeyFull: %v", err)
+	}
 }

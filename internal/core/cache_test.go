@@ -333,10 +333,6 @@ func TestCacheStatsMatchRecorderEvents(t *testing.T) {
 func TestWriteMetaBracketsInvalidation(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheBlocks = 32
-	// Pin the paper's R-pending batching so the 8-block write below is
-	// exactly one commit (under coalescing, 7 of the 8 blocks are
-	// fresh and would batch further).
-	cfg.DisableCoalescing = true
 	lfs := newFS(t, backend.NewMemStore(), cfg)
 	if err := vfs.WriteAll(lfs, "f", make([]byte, 4096)); err != nil {
 		t.Fatal(err)
@@ -347,7 +343,12 @@ func TestWriteMetaBracketsInvalidation(t *testing.T) {
 	}
 	defer f.Close()
 	before := lfs.cache.snapshot()
-	if _, err := f.WriteAt(make([]byte, 8*4096), 0); err != nil { // one full commit
+	// 7 of the 8 blocks are fresh and would batch further; Sync makes
+	// the write exactly one commit.
+	if _, err := f.WriteAt(make([]byte, 8*4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	// One commit = 2 writeMeta calls (2 bumps each) + the phase-2

@@ -20,47 +20,38 @@ import (
 // through the engine commits once — fresh blocks claim no transient
 // slots, so the whole 118-block segment batches — and phase 2 merges
 // the batch into a single run, for runs+2 = 3 backend writes where the
-// per-block engine pays ~148. The metrics.IO counter must drop at
-// least 4x.
+// paper's cost model charges m+2 = 120. The metrics.IO counter must
+// stay under a quarter of that.
 func TestCoalescedSegmentCommitThreeIOs(t *testing.T) {
-	run := func(disable bool) (writes int64, ios int64) {
-		store := backend.NewMemStore()
-		rec := metrics.New()
-		cfg := testConfig()
-		cfg.Recorder = rec
-		cfg.DisableCoalescing = disable
-		lfs := newFS(t, store, cfg)
-		f, err := lfs.Create("f")
-		if err != nil {
+	store := backend.NewMemStore()
+	rec := metrics.New()
+	cfg := testConfig()
+	cfg.Recorder = rec
+	lfs := newFS(t, store, cfg)
+	f, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	k := lfs.geo.KeysPerSegment() // 118 at the default geometry
+	for i := 0; i < k; i++ {
+		buf[0] = byte(i)
+		if _, err := f.WriteAt(buf, int64(i)*4096); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, 4096)
-		k := lfs.geo.KeysPerSegment() // 118 at the default geometry
-		for i := 0; i < k; i++ {
-			buf[0] = byte(i)
-			if _, err := f.WriteAt(buf, int64(i)*4096); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return store.Stats().Writes, rec.Snapshot().IOs()
 	}
-	cWrites, cIOs := run(false)
-	if cWrites != 3 {
-		t.Fatalf("coalesced full-segment append: %d backend writes, want runs+2 = 3", cWrites)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	pWrites, pIOs := run(true)
-	if pIOs < 4*cIOs {
-		t.Fatalf("metrics.IO dropped only %d -> %d (%.1fx), want >= 4x",
-			pIOs, cIOs, float64(pIOs)/float64(cIOs))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if pWrites <= cWrites {
-		t.Fatalf("per-block engine issued %d writes, coalesced %d; expected a large gap", pWrites, cWrites)
+	if writes := store.Stats().Writes; writes != 3 {
+		t.Fatalf("full-segment append: %d backend writes, want runs+2 = 3", writes)
+	}
+	if ios := rec.Snapshot().IOs(); 4*ios > int64(k+2) {
+		t.Fatalf("metrics.IO = %d for a %d-block append, want under a quarter of the paper's m+2 = %d",
+			ios, k, k+2)
 	}
 }
 
@@ -144,17 +135,6 @@ func TestCoalescedReadRunIOs(t *testing.T) {
 	if runs := rec.Snapshot().Event(metrics.ReadRun); runs != 2 {
 		t.Fatalf("ReadRun = %d, want 2", runs)
 	}
-}
-
-// The per-block engine (DisableCoalescing) must remain a correct
-// vfs.FS: the A/B toggle is only useful if both sides behave
-// identically.
-func TestConformancePerBlockEngine(t *testing.T) {
-	cfg := testConfig()
-	cfg.DisableCoalescing = true
-	fstest.Conformance(t, func(t *testing.T) vfs.FS {
-		return newFS(t, backend.NewMemStore(), cfg)
-	})
 }
 
 // Readahead conformance: the async prefetcher must never change what a
@@ -514,8 +494,8 @@ func TestPlanExtents(t *testing.T) {
 	geo := layout.Default()
 	bs := geo.BlockSize
 	k := int64(geo.KeysPerSegment())
-	planner := func(perBlock bool, stripeBlocks int64) *file {
-		fs := &FS{geo: geo, cfg: Config{DisableCoalescing: perBlock}}
+	planner := func(stripeBlocks int64) *file {
+		fs := &FS{geo: geo}
 		if stripeBlocks > 0 {
 			fs.sharded = stripedPlanStore{&planStore{stripe: stripeBlocks * int64(bs)}}
 		}
@@ -548,25 +528,22 @@ func TestPlanExtents(t *testing.T) {
 
 	for _, tc := range []struct {
 		name         string
-		perBlock     bool
 		stripeBlocks int64
 		blocks       []int64
 		mix          string
 		want         [][2]int
 	}{
-		{"all-full neighbours merge", false, 0, seq(0, 6), "FFFFFF", [][2]int{{0, 6}}},
-		{"short block ends its extent, and may be its last block", false, 0,
+		{"all-full neighbours merge", 0, seq(0, 6), "FFFFFF", [][2]int{{0, 6}}},
+		{"short block ends its extent, and may be its last block", 0,
 			seq(0, 6), "FFSFSS", [][2]int{{0, 3}, {3, 5}, {5, 6}}},
-		{"gap splits", false, 0, []int64{0, 1, 3, 4}, "FFFF", [][2]int{{0, 2}, {2, 4}}},
+		{"gap splits", 0, []int64{0, 1, 3, 4}, "FFFF", [][2]int{{0, 2}, {2, 4}}},
 		// Block i is physical block i+1, so 4-block stripes end after
 		// blocks 2 and 6.
-		{"stripe edge splits", false, 4, seq(0, 8), "FFFFFFFF", [][2]int{{0, 3}, {3, 7}, {7, 8}}},
-		{"segment edge splits", false, 0, seq(k-2, 4), "FFFF", [][2]int{{0, 2}, {2, 4}}},
-		{"merge off: one extent per block", true, 0, seq(0, 4), "FFSF",
-			[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}},
+		{"stripe edge splits", 4, seq(0, 8), "FFFFFFFF", [][2]int{{0, 3}, {3, 7}, {7, 8}}},
+		{"segment edge splits", 0, seq(k-2, 4), "FFFF", [][2]int{{0, 2}, {2, 4}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := bounds(plan(planner(tc.perBlock, tc.stripeBlocks), tc.blocks, tc.mix))
+			got := bounds(plan(planner(tc.stripeBlocks), tc.blocks, tc.mix))
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("extents %v, want %v", got, tc.want)
 			}
@@ -574,14 +551,14 @@ func TestPlanExtents(t *testing.T) {
 	}
 
 	t.Run("every extent carries its offset and owner", func(t *testing.T) {
-		f := planner(false, 4)
+		f := planner(4)
 		for _, x := range plan(f, seq(0, 8), "FFFFFFFF") {
 			off := geo.DataBlockOffset(int64(x.lo))
 			if x.off != off || x.shard != f.fs.sharded.ShardOf("f", off) {
 				t.Fatalf("extent %+v: want off %d shard %d", x, off, f.fs.sharded.ShardOf("f", off))
 			}
 		}
-		if x := plan(planner(false, 0), seq(0, 2), "FF")[0]; x.shard != -1 {
+		if x := plan(planner(0), seq(0, 2), "FF")[0]; x.shard != -1 {
 			t.Fatalf("unsharded extent owned by shard %d, want -1", x.shard)
 		}
 	})
@@ -594,7 +571,7 @@ func TestPlanExtents(t *testing.T) {
 	t.Run("raw equals all-full, commit plan equals read plan", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for round := 0; round < 50; round++ {
-			f := planner(false, int64(rng.Intn(3))*3) // unsharded, or 3/6-block stripes
+			f := planner(int64(rng.Intn(3)) * 3) // unsharded, or 3/6-block stripes
 			const si = 2
 			raw := layout.NewMetaBlock(geo, si)
 			full := layout.NewMetaBlock(geo, si)

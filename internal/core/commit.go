@@ -32,12 +32,11 @@ import (
 //	mode         extent rule (planExtents)          payload per block
 //	raw          merge full-slot neighbours          BlockSize
 //	compressed   same; a short block ends its extent stored length (encode)
-//	per-block    never merge                         as raw / compressed
 //	sharded      also split at stripe edges          unchanged
 //
-// A batch of m blocks costs extents+2 backing I/Os: m+2 in the paper's
-// per-block mode (Config.DisableCoalescing), and as little as 3 for a
-// whole segment of adjacent full-slot blocks. Extents split at shard
+// A batch of m blocks costs extents+2 backing I/Os: the paper's m+2 when
+// no two of them are adjacent, and as little as 3 for a whole segment
+// of adjacent full-slot blocks. Extents split at shard
 // stripe boundaries so each WriteAt lands on exactly one shard and is
 // charged to that shard's slice of the worker pool.
 //
@@ -49,8 +48,7 @@ import (
 // blocks*, not R pending blocks: a purely sequential append buffers a
 // whole segment and commits it with one extent — 3 backing I/Os for
 // 118 blocks — while overwrites of live data still commit every R
-// writes exactly as the paper prescribes. The per-block mode keeps the
-// original R-pending policy (see batchCaps).
+// writes exactly as the paper prescribes (see liveCap).
 //
 // The CPU-bound per-block work fans out across the FS worker pool and
 // all of it — key derivation and the encode (compress + encrypt) of
@@ -127,11 +125,6 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 		seg.liveOverwrites = 0
 		return nil, nil
 	}
-	if _, pendCap := f.fs.batchCaps(); len(seg.pending) > pendCap {
-		// The write trigger commits at the cap, so this is a bug guard.
-		return nil, fmt.Errorf("lamassu: internal error: %d pending blocks exceed the batch cap %d in segment %d",
-			len(seg.pending), pendCap, si)
-	}
 	if err := f.ensureMeta(ctx, seg, si); err != nil {
 		return nil, err
 	}
@@ -179,24 +172,21 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	// exactly these keys, and re-staging them would both waste I/O and
 	// overflow the R transient slots (they were fresh when the
 	// batching trigger counted them). Identical same-content
-	// overwrites get the same free pass. (Not in per-block mode, which
-	// keeps the paper's exact I/O accounting.)
-	if !f.fs.cfg.DisableCoalescing {
-		kept := 0
-		for i, s := range slots {
-			if meta.StableKey(s).Equal(newKeys[i]) {
-				continue
-			}
-			slots[kept], newKeys[kept] = s, newKeys[i]
-			kept++
+	// overwrites get the same free pass.
+	kept := 0
+	for i, s := range slots {
+		if meta.StableKey(s).Equal(newKeys[i]) {
+			continue
 		}
-		slots, newKeys = slots[:kept], newKeys[:kept]
-		if kept == 0 {
-			// Everything was already on disk; nothing to commit. The
-			// logical size, if dirty, is persistSize's job.
-			f.releasePending(seg)
-			return nil, nil
-		}
+		slots[kept], newKeys[kept] = s, newKeys[i]
+		kept++
+	}
+	slots, newKeys = slots[:kept], newKeys[:kept]
+	if kept == 0 {
+		// Everything was already on disk; nothing to commit. The
+		// logical size, if dirty, is persistSize's job.
+		f.releasePending(seg)
+		return nil, nil
 	}
 
 	// A compressed-mode FS flips each raw segment it first commits into:
@@ -399,8 +389,7 @@ type extent struct {
 // block(i), each holding stored(i) payload bytes at the front of its
 // fixed slot — into the extents the commit writes and the read path
 // fetches. This is the only place the adjacency rule is written: block
-// i extends the current extent iff merging is on (off selects the
-// paper's one-I/O-per-block mode), it is the next block on disk in the
+// i extends the current extent iff it is the next block on disk in the
 // same segment (a metadata block separates segments), no shard stripe
 // edge lies between the two (stripes are block-aligned, so contiguous
 // blocks can only change shards at a stripe edge), and block i-1 is
@@ -412,7 +401,6 @@ type extent struct {
 func (f *file) planExtents(n int, block func(int) int64, stored func(int) int) []extent {
 	geo := f.fs.geo
 	bs := int64(geo.BlockSize)
-	merge := !f.fs.cfg.DisableCoalescing
 	var stripe int64
 	if f.fs.sharded != nil {
 		stripe = f.fs.sharded.StripeBytes()
@@ -422,7 +410,7 @@ func (f *file) planExtents(n int, block func(int) int64, stored func(int) int) [
 	for i := 0; i < n; i++ {
 		b := block(i)
 		off := geo.DataBlockOffset(b)
-		if i > 0 && merge && b == block(i-1)+1 && geo.SegmentOfBlock(b) == geo.SegmentOfBlock(b-1) &&
+		if i > 0 && b == block(i-1)+1 && geo.SegmentOfBlock(b) == geo.SegmentOfBlock(b-1) &&
 			(stripe <= 0 || (off-bs)/stripe == off/stripe) && int64(stored(i-1)) == bs {
 			exts[len(exts)-1].hi = i + 1
 			continue

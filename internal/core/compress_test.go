@@ -38,19 +38,11 @@ func compressedConfig() Config {
 	return cfg
 }
 
-// The full conformance suite over the compressed engine, coalesced and
-// per-block: compression must be invisible at the vfs.FS surface.
+// The full conformance suite over the compressed engine: compression
+// must be invisible at the vfs.FS surface.
 func TestConformanceCompressed(t *testing.T) {
 	fstest.Conformance(t, func(t *testing.T) vfs.FS {
 		return newFS(t, backend.NewMemStore(), compressedConfig())
-	})
-}
-
-func TestConformanceCompressedPerBlock(t *testing.T) {
-	cfg := compressedConfig()
-	cfg.DisableCoalescing = true
-	fstest.Conformance(t, func(t *testing.T) vfs.FS {
-		return newFS(t, backend.NewMemStore(), cfg)
 	})
 }
 
@@ -433,19 +425,16 @@ func TestCompressedExtentPlan(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name     string
-		stripe   int64 // bytes; 0 = unsharded
-		perBlock bool
-		extents  [][2]int // [lo, hi) block ranges, in disk order
+		name    string
+		stripe  int64    // bytes; 0 = unsharded
+		extents [][2]int // [lo, hi) block ranges, in disk order
 	}{
-		{"unsharded", 0, false,
+		{"unsharded", 0,
 			[][2]int{{0, 3}, {3, 7}, {7, 8}, {8, 12}}},
 		// Data block i is physical block i+1 (the metadata block leads
 		// the segment), so 2-block stripes end after blocks 0, 2, 4, ...
-		{"stripe-2-blocks", 2 * bs, false,
+		{"stripe-2-blocks", 2 * bs,
 			[][2]int{{0, 1}, {1, 3}, {3, 5}, {5, 7}, {7, 8}, {8, 9}, {9, 11}, {11, 12}}},
-		{"per-block", 0, true,
-			[][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8}, {8, 9}, {9, 10}, {10, 11}, {11, 12}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ps := &planStore{Store: backend.NewMemStore(), stripe: tc.stripe}
@@ -453,14 +442,10 @@ func TestCompressedExtentPlan(t *testing.T) {
 			if tc.stripe > 0 {
 				store = stripedPlanStore{ps}
 			}
-			cfg := compressedConfig()
-			cfg.DisableCoalescing = tc.perBlock
-			lfs := newFS(t, store, cfg)
+			lfs := newFS(t, store, compressedConfig())
 			geo := lfs.geo
 
-			// One commit of all twelve fresh blocks (at Sync; the
-			// per-block engine commits every CompressedReserved writes,
-			// which plans the same one-extent-per-block writes).
+			// One commit of all twelve fresh blocks (at Close).
 			f, err := lfs.Create("f")
 			if err != nil {
 				t.Fatal(err)

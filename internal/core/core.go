@@ -25,20 +25,18 @@
 // multi-block read is serve from memory → plan extents over what is
 // left → fetch each (readSpans). Both ask one planner (planExtents)
 // which stored bytes are contiguous and dispatch its extents under one
-// rule (dispatchExtents). Raw or compressed, merged or per-block,
-// sharded or not are parameters of that pipeline, not engines of their
-// own:
+// rule (dispatchExtents). Raw or compressed, sharded or not are
+// parameters of that pipeline, not engines of their own:
 //
 //	mode        extent rule                     payload per block
 //	raw         merge full-slot neighbours      BlockSize
 //	compressed  same; short block ends extent   stored length
-//	per-block   never merge (m+2 I/Os, paper)   as raw / compressed
 //	sharded     also split at stripe edges      unchanged
 //
 // A batch costs extents+2 backing I/Os, and batching is bounded by the
-// R transient slots only live overwrites consume.
-// Config.DisableCoalescing is the one switch selecting the
-// paper-fidelity per-block reference behaviour.
+// R transient slots only live overwrites consume. On a workload with no
+// adjacency every block is its own extent, and that is the paper's cost
+// model: a batch of m blocks costs m+2.
 //
 // Concurrency: an FS and its handles may be shared freely. Positional
 // reads and writes on one handle run concurrently; per-segment locks
@@ -155,22 +153,11 @@ type Config struct {
 	// 0 disables the cache — the paper's configuration, in which every
 	// read pays backend I/O plus decryption.
 	CacheBlocks int
-	// DisableCoalescing selects the paper's per-block reference
-	// behaviour of the one pipeline: the extent planner never merges
-	// (every committed data block is its own backend WriteAt, every
-	// block read its own backend ReadAt), commit batching triggers at R
-	// pending blocks regardless of whether they overwrite live data,
-	// already-durable blocks are rewritten rather than dropped, and
-	// readahead is off. Merging changes none of the §2.4 barriers or
-	// on-disk bytes — the toggle exists for A/B measurement and for
-	// reproducing the paper's I/O cost model exactly.
-	DisableCoalescing bool
 	// Readahead is the number of blocks the sequential-read detector
 	// prefetches asynchronously into the block cache when consecutive
 	// ReadAt calls form a forward scan. 0 disables readahead; New
 	// rejects it without CacheBlocks > 0 (the prefetched plaintext has
-	// nowhere else to live), and it is ignored when coalescing is
-	// disabled.
+	// nowhere else to live).
 	Readahead int
 	// Compression enables the deterministic compress-then-encrypt
 	// encode stage (the paper's encode = encrypt(compress(input))):

@@ -10,6 +10,7 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/faultfs"
 	"lamassu/internal/layout"
+	"lamassu/internal/metrics"
 	"lamassu/internal/shard"
 	"lamassu/internal/vfs"
 )
@@ -123,26 +124,21 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 	})
 }
 
-// The sweep runs over all FOUR engines: the coalesced default (fewer,
-// larger backend writes — every crash point lands before, between or
-// after whole runs), the paper's per-block engine, and both again with
-// compression on — where phase 2 writes variable stored extents, the
-// workload is compressible (short frames, extent pads), and recovery
-// must restore paired (key, length) state.
+// The sweep runs raw (every crash point lands before, between or after
+// whole extents) and with compression on — where phase 2 writes
+// variable stored extents, the workload is compressible (short frames,
+// extent pads), and recovery must restore paired (key, length) state.
 func testCrashSweepEveryWritePoint(t *testing.T, mk storeMaker) {
-	t.Run("coalesced", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, false, false) })
-	t.Run("per-block", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, true, false) })
-	t.Run("coalesced-compress", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, false, true) })
-	t.Run("per-block-compress", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, true, true) })
+	t.Run("coalesced", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, false) })
+	t.Run("coalesced-compress", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, true) })
 }
 
-func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, disableCoalescing, compress bool) {
+func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, compress bool) {
 	geo, err := layout.NewGeometry(512, 4) // small blocks: many I/Os, fast
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo,
-		DisableCoalescing: disableCoalescing, Compression: compress}
+	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Compression: compress}
 
 	// First, a dry run to count the total number of backend writes.
 	// The compressed sweep starts from compressible old data too, so
@@ -157,8 +153,15 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, disableCoalescing, c
 		}
 	}
 
-	countStore := faultfs.New(mk(t))
-	fsCount, err := New(countStore, cfg)
+	// The counting run also proves the sweep cuts between two data
+	// extents of one phase 2: some commit must write at least two, that
+	// is, more extents than phase-1 barriers.
+	logged := &planStore{Store: mk(t)}
+	countStore := faultfs.New(logged)
+	rec := metrics.New()
+	countCfg := cfg
+	countCfg.Recorder = rec
+	fsCount, err := New(countStore, countCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +169,8 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, disableCoalescing, c
 		t.Fatal(err)
 	}
 	countStore.ResetWriteCount()
+	rec.Reset()
+	logged.take()
 	f, err := fsCount.OpenRW("f")
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +184,13 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, disableCoalescing, c
 	totalWrites := countStore.WriteCount()
 	if totalWrites < 20 {
 		t.Fatalf("workload issued only %d writes; widen it", totalWrites)
+	}
+	logged.mu.Lock()
+	writes := logged.writes // in issue order; take would sort them
+	logged.mu.Unlock()
+	if extents, phase1 := rec.Snapshot().Event(metrics.WriteRun), phase1Writes(geo, writes); extents <= phase1 {
+		t.Fatalf("%d data extents in %d commits: no commit wrote two, so no cut falls between them; change the workload",
+			extents, phase1)
 	}
 	hist := blockHistories(oldData, 7, geo.BlockSize, compress)
 
@@ -244,6 +256,20 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, disableCoalescing, c
 			}
 		}
 	}
+}
+
+// phase1Writes counts the phase-1 barriers in the write log of an
+// engine without an I/O window, whose commits run one at a time: each
+// is a metadata write followed directly by a data write.
+func phase1Writes(geo layout.Geometry, writes []planOp) int64 {
+	isMeta := func(op planOp) bool { return op.off%geo.SegmentPhysBytes() == 0 }
+	var n int64
+	for i := 1; i < len(writes); i++ {
+		if isMeta(writes[i-1]) && !isMeta(writes[i]) {
+			n++
+		}
+	}
+	return n
 }
 
 // A crash exactly between phase 1 and phase 2 leaves the old data on

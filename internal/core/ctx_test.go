@@ -236,10 +236,10 @@ func cancelFixtureOver(t *testing.T, geo layout.Geometry, sharded bool, trig *ca
 // after the 1st, 2nd, 3rd, ... backend write; the failing operation
 // must report ErrCanceled (wrapping context.Canceled), and after
 // recovery every block must hold a state the workload legitimately
-// produced. Swept over both engines, sharded and unsharded — and once
-// more each with its writes pipelined on an I/O window over the object
-// backend, where a cut also strands multipart sessions and the commits
-// the workload's writes trigger run behind them (writebehind.go).
+// produced. Swept sharded and unsharded — and once more each with its
+// writes pipelined on an I/O window over the object backend, where a
+// cut also strands multipart sessions and the commits the workload's
+// writes trigger run behind them (writebehind.go).
 func TestCancelMidCommitSweep(t *testing.T) {
 	for _, sharded := range []bool{false, true} {
 		name := "unsharded"
@@ -247,23 +247,20 @@ func TestCancelMidCommitSweep(t *testing.T) {
 			name = "sharded"
 		}
 		t.Run(name, func(t *testing.T) {
-			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, false) })
-			t.Run("per-block", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, false) })
-			t.Run("coalesced-windowed-objstore", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false, true) })
-			t.Run("per-block-windowed-objstore", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true, true) })
+			t.Run("coalesced", func(t *testing.T) { cancelMidCommitSweep(t, sharded, false) })
+			t.Run("coalesced-windowed-objstore", func(t *testing.T) { cancelMidCommitSweep(t, sharded, true) })
 		})
 	}
 }
 
 // cancelMidCommitSweep runs the sweep over memory stores, or — remote —
 // over zero-latency object stores with an I/O window of 8.
-func cancelMidCommitSweep(t *testing.T, sharded, disableCoalescing, remote bool) {
+func cancelMidCommitSweep(t *testing.T, sharded, remote bool) {
 	geo, err := layout.NewGeometry(512, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo,
-		DisableCoalescing: disableCoalescing}
+	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo}
 	var servers []*objstore.Memserver
 	leaf := memLeaf
 	if remote {
@@ -529,88 +526,81 @@ func TestWriteBehindCanceledWait(t *testing.T) {
 // write — the staged pending blocks survive the cancellation and the
 // implicit midupdate repair re-commits only what never landed.
 func TestCancelRetryConverges(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		name := "coalesced"
-		if disable {
-			name = "per-block"
+	t.Run("coalesced", func(t *testing.T) {
+		geo, err := layout.NewGeometry(512, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			geo, err := layout.NewGeometry(512, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo,
-				DisableCoalescing: disable}
-			trig := &cancelTrigger{}
-			store := &cancelStore{inner: backend.NewMemStore(), trig: trig}
-			lfs, err := New(store, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oldData := make([]byte, 32*1024)
-			rand.New(rand.NewSource(5)).Read(oldData)
-			if err := vfs.WriteAll(lfs, "f", oldData); err != nil {
-				t.Fatal(err)
-			}
+		cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo}
+		trig := &cancelTrigger{}
+		store := &cancelStore{inner: backend.NewMemStore(), trig: trig}
+		lfs, err := New(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldData := make([]byte, 32*1024)
+		rand.New(rand.NewSource(5)).Read(oldData)
+		if err := vfs.WriteAll(lfs, "f", oldData); err != nil {
+			t.Fatal(err)
+		}
 
-			f, err := lfs.OpenRW("f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			trig.arm(2, cancel) // cancel mid-phase-2
-			_, werr := writeWorkloadCtx(ctx, f, oldData, 11)
-			trig.disarm()
-			cancel()
-			if werr == nil || !errors.Is(werr, ErrCanceled) {
-				t.Fatalf("expected mid-commit cancellation, got %v", werr)
-			}
+		f, err := lfs.OpenRW("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		trig.arm(2, cancel) // cancel mid-phase-2
+		_, werr := writeWorkloadCtx(ctx, f, oldData, 11)
+		trig.disarm()
+		cancel()
+		if werr == nil || !errors.Is(werr, ErrCanceled) {
+			t.Fatalf("expected mid-commit cancellation, got %v", werr)
+		}
 
-			// Retry with a live context: the staged blocks (including the
-			// partially-applied canceled write — per-block atomicity, as
-			// in the crash model) must flush cleanly.
-			if err := f.SyncCtx(context.Background()); err != nil {
-				t.Fatalf("retry sync: %v", err)
+		// Retry with a live context: the staged blocks (including the
+		// partially-applied canceled write — per-block atomicity, as
+		// in the crash model) must flush cleanly.
+		if err := f.SyncCtx(context.Background()); err != nil {
+			t.Fatalf("retry sync: %v", err)
+		}
+		rep, err := lfs.Check("f")
+		if err != nil || !rep.Clean() {
+			t.Fatalf("audit after retried sync: %+v, %v", rep, err)
+		}
+		got, err := vfs.ReadAll(lfs, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := blockHistories(oldData, 11, geo.BlockSize, false)
+		bs := geo.BlockSize
+		for b := 0; b*bs < len(got); b++ {
+			lo, hi := b*bs, min((b+1)*bs, len(got))
+			if !hist[b][string(got[lo:hi])] {
+				t.Fatalf("block %d holds a state the workload never produced", b)
 			}
-			rep, err := lfs.Check("f")
-			if err != nil || !rep.Clean() {
-				t.Fatalf("audit after retried sync: %+v, %v", rep, err)
-			}
-			got, err := vfs.ReadAll(lfs, "f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			hist := blockHistories(oldData, 11, geo.BlockSize, false)
-			bs := geo.BlockSize
-			for b := 0; b*bs < len(got); b++ {
-				lo, hi := b*bs, min((b+1)*bs, len(got))
-				if !hist[b][string(got[lo:hi])] {
-					t.Fatalf("block %d holds a state the workload never produced", b)
-				}
-			}
+		}
 
-			// The handle stays fully usable: a complete overwrite with a
-			// live context lands exactly.
-			final := make([]byte, len(oldData))
-			rand.New(rand.NewSource(12)).Read(final)
-			if _, err := f.WriteAtCtx(context.Background(), final, 0); err != nil {
-				t.Fatalf("post-cancel overwrite: %v", err)
-			}
-			if err := f.SyncCtx(context.Background()); err != nil {
-				t.Fatalf("post-cancel sync: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-			got, err = vfs.ReadAll(lfs, "f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, final) {
-				t.Fatalf("content after post-cancel overwrite diverged")
-			}
-		})
-	}
+		// The handle stays fully usable: a complete overwrite with a
+		// live context lands exactly.
+		final := make([]byte, len(oldData))
+		rand.New(rand.NewSource(12)).Read(final)
+		if _, err := f.WriteAtCtx(context.Background(), final, 0); err != nil {
+			t.Fatalf("post-cancel overwrite: %v", err)
+		}
+		if err := f.SyncCtx(context.Background()); err != nil {
+			t.Fatalf("post-cancel sync: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err = vfs.ReadAll(lfs, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, final) {
+			t.Fatalf("content after post-cancel overwrite diverged")
+		}
+	})
 }
 
 // TestPreCanceledContext: an already-canceled context fails fast on

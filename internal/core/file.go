@@ -494,7 +494,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 // into the block cache.
 func (f *file) noteSequential(off, n, size int64) {
 	ra := f.fs.cfg.Readahead
-	if ra <= 0 || f.fs.cache == nil || f.fs.cfg.DisableCoalescing {
+	if ra <= 0 || f.fs.cache == nil {
 		return
 	}
 	end := off + n
@@ -785,13 +785,12 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 
 // writeSpan applies one block-intersecting span of a write under the
 // segment's exclusive lock, extending the logical size and committing
-// the segment when the batching policy fires (batchCaps). The paper's
-// policy — a commit once every R block writes (§2.4) — governs the
-// per-block mode and, by default, writes that replace live blocks
-// (which claim the R transient slots). Pending blocks that were holes
-// claim no transient slot, so fresh data batches until the segment is
-// full: a sequential append commits a whole segment at once, which the
-// planner then writes as a single extent.
+// the segment when the batching policy fires (liveCap). The paper's
+// policy — a commit once every R block writes (§2.4) — governs writes
+// that replace live blocks (which claim the R transient slots). Pending
+// blocks that were holes claim no transient slot, so fresh data batches
+// until the segment is full: a sequential append commits a whole
+// segment at once, which the planner then writes as a single extent.
 //
 // The caller locks seg.mu exclusively and writeSpan releases it, itself
 // or through the commit it triggers (commitTriggered). A recorded
@@ -814,32 +813,27 @@ func (f *file) writeSpan(ctx context.Context, seg *segment, si int64, slot int, 
 		f.sizeDirty = true
 	}
 	f.stateMu.Unlock()
-	if liveCap, pendCap := f.fs.batchCaps(); seg.liveOverwrites >= liveCap || len(seg.pending) >= pendCap {
+	if seg.liveOverwrites >= f.fs.liveCap() || len(seg.pending) >= f.fs.geo.KeysPerSegment() {
 		return f.commitTriggered(ctx, seg, si)
 	}
 	seg.mu.Unlock()
 	return nil
 }
 
-// batchCaps returns the write-trigger policy: a segment commits once
-// its pending live overwrites reach liveCap (each claims a transient
-// slot) or its pending blocks reach pendCap. Fresh blocks claim no
-// transient slot, so by default they batch until the segment is full;
-// the paper's per-block mode commits every R block writes whatever
-// they replace. With compression on, the length table occupies
-// LenSlots of the R reserved slots, so batches bound themselves to the
-// compressed-mode transient capacity. (A compression-off FS keeps the
-// full-R triggers even over segments some other mount compressed; the
-// commit path chunks such batches to fit.)
-func (fs *FS) batchCaps() (liveCap, pendCap int) {
-	liveCap = fs.geo.Reserved
+// liveCap is the write trigger's live-overwrite cap: a segment commits
+// once its pending live overwrites reach it (each claims a transient
+// slot) or once every slot is pending. Fresh blocks claim no transient
+// slot, so they batch until the segment is full. With compression on,
+// the length table occupies LenSlots of the R reserved slots, so
+// batches bound themselves to the compressed-mode transient capacity.
+// (A compression-off FS keeps the full-R trigger even over segments
+// some other mount compressed; the commit path chunks such batches to
+// fit.)
+func (fs *FS) liveCap() int {
 	if fs.cfg.Compression {
-		liveCap = fs.geo.CompressedReserved()
+		return fs.geo.CompressedReserved()
 	}
-	if fs.cfg.DisableCoalescing {
-		return liveCap, liveCap
-	}
-	return liveCap, fs.geo.KeysPerSegment()
+	return fs.geo.Reserved
 }
 
 // pendingBlock returns the mutable plaintext buffer for (seg, slot),

@@ -38,23 +38,22 @@ func FuzzReadWriteTruncate(f *testing.F) {
 		if len(ops) > 512 {
 			ops = ops[:512] // bound op count, not coverage
 		}
-		// Engine variants: the coalesced default (cache off and on),
-		// the paper's per-block engine, coalescing with the
-		// sequential-read prefetcher armed, and both I/O engines with
-		// compression on (the fuzz writes are byte-repeats, so nearly
-		// every block stores short and the variable-extent read/write
-		// paths get the full op soup) — all must agree with the plain
-		// reference and with each other.
+		// Engine variants: the default (cache off and on), the
+		// sequential-read prefetcher armed, and compression on, cache on
+		// and off (the fuzz writes are byte-repeats, so nearly every
+		// block stores short and the variable-extent read/write paths get
+		// the full op soup; with the cache off every compressed read goes
+		// to the backend) — all must agree with the plain reference and
+		// with each other.
 		variants := []struct {
 			name string
 			mut  func(*Config)
 		}{
 			{"cache-off", func(c *Config) {}},
 			{"cache-on", func(c *Config) { c.CacheBlocks = 8 }},
-			{"per-block", func(c *Config) { c.DisableCoalescing = true; c.CacheBlocks = 8 }},
 			{"readahead", func(c *Config) { c.CacheBlocks = 16; c.Readahead = 4 }},
 			{"compressed", func(c *Config) { c.Compression = true; c.CacheBlocks = 8 }},
-			{"compressed-per-block", func(c *Config) { c.Compression = true; c.DisableCoalescing = true }},
+			{"compressed-cache-off", func(c *Config) { c.Compression = true }},
 		}
 		for _, v := range variants {
 			cfg := testConfig()

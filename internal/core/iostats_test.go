@@ -10,123 +10,82 @@ import (
 	"lamassu/internal/vfs"
 )
 
-// The paper's I/O accounting (§2.4): with a single reserved slot
-// (R=1) every data-block write costs three backing I/Os — two
-// metadata writes plus the data block itself. The per-block engine
-// (DisableCoalescing) reproduces that cost model exactly; the
-// coalescing tests below measure the improved accounting.
-func TestThreeIOsPerWriteAtR1(t *testing.T) {
+// stridedOverwrites is the paper's I/O cost model (§2.4) as a workload
+// of the one engine: it writes a file of the given number of whole
+// blocks at geometry (4096, r), then overwrites every other block with
+// content that differs from what is on disk. No two pending blocks are
+// adjacent, so each is its own extent and a batch of m blocks costs
+// m+2 backing writes — two metadata writes plus one per block — with a
+// batch committing every r overwrites. It returns the backing writes
+// the overwrites cost (and a closing Sync's, when sync is set) and the
+// number of blocks overwritten.
+func stridedOverwrites(t *testing.T, r, blocks int, sync bool) (writes int64, n int) {
+	t.Helper()
 	store := backend.NewMemStore()
-	geo, err := layout.NewGeometry(4096, 1)
+	geo, err := layout.NewGeometry(4096, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
 	cfg.Geometry = geo
-	cfg.DisableCoalescing = true
 	lfs := newFS(t, store, cfg)
-
-	f, err := lfs.Create("f")
+	if err := vfs.WriteAll(lfs, "f", bytes.Repeat([]byte{0x61}, blocks*4096)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := lfs.OpenRW("f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// Preallocate so size-update writes don't pollute the count.
-	if err := f.Truncate(64 * 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
 
 	store.ResetStats()
-	buf := bytes.Repeat([]byte{0x61}, 4096)
-	const n = 32
-	for i := 0; i < n; i++ {
-		if _, err := f.WriteAt(buf, int64(i)*4096); err != nil {
+	buf := bytes.Repeat([]byte{0x62}, 4096)
+	for b := 0; b < blocks; b += 2 {
+		if _, err := f.WriteAt(buf, int64(b)*4096); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if sync {
+		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writes := store.Stats().Writes
-	if writes != 3*n {
+	return store.Stats().Writes, n
+}
+
+// With a single reserved slot (R=1) every live overwrite commits alone
+// and costs three backing writes: two metadata writes plus the data
+// block itself.
+func TestThreeIOsPerWriteAtR1(t *testing.T) {
+	writes, n := stridedOverwrites(t, 1, 64, false)
+	if writes != int64(3*n) {
 		t.Fatalf("R=1: %d backing writes for %d block writes, want exactly %d", writes, n, 3*n)
 	}
 }
 
-// Batching amortizes the two metadata I/Os over R block writes: a
-// full batch of m blocks costs m+2 I/Os in the paper's per-block
-// engine.
+// Batching amortizes the two metadata I/Os over R block writes: one
+// batch of R strided overwrites costs R+2.
 func TestBatchedCommitIOs(t *testing.T) {
 	for _, r := range []int{2, 8, 32} {
-		store := backend.NewMemStore()
-		geo, err := layout.NewGeometry(4096, r)
-		if err != nil {
-			t.Fatal(err)
+		writes, n := stridedOverwrites(t, r, 2*r, false)
+		if n != r {
+			t.Fatalf("R=%d: overwrote %d blocks, want one batch of %d", r, n, r)
 		}
-		cfg := testConfig()
-		cfg.Geometry = geo
-		cfg.DisableCoalescing = true
-		lfs := newFS(t, store, cfg)
-
-		f, err := lfs.Create("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Truncate(int64(geo.KeysPerSegment()) * 4096); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-
-		store.ResetStats()
-		buf := bytes.Repeat([]byte{0x62}, 4096)
-		// Write exactly R blocks within one segment: one commit.
-		for i := 0; i < r; i++ {
-			if _, err := f.WriteAt(buf, int64(i)*4096); err != nil {
-				t.Fatal(err)
-			}
-		}
-		writes := store.Stats().Writes
 		if want := int64(r + 2); writes != want {
 			t.Fatalf("R=%d: %d backing writes for one batch, want %d", r, writes, want)
 		}
-		f.Close()
 	}
 }
 
-// Sequential-write I/O amplification falls as R grows — the mechanism
-// behind Figure 10's write-throughput curve (per-block engine; the
-// coalesced engine's amplification is R-independent for fresh data,
-// asserted separately below).
+// Write amplification falls as R grows — the mechanism behind Figure
+// 10's write-throughput curve: a batch of R strided overwrites costs
+// (R+2)/R writes per block. (Fresh data batches until its segment is
+// full whatever R is: TestCoalescedSegmentCommitThreeIOs.)
 func TestWriteAmplificationDecreasesWithR(t *testing.T) {
 	amp := func(r int) float64 {
-		store := backend.NewMemStore()
-		geo, _ := layout.NewGeometry(4096, r)
-		cfg := testConfig()
-		cfg.Geometry = geo
-		cfg.DisableCoalescing = true
-		lfs := newFS(t, store, cfg)
-		f, _ := lfs.Create("f")
-		defer f.Close()
-		const blocks = 472 // 4 segments at R=8
-		if err := f.Truncate(blocks * 4096); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		store.ResetStats()
-		buf := make([]byte, 4096)
-		for i := 0; i < blocks; i++ {
-			if _, err := f.WriteAt(buf, int64(i)*4096); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return float64(store.Stats().Writes) / blocks
+		writes, n := stridedOverwrites(t, r, 472, true) // 4 segments at R=8
+		return float64(writes) / float64(n)
 	}
 	a1 := amp(1)
 	a8 := amp(8)

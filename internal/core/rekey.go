@@ -119,8 +119,14 @@ func (fs *FS) RekeyOuterCtx(ctx context.Context, name string, newOuter cryptouti
 // at hand finishes the job. It does NOT use the multiphase commit of
 // normal writes: there is no phase-1 barrier, so a crash INSIDE a
 // segment leaves data blocks under new keys the old metadata does not
-// describe, which recovery cannot repair (ROADMAP item 4 records the
-// hole). Back the file up, or rotate a copy, when that matters.
+// describe, which recovery cannot repair (ROADMAP item 3(a) records
+// the hole). Back the file up, or rotate a copy, when that matters.
+//
+// An FS with an external Config.KeyDeriver refuses it before any
+// write: its convergent keys come from the deriver, not from the inner
+// key, so re-keying under newInner's local KDF would leave blocks its
+// reads can no longer verify. Rotate such a file's outer key with
+// RekeyOuter.
 func (fs *FS) RekeyFull(name string, newInner, newOuter cryptoutil.Key) (RekeyStats, error) {
 	return fs.RekeyFullCtx(nil, name, newInner, newOuter)
 }
@@ -136,6 +142,10 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 	}
 	if newInner.Equal(newOuter) {
 		return RekeyStats{}, errors.New("lamassu: inner and outer keys must differ")
+	}
+	if fs.cfg.KeyDeriver != nil {
+		return RekeyStats{}, errors.New("lamassu: full rekey is not possible with an external key deriver, " +
+			"whose keys do not come from the inner key; rotate the outer key with RekeyOuter")
 	}
 	bf, err := backend.OpenCtx(ctx, fs.store, name, backend.OpenWrite)
 	if err != nil {

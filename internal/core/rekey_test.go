@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/cryptoutil"
 	"lamassu/internal/dedupe"
 	"lamassu/internal/faultfs"
 	"lamassu/internal/vfs"
@@ -143,6 +144,47 @@ func TestRekeyFullMovesDedupZone(t *testing.T) {
 	// the new zone (b and c share) + 3 metadata blocks.
 	if rep.UniqueBlocks != 5 {
 		t.Fatalf("UniqueBlocks = %d, want 5", rep.UniqueBlocks)
+	}
+}
+
+// With an external KeyDeriver, RekeyFull is refused before any write:
+// it would re-key every block under the local KDF of the new inner key,
+// which reads through the deriver could never verify.
+func TestRekeyFullRefusedWithKeyDeriver(t *testing.T) {
+	store := backend.NewMemStore()
+	cfg := testConfig()
+	cfg.KeyDeriver = func(h cryptoutil.Hash) (cryptoutil.Key, error) {
+		return cryptoutil.DeriveCEKey(h, testKey(9)), nil
+	}
+	lfs := newFS(t, store, cfg)
+	data := make([]byte, 10*4096)
+	for i := range data {
+		data[i] = byte(i >> 8)
+	}
+	if err := vfs.WriteAll(lfs, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	before, err := backend.ReadFile(store, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := lfs.RekeyFull("f", testKey(50), testKey(51)); err == nil {
+		t.Fatal("RekeyFull accepted over an external key deriver")
+	}
+	after, err := backend.ReadFile(store, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused RekeyFull changed the file")
+	}
+	got, err := vfs.ReadAll(lfs, "f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after refused RekeyFull: %v", err)
+	}
+	if rep, err := lfs.Check("f"); err != nil || !rep.Clean() {
+		t.Fatalf("audit after refused RekeyFull: %+v, %v", rep, err)
 	}
 }
 

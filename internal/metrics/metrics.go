@@ -78,7 +78,7 @@ const (
 	// WriteRun / ReadRun count planned data extents issued, in every
 	// mode: one WriteRun per extent a commit writes with a single
 	// WriteAt, one ReadRun per extent a multi-block read fetches with a
-	// single backend read (one block each in per-block mode).
+	// single backend read.
 	WriteRun
 	ReadRun
 	// Prefetch counts asynchronous readahead fetches issued by the

@@ -53,6 +53,9 @@ type file struct {
 	// earlier, so known() drops them all when Store.routeGen moves.
 	missing    map[int]bool
 	missingGen uint64
+	// opening holds, per slot whose first-touch open is in flight, a
+	// channel closed when that open resolves (see handle).
+	opening map[int]chan struct{}
 }
 
 // handle returns the backend.File for one shard slot, opening it on
@@ -60,10 +63,47 @@ type file struct {
 // a read that finds none gets (nil, nil) and treats the range as a
 // hole — a pure read workload must never materialize empty stripe
 // files on shards that hold no data.
+//
+// A slot has at most one first-touch open in flight: a concurrent
+// caller waits for it and asks again instead of opening a second
+// handle. A second handle could not be dropped quietly — closing a
+// handle flushes, and on an object store that completes the upload the
+// first handle's writes are still adding parts to.
 func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool) (backend.File, error) {
-	if h, known, err := f.known(shard, forWrite); known {
-		return h, err
+	for {
+		f.mu.Lock()
+		h, known, err := f.knownLocked(shard, forWrite)
+		if known {
+			f.mu.Unlock()
+			return h, err
+		}
+		opening, busy := f.opening[shard]
+		if !busy {
+			if f.opening == nil {
+				f.opening = make(map[int]chan struct{})
+			}
+			f.opening[shard] = make(chan struct{})
+		}
+		f.mu.Unlock()
+		if !busy {
+			return f.open(ctx, t, shard, forWrite)
+		}
+		var done <-chan struct{}
+		if ctx != nil {
+			done = ctx.Done()
+		}
+		select {
+		case <-opening:
+		case <-done:
+			return nil, backend.CtxErr(ctx)
+		}
 	}
+}
+
+// open is handle's first-touch open of one slot. It runs outside the
+// lock, so a slow open (network backend) does not stall I/O to shards
+// that are already open.
+func (f *file) open(ctx context.Context, t *topology, shard int, forWrite bool) (backend.File, error) {
 	flag := backend.OpenWrite
 	switch {
 	case f.flag == backend.OpenRead:
@@ -71,13 +111,12 @@ func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool
 	case forWrite:
 		flag = backend.OpenCreate
 	}
-	// Open outside the lock: a slow first-touch open (network
-	// backend) must not stall I/O to shards that are already open.
-	// Concurrent openers race; the loser closes its handle.
 	h, err := backend.OpenCtx(ctx, t.stores[shard], f.name, flag)
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	close(f.opening[shard])
+	delete(f.opening, shard)
 	if err != nil {
 		if flag != backend.OpenCreate && errors.Is(err, backend.ErrNotExist) {
 			if f.missing == nil {
@@ -92,10 +131,6 @@ func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool
 		h.Close()
 		return nil, backend.ErrClosed
 	}
-	if existing, ok := f.files[shard]; ok {
-		h.Close()
-		return existing, nil
-	}
 	delete(f.missing, shard)
 	f.files[shard] = h
 	return h, nil
@@ -108,6 +143,11 @@ func (f *file) handle(ctx context.Context, t *topology, shard int, forWrite bool
 func (f *file) known(shard int, forWrite bool) (h backend.File, known bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.knownLocked(shard, forWrite)
+}
+
+// knownLocked is known with f.mu held.
+func (f *file) knownLocked(shard int, forWrite bool) (h backend.File, known bool, err error) {
 	if f.closed {
 		return nil, true, backend.ErrClosed
 	}

@@ -691,7 +691,7 @@ type EngineStats struct {
 	BackendIOs int64
 	// IOBytes is the total payload moved by those calls; BytesPerIO is
 	// the mean payload per call — the coalescing layer's headline
-	// metric (4096 for the paper's per-block engine, a multiple of it
+	// metric (4096 when no two blocks are adjacent, a multiple of it
 	// once runs merge).
 	IOBytes    int64
 	BytesPerIO float64
@@ -834,7 +834,10 @@ func (m *Mount) RekeyOuterCtx(ctx context.Context, name string, newOuter Key) (R
 }
 
 // RekeyFull re-encrypts a file under a new key pair, moving it to a
-// new deduplication isolation zone. The file must be idle.
+// new deduplication isolation zone. The file must be idle. A mount
+// created WithKeyDeriver refuses it before any write: its isolation
+// zone is the deriver, not the inner key, so rotate its outer key with
+// RekeyOuter instead.
 func (m *Mount) RekeyFull(name string, newKeys KeyPair) (RekeyStats, error) {
 	return m.RekeyFullCtx(nil, name, newKeys)
 }

@@ -33,8 +33,8 @@ func newObjStore() (*objstore.Memserver, backend.Store) {
 // clean, every recovered byte is new-data-or-hole, and a retry with a
 // live context converges. Swept sharded and unsharded, because the
 // window dispatcher replaces the pool dispatch on exactly these paths;
-// the per-block reference engine takes the same cuts in internal/core
-// (TestCancelMidCommitSweep/*/per-block-windowed-objstore).
+// internal/core cuts at every backend write of the same configuration
+// (TestCancelMidCommitSweep/*/coalesced-windowed-objstore).
 func TestRemoteCancelMidCommit(t *testing.T) {
 	keys, err := GenerateKeys()
 	if err != nil {
