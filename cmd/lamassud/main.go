@@ -63,9 +63,9 @@ func run(argv []string, ready func(addr string), logw io.Writer) error {
 	replicas := fs.Int("replicas", 0, "replica copies per key on a sharded store (0/1 = single copy)")
 	keyPath := fs.String("keyfile", "", "file with hex inner+outer keys (create with `lamassu keygen`)")
 	tenantsPath := fs.String("tenants", "", "tenant bearer-token map (`tenant: NAME TOKEN` lines, optional `admin: TOKEN`)")
-	parallelism := fs.Int("parallelism", 0, "commit worker-pool width (0 = default)")
+	parallelism := fs.Int("parallelism", 0, "per-block CPU worker-pool width (0 = GOMAXPROCS)")
 	cacheBlocks := fs.Int("cache", 1024, "verified-plaintext block-cache capacity in blocks")
-	ioWindow := fs.Int("iowindow", 0, "bound on concurrently outstanding backend I/Os (0 = unwindowed)")
+	ioWindow := fs.Int("iowindow", 0, "bound on concurrently outstanding backend I/Os (0 = as deep as the worker pool)")
 	compress := fs.Bool("compress", false, "compress blocks before encryption on new writes (deterministic; dedup preserved)")
 	maxInFlight := fs.Int("max-inflight", 0, "admission bound: in-flight requests + engine queue depth (0 = default)")
 	maxUploadMB := fs.Int64("max-upload-mb", 0, "largest accepted PUT body in MiB (0 = unlimited)")
@@ -134,12 +134,8 @@ func run(argv []string, ready func(addr string), logw io.Writer) error {
 		lamassu.WithEncryptedNames(),
 		lamassu.WithLatencyCollection(),
 		lamassu.WithCache(*cacheBlocks),
-	}
-	if *parallelism > 0 {
-		opts = append(opts, lamassu.WithParallelism(*parallelism))
-	}
-	if *ioWindow > 0 {
-		opts = append(opts, lamassu.WithIOWindow(*ioWindow))
+		lamassu.WithParallelism(*parallelism),
+		lamassu.WithIOWindow(*ioWindow),
 	}
 	if *compress {
 		opts = append(opts, lamassu.WithCompression())

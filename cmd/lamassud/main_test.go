@@ -161,6 +161,8 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"store and shards", []string{"-store", store, "-shards", store, "-keyfile", keys, "-tenants", tenants}},
 		{"tls cert without key", []string{"-store", store, "-keyfile", keys, "-tenants", tenants, "-tls-cert", "x.pem"}},
 		{"missing tenants file", []string{"-store", store, "-keyfile", keys, "-tenants", filepath.Join(store, "nope")}},
+		{"negative iowindow", []string{"-store", store, "-keyfile", keys, "-tenants", tenants, "-iowindow", "-3"}},
+		{"negative parallelism", []string{"-store", store, "-keyfile", keys, "-tenants", tenants, "-parallelism", "-1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := run(tc.args, nil, io.Discard); err == nil {

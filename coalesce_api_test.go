@@ -97,13 +97,13 @@ func TestMountCoalescedRunsSplitAtStripeBoundary(t *testing.T) {
 	}
 
 	// Every shard that owns stripes saw backend writes and commit
-	// tasks charged to its budget.
+	// extents charged to its gauges.
 	active := 0
 	for _, s := range m.ShardStats() {
 		if s.Writes > 0 {
 			active++
 			if s.Tasks == 0 {
-				t.Fatalf("shard %d received writes but no budget tasks", s.Shard)
+				t.Fatalf("shard %d received writes but no extent tasks", s.Shard)
 			}
 		}
 	}

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
-	"sync"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
@@ -86,9 +84,10 @@ import (
 // The pipeline is two halves. The CPU half (prepareCommit) is
 // everything up to and including the encode fan-out; the I/O half
 // (landCommit) is the chunk loop of phases 1–3 and the bookkeeping
-// after it. A commit a write triggers on a windowed mount runs its CPU
-// half on the writer and hands the I/O half to the window
-// (writebehind.go); every other commit runs both here, back to back.
+// after it. A commit a write triggers on a mount with a configured
+// window (Config.IOWindow > 0) runs its CPU half on the writer and hands
+// the I/O half to the window (writebehind.go); every other commit runs
+// both here, back to back.
 //
 // The caller must hold seg.mu exclusively.
 func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error {
@@ -436,25 +435,21 @@ func (f *file) planExtents(n int, block func(int) int64, stored func(int) int) [
 // full-slot — so a short final block still merges, trimming the tail
 // of the write. The writes of one chunk run concurrently (the backend
 // is required to support concurrent WriteAt — os files and the memory
-// store do), each from its own disjoint slice of the slab. Error
-// semantics are the pool's: every dispatched write runs, and the
-// failure of the lowest index wins, deterministically.
+// store do), each from its own disjoint slice of the slab, on the I/O
+// window (runWindowed): every dispatched write runs, and the failure of
+// the lowest index wins, deterministically.
 func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []int, cts []byte) error {
 	bs := f.fs.geo.BlockSize
 	first := si * int64(f.fs.geo.KeysPerSegment())
 	exts := f.planExtents(len(slots),
 		func(i int) int64 { return first + int64(slots[i]) },
 		func(i int) int { return lens[i] })
-	_, err := f.dispatchExtents(ctx, exts, true, func(e int) error {
+	_, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
 		x := exts[e]
 		payload := cts[x.lo*bs : (x.hi-1)*bs+lens[x.hi-1]]
-		// On the window nothing else charges the extent to its owning
-		// shard; off it runSharded already has.
-		if f.fs.iow != nil {
-			defer f.fs.pool.noteShardIO(x.shard, metrics.ShardTask)()
-		}
-		// The window slot brackets the backend call only; the task may
-		// already hold a pool slot (see ioWindow's deadlock note).
+		defer f.fs.noteShardIO(x.shard, metrics.ShardTask)()
+		// The window slot brackets the backend call only (see ioWindow's
+		// deadlock note).
 		f.fs.iow.acquire()
 		t := f.fs.cfg.Recorder.Start()
 		_, werr := backend.WriteAtCtx(ctx, f.bf, payload, x.off)
@@ -470,103 +465,6 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 		return nil
 	})
 	return err
-}
-
-// dispatchExtents runs fn once per planned extent under the one
-// dispatch rule both directions share, in this precedence:
-//
-//   - With an I/O window configured the extents — pure backend I/O,
-//     the encode or decode fan-out happens elsewhere — dispatch on the
-//     window itself instead of the worker pool (runWindowed), so the
-//     number of requests on the wire tracks the link's depth rather
-//     than the CPU budget or the shard count: commit or read, sharded
-//     or not, the window alone bounds how many are in flight.
-//   - Otherwise, over a sharded store, each extent is charged to the
-//     one shard it lands on, so traffic into one hot shard queues on
-//     that shard instead of starving the others. (On the window the
-//     extents still count in their shard's gauges — noteShardIO — but
-//     queue on the window.)
-//   - Otherwise the extents share the pool, or run back to back.
-//
-// pooled says who pays for the fan-out without a window. Commit tasks
-// take worker-pool slots (the owning shard's budget first). Read tasks
-// deliberately take none, windowed or not: a reader can block on a
-// segment lock held by that segment's commit, and the commit needs pool
-// slots to finish — a reader holding one while it waits would deadlock
-// the pool. Without a window reads instead get one goroutine per shard
-// (the per-shard gauges still record the fan-out), serial within a
-// shard and when unsharded.
-//
-// Every form has the pool's error semantics: the failure of the lowest
-// extent index wins, and a dead ctx stops dispatch of extents not yet
-// started. The unpooled forms also report that index, which a read maps
-// to a buffer position; the §2.4 semantics are untouched — phase 2
-// still completes in full before the phase-3 barrier.
-func (f *file) dispatchExtents(ctx context.Context, exts []extent, pooled bool, fn func(e int) error) (int, error) {
-	switch {
-	case f.fs.iow != nil:
-		return f.fs.runWindowed(ctx, len(exts), fn)
-	case pooled && f.fs.sharded != nil:
-		return 0, f.fs.pool.runSharded(ctx, len(exts), func(e int) int { return exts[e].shard }, fn)
-	case pooled:
-		return 0, f.fs.pool.run(ctx, len(exts), fn)
-	}
-	// runShard runs shard s's extents in index order, stopping at the
-	// first failure.
-	runShard := func(s int) (int, error) {
-		for e := range exts {
-			if exts[e].shard != s {
-				continue
-			}
-			if err := backend.CtxErr(ctx); err != nil {
-				return e, err
-			}
-			if err := fn(e); err != nil {
-				return e, err
-			}
-		}
-		return 0, nil
-	}
-	shards := extentShards(exts)
-	switch len(shards) {
-	case 0:
-		return 0, nil
-	case 1: // including every unsharded store (all extents at shard -1)
-		return runShard(shards[0])
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	for _, s := range shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if e, err := runShard(s); err != nil {
-				mu.Lock()
-				if firstErr == nil || e < firstIdx {
-					firstErr, firstIdx = err, e
-				}
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	return firstIdx, firstErr
-}
-
-// extentShards returns the distinct owning shards of exts in order of
-// first appearance (a single -1 for an unsharded store).
-func extentShards(exts []extent) []int {
-	var shards []int
-	for _, x := range exts {
-		if !slices.Contains(shards, x.shard) {
-			shards = append(shards, x.shard)
-		}
-	}
-	return shards
 }
 
 // isFinalSegmentLocked reports whether si is the file's final segment

@@ -25,7 +25,7 @@
 // multi-block read is serve from memory → plan extents over what is
 // left → fetch each (readSpans). Both ask one planner (planExtents)
 // which stored bytes are contiguous and dispatch its extents under one
-// rule (dispatchExtents). Raw or compressed, sharded or not are
+// rule (runWindowed, on the mount's I/O window). Raw or compressed, sharded or not are
 // parameters of that pipeline, not engines of their own:
 //
 //	mode        extent rule                     payload per block
@@ -42,12 +42,13 @@
 // reads and writes on one handle run concurrently; per-segment locks
 // serialize writes into — and the multiphase commit of — each
 // individual segment, so readers never observe a half-committed
-// segment and commits of distinct segments overlap — on a windowed
-// mount also with the writer, whose commits run their backend writes
-// behind it (writebehind.go). Commit's per-block
-// work (key derivation, encryption, data writes) fans out across a
-// bounded worker pool (Config.Parallelism) without altering the §2.4
-// metadata barriers, and an optional per-FS LRU cache
+// segment and commits of distinct segments overlap — on a mount with a
+// configured window also with the writer, whose commits run their
+// backend writes behind it (writebehind.go). Per-block CPU work (key
+// derivation, encryption, decode) fans out across a bounded worker pool
+// (Config.Parallelism), and every backend data I/O runs on a bounded
+// I/O window (Config.IOWindow), without altering the §2.4 metadata
+// barriers; an optional per-FS LRU cache
 // (Config.CacheBlocks) serves verified plaintext and decoded metadata
 // to repeated reads; block scratch cycles through a sync.Pool slab
 // allocator so the steady-state hot paths stay allocation-free. Lock
@@ -59,9 +60,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
@@ -142,11 +145,12 @@ type Config struct {
 	// both the write path and the full-integrity read path.
 	KeyDeriver func(cryptoutil.Hash) (cryptoutil.Key, error)
 	// Parallelism bounds the worker goroutines the FS uses for
-	// per-block commit work — convergent key derivation, block
-	// encryption and the data-block backend writes. 0 selects
-	// GOMAXPROCS; 1 forces the fully serial engine of the paper's
-	// prototype. The multiphase metadata barriers (§2.4) are unchanged
-	// at any setting.
+	// per-block CPU work — convergent key derivation, block encryption
+	// and decode. The pool issues no backend writes; those run on the
+	// I/O window (IOWindow), whose depth defaults to this width. 0
+	// selects GOMAXPROCS; 1 forces the fully serial engine of the
+	// paper's prototype. The multiphase metadata barriers (§2.4) are
+	// unchanged at any setting.
 	Parallelism int
 	// CacheBlocks is the capacity, in blocks, of the per-FS LRU cache
 	// of verified plaintext data blocks and decoded metadata blocks.
@@ -179,26 +183,27 @@ type Config struct {
 	// keeps in flight at once, independent of Parallelism's CPU
 	// budget — the pipelining knob for high-latency stores, where the
 	// useful number of outstanding requests is set by the link's
-	// latency×bandwidth product rather than by core count. 0 disables
-	// the window (backend concurrency follows the worker pool — the
-	// historical behavior, right for local disks); 1 serializes
-	// backend I/O, the A/B baseline. Commits and reads, sharded or not,
-	// dispatch their extents on the window (dispatchExtents), and the
-	// window alone bounds the requests in flight per mount, however
+	// latency×bandwidth product rather than by core count. 0 (the
+	// default) makes the window as deep as the worker pool
+	// (Parallelism) — right for local disks, and 1 under the serial
+	// engine; 1 serializes backend I/O, the A/B baseline. Commits and
+	// reads, sharded or not, dispatch their extents on the window
+	// (runWindowed), and the window alone bounds the requests in
+	// flight per mount, however
 	// many handles are busy. The window changes scheduling
 	// only: the §2.4 phase barriers remain hard synchronization points
 	// (the serialized metadata barrier writes bypass the window), the
 	// on-disk bytes are identical at every setting, and commit errors
 	// keep the deterministic lowest-index-wins semantics.
 	//
-	// A window also moves who waits for a commit a write triggers
-	// (write-behind, writebehind.go): the write waits for the encode
-	// only, and the commit's backend writes run behind it. At most
-	// IOWindow such commits are in flight per mount; Sync, Truncate and
-	// Close wait for a handle's. A failed one surfaces at the handle's
-	// next WriteAt, and at its next Sync, Truncate or Close, which
-	// clears it. Without a window every commit runs inside the call
-	// that triggers it.
+	// A window set here (IOWindow > 0) also moves who waits for a
+	// commit a write triggers (write-behind, writebehind.go): the write
+	// waits for the encode only, and the commit's backend writes run
+	// behind it. At most IOWindow such commits are in flight per mount;
+	// Sync, Truncate and Close wait for a handle's. A failed one
+	// surfaces at the handle's next WriteAt, and at its next Sync,
+	// Truncate or Close, which clears it. At 0 every commit runs inside
+	// the call that triggers it.
 	IOWindow int
 }
 
@@ -206,8 +211,8 @@ type Config struct {
 // stripes data across several independent shards (internal/shard's
 // Store). The FS only consumes it — declaring the seam here keeps
 // core free of a dependency on the shard package — and uses it to
-// route per-block commit work onto the owning shard's slice of the
-// worker pool and to fan multi-block reads out across shards.
+// split extents at stripe edges and to charge each extent to its
+// owning shard's gauges (ShardStats).
 type shardedStore interface {
 	// NumShards returns the number of shards.
 	NumShards() int
@@ -234,11 +239,11 @@ type FS struct {
 	// ced is the inner-key convergent KDF with its AES schedule
 	// expanded once; nil when an external KeyDeriver is configured.
 	ced *cryptoutil.CEKeyDeriver
-	// sharded is non-nil when store stripes across >1 shard; the pool
-	// is then carved into per-shard budgets.
-	sharded shardedStore
-	// iow, when non-nil, caps concurrently outstanding backend I/O
-	// (Config.IOWindow).
+	// sharded is non-nil when store stripes across shards; each
+	// extent is then charged to its shard's gauge in shardGauges.
+	sharded     shardedStore
+	shardGauges atomic.Pointer[[]*shardGauge]
+	// iow caps concurrently outstanding backend I/O (Config.IOWindow).
 	iow *ioWindow
 }
 
@@ -276,26 +281,24 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 			return nil, err
 		}
 	}
+	pool := newPool(cfg.Parallelism, cfg.Recorder)
 	fs := &FS{
 		store: store,
 		geo:   cfg.Geometry,
 		cfg:   cfg,
-		pool:  newPool(cfg.Parallelism, cfg.Recorder),
+		pool:  pool,
 		cache: newBlockCache(cfg.CacheBlocks, cfg.Recorder),
 		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
-		iow:   newIOWindow(cfg.IOWindow),
+		iow:   newIOWindow(cmp.Or(cfg.IOWindow, pool.Width())),
 	}
 	if cfg.KeyDeriver == nil {
 		fs.ced = cryptoutil.NewCEKeyDeriver(cfg.Inner)
 	}
-	// A store that stripes across shards gets per-shard worker budgets
-	// so one hot shard cannot monopolize the commit fan-out. A 1-shard
-	// store routes trivially, but still takes the sharded paths so its
-	// ShardStats read consistently with multi-shard mounts (one budget
-	// spanning the whole pool).
+	// A 1-shard store routes trivially, but still takes the sharded
+	// paths so its ShardStats read consistently with multi-shard mounts.
 	if ss, ok := store.(shardedStore); ok && ss.NumShards() >= 1 {
 		fs.sharded = ss
-		fs.pool.carveBudgets(ss.NumShards())
+		fs.resetShardGauges(ss.NumShards())
 	}
 	return fs, nil
 }
@@ -321,20 +324,29 @@ func (fs *FS) PoolStats() PoolStats { return fs.pool.stats() }
 // allocation.
 func (fs *FS) SlabStats() (hits, misses int64) { return fs.slabs.stats() }
 
-// ShardStats returns per-shard worker-budget counters, one entry per
-// shard of a sharded backing store; nil for single-store mounts.
-func (fs *FS) ShardStats() []ShardStats { return fs.pool.shardStats() }
+// ShardStats returns per-shard extent gauges, one entry per shard of a
+// sharded backing store; nil for single-store mounts.
+func (fs *FS) ShardStats() []ShardStats {
+	gauges := fs.loadShardGauges()
+	if gauges == nil {
+		return nil
+	}
+	out := make([]ShardStats, len(gauges))
+	for i, g := range gauges {
+		out[i] = ShardStats{Shard: i, Tasks: g.tasks.Load(), QueueDepth: g.queued.Load()}
+	}
+	return out
+}
 
-// RefreshShardBudgets re-carves the commit worker pool's per-shard
-// budgets from the backing store's CURRENT shard count. An online
-// rebalance calls it when a layout epoch opens (the union of both
-// epochs' shards briefly absorbs commit traffic) and again when the
-// epoch commits (retired shards give their slice back). In-flight
-// batches drain on the budgets they started with; no-op for
+// RefreshShardBudgets resizes the per-shard gauges to the backing
+// store's CURRENT shard count. An online rebalance calls it when a
+// layout epoch opens (the union of both epochs' shards briefly absorbs
+// traffic) and again when the epoch commits (retired shards drop out).
+// Extents in flight finish on the gauges they started with; no-op for
 // unsharded mounts.
 func (fs *FS) RefreshShardBudgets() {
 	if fs.sharded != nil {
-		fs.pool.carveBudgets(fs.sharded.NumShards())
+		fs.resetShardGauges(fs.sharded.NumShards())
 	}
 }
 

@@ -239,14 +239,15 @@ func (s *rendezvousStore) release() {
 // 64 single-block extents; the rendezvous store holds every data read
 // until the round is released, so the number of rounds IS the number of
 // sequential round trips the read waits through on a remote store, and
-// a round's size is the overlap. With a window a read fills it, sharded
-// or not, inside one stripe or across two: 2 rounds of 32 (the sharded
-// rows were 16 rounds of 4 and 8 of 8 at a depth per owning shard, and
-// 64 rounds of 1 before that). Without a window a sharded read keeps
-// its one lane per shard and an unsharded one waits through all 64 —
-// the count behind "a deep window beats window 1 on a 2 ms link". The
-// reads issued are the same multiset whatever the dispatch: the plan is
-// not the dispatcher's to change.
+// a round's size is the overlap. A read fills the window, sharded or
+// not, inside one stripe or across two: 2 rounds of 32 on a window of
+// 32. A no-window row configures none (IOWindow 0) and so reads on the
+// default window, as deep as the pool; it sets Parallelism to fix that
+// depth whatever the machine: n / width rounds, and under the serial
+// engine all 64 — the count behind "a deep window beats window 1 on a
+// 2 ms link". The reads issued are the same
+// multiset whatever the dispatch: the plan is not the dispatcher's to
+// change.
 func TestShardedWindowedReadRounds(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
@@ -258,20 +259,20 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		name   string
-		stripe int64 // bytes; 0 = unsharded
-		window int
-		rounds []int
+		name                string
+		stripe              int64 // bytes; 0 = unsharded
+		window, parallelism int
+		rounds              []int
 	}{
 		// Physical block 0 is the segment's metadata block, so a
 		// 128-block stripe holds all 64 data blocks and a 33-block
 		// stripe splits them 32 / 32 between the two shards.
-		{"sharded-one-stripe-window-32", 128 * bs, 32, repeat(32, 2)},
-		{"sharded-two-stripes-window-32", 33 * bs, 32, repeat(32, 2)},
-		{"sharded-one-stripe-no-window", 128 * bs, 0, repeat(1, 64)},
-		{"sharded-two-stripes-no-window", 33 * bs, 0, repeat(2, 32)},
-		{"unsharded-window-32", 0, 32, repeat(32, 2)},
-		{"unsharded-no-window", 0, 0, repeat(1, 64)},
+		{"sharded-one-stripe-window-32", 128 * bs, 32, 0, repeat(32, 2)},
+		{"sharded-two-stripes-window-32", 33 * bs, 32, 0, repeat(32, 2)},
+		{"sharded-one-stripe-no-window", 128 * bs, 0, 4, repeat(4, 16)},
+		{"sharded-two-stripes-no-window", 33 * bs, 0, 8, repeat(8, 8)},
+		{"unsharded-window-32", 0, 32, 0, repeat(32, 2)},
+		{"unsharded-no-window", 0, 0, 1, repeat(1, 64)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
@@ -282,6 +283,7 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 			}
 			cfg := compressedConfig()
 			cfg.IOWindow = tc.window
+			cfg.Parallelism = tc.parallelism
 			lfs := newFS(t, store, cfg)
 			want := writeShortBlocks(t, lfs, data)
 			ps.take()
@@ -385,11 +387,11 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestWindowedCommitChargesShards: a commit dispatched on the I/O window
-// never passes through runSharded, so writeExtents charges each extent
-// to its owning shard itself. The same 64 extents, 32 per shard, report
-// the same per-shard Tasks and ShardTask events with and without a
-// window — counted once on either path — and QueueDepth returns to 0.
+// TestWindowedCommitChargesShards: writeExtents charges each extent to
+// its owning shard. The same 64 extents, 32 per shard, report the same
+// per-shard Tasks and ShardTask events on a configured window and
+// without one (the default window, as deep as the pool), pooled or
+// serial — counted once each — and QueueDepth returns to 0.
 func TestWindowedCommitChargesShards(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
@@ -413,11 +415,7 @@ func TestWindowedCommitChargesShards(t *testing.T) {
 			if err := vfs.WriteAll(lfs, "f", data); err != nil {
 				t.Fatal(err)
 			}
-			got := lfs.ShardStats()
-			for i := range got {
-				got[i].Budget = 0 // the carve follows Parallelism, not the dispatch
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := lfs.ShardStats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("per-shard gauges after one commit of %d extents:\n got  %+v\n want %+v", nblocks, got, want)
 			}
 			if n := cfg.Recorder.Snapshot().Event(metrics.ShardTask); n != nblocks {
@@ -430,9 +428,11 @@ func TestWindowedCommitChargesShards(t *testing.T) {
 // TestWindowedCommitRounds is the commit direction of the same count:
 // phase 2 of a fresh segment of 64 short blocks is 64 single-block
 // extents, and the rendezvous store now holds the data writes. On a
-// window of 32 the commit waits through 2 rounds of 32; the serial
-// engine without one through 64. Both write the same plan and the same
-// bytes.
+// window of 32 the commit waits through 2 rounds of 32; with none
+// configured, on the default window as deep as the pool, through
+// n / width: 16 rounds of 4 at Parallelism 4, and 64 under the serial
+// engine. All write the same plan
+// and the same bytes.
 //
 // The replicated rows run the same commit over a shard.Store with R=2 on
 // two rendezvous leaves, metadata writes parked as well, and count LEAF
@@ -448,15 +448,16 @@ func TestWindowedCommitRounds(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
 	for _, tc := range []struct {
-		name     string
-		window   int
-		replicas int // > 0: shard.Store over this many rendezvous leaves
-		rounds   []int
+		name                string
+		window, parallelism int
+		replicas            int // > 0: shard.Store over this many rendezvous leaves
+		rounds              []int
 	}{
-		{"window-32", 32, 0, []int{32, 32}},
-		{"serial-no-window", 0, 0, slices.Repeat([]int{1}, nblocks)},
-		{"replicated-window-32", 32, 2, []int{2, 64, 64, 2}},
-		{"replicated-window-1", 1, 2, slices.Repeat([]int{2}, nblocks+2)},
+		{"window-32", 32, 1, 0, []int{32, 32}},
+		{"no-window-4", 0, 4, 0, slices.Repeat([]int{4}, nblocks/4)},
+		{"serial-no-window", 0, 1, 0, slices.Repeat([]int{1}, nblocks)},
+		{"replicated-window-32", 32, 1, 2, []int{2, 64, 64, 2}},
+		{"replicated-window-1", 1, 1, 2, slices.Repeat([]int{2}, nblocks+2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := newRendezvousStore(nil, layout.Default().MetaBlockOffset(0))
@@ -489,7 +490,7 @@ func TestWindowedCommitRounds(t *testing.T) {
 			}
 			cfg := compressedConfig()
 			cfg.IOWindow = tc.window
-			cfg.Parallelism = 1
+			cfg.Parallelism = tc.parallelism
 			lfs := newFS(t, store, cfg)
 
 			done := make(chan struct{})
@@ -581,24 +582,25 @@ func (f *failingReadFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestReadFailurePosition pins readSpans' failure contract on every
-// dispatch form: when extents 5 and 9 of a read both fail — and, where
-// the dispatcher runs them concurrently, 9 fails FIRST in time — ReadAt
+// window shape (a no-window row runs on the default window, as deep as
+// the pool): when extents 5 and 9 of a read both fail — and, where the
+// window runs them concurrently, 9 fails FIRST in time — ReadAt
 // returns the buffer position of extent 5, its error, and p[:n] holding
 // exactly the plaintext that precedes it.
 func TestReadFailurePosition(t *testing.T) {
 	const bs, nblocks, lo, hi = 4096, 64, 5, 9
 	data := shortBlocks(nblocks)
 	for _, tc := range []struct {
-		name    string
-		stripe  int64
-		window  int
-		ordered bool // extents lo and hi can be in flight together
+		name                string
+		stripe              int64
+		window, parallelism int
+		ordered             bool // extents lo and hi can be in flight together
 	}{
-		{"sharded-windowed", 128 * bs, 32, true},
-		{"sharded-two-stripes-windowed", 33 * bs, 32, true},
-		{"unsharded-windowed", 0, 32, true},
-		{"sharded-no-window", 128 * bs, 0, false},
-		{"unsharded-no-window", 0, 0, false},
+		{"sharded-windowed", 128 * bs, 32, 0, true},
+		{"sharded-two-stripes-windowed", 33 * bs, 32, 0, true},
+		{"unsharded-windowed", 0, 32, 0, true},
+		{"sharded-no-window", 128 * bs, 0, 4, true},
+		{"unsharded-no-window", 0, 0, 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			geo := layout.Default()
@@ -611,6 +613,7 @@ func TestReadFailurePosition(t *testing.T) {
 			}
 			cfg := compressedConfig()
 			cfg.IOWindow = tc.window
+			cfg.Parallelism = tc.parallelism
 			lfs := newFS(t, store, cfg)
 			writeShortBlocks(t, lfs, data)
 
@@ -945,9 +948,9 @@ func writeBehind(t *testing.T, f vfs.File, p []byte, off int64) {
 // segment 0 returns while the commit's phase-1 write is still parked, so
 // long before its phase 3 is admitted; the next WriteAt fills segment 1
 // meanwhile, and that commit's phase-1 write is in flight in the same
-// round as segment 0's phase-2 extent. Without a window nothing is
-// handed off: the call log is the inline engine's, every commit's three
-// writes in order inside the WriteAt that triggers it.
+// round as segment 0's phase-2 extent. On the default window (IOWindow
+// 0) nothing is handed off: the call log is the inline engine's, every
+// commit's three writes in order inside the WriteAt that triggers it.
 func TestWriteBehindOverlapsCommits(t *testing.T) {
 	geo := layout.Default()
 	bs, kps := geo.BlockSize, geo.KeysPerSegment()
@@ -1030,7 +1033,7 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 		want = append(want, commit(0, 10)...)
 		want = append(want, commit(2, 2*kps)...)
 		if got := log.take(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("leaf calls without a window:\n got  %v\n want %v", got, want)
+			t.Fatalf("leaf calls on the default window:\n got  %v\n want %v", got, want)
 		}
 	})
 }
@@ -1039,7 +1042,8 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 // lands. The sequential-plus-overwrite workload leaves the same data
 // blocks (compared with the metadata blocks masked, as the
 // compression-off golden compares them) and the same decoded metadata
-// on a window of 8 as without a window, raw and compressed.
+// on a window of 8 as on the default window, which hands nothing off,
+// raw and compressed.
 func TestWriteBehindSameBytes(t *testing.T) {
 	geo := layout.Default()
 	for _, tc := range []struct {
@@ -1072,10 +1076,10 @@ func TestWriteBehindSameBytes(t *testing.T) {
 				}
 			}
 			if len(raws[0]) != len(raws[1]) {
-				t.Fatalf("backing file is %d bytes on window 8, %d without a window", len(raws[0]), len(raws[1]))
+				t.Fatalf("backing file is %d bytes on window 8, %d on the default window", len(raws[0]), len(raws[1]))
 			}
 			if !bytes.Equal(maskMetaBlocks(raws[0]), maskMetaBlocks(raws[1])) {
-				t.Fatal("data blocks differ between window 8 and no window")
+				t.Fatal("data blocks differ between window 8 and the default window")
 			}
 			bs := int64(geo.BlockSize)
 			for si := int64(0); geo.MetaBlockOffset(si) < int64(len(raws[0])); si++ {

@@ -26,10 +26,10 @@ import (
 // multiphase commit — hold it exclusively. A reader therefore never
 // observes a half-committed segment, commits of different segments
 // proceed in parallel, and readers are only ever delayed by a commit
-// of the very segment they are reading. On a windowed mount a commit's
-// I/O half may hold its segment's lock after the write that triggered
-// it has returned (writebehind.go); the whole-file operations wait for
-// those halves once they hold opMu.
+// of the very segment they are reading. On a mount with a configured
+// window a commit's I/O half may hold its segment's lock after the
+// write that triggered it has returned (writebehind.go); the whole-file
+// operations wait for those halves once they hold opMu.
 //
 // Lock order: opMu → segment.mu → extendMu → stateMu. stateMu is a
 // leaf: no other lock is acquired while holding it. The handle still
@@ -256,19 +256,18 @@ func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) 
 // from memory and hole slots read as zeros without touching the
 // backend at all; what is left is planned into extents (planExtents —
 // the plan the commit wrote them under) and each extent is fetched
-// with one backend read, dispatched as commits dispatch their writes
-// (dispatchExtents: on the I/O window if one is configured, else one
-// goroutine per shard, else back to back). Every segment stays
-// read-locked from its memory pass until its extents are fetched —
-// every dispatch form joins its goroutines before it returns, so no
-// fetch outlives the locks or touches p after readSpans has returned —
+// with one backend read, dispatched on the I/O window as commits
+// dispatch their writes (runWindowed). Every segment stays read-locked
+// from its memory pass until its extents are fetched — the dispatcher
+// joins its lanes before it returns, so no fetch outlives the locks or
+// touches p after readSpans has returned —
 // and a commit cannot change the keys or lengths the plan was made
 // from; segments lock in ascending order and writers hold one segment
 // at a time, so the locks cannot cycle.
 //
 // On failure it returns the number of leading bytes of p that are
-// valid: extents are planned in ascending buffer order and every
-// dispatch form reports its lowest failing (or first unstarted) index
+// valid: extents are planned in ascending buffer order and the
+// dispatcher reports its lowest failing (or first unstarted) index
 // only once every extent below it has been fetched and verified, so
 // the lowest failing buffer position wins — however many fetches were
 // in flight and whichever failed first in time.
@@ -285,7 +284,7 @@ func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, 
 		exts := f.planExtents(len(left),
 			func(i int) int64 { return left[i].Index },
 			func(i int) int { return storedBytes(metas[i], geo.SlotOfBlock(left[i].Index), bs) })
-		idx, err := f.dispatchExtents(ctx, exts, false, func(e int) error {
+		idx, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
 			x := exts[e]
 			if bad, err := f.fetchContig(ctx, p, left[x.lo:x.hi], metas[x.lo], x.shard); err != nil {
 				return &spanError{bad, err}
@@ -426,7 +425,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	defer f.fs.slabs.put(slab)
 	gen := f.fs.cache.snapshot()
 
-	done := f.fs.pool.noteShardIO(shard, metrics.ShardRead)
+	done := f.fs.noteShardIO(shard, metrics.ShardRead)
 	// Window slot around the backend read only — released before the
 	// decode fan-out below takes pool slots (see ioWindow).
 	f.fs.iow.acquire()
@@ -727,9 +726,10 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 // of the segment, or explicitly via Recover) repairs it, and no
 // previously committed byte is lost.
 //
-// On a windowed mount a write that triggers a commit waits only for its
-// encode: it hands the commit's backend writes to the window, still
-// under ctx, and returns (writebehind.go). At most IOWindow such
+// On a mount with a configured window (Config.IOWindow > 0) a write
+// that triggers a commit waits only for its encode: it hands the
+// commit's backend writes to the window, still under ctx, and returns
+// (writebehind.go). At most IOWindow such
 // commits are in flight per mount; Sync, Truncate and Close wait for
 // them. If one fails, this and every later WriteAt on the handle
 // returns its error until Sync, Truncate or Close reports it.

@@ -6,19 +6,21 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/metrics"
 )
 
 // ioWindow bounds the number of backend I/O operations an FS keeps in
-// flight at once — the I/O-window pipelining layer for high-latency
-// stores. The bound is deliberately decoupled from the worker pool's
-// CPU budget (Config.Parallelism): the pool sizes the encrypt/decrypt
-// fan-out to the machine's cores, while the window sizes the number
-// of concurrently outstanding backend requests to the store's
-// latency×bandwidth product. Against a remote object store the two
-// differ by an order of magnitude — a 4-core client still wants 32
-// ranged GETs on the wire. A nil *ioWindow (Config.IOWindow == 0)
-// disables the bound; backend concurrency then follows the pool, the
-// historical behavior.
+// flight at once, and every mount has one. Every extent a commit writes
+// or a read fetches is dispatched on it (runWindowed), so it is also
+// the one place backend concurrency is decided. Config.IOWindow sets
+// its depth; 0 makes it as deep as the worker pool (Config.Parallelism),
+// the bound commit writes had when they ran on pool slots, and 1 under
+// the serial engine. The two bounds are otherwise independent: the pool
+// sizes the encrypt/decrypt fan-out to the machine's cores, while the
+// window sizes the number of concurrently outstanding backend requests
+// to the store's latency×bandwidth product. Against a remote object
+// store the two differ by an order of magnitude — a 4-core client still
+// wants 32 ranged GETs on the wire.
 //
 // What a slot bounds is an ENGINE operation — one extent read or write
 // handed to the store — not a leaf request. A replicated shard.Store
@@ -30,16 +32,17 @@ import (
 // Deadlock safety: acquire/release bracket exactly one backend
 // operation and nothing else — a window-slot holder never takes a
 // mutex, a pool slot or another window slot, so slots always drain.
-// The converse order is therefore safe too: a commit task already
-// holding a pool slot may wait for a window slot (writeExtents does),
-// because every current slot holder is a pure backend call that
-// completes without needing anything the waiter holds.
+// The converse order is therefore safe too: a goroutine holding locks
+// or a pool slot may wait for a window slot, because every current slot
+// holder is a pure backend call that completes without needing anything
+// the waiter holds.
 //
-// The window also bounds write-behind (writebehind.go): at most
-// cap(sem) commit I/O halves are in flight per mount, counted on behind.
-// That is the same number on a semaphore of its own, because a half
-// spends its life waiting for window slots for its own extents — were
-// it to hold one, a full window of halves would wait on itself.
+// A window the user configured (Config.IOWindow > 0) also bounds
+// write-behind (writebehind.go): at most cap(sem) commit I/O halves are
+// in flight per mount, counted on behind. That is the same number on a
+// semaphore of its own, because a half spends its life waiting for
+// window slots for its own extents — were it to hold one, a full window
+// of halves would wait on itself.
 type ioWindow struct {
 	sem    chan struct{}
 	behind chan struct{}
@@ -49,21 +52,13 @@ type ioWindow struct {
 	peak     atomic.Int64
 }
 
-// newIOWindow returns a window of n slots, or nil for n <= 0
-// (windowing disabled).
+// newIOWindow returns a window of n >= 1 slots.
 func newIOWindow(n int) *ioWindow {
-	if n <= 0 {
-		return nil
-	}
 	return &ioWindow{sem: make(chan struct{}, n), behind: make(chan struct{}, n)}
 }
 
 // acquire takes a window slot, blocking while the window is full.
-// No-op on a nil window.
 func (w *ioWindow) acquire() {
-	if w == nil {
-		return
-	}
 	w.sem <- struct{}{}
 	cur := w.inFlight.Add(1)
 	for {
@@ -74,33 +69,26 @@ func (w *ioWindow) acquire() {
 	}
 }
 
-// release returns a slot taken by acquire. No-op on a nil window.
+// release returns a slot taken by acquire.
 func (w *ioWindow) release() {
-	if w == nil {
-		return
-	}
 	w.inFlight.Add(-1)
 	<-w.sem
 }
 
-// IOWindowStats is a snapshot of the I/O window's gauges; the zero
-// value means windowing is disabled.
+// IOWindowStats is a snapshot of the I/O window's gauges.
 type IOWindowStats struct {
-	// Window is the configured bound (Config.IOWindow).
+	// Window is the window's depth: Config.IOWindow, or the worker
+	// pool's width when that is 0.
 	Window int
 	// InFlight is the number of backend operations holding a slot now.
 	InFlight int64
 	// Peak is the deepest the window has been since the FS was built —
-	// how much of the configured budget the workload actually used.
+	// how much of its depth the workload actually used.
 	Peak int64
 }
 
-// IOWindowStats returns the current window gauges (zero when
-// Config.IOWindow is 0).
+// IOWindowStats returns the current window gauges.
 func (fs *FS) IOWindowStats() IOWindowStats {
-	if fs.iow == nil {
-		return IOWindowStats{}
-	}
 	return IOWindowStats{
 		Window:   cap(fs.iow.sem),
 		InFlight: fs.iow.inFlight.Load(),
@@ -108,27 +96,94 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 	}
 }
 
-// runWindowed runs fn(0) … fn(n-1) on lanes that pull task indices in
-// ascending order from a shared counter, and waits for all of them —
-// the fan-out driver for batches whose tasks are (almost) pure backend
-// I/O, where the worker pool's CPU bound would needlessly cap the
-// overlap. It needs a configured window (fs.iow != nil). Each task
-// brackets its backend call with acquire/release, so the window alone
-// bounds the requests in flight — of this batch and of the whole mount,
-// every concurrent batch sharing the same slots. The batch gets
-// min(n, window) lanes: more could only ever park on acquire, and a
-// task starts as soon as any earlier one finishes. A single task runs
-// inline on the caller's goroutine.
+// shardGauge is one shard's slice of the window's traffic: the planned
+// extents issued against the shard, counted by noteShardIO.
+type shardGauge struct {
+	queued atomic.Int64 // extents issued and not yet finished
+	tasks  atomic.Int64 // extents finished
+}
+
+// ShardStats is a snapshot of one shard's extent gauges.
+type ShardStats struct {
+	// Shard is the shard index.
+	Shard int
+	// Tasks is the number of planned extents (commit writes and read
+	// fetches) completed for this shard.
+	Tasks int64
+	// QueueDepth is the number of extents currently waiting for or
+	// holding a window slot against this shard — the live back-pressure
+	// signal.
+	QueueDepth int64
+}
+
+// noteShardIO brackets one planned extent's backend I/O on shard s in
+// that shard's gauges — every read fetch (ev ShardRead) and every commit
+// write (ev ShardTask). The returned func must be called when the I/O
+// completes. A shard index the current gauge set does not cover (an
+// unsharded store's -1, or one that outran a resize) counts nowhere.
+func (fs *FS) noteShardIO(s int, ev metrics.Event) func() {
+	gauges := fs.loadShardGauges()
+	if s < 0 || s >= len(gauges) {
+		return func() {}
+	}
+	g := gauges[s]
+	g.queued.Add(1)
+	return func() {
+		g.tasks.Add(1)
+		fs.cfg.Recorder.CountEvent(ev, 1)
+		g.queued.Add(-1)
+	}
+}
+
+// loadShardGauges returns the current gauge set (nil on an unsharded
+// mount).
+func (fs *FS) loadShardGauges() []*shardGauge {
+	if g := fs.shardGauges.Load(); g != nil {
+		return *g
+	}
+	return nil
+}
+
+// resetShardGauges installs a fresh gauge set for n shards; counts
+// restart at zero (ShardStats documents per-epoch counters). Extents in
+// flight finish on the set they started with.
+func (fs *FS) resetShardGauges(n int) {
+	gauges := make([]*shardGauge, n)
+	for i := range gauges {
+		gauges[i] = new(shardGauge)
+	}
+	fs.shardGauges.Store(&gauges)
+}
+
+// runWindowed runs fn(0) … fn(n-1) — one per planned extent, a
+// commit's phase-2 writes or a read's fetches — and waits for all of
+// them. It is the one dispatch rule both directions share, sharded or
+// not: lanes pull task indices in ascending order from a shared counter,
+// and each task brackets its backend call with acquire/release, so the
+// window alone bounds the requests in flight — of this batch and of the
+// whole mount, every concurrent batch sharing the same slots. The batch
+// gets min(n, window) lanes: more could only ever park on acquire, and a
+// task starts as soon as any earlier one finishes. One lane — a single
+// task, or the serial engine's one-slot window — runs inline on the
+// caller's goroutine.
+//
+// Lanes are not pool tasks and take no pool slot. A reader can block on
+// a segment lock held by that segment's commit, and the commit may need
+// pool slots to finish; a reader holding one while it waits would
+// deadlock the pool.
 //
 // Error semantics match pool.run: every started task runs to completion
 // even if an earlier one fails, and the lowest failing index wins. A
 // dead ctx stops lanes from starting further tasks and is reported at
 // the first unstarted index (indices are claimed in ascending order, so
-// every index below the one returned has run and succeeded). The failing
+// every index below the one returned has run and succeeded); a single
+// task is not checked, its own backend call observes ctx. The failing
 // index is returned with the error so read paths can map it to a buffer
-// position. All lanes are joined before return: read tasks write into
-// the caller's buffer under segment read locks the caller holds, and
-// neither may be touched once the caller moves on.
+// position; the §2.4 semantics are untouched — phase 2 still completes
+// in full before the phase-3 barrier. All lanes are joined before
+// return: read tasks write into the caller's buffer under segment read
+// locks the caller holds, and neither may be touched once the caller
+// moves on.
 func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, error) {
 	if n <= 0 {
 		return 0, nil
@@ -136,9 +191,7 @@ func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, 
 	if n == 1 {
 		return 0, fn(0)
 	}
-	lanes := min(n, cap(fs.iow.sem))
 	var (
-		wg       sync.WaitGroup
 		next     atomic.Int64 // next unclaimed task index
 		mu       sync.Mutex
 		firstErr error
@@ -151,23 +204,32 @@ func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, 
 		}
 		mu.Unlock()
 	}
+	lane := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := backend.CtxErr(ctx); err != nil {
+				fail(i, err)
+				return
+			}
+			if err := fn(i); err != nil {
+				fail(i, err)
+			}
+		}
+	}
+	lanes := min(n, cap(fs.iow.sem))
+	if lanes == 1 {
+		lane()
+		return firstIdx, firstErr
+	}
+	var wg sync.WaitGroup
 	wg.Add(lanes)
 	for l := 0; l < lanes; l++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := backend.CtxErr(ctx); err != nil {
-					fail(i, err)
-					return
-				}
-				if err := fn(i); err != nil {
-					fail(i, err)
-				}
-			}
+			lane()
 		}()
 	}
 	wg.Wait()

@@ -17,13 +17,13 @@ import (
 // windowedCases is the n × window table every runWindowed test walks,
 // each case on an FS of its own with that window: a window below n is a
 // bounded lane set, a window of n or more one lane per task, and n <= 1
-// the inline forms.
+// or a window of 1 the inline forms.
 func windowedCases(t *testing.T, fn func(fs *FS, n, window int)) {
 	t.Helper()
 	for _, n := range []int{0, 1, 2, 7, 64} {
 		for _, window := range []int{1, 4, n, n + 1} {
 			if window < 1 {
-				continue // no window, no runWindowed
+				continue // IOWindow 0 selects the default depth, not 0 slots
 			}
 			cfg := testConfig()
 			cfg.IOWindow = window
@@ -75,22 +75,35 @@ func goroutineHeader() string {
 // TestRunWindowedSingleTaskInline: with n == 1 the task runs on the
 // caller's own goroutine whatever the window, and the dispatcher does not
 // consult ctx for it (the task's own backend call does) — both as
-// before the dispatcher had lanes.
+// before the dispatcher had lanes. A one-slot window — the serial
+// engine's default — runs every batch on the caller's goroutine too, as
+// pool.run does at width 1.
 func TestRunWindowedSingleTaskInline(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	me := goroutineHeader()
 	windowedCases(t, func(fs *FS, n, window int) {
-		if n != 1 {
-			return
-		}
-		var on string
-		idx, err := fs.runWindowed(dead, 1, func(int) error { on = goroutineHeader(); return nil })
-		if idx != 0 || err != nil {
-			t.Fatalf("window=%d: got (%d, %v)", window, idx, err)
-		}
-		if on != me {
-			t.Fatalf("window=%d: single task ran on %q, caller is %q", window, on, me)
+		switch {
+		case n == 1:
+			var on string
+			idx, err := fs.runWindowed(dead, 1, func(int) error { on = goroutineHeader(); return nil })
+			if idx != 0 || err != nil {
+				t.Fatalf("window=%d: got (%d, %v)", window, idx, err)
+			}
+			if on != me {
+				t.Fatalf("window=%d: single task ran on %q, caller is %q", window, on, me)
+			}
+		case window == 1 && n > 1:
+			on := make([]string, n)
+			idx, err := fs.runWindowed(context.Background(), n, func(i int) error { on[i] = goroutineHeader(); return nil })
+			if idx != 0 || err != nil {
+				t.Fatalf("n=%d window=1: got (%d, %v)", n, idx, err)
+			}
+			for i, g := range on {
+				if g != me {
+					t.Fatalf("n=%d window=1: task %d ran on %q, caller is %q", n, i, g, me)
+				}
+			}
 		}
 	})
 }

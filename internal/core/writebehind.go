@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// Write-behind. A commit that a write triggers on a windowed mount runs
-// its CPU half (prepareCommit: key derivation and the encode fan-out)
-// on the writer, hands its I/O half (landCommit: phases 1–3) to a
-// goroutine, and returns. The writer encodes its next segment while the
+// Write-behind. A commit that a write triggers on a mount whose window
+// the user configured (Config.IOWindow > 0) runs its CPU half
+// (prepareCommit: key derivation and the encode fan-out) on the writer,
+// hands its I/O half (landCommit: phases 1–3) to a goroutine, and
+// returns. The writer encodes its next segment while the
 // previous one's round trips are in flight, so the window is not left
 // idle while it encodes.
 //
@@ -37,8 +38,11 @@ import (
 //     halves in flight. What had not landed is then cut exactly as a
 //     crash would cut it.
 //
-// A mount without a window hands nothing off: every commit runs inline,
-// issuing exactly the calls it always did.
+// A mount on the default window (IOWindow 0, as deep as the pool) hands
+// nothing off: every commit runs inline, and its error surfaces at the
+// call that triggered it. The tie to a configured window is contract,
+// not speed — write-behind moves where a commit error surfaces, and
+// WithIOWindow documents that move.
 
 // behindJob is one I/O half in flight.
 type behindJob struct {
@@ -48,12 +52,13 @@ type behindJob struct {
 
 // commitTriggered runs the commit that writeSpan's trigger fired for
 // segment si, whose lock the caller holds exclusively, and releases
-// that lock: itself once the commit is done, or — on a windowed mount —
-// through the I/O half it hands off once the CPU half is done.
+// that lock: itself once the commit is done, or — on a mount with a
+// configured window — through the I/O half it hands off once the CPU
+// half is done.
 func (f *file) commitTriggered(ctx context.Context, seg *segment, si int64) error {
 	c, err := f.prepareCommit(ctx, seg, si)
 	if err == nil && c != nil {
-		if f.fs.iow != nil {
+		if f.fs.cfg.IOWindow > 0 {
 			f.handOff(ctx, seg, si, c)
 			return nil
 		}

@@ -29,10 +29,9 @@
 // zero-fill hole semantics.
 //
 // Store implements backend.Store, so a sharded deployment is invisible
-// to internal/core except where it helps: core detects a sharded store
-// and (a) carves its commit worker pool into per-shard budgets so one
-// hot shard cannot monopolize the encrypt+write fan-out, and (b) fans
-// multi-block reads out across the owning shards. Topology change has
+// to internal/core except where it helps: core detects a sharded store,
+// splits the extents it writes and reads at stripe edges, and charges
+// each to its owning shard's gauges. Topology change has
 // one engine (BeginMigration/RunMover; Rebalance is begin, run, wait):
 // the store serves two placement epochs at once — writes route by the
 // new ring and mirror to the old owner, reads route to the new owner

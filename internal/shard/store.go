@@ -155,7 +155,7 @@ func uniqueOf(stores []backend.Store) []uniqueStore {
 //
 // The same underlying store may appear in several slots: internal/core
 // and the public Options use that to carve N *logical* shards (routing
-// plus per-shard worker budgets) out of one physical store, which is
+// plus per-shard gauges) out of one physical store, which is
 // byte-for-byte identical to the unsharded layout because every stripe
 // keeps its global offset and file name.
 type Store struct {
@@ -308,9 +308,9 @@ func New(stores []backend.Store, cfg Config) (*Store, error) {
 }
 
 // NumShards returns the number of shard slots — during a migration
-// the union of both epochs, so per-shard worker budgets cover every
-// store being written. Together with ShardOf it is the seam
-// internal/core uses to carve per-shard worker budgets.
+// the union of both epochs, so per-shard gauges cover every store
+// being written. Together with ShardOf it is the seam internal/core
+// uses to size its per-shard gauges.
 func (s *Store) NumShards() int { return len(s.topo.Load().stores) }
 
 // Ring returns the current epoch's placement map.

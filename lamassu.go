@@ -62,9 +62,10 @@
 // A Mount is safe for concurrent use by any number of goroutines, and
 // so is every File it returns. The engine behind a handle is
 // parallel: positional reads and writes run concurrently, a segment's
-// multiphase commit fans its per-block key derivation, encryption and
-// backend writes across a bounded worker pool (Options.Parallelism),
-// and commits of different segments proceed independently. What is
+// multiphase commit fans its per-block key derivation and encryption
+// across a bounded worker pool (Options.Parallelism) and its backend
+// writes across the bounded I/O window (Options.IOWindow), and commits
+// of different segments proceed independently. What is
 // serialized, and why:
 //
 //   - Writes that land in the same segment — and a read of a segment
@@ -198,9 +199,11 @@ type Options struct {
 	// must be deterministic in the block hash. Expect a severe
 	// performance cost per block (the paper's §1 objection).
 	KeyDeriver func(hash [32]byte) (Key, error)
-	// Parallelism bounds the worker goroutines used for per-block
-	// commit work (key derivation, encryption, data-block writes).
-	// 0 selects GOMAXPROCS; 1 forces the paper's fully serial engine.
+	// Parallelism bounds the worker goroutines used for per-block CPU
+	// work (key derivation, encryption, decode). The pool issues no
+	// backend writes: those run on the I/O window (IOWindow), whose
+	// depth defaults to this width. 0 selects GOMAXPROCS; 1 forces the
+	// paper's fully serial engine.
 	Parallelism int
 	// CacheBlocks sizes the per-mount LRU cache of verified plaintext
 	// data blocks and decoded metadata blocks, in blocks (data and
@@ -216,9 +219,8 @@ type Options struct {
 	// Shards, when >= 1, carves the provided store into that many
 	// logical shards behind a consistent-hash placement map: backing
 	// files (and, via segment-aligned striping, ranges of large files)
-	// are routed to shards, and the commit worker pool is split into
-	// per-shard budgets so one hot shard cannot monopolize the
-	// encrypt+write fan-out. Because every logical shard is the same
+	// are routed to shards, and each extent is charged to its owning
+	// shard in ShardStats. Because every logical shard is the same
 	// physical store, the backing bytes are identical to the unsharded
 	// layout at ANY shard count — Shards: 1 is the plain engine plus
 	// the routing layer. For sharding across genuinely separate
@@ -256,17 +258,17 @@ type Options struct {
 	// is one extent read or write; a replicated write reaches its R
 	// owners together on the slot it holds, so leaf stores see at most
 	// IOWindow × R write requests at once.
-	// 0 keeps the historical behavior (backend concurrency
-	// follows the worker pool — right for local disks); 1 serializes
-	// backend I/O, the A/B baseline. The §2.4 phase barriers remain
-	// hard synchronization points at any setting and the backing bytes
-	// are identical.
-	// A window also takes commits off the writer's critical path: a
-	// WriteAt that fills a batch waits for its encode only, and the
-	// commit's backend writes run behind it, at most IOWindow commits
-	// per mount. Sync, Truncate and Close wait for them. A failed one
-	// is returned by the handle's next WriteAt, and by its next Sync,
-	// Truncate or Close.
+	// 0 (the default) makes the window as deep as the worker pool
+	// (Parallelism; 1 under the serial engine) — right for local
+	// disks; 1 serializes backend I/O, the A/B baseline. The §2.4 phase
+	// barriers remain hard synchronization points at any setting and
+	// the backing bytes are identical.
+	// A window set here (> 0) also takes commits off the writer's
+	// critical path: a WriteAt that fills a batch waits for its encode
+	// only, and the commit's backend writes run behind it, at most
+	// IOWindow commits per mount. Sync, Truncate and Close wait for
+	// them. A failed one is returned by the handle's next WriteAt, and
+	// by its next Sync, Truncate or Close.
 	IOWindow int
 	// Hedge, when non-nil, wraps every physical backing store with
 	// adaptive hedged reads: a read outstanding longer than a high
@@ -708,11 +710,11 @@ type EngineStats struct {
 	// counts operations that still failed after the retry budget ran
 	// out. Both zero without WithRetry.
 	RetryAttempts, RetriesExhausted int64
-	// IOWindow is the configured backend I/O window (Options.IOWindow;
-	// 0 = unwindowed). IOInFlight gauges the backend operations holding
-	// a window slot right now; IOPeakInFlight is the deepest the window
-	// has been — how much of the configured budget the workload
-	// actually used.
+	// IOWindow is the depth of the backend I/O window: Options.IOWindow,
+	// or the worker pool's width when that is 0. IOInFlight gauges the
+	// backend operations holding a window slot right now;
+	// IOPeakInFlight is the deepest the window has been — how much of
+	// its depth the workload actually used.
 	IOWindow                   int
 	IOInFlight, IOPeakInFlight int64
 	// HedgeAttempts counts duplicate reads issued by the WithHedgedReads
@@ -1016,11 +1018,11 @@ func segmentAlignedStripe(geo layout.Geometry, target int64) int64 {
 }
 
 // ShardStat is one shard's slice of a sharded mount's activity: the
-// I/O the placement routed to it and the worker-budget pressure it is
-// under. Together the entries show whether load is spreading (bytes
-// and ops roughly even) and where the bottleneck sits (queue depth
-// pinned at one shard = hot spot; even queues at full budgets = the
-// pool is the ceiling).
+// I/O the placement routed to it and the extents queued against it.
+// Together the entries show whether load is spreading (bytes and ops
+// roughly even) and where the bottleneck sits (queue depth pinned at
+// one shard = hot spot; even queues summing to the I/O window = the
+// window is the ceiling).
 type ShardStat struct {
 	// Shard is the shard index, in store order.
 	Shard int
@@ -1028,13 +1030,10 @@ type ShardStat struct {
 	// BytesRead / BytesWritten total the payloads.
 	Reads, Writes, Syncs    int64
 	BytesRead, BytesWritten int64
-	// Budget is the shard's worker budget (its slice of
-	// Options.Parallelism), at least 1 per shard. At Parallelism 1
-	// the budgets are reported but execution is fully serial; an
-	// unsharded mount reports no ShardStats at all.
-	Budget int
-	// Tasks counts commit fan-out tasks and read fetches executed for
-	// this shard; QueueDepth is how many are queued or running now.
+	// Tasks counts the planned extents (commit writes and read
+	// fetches) completed for this shard; QueueDepth is how many are
+	// queued or running now. An unsharded mount reports no ShardStats
+	// at all.
 	Tasks, QueueDepth int64
 }
 
@@ -1059,7 +1058,6 @@ func (m *Mount) ShardStats() []ShardStat {
 	}
 	for _, b := range m.fs.ShardStats() {
 		if b.Shard < len(out) {
-			out[b.Shard].Budget = b.Budget
 			out[b.Shard].Tasks = b.Tasks
 			out[b.Shard].QueueDepth = b.QueueDepth
 		}
@@ -1301,8 +1299,8 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 	if err := m.shard.BeginMigration(ctx, internal, hooks); err != nil {
 		return nil, err
 	}
-	// The union of both epochs absorbs commit traffic while the
-	// migration runs; recarve the per-shard worker budgets over it.
+	// The union of both epochs absorbs traffic while the migration
+	// runs; resize the per-shard gauges over it.
 	m.fs.RefreshShardBudgets()
 	r := &Rebalance{done: make(chan struct{})}
 	// Close cancels through this derived context so no mover outlives
@@ -1313,7 +1311,7 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 		defer cancel()
 		stats, err := m.shard.RunMover(moverCtx)
 		if err == nil {
-			// Epoch committed: retired shards give their budget back.
+			// Epoch committed: retired shards drop out of the gauges.
 			m.fs.RefreshShardBudgets()
 		}
 		r.stats = ShardRebalanceStats(stats)

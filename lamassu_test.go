@@ -111,6 +111,45 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestDefaultIOWindowIsPoolWidth: without WithIOWindow the engine's I/O
+// window is as deep as the worker pool — WithParallelism's width, 1 under
+// the serial engine — and a multi-extent read over a 2-shard store stays
+// inside it and drains it.
+func TestDefaultIOWindowIsPoolWidth(t *testing.T) {
+	keys := mustKeys(t)
+	for _, width := range []int{3, 1} {
+		storage, err := NewShardedStorage([]Storage{NewMemStorage(), NewMemStorage()},
+			&ShardOptions{StripeBytes: 2 * 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(storage, keys, WithParallelism(width), WithLatencyCollection())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.EngineStats().IOWindow; got != width {
+			t.Fatalf("parallelism %d: IOWindow = %d, want the pool width", width, got)
+		}
+		// 64 KiB over 8 KiB stripes: a read of 8 extents on 2 shards.
+		data := bytes.Repeat([]byte("default window "), 64*1024/15+1)[:64*1024]
+		if err := m.WriteFile("f", data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.ReadFile("f")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("parallelism %d: round trip failed: %v", width, err)
+		}
+		st := m.EngineStats()
+		if st.ReadRuns < 2 {
+			t.Fatalf("parallelism %d: the read took %d extents, want several", width, st.ReadRuns)
+		}
+		if st.IOPeakInFlight < 1 || st.IOPeakInFlight > int64(width) || st.IOInFlight != 0 {
+			t.Fatalf("parallelism %d: window gauges peak %d, in flight %d; want 1..%d and 0",
+				width, st.IOPeakInFlight, st.IOInFlight, width)
+		}
+	}
+}
+
 func TestDedupAcrossMountsSharedZone(t *testing.T) {
 	store := NewMemStorage()
 	keys := mustKeys(t)

@@ -50,8 +50,9 @@ func WithKeyDeriver(derive func(hash [32]byte) (Key, error)) Option {
 	return func(o *Options) { o.KeyDeriver = derive }
 }
 
-// WithParallelism bounds the per-block commit worker pool; 0 selects
-// GOMAXPROCS, 1 forces the paper's fully serial engine.
+// WithParallelism bounds the per-block CPU worker pool, and with it the
+// default I/O window depth; 0 selects GOMAXPROCS, 1 forces the paper's
+// fully serial engine.
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
@@ -112,15 +113,15 @@ func WithRetry(policy RetryPolicy) Option {
 // read or write; under WithReplication(R) a write reaches its R owners
 // together on the one slot it holds, so the leaf stores see at most
 // n × R write requests at once.
-// A window also moves who waits for a commit: the WriteAt that fills a
-// batch waits for its encode only, and the commit's backend writes run
-// behind it, at most n commits per mount. Sync, Truncate and Close
-// wait for them; a failed one is returned by the handle's next WriteAt
-// and by its next Sync, Truncate or Close.
-// 0 (the default) keeps backend concurrency on the worker pool and
-// every commit inside the call that triggers it; 1 serializes backend
-// I/O, the A/B baseline. The §2.4 barriers are unchanged at any
-// setting.
+// A window set here (n > 0) also moves who waits for a commit: the
+// WriteAt that fills a batch waits for its encode only, and the
+// commit's backend writes run behind it, at most n commits per mount.
+// Sync, Truncate and Close wait for them; a failed one is returned by
+// the handle's next WriteAt and by its next Sync, Truncate or Close.
+// 0 (the default) makes the window as deep as the worker pool
+// (WithParallelism; 1 under the serial engine) and keeps every commit
+// inside the call that triggers it; 1 serializes backend I/O, the A/B
+// baseline. The §2.4 barriers are unchanged at any setting.
 func WithIOWindow(n int) Option {
 	return func(o *Options) { o.IOWindow = n }
 }

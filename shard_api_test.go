@@ -151,21 +151,17 @@ func TestShardedStorageMount(t *testing.T) {
 	if len(stats) != 4 {
 		t.Fatalf("ShardStats = %d entries, want 4", len(stats))
 	}
-	var wrote, budget int
+	var wrote int
 	for _, s := range stats {
 		if s.BytesWritten > 0 {
 			wrote++
 		}
-		budget += s.Budget
 		if s.QueueDepth != 0 {
 			t.Fatalf("shard %d queue depth %d at idle", s.Shard, s.QueueDepth)
 		}
 	}
 	if wrote < 2 {
 		t.Fatalf("writes reached only %d shards", wrote)
-	}
-	if budget != 4 {
-		t.Fatalf("budgets sum to %d, want Parallelism=4", budget)
 	}
 
 	// An unsharded mount reports no shard stats.
@@ -180,7 +176,7 @@ func TestShardedStorageMount(t *testing.T) {
 
 // EncryptNames must compose with a sharded store: name encryption is
 // pushed inside each shard so the engine still sees the sharding seam
-// (budgets, ShardStats) while the backing file names are encrypted.
+// (ShardStats) while the backing file names are encrypted.
 func TestEncryptNamesOverShardedStorage(t *testing.T) {
 	keys := mustKeys(t)
 	mems := []*backend.MemStore{backend.NewMemStore(), backend.NewMemStore(), backend.NewMemStore()}
@@ -204,17 +200,10 @@ func TestEncryptNamesOverShardedStorage(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "visible-name" {
 		t.Fatalf("List = %v, %v", names, err)
 	}
-	// The budgets engaged: ShardStats is non-nil with the carved pool.
+	// The seam engaged: ShardStats has an entry per shard.
 	stats := m.ShardStats()
 	if len(stats) != 3 {
 		t.Fatalf("ShardStats = %d entries, want 3 (sharding lost behind namecrypt?)", len(stats))
-	}
-	budget := 0
-	for _, s := range stats {
-		budget += s.Budget
-	}
-	if budget != 4 {
-		t.Fatalf("budgets sum to %d, want 4", budget)
 	}
 	// And the backing names really are encrypted on every shard.
 	for i, mem := range mems {
