@@ -60,7 +60,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -147,9 +146,10 @@ type Config struct {
 	// Parallelism bounds the worker goroutines the FS uses for
 	// per-block CPU work — convergent key derivation, block encryption
 	// and decode. The pool issues no backend writes; those run on the
-	// I/O window (IOWindow), whose depth defaults to this width. 0
-	// selects GOMAXPROCS; 1 forces the fully serial engine of the
-	// paper's prototype. The multiphase metadata barriers (§2.4) are
+	// I/O window (IOWindow). 0 selects GOMAXPROCS; 1 forces the fully
+	// serial engine of the paper's prototype, whose default window is
+	// one slot deep: one backend call at a time across every handle of
+	// the mount. The multiphase metadata barriers (§2.4) are
 	// unchanged at any setting.
 	Parallelism int
 	// CacheBlocks is the capacity, in blocks, of the per-FS LRU cache
@@ -184,17 +184,16 @@ type Config struct {
 	// budget — the pipelining knob for high-latency stores, where the
 	// useful number of outstanding requests is set by the link's
 	// latency×bandwidth product rather than by core count. 0 (the
-	// default) makes the window as deep as the worker pool
-	// (Parallelism) — right for local disks, and 1 under the serial
-	// engine; 1 serializes backend I/O, the A/B baseline. Commits and
-	// reads, sharded or not, dispatch their extents on the window
-	// (runWindowed), and the window alone bounds the requests in
-	// flight per mount, however
-	// many handles are busy. The window changes scheduling
-	// only: the §2.4 phase barriers remain hard synchronization points
-	// (the serialized metadata barrier writes bypass the window), the
-	// on-disk bytes are identical at every setting, and commit errors
-	// keep the deterministic lowest-index-wins semantics.
+	// default) selects 32 slots (defaultIOWindow), or 1 under the
+	// serial engine (Parallelism 1); 1 serializes backend I/O, the A/B
+	// baseline. Commits and reads, sharded or not, dispatch their
+	// extents on the window (runWindowed), and the window alone bounds
+	// the requests in flight per mount, however many handles are busy.
+	// The window changes scheduling only: the §2.4 phase barriers
+	// remain hard synchronization points (the serialized metadata
+	// barrier writes bypass the window), the on-disk bytes are
+	// identical at every setting, and commit errors keep the
+	// deterministic lowest-index-wins semantics.
 	//
 	// A window set here (IOWindow > 0) also moves who waits for a
 	// commit a write triggers (write-behind, writebehind.go): the write
@@ -203,7 +202,9 @@ type Config struct {
 	// Sync, Truncate and Close wait for a handle's. A failed one
 	// surfaces at the handle's next WriteAt, and at its next Sync,
 	// Truncate or Close, which clears it. At 0 every commit runs inside
-	// the call that triggers it.
+	// the call that triggers it. Whether a value was set decides this,
+	// not the depth: IOWindow 32 hands commits off, and the default
+	// window of the same depth does not.
 	IOWindow int
 }
 
@@ -289,7 +290,7 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 		pool:  pool,
 		cache: newBlockCache(cfg.CacheBlocks, cfg.Recorder),
 		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
-		iow:   newIOWindow(cmp.Or(cfg.IOWindow, pool.Width())),
+		iow:   newIOWindow(ioWindowDepth(cfg)),
 	}
 	if cfg.KeyDeriver == nil {
 		fs.ced = cryptoutil.NewCEKeyDeriver(cfg.Inner)
@@ -338,13 +339,13 @@ func (fs *FS) ShardStats() []ShardStats {
 	return out
 }
 
-// RefreshShardBudgets resizes the per-shard gauges to the backing
+// RefreshShardGauges resizes the per-shard gauges to the backing
 // store's CURRENT shard count. An online rebalance calls it when a
 // layout epoch opens (the union of both epochs' shards briefly absorbs
 // traffic) and again when the epoch commits (retired shards drop out).
 // Extents in flight finish on the gauges they started with; no-op for
 // unsharded mounts.
-func (fs *FS) RefreshShardBudgets() {
+func (fs *FS) RefreshShardGauges() {
 	if fs.sharded != nil {
 		fs.resetShardGauges(fs.sharded.NumShards())
 	}

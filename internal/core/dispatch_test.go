@@ -242,12 +242,11 @@ func (s *rendezvousStore) release() {
 // a round's size is the overlap. A read fills the window, sharded or
 // not, inside one stripe or across two: 2 rounds of 32 on a window of
 // 32. A no-window row configures none (IOWindow 0) and so reads on the
-// default window, as deep as the pool; it sets Parallelism to fix that
-// depth whatever the machine: n / width rounds, and under the serial
-// engine all 64 — the count behind "a deep window beats window 1 on a
-// 2 ms link". The reads issued are the same
-// multiset whatever the dispatch: the plan is not the dispatcher's to
-// change.
+// default window: 32 deep whatever Parallelism is (4 and 8 here), so
+// also 2 rounds of 32, and one slot under the serial engine, so all 64
+// — the count behind "a deep window beats window 1 on a 2 ms link".
+// The reads issued are the same multiset whatever the dispatch: the
+// plan is not the dispatcher's to change.
 func TestShardedWindowedReadRounds(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
@@ -269,8 +268,8 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 		// stripe splits them 32 / 32 between the two shards.
 		{"sharded-one-stripe-window-32", 128 * bs, 32, 0, repeat(32, 2)},
 		{"sharded-two-stripes-window-32", 33 * bs, 32, 0, repeat(32, 2)},
-		{"sharded-one-stripe-no-window", 128 * bs, 0, 4, repeat(4, 16)},
-		{"sharded-two-stripes-no-window", 33 * bs, 0, 8, repeat(8, 8)},
+		{"sharded-one-stripe-no-window", 128 * bs, 0, 4, repeat(32, 2)},
+		{"sharded-two-stripes-no-window", 33 * bs, 0, 8, repeat(32, 2)},
 		{"unsharded-window-32", 0, 32, 0, repeat(32, 2)},
 		{"unsharded-no-window", 0, 0, 1, repeat(1, 64)},
 	} {
@@ -390,8 +389,8 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 // TestWindowedCommitChargesShards: writeExtents charges each extent to
 // its owning shard. The same 64 extents, 32 per shard, report the same
 // per-shard Tasks and ShardTask events on a configured window and
-// without one (the default window, as deep as the pool), pooled or
-// serial — counted once each — and QueueDepth returns to 0.
+// without one (the default window), pooled or serial — counted once
+// each — and QueueDepth returns to 0.
 func TestWindowedCommitChargesShards(t *testing.T) {
 	const bs, nblocks = 4096, 64
 	data := shortBlocks(nblocks)
@@ -429,10 +428,10 @@ func TestWindowedCommitChargesShards(t *testing.T) {
 // phase 2 of a fresh segment of 64 short blocks is 64 single-block
 // extents, and the rendezvous store now holds the data writes. On a
 // window of 32 the commit waits through 2 rounds of 32; with none
-// configured, on the default window as deep as the pool, through
-// n / width: 16 rounds of 4 at Parallelism 4, and 64 under the serial
-// engine. All write the same plan
-// and the same bytes.
+// configured, on the default window, through the same 2 rounds of 32 at
+// Parallelism 4 (the default depth does not follow the pool), and
+// through 64 under the serial engine. All write the same plan and the
+// same bytes.
 //
 // The replicated rows run the same commit over a shard.Store with R=2 on
 // two rendezvous leaves, metadata writes parked as well, and count LEAF
@@ -454,7 +453,7 @@ func TestWindowedCommitRounds(t *testing.T) {
 		rounds              []int
 	}{
 		{"window-32", 32, 1, 0, []int{32, 32}},
-		{"no-window-4", 0, 4, 0, slices.Repeat([]int{4}, nblocks/4)},
+		{"no-window-4", 0, 4, 0, []int{32, 32}},
 		{"serial-no-window", 0, 1, 0, slices.Repeat([]int{1}, nblocks)},
 		{"replicated-window-32", 32, 1, 2, []int{2, 64, 64, 2}},
 		{"replicated-window-1", 1, 1, 2, slices.Repeat([]int{2}, nblocks+2)},
@@ -582,9 +581,9 @@ func (f *failingReadFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestReadFailurePosition pins readSpans' failure contract on every
-// window shape (a no-window row runs on the default window, as deep as
-// the pool): when extents 5 and 9 of a read both fail — and, where the
-// window runs them concurrently, 9 fails FIRST in time — ReadAt
+// window shape (a no-window row runs on the default window): when
+// extents 5 and 9 of a read both fail — and, where the window runs
+// them concurrently, 9 fails FIRST in time — ReadAt
 // returns the buffer position of extent 5, its error, and p[:n] holding
 // exactly the plaintext that precedes it.
 func TestReadFailurePosition(t *testing.T) {

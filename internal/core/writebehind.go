@@ -38,11 +38,13 @@ import (
 //     halves in flight. What had not landed is then cut exactly as a
 //     crash would cut it.
 //
-// A mount on the default window (IOWindow 0, as deep as the pool) hands
-// nothing off: every commit runs inline, and its error surfaces at the
-// call that triggered it. The tie to a configured window is contract,
-// not speed — write-behind moves where a commit error surfaces, and
-// WithIOWindow documents that move.
+// A mount on the default window (IOWindow 0) hands nothing off: every
+// commit runs inline, and its error surfaces at the call that triggered
+// it. Whether IOWindow was set decides this, not the window's depth: the
+// default window is as deep as IOWindow 32, and only the latter hands
+// commits off. The tie to a configured window is contract, not speed —
+// write-behind moves where a commit error surfaces, and WithIOWindow
+// documents that move.
 
 // behindJob is one I/O half in flight.
 type behindJob struct {

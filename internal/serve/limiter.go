@@ -9,10 +9,10 @@ import (
 // to live queue depth instead of letting overload stack goroutines.
 // Each admitted request holds one in-flight slot until it finishes; a
 // request arriving while the combined depth — admitted requests plus
-// the engine's own queue (worker-pool backlog and backend I/O window
-// occupancy) — is at the bound is REJECTED up front, so the server's
-// answer to overload is a fast 503 + Retry-After, not an ever-growing
-// pile of blocked handlers whose latency grows without bound.
+// the engine's own queue (backend I/O window occupancy) — is at the
+// bound is REJECTED up front, so the server's answer to overload is a
+// fast 503 + Retry-After, not an ever-growing pile of blocked handlers
+// whose latency grows without bound.
 type Limiter struct {
 	max   int64
 	depth func() int64

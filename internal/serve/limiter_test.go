@@ -4,13 +4,17 @@
 package serve
 
 import (
+	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"lamassu"
+	"lamassu/internal/backend"
 )
 
 func TestLimiterBound(t *testing.T) {
@@ -131,4 +135,86 @@ func TestBackpressure503Wire(t *testing.T) {
 	wantStatus(t, resp, body, http.StatusOK)
 	resp, body = doReq(t, "GET", hs.URL+"/metrics", "", nil, nil)
 	wantStatus(t, resp, body, http.StatusOK)
+}
+
+// slowReadStore delays every backend read, so a read's extents hold
+// their window slots long enough to be seen.
+type slowReadStore struct{ backend.Store }
+
+func (s slowReadStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	f, err := s.Store.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return slowReadFile{f}, nil
+}
+
+type slowReadFile struct{ backend.File }
+
+func (f slowReadFile) ReadAt(p []byte, off int64) (int, error) {
+	time.Sleep(500 * time.Microsecond)
+	return f.File.ReadAt(p, off)
+}
+
+// TestEngineDepthOneLargeReadAdmits: on a sharded, compressed mount a
+// single read of well-compressing data is hundreds of short extents
+// that fill the default window. The admission depth is that window's
+// occupancy and never more — each of those I/Os is not counted again
+// in its shard's gauge — so a concurrent request is still admitted
+// under the default bound.
+func TestEngineDepthOneLargeReadAdmits(t *testing.T) {
+	store, err := lamassu.NewShardedStorage([]lamassu.Storage{
+		slowReadStore{backend.NewMemStore()}, slowReadStore{backend.NewMemStore()}},
+		&lamassu.ShardOptions{StripeBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := lamassu.GenerateKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := lamassu.New(store, keys, lamassu.WithParallelism(4), lamassu.WithCompression())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	data := bytes.Repeat([]byte("compressible "), (1<<20)/13+1)[:1<<20]
+	if err := m.WriteFile("f", data); err != nil {
+		t.Fatal(err)
+	}
+
+	l := NewLimiter(0, func() int64 { return engineDepth(m) })
+	done := make(chan error, 1)
+	go func() {
+		got, err := m.ReadFile("f")
+		if err == nil && !bytes.Equal(got, data) {
+			err = errors.New("round trip mismatch")
+		}
+		done <- err
+	}()
+	var maxDepth, rejected int64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		maxDepth = max(maxDepth, engineDepth(m))
+		if release, ok := l.Acquire(); ok {
+			release()
+		} else {
+			rejected++
+		}
+	}
+	st := m.EngineStats()
+	if st.IOPeakInFlight < 2 {
+		t.Fatalf("the read kept %d I/Os in flight, want a fan-out", st.IOPeakInFlight)
+	}
+	if maxDepth > int64(st.IOWindow) || rejected != 0 {
+		t.Fatalf("admission depth peaked at %d on a window of %d; %d concurrent requests shed",
+			maxDepth, st.IOWindow, rejected)
+	}
 }

@@ -107,7 +107,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"lamassu_slab_misses_total", "counter", "Scratch buffers freshly allocated.", float64(es.SlabMisses)},
 		{"lamassu_retry_attempts_total", "counter", "Backend operations re-issued after transient failure.", float64(es.RetryAttempts)},
 		{"lamassu_retries_exhausted_total", "counter", "Operations failed after the retry budget ran out.", float64(es.RetriesExhausted)},
-		{"lamassu_io_window", "gauge", "Backend I/O window depth (defaults to the worker-pool width).", float64(es.IOWindow)},
+		{"lamassu_io_window", "gauge", "Backend I/O window depth (defaults to 32, 1 under the serial engine).", float64(es.IOWindow)},
 		{"lamassu_io_inflight", "gauge", "Backend operations holding an I/O-window slot.", float64(es.IOInFlight)},
 		{"lamassu_io_inflight_peak", "gauge", "Deepest the I/O window has been.", float64(es.IOPeakInFlight)},
 		{"lamassu_hedge_attempts_total", "counter", "Duplicate reads issued by the hedging wrapper.", float64(es.HedgeAttempts)},

@@ -30,8 +30,7 @@
 // # Backpressure
 //
 // Admission is gated by a Limiter tied to the live queue depth
-// (in-flight requests plus the engine's worker-pool backlog and I/O
-// window occupancy). Overload is answered with 503 + Retry-After
+// (in-flight requests plus the engine's I/O-window occupancy). Overload is answered with 503 + Retry-After
 // before the request touches the mount, so queue depth — and tail
 // latency — stay bounded instead of stacking handler goroutines.
 //
@@ -89,8 +88,8 @@ type Config struct {
 	// (see Limiter); 0 selects DefaultMaxInFlight.
 	MaxInFlight int
 	// QueueDepth overrides the engine-depth probe the limiter adds to
-	// the in-flight count; nil selects the mount's live worker-queue +
-	// I/O-window depth.
+	// the in-flight count; nil selects the mount's I/O-window
+	// occupancy.
 	QueueDepth func() int64
 	// ListPageSize caps entries per /v1/list page; 0 selects
 	// DefaultListPageSize.
@@ -168,15 +167,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// engineDepth is the mount's live queue depth: per-shard worker
-// backlog plus backend I/Os holding an I/O-window slot.
+// engineDepth is the mount's live queue depth: the backend I/Os holding
+// an I/O-window slot, at most the window's depth. The per-shard extent
+// gauges (ShardStats.QueueDepth) are left out: they count those same
+// I/Os again, plus the lanes of one request's own read fan-out waiting
+// for a slot, so on a sharded mount a single large read would count
+// twice the window and shed every concurrent request.
 func engineDepth(m *lamassu.Mount) int64 {
-	var d int64
-	for _, s := range m.ShardStats() {
-		d += s.QueueDepth
-	}
-	d += m.EngineStats().IOInFlight
-	return d
+	return m.EngineStats().IOInFlight
 }
 
 // ServeHTTP implements http.Handler.

@@ -201,9 +201,10 @@ type Options struct {
 	KeyDeriver func(hash [32]byte) (Key, error)
 	// Parallelism bounds the worker goroutines used for per-block CPU
 	// work (key derivation, encryption, decode). The pool issues no
-	// backend writes: those run on the I/O window (IOWindow), whose
-	// depth defaults to this width. 0 selects GOMAXPROCS; 1 forces the
-	// paper's fully serial engine.
+	// backend writes: those run on the I/O window (IOWindow). 0 selects
+	// GOMAXPROCS; 1 forces the paper's fully serial engine, whose
+	// default window is one slot deep: one backend call at a time
+	// across every handle of the mount.
 	Parallelism int
 	// CacheBlocks sizes the per-mount LRU cache of verified plaintext
 	// data blocks and decoded metadata blocks, in blocks (data and
@@ -258,17 +259,20 @@ type Options struct {
 	// is one extent read or write; a replicated write reaches its R
 	// owners together on the slot it holds, so leaf stores see at most
 	// IOWindow × R write requests at once.
-	// 0 (the default) makes the window as deep as the worker pool
-	// (Parallelism; 1 under the serial engine) — right for local
-	// disks; 1 serializes backend I/O, the A/B baseline. The §2.4 phase
-	// barriers remain hard synchronization points at any setting and
-	// the backing bytes are identical.
+	// 0 (the default) selects a window of 32, or 1 under the serial
+	// engine (Parallelism 1); 1 serializes backend I/O, the A/B
+	// baseline. The default depth counts requests, not cores: 8 readers
+	// on a store with 1 ms of latency keep 12–13 in flight. The §2.4
+	// phase barriers remain hard synchronization points at any setting
+	// and the backing bytes are identical.
 	// A window set here (> 0) also takes commits off the writer's
 	// critical path: a WriteAt that fills a batch waits for its encode
 	// only, and the commit's backend writes run behind it, at most
 	// IOWindow commits per mount. Sync, Truncate and Close wait for
 	// them. A failed one is returned by the handle's next WriteAt, and
-	// by its next Sync, Truncate or Close.
+	// by its next Sync, Truncate or Close. Whether a value was set
+	// decides this, not the depth EngineStats reports: IOWindow 32
+	// hands commits off, and the default window of 32 does not.
 	IOWindow int
 	// Hedge, when non-nil, wraps every physical backing store with
 	// adaptive hedged reads: a read outstanding longer than a high
@@ -421,8 +425,8 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 		userStores = ss.Shards()
 		if o.EncryptNames || o.Retry != nil || o.Hedge != nil {
 			// Rebuild the sharded view with each LEAF store wrapped, so
-			// the sharding seam (budgets, read fan-out, placement
-			// identity) stays outermost; one wrapper per physical store.
+			// the sharding seam (extent splitting, shard gauges,
+			// placement identity) stays outermost; one wrapper per physical store.
 			views, err := wrapShardLeaves(wrapNew, ss)
 			if err != nil {
 				return nil, err
@@ -711,8 +715,10 @@ type EngineStats struct {
 	// out. Both zero without WithRetry.
 	RetryAttempts, RetriesExhausted int64
 	// IOWindow is the depth of the backend I/O window: Options.IOWindow,
-	// or the worker pool's width when that is 0. IOInFlight gauges the
-	// backend operations holding a window slot right now;
+	// or, when that is 0, 32 (1 under the serial engine). Copying it
+	// into WithIOWindow keeps the depth but also turns on write-behind,
+	// which follows whether a window was set, not its depth. IOInFlight
+	// gauges the backend operations holding a window slot right now;
 	// IOPeakInFlight is the deepest the window has been — how much of
 	// its depth the workload actually used.
 	IOWindow                   int
@@ -954,8 +960,8 @@ type ShardOptions struct {
 // independent stores — the multi-backend deployment where each shard
 // is its own directory, disk or filer. Placement is a consistent-hash
 // ring (deterministic across processes; see internal/shard), and a
-// Mount over the result carves its commit worker pool into per-shard
-// budgets automatically. The store order is part of the placement
+// Mount over the result reports its extents per shard (ShardStats)
+// automatically. The store order is part of the placement
 // contract. Use RebalanceShards, or Mount.StartRebalance under a live
 // mount, to add or remove shards.
 func NewShardedStorage(stores []Storage, opts *ShardOptions) (Storage, error) {
@@ -1301,7 +1307,7 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 	}
 	// The union of both epochs absorbs traffic while the migration
 	// runs; resize the per-shard gauges over it.
-	m.fs.RefreshShardBudgets()
+	m.fs.RefreshShardGauges()
 	r := &Rebalance{done: make(chan struct{})}
 	// Close cancels through this derived context so no mover outlives
 	// the mount.
@@ -1312,7 +1318,7 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 		stats, err := m.shard.RunMover(moverCtx)
 		if err == nil {
 			// Epoch committed: retired shards drop out of the gauges.
-			m.fs.RefreshShardBudgets()
+			m.fs.RefreshShardGauges()
 		}
 		r.stats = ShardRebalanceStats(stats)
 		r.err = err
@@ -1401,8 +1407,8 @@ func wrapShardNames(nameKey Key, views ...*shard.Store) ([]*shard.Store, error) 
 
 // wrapShardLeaves rebuilds sharded views with wrap applied to each
 // leaf store — the layout New uses for EncryptNames and
-// WithRetry, so the sharding seam stays outermost (budgets, read
-// fan-out, ShardStats) while the wrappers sit on the physical stores.
+// WithRetry, so the sharding seam stays outermost (extent splitting,
+// ShardStats) while the wrappers sit on the physical stores.
 // Slots and views sharing one physical store share ONE wrapper: the
 // shard layer's no-move and stale-copy decisions compare stores by
 // identity, and distinct wrappers around the same store would make

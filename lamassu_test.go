@@ -111,24 +111,24 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 	}
 }
 
-// TestDefaultIOWindowIsPoolWidth: without WithIOWindow the engine's I/O
-// window is as deep as the worker pool — WithParallelism's width, 1 under
-// the serial engine — and a multi-extent read over a 2-shard store stays
-// inside it and drains it.
-func TestDefaultIOWindowIsPoolWidth(t *testing.T) {
+// TestDefaultIOWindow: without WithIOWindow the engine's I/O window is
+// 32 deep whatever the worker pool's width, and one slot deep under the
+// serial engine; a multi-extent read over a 2-shard store stays inside
+// it and drains it.
+func TestDefaultIOWindow(t *testing.T) {
 	keys := mustKeys(t)
-	for _, width := range []int{3, 1} {
+	for _, tc := range []struct{ parallelism, window int }{{3, 32}, {0, 32}, {1, 1}} {
 		storage, err := NewShardedStorage([]Storage{NewMemStorage(), NewMemStorage()},
 			&ShardOptions{StripeBytes: 2 * 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(storage, keys, WithParallelism(width), WithLatencyCollection())
+		m, err := New(storage, keys, WithParallelism(tc.parallelism), WithLatencyCollection())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.EngineStats().IOWindow; got != width {
-			t.Fatalf("parallelism %d: IOWindow = %d, want the pool width", width, got)
+		if got := m.EngineStats().IOWindow; got != tc.window {
+			t.Fatalf("parallelism %d: IOWindow = %d, want %d", tc.parallelism, got, tc.window)
 		}
 		// 64 KiB over 8 KiB stripes: a read of 8 extents on 2 shards.
 		data := bytes.Repeat([]byte("default window "), 64*1024/15+1)[:64*1024]
@@ -137,15 +137,15 @@ func TestDefaultIOWindowIsPoolWidth(t *testing.T) {
 		}
 		got, err := m.ReadFile("f")
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("parallelism %d: round trip failed: %v", width, err)
+			t.Fatalf("parallelism %d: round trip failed: %v", tc.parallelism, err)
 		}
 		st := m.EngineStats()
 		if st.ReadRuns < 2 {
-			t.Fatalf("parallelism %d: the read took %d extents, want several", width, st.ReadRuns)
+			t.Fatalf("parallelism %d: the read took %d extents, want several", tc.parallelism, st.ReadRuns)
 		}
-		if st.IOPeakInFlight < 1 || st.IOPeakInFlight > int64(width) || st.IOInFlight != 0 {
+		if st.IOPeakInFlight < 1 || st.IOPeakInFlight > int64(tc.window) || st.IOInFlight != 0 {
 			t.Fatalf("parallelism %d: window gauges peak %d, in flight %d; want 1..%d and 0",
-				width, st.IOPeakInFlight, st.IOInFlight, width)
+				tc.parallelism, st.IOPeakInFlight, st.IOInFlight, tc.window)
 		}
 	}
 }

@@ -50,9 +50,10 @@ func WithKeyDeriver(derive func(hash [32]byte) (Key, error)) Option {
 	return func(o *Options) { o.KeyDeriver = derive }
 }
 
-// WithParallelism bounds the per-block CPU worker pool, and with it the
-// default I/O window depth; 0 selects GOMAXPROCS, 1 forces the paper's
-// fully serial engine.
+// WithParallelism bounds the per-block CPU worker pool; 0 selects
+// GOMAXPROCS, 1 forces the paper's fully serial engine, whose default
+// I/O window is one slot deep: one backend call at a time across every
+// handle of the mount.
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
@@ -118,10 +119,12 @@ func WithRetry(policy RetryPolicy) Option {
 // commit's backend writes run behind it, at most n commits per mount.
 // Sync, Truncate and Close wait for them; a failed one is returned by
 // the handle's next WriteAt and by its next Sync, Truncate or Close.
-// 0 (the default) makes the window as deep as the worker pool
-// (WithParallelism; 1 under the serial engine) and keeps every commit
-// inside the call that triggers it; 1 serializes backend I/O, the A/B
-// baseline. The §2.4 barriers are unchanged at any setting.
+// Whether n was set decides this, not the depth: WithIOWindow(32) hands
+// commits off, and the default window of the same depth does not.
+// 0 (the default) selects a window of 32 (1 under the serial engine)
+// and keeps every commit inside the call that triggers it; 1 serializes
+// backend I/O, the A/B baseline. The §2.4 barriers are unchanged at any
+// setting.
 func WithIOWindow(n int) Option {
 	return func(o *Options) { o.IOWindow = n }
 }
