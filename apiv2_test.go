@@ -303,15 +303,21 @@ func TestCancelMidCommitPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name   string
+		shards int
 	}{
-		{"coalesced", nil},
-		{"sharded-coalesced", []Option{WithShards(4)}},
+		{"coalesced", 0},
+		{"sharded-coalesced", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store := &cancelAfterStore{inner: backend.NewMemStore()}
-			m, err := New(store, keys, tc.opts...)
+			mount := func() (*Mount, error) {
+				if tc.shards > 0 {
+					return New(carve(t, store, tc.shards), keys)
+				}
+				return New(store, keys)
+			}
+			m, err := mount()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -341,7 +347,7 @@ func TestCancelMidCommitPublicAPI(t *testing.T) {
 
 			// Recover and audit: the mount must come back clean.
 			store.arm(0, nil)
-			m2, err := New(store, keys, tc.opts...)
+			m2, err := mount()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,9 +395,10 @@ func TestNoBackendWorkAfterCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := &cancelAfterStore{inner: backend.NewMemStore()}
-	// Serial engine: no already-dispatched pool tasks can race extra
-	// writes past the cancellation point, so the count is exact.
-	m, err := New(store, keys, WithParallelism(1))
+	// Serial engine: no already-dispatched pool task or window lane can
+	// race extra writes past the cancellation point, so the count is
+	// exact.
+	m, err := New(store, keys, WithParallelism(1), WithIOWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}

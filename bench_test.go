@@ -189,22 +189,25 @@ func BenchmarkWrite4KThroughMount(b *testing.B) {
 			}
 		}
 	}
-	// serial is the paper's single-threaded engine; parallel fans the
-	// per-block commit work across GOMAXPROCS workers.
-	b.Run("serial", func(b *testing.B) { bench(b, WithParallelism(1)) })
+	// serial is the paper's single-threaded engine, one worker and one
+	// window slot; parallel fans the per-block commit work across
+	// GOMAXPROCS workers.
+	b.Run("serial", func(b *testing.B) { bench(b, WithParallelism(1), WithIOWindow(1)) })
 	b.Run("parallel", func(b *testing.B) { bench(b) })
 }
 
 // Parallel application threads over one mount: every goroutine writes
 // its own file, the shape of the paper's multi-client deployment.
 func BenchmarkWrite4KConcurrentFiles(b *testing.B) {
+	// par 1 is the serial engine (one worker, one window slot); 0 selects
+	// the defaults for both.
 	for _, par := range []int{1, 0} {
 		name := "serial"
 		if par == 0 {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
-			m, err := New(NewMemStorage(), benchKeys(b), WithParallelism(par))
+			m, err := New(NewMemStorage(), benchKeys(b), WithParallelism(par), WithIOWindow(par))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -592,7 +595,10 @@ func BenchmarkSegmentCommit(b *testing.B) {
 		store := backend.NewMemStore()
 		rec := metrics.New()
 		lfs, err := core.New(store, core.Config{
-			Inner: keys.Inner, Outer: keys.Outer, Recorder: rec, Parallelism: parallelism,
+			Inner: keys.Inner, Outer: keys.Outer, Recorder: rec,
+			// 1 is the serial engine (one worker, one window slot); 0
+			// selects the defaults for both.
+			Parallelism: parallelism, IOWindow: parallelism,
 		})
 		if err != nil {
 			b.Fatal(err)

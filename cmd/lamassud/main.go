@@ -65,7 +65,7 @@ func run(argv []string, ready func(addr string), logw io.Writer) error {
 	tenantsPath := fs.String("tenants", "", "tenant bearer-token map (`tenant: NAME TOKEN` lines, optional `admin: TOKEN`)")
 	parallelism := fs.Int("parallelism", 0, "per-block CPU worker-pool width (0 = GOMAXPROCS)")
 	cacheBlocks := fs.Int("cache", 1024, "verified-plaintext block-cache capacity in blocks")
-	ioWindow := fs.Int("iowindow", 0, "bound on concurrently outstanding backend I/Os (0 = 32, or 1 with -parallelism 1)")
+	ioWindow := fs.Int("iowindow", 0, "bound on concurrently outstanding backend I/Os (0 = 32); above 1, commits run behind the writer")
 	compress := fs.Bool("compress", false, "compress blocks before encryption on new writes (deterministic; dedup preserved)")
 	maxInFlight := fs.Int("max-inflight", 0, "admission bound: in-flight requests + engine queue depth (0 = default)")
 	maxUploadMB := fs.Int64("max-upload-mb", 0, "largest accepted PUT body in MiB (0 = unlimited)")

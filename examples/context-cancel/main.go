@@ -36,8 +36,9 @@ func main() {
 	link.RTT, link.WriteRTT, link.Bandwidth = 200*time.Microsecond, 400*time.Microsecond, 50e6
 	store := nfssim.New(lamassu.NewMemStorage(), link, simclock.Real{})
 
-	// API v2 construction: functional options.
-	m, err := lamassu.New(store, keys, lamassu.WithParallelism(1))
+	// API v2 construction: functional options. This is the paper's
+	// serial engine: one CPU worker and one backend call at a time.
+	m, err := lamassu.New(store, keys, lamassu.WithParallelism(1), lamassu.WithIOWindow(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -267,8 +267,8 @@ func (s slowComplete) Complete(ctx context.Context, key, id string, size int64) 
 
 // TestConcurrentSyncSharedState: handles on one object share one staged
 // state and one multipart session, and shard's barrier flushes its
-// handles together — with WithShards(n) carving one physical store that
-// is n handles on this state syncing at once. Exactly one of them must
+// handles together — a sharded store over one physical store repeated
+// n times is n handles on this state syncing at once. Exactly one of them must
 // Complete the session; the other finds the barrier done. Without the
 // per-state barrier lock both snapshot the same upload id and the second
 // Complete fails "no such upload".

@@ -84,10 +84,9 @@ import (
 // The pipeline is two halves. The CPU half (prepareCommit) is
 // everything up to and including the encode fan-out; the I/O half
 // (landCommit) is the chunk loop of phases 1–3 and the bookkeeping
-// after it. A commit a write triggers on a mount with a configured
-// window (Config.IOWindow > 0) runs its CPU half on the writer and hands
-// the I/O half to the window (writebehind.go); every other commit runs
-// both here, back to back.
+// after it. A commit a write triggers on a window of more than one slot
+// runs its CPU half on the writer and hands the I/O half to the window
+// (writebehind.go); every other commit runs both here, back to back.
 //
 // The caller must hold seg.mu exclusively.
 func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error {

@@ -42,8 +42,8 @@
 // reads and writes on one handle run concurrently; per-segment locks
 // serialize writes into — and the multiphase commit of — each
 // individual segment, so readers never observe a half-committed
-// segment and commits of distinct segments overlap — on a mount with a
-// configured window also with the writer, whose commits run their
+// segment and commits of distinct segments overlap — on a window of
+// more than one slot also with the writer, whose commits run their
 // backend writes behind it (writebehind.go). Per-block CPU work (key
 // derivation, encryption, decode) fans out across a bounded worker pool
 // (Config.Parallelism), and every backend data I/O runs on a bounded
@@ -60,6 +60,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -146,11 +147,10 @@ type Config struct {
 	// Parallelism bounds the worker goroutines the FS uses for
 	// per-block CPU work — convergent key derivation, block encryption
 	// and decode. The pool issues no backend writes; those run on the
-	// I/O window (IOWindow). 0 selects GOMAXPROCS; 1 forces the fully
-	// serial engine of the paper's prototype, whose default window is
-	// one slot deep: one backend call at a time across every handle of
-	// the mount. The multiphase metadata barriers (§2.4) are
-	// unchanged at any setting.
+	// I/O window (IOWindow). 0 selects GOMAXPROCS; 1 runs the CPU work
+	// on the calling goroutine. The paper's serial prototype is
+	// Parallelism 1 with IOWindow 1. The multiphase metadata barriers
+	// (§2.4) are unchanged at any setting.
 	Parallelism int
 	// CacheBlocks is the capacity, in blocks, of the per-FS LRU cache
 	// of verified plaintext data blocks and decoded metadata blocks.
@@ -184,27 +184,22 @@ type Config struct {
 	// budget — the pipelining knob for high-latency stores, where the
 	// useful number of outstanding requests is set by the link's
 	// latency×bandwidth product rather than by core count. 0 (the
-	// default) selects 32 slots (defaultIOWindow), or 1 under the
-	// serial engine (Parallelism 1); 1 serializes backend I/O, the A/B
-	// baseline. Commits and reads, sharded or not, dispatch their
-	// extents on the window (runWindowed), and the window alone bounds
-	// the requests in flight per mount, however many handles are busy.
-	// The window changes scheduling only: the §2.4 phase barriers
+	// default) selects 32 slots (defaultIOWindow); 1 serializes backend
+	// I/O, the A/B baseline. Commits and reads, sharded or not, dispatch
+	// their extents on the window (runWindowed), and the window alone
+	// bounds the requests in flight per mount, however many handles are
+	// busy. The window changes scheduling only: the §2.4 phase barriers
 	// remain hard synchronization points (the serialized metadata
 	// barrier writes bypass the window), the on-disk bytes are
 	// identical at every setting, and commit errors keep the
 	// deterministic lowest-index-wins semantics.
 	//
-	// A window set here (IOWindow > 0) also moves who waits for a
-	// commit a write triggers (write-behind, writebehind.go): the write
-	// waits for the encode only, and the commit's backend writes run
-	// behind it. At most IOWindow such commits are in flight per mount;
-	// Sync, Truncate and Close wait for a handle's. A failed one
-	// surfaces at the handle's next WriteAt, and at its next Sync,
-	// Truncate or Close, which clears it. At 0 every commit runs inside
-	// the call that triggers it. Whether a value was set decides this,
-	// not the depth: IOWindow 32 hands commits off, and the default
-	// window of the same depth does not.
+	// A window of more than one slot also runs the backend writes of a
+	// commit a write triggers behind the writer (write-behind,
+	// writebehind.go), at most IOWindow such commits per mount; where
+	// their errors surface is vfs.File's write-back contract. A
+	// one-slot window runs every commit inside the call that triggers
+	// it.
 	IOWindow int
 }
 
@@ -290,7 +285,7 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 		pool:  pool,
 		cache: newBlockCache(cfg.CacheBlocks, cfg.Recorder),
 		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
-		iow:   newIOWindow(ioWindowDepth(cfg)),
+		iow:   newIOWindow(cmp.Or(cfg.IOWindow, defaultIOWindow)),
 	}
 	if cfg.KeyDeriver == nil {
 		fs.ced = cryptoutil.NewCEKeyDeriver(cfg.Inner)

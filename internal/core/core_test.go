@@ -335,15 +335,26 @@ func TestCorruptionDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// flip inverts one byte of the backing file, so it always changes
+	// (the metadata block is sealed under a random nonce: any fixed
+	// value is already there once in 256 runs).
+	flip := func(off int64) {
+		t.Helper()
+		bf, err := store.Open("f", backend.OpenWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bf.Close()
+		b := make([]byte, 1)
+		if _, err := bf.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bf.WriteAt([]byte{^b[0]}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Corrupt one byte of the first data block (physical block 1).
-	bf, err := store.Open("f", backend.OpenWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bf.WriteAt([]byte{0xFF}, 4096+100); err != nil {
-		t.Fatal(err)
-	}
-	bf.Close()
+	flip(4096 + 100)
 
 	f, err := fs.Open("f")
 	if err != nil {
@@ -369,14 +380,7 @@ func TestCorruptionDetection(t *testing.T) {
 	fm.Close()
 
 	// ...but metadata corruption is always detected (GCM).
-	bf, err = store.Open("f", backend.OpenWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bf.WriteAt([]byte{0xFF}, 200); err != nil { // inside meta block 0
-		t.Fatal(err)
-	}
-	bf.Close()
+	flip(200) // inside meta block 0
 	if _, err := fsMeta.Open("f"); err == nil {
 		// Opening reads only the final meta block; for a 1-segment
 		// file that IS block 0, so open fails. Also verify via read.

@@ -524,7 +524,11 @@ func TestWriteBehindCanceledWait(t *testing.T) {
 // TestCancelRetryConverges: after a mid-commit cancellation, retrying
 // the flush on the SAME handle with a live context must complete the
 // write — the staged pending blocks survive the cancellation and the
-// implicit midupdate repair re-commits only what never landed.
+// implicit midupdate repair re-commits only what never landed. The
+// canceled commit is one a WriteAt triggered, which runs behind the
+// writer on the default window, so the first live Sync reports the
+// cancel it recorded (the write-back contract) and the retried one
+// converges.
 func TestCancelRetryConverges(t *testing.T) {
 	t.Run("coalesced", func(t *testing.T) {
 		geo, err := layout.NewGeometry(512, 4)
@@ -557,6 +561,10 @@ func TestCancelRetryConverges(t *testing.T) {
 			t.Fatalf("expected mid-commit cancellation, got %v", werr)
 		}
 
+		// The barrier reports the canceled write-behind commit once.
+		if err := f.SyncCtx(context.Background()); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("first sync: %v, want the recorded cancellation", err)
+		}
 		// Retry with a live context: the staged blocks (including the
 		// partially-applied canceled write — per-block atomicity, as
 		// in the crash model) must flush cleanly.

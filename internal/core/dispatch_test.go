@@ -243,8 +243,9 @@ func (s *rendezvousStore) release() {
 // not, inside one stripe or across two: 2 rounds of 32 on a window of
 // 32. A no-window row configures none (IOWindow 0) and so reads on the
 // default window: 32 deep whatever Parallelism is (4 and 8 here), so
-// also 2 rounds of 32, and one slot under the serial engine, so all 64
-// — the count behind "a deep window beats window 1 on a 2 ms link".
+// also 2 rounds of 32. The serial engine (Parallelism 1, IOWindow 1)
+// waits through all 64 — the count behind "a deep window beats window 1
+// on a 2 ms link".
 // The reads issued are the same multiset whatever the dispatch: the
 // plan is not the dispatcher's to change.
 func TestShardedWindowedReadRounds(t *testing.T) {
@@ -271,7 +272,7 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 		{"sharded-one-stripe-no-window", 128 * bs, 0, 4, repeat(32, 2)},
 		{"sharded-two-stripes-no-window", 33 * bs, 0, 8, repeat(32, 2)},
 		{"unsharded-window-32", 0, 32, 0, repeat(32, 2)},
-		{"unsharded-no-window", 0, 0, 1, repeat(1, 64)},
+		{"unsharded-window-1", 0, 1, 1, repeat(1, 64)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
@@ -430,8 +431,8 @@ func TestWindowedCommitChargesShards(t *testing.T) {
 // window of 32 the commit waits through 2 rounds of 32; with none
 // configured, on the default window, through the same 2 rounds of 32 at
 // Parallelism 4 (the default depth does not follow the pool), and
-// through 64 under the serial engine. All write the same plan and the
-// same bytes.
+// through 64 under the serial engine (Parallelism 1, IOWindow 1). All
+// write the same plan and the same bytes.
 //
 // The replicated rows run the same commit over a shard.Store with R=2 on
 // two rendezvous leaves, metadata writes parked as well, and count LEAF
@@ -454,7 +455,7 @@ func TestWindowedCommitRounds(t *testing.T) {
 	}{
 		{"window-32", 32, 1, 0, []int{32, 32}},
 		{"no-window-4", 0, 4, 0, []int{32, 32}},
-		{"serial-no-window", 0, 1, 0, slices.Repeat([]int{1}, nblocks)},
+		{"serial-window-1", 1, 1, 0, slices.Repeat([]int{1}, nblocks)},
 		{"replicated-window-32", 32, 1, 2, []int{2, 64, 64, 2}},
 		{"replicated-window-1", 1, 1, 2, slices.Repeat([]int{2}, nblocks+2)},
 	} {
@@ -841,7 +842,6 @@ func TestCommitAsksNoSizes(t *testing.T) {
 	}
 	cfg := compressedConfig()
 	cfg.IOWindow = 32
-	cfg.Parallelism = 1
 	lfs := newFS(t, ss, cfg)
 	f, err := lfs.Create("f")
 	if err != nil {
@@ -947,9 +947,11 @@ func writeBehind(t *testing.T, f vfs.File, p []byte, off int64) {
 // segment 0 returns while the commit's phase-1 write is still parked, so
 // long before its phase 3 is admitted; the next WriteAt fills segment 1
 // meanwhile, and that commit's phase-1 write is in flight in the same
-// round as segment 0's phase-2 extent. On the default window (IOWindow
-// 0) nothing is handed off: the call log is the inline engine's, every
-// commit's three writes in order inside the WriteAt that triggers it.
+// round as segment 0's phase-2 extent. The default window (IOWindow 0,
+// 32 slots) hands off alike: its WriteAt returns while phase 1 is
+// parked. On a window of 1 nothing is handed off: the call log is the
+// inline engine's, every commit's three writes in order inside the
+// WriteAt that triggers it.
 func TestWriteBehindOverlapsCommits(t *testing.T) {
 	geo := layout.Default()
 	bs, kps := geo.BlockSize, geo.KeysPerSegment()
@@ -1008,9 +1010,40 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 		}
 	})
 
-	t.Run("window-0", func(t *testing.T) {
+	t.Run("window-default", func(t *testing.T) {
+		rs := newRendezvousStore(backend.NewMemStore(), meta(0))
+		rs.parkWrites, rs.parkMeta = true, true
+		lfs := newFS(t, rs, testConfig())
+		f, err := lfs.Create("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := compressibleBytes(56, kps*bs, 1)
+		writeBehind(t, f, seg, 0)
+		if got := rs.await(t, 1); !reflect.DeepEqual(got, []int64{meta(0)}) {
+			t.Fatalf("writes parked after the WriteAt returned: %v, want segment 0's phase 1", got)
+		}
+
+		done := make(chan struct{})
+		var cerr error
+		go func() {
+			defer close(done)
+			cerr = f.Close()
+		}()
+		if rs.drive(done); cerr != nil {
+			t.Fatalf("Close: %v", cerr)
+		}
+		got, err := vfs.ReadAll(lfs, "f")
+		if err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("round trip: %v, equal %v", err, bytes.Equal(got, seg))
+		}
+	})
+
+	t.Run("window-1", func(t *testing.T) {
 		log := &leafLog{}
-		lfs := newFS(t, loggedLeaf{Store: backend.NewMemStore(), log: log}, testConfig())
+		cfg := testConfig()
+		cfg.IOWindow = 1
+		lfs := newFS(t, loggedLeaf{Store: backend.NewMemStore(), log: log}, cfg)
 		f, err := lfs.Create("f")
 		if err != nil {
 			t.Fatal(err)
@@ -1032,7 +1065,7 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 		want = append(want, commit(0, 10)...)
 		want = append(want, commit(2, 2*kps)...)
 		if got := log.take(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("leaf calls on the default window:\n got  %v\n want %v", got, want)
+			t.Fatalf("leaf calls on a window of 1:\n got  %v\n want %v", got, want)
 		}
 	})
 }
@@ -1041,8 +1074,8 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 // lands. The sequential-plus-overwrite workload leaves the same data
 // blocks (compared with the metadata blocks masked, as the
 // compression-off golden compares them) and the same decoded metadata
-// on a window of 8 as on the default window, which hands nothing off,
-// raw and compressed.
+// on a window of 8 as on a window of 1, which hands nothing off, raw and
+// compressed.
 func TestWriteBehindSameBytes(t *testing.T) {
 	geo := layout.Default()
 	for _, tc := range []struct {
@@ -1054,7 +1087,7 @@ func TestWriteBehindSameBytes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var raws [2][]byte
-			for i, window := range []int{8, 0} {
+			for i, window := range []int{8, 1} {
 				store := backend.NewMemStore()
 				cfg := tc.cfg
 				cfg.IOWindow = window
@@ -1075,10 +1108,10 @@ func TestWriteBehindSameBytes(t *testing.T) {
 				}
 			}
 			if len(raws[0]) != len(raws[1]) {
-				t.Fatalf("backing file is %d bytes on window 8, %d on the default window", len(raws[0]), len(raws[1]))
+				t.Fatalf("backing file is %d bytes on window 8, %d on window 1", len(raws[0]), len(raws[1]))
 			}
 			if !bytes.Equal(maskMetaBlocks(raws[0]), maskMetaBlocks(raws[1])) {
-				t.Fatal("data blocks differ between window 8 and the default window")
+				t.Fatal("data blocks differ between window 8 and window 1")
 			}
 			bs := int64(geo.BlockSize)
 			for si := int64(0); geo.MetaBlockOffset(si) < int64(len(raws[0])); si++ {
@@ -1092,7 +1125,7 @@ func TestWriteBehindSameBytes(t *testing.T) {
 					metas[i] = m
 				}
 				if !reflect.DeepEqual(metas[0], metas[1]) {
-					t.Fatalf("segment %d: decoded metadata differs:\n window 8 %+v\n none     %+v", si, metas[0], metas[1])
+					t.Fatalf("segment %d: decoded metadata differs:\n window 8 %+v\n window 1 %+v", si, metas[0], metas[1])
 				}
 			}
 		})

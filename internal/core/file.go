@@ -726,13 +726,12 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 // of the segment, or explicitly via Recover) repairs it, and no
 // previously committed byte is lost.
 //
-// On a mount with a configured window (Config.IOWindow > 0) a write
-// that triggers a commit waits only for its encode: it hands the
-// commit's backend writes to the window, still under ctx, and returns
-// (writebehind.go). At most IOWindow such
-// commits are in flight per mount; Sync, Truncate and Close wait for
-// them. If one fails, this and every later WriteAt on the handle
-// returns its error until Sync, Truncate or Close reports it.
+// On a window of more than one slot a write that triggers a commit
+// waits only for its encode: it hands the commit's backend writes to the
+// window, still under ctx, and returns (writebehind.go). At most
+// IOWindow such commits are in flight per mount; Sync, Truncate and
+// Close wait for them. If one fails, this and every later WriteAt on
+// the handle returns its error until Sync, Truncate or Close reports it.
 func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
 	f.opMu.RLock()
 	defer f.opMu.RUnlock()

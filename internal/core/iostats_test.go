@@ -16,7 +16,9 @@ import (
 // content that differs from what is on disk. No two pending blocks are
 // adjacent, so each is its own extent and a batch of m blocks costs
 // m+2 backing writes — two metadata writes plus one per block — with a
-// batch committing every r overwrites. It returns the backing writes
+// batch committing every r overwrites. It runs on a one-slot window,
+// whose commits land inside the write that triggers them, so the count
+// read after the last write is exact. It returns the backing writes
 // the overwrites cost (and a closing Sync's, when sync is set) and the
 // number of blocks overwritten.
 func stridedOverwrites(t *testing.T, r, blocks int, sync bool) (writes int64, n int) {
@@ -28,6 +30,7 @@ func stridedOverwrites(t *testing.T, r, blocks int, sync bool) (writes int64, n 
 	}
 	cfg := testConfig()
 	cfg.Geometry = geo
+	cfg.IOWindow = 1
 	lfs := newFS(t, store, cfg)
 	if err := vfs.WriteAll(lfs, "f", bytes.Repeat([]byte{0x61}, blocks*4096)); err != nil {
 		t.Fatal(err)

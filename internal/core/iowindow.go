@@ -13,10 +13,11 @@ import (
 // flight at once, and every mount has one. Every extent a commit writes
 // or a read fetches is dispatched on it (runWindowed), so it is also
 // the one place backend concurrency is decided. Config.IOWindow sets
-// its depth (ioWindowDepth). It is independent of the worker pool: the
-// pool sizes the encrypt/decrypt fan-out to the machine's cores, while
-// the window sizes the number of concurrently outstanding backend
-// requests to the store's latency×bandwidth product. Against a remote
+// its depth (defaultIOWindow when 0), and nothing else does. It is
+// independent of the worker pool: the pool sizes the encrypt/decrypt
+// fan-out to the machine's cores, while the window sizes the number of
+// concurrently outstanding backend requests to the store's
+// latency×bandwidth product. Against a remote
 // object store the two differ by an order of magnitude — a 4-core
 // client still wants 32 ranged GETs on the wire.
 //
@@ -35,12 +36,12 @@ import (
 // holder is a pure backend call that completes without needing anything
 // the waiter holds.
 //
-// A window the user configured (Config.IOWindow > 0) also bounds
-// write-behind (writebehind.go): at most cap(sem) commit I/O halves are
-// in flight per mount, counted on behind. That is the same number on a
-// semaphore of its own, because a half spends its life waiting for
-// window slots for its own extents — were it to hold one, a full window
-// of halves would wait on itself.
+// A window of more than one slot also runs commits behind the writer
+// (writebehind.go), and bounds that too: at most cap(sem) commit I/O
+// halves are in flight per mount, counted on behind. That is the same
+// number on a semaphore of its own, because a half spends its life
+// waiting for window slots for its own extents — were it to hold one, a
+// full window of halves would wait on itself.
 type ioWindow struct {
 	sem    chan struct{}
 	behind chan struct{}
@@ -50,29 +51,14 @@ type ioWindow struct {
 	peak     atomic.Int64
 }
 
-// defaultIOWindow is the depth Config.IOWindow 0 selects outside the
-// serial engine. It counts backend requests, not cores, so it does not
-// follow Parallelism: 8 handles each reading 64 KiB from a store with
-// 1 ms of latency keep 12–13 reads in flight when nothing bounds them,
-// and a window of 2 (a 2-vCPU pool's width) cut them from ≈ 210 to
-// ≈ 80 MiB/s, while windows of 16 and 32 matched the unbounded rate. A
-// store without latency never fills the window, so there the depth
-// does not matter.
+// defaultIOWindow is the depth Config.IOWindow 0 selects. It counts
+// backend requests, not cores, so it does not follow Parallelism: 8
+// handles each reading 64 KiB from a store with 1 ms of latency keep
+// 12–13 reads in flight when nothing bounds them, and a window of 2 (a
+// 2-vCPU pool's width) cut them from ≈ 210 to ≈ 80 MiB/s, while windows
+// of 16 and 32 matched the unbounded rate. A store without latency never
+// fills the window, so there the depth does not matter.
 const defaultIOWindow = 32
-
-// ioWindowDepth is the window depth cfg selects: IOWindow when set;
-// otherwise 1 under the serial engine (Parallelism 1), which issues one
-// backend call at a time like the paper's prototype, and
-// defaultIOWindow for every other engine.
-func ioWindowDepth(cfg Config) int {
-	switch {
-	case cfg.IOWindow > 0:
-		return cfg.IOWindow
-	case cfg.Parallelism == 1:
-		return 1
-	}
-	return defaultIOWindow
-}
 
 // newIOWindow returns a window of n >= 1 slots.
 func newIOWindow(n int) *ioWindow {
@@ -99,7 +85,8 @@ func (w *ioWindow) release() {
 
 // IOWindowStats is a snapshot of the I/O window's gauges.
 type IOWindowStats struct {
-	// Window is the window's depth (ioWindowDepth).
+	// Window is the window's depth: Config.IOWindow, or defaultIOWindow.
+	// A window of more than one slot hands commits off (writebehind.go).
 	Window int
 	// InFlight is the number of backend operations holding a slot now.
 	InFlight int64
@@ -185,8 +172,7 @@ func (fs *FS) resetShardGauges(n int) {
 // whole mount, every concurrent batch sharing the same slots. The batch
 // gets min(n, window) lanes: more could only ever park on acquire, and a
 // task starts as soon as any earlier one finishes. One lane — a single
-// task, or the serial engine's one-slot window — runs inline on the
-// caller's goroutine.
+// task, or a one-slot window — runs inline on the caller's goroutine.
 //
 // Lanes are not pool tasks and take no pool slot. A reader can block on
 // a segment lock held by that segment's commit, and the commit may need

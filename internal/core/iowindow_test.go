@@ -76,7 +76,7 @@ func goroutineHeader() string {
 // caller's own goroutine whatever the window, and the dispatcher does not
 // consult ctx for it (the task's own backend call does) — both as
 // before the dispatcher had lanes. A one-slot window — the serial
-// engine's default — runs every batch on the caller's goroutine too, as
+// engine's — runs every batch on the caller's goroutine too, as
 // pool.run does at width 1.
 func TestRunWindowedSingleTaskInline(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())

@@ -18,10 +18,10 @@ import (
 // once share one semaphore instead of multiplying goroutines per
 // handle.
 //
-// A width of 1 is the fully serial engine: run executes its tasks
-// inline on the caller's goroutine with no channel traffic, so the
-// serial path costs nothing beyond a branch — commits behave exactly
-// as the paper's single-threaded prototype.
+// A width of 1 is serial: run executes its tasks inline on the caller's
+// goroutine with no channel traffic, so the serial path costs nothing
+// beyond a branch — with a one-slot window (Config.IOWindow 1), commits
+// behave exactly as the paper's single-threaded prototype.
 type pool struct {
 	width int
 	sem   chan struct{}

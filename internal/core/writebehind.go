@@ -6,12 +6,11 @@ import (
 )
 
 // Write-behind. A commit that a write triggers on a mount whose window
-// the user configured (Config.IOWindow > 0) runs its CPU half
-// (prepareCommit: key derivation and the encode fan-out) on the writer,
-// hands its I/O half (landCommit: phases 1–3) to a goroutine, and
-// returns. The writer encodes its next segment while the
-// previous one's round trips are in flight, so the window is not left
-// idle while it encodes.
+// has more than one slot runs its CPU half (prepareCommit: key
+// derivation and the encode fan-out) on the writer, hands its I/O half
+// (landCommit: phases 1–3) to a goroutine, and returns. The writer
+// encodes its next segment while the previous one's round trips are in
+// flight, so the window is not left idle while it encodes.
 //
 // The I/O half keeps the segment's exclusive lock from the write that
 // triggered it (Go lets another goroutine release a mutex) and releases
@@ -38,13 +37,10 @@ import (
 //     halves in flight. What had not landed is then cut exactly as a
 //     crash would cut it.
 //
-// A mount on the default window (IOWindow 0) hands nothing off: every
-// commit runs inline, and its error surfaces at the call that triggered
-// it. Whether IOWindow was set decides this, not the window's depth: the
-// default window is as deep as IOWindow 32, and only the latter hands
-// commits off. The tie to a configured window is contract, not speed —
-// write-behind moves where a commit error surfaces, and WithIOWindow
-// documents that move.
+// A one-slot window (one backend call at a time, as in the paper's
+// serial engine) hands nothing off, as runWindowed runs a one-lane
+// batch inline: every commit runs inside the call that triggers it, and
+// its error surfaces there. The window's depth alone decides this.
 
 // behindJob is one I/O half in flight.
 type behindJob struct {
@@ -54,13 +50,13 @@ type behindJob struct {
 
 // commitTriggered runs the commit that writeSpan's trigger fired for
 // segment si, whose lock the caller holds exclusively, and releases
-// that lock: itself once the commit is done, or — on a mount with a
-// configured window — through the I/O half it hands off once the CPU
-// half is done.
+// that lock: itself once the commit is done, or — on a window of more
+// than one slot — through the I/O half it hands off once the CPU half
+// is done.
 func (f *file) commitTriggered(ctx context.Context, seg *segment, si int64) error {
 	c, err := f.prepareCommit(ctx, seg, si)
 	if err == nil && c != nil {
-		if f.fs.cfg.IOWindow > 0 {
+		if cap(f.fs.iow.sem) > 1 {
 			f.handOff(ctx, seg, si, c)
 			return nil
 		}

@@ -434,7 +434,7 @@ func TestReplicatedOwnerSubsetCut(t *testing.T) {
 	}
 	const leaves, bs = 3, 512
 	nBlocks := 2 * geo.KeysPerSegment()
-	cfg := core.Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Parallelism: 1}
+	cfg := core.Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Parallelism: 1, IOWindow: 1}
 	rng := rand.New(rand.NewSource(17))
 	initial := make([]byte, nBlocks*bs)
 	rng.Read(initial)

@@ -153,9 +153,9 @@ func uniqueOf(stores []backend.Store) []uniqueStore {
 // implements backend.Store; see the package comment for placement
 // semantics and migrate.go for online topology change.
 //
-// The same underlying store may appear in several slots: internal/core
-// and the public Options use that to carve N *logical* shards (routing
-// plus per-shard gauges) out of one physical store, which is
+// The same underlying store may appear in several slots: repeating it
+// carves N *logical* shards (routing plus per-shard gauges) out of one
+// physical store, which is
 // byte-for-byte identical to the unsharded layout because every stripe
 // keeps its global offset and file name.
 type Store struct {

@@ -33,6 +33,15 @@ var ErrNotExist = errors.New("vfs: file does not exist")
 // multiphase commit is exactly a crash cut the §2.4 recovery protocol
 // repairs. Passing a nil context (or calling the plain methods, which
 // are equivalent) preserves the pre-v2 behavior byte for byte.
+//
+// Writes follow the write-back contract POSIX already has. A write may
+// return before the backend writes of a commit it triggers have landed,
+// as LamassuFS does on every mount whose I/O window has more than one
+// slot. The error of such a commit surfaces at the handle's next
+// WriteAt, Sync, Truncate or Close: WriteAt keeps returning it, and the
+// first Sync, Truncate or Close reports it and clears it. Only Sync,
+// Truncate and Close are barriers; a caller that must know every byte
+// landed calls one and checks its error.
 type File interface {
 	io.Reader
 	io.Writer

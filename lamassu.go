@@ -202,9 +202,8 @@ type Options struct {
 	// Parallelism bounds the worker goroutines used for per-block CPU
 	// work (key derivation, encryption, decode). The pool issues no
 	// backend writes: those run on the I/O window (IOWindow). 0 selects
-	// GOMAXPROCS; 1 forces the paper's fully serial engine, whose
-	// default window is one slot deep: one backend call at a time
-	// across every handle of the mount.
+	// GOMAXPROCS; 1 runs the CPU work on the calling goroutine. The
+	// paper's fully serial engine is Parallelism 1 with IOWindow 1.
 	Parallelism int
 	// CacheBlocks sizes the per-mount LRU cache of verified plaintext
 	// data blocks and decoded metadata blocks, in blocks (data and
@@ -217,29 +216,11 @@ type Options struct {
 	// reads form a forward scan. 0 disables readahead; New rejects it
 	// without CacheBlocks > 0.
 	Readahead int
-	// Shards, when >= 1, carves the provided store into that many
-	// logical shards behind a consistent-hash placement map: backing
-	// files (and, via segment-aligned striping, ranges of large files)
-	// are routed to shards, and each extent is charged to its owning
-	// shard in ShardStats. Because every logical shard is the same
-	// physical store, the backing bytes are identical to the unsharded
-	// layout at ANY shard count — Shards: 1 is the plain engine plus
-	// the routing layer. For sharding across genuinely separate
-	// backends, build the store with NewShardedStorage instead and
-	// leave Shards zero.
-	Shards int
-	// ShardVnodes is the virtual-node count per shard on the placement
-	// ring (0 selects the default, 64). It must be the same every time
-	// a sharded store is mounted, and no rebalance (RebalanceShards,
-	// Mount.StartRebalance) changes it.
-	ShardVnodes int
 	// Replicas, when nonzero, asserts the replication factor of the
 	// sharded store the mount is given (see ShardOptions.Replicas,
 	// where the factor is configured): the mount fails unless the store
 	// maintains exactly this many copies of every key. It requires a
-	// store from NewShardedStorage — carving one store into logical
-	// shards (Shards) cannot replicate, since every copy would land on
-	// the same physical store.
+	// store from NewShardedStorage.
 	Replicas int
 	// Retry, when non-nil, wraps every backing store (each shard of a
 	// sharded deployment, and stores joining it later) with bounded
@@ -259,20 +240,18 @@ type Options struct {
 	// is one extent read or write; a replicated write reaches its R
 	// owners together on the slot it holds, so leaf stores see at most
 	// IOWindow × R write requests at once.
-	// 0 (the default) selects a window of 32, or 1 under the serial
-	// engine (Parallelism 1); 1 serializes backend I/O, the A/B
-	// baseline. The default depth counts requests, not cores: 8 readers
-	// on a store with 1 ms of latency keep 12–13 in flight. The §2.4
-	// phase barriers remain hard synchronization points at any setting
-	// and the backing bytes are identical.
-	// A window set here (> 0) also takes commits off the writer's
-	// critical path: a WriteAt that fills a batch waits for its encode
-	// only, and the commit's backend writes run behind it, at most
-	// IOWindow commits per mount. Sync, Truncate and Close wait for
-	// them. A failed one is returned by the handle's next WriteAt, and
-	// by its next Sync, Truncate or Close. Whether a value was set
-	// decides this, not the depth EngineStats reports: IOWindow 32
-	// hands commits off, and the default window of 32 does not.
+	// 0 (the default) selects a window of 32; 1 serializes backend
+	// I/O, the A/B baseline. The default depth counts requests, not
+	// cores: 8 readers on a store with 1 ms of latency keep 12–13 in
+	// flight. The §2.4 phase barriers remain hard synchronization
+	// points at any setting and the backing bytes are identical.
+	// A window of more than one slot also takes commits off the
+	// writer's critical path: a WriteAt that fills a batch waits for its
+	// encode only, and the commit's backend writes run behind it, at
+	// most IOWindow commits per mount. Sync, Truncate and Close wait for
+	// them; where a failed one surfaces is vfs.File's write-back
+	// contract (the handle's next WriteAt, Sync, Truncate or Close).
+	// A window of 1 runs every commit inside the call that triggers it.
 	IOWindow int
 	// Hedge, when non-nil, wraps every physical backing store with
 	// adaptive hedged reads: a read outstanding longer than a high
@@ -390,7 +369,6 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 	if o.Integrity == IntegrityMetaOnly {
 		mode = core.IntegrityMetaOnly
 	}
-	origStore := store
 	var userStores []backend.Store
 	// wrapNew composes the per-leaf store wrappers, innermost first:
 	// hedging sits directly on the physical store (its latency samples
@@ -435,28 +413,6 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 		}
 	} else {
 		store = wrapNew(store)
-	}
-	if o.Shards < 0 {
-		return nil, errors.New("lamassu: Shards must be >= 0")
-	}
-	if o.Shards >= 1 {
-		if _, ok := store.(*shard.Store); ok {
-			return nil, errors.New("lamassu: store is already sharded; use Options.Shards only with a plain store")
-		}
-		stores := make([]backend.Store, o.Shards)
-		userStores = make([]backend.Store, o.Shards)
-		for i := range stores {
-			stores[i] = store
-			userStores[i] = origStore
-		}
-		sharded, err := shard.New(stores, shard.Config{
-			Vnodes:      o.ShardVnodes,
-			StripeBytes: segmentAlignedStripe(geo, defaultStripeTarget),
-		})
-		if err != nil {
-			return nil, err
-		}
-		store = sharded
 	}
 	// The crash-consistency model (§2.4) assumes whole-block write
 	// atomicity, which striping preserves only when no block straddles
@@ -715,9 +671,8 @@ type EngineStats struct {
 	// out. Both zero without WithRetry.
 	RetryAttempts, RetriesExhausted int64
 	// IOWindow is the depth of the backend I/O window: Options.IOWindow,
-	// or, when that is 0, 32 (1 under the serial engine). Copying it
-	// into WithIOWindow keeps the depth but also turns on write-behind,
-	// which follows whether a window was set, not its depth. IOInFlight
+	// or, when that is 0, 32. Above 1 the mount runs commits behind the
+	// writer (Options.IOWindow). IOInFlight
 	// gauges the backend operations holding a window slot right now;
 	// IOPeakInFlight is the deepest the window has been — how much of
 	// its depth the workload actually used.
@@ -1044,7 +999,7 @@ type ShardStat struct {
 }
 
 // ShardStats reports per-shard activity for a mount over a sharded
-// store (Options.Shards or NewShardedStorage); nil otherwise.
+// store (NewShardedStorage); nil otherwise.
 func (m *Mount) ShardStats() []ShardStat {
 	ss, ok := m.fs.Store().(*shard.Store)
 	if !ok {
@@ -1286,7 +1241,7 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 		return nil, err
 	}
 	if m.shard == nil {
-		return nil, errors.New("lamassu: StartRebalance requires a sharded mount (NewShardedStorage or Options.Shards)")
+		return nil, errors.New("lamassu: StartRebalance requires a sharded mount (NewShardedStorage)")
 	}
 	m.rebMu.Lock()
 	defer m.rebMu.Unlock()

@@ -99,7 +99,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"negative cache", WithCache(-1)},
 		{"negative readahead", WithReadahead(-1)},
 		{"negative I/O window", WithIOWindow(-1)},
-		{"negative shards", WithShards(-1)},
 		{"readahead without cache", WithReadahead(8)},
 		{"bad block size", WithBlockSize(100)},
 		{"bad reserved slots", WithReservedSlots(999)},
@@ -112,23 +111,23 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 }
 
 // TestDefaultIOWindow: without WithIOWindow the engine's I/O window is
-// 32 deep whatever the worker pool's width, and one slot deep under the
-// serial engine; a multi-extent read over a 2-shard store stays inside
-// it and drains it.
+// 32 deep whatever the worker pool's width, the serial pool included;
+// only WithIOWindow sets the depth. A multi-extent read over a 2-shard
+// store stays inside it and drains it.
 func TestDefaultIOWindow(t *testing.T) {
 	keys := mustKeys(t)
-	for _, tc := range []struct{ parallelism, window int }{{3, 32}, {0, 32}, {1, 1}} {
+	for _, tc := range []struct{ parallelism, ioWindow, window int }{{3, 0, 32}, {0, 0, 32}, {1, 0, 32}, {1, 1, 1}} {
 		storage, err := NewShardedStorage([]Storage{NewMemStorage(), NewMemStorage()},
 			&ShardOptions{StripeBytes: 2 * 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(storage, keys, WithParallelism(tc.parallelism), WithLatencyCollection())
+		m, err := New(storage, keys, WithParallelism(tc.parallelism), WithIOWindow(tc.ioWindow), WithLatencyCollection())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := m.EngineStats().IOWindow; got != tc.window {
-			t.Fatalf("parallelism %d: IOWindow = %d, want %d", tc.parallelism, got, tc.window)
+			t.Fatalf("parallelism %d, window %d: IOWindow = %d, want %d", tc.parallelism, tc.ioWindow, got, tc.window)
 		}
 		// 64 KiB over 8 KiB stripes: a read of 8 extents on 2 shards.
 		data := bytes.Repeat([]byte("default window "), 64*1024/15+1)[:64*1024]
@@ -137,15 +136,15 @@ func TestDefaultIOWindow(t *testing.T) {
 		}
 		got, err := m.ReadFile("f")
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("parallelism %d: round trip failed: %v", tc.parallelism, err)
+			t.Fatalf("parallelism %d, window %d: round trip failed: %v", tc.parallelism, tc.ioWindow, err)
 		}
 		st := m.EngineStats()
 		if st.ReadRuns < 2 {
-			t.Fatalf("parallelism %d: the read took %d extents, want several", tc.parallelism, st.ReadRuns)
+			t.Fatalf("parallelism %d, window %d: the read took %d extents, want several", tc.parallelism, tc.ioWindow, st.ReadRuns)
 		}
 		if st.IOPeakInFlight < 1 || st.IOPeakInFlight > int64(tc.window) || st.IOInFlight != 0 {
-			t.Fatalf("parallelism %d: window gauges peak %d, in flight %d; want 1..%d and 0",
-				tc.parallelism, st.IOPeakInFlight, st.IOInFlight, tc.window)
+			t.Fatalf("parallelism %d, window %d: window gauges peak %d, in flight %d; want 1..%d and 0",
+				tc.parallelism, tc.ioWindow, st.IOPeakInFlight, st.IOInFlight, tc.window)
 		}
 	}
 }

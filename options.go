@@ -3,7 +3,6 @@ package lamassu
 // Functional options — the API v2 construction surface.
 //
 //	m, err := lamassu.New(store, keys,
-//		lamassu.WithShards(8),
 //		lamassu.WithCache(4096),
 //		lamassu.WithParallelism(0), // GOMAXPROCS
 //	)
@@ -51,9 +50,8 @@ func WithKeyDeriver(derive func(hash [32]byte) (Key, error)) Option {
 }
 
 // WithParallelism bounds the per-block CPU worker pool; 0 selects
-// GOMAXPROCS, 1 forces the paper's fully serial engine, whose default
-// I/O window is one slot deep: one backend call at a time across every
-// handle of the mount.
+// GOMAXPROCS, 1 runs the CPU work on the calling goroutine. The paper's
+// fully serial engine is WithParallelism(1) with WithIOWindow(1).
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
@@ -70,14 +68,6 @@ func WithReadahead(blocks int) Option {
 	return func(o *Options) { o.Readahead = blocks }
 }
 
-// WithShards carves the provided store into n logical shards behind a
-// consistent-hash placement map (byte-identical layout at any n). For
-// sharding across genuinely separate backends use NewShardedStorage
-// and no WithShards.
-func WithShards(n int) Option {
-	return func(o *Options) { o.Shards = n }
-}
-
 // WithReplication asserts the mounted deployment's replication factor
 // (the factor itself is configured where the topology is built:
 // ShardOptions.Replicas in NewShardedStorage). The mount fails unless
@@ -86,13 +76,6 @@ func WithShards(n int) Option {
 // that dropped the factor.
 func WithReplication(r int) Option {
 	return func(o *Options) { o.Replicas = r }
-}
-
-// WithShardVnodes overrides the virtual-node count per shard on the
-// placement ring (default 64). The value is part of the placement and
-// must be stable across opens.
-func WithShardVnodes(vnodes int) Option {
-	return func(o *Options) { o.ShardVnodes = vnodes }
 }
 
 // WithRetry wraps the backing store (every shard of a sharded
@@ -114,17 +97,14 @@ func WithRetry(policy RetryPolicy) Option {
 // read or write; under WithReplication(R) a write reaches its R owners
 // together on the one slot it holds, so the leaf stores see at most
 // n × R write requests at once.
-// A window set here (n > 0) also moves who waits for a commit: the
-// WriteAt that fills a batch waits for its encode only, and the
+// A window of more than one slot also moves who waits for a commit:
+// the WriteAt that fills a batch waits for its encode only, and the
 // commit's backend writes run behind it, at most n commits per mount.
 // Sync, Truncate and Close wait for them; a failed one is returned by
 // the handle's next WriteAt and by its next Sync, Truncate or Close.
-// Whether n was set decides this, not the depth: WithIOWindow(32) hands
-// commits off, and the default window of the same depth does not.
-// 0 (the default) selects a window of 32 (1 under the serial engine)
-// and keeps every commit inside the call that triggers it; 1 serializes
-// backend I/O, the A/B baseline. The §2.4 barriers are unchanged at any
-// setting.
+// 0 (the default) selects a window of 32; 1 serializes backend I/O and
+// keeps every commit inside the call that triggers it, the A/B
+// baseline. The §2.4 barriers are unchanged at any setting.
 func WithIOWindow(n int) Option {
 	return func(o *Options) { o.IOWindow = n }
 }

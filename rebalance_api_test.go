@@ -58,18 +58,32 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 	}
 
 	// Concurrent readers hammer the mount for the whole migration; a
-	// writer keeps overwriting one file's first block (tracked in
-	// mu-guarded model state).
+	// writer keeps overwriting f5's first block. f5mu orders f5's
+	// readers around the writer, which holds it from its WriteAt until
+	// its Close has committed and the model matches, so a reader
+	// of f5 never races another handle's commit (no contract orders
+	// that) and always compares against committed bytes. The other
+	// files have no writer, so their readers run free; every read error
+	// fails the test.
 	var (
-		mu      sync.Mutex
+		f5mu    sync.RWMutex
 		stop    = make(chan struct{})
 		readers sync.WaitGroup
 		rerrs   = make(chan error, 4)
 	)
-	snapshot := func(name string) []byte {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]byte(nil), contents[name]...)
+	read := func(name string) error {
+		if name == "f5" {
+			f5mu.RLock()
+			defer f5mu.RUnlock()
+		}
+		got, err := m.ReadFile(name)
+		if err != nil {
+			return fmt.Errorf("read %s: %w", name, err)
+		}
+		if !bytes.Equal(got, contents[name]) {
+			return fmt.Errorf("%s diverged during migration", name)
+		}
+		return nil
 	}
 	for w := 0; w < 2; w++ {
 		readers.Add(1)
@@ -81,21 +95,31 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 					return
 				default:
 				}
-				name := fmt.Sprintf("f%d", 1+(i+w)%5)
-				want := snapshot(name)
-				got, err := m.ReadFile(name)
-				if err != nil {
-					rerrs <- fmt.Errorf("read %s: %w", name, err)
-					return
-				}
-				// The writer may have raced ahead of our snapshot; accept
-				// the current model instead before declaring divergence.
-				if !bytes.Equal(got, want) && !bytes.Equal(got, snapshot(name)) {
-					rerrs <- fmt.Errorf("%s diverged during migration", name)
+				if err := read(fmt.Sprintf("f%d", 1+(i+w)%5)); err != nil {
+					rerrs <- err
 					return
 				}
 			}
 		}(w)
+	}
+	// write overwrites f5's first block with blk and, once Close has
+	// committed it, updates the model.
+	write := func(blk []byte) error {
+		f5mu.Lock()
+		defer f5mu.Unlock()
+		f, err := m.OpenRW("f5")
+		if err != nil {
+			return err
+		}
+		if _, err := f.WriteAt(blk, 0); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		copy(contents["f5"][:4096], blk)
+		return nil
 	}
 	readers.Add(1)
 	go func() {
@@ -109,21 +133,7 @@ func TestMountStartRebalanceGrow(t *testing.T) {
 			default:
 			}
 			rng.Read(blk)
-			f, err := m.OpenRW("f5")
-			if err != nil {
-				rerrs <- err
-				return
-			}
-			mu.Lock()
-			if _, err := f.WriteAt(blk, 0); err != nil {
-				mu.Unlock()
-				f.Close()
-				rerrs <- err
-				return
-			}
-			copy(contents["f5"][:4096], blk)
-			mu.Unlock()
-			if err := f.Close(); err != nil {
+			if err := write(blk); err != nil {
 				rerrs <- err
 				return
 			}
@@ -295,11 +305,11 @@ func TestCarveGrowOnline(t *testing.T) {
 	for _, encNames := range []bool{false, true} {
 		t.Run(fmt.Sprintf("encryptNames=%v", encNames), func(t *testing.T) {
 			store := NewMemStorage()
-			opts := []Option{WithShards(2)}
+			var opts []Option
 			if encNames {
 				opts = append(opts, WithEncryptedNames())
 			}
-			m, err := New(store, keys, opts...)
+			m, err := New(carve(t, store, 2), keys, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,16 +41,22 @@ func TestRemoteCancelMidCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name   string
+		shards int
 	}{
-		{"coalesced", []Option{WithIOWindow(8)}},
-		{"sharded-coalesced", []Option{WithIOWindow(8), WithShards(4)}},
+		{"coalesced", 0},
+		{"sharded-coalesced", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, inner := newObjStore()
 			store := &cancelAfterStore{inner: inner}
-			m, err := New(store, keys, tc.opts...)
+			mount := func() (*Mount, error) {
+				if tc.shards > 0 {
+					return New(carve(t, store, tc.shards), keys, WithIOWindow(8))
+				}
+				return New(store, keys, WithIOWindow(8))
+			}
+			m, err := mount()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +81,7 @@ func TestRemoteCancelMidCommit(t *testing.T) {
 			// server, fine — but nothing staged may have reached the
 			// committed namespace, which recovery must then clean up.
 			store.arm(0, nil)
-			m2, err := New(store, keys, tc.opts...)
+			m2, err := mount()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -223,8 +223,7 @@ func TestCanceledRetryLoopRecoversViaCrashCut(t *testing.T) {
 func TestWithRetryShardedMount(t *testing.T) {
 	keys := testKeysT(t)
 	fs := faultfs.New(backend.NewMemStore())
-	m, err := New(fs, keys,
-		WithShards(4),
+	m, err := New(carve(t, fs, 4), keys,
 		WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Microsecond}),
 		WithLatencyCollection(),
 	)

@@ -10,9 +10,28 @@ import (
 	"lamassu/internal/layout"
 )
 
-// Options.Shards carves logical shards out of one physical store; the
-// backing layout must be identical to the unsharded mount at every
-// shard count, so enabling it on an existing deployment is safe. Data
+// carve builds a sharded store out of one physical store repeated n
+// times, with the default vnodes and a segment-aligned stripe.
+func carve(t testing.TB, store Storage, n int) Storage {
+	t.Helper()
+	stripe, err := SegmentStripeBytes(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]Storage, n)
+	for i := range stores {
+		stores[i] = store
+	}
+	sharded, err := NewShardedStorage(stores, &ShardOptions{StripeBytes: stripe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sharded
+}
+
+// A carve shards one physical store n ways; the backing layout must be
+// identical to the unsharded mount at every shard count, so enabling it
+// on an existing deployment is safe. Data
 // blocks are convergently encrypted and must match byte for byte;
 // metadata blocks are GCM-sealed under random nonces (different on
 // every run, sharded or not), so for them equivalence is equal
@@ -34,7 +53,7 @@ func TestShardsCarveByteIdentical(t *testing.T) {
 	backing := func(shards int) *backend.MemStore {
 		t.Helper()
 		mem := backend.NewMemStore()
-		m, err := New(mem, keys, WithShards(shards), WithParallelism(4))
+		m, err := New(carve(t, mem, shards), keys, WithParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,13 +370,6 @@ func TestShardOptionErrors(t *testing.T) {
 	}
 	if _, err := New(misaligned, keys); err == nil {
 		t.Fatal("block-straddling stripe accepted")
-	}
-	sharded, err := NewShardedStorage([]Storage{NewMemStorage()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(sharded, keys, WithShards(2)); err == nil {
-		t.Fatal("double sharding accepted")
 	}
 	if _, err := NewShardedStorage(nil, nil); err == nil {
 		t.Fatal("empty store list accepted")
