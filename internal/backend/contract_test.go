@@ -10,7 +10,7 @@
 //     spontaneously.
 //   - Classification preservation: a Retryable-marked error produced
 //     by a leaf store keeps its mark through every wrapper's own
-//     error wrapping (shard, nfssim, faultfs, namecrypt, RetryStore).
+//     error wrapping (shard, nfssim, faultfs, namecrypt, AttemptStore).
 //
 // The file lives in package backend_test so it can import the wrapper
 // packages without an import cycle.
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/backend/hedge"
 	"lamassu/internal/backend/objstore"
 	"lamassu/internal/cryptoutil"
 	"lamassu/internal/faultfs"
@@ -119,10 +118,10 @@ var impls = []struct {
 	{
 		name: "retry",
 		mk: func(t *testing.T) backend.Store {
-			return backend.NewRetryStore(backend.NewMemStore(), backend.RetryPolicy{Sleep: noSleep})
+			return retryStore(backend.NewMemStore(), backend.RetryPolicy{})
 		},
 		wrapLeaf: func(t *testing.T, leaf backend.Store) backend.Store {
-			return backend.NewRetryStore(leaf, backend.RetryPolicy{MaxAttempts: 2, Sleep: noSleep})
+			return retryStore(leaf, backend.RetryPolicy{MaxAttempts: 2})
 		},
 	},
 	{
@@ -135,7 +134,7 @@ var impls = []struct {
 		name: "objstore+retry",
 		mk: func(t *testing.T) backend.Store {
 			leaf := objstore.New(objstore.NewMemserver(objstore.ServerParams{}, simclock.NewVirtual()))
-			return backend.NewRetryStore(leaf, backend.RetryPolicy{Sleep: noSleep})
+			return retryStore(leaf, backend.RetryPolicy{})
 		},
 	},
 	{
@@ -149,12 +148,34 @@ var impls = []struct {
 	{
 		name: "hedge",
 		mk: func(t *testing.T) backend.Store {
-			return hedge.New(backend.NewMemStore(), hedge.Policy{})
+			return backend.NewAttemptStore(backend.NewMemStore(), backend.AttemptPolicy{Hedge: &backend.HedgePolicy{}})
 		},
 		wrapLeaf: func(t *testing.T, leaf backend.Store) backend.Store {
-			return hedge.New(leaf, hedge.Policy{})
+			return backend.NewAttemptStore(leaf, backend.AttemptPolicy{Hedge: &backend.HedgePolicy{}})
 		},
 	},
+	{
+		// A 1ns hedge delay races a duplicate against every read.
+		name: "retry+hedge",
+		mk: func(t *testing.T) backend.Store {
+			return retryHedgeStore(backend.NewMemStore())
+		},
+		wrapLeaf: func(t *testing.T, leaf backend.Store) backend.Store {
+			return retryHedgeStore(leaf)
+		},
+	},
+}
+
+func retryStore(leaf backend.Store, p backend.RetryPolicy) backend.Store {
+	return backend.NewAttemptStore(leaf, backend.AttemptPolicy{Retry: &p, Sleep: noSleep})
+}
+
+func retryHedgeStore(leaf backend.Store) backend.Store {
+	return backend.NewAttemptStore(leaf, backend.AttemptPolicy{
+		Retry: &backend.RetryPolicy{},
+		Hedge: &backend.HedgePolicy{Delay: time.Nanosecond},
+		Sleep: noSleep,
+	})
 }
 
 func mkShard(t *testing.T, leaves ...backend.Store) *shard.Store {

@@ -159,7 +159,7 @@ func SyncCtx(ctx context.Context, f File) error {
 
 // ReadFullCtx is ReadFull with a cancellation check before the read.
 // Both paths share ReadFull's short-read rule (fullReadErr), so a
-// store that returns partial progress with an error — a RetryStore
+// store that returns partial progress with an error — an AttemptStore
 // surfacing an exhausted retryable failure mid-read, say — is judged
 // identically with and without a context.
 func ReadFullCtx(ctx context.Context, f File, p []byte, off int64) error {

@@ -24,9 +24,9 @@
 // ErrFatal) holds WITHOUT disturbing the rest of the chain —
 // errors.Is against the original sentinel and errors.As both keep
 // working. Wrapper stores (shard, nfssim, faultfs, namecrypt,
-// integrity, RetryStore) preserve marks automatically because they
+// integrity, AttemptStore) preserve marks automatically because they
 // wrap with %w; Classify is the single decision point consumed by
-// RetryStore and surfaced to callers as lamassu.IsRetryable.
+// AttemptStore and surfaced to callers as lamassu.IsRetryable.
 package backend
 
 import (

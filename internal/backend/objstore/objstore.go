@@ -50,7 +50,7 @@ func New(tr Transport) *Store {
 // keys become backend.ErrNotExist (fatal under Classify), context
 // cancellation passes through untouched, and any other transport
 // failure is marked Retryable — every Transport call here is
-// idempotent, so a RetryStore outside this package may safely replay
+// idempotent, so an AttemptStore outside this package may safely replay
 // it.
 func mapErr(op, key string, err error) error {
 	if err == nil {

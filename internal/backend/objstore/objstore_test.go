@@ -215,7 +215,7 @@ func TestRenameAndRemove(t *testing.T) {
 // TestTransportErrorsMarkRetryable: a non-ErrNoSuchKey transport
 // failure surfaces with a Retryable mark, and a canceled context
 // surfaces unmarked (fatal under Classify) — the PR 6 taxonomy
-// contract RetryStore composes against.
+// contract AttemptStore composes against.
 func TestTransportErrorsMarkRetryable(t *testing.T) {
 	boom := errors.New("connection reset")
 	s := New(failingTransport{err: boom})

@@ -18,7 +18,7 @@
 // Transport errors are marked through the backend taxonomy: a missing
 // key maps to backend.ErrNotExist (fatal), context cancellation passes
 // through untouched, and everything else is marked Retryable — an
-// object API call is idempotent here, so backend.RetryStore composes
+// object API call is idempotent here, so backend.AttemptStore composes
 // directly outside this package.
 package objstore
 

@@ -160,9 +160,9 @@ func TestDownNotAbsorbedByRetryStore(t *testing.T) {
 	if err := backend.WriteFile(fs, "f", []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	rs := backend.NewRetryStore(fs, backend.RetryPolicy{
-		MaxAttempts: 10,
-		Sleep:       func(ctx context.Context, d time.Duration) error { return backend.CtxErr(ctx) },
+	rs := backend.NewAttemptStore(fs, backend.AttemptPolicy{
+		Retry: &backend.RetryPolicy{MaxAttempts: 10},
+		Sleep: func(ctx context.Context, d time.Duration) error { return backend.CtxErr(ctx) },
 	})
 
 	fs.ArmDownAll()

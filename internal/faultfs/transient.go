@@ -4,7 +4,7 @@ package faultfs
 // succeed. Where the crash modes model power loss (everything after
 // the trigger is dead), transient faults model a flaky medium — the
 // NFS server that drops a request, the object store that returns 503
-// — and exist to drive backend.RetryStore: every injected error is
+// — and exist to drive backend.AttemptStore: every injected error is
 // marked backend.Retryable, so a retry-wrapped store absorbs the
 // schedule while an unwrapped store surfaces it.
 //

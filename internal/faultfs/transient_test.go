@@ -187,9 +187,9 @@ func TestTransientDisarm(t *testing.T) {
 // ErrCanceled.
 func TestTransientUnderRetryStore(t *testing.T) {
 	fs := New(backend.NewMemStore())
-	rs := backend.NewRetryStore(fs, backend.RetryPolicy{
-		MaxAttempts: 4,
-		Sleep:       func(ctx context.Context, d time.Duration) error { return backend.CtxErr(ctx) },
+	rs := backend.NewAttemptStore(fs, backend.AttemptPolicy{
+		Retry: &backend.RetryPolicy{MaxAttempts: 4},
+		Sleep: func(ctx context.Context, d time.Duration) error { return backend.CtxErr(ctx) },
 	})
 
 	fs.ArmTransient(OpOpen, 2)
@@ -221,8 +221,8 @@ func TestTransientUnderRetryStore(t *testing.T) {
 	// ErrCanceled instead of retrying the cancellation away.
 	ctx, cancel := context.WithCancel(context.Background())
 	fs.ArmTransient(OpRemove, 100)
-	rs2 := backend.NewRetryStore(fs, backend.RetryPolicy{
-		MaxAttempts: 10,
+	rs2 := backend.NewAttemptStore(fs, backend.AttemptPolicy{
+		Retry: &backend.RetryPolicy{MaxAttempts: 10},
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			cancel()
 			return backend.CtxErr(ctx)

@@ -102,16 +102,6 @@ const (
 	// confirmed; EpochBump counts committed layout epoch transitions.
 	MoveCopy
 	EpochBump
-	// RetryAttempt counts backend operations re-issued by a RetryStore
-	// after a retryable failure; RetryExhausted counts operations that
-	// still failed after the retry budget ran out.
-	RetryAttempt
-	RetryExhausted
-	// HedgeAttempt counts duplicate ranged reads issued by the hedged-
-	// read layer after its adaptive delay; HedgeWin counts hedges whose
-	// response beat the primary's.
-	HedgeAttempt
-	HedgeWin
 	// ReplicaWrite counts write fan-outs landed on non-primary replica
 	// owners; FailoverRead counts reads served by a replica after the
 	// preferred owner failed or was missing the copy.
@@ -164,14 +154,6 @@ func (e Event) String() string {
 		return "MoveCopy"
 	case EpochBump:
 		return "EpochBump"
-	case RetryAttempt:
-		return "RetryAttempt"
-	case RetryExhausted:
-		return "RetryExhausted"
-	case HedgeAttempt:
-		return "HedgeAttempt"
-	case HedgeWin:
-		return "HedgeWin"
 	case ReplicaWrite:
 		return "ReplicaWrite"
 	case FailoverRead:
@@ -194,7 +176,6 @@ func AllEvents() []Event {
 	return []Event{CacheHit, CacheMiss, PoolBatch, PoolTask, ShardTask, ShardRead,
 		WriteRun, ReadRun, Prefetch, SlabHit, SlabMiss,
 		FallbackRead, MirrorWrite, MoveCopy, EpochBump,
-		RetryAttempt, RetryExhausted, HedgeAttempt, HedgeWin,
 		ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen,
 		BlockCompressed, RawEscape}
 }

@@ -393,8 +393,10 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, tenant strin
 }
 
 // parseRange parses a single-range "bytes=a-b" header against size,
-// returning the offset and length. Suffix ranges ("bytes=-n") and
-// open ends ("bytes=a-") are honored; multi-range requests are not.
+// returning the offset and length of a non-empty range inside the
+// file. Suffix ranges ("bytes=-n") and open ends ("bytes=a-") are
+// honored; multi-range requests are not, and neither is any range of
+// an empty file (RFC 9110 §14.1.1: nothing there is satisfiable).
 func parseRange(h string, size int64) (off, length int64, err error) {
 	spec, ok := strings.CutPrefix(strings.TrimSpace(h), "bytes=")
 	if !ok || strings.Contains(spec, ",") {
@@ -406,17 +408,18 @@ func parseRange(h string, size int64) (off, length int64, err error) {
 	}
 	startS, endS = strings.TrimSpace(startS), strings.TrimSpace(endS)
 	if startS == "" { // suffix: last N bytes
-		n, err := strconv.ParseInt(endS, 10, 64)
-		if err != nil || n <= 0 {
+		n, ok := rangeBound(endS)
+		if !ok || n == 0 {
 			return 0, 0, fmt.Errorf("malformed Range %q", h)
 		}
-		if n > size {
-			n = size
+		if size == 0 {
+			return 0, 0, fmt.Errorf("suffix Range %q of an empty file", h)
 		}
+		n = min(n, size)
 		return size - n, n, nil
 	}
-	start, err := strconv.ParseInt(startS, 10, 64)
-	if err != nil || start < 0 {
+	start, ok := rangeBound(startS)
+	if !ok {
 		return 0, 0, fmt.Errorf("malformed Range %q", h)
 	}
 	if start >= size {
@@ -424,15 +427,25 @@ func parseRange(h string, size int64) (off, length int64, err error) {
 	}
 	end := size - 1
 	if endS != "" {
-		end, err = strconv.ParseInt(endS, 10, 64)
-		if err != nil || end < start {
+		e, ok := rangeBound(endS)
+		if !ok || e < start {
 			return 0, 0, fmt.Errorf("malformed Range %q", h)
 		}
-		if end > size-1 {
-			end = size - 1
-		}
+		end = min(e, end)
 	}
 	return start, end - start + 1, nil
+}
+
+// rangeBound parses one bound of a byte range: ASCII digits only (RFC
+// 9110 allows no sign), within int64.
+func rangeBound(s string) (int64, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
 }
 
 // handleWrite serves PUT /v1/files/{name}: the request body replaces

@@ -85,6 +85,8 @@ func TestRangedReadWire(t *testing.T) {
 		{"bytes=999999-", 0, 0, http.StatusRequestedRangeNotSatisfiable},
 		{"bytes=5-2", 0, 0, http.StatusRequestedRangeNotSatisfiable},
 		{"bytes=0-10,20-30", 0, 0, http.StatusRequestedRangeNotSatisfiable}, // multi-range unsupported
+		{"bytes=+2-3", 0, 0, http.StatusRequestedRangeNotSatisfiable},       // digits only
+		{"bytes=-+3", 0, 0, http.StatusRequestedRangeNotSatisfiable},
 	}
 	for _, tc := range cases {
 		resp, body := doReq(t, "GET", hs.URL+"/v1/files/r.bin", tokAlice, nil, map[string]string{"Range": tc.rng})
@@ -103,6 +105,47 @@ func TestRangedReadWire(t *testing.T) {
 			t.Fatalf("Range %q: Content-Range %q, want %q", tc.rng, got, cr)
 		}
 	}
+}
+
+// TestRangedReadEmptyFile: no range of an empty file is satisfiable,
+// a suffix range included.
+func TestRangedReadEmptyFile(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	resp, body := doReq(t, "PUT", hs.URL+"/v1/files/empty.bin", tokAlice, []byte{}, nil)
+	wantStatus(t, resp, body, http.StatusNoContent)
+	for _, rng := range []string{"bytes=-5", "bytes=0-", "bytes=0-0"} {
+		resp, body := doReq(t, "GET", hs.URL+"/v1/files/empty.bin", tokAlice, nil, map[string]string{"Range": rng})
+		wantStatus(t, resp, body, http.StatusRequestedRangeNotSatisfiable)
+		if got := resp.Header.Get("Content-Range"); got != "bytes */0" {
+			t.Fatalf("Range %q: Content-Range %q, want bytes */0", rng, got)
+		}
+	}
+}
+
+// FuzzParseRange: any range parseRange accepts is a non-empty span
+// inside the file.
+func FuzzParseRange(f *testing.F) {
+	for _, seed := range []struct {
+		h    string
+		size int64
+	}{
+		{"bytes=0-99", 1000}, {"bytes=-5", 0}, {"bytes=-5", 3}, {"bytes=+2-3", 10},
+		{"bytes=-+3", 10}, {"bytes=5-", 5}, {"bytes=0-0", 1}, {"bytes=9223372036854775807-", 10},
+	} {
+		f.Add(seed.h, seed.size)
+	}
+	f.Fuzz(func(t *testing.T, h string, size int64) {
+		if size < 0 {
+			return
+		}
+		off, length, err := parseRange(h, size)
+		if err != nil {
+			return
+		}
+		if off < 0 || length < 1 || off > size-length {
+			t.Fatalf("parseRange(%q, %d) = off %d, len %d: outside the file", h, size, off, length)
+		}
+	})
 }
 
 func TestWriteRangeAndTruncateWire(t *testing.T) {

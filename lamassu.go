@@ -103,7 +103,6 @@ import (
 	"time"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/backend/hedge"
 	"lamassu/internal/backend/objstore"
 	"lamassu/internal/core"
 	"lamassu/internal/cryptoutil"
@@ -222,11 +221,12 @@ type Options struct {
 	// maintains exactly this many copies of every key. It requires a
 	// store from NewShardedStorage.
 	Replicas int
-	// Retry, when non-nil, wraps every backing store (each shard of a
-	// sharded deployment, and stores joining it later) with bounded
-	// retry of transient backend failures — see RetryPolicy and
-	// WithRetry. Nil disables retries: every backend error surfaces on
-	// first occurrence.
+	// Retry, when non-nil, gives every backend operation bounded
+	// retries of transient failures in the attempt layer that wraps
+	// each physical store (each shard of a sharded deployment, and
+	// stores joining it later) — see RetryPolicy and WithRetry. Nil
+	// disables retries: every backend error surfaces on first
+	// occurrence.
 	Retry *RetryPolicy
 	// IOWindow bounds the number of backend I/O operations the engine
 	// keeps in flight at once, independent of Parallelism's CPU
@@ -253,11 +253,11 @@ type Options struct {
 	// contract (the handle's next WriteAt, Sync, Truncate or Close).
 	// A window of 1 runs every commit inside the call that triggers it.
 	IOWindow int
-	// Hedge, when non-nil, wraps every physical backing store with
-	// adaptive hedged reads: a read outstanding longer than a high
-	// quantile of the store's observed read latency is duplicated, the
-	// first usable response wins, and the loser is canceled. Reads
-	// only; see HedgePolicy and WithHedgedReads. Nil disables hedging.
+	// Hedge, when non-nil, turns each read attempt in the same attempt
+	// layer into a race: a read outstanding longer than a high quantile
+	// of the store's observed read latency is duplicated, the first
+	// usable response wins, and the loser is canceled. Reads only; see
+	// HedgePolicy and WithHedgedReads. Nil disables hedging.
 	Hedge *HedgePolicy
 	// Compression enables deterministic per-block compression in the
 	// encode path: each block is compressed with fixed encoder settings,
@@ -292,9 +292,9 @@ type Mount struct {
 	rec    *metrics.Recorder
 	closed atomic.Bool
 
-	// hedges collects the hedged-read wrappers this mount created (nil
-	// without Options.Hedge); see hedging.go.
-	hedges *hedgeRegistry
+	// attempts collects the attempt wrappers this mount created (nil
+	// without Options.Retry and Options.Hedge); see attempt.go.
+	attempts *attemptRegistry
 
 	// Sharded-mount state for online rebalance (nil fields otherwise):
 	// shard is the mounted sharded store, shardUser the user-visible
@@ -371,28 +371,20 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 	}
 	var userStores []backend.Store
 	// wrapNew composes the per-leaf store wrappers, innermost first:
-	// hedging sits directly on the physical store (its latency samples
-	// and duplicate reads must see the raw store, not retries), retry
-	// outside it (so a hedged read whose primary and hedge both fail
-	// surfaces one classified error the retry layer then re-issues),
-	// name encryption outermost. It is also applied to stores that join
-	// the deployment later via StartRebalance.
+	// the attempt layer on the physical store (its latency samples and
+	// duplicate reads must see the raw store), name encryption outside
+	// it. It is also applied to stores that join the deployment later
+	// via StartRebalance.
 	wrapNew := func(st backend.Store) backend.Store { return st }
-	var hedges *hedgeRegistry
-	if o.Hedge != nil {
-		hedges = &hedgeRegistry{}
-		pol := o.Hedge.backendPolicy(rec)
-		reg := hedges
+	var attempts *attemptRegistry
+	if o.Retry != nil || o.Hedge != nil {
+		attempts = &attemptRegistry{hedged: o.Hedge != nil}
+		pol := o.attemptPolicy()
 		wrapNew = func(st backend.Store) backend.Store {
-			hs := hedge.New(st, pol)
-			reg.add(hs)
-			return hs
+			as := backend.NewAttemptStore(st, pol)
+			attempts.add(as)
+			return as
 		}
-	}
-	if o.Retry != nil {
-		pol := o.Retry.backendPolicy(rec)
-		inner := wrapNew
-		wrapNew = func(st backend.Store) backend.Store { return backend.NewRetryStore(inner(st), pol) }
 	}
 	if o.EncryptNames {
 		nameKey := cryptoutil.DeriveSubKey(keys.Outer, "lamassu-name-encryption")
@@ -466,7 +458,7 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 	return &Mount{
 		fs:        fs,
 		rec:       rec,
-		hedges:    hedges,
+		attempts:  attempts,
 		shard:     shardStore,
 		shardUser: userStores,
 		wrapStore: wrapNew,
@@ -643,10 +635,11 @@ func (m *Mount) PoolStats() PoolStats { return m.fs.PoolStats() }
 // latency breakdown: how many backend calls the mount issued, how much
 // payload they moved, and how well the coalescing layer and slab
 // allocator are doing. The recorder-backed counters (BackendIOs
-// through RetriesExhausted) are zero unless the mount was created with
-// Options.CollectLatency; the I/O-window gauges and hedged-read
-// counters are live regardless, since they come from the window and
-// the hedging wrappers themselves.
+// through SlabMisses, and the byte and compression counters) are zero
+// unless the mount was created with Options.CollectLatency; the
+// I/O-window gauges and the retry and hedged-read counters are live
+// regardless, since they come from the window and the attempt
+// wrappers themselves.
 type EngineStats struct {
 	// BackendIOs counts backend calls (reads, writes, truncates,
 	// syncs) the engine timed under the I/O category.
@@ -668,7 +661,8 @@ type EngineStats struct {
 	// RetryAttempts counts backend operations re-issued by the
 	// WithRetry wrapper after a transient failure; RetriesExhausted
 	// counts operations that still failed after the retry budget ran
-	// out. Both zero without WithRetry.
+	// out. Live regardless of CollectLatency; both zero without
+	// WithRetry.
 	RetryAttempts, RetriesExhausted int64
 	// IOWindow is the depth of the backend I/O window: Options.IOWindow,
 	// or, when that is 0, 32. Above 1 the mount runs commits behind the
@@ -728,8 +722,8 @@ func (s EngineStats) SlabHitRate() float64 {
 
 // EngineStats reports the mount's I/O and allocator counters. The
 // recorder-backed fields are zero unless the mount was created with
-// Options.CollectLatency; the I/O-window and hedged-read fields are
-// always live.
+// Options.CollectLatency; the I/O-window, retry and hedged-read fields
+// are always live.
 func (m *Mount) EngineStats() EngineStats {
 	var s EngineStats
 	if m.rec != nil {
@@ -743,8 +737,6 @@ func (m *Mount) EngineStats() EngineStats {
 			Prefetches:       b.Event(metrics.Prefetch),
 			SlabHits:         b.Event(metrics.SlabHit),
 			SlabMisses:       b.Event(metrics.SlabMiss),
-			RetryAttempts:    b.Event(metrics.RetryAttempt),
-			RetriesExhausted: b.Event(metrics.RetryExhausted),
 			LogicalBytes:     b.LogicalBytes,
 			StoredBytes:      b.StoredBytes,
 			CompressedBlocks: b.Event(metrics.BlockCompressed),
@@ -758,16 +750,14 @@ func (m *Mount) EngineStats() EngineStats {
 		s.ReplicaWrites, s.FailoverReads = rs.ReplicaWrites, rs.FailoverReads
 		s.ScrubRepairs, s.BreakerOpens = rs.ScrubRepairs, rs.BreakerOpens
 	}
-	for _, hs := range m.hedges.snapshot() {
-		st := hs.ReadStats()
+	for _, as := range m.attempts.snapshot() {
+		st := as.Stats()
+		s.RetryAttempts += st.Retries
+		s.RetriesExhausted += st.Exhausted
 		s.HedgeAttempts += st.Hedges
 		s.HedgeWins += st.HedgeWins
-		if st.P50 > s.ReadP50 {
-			s.ReadP50 = st.P50
-		}
-		if st.P99 > s.ReadP99 {
-			s.ReadP99 = st.P99
-		}
+		s.ReadP50 = max(s.ReadP50, st.P50)
+		s.ReadP99 = max(s.ReadP99, st.P99)
 	}
 	return s
 }
@@ -879,10 +869,10 @@ type ObjectStoreParams = objstore.ServerParams
 // writes accumulate in a multipart upload session that its Sync (or
 // Close) completes atomically, and Stat/List map to HEAD and paginated
 // LIST. Every request pays the configured round trip, which is the
-// regime the pipelining (WithIOWindow) and hedged-read
-// (WithHedgedReads) layers are built for; transport failures are
-// classified retryable, so WithRetry composes. Waits are real
-// (wall-clock).
+// regime the pipelining (WithIOWindow) and attempt (WithRetry,
+// WithHedgedReads) layers are built for: transport failures are
+// classified retryable, so a retry re-issues them, and a slow ranged
+// GET can be hedged. Waits are real (wall-clock).
 func NewMemObjectStorage(p ObjectStoreParams) Storage {
 	return objstore.New(objstore.NewMemserver(p, nil))
 }
@@ -1361,8 +1351,8 @@ func wrapShardNames(nameKey Key, views ...*shard.Store) ([]*shard.Store, error) 
 }
 
 // wrapShardLeaves rebuilds sharded views with wrap applied to each
-// leaf store — the layout New uses for EncryptNames and
-// WithRetry, so the sharding seam stays outermost (extent splitting,
+// leaf store — the layout New uses for EncryptNames and the attempt
+// layer, so the sharding seam stays outermost (extent splitting,
 // ShardStats) while the wrappers sit on the physical stores.
 // Slots and views sharing one physical store share ONE wrapper: the
 // shard layer's no-move and stale-copy decisions compare stores by

@@ -112,7 +112,8 @@ func WithIOWindow(n int) Option {
 // WithHedgedReads wraps every physical backing store with adaptive
 // hedged reads: a read outstanding longer than a high quantile of the
 // store's observed read latency is duplicated, the first usable
-// response wins, and the loser is canceled through its context. Reads
+// response wins, and the loser is canceled through its context. Under
+// WithRetry too, each retry attempt of a read is one such race. Reads
 // only — writes and the §2.4 commit protocol are untouched. The zero
 // policy selects the adaptive defaults.
 func WithHedgedReads(policy HedgePolicy) Option {

@@ -183,7 +183,7 @@ func TestHedgedLoserNoState(t *testing.T) {
 // loser is never served) — only the tails are duplicated. The delay is
 // pinned, not adaptive, so the counts do not depend on how quiet the
 // host is; the p99 the hedges buy is wall-clock and is not asserted
-// here (internal/backend/hedge's TestHedgeFirstResponseWins pins the
+// here (internal/backend's TestHedgeFirstResponseWins pins the
 // mechanism).
 func TestHedgedRequestAmplification(t *testing.T) {
 	keys, err := GenerateKeys()

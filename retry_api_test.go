@@ -76,6 +76,34 @@ func TestWithRetryAbsorbsTransientFaults(t *testing.T) {
 	}
 }
 
+// TestWithRetryCountsWithoutLatencyCollection: the retry counters come
+// from the attempt wrappers, not the latency recorder, so they are live
+// on a mount without WithLatencyCollection; a retry-only mount reports
+// no hedged-read stores.
+func TestWithRetryCountsWithoutLatencyCollection(t *testing.T) {
+	fs := faultfs.New(backend.NewMemStore())
+	m, err := New(fs, testKeysT(t), WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: 50 * time.Microsecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	fs.ArmTransient(faultfs.OpOpen, 2)
+	f, err := m.Create("doc")
+	if err != nil {
+		t.Fatalf("Create through transient faults: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.EngineStats(); st.RetryAttempts == 0 || st.RetriesExhausted != 0 {
+		t.Fatalf("EngineStats retries = %d, exhausted = %d after %d injected faults; want >0, 0",
+			st.RetryAttempts, st.RetriesExhausted, fs.TransientInjected())
+	}
+	if hs := m.HedgedReadStats(); hs != nil {
+		t.Fatalf("retry-only mount reports hedged-read stores: %+v", hs)
+	}
+}
+
 func TestWithoutRetryTransientFaultSurfaces(t *testing.T) {
 	keys := testKeysT(t)
 	fs := faultfs.New(backend.NewMemStore())
