@@ -148,14 +148,19 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	sort.Ints(slots)
 
 	// Derive the new convergent keys (fanned out — the SHA-256 block
-	// hashes dominate the write path, Figure 9).
+	// hashes dominate the write path, Figure 9). Both fan-outs hand the
+	// pool one task per group of cryptoutil.Lanes slots, the unit the
+	// encode below encrypts in one multi-buffer call.
 	newKeys := make([]cryptoutil.Key, len(slots))
-	err := f.fs.pool.run(ctx, len(slots), func(i int) error {
-		k, err := f.fs.deriveKey(seg.pending[slots[i]])
-		if err != nil {
-			return fmt.Errorf("lamassu: deriving key for segment %d slot %d: %w", si, slots[i], err)
+	err := f.fs.pool.run(ctx, laneGroups(len(slots)), func(g int) error {
+		lo, hi := laneGroup(g, len(slots))
+		for i := lo; i < hi; i++ {
+			k, err := f.fs.deriveKey(seg.pending[slots[i]])
+			if err != nil {
+				return fmt.Errorf("lamassu: deriving key for segment %d slot %d: %w", si, slots[i], err)
+			}
+			newKeys[i] = k
 		}
-		newKeys[i] = k
 		return nil
 	})
 	if err != nil {
@@ -204,12 +209,15 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	bs := f.fs.geo.BlockSize
 	c := &commitIO{slots: slots, newKeys: newKeys, lens: make([]int, len(slots)),
 		cts: f.fs.slabs.get(len(slots) * bs), size: f.sizeNow()}
-	err = f.fs.pool.run(ctx, len(slots), func(i int) error {
-		n, err := f.fs.encode(c.cts[i*bs:(i+1)*bs], seg.pending[slots[i]], newKeys[i], meta.Compressed())
-		if err != nil {
-			return fmt.Errorf("lamassu: encoding segment %d slot %d: %w", si, slots[i], err)
+	err = f.fs.pool.run(ctx, laneGroups(len(slots)), func(g int) error {
+		lo, hi := laneGroup(g, len(slots))
+		var src [cryptoutil.Lanes][]byte
+		for i := lo; i < hi; i++ {
+			src[i-lo] = seg.pending[slots[i]]
 		}
-		c.lens[i] = n
+		if err := f.fs.encode(c.cts[lo*bs:hi*bs], src[:hi-lo], newKeys[lo:hi], c.lens[lo:hi], meta.Compressed()); err != nil {
+			return fmt.Errorf("lamassu: encoding segment %d slots %d-%d: %w", si, slots[lo], slots[hi-1], err)
+		}
 		return nil
 	})
 	if err != nil {
@@ -217,6 +225,15 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 		return nil, err
 	}
 	return c, nil
+}
+
+// laneGroups is the number of groups of cryptoutil.Lanes that n
+// blocks form; laneGroup is the index range [lo, hi) of group g.
+func laneGroups(n int) int { return (n + cryptoutil.Lanes - 1) / cryptoutil.Lanes }
+
+func laneGroup(g, n int) (lo, hi int) {
+	lo = g * cryptoutil.Lanes
+	return lo, min(lo+cryptoutil.Lanes, n)
 }
 
 // landCommit is the I/O half of commitSegment: one phase 1–3 commit per

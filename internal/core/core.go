@@ -64,6 +64,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"lamassu/internal/backend"
@@ -557,15 +558,7 @@ func (fs *FS) deriveKey(block []byte) (cryptoutil.Key, error) {
 	return fs.ced.DeriveForBlock(block), nil
 }
 
-// encryptBlock convergently encrypts a full plaintext block.
-func (fs *FS) encryptBlock(dst, src []byte, key cryptoutil.Key) error {
-	t := fs.cfg.Recorder.Start()
-	err := cryptoutil.EncryptBlockCBC(dst, src, key)
-	fs.cfg.Recorder.Stop(metrics.Encrypt, t)
-	return err
-}
-
-// decryptBlock inverts encryptBlock.
+// decryptBlock inverts the encryption encode applies to one block.
 func (fs *FS) decryptBlock(dst, src []byte, key cryptoutil.Key) error {
 	t := fs.cfg.Recorder.Start()
 	err := cryptoutil.DecryptBlockCBC(dst, src, key)
@@ -573,43 +566,50 @@ func (fs *FS) decryptBlock(dst, src []byte, key cryptoutil.Key) error {
 	return err
 }
 
-// encode produces the stored payload of one plaintext block — the
-// mirror of decodeStored — into a prefix of dst and returns its length.
-// For a raw segment that is the convergently encrypted block, BlockSize
-// bytes. For a compressed segment it deterministically compresses src,
-// zero-pads the framed result to a layout.LenUnit granule and encrypts
-// that, returning the stored byte count (a positive multiple of
-// LenUnit, at most one block). The key is derived from the RAW
-// plaintext, so identical plaintext still yields identical ciphertext —
-// dedup survives the stage. When src does not shrink by at least one
-// granule the raw escape stores the full block verbatim; dst then holds
-// exactly the bytes a raw segment would hold.
-func (fs *FS) encode(dst, src []byte, key cryptoutil.Key, compressed bool) (int, error) {
+// encode produces the stored payloads of a group of at most
+// cryptoutil.Lanes plaintext blocks — the mirror of decodeStored. dst
+// holds one BlockSize-strided slot per block of src; block i's payload
+// lands at the front of slot i under keys[i], and lens[i] is set to its
+// length. For a raw segment that is the convergently encrypted block,
+// BlockSize bytes. For a compressed segment each block is
+// deterministically compressed into its slot, zero-padded to a
+// layout.LenUnit granule and encrypted there, so its stored length is
+// a positive multiple of LenUnit, at most one block. The key is derived
+// from the RAW plaintext, so identical plaintext still yields identical
+// ciphertext — dedup survives the stage. When a block does not shrink
+// by at least one granule the raw escape stores it verbatim; its slot
+// then holds exactly the bytes a raw segment would hold. The group is
+// encrypted in one multi-buffer call; the encode is charged to Encrypt.
+func (fs *FS) encode(dst []byte, src [][]byte, keys []cryptoutil.Key, lens []int, compressed bool) error {
 	bs := fs.geo.BlockSize
-	if !compressed {
-		return bs, fs.encryptBlock(dst[:bs], src, key)
-	}
-	scratch := fs.slabs.get(bs)
-	defer fs.slabs.put(scratch)
+	var in, out [cryptoutil.Lanes][]byte
 	t := fs.cfg.Recorder.Start()
-	n, ok := cryptoutil.CompressBlock(scratch[:bs-layout.LenUnit], src)
-	fs.cfg.Recorder.Stop(metrics.Encrypt, t)
-	if !ok {
-		fs.cfg.Recorder.CountEvent(metrics.RawEscape, 1)
-		if err := fs.encryptBlock(dst[:bs], src, key); err != nil {
-			return 0, err
+	for i, block := range src {
+		slot := dst[i*bs : (i+1)*bs]
+		in[i], out[i], lens[i] = block, slot, bs
+		if !compressed {
+			continue
 		}
-		return bs, nil
+		n, ok := cryptoutil.CompressBlock(slot[:bs-layout.LenUnit], block)
+		// A compression is tens of µs, so a group holds its P for a few
+		// hundred; yield after each one (off the Encrypt clock) so that
+		// a backend completion which became runnable meanwhile is not
+		// queued behind the rest of the group while every P encodes.
+		fs.cfg.Recorder.Stop(metrics.Encrypt, t)
+		runtime.Gosched()
+		t = fs.cfg.Recorder.Start()
+		if !ok {
+			fs.cfg.Recorder.CountEvent(metrics.RawEscape, 1)
+			continue
+		}
+		stored := (n + layout.LenUnit - 1) / layout.LenUnit * layout.LenUnit
+		clear(slot[n:stored])
+		in[i], out[i], lens[i] = slot[:stored], slot[:stored], stored
+		fs.cfg.Recorder.CountEvent(metrics.BlockCompressed, 1)
 	}
-	stored := (n + layout.LenUnit - 1) / layout.LenUnit * layout.LenUnit
-	for i := n; i < stored; i++ {
-		scratch[i] = 0
-	}
-	if err := fs.encryptBlock(dst[:stored], scratch[:stored], key); err != nil {
-		return 0, err
-	}
-	fs.cfg.Recorder.CountEvent(metrics.BlockCompressed, 1)
-	return stored, nil
+	err := cryptoutil.EncryptBlocksCBC(out[:len(src)], in[:len(src)], keys)
+	fs.cfg.Recorder.Stop(metrics.Encrypt, t)
+	return err
 }
 
 // decodeStored decrypts and, for a compressed payload, decompresses

@@ -243,15 +243,15 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 			if err != nil {
 				return stats, err
 			}
-			n, err := newFS.encode(ct, plain, newKey, fs.cfg.Compression)
-			if err != nil {
+			var n [1]int
+			if err := newFS.encode(ct, [][]byte{plain}, []cryptoutil.Key{newKey}, n[:], fs.cfg.Compression); err != nil {
 				return stats, err
 			}
-			if _, err := bf.WriteAt(ct[:n], off); err != nil {
+			if _, err := bf.WriteAt(ct[:n[0]], off); err != nil {
 				return stats, err
 			}
 			if fs.cfg.Compression {
-				newMeta.SetStoredLen(slot, uint8(n/layout.LenUnit))
+				newMeta.SetStoredLen(slot, uint8(n[0]/layout.LenUnit))
 			}
 			newMeta.SetStableKey(slot, newKey)
 			stats.DataBlocks++

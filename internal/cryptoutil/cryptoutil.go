@@ -16,9 +16,17 @@
 //     nonce, providing both confidentiality and the per-metadata-block
 //     message authentication tag from Figure 3.
 //
-// All primitives come from the Go standard library; on amd64/arm64 the
-// runtime uses AES-NI and SHA extensions when available, mirroring the
-// paper's use of Intel AES-NI and AVX SHA-256.
+// Equation 2 has its own kernel on amd64 CPUs with AES-NI
+// (cbc_amd64.s): single-stream CBC encryption with the round keys in
+// registers, an 8-block pipelined CBC decryption, and a 4-lane
+// encryption that runs four blocks' CBC streams under four keys at
+// once (EncryptBlocksCBC). Without AES-NI, off amd64, and under the
+// purego build tag, it runs on crypto/cipher instead. The cipher is
+// format; its kernel is not: TestCBCMatchesStdlib holds the kernel to
+// crypto/cipher byte for byte. Every other primitive comes from the Go
+// standard library, which uses AES-NI and the SHA extensions where the
+// CPU has them, mirroring the paper's use of Intel AES-NI and AVX
+// SHA-256.
 package cryptoutil
 
 import (
@@ -167,83 +175,6 @@ func (d *CEKeyDeriver) Derive(h Hash) Key {
 // DeriveForBlock hashes the block and derives its convergent key.
 func (d *CEKeyDeriver) DeriveForBlock(block []byte) Key {
 	return d.Derive(BlockHash(block))
-}
-
-// fixedIV is the invariant initialization vector used for convergent
-// data-block encryption (paper footnote 2: convergent encryption uses
-// an invariant IV to preserve data equality in the ciphertext).
-var fixedIV [aes.BlockSize]byte
-
-// EncryptBlockCBC implements the paper's Equation (2):
-//
-//	CipherBlock_i = E_AES(Block_i, CEKey_i, IV_fixed)
-//
-// AES-256-CBC with the fixed IV. dst and src must be the same length,
-// a positive multiple of 16 bytes; dst and src may alias.
-func EncryptBlockCBC(dst, src []byte, key Key) error {
-	if len(src) == 0 || len(src)%aes.BlockSize != 0 {
-		return fmt.Errorf("%w: CBC payload %d bytes", ErrBadLength, len(src))
-	}
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: dst %d bytes, src %d bytes", ErrBadLength, len(dst), len(src))
-	}
-	c, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
-	cipher.NewCBCEncrypter(c, fixedIV[:]).CryptBlocks(dst, src)
-	return nil
-}
-
-// DecryptBlockCBC inverts EncryptBlockCBC.
-func DecryptBlockCBC(dst, src []byte, key Key) error {
-	if len(src) == 0 || len(src)%aes.BlockSize != 0 {
-		return fmt.Errorf("%w: CBC payload %d bytes", ErrBadLength, len(src))
-	}
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: dst %d bytes, src %d bytes", ErrBadLength, len(dst), len(src))
-	}
-	c, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
-	cipher.NewCBCDecrypter(c, fixedIV[:]).CryptBlocks(dst, src)
-	return nil
-}
-
-// EncryptBlockCBCIV is EncryptBlockCBC with a caller-supplied IV. It is
-// used by the conventional-encryption baseline (internal/encfs), which
-// derives a distinct IV per block so that equal plaintext does NOT
-// yield equal ciphertext.
-func EncryptBlockCBCIV(dst, src []byte, key Key, iv [aes.BlockSize]byte) error {
-	if len(src) == 0 || len(src)%aes.BlockSize != 0 {
-		return fmt.Errorf("%w: CBC payload %d bytes", ErrBadLength, len(src))
-	}
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: dst %d bytes, src %d bytes", ErrBadLength, len(dst), len(src))
-	}
-	c, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
-	cipher.NewCBCEncrypter(c, iv[:]).CryptBlocks(dst, src)
-	return nil
-}
-
-// DecryptBlockCBCIV inverts EncryptBlockCBCIV.
-func DecryptBlockCBCIV(dst, src []byte, key Key, iv [aes.BlockSize]byte) error {
-	if len(src) == 0 || len(src)%aes.BlockSize != 0 {
-		return fmt.Errorf("%w: CBC payload %d bytes", ErrBadLength, len(src))
-	}
-	if len(dst) != len(src) {
-		return fmt.Errorf("%w: dst %d bytes, src %d bytes", ErrBadLength, len(dst), len(src))
-	}
-	c, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
-	cipher.NewCBCDecrypter(c, iv[:]).CryptBlocks(dst, src)
-	return nil
 }
 
 // NewNonce returns a fresh random GCM nonce (IV_rand in Equation 3).

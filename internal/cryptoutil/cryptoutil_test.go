@@ -456,31 +456,11 @@ func BenchmarkHashAlternatives(b *testing.B) {
 	})
 }
 
-func BenchmarkBlockHash4K(b *testing.B) {
-	block := bytes.Repeat([]byte{0x33}, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		_ = BlockHash(block)
-	}
-}
-
 func BenchmarkDeriveCEKey(b *testing.B) {
 	h := BlockHash([]byte("bench"))
 	k := testKey(1)
 	for i := 0; i < b.N; i++ {
 		_ = DeriveCEKey(h, k)
-	}
-}
-
-func BenchmarkEncryptBlockCBC4K(b *testing.B) {
-	block := bytes.Repeat([]byte{0x33}, 4096)
-	dst := make([]byte, 4096)
-	k := testKey(1)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		if err := EncryptBlockCBC(dst, block, k); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
