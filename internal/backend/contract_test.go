@@ -68,9 +68,9 @@ var impls = []struct {
 		},
 	},
 	{
-		// The replicated data path has its own namespace/coherence
-		// machinery (fan-out writes, failover reads), so it earns its
-		// own contract rows over both leaf kinds.
+		// Every factor runs one owner-group data path; these rows hold
+		// it to the contract with groups of two (fan-out writes,
+		// failover reads), over both leaf kinds.
 		name: "shard-r2-mem",
 		mk: func(t *testing.T) backend.Store {
 			return mkShardR(t, 2, backend.NewMemStore(), backend.NewMemStore(), backend.NewMemStore())

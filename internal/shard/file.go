@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -186,6 +187,43 @@ func (f *file) handles(ctx context.Context, t *topology, slots []int) (hs []back
 	return hs, errs
 }
 
+// create materializes a new file on every owner of its home key — both
+// epochs' owner groups mid-migration, so existence holds whichever
+// epoch a crash leaves in charge. Group-success, like a write: each
+// group needs one copy (the eager handle OpenCtx opened may be it) or
+// the create fails with the error it met; owners it could not reach
+// are journaled for Scrub.
+func (f *file) create(ctx context.Context, t *topology, eager int) error {
+	groups, key0, _ := t.writeGroups(f.name, 0)
+	tried := map[backend.Store]error{t.stores[eager]: nil} // one open per physical store
+	for _, group := range groups {
+		landed := false
+		var firstErr error
+		for _, sl := range t.dedupSlots(group) {
+			err, done := tried[t.stores[sl]]
+			if !done {
+				_, err = f.handle(ctx, t, sl, true)
+				tried[t.stores[sl]] = err
+				if err != nil {
+					if immediateErr(ctx, err) {
+						return err
+					}
+					f.store.slotFailed(t, sl)
+					f.store.noteMiss(t, &f.store.damage.keys, key0, sl)
+				}
+			}
+			if err == nil {
+				landed = true
+			}
+			firstErr = cmp.Or(firstErr, err)
+		}
+		if !landed {
+			return firstErr
+		}
+	}
+	return nil
+}
+
 // openHandles snapshots the currently open per-shard handles.
 func (f *file) openHandles() (map[int]backend.File, error) {
 	f.mu.Lock()
@@ -213,125 +251,63 @@ func striped(t *topology) bool { return t.lay.StripeBytes() > 0 }
 func (f *file) Size() (int64, error) { return f.size(nil, f.store.topo.Load()) }
 
 func (f *file) size(ctx context.Context, t *topology) (int64, error) {
-	if t.replicated() {
-		return f.sizeReplicated(ctx, t)
-	}
-	slot, _ := t.readTarget(f.name, 0)
-	h, err := f.handle(ctx, t, slot, false)
-	if err != nil {
-		return 0, err
-	}
+	homes, _ := t.readTargets(f.name, 0)
+	homes = t.dedupSlots(homes)
 	var size int64
-	if h != nil {
-		size, err = h.Size()
-		if err != nil {
-			return 0, err
-		}
-	}
-	if !striped(t) {
-		return size, nil
-	}
-	hs, errs := f.handles(ctx, t, t.otherSlots(t.stores[slot]))
-	for i, h := range hs {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		if h == nil {
-			continue
-		}
-		sz, err := h.Size()
-		if err != nil {
-			return 0, err
-		}
-		size = max(size, sz)
-	}
-	return size, nil
-}
-
-// sizeReplicated computes the file's global size with failover: the
-// home-owner group is consulted whole (max across reachable owners),
-// and the striped sweep skips unreachable stores — exact under a
-// single shard loss because every stripe's extent lives on every owner
-// of that stripe.
-func (f *file) sizeReplicated(ctx context.Context, t *topology) (int64, error) {
-	s := f.store
-	slots, _ := t.readTargets(f.name, 0)
-	var size int64
-	got := false
+	answered := false
 	var firstErr error
-	var consulted []backend.Store
-	for _, sl := range t.dedupSlots(slots) {
-		consulted = append(consulted, t.stores[sl])
-		h, err := f.handle(ctx, t, sl, false)
+	hs, errs := f.handles(ctx, t, homes)
+	for i, sl := range homes {
+		sz, err := localSize(hs[i], errs[i])
 		if err != nil {
 			if immediateErr(ctx, err) {
 				return 0, err
 			}
-			s.slotFailed(t, sl)
-			if firstErr == nil {
-				firstErr = err
-			}
+			f.store.slotFailed(t, sl)
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
-		if h == nil {
-			got = true // live owner, no copy: local size 0
-			continue
+		if hs[i] != nil {
+			t.health[sl].ok()
 		}
-		sz, err := h.Size()
-		if err != nil {
-			if immediateErr(ctx, err) {
-				return 0, err
-			}
-			s.slotFailed(t, sl)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		t.health[sl].ok()
-		if sz > size {
-			size = sz
-		}
-		got = true
+		size, answered = max(size, sz), true // a live owner without a copy answers 0
 	}
-	if !got {
+	if !answered {
 		return 0, firstErr
 	}
 	if !striped(t) {
 		return size, nil
 	}
-	rest := t.otherSlots(consulted...)
-	hs, errs := f.handles(ctx, t, rest)
+	rest := t.otherSlots(homes)
+	hs, errs = f.handles(ctx, t, rest)
 	for i, sl := range rest {
-		var sz int64
-		err := errs[i]
-		if err == nil {
-			if hs[i] == nil {
-				continue
-			}
-			sz, err = hs[i].Size()
-		}
-		if err != nil {
-			if immediateErr(ctx, err) {
-				return 0, err
-			}
-			s.slotFailed(t, sl)
-			continue
+		sz, err := localSize(hs[i], errs[i])
+		if err != nil && !f.store.tolerate(ctx, t, sl, err) {
+			return 0, err
 		}
 		size = max(size, sz)
 	}
 	return size, nil
 }
 
-// readChunkReplicated reads one placement range, failing over across
-// the key's replica set. served=false (with a nil error) reports a
-// hole: no replica holds a copy of the range. A clean miss on a live
-// replica outranks an error from a dead one — the write path
-// guarantees every durable range has a copy inside the live owner
-// group, so "the live owners agree it is a hole" is authoritative.
-// Breaker-open owners are probed only when no live owner gave a
-// definitive answer.
-func (f *file) readChunkReplicated(ctx context.Context, t *topology, chunk []byte, off int64) (int, bool, error) {
+// localSize is the size of one store's copy as handle(…, false)
+// resolved it: 0 where the store holds no stripe file.
+func localSize(h backend.File, err error) (int64, error) {
+	if err != nil || h == nil {
+		return 0, err
+	}
+	return h.Size()
+}
+
+// readChunk reads one placement range, failing over across the key's
+// owner group. served=false (with a nil error) reports a hole: no owner
+// holds a copy of the range. A clean miss on a live owner outranks an
+// error from a dead one — the write path guarantees every durable range
+// has a copy inside the live owner group, so "the live owners agree it
+// is a hole" is authoritative. Breaker-open owners are probed only when
+// no live owner gave a definitive answer; with one owner that is always
+// the case, so a single copy is read whatever its breaker says.
+func (f *file) readChunk(ctx context.Context, t *topology, chunk []byte, off int64) (int, bool, error) {
 	s := f.store
 	slots, fellBack := t.readTargets(f.name, off)
 	if fellBack {
@@ -360,9 +336,7 @@ func (f *file) readChunkReplicated(ctx context.Context, t *topology, chunk []byt
 					return 0, false, herr, true
 				}
 				s.slotFailed(t, sl)
-				if firstErr == nil {
-					firstErr = herr
-				}
+				firstErr = cmp.Or(firstErr, herr)
 				attempts++
 				continue
 			}
@@ -378,9 +352,7 @@ func (f *file) readChunkReplicated(ctx context.Context, t *topology, chunk []byt
 					return m, true, rerr, true
 				}
 				s.slotFailed(t, sl)
-				if firstErr == nil {
-					firstErr = rerr
-				}
+				firstErr = cmp.Or(firstErr, rerr)
 				attempts++
 				continue
 			}
@@ -457,26 +429,10 @@ func (f *file) readAt(ctx context.Context, p []byte, off int64) (int, error) {
 	}
 	t := f.store.topo.Load()
 	if !striped(t) {
-		if t.replicated() {
-			n, served, err := f.readChunkReplicated(ctx, t, p, off)
-			if !served && err == nil {
-				return 0, io.EOF
-			}
-			return n, err
-		}
-		slot, fellBack := t.readTarget(f.name, 0)
-		if fellBack {
-			f.store.noteFallback(t.mig)
-		}
-		h, err := f.handle(ctx, t, slot, false)
-		if err != nil {
-			return 0, err
-		}
-		if h == nil {
+		n, served, err := f.readChunk(ctx, t, p, off)
+		if !served && err == nil {
 			return 0, io.EOF
 		}
-		n, err := backend.ReadAtCtx(ctx, h, p, off)
-		t.countRead(slot, n)
 		return n, err
 	}
 	if err := f.checkOpen(); err != nil {
@@ -504,30 +460,9 @@ func (f *file) readAt(ctx context.Context, p []byte, off int64) (int, error) {
 			return r.bufLo, err
 		}
 		chunk := p[r.bufLo:r.bufHi]
-		m := 0
-		if t.replicated() {
-			var rerr error
-			m, _, rerr = f.readChunkReplicated(ctx, t, chunk, r.off)
-			if rerr != nil && !errors.Is(rerr, io.EOF) {
-				return r.bufLo + m, rerr
-			}
-		} else {
-			slot, fellBack := t.readTarget(f.name, r.off)
-			if fellBack {
-				f.store.noteFallback(t.mig)
-			}
-			h, err := f.handle(ctx, t, slot, false)
-			if err != nil {
-				return r.bufLo, err
-			}
-			if h != nil {
-				var rerr error
-				m, rerr = backend.ReadAtCtx(ctx, h, chunk, r.off)
-				t.countRead(slot, m)
-				if rerr != nil && !errors.Is(rerr, io.EOF) {
-					return r.bufLo + m, rerr
-				}
-			}
+		m, _, rerr := f.readChunk(ctx, t, chunk, r.off)
+		if rerr != nil && !errors.Is(rerr, io.EOF) {
+			return r.bufLo + m, rerr
 		}
 		if m == len(chunk) {
 			continue
@@ -572,44 +507,6 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 	return f.writeAt(ctx, p, off)
 }
 
-// writeRange lands one stripe-aligned chunk. Mid-migration a
-// relocated key is dual-written — previous owner first (that copy
-// must stay complete until the epoch commits, because a crash drops
-// every in-memory confirmation back onto it), current owner second —
-// under the key's migration lock so the pair cannot interleave with
-// the mover copying the same key.
-func (f *file) writeRange(ctx context.Context, t *topology, chunk []byte, off int64) (int, error) {
-	if t.replicated() {
-		return f.writeRangeReplicated(ctx, t, chunk, off)
-	}
-	primary, mirror, mirrored, key := t.writeTargets(f.name, off)
-	if mirrored {
-		kl := t.mig.keyLock(key)
-		kl.Lock()
-		defer kl.Unlock()
-		f.store.noteMirror(t.mig)
-	}
-	h, err := f.handle(ctx, t, primary, true)
-	if err != nil {
-		return 0, err
-	}
-	n, err := backend.WriteAtCtx(ctx, h, chunk, off)
-	t.countWrite(primary, n)
-	if err != nil || !mirrored {
-		return n, err
-	}
-	mh, err := f.handle(ctx, t, mirror, true)
-	if err != nil {
-		return 0, err
-	}
-	mn, err := backend.WriteAtCtx(ctx, mh, chunk, off)
-	t.countWrite(mirror, mn)
-	if err != nil {
-		return mn, err
-	}
-	return n, nil
-}
-
 // immediateErr reports errors that must abort an operation instead of
 // triggering failover: the caller's context died, or the handle/store
 // itself is unusable regardless of which shard is asked.
@@ -642,11 +539,13 @@ func together(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// writeRangeReplicated lands one stripe-aligned chunk on every owner
-// of its key. The write succeeds when each epoch group (one group when
-// stable, previous-then-current mid-migration) has at least one copy
-// down; owners the write could not reach are marked suspect in the
-// health tracker and journaled so Scrub restores full replication.
+// writeRange lands one stripe-aligned chunk on every owner of its key.
+// The write succeeds when each epoch group (one group when stable,
+// previous-then-current mid-migration, under the key's migration lock)
+// has at least one copy down; owners the write could not reach are
+// marked suspect in the health tracker and journaled so Scrub restores
+// full replication. With one owner per group, a write that reached no
+// owner of a group is the error it met.
 // Breaker-open owners are skipped (and journaled) unless they are a
 // group's last hope, in which case they are attempted anyway — the
 // breaker sheds latency, never durability.
@@ -686,7 +585,7 @@ func together(n int, fn func(i int)) {
 // its extent's engine operation already holds, so a window of W bounds W
 // operations in flight, each at most R leaf requests wide (taking R
 // slots per operation would deadlock a full window against itself).
-func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []byte, off int64) (int, error) {
+func (f *file) writeRange(ctx context.Context, t *topology, chunk []byte, off int64) (int, error) {
 	s := f.store
 	groups, key, mirrored := t.writeGroups(f.name, off)
 	if mirrored {
@@ -768,10 +667,8 @@ func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []by
 					return w.err
 				}
 				s.slotFailed(t, sl)
-				s.noteWriteMiss(key, sl)
-				if firstErr == nil {
-					firstErr = w.err
-				}
+				s.noteMiss(t, &s.damage.keys, key, sl)
+				firstErr = cmp.Or(firstErr, w.err)
 			}
 			return nil
 		}
@@ -784,7 +681,7 @@ func (f *file) writeRangeReplicated(ctx context.Context, t *topology, chunk []by
 			}
 		} else {
 			for _, sl := range deferred {
-				s.noteWriteMiss(key, sl)
+				s.noteMiss(t, &s.damage.keys, key, sl)
 			}
 		}
 		if okCount == 0 {
@@ -857,64 +754,25 @@ func (f *file) truncate(ctx context.Context, size int64) error {
 		fl.Lock()
 		defer fl.Unlock()
 	}
-	if t.replicated() {
-		return f.truncateReplicated(ctx, t, size)
-	}
-	if !striped(t) {
-		if t.mig == nil {
-			// Stable whole-file placement: one copy, one call — the
-			// steady-state path stays free of per-store Stat sweeps.
-			return f.truncateAnchor(ctx, t, t.lay.ShardOf(f.name, 0), size)
-		}
+	// Stable whole-file placement keeps every byte on the home group, so
+	// pinning it is the whole cut: the steady state stays one call per
+	// owner, free of the per-store sweep. Otherwise every reachable copy
+	// is capped first.
+	if striped(t) || t.mig != nil {
 		if err := f.truncateSlots(ctx, t, size); err != nil {
 			return err
 		}
-		// Pin the exact size on every slot that must exist: the routed
-		// (authoritative) slot, plus the current home so the
-		// post-commit epoch agrees.
-		slot, _ := t.readTarget(f.name, 0)
-		if err := f.truncateAnchor(ctx, t, slot, size); err != nil {
-			return err
-		}
-		if home := t.homeShard(f.name); home != slot {
-			return f.truncateAnchor(ctx, t, home, size)
-		}
-		return nil
-	}
-	if err := f.truncateSlots(ctx, t, size); err != nil {
-		return err
-	}
-	if size == 0 {
-		return nil
-	}
-	// Anchor the global size on the owner of the final byte — under
-	// both epochs while migrating, so either view reports the new size.
-	slot, _ := t.readTarget(f.name, size-1)
-	if err := f.truncateAnchor(ctx, t, slot, size); err != nil {
-		return err
-	}
-	if t.mig != nil {
-		if cur := t.lay.ShardOf(f.name, size-1); cur != slot {
-			return f.truncateAnchor(ctx, t, cur, size)
+		if striped(t) && size == 0 {
+			return nil
 		}
 	}
-	return nil
-}
-
-// truncateReplicated cuts a replicated file: every reachable copy is
-// capped, then the owner group of the final byte (both epochs'
-// mid-migration) is anchored at exactly size. Unreachable copies are
-// journaled as size-suspect so Scrub re-caps them — a shard that was
-// down through a truncate must not later reinflate the global size.
-func (f *file) truncateReplicated(ctx context.Context, t *topology, size int64) error {
-	if err := f.truncateSlots(ctx, t, size); err != nil {
-		return err
-	}
-	if striped(t) && size == 0 {
-		return nil
-	}
+	// Anchor the global size on the owners of the final byte (the home
+	// group unstriped) — under both epochs while migrating, so either
+	// view reports the new size. Owners the cut could not reach are
+	// journaled as size-suspect so Scrub re-caps them: a shard that was
+	// down through a truncate must not later reinflate the global size.
 	anchorOff := int64(0)
-	if striped(t) && size > 0 {
+	if striped(t) {
 		anchorOff = size - 1
 	}
 	slots, fellBack := t.readTargets(f.name, anchorOff)
@@ -922,9 +780,7 @@ func (f *file) truncateReplicated(ctx context.Context, t *topology, size int64) 
 		return err
 	}
 	if fellBack {
-		if cur := t.lay.Owners(t.lay.KeyOf(f.name, anchorOff)); !sameSlotSet(cur, slots) {
-			return f.truncateAnchorGroup(ctx, t, cur, size)
-		}
+		return f.truncateAnchorGroup(ctx, t, t.lay.Owners(t.lay.KeyOf(f.name, anchorOff)), size)
 	}
 	return nil
 }
@@ -947,10 +803,8 @@ func (f *file) truncateAnchorGroup(ctx context.Context, t *topology, slots []int
 			return err
 		}
 		s.slotFailed(t, sl)
-		s.noteSizeMiss(f.name, sl)
-		if firstErr == nil {
-			firstErr = err
-		}
+		s.noteMiss(t, &s.damage.sizes, f.name, sl)
+		firstErr = cmp.Or(firstErr, err)
 	}
 	if ok == 0 {
 		return firstErr
@@ -966,15 +820,7 @@ func (f *file) truncateAnchorGroup(ctx context.Context, t *topology, slots []int
 // its stripe. Under replication an unreachable store is journaled and
 // skipped instead of failing the cut.
 func (f *file) truncateSlots(ctx context.Context, t *topology, size int64) error {
-	tolerate := func(err error, shard int) bool {
-		if !t.replicated() || immediateErr(ctx, err) {
-			return false
-		}
-		f.store.slotFailed(t, shard)
-		f.store.noteSizeMiss(f.name, shard)
-		return true
-	}
-	slots := t.otherSlots()
+	slots := t.otherSlots(nil)
 	hs, errs := f.handles(ctx, t, slots)
 	for i, sl := range slots {
 		if err := backend.CtxErr(ctx); err != nil {
@@ -990,8 +836,11 @@ func (f *file) truncateSlots(ctx context.Context, t *topology, size int64) error
 				err = backend.TruncateCtx(ctx, hs[i], size)
 			}
 		}
-		if err != nil && !tolerate(err, sl) {
-			return err
+		if err != nil {
+			if !f.store.tolerate(ctx, t, sl, err) {
+				return err
+			}
+			f.store.noteMiss(t, &f.store.damage.sizes, f.name, sl)
 		}
 	}
 	return nil
@@ -1040,15 +889,12 @@ func (f *file) sync(ctx context.Context) error {
 		case err == nil:
 			t.countSync(s)
 			synced++
-		case t.replicated() && !immediateErr(ctx, err):
+		case f.store.tolerate(ctx, t, s, err):
 			// A dead shard's flush failing must not fail the sync:
 			// every key it holds has a replica among the handles
 			// that did flush, and its copies are suspect anyway —
 			// Scrub reconverges them from the surviving owners.
-			f.store.slotFailed(t, s)
-			if tolerated == nil {
-				tolerated = err
-			}
+			tolerated = cmp.Or(tolerated, err)
 		case fatal == nil:
 			fatal = err
 		}

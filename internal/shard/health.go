@@ -1,18 +1,20 @@
 package shard
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Per-slot health tracking for replicated stores: a consecutive-failure
-// threshold opens a breaker that routes traffic away from a suspect
-// shard, and periodic half-open probes discover recovery. Health state
-// is advisory — a slot is always attempted when it is the last hope
-// for a read or the only remaining member of a write group — so the
-// breaker can never turn a degraded deployment into a failed one.
+// Per-slot health tracking: a consecutive-failure threshold opens a
+// breaker that routes traffic away from a suspect shard, and periodic
+// half-open probes discover recovery. It runs at every replication
+// factor, single-copy included. Health state is advisory — a slot is
+// always attempted when it is the last hope for a read or the only
+// remaining member of a write group, which at R=1 every owner is — so
+// the breaker can never turn a degraded deployment into a failed one.
 
 const (
 	// breakerThreshold is the number of CONSECUTIVE failures that
@@ -83,8 +85,8 @@ type ShardHealth struct {
 }
 
 // Health returns a snapshot of every shard slot's failover health.
-// All-zero entries are the steady state of a healthy deployment (the
-// tracker only runs under replication).
+// Entries with no failures and a closed breaker are the steady state
+// of a healthy deployment, at every replication factor.
 func (s *Store) Health() []ShardHealth {
 	t := s.topo.Load()
 	out := make([]ShardHealth, len(t.health))
@@ -106,6 +108,20 @@ func (s *Store) slotFailed(t *topology, slot int) {
 	if t.health[slot].fail() {
 		s.noteBreakerOpen()
 	}
+}
+
+// tolerate decides a failure on a store outside the group an operation
+// needs one success from (a size or Stat sweep, a cut, a flush, a
+// remove's sweep, a List): it records the failure on the slot's breaker
+// and reports whether the operation may go on without the store — only
+// when another copy answers for its keys (R >= 2), and never for a dead
+// ctx or an unusable handle.
+func (s *Store) tolerate(ctx context.Context, t *topology, slot int, err error) bool {
+	if immediateErr(ctx, err) {
+		return false
+	}
+	s.slotFailed(t, slot)
+	return t.replicated()
 }
 
 // damageCap bounds the journal; a journal past the cap flips the
@@ -256,11 +272,13 @@ func (j *damageJournal) staleNames(present map[string]bool) []string {
 	return out
 }
 
-// noteWriteMiss journals a write of key that did not reach slot.
-func (s *Store) noteWriteMiss(key string, slot int) { s.damage.note(&s.damage.keys, key, slot) }
-
-// noteSizeMiss journals a truncate of name that did not reach slot.
-func (s *Store) noteSizeMiss(name string, slot int) { s.damage.note(&s.damage.sizes, name, slot) }
-
-// noteRemoveMiss journals a remove of name that did not reach slot.
-func (s *Store) noteRemoveMiss(name string, slot int) { s.damage.note(&s.damage.removes, name, slot) }
+// noteMiss journals in m — the journal's keys (a write of placement
+// key k), sizes (a truncate of file k) or removes (a remove of file k)
+// — that the operation did not reach slot. Only where a miss can be
+// tolerated: at R=1 the operation that missed has failed outright, and
+// Scrub, the journal's one reader, does not run.
+func (s *Store) noteMiss(t *topology, m *map[string]map[int]bool, k string, slot int) {
+	if t.replicated() {
+		s.damage.note(m, k, slot)
+	}
+}

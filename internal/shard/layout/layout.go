@@ -253,8 +253,7 @@ func (l *Layout) ShardOf(name string, off int64) int {
 
 // Owner returns the shard owning a placement key previously derived
 // with KeyOf (or StripeKey). Under replication it is the PRIMARY —
-// Owners(key)[0] — so single-copy callers need never know about
-// replica sets.
+// Owners(key)[0].
 func (l *Layout) Owner(key string) int { return l.ring.Lookup(key) }
 
 // Owners returns the replica set of a placement key: the layout's R

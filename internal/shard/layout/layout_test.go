@@ -12,72 +12,73 @@ import (
 // opens a deployment; the goldens pin it byte for byte. A failure
 // here means existing deployments stop recognizing their own epoch —
 // it needs a format-versioning story, not a golden update.
+var recordGoldens = []struct {
+	rec  Record
+	want string
+}{
+	{
+		rec: Record{Epoch: 0, State: StateStable, Shards: 3, Vnodes: 64, StripeBytes: 4325376},
+		want: "lamassu-layout v1\n" +
+			"epoch 0\n" +
+			"state stable\n" +
+			"shards 3\n" +
+			"vnodes 64\n" +
+			"stripe 4325376\n",
+	},
+	{
+		rec: Record{Epoch: 7, State: StateMigrating, Shards: 4, Vnodes: 64, StripeBytes: 0,
+			PrevShards: 3, PrevVnodes: 64},
+		want: "lamassu-layout v1\n" +
+			"epoch 7\n" +
+			"state migrating\n" +
+			"shards 4\n" +
+			"vnodes 64\n" +
+			"stripe 0\n" +
+			"prev-shards 3\n" +
+			"prev-vnodes 64\n",
+	},
+	{
+		rec: Record{Epoch: 2, State: StateReaping, Shards: 2, Vnodes: 32, StripeBytes: 8192,
+			PrevShards: 5, PrevVnodes: 32},
+		want: "lamassu-layout v1\n" +
+			"epoch 2\n" +
+			"state reaping\n" +
+			"shards 2\n" +
+			"vnodes 32\n" +
+			"stripe 8192\n" +
+			"prev-shards 5\n" +
+			"prev-vnodes 32\n",
+	},
+	// Replicated records encode as v2; the replicas field sits
+	// between stripe and the prev-* block.
+	{
+		rec: Record{Epoch: 1, State: StateStable, Shards: 4, Vnodes: 64, StripeBytes: 8192,
+			Replicas: 2},
+		want: "lamassu-layout v2\n" +
+			"epoch 1\n" +
+			"state stable\n" +
+			"shards 4\n" +
+			"vnodes 64\n" +
+			"stripe 8192\n" +
+			"replicas 2\n",
+	},
+	{
+		rec: Record{Epoch: 3, State: StateMigrating, Shards: 5, Vnodes: 64, StripeBytes: 0,
+			PrevShards: 4, PrevVnodes: 64, Replicas: 3},
+		want: "lamassu-layout v2\n" +
+			"epoch 3\n" +
+			"state migrating\n" +
+			"shards 5\n" +
+			"vnodes 64\n" +
+			"stripe 0\n" +
+			"replicas 3\n" +
+			"prev-shards 4\n" +
+			"prev-vnodes 64\n",
+	},
+}
+
 func TestRecordGolden(t *testing.T) {
-	cases := []struct {
-		rec  Record
-		want string
-	}{
-		{
-			rec: Record{Epoch: 0, State: StateStable, Shards: 3, Vnodes: 64, StripeBytes: 4325376},
-			want: "lamassu-layout v1\n" +
-				"epoch 0\n" +
-				"state stable\n" +
-				"shards 3\n" +
-				"vnodes 64\n" +
-				"stripe 4325376\n",
-		},
-		{
-			rec: Record{Epoch: 7, State: StateMigrating, Shards: 4, Vnodes: 64, StripeBytes: 0,
-				PrevShards: 3, PrevVnodes: 64},
-			want: "lamassu-layout v1\n" +
-				"epoch 7\n" +
-				"state migrating\n" +
-				"shards 4\n" +
-				"vnodes 64\n" +
-				"stripe 0\n" +
-				"prev-shards 3\n" +
-				"prev-vnodes 64\n",
-		},
-		{
-			rec: Record{Epoch: 2, State: StateReaping, Shards: 2, Vnodes: 32, StripeBytes: 8192,
-				PrevShards: 5, PrevVnodes: 32},
-			want: "lamassu-layout v1\n" +
-				"epoch 2\n" +
-				"state reaping\n" +
-				"shards 2\n" +
-				"vnodes 32\n" +
-				"stripe 8192\n" +
-				"prev-shards 5\n" +
-				"prev-vnodes 32\n",
-		},
-		// Replicated records encode as v2; the replicas field sits
-		// between stripe and the prev-* block.
-		{
-			rec: Record{Epoch: 1, State: StateStable, Shards: 4, Vnodes: 64, StripeBytes: 8192,
-				Replicas: 2},
-			want: "lamassu-layout v2\n" +
-				"epoch 1\n" +
-				"state stable\n" +
-				"shards 4\n" +
-				"vnodes 64\n" +
-				"stripe 8192\n" +
-				"replicas 2\n",
-		},
-		{
-			rec: Record{Epoch: 3, State: StateMigrating, Shards: 5, Vnodes: 64, StripeBytes: 0,
-				PrevShards: 4, PrevVnodes: 64, Replicas: 3},
-			want: "lamassu-layout v2\n" +
-				"epoch 3\n" +
-				"state migrating\n" +
-				"shards 5\n" +
-				"vnodes 64\n" +
-				"stripe 0\n" +
-				"replicas 3\n" +
-				"prev-shards 4\n" +
-				"prev-vnodes 64\n",
-		},
-	}
-	for i, c := range cases {
+	for i, c := range recordGoldens {
 		got := c.rec.Encode()
 		if !bytes.Equal(got, []byte(c.want)) {
 			t.Errorf("case %d: Encode mismatch:\ngot:\n%swant:\n%s", i, got, c.want)
@@ -92,7 +93,7 @@ func TestRecordGolden(t *testing.T) {
 	}
 	// v1 decodes must leave Replicas at the zero value so existing
 	// deployments adopt as single-copy (ReplicaCount normalizes).
-	v1, err := DecodeRecord(cases[0].rec.Encode())
+	v1, err := DecodeRecord(recordGoldens[0].rec.Encode())
 	if err != nil || v1.Replicas != 0 || v1.ReplicaCount() != 1 {
 		t.Fatalf("v1 decode: Replicas=%d ReplicaCount=%d err=%v", v1.Replicas, v1.ReplicaCount(), err)
 	}
@@ -102,21 +103,54 @@ func TestRecordDecodeErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"not-a-record\n",
-		"lamassu-layout v2\nepoch 0\nstate stable\nshards 1\nvnodes 64\nstripe 0\n",                 // v2 without replicas
-		"lamassu-layout v2\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe 0\nreplicas 1\n",     // v2 with single-copy factor
-		"lamassu-layout v1\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe 0\nreplicas 2\n",     // replicas is not a v1 field
-		"lamassu-layout v3\nepoch 0\nstate stable\nshards 1\nvnodes 64\nstripe 0\n",                 // unknown version
-		"lamassu-layout v1\nepoch 0\nstate stable\nvnodes 64\nstripe 0\n",                           // missing shards
-		"lamassu-layout v1\nepoch 0\nstate wat\nshards 1\nvnodes 64\nstripe 0\n",                    // bad state
-		"lamassu-layout v1\nepoch 0\nstate migrating\nshards 2\nvnodes 64\nstripe 0\n",              // migrating without prev
-		"lamassu-layout v1\nepoch 0\nstate stable\nshards 1\nshards 1\nvnodes 64\nstripe 0\n",       // dup field
-		"lamassu-layout v1\nepoch 0\nstate stable\nshards 1\nvnodes 64\nstripe 0\nfuture-field 1\n", // unknown field
+		"lamassu-layout v2\nepoch 0\nstate stable\nshards 1\nvnodes 64\nstripe 0\n",                                   // v2 without replicas
+		"lamassu-layout v2\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe 0\nreplicas 1\n",                       // v2 with single-copy factor
+		"lamassu-layout v1\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe 0\nreplicas 2\n",                       // replicas is not a v1 field
+		"lamassu-layout v3\nepoch 0\nstate stable\nshards 1\nvnodes 64\nstripe 0\n",                                   // unknown version
+		"lamassu-layout v1\nepoch 0\nstate stable\nvnodes 64\nstripe 0\n",                                             // missing shards
+		"lamassu-layout v1\nepoch 0\nstate wat\nshards 1\nvnodes 64\nstripe 0\n",                                      // bad state
+		"lamassu-layout v1\nepoch 0\nstate migrating\nshards 2\nvnodes 64\nstripe 0\n",                                // migrating without prev
+		"lamassu-layout v1\nepoch 0\nstate stable\nshards 1\nshards 1\nvnodes 64\nstripe 0\n",                         // dup field
+		"lamassu-layout v1\nepoch 0\nstate stable\nshards 1\nvnodes 64\nstripe 0\nfuture-field 1\n",                   // unknown field
+		"lamassu-layout v1\nepoch 0\nstate stable\nshards 2\nvnodes -4\nstripe 0\n",                                   // negative vnodes
+		"lamassu-layout v1\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe -9\n",                                  // negative stripe
+		"lamassu-layout v2\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe 0\nreplicas 7\n",                       // more replicas than shards
+		"lamassu-layout v1\nepoch 0\nstate stable\nshards 2\nvnodes 64\nstripe 0\nprev-shards 3\n",                    // stable with a previous epoch
+		"lamassu-layout v1\nepoch 2\nstate migrating\nshards 2\nvnodes 64\nstripe 0\nprev-shards 3\nprev-vnodes -1\n", // negative prev-vnodes
 	}
 	for i, s := range bad {
 		if _, err := DecodeRecord([]byte(s)); err == nil {
 			t.Errorf("case %d: decode of %q succeeded", i, s)
 		}
 	}
+}
+
+// FuzzDecodeRecord feeds the record parser arbitrary bytes: it must
+// never panic, and every record it accepts is in range and survives
+// an Encode/Decode round trip unchanged — so what a deployment reads
+// back is exactly what it would have written.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, c := range recordGoldens {
+		f.Add([]byte(c.want))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeRecord(data)
+		if err != nil {
+			return
+		}
+		back, err := DecodeRecord(r.Encode())
+		if err != nil || back != r {
+			t.Fatalf("accepted %q as %+v, which round-trips to %+v, %v", data, r, back, err)
+		}
+		prevOK := r.PrevShards >= 1 && r.PrevVnodes >= 0
+		if r.State == StateStable {
+			prevOK = r.PrevShards == 0 && r.PrevVnodes == 0
+		}
+		if r.Shards < 1 || r.Vnodes < 0 || r.StripeBytes < 0 || !prevOK ||
+			r.Replicas < 0 || r.Replicas == 1 || r.Replicas > r.Shards {
+			t.Fatalf("accepted %q as out-of-range %+v", data, r)
+		}
+	})
 }
 
 // The resolver ordering after a crash mid-record-fanout:

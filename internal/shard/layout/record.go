@@ -158,10 +158,12 @@ func (r Record) Encode() []byte {
 	return []byte(b.String())
 }
 
-// DecodeRecord parses an encoded record, rejecting unknown versions
-// and malformed fields. Both format versions decode: v1 records leave
-// Replicas at 0 (single-copy — use ReplicaCount for the normalized
-// factor), v2 records must carry replicas >= 2.
+// DecodeRecord parses an encoded record, rejecting unknown versions,
+// malformed fields and values out of range: every record it accepts
+// re-encodes to a record that decodes to itself. Both format versions
+// decode: v1 records leave Replicas at 0 (single-copy — use
+// ReplicaCount for the normalized factor), v2 records must carry
+// 2 <= replicas <= shards.
 func DecodeRecord(data []byte) (Record, error) {
 	var r Record
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
@@ -224,14 +226,25 @@ func DecodeRecord(data []byte) (Record, error) {
 	if r.Shards < 1 {
 		return r, errors.New("shard: layout record: missing or invalid shards")
 	}
+	if r.Vnodes < 0 || r.StripeBytes < 0 || r.PrevVnodes < 0 {
+		return r, errors.New("shard: layout record: negative vnodes or stripe")
+	}
 	if r.State != StateStable && r.PrevShards < 1 {
 		return r, fmt.Errorf("shard: layout record: state %s without prev-shards", r.State)
+	}
+	if r.State == StateStable && (seen["prev-shards"] || seen["prev-vnodes"]) {
+		// Encode never writes a previous epoch into a stable record, so
+		// one that carries it would not round-trip.
+		return r, errors.New("shard: layout record: stable record with a previous epoch")
 	}
 	if v2 && r.Replicas < 2 {
 		// A v2 record exists only to carry a replication factor; one
 		// without it (or with a single-copy factor) is malformed, not a
 		// quiet R=1 — Encode would have produced v1.
 		return r, errors.New("shard: layout record: v2 record without replicas >= 2")
+	}
+	if r.Replicas > r.Shards {
+		return r, fmt.Errorf("shard: layout record: %d replicas over %d shards", r.Replicas, r.Shards)
 	}
 	return r, nil
 }

@@ -398,32 +398,10 @@ func recReplicas(l *layout.Layout) int {
 	return 0
 }
 
-// storeSet maps a slot list to its set of physical stores.
-func (t *topology) storeSet(slots []int) map[backend.Store]bool {
-	out := make(map[backend.Store]bool, len(slots))
-	for _, sl := range slots {
-		out[t.stores[sl]] = true
-	}
-	return out
-}
-
 // keyRelocated reports whether key's owner set differs between the two
 // epochs — by physical store, so carve aliases do not count as moves.
 func (t *topology) keyRelocated(key string) bool {
-	if !t.replicated() {
-		return t.lay.Owner(key) != t.mig.prev.Owner(key)
-	}
-	cur := t.storeSet(t.lay.Owners(key))
-	prev := t.storeSet(t.mig.prev.Owners(key))
-	if len(cur) != len(prev) {
-		return true
-	}
-	for st := range cur {
-		if !prev[st] {
-			return true
-		}
-	}
-	return false
+	return !t.sameStores(t.lay.Owners(key), t.mig.prev.Owners(key))
 }
 
 // keyRange is one placement key of a file with the byte range it

@@ -779,123 +779,131 @@ func TestRecordNameReserved(t *testing.T) {
 // UNSHARDED model through identical operation sequences — writes,
 // truncates, reads — across every migration phase (pre-migration,
 // dual-ring with nothing confirmed, mid-migration after a canceled
-// mover, and post-commit) and asserts the contents never diverge.
+// mover, and post-commit) and asserts the contents never diverge. Each
+// input runs at both replication factors, growing 2 → 3 stores: the
+// one owner-group data path with groups of one and of two.
 func FuzzDualRingConsistency(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(2))
 	f.Add(int64(42), uint8(30), uint8(5))
 	f.Add(int64(-7), uint8(7), uint8(1))
 	f.Fuzz(func(t *testing.T, seed int64, nOps, cancelAfter uint8) {
-		geo, err := layout.NewGeometry(512, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := core.Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo}
-		base, _ := memStores(2)
-		ss, err := shard.New(base, shard.Config{StripeBytes: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := core.New(ss, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := core.New(backend.NewMemStore(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		rng := rand.New(rand.NewSource(seed))
-		names := []string{"a", "b", "c"}
-		apply := func(fs vfs.FS, opSeed int64) {
-			t.Helper()
-			r := rand.New(rand.NewSource(opSeed))
-			name := names[r.Intn(len(names))]
-			switch r.Intn(4) {
-			case 0, 1: // write a random range
-				off := int64(r.Intn(6000))
-				buf := make([]byte, 1+r.Intn(2000))
-				r.Read(buf)
-				f, err := fs.Create(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteAt(buf, off); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					t.Fatal(err)
-				}
-			case 2: // truncate
-				f, err := fs.Create(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Truncate(int64(r.Intn(8000))); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					t.Fatal(err)
-				}
-			case 3: // remove
-				_ = fs.Remove(name)
-			}
-		}
-		compare := func(phase string) {
-			t.Helper()
-			for _, n := range names {
-				want, werr := vfs.ReadAll(model, n)
-				got, gerr := vfs.ReadAll(sharded, n)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("%s: %s: model err %v, sharded err %v", phase, n, werr, gerr)
-				}
-				if werr == nil && !bytes.Equal(got, want) {
-					t.Fatalf("%s: %s diverged (%d vs %d bytes)", phase, n, len(got), len(want))
-				}
-			}
-		}
-
-		ops := int(nOps%40) + 5
-		phase := func(label string, count int) {
-			for i := 0; i < count; i++ {
-				opSeed := rng.Int63()
-				apply(model, opSeed)
-				apply(sharded, opSeed)
-			}
-			compare(label)
-		}
-
-		phase("pre-migration", ops/2+1)
-
-		grown := append(append([]backend.Store(nil), base...), backend.NewMemStore())
-		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		limit := int(cancelAfter%6) + 1
-		hooks := shard.MigrateHooks{OnKeyMoved: func(string) {
-			if n++; n == limit {
-				cancel()
-			}
-		}}
-		if err := ss.BeginMigration(context.Background(), grown, hooks); err != nil {
-			t.Fatal(err)
-		}
-		phase("dual-ring unconfirmed", ops/2+1)
-
-		if _, err := ss.RunMover(ctx); err != nil && !errors.Is(err, backend.ErrCanceled) {
-			t.Fatal(err)
-		}
-		cancel()
-		phase("mid-migration", ops/2+1)
-
-		if ss.Migrating() {
-			if _, err := ss.RunMover(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		phase("post-commit", ops/2+1)
-		if ss.Migrating() {
-			t.Fatal("migration still active at the end")
+		for _, replicas := range []int{1, 2} {
+			dualRingConsistency(t, replicas, seed, nOps, cancelAfter)
 		}
 	})
+}
+
+func dualRingConsistency(t *testing.T, replicas int, seed int64, nOps, cancelAfter uint8) {
+	geo, err := layout.NewGeometry(512, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo}
+	base, _ := memStores(2)
+	ss, err := shard.New(base, shard.Config{StripeBytes: 1024, Replicas: replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := core.New(ss, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := core.New(backend.NewMemStore(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	names := []string{"a", "b", "c"}
+	apply := func(fs vfs.FS, opSeed int64) {
+		t.Helper()
+		r := rand.New(rand.NewSource(opSeed))
+		name := names[r.Intn(len(names))]
+		switch r.Intn(4) {
+		case 0, 1: // write a random range
+			off := int64(r.Intn(6000))
+			buf := make([]byte, 1+r.Intn(2000))
+			r.Read(buf)
+			f, err := fs.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(buf, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		case 2: // truncate
+			f, err := fs.Create(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Truncate(int64(r.Intn(8000))); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		case 3: // remove
+			_ = fs.Remove(name)
+		}
+	}
+	compare := func(phase string) {
+		t.Helper()
+		for _, n := range names {
+			want, werr := vfs.ReadAll(model, n)
+			got, gerr := vfs.ReadAll(sharded, n)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("R=%d %s: %s: model err %v, sharded err %v", replicas, phase, n, werr, gerr)
+			}
+			if werr == nil && !bytes.Equal(got, want) {
+				t.Fatalf("R=%d %s: %s diverged (%d vs %d bytes)", replicas, phase, n, len(got), len(want))
+			}
+		}
+	}
+
+	ops := int(nOps%40) + 5
+	phase := func(label string, count int) {
+		for i := 0; i < count; i++ {
+			opSeed := rng.Int63()
+			apply(model, opSeed)
+			apply(sharded, opSeed)
+		}
+		compare(label)
+	}
+
+	phase("pre-migration", ops/2+1)
+
+	grown := append(append([]backend.Store(nil), base...), backend.NewMemStore())
+	ctx, cancel := context.WithCancel(context.Background())
+	n := 0
+	limit := int(cancelAfter%6) + 1
+	hooks := shard.MigrateHooks{OnKeyMoved: func(string) {
+		if n++; n == limit {
+			cancel()
+		}
+	}}
+	if err := ss.BeginMigration(context.Background(), grown, hooks); err != nil {
+		t.Fatal(err)
+	}
+	phase("dual-ring unconfirmed", ops/2+1)
+
+	if _, err := ss.RunMover(ctx); err != nil && !errors.Is(err, backend.ErrCanceled) {
+		t.Fatal(err)
+	}
+	cancel()
+	phase("mid-migration", ops/2+1)
+
+	if ss.Migrating() {
+		if _, err := ss.RunMover(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phase("post-commit", ops/2+1)
+	if ss.Migrating() {
+		t.Fatalf("R=%d: migration still active at the end", replicas)
+	}
 }
 
 // TestFaultSoakRandomized is the nightly randomized per-shard crash

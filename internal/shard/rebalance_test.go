@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -496,6 +497,71 @@ func TestRebalanceIdenticalIsNoOp(t *testing.T) {
 		t.Fatalf("identical rings migrated data: %+v", st)
 	}
 	verify(t, same, contents)
+}
+
+// A carve grow relocates keys only between aliases — slots over the one
+// physical store — so it moves nothing: no file or stripe counts as
+// moved, and a mid-migration write to an alias key reaches the store
+// once, not once per alias.
+func TestRebalanceCarveAliasMovesNothing(t *testing.T) {
+	const stripe = 4096
+	leaf := &countLeaf{Store: backend.NewMemStore(), g: newOwnerGate()}
+	carve := func(n int) []backend.Store { return slices.Repeat([]backend.Store{leaf}, n) }
+	from, err := shard.New(carve(2), shard.Config{StripeBytes: stripe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	raw := make(map[string][]byte)
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("alias-%d", i)
+		raw[name] = make([]byte, 40000)
+		rng.Read(raw[name])
+		if err := backend.WriteFile(from, name, raw[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	to, err := shard.New(carve(3), shard.Config{StripeBytes: stripe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := from.Layout()
+	if err := from.BeginMigration(context.Background(), carve(3), shard.MigrateHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	off := int64(-1)
+	for o := int64(0); o < 40000 && off < 0; o += stripe {
+		if prev.ShardOf("alias-0", o) != from.ShardOf("alias-0", o) {
+			off = o
+		}
+	}
+	if off < 0 {
+		t.Fatal("no stripe of alias-0 changes slot; pick another name")
+	}
+	f, err := from.Open("alias-0", backend.OpenWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := leaf.calls.write.Load()
+	if _, err := f.WriteAt([]byte("alias"), off); err != nil {
+		t.Fatal(err)
+	}
+	if got := leaf.calls.write.Load() - before; got != 1 {
+		t.Errorf("a mid-migration write to an alias key issued %d leaf writes, want 1", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	copy(raw["alias-0"][off:], "alias")
+
+	st, err := shard.Rebalance(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MovedFiles != 0 || st.MovedStripes != 0 || st.MovedBytes != 0 {
+		t.Errorf("an alias-only carve grow reported moves: %+v", st)
+	}
+	verifyRaw(t, from, raw)
 }
 
 func TestRebalanceStripeMismatch(t *testing.T) {

@@ -284,22 +284,82 @@ func TestReplicatedShardLossAndScrubRepair(t *testing.T) {
 	}
 
 	// The R=1 control: the same loss without replication is a visible
-	// failure — this is what the R-vs-capacity trade buys.
+	// failure — this is what the R-vs-capacity trade buys. R=1 runs the
+	// same owner-group path, so the dead shard opens its breaker and is
+	// counted, yet stays its keys' last hope: every read it owns keeps
+	// failing with the leaf's error, and every other read succeeds.
 	t.Run("r1-control", func(t *testing.T) {
 		s, faults, _ := replicatedStores(t, 3, 1, 0)
 		files := writeCorpus(t, s, 20, 7)
-		faults[1].ArmDownAll()
-		sawErr := false
-		for name := range files {
-			if _, err := backend.ReadFile(s, name); err != nil {
-				sawErr = true
-				break
+		const victim = 1
+		faults[victim].ArmDownAll()
+		failed := 0
+		for round := 0; round < 3; round++ {
+			for name := range files {
+				_, err := backend.ReadFile(s, name)
+				switch owned := s.ShardOf(name, 0) == victim; {
+				case owned && (err == nil || errors.Is(err, backend.ErrNotExist)):
+					t.Fatalf("R=1 read of %s with its only owner down: %v", name, err)
+				case owned:
+					failed++
+				case err != nil:
+					t.Fatalf("R=1 read of %s, owned by a live shard: %v", name, err)
+				}
 			}
 		}
-		if !sawErr {
-			t.Fatal("R=1 served every read with a shard permanently down")
+		if failed == 0 {
+			t.Fatal("no file of the corpus lives on the victim")
+		}
+		h, rs := s.Health()[victim], s.ReplicationStats()
+		if !h.BreakerOpen || h.Failures < int64(failed) || rs.BreakerOpens != 1 ||
+			rs.FailoverReads != 0 || rs.ReplicaWrites != 0 {
+			t.Fatalf("after %d failed reads: Health[%d] = %+v, %+v", failed, victim, h, rs)
 		}
 	})
+}
+
+// A create mid-migration is group-success in each epoch: it lands a copy
+// in the previous epoch's home group and one in the current epoch's, or
+// fails — with groups of one as with groups of two.
+func TestCreateMidMigrationNeedsEveryEpochGroup(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
+			s, faults, _ := replicatedStores(t, 2, r, 0)
+			prev := s.Layout()
+			all := append(faults, faultfs.New(backend.NewMemStore()))
+			grown := []backend.Store{all[0], all[1], all[2]}
+			if err := s.BeginMigration(context.Background(), grown, shard.MigrateHooks{}); err != nil {
+				t.Fatal(err)
+			}
+			cur := s.Layout()
+			name := ""
+			for i := 0; name == ""; i++ {
+				if cand := fmt.Sprintf("c-%d", i); slices.Contains(cur.Owners(cand), 2) {
+					name = cand
+				}
+			}
+			// Every current-epoch home owner down; at R=2 a previous-epoch
+			// owner survives, so the eager open still lands a copy.
+			for _, sl := range cur.Owners(name) {
+				all[sl].ArmDownAll()
+			}
+			if f, err := s.Open(name, backend.OpenCreate); err == nil {
+				f.Close()
+				t.Fatalf("create of %s with every current home owner %v down succeeded", name, cur.Owners(name))
+			}
+			for _, fs := range all {
+				fs.DisarmDown()
+			}
+			if err := backend.WriteFile(s, name, []byte("both epochs")); err != nil {
+				t.Fatal(err)
+			}
+			for _, sl := range append(prev.Owners(name), cur.Owners(name)...) {
+				if _, err := all[sl].Stat(name); err != nil {
+					t.Errorf("home owner %d of %s holds no copy: %v", sl, name, err)
+				}
+			}
+		})
+	}
 }
 
 // The health breaker's lifecycle: consecutive failures open it, the
@@ -343,6 +403,57 @@ func TestBreakerOpensAndCloses(t *testing.T) {
 	}
 	if s.Health()[victim].Successes == 0 {
 		t.Fatalf("Health[%d] = %+v, want successes after recovery", victim, s.Health()[victim])
+	}
+}
+
+// A rename whose two names share a home owner set renames in place on
+// EVERY owner, so the new name keeps R copies. An owner the rename
+// misses keeps the old name; the damage journal records both names for
+// it, so Scrub reaps the old copy and re-creates the new one instead of
+// resurrecting the old name by presence.
+func TestReplicatedRenameInPlace(t *testing.T) {
+	data := make([]byte, 3000)
+	rand.New(rand.NewSource(35)).Read(data)
+	for _, missed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("owner-down=%v", missed), func(t *testing.T) {
+			s, faults, mems := replicatedStores(t, 3, 2, 0)
+			lay := s.Layout()
+			owners := lay.Owners(lay.KeyOf("old-name", 0))
+			newName := ""
+			for i := 0; newName == ""; i++ {
+				cand := fmt.Sprintf("new-%d", i)
+				if slices.Equal(lay.Owners(lay.KeyOf(cand, 0)), owners) {
+					newName = cand
+				}
+			}
+			if err := backend.WriteFile(s, "old-name", data); err != nil {
+				t.Fatal(err)
+			}
+			if missed {
+				faults[owners[1]].ArmDownAll()
+			}
+			if err := s.Rename("old-name", newName); err != nil {
+				t.Fatalf("Rename(old-name, %s) over owners %v: %v", newName, owners, err)
+			}
+			if got, err := backend.ReadFile(s, newName); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read %s after the rename: %v", newName, err)
+			}
+			if missed {
+				faults[owners[1]].DisarmDown()
+				if st, err := s.Scrub(context.Background()); err != nil || st.Unrepaired != 0 {
+					t.Fatalf("Scrub after the missed rename: %+v, %v", st, err)
+				}
+			}
+			if names, err := s.List(); err != nil || !slices.Equal(names, []string{newName}) {
+				t.Fatalf("List = %v, %v; want [%s]", names, err, newName)
+			}
+			verifyFullReplication(t, s, mems, map[string][]byte{newName: data}, true)
+			for i, m := range mems {
+				if _, err := m.Stat("old-name"); !errors.Is(err, backend.ErrNotExist) {
+					t.Fatalf("store %d still holds old-name: %v", i, err)
+				}
+			}
+		})
 	}
 }
 

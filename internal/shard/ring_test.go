@@ -60,9 +60,9 @@ var RelocationGolden = map[string]string{
 // built from the same parameters must produce the same owner LIST for
 // every key, forever. Slot 0 of every list is the Lookup owner — the
 // replicated layout is a strict extension of the single-copy one, so
-// R=1 deployments are untouched by the replication code. Like the
-// golden above, a failure here means broken deployments, not a stale
-// test.
+// an R=1 deployment's owner group of one is the placement it always
+// had. Like the golden above, a failure here means broken deployments,
+// not a stale test.
 func TestRingGoldenOwners(t *testing.T) {
 	r, err := NewRing(5, 64)
 	if err != nil {

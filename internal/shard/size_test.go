@@ -14,9 +14,9 @@ import (
 )
 
 // leafCalls counts what one leaf was asked: Stat and Open, the by-name
-// calls that cost a round trip on an object store, and Truncate on a
-// handle the leaf already gave out.
-type leafCalls struct{ stat, open, trunc atomic.Int64 }
+// calls that cost a round trip on an object store, and Truncate and
+// WriteAt on a handle the leaf already gave out.
+type leafCalls struct{ stat, open, trunc, write atomic.Int64 }
 
 // countLeaf counts the calls one leaf sees, parks its probes (Stat and
 // Open) on the rig's gate while the gate holds flushes — to the gate a
@@ -65,6 +65,11 @@ type countFile struct {
 func (f *countFile) Truncate(size int64) error {
 	f.l.calls.trunc.Add(1)
 	return f.File.Truncate(size)
+}
+
+func (f *countFile) WriteAt(p []byte, off int64) (int, error) {
+	f.l.calls.write.Add(1)
+	return f.File.WriteAt(p, off)
 }
 
 // sizeRig is a striped store over four counting leaves holding one sparse
@@ -425,4 +430,49 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 			t.Errorf("Size() with a leaf down asked by name: Stat %v", stats)
 		}
 	})
+}
+
+// A stable whole-file cut pins the home group and nothing else: one
+// leaf truncate per owner and no probe of any other store, so at R=1 a
+// cut is one leaf call.
+func TestWholeFileTruncateTouchesOnlyOwners(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
+			leaves := make([]*countLeaf, 4)
+			stores := make([]backend.Store, len(leaves))
+			for i := range leaves {
+				leaves[i] = &countLeaf{Store: backend.NewMemStore(), id: i, g: newOwnerGate()}
+				stores[i] = leaves[i]
+			}
+			s, err := shard.New(stores, shard.Config{Replicas: r})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := backend.WriteFile(s, sizeName, make([]byte, 5000)); err != nil {
+				t.Fatal(err)
+			}
+			h, err := s.Open(sizeName, backend.OpenWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			calls := func() (probes, truncs int64) {
+				for _, l := range leaves {
+					probes += l.calls.stat.Load() + l.calls.open.Load()
+					truncs += l.calls.trunc.Load()
+				}
+				return probes, truncs
+			}
+			p0, t0 := calls()
+			if err := h.Truncate(100); err != nil {
+				t.Fatal(err)
+			}
+			p1, t1 := calls()
+			// The eager open holds one owner; the others open for the cut.
+			if t1-t0 != int64(r) || p1-p0 != int64(r-1) {
+				t.Errorf("Truncate at R=%d: %d leaf truncates, %d probes; want %d and %d", r, t1-t0, p1-p0, r, r-1)
+			}
+			wantSize(t, h, 100)
+		})
+	}
 }

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -31,10 +33,12 @@ type Config struct {
 	// Replicas is the number of distinct shards every placement key is
 	// written to (the key's owner plus the next Replicas-1 distinct
 	// shards clockwise on the ring). 0 and 1 both select single-copy
-	// placement. With Replicas >= 2 writes fan out to all owners, reads
-	// fail over from the primary to the next replica on fatal errors or
-	// a missing copy, and Scrub restores full replication after an
-	// outage. Must not exceed the store count.
+	// placement: an owner group of one. Every operation runs the same
+	// owner-group path at every factor — writes fan out to all owners,
+	// reads fail over from the primary to the next owner on fatal errors
+	// or a missing copy — so with one owner a failure has nowhere to go
+	// and surfaces. Scrub, which restores full replication after an
+	// outage, needs Replicas >= 2. Must not exceed the store count.
 	Replicas int
 }
 
@@ -87,8 +91,10 @@ type topology struct {
 func (t *topology) curStores() []backend.Store { return t.stores[:t.lay.Shards()] }
 
 // replicated reports whether the current epoch places more than one
-// copy per key — the gate for every failover/fan-out path, so a
-// single-copy store keeps exactly its historical behavior.
+// copy per key. Every operation runs one owner-group path whatever the
+// factor (R=1 is a group of one); this is only the predicate "may an
+// operation go on without a store that failed, because another copy
+// answers for it?" — plus Scrub's guard.
 func (t *topology) replicated() bool { return t.lay.Replicas() > 1 }
 
 // dedupSlots drops slots backed by a store already present earlier in
@@ -114,25 +120,20 @@ func (t *topology) dedupSlots(slots []int) []int {
 	return out
 }
 
-// sameSlotSet reports whether a and b contain the same slots
-// (order-insensitively; replica sets are small, so quadratic is fine).
-func sameSlotSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// sameStores reports whether slot lists a and b name the same set of
+// physical stores: carve aliases — distinct slots over one store —
+// compare equal, because a key routed to either reaches the same bytes.
+func (t *topology) sameStores(a, b []int) bool {
+	return maps.Equal(t.storeSet(a), t.storeSet(b))
+}
+
+// storeSet maps a slot list to its set of physical stores.
+func (t *topology) storeSet(slots []int) map[backend.Store]bool {
+	out := make(map[backend.Store]bool, len(slots))
+	for _, sl := range slots {
+		out[t.stores[sl]] = true
 	}
-	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // uniqueOf builds the uniq list for a store slice.
@@ -242,8 +243,10 @@ type ReplicationStats struct {
 	BreakerOpens int64
 }
 
-// ReplicationStats returns a snapshot of the replication counters;
-// all-zero for single-copy stores.
+// ReplicationStats returns a snapshot of the replication counters. At
+// R=1 a key's one owner is its primary, so ReplicaWrites,
+// FailoverReads and ScrubRepairs stay zero; BreakerOpens counts at
+// every factor.
 func (s *Store) ReplicationStats() ReplicationStats {
 	return ReplicationStats{
 		ReplicaWrites: s.replicaWrites.Load(),
@@ -343,56 +346,12 @@ func (s *Store) ShardOf(name string, off int64) int {
 	return s.topo.Load().lay.ShardOf(name, off)
 }
 
-// homeShard returns the slot that defines a file's existence under
-// the current epoch: the owner of its first byte (equivalently, of
-// stripe 0).
-func (t *topology) homeShard(name string) int { return t.lay.ShardOf(name, 0) }
-
-// readTarget resolves the slot a read of byte off of name should hit:
-// the current owner once the key is confirmed moved (or was never
-// relocated), the previous epoch's owner — the authoritative copy —
-// until then. fellBack reports the dual-ring fallback case.
-func (t *topology) readTarget(name string, off int64) (slot int, fellBack bool) {
-	cur := t.lay.ShardOf(name, off)
-	if t.mig == nil {
-		return cur, false
-	}
-	key := t.lay.KeyOf(name, off)
-	prev := t.mig.prev.Owner(key)
-	if prev == cur || t.mig.confirmed(key) {
-		return cur, false
-	}
-	return prev, true
-}
-
-// writeTargets resolves where a write of byte off of name must land.
-// Stable (or unrelocated key): the current owner only. Mid-migration,
-// a relocated key is DUAL-WRITTEN — the previous owner first, then
-// the current owner — under the key's migration lock so the pair
-// cannot interleave with the mover's copy of the same key. The mirror
-// continues even AFTER the mover confirms the key: confirmations live
-// only in memory, so after a crash every key reads from (and a mover
-// rerun re-copies from) the previous owner again — which is only safe
-// because the mirror kept that copy fresh until the epoch committed.
-func (t *topology) writeTargets(name string, off int64) (primary, mirror int, mirrored bool, key string) {
-	cur := t.lay.ShardOf(name, off)
-	if t.mig == nil {
-		return cur, 0, false, ""
-	}
-	key = t.lay.KeyOf(name, off)
-	prev := t.mig.prev.Owner(key)
-	if prev == cur {
-		return cur, 0, false, ""
-	}
-	return prev, cur, true, key
-}
-
-// readTargets is readTarget generalized to a replica set: the
-// failover-ordered candidate slots a read of byte off of name may be
-// served from. The authoritative group comes whole — previous-epoch
-// owners until the mover confirms a relocated key, current owners
-// otherwise — because mid-copy current-epoch bytes must never serve
-// reads, replica or not.
+// readTargets resolves the failover-ordered owner group a read of byte
+// off of name may be served from. The authoritative group comes whole
+// — the previous epoch's owners until the mover confirms a relocated
+// key, the current owners otherwise — because mid-copy current-epoch
+// bytes must never serve reads. fellBack reports the dual-ring
+// fallback case.
 func (t *topology) readTargets(name string, off int64) (slots []int, fellBack bool) {
 	key := t.lay.KeyOf(name, off)
 	cur := t.lay.Owners(key)
@@ -400,18 +359,23 @@ func (t *topology) readTargets(name string, off int64) (slots []int, fellBack bo
 		return cur, false
 	}
 	prev := t.mig.prev.Owners(key)
-	if sameSlotSet(prev, cur) || t.mig.confirmed(key) {
+	if t.sameStores(prev, cur) || t.mig.confirmed(key) {
 		return cur, false
 	}
 	return prev, true
 }
 
-// writeGroups is writeTargets generalized to replica sets: the slot
-// groups a write of byte off of name must land in, in write order. A
-// write is durable when every group has at least one success (and
-// every reachable member a copy); mid-migration a relocated key gets
-// both epochs' owner groups — previous first, mirroring writeTargets —
-// under the key's migration lock (mirrored=true).
+// writeGroups resolves the owner groups a write of byte off of name
+// must land in, in write order. A write is durable when every group
+// has at least one success (and every reachable member a copy).
+// Mid-migration a relocated key is DUAL-WRITTEN (mirrored=true): the
+// previous epoch's group first, then the current one, under the key's
+// migration lock so the pair cannot interleave with the mover's copy
+// of the key. The mirror continues even AFTER the mover confirms the
+// key: confirmations live only in memory, so after a crash every key
+// reads from (and a mover rerun re-copies from) the previous owners
+// again — which is only safe because the mirror kept their copies
+// fresh until the epoch committed.
 func (t *topology) writeGroups(name string, off int64) (groups [][]int, key string, mirrored bool) {
 	key = t.lay.KeyOf(name, off)
 	cur := t.lay.Owners(key)
@@ -419,7 +383,7 @@ func (t *topology) writeGroups(name string, off int64) (groups [][]int, key stri
 		return [][]int{cur}, key, false
 	}
 	prev := t.mig.prev.Owners(key)
-	if sameSlotSet(prev, cur) {
+	if t.sameStores(prev, cur) {
 		return [][]int{cur}, key, false
 	}
 	return [][]int{prev, cur}, key, true
@@ -443,8 +407,9 @@ func (s *Store) Stats() []IOStats {
 }
 
 // Open implements backend.Store. Existence is decided by the home
-// shard (falling back to the previous epoch's home mid-migration);
-// stripe files on other shards are created lazily by writes.
+// owner group (the previous epoch's until the mover confirms the key
+// mid-migration); stripe files on other shards are created lazily by
+// writes.
 func (s *Store) Open(name string, flag backend.OpenFlag) (backend.File, error) {
 	return s.OpenCtx(nil, name, flag)
 }
@@ -460,11 +425,6 @@ func (s *Store) OpenCtx(ctx context.Context, name string, flag backend.OpenFlag)
 		return nil, errReservedName
 	}
 	t := s.topo.Load()
-	// The eager handle goes to the slot a read of byte 0 routes to:
-	// pre-migration that is the home shard; mid-migration the previous
-	// epoch's home keeps answering existence until the mover confirms
-	// the key. Under replication the whole authoritative owner group is
-	// tried in failover order.
 	slot, hf, err := s.openEager(ctx, t, name, flag)
 	if err != nil {
 		return nil, err
@@ -476,58 +436,21 @@ func (s *Store) OpenCtx(ctx context.Context, name string, flag backend.OpenFlag)
 		files: make(map[int]backend.File, 1),
 	}
 	f.files[slot] = hf
-	// Creating a file mid-migration materializes it under BOTH epochs:
-	// the current home defines existence after the epoch commits, the
-	// previous home keeps the old-epoch view complete in case the
-	// migration is abandoned after a crash.
-	if flag == backend.OpenCreate && t.mig != nil && !t.replicated() {
-		if home := t.homeShard(name); home != slot {
-			if _, err := f.handle(ctx, t, home, true); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	// Under replication a create materializes the file on EVERY owner
-	// of its home key (both epochs' owners mid-migration), so existence
-	// survives losing any single shard. Unreachable owners are
-	// journaled for Scrub instead of failing the open — the eager open
-	// above already secured one copy.
-	if flag == backend.OpenCreate && t.replicated() {
-		key0 := t.lay.KeyOf(name, 0)
-		want := t.lay.Owners(key0)
-		if t.mig != nil {
-			want = append(append([]int(nil), want...), t.mig.prev.Owners(key0)...)
-		}
-		for _, sl := range t.dedupSlots(want) {
-			if sl == slot || t.stores[sl] == t.stores[slot] {
-				continue
-			}
-			if _, err := f.handle(ctx, t, sl, true); err != nil {
-				if backend.CtxErr(ctx) != nil {
-					f.Close()
-					return nil, err
-				}
-				s.slotFailed(t, sl)
-				s.noteWriteMiss(key0, sl)
-			}
+	if flag == backend.OpenCreate {
+		if err := f.create(ctx, t, slot); err != nil {
+			f.Close()
+			return nil, err
 		}
 	}
 	return f, nil
 }
 
-// openEager opens the initial handle of OpenCtx: the single routed
-// slot for single-copy stores (historical behavior, strict errors),
-// the first reachable member of the authoritative owner group under
-// replication. Breaker-open slots are attempted last, and only when no
+// openEager opens the initial handle of OpenCtx on the first reachable
+// member of the authoritative home group, the group a read of byte 0
+// routes to. Breaker-open slots are attempted last, and only when no
 // live owner gave a definitive answer — a clean ErrNotExist from a
 // live owner resolves the open without poking a known-dead shard.
 func (s *Store) openEager(ctx context.Context, t *topology, name string, flag backend.OpenFlag) (int, backend.File, error) {
-	if !t.replicated() {
-		slot, _ := t.readTarget(name, 0)
-		hf, err := backend.OpenCtx(ctx, t.stores[slot], name, flag)
-		return slot, hf, err
-	}
 	slots, _ := t.readTargets(name, 0)
 	order := make([]int, 0, len(slots))
 	deferred := make([]int, 0, 1)
@@ -555,9 +478,7 @@ func (s *Store) openEager(ctx context.Context, t *topology, name string, flag ba
 				continue
 			}
 			s.slotFailed(t, sl)
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 		}
 		return 0, nil, nil, false
 	}
@@ -576,7 +497,11 @@ func (s *Store) openEager(ctx context.Context, t *topology, name string, flag ba
 }
 
 // RemoveCtx implements backend.StoreCtx, checking ctx between the
-// per-shard removes.
+// per-shard removes. The file exists while ANY home owner holds it, so
+// the remove succeeds once one home copy came off; home owners it could
+// not reach (and, past them, every other store it could not reach) are
+// journaled so Scrub finishes the remove instead of resurrecting the
+// name.
 func (s *Store) RemoveCtx(ctx context.Context, name string) error {
 	if layout.IsReserved(name) {
 		return backend.ErrNotExist
@@ -593,67 +518,25 @@ func (s *Store) RemoveCtx(ctx context.Context, name string) error {
 		fl.Lock()
 		defer fl.Unlock()
 	}
-	if t.replicated() {
-		return s.removeReplicated(ctx, t, name)
-	}
-	return removeLocked(ctx, t, name)
-}
-
-// removeLocked is RemoveCtx after the migration file lock (if any)
-// has been taken; RemoveCtx is its only caller, the split just keeps
-// the locking at the entry point.
-func removeLocked(ctx context.Context, t *topology, name string) error {
-	homeStore := t.stores[t.homeShard(name)]
-	err := backend.RemoveCtx(ctx, homeStore, name)
-	if errors.Is(err, backend.ErrNotExist) && t.mig != nil {
-		// Mid-migration the file may exist only under the previous
-		// epoch's home; existence is the union of the two.
-		if prevStore := t.stores[t.mig.prev.ShardOf(name, 0)]; prevStore != homeStore {
-			err = backend.RemoveCtx(ctx, prevStore, name)
-			homeStore = prevStore
-		}
-	}
-	if err != nil {
-		return err
-	}
-	for _, u := range t.uniq {
-		if u.store == homeStore {
-			continue
-		}
-		if err := backend.RemoveCtx(ctx, u.store, name); err != nil && !errors.Is(err, backend.ErrNotExist) {
-			return err
-		}
-	}
-	return nil
-}
-
-// removeReplicated is removeLocked for replicated topologies: the file
-// exists while ANY home owner holds it, so the remove succeeds when at
-// least one owner copy came off; unreachable copies are journaled so
-// Scrub finishes the remove instead of resurrecting the name.
-func (s *Store) removeReplicated(ctx context.Context, t *topology, name string) error {
-	homes, _ := t.readTargets(name, 0)
-	homes = t.dedupSlots(homes)
+	// The home groups go newest epoch first: after a crash the previous
+	// epoch answers for existence again, so its copy is the last to go.
+	groups, _, _ := t.writeGroups(name, 0)
+	slices.Reverse(groups)
+	homes := t.dedupSlots(slices.Concat(groups...))
 	removed, sawMissing := false, false
 	var firstErr error
-	done := make(map[backend.Store]bool, len(t.uniq))
 	for _, sl := range homes {
-		done[t.stores[sl]] = true
-		err := backend.RemoveCtx(ctx, t.stores[sl], name)
-		switch {
+		switch err := backend.RemoveCtx(ctx, t.stores[sl], name); {
 		case err == nil:
 			t.health[sl].ok()
 			removed = true
 		case errors.Is(err, backend.ErrNotExist):
 			sawMissing = true
-		case backend.CtxErr(ctx) != nil:
+		case !s.tolerate(ctx, t, sl, err):
 			return err
 		default:
-			s.slotFailed(t, sl)
-			s.noteRemoveMiss(name, sl)
-			if firstErr == nil {
-				firstErr = err
-			}
+			s.noteMiss(t, &s.damage.removes, name, sl)
+			firstErr = cmp.Or(firstErr, err)
 		}
 	}
 	if !removed {
@@ -665,39 +548,19 @@ func (s *Store) removeReplicated(ctx context.Context, t *topology, name string) 
 		}
 		return firstErr
 	}
-	for _, u := range t.uniq {
-		if done[u.store] {
-			continue
-		}
-		if err := backend.RemoveCtx(ctx, u.store, name); err != nil && !errors.Is(err, backend.ErrNotExist) {
-			if backend.CtxErr(ctx) != nil {
+	for _, sl := range t.otherSlots(homes) {
+		if err := backend.RemoveCtx(ctx, t.stores[sl], name); err != nil && !errors.Is(err, backend.ErrNotExist) {
+			if !s.tolerate(ctx, t, sl, err) {
 				return err
 			}
-			s.slotFailed(t, u.shard)
-			s.noteRemoveMiss(name, u.shard)
+			s.noteMiss(t, &s.damage.removes, name, sl)
 		}
 	}
 	return nil
 }
 
-// ListCtx implements backend.StoreCtx.
-func (s *Store) ListCtx(ctx context.Context) ([]string, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return s.List()
-}
-
-// StatCtx implements backend.StoreCtx.
-func (s *Store) StatCtx(ctx context.Context, name string) (int64, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	return s.Stat(name)
-}
-
 // Remove implements backend.Store: the file is removed from every
-// shard holding a stripe of it. The home shard decides existence.
+// shard holding a stripe of it. The home owners decide existence.
 func (s *Store) Remove(name string) error { return s.RemoveCtx(nil, name) }
 
 // errReservedName reports an attempt to create or rename over the
@@ -705,11 +568,12 @@ func (s *Store) Remove(name string) error { return s.RemoveCtx(nil, name) }
 var errReservedName = fmt.Errorf("shard: %q is reserved for the layout record", layout.RecordName)
 
 // Rename implements backend.Store. Renaming changes every placement
-// key, so in general the data must move; when the whole file stays on
-// one shard the rename is delegated (and stays atomic), otherwise the
-// content is copied to its new placement and the old name removed —
-// NOT atomic across shards, which callers of a sharded store must
-// tolerate (none of the engine's consistency paths rename).
+// key, so in general the data must move; when both names are whole
+// files on the same home stores the rename is delegated to each of
+// them (and stays atomic per store), otherwise the content is copied
+// to its new placement and the old name removed — NOT atomic across
+// shards, which callers of a sharded store must tolerate (none of the
+// engine's consistency paths rename).
 func (s *Store) Rename(oldName, newName string) error {
 	if layout.IsReserved(oldName) || layout.IsReserved(newName) {
 		return errReservedName
@@ -726,21 +590,9 @@ func (s *Store) Rename(oldName, newName string) error {
 		defer t.mig.forgetName(oldName)
 		defer t.mig.forgetName(newName)
 	}
-	oldHome := t.homeShard(oldName)
-	newHome := t.homeShard(newName)
-	if t.mig == nil && t.lay.StripeBytes() <= 0 && t.stores[oldHome] == t.stores[newHome] {
-		if err := t.stores[oldHome].Rename(oldName, newName); err != nil {
-			return err
-		}
-		// The name may still linger on other shards (e.g. after a ring
-		// change); drop stale copies so List stays clean.
-		for _, u := range t.uniq {
-			if u.store == t.stores[oldHome] {
-				continue
-			}
-			_ = u.store.Remove(oldName)
-		}
-		return nil
+	homes := t.dedupSlots(t.lay.Owners(t.lay.KeyOf(oldName, 0)))
+	if t.mig == nil && !striped(t) && t.sameStores(homes, t.lay.Owners(t.lay.KeyOf(newName, 0))) {
+		return s.renameInPlace(t, homes, oldName, newName)
 	}
 	if _, err := copyNamed(s, oldName, s, newName); err != nil {
 		if errors.Is(err, backend.ErrNotExist) {
@@ -751,22 +603,61 @@ func (s *Store) Rename(oldName, newName string) error {
 	return s.Remove(oldName)
 }
 
-// List implements backend.Store: the union of the shards' namespaces,
-// filtered to names whose home shard holds them (a stripe file whose
-// home copy is gone is garbage, not a file; mid-migration the
-// previous epoch's home also vouches for existence) and with the
-// layout record hidden.
-func (s *Store) List() ([]string, error) {
+// renameInPlace renames on every home owner the two names share.
+// Group-success, like a write: one owner renamed is a rename, and an
+// owner that failed still holds the old name and lacks the new one,
+// which the journal records so Scrub reaps the one and copies the
+// other. Nothing is journaled when no owner renamed: the old name then
+// still stands.
+func (s *Store) renameInPlace(t *topology, homes []int, oldName, newName string) error {
+	renamed := false
+	var missed []int
+	var firstErr error
+	for _, sl := range homes {
+		switch err := t.stores[sl].Rename(oldName, newName); {
+		case err == nil:
+			t.health[sl].ok()
+			renamed = true
+		case errors.Is(err, backend.ErrNotExist):
+			firstErr = cmp.Or(firstErr, err)
+		default:
+			s.slotFailed(t, sl)
+			missed = append(missed, sl)
+			firstErr = cmp.Or(firstErr, err)
+		}
+	}
+	if !renamed {
+		return firstErr
+	}
+	for _, sl := range missed {
+		s.noteMiss(t, &s.damage.removes, oldName, sl)
+		s.noteMiss(t, &s.damage.keys, newName, sl)
+	}
+	// The old name may still linger on other shards (e.g. after a ring
+	// change); drop stale copies so List stays clean.
+	for _, sl := range t.otherSlots(homes) {
+		_ = t.stores[sl].Remove(oldName)
+	}
+	return nil
+}
+
+// List implements backend.Store; see ListCtx.
+func (s *Store) List() ([]string, error) { return s.ListCtx(nil) }
+
+// ListCtx implements backend.StoreCtx: the union of the shards'
+// namespaces, filtered to names some home owner holds (a stripe file
+// whose home copies are gone is garbage, not a file; mid-migration the
+// previous epoch's home owners also vouch for existence) and with the
+// layout record hidden. A store that fails is skipped when replica
+// owners vouch for its names.
+func (s *Store) ListCtx(ctx context.Context) ([]string, error) {
 	t := s.topo.Load()
 	seen := make(map[string]bool)
 	perStore := make(map[backend.Store]map[string]bool, len(t.uniq))
 	for _, u := range t.uniq {
-		names, err := u.store.List()
+		names, err := backend.ListCtx(ctx, u.store)
 		if err != nil {
-			if t.replicated() {
-				// A dead shard must not take the whole namespace down;
-				// its names are vouched for by replica owners below.
-				s.slotFailed(t, u.shard)
+			if s.tolerate(ctx, t, u.shard, err) {
 				continue
 			}
 			return nil, err
@@ -781,33 +672,12 @@ func (s *Store) List() ([]string, error) {
 		}
 		perStore[u.store] = set
 	}
+	held := func(lay *layout.Layout, n string) bool {
+		return slices.ContainsFunc(lay.Owners(lay.KeyOf(n, 0)), func(sl int) bool { return perStore[t.stores[sl]][n] })
+	}
 	out := make([]string, 0, len(seen))
 	for n := range seen {
-		var live bool
-		if t.replicated() {
-			// Existence is vouched for by ANY owner of the home key,
-			// under either epoch while migrating.
-			for _, sl := range t.lay.Owners(t.lay.KeyOf(n, 0)) {
-				if perStore[t.stores[sl]][n] {
-					live = true
-					break
-				}
-			}
-			if !live && t.mig != nil {
-				for _, sl := range t.mig.prev.Owners(t.mig.prev.KeyOf(n, 0)) {
-					if perStore[t.stores[sl]][n] {
-						live = true
-						break
-					}
-				}
-			}
-		} else {
-			live = perStore[t.stores[t.homeShard(n)]][n]
-			if !live && t.mig != nil {
-				live = perStore[t.stores[t.mig.prev.ShardOf(n, 0)]][n]
-			}
-		}
-		if live {
+		if held(t.lay, n) || (t.mig != nil && held(t.mig.prev, n)) {
 			out = append(out, n)
 		}
 	}
@@ -815,50 +685,74 @@ func (s *Store) List() ([]string, error) {
 	return out, nil
 }
 
-// Stat implements backend.Store. A striped file's physical size is
-// the maximum across shards: every write extends the shard owning the
-// written range, so the shard owning the final stripe always reaches
-// the true size.
-func (s *Store) Stat(name string) (int64, error) {
+// Stat implements backend.Store; see StatCtx.
+func (s *Store) Stat(name string) (int64, error) { return s.StatCtx(nil, name) }
+
+// StatCtx implements backend.StoreCtx, by the rule file.Size follows.
+// Existence is decided by the authoritative home group (any live copy
+// vouches), which holds every byte of a whole file. A striped file's
+// physical size is the maximum across shards: every write extends the
+// owners of the written range, so the owners of the final stripe
+// always reach the true size — exact under the loss of one shard of a
+// replicated store, whose every extent has another owner, so that
+// sweep skips a store that fails there.
+func (s *Store) StatCtx(ctx context.Context, name string) (int64, error) {
 	if layout.IsReserved(name) {
 		return 0, backend.ErrNotExist
 	}
 	t := s.topo.Load()
-	if t.replicated() {
-		return s.statReplicated(t, name)
-	}
-	homeStore := t.stores[t.homeShard(name)]
-	size, err := homeStore.Stat(name)
-	if errors.Is(err, backend.ErrNotExist) && t.mig != nil {
-		if prevStore := t.stores[t.mig.prev.ShardOf(name, 0)]; prevStore != homeStore {
-			size, err = prevStore.Stat(name)
-			homeStore = prevStore
+	homes, _ := t.readTargets(name, 0)
+	homes = t.dedupSlots(homes)
+	var size int64
+	found, sawMissing := false, false
+	var firstErr error
+	sizes, errs := t.statTogether(ctx, homes, name)
+	for i, sl := range homes {
+		switch err := errs[i]; {
+		case err == nil:
+			t.health[sl].ok()
+			size = max(size, sizes[i])
+			found = true
+		case errors.Is(err, backend.ErrNotExist):
+			sawMissing = true
+		case backend.CtxErr(ctx) != nil:
+			return 0, err
+		default:
+			s.slotFailed(t, sl)
+			firstErr = cmp.Or(firstErr, err)
 		}
 	}
-	if err != nil {
-		return 0, err
-	}
-	rest := t.otherSlots(homeStore)
-	sizes, errs := t.statTogether(rest, name)
-	for i := range rest {
-		if errs[i] != nil {
-			if errors.Is(errs[i], backend.ErrNotExist) {
-				continue
-			}
-			return 0, errs[i]
+	if !found {
+		if sawMissing || firstErr == nil {
+			return 0, backend.ErrNotExist
 		}
-		size = max(size, sizes[i])
+		return 0, firstErr
+	}
+	if !striped(t) {
+		return size, nil
+	}
+	rest := t.otherSlots(homes)
+	sizes, errs = t.statTogether(ctx, rest, name)
+	for i, sl := range rest {
+		switch err := errs[i]; {
+		case err == nil:
+			size = max(size, sizes[i])
+		case errors.Is(err, backend.ErrNotExist):
+		case !s.tolerate(ctx, t, sl, err):
+			return 0, err
+		}
 	}
 	return size, nil
 }
 
 // otherSlots returns the representative slot of every distinct store
-// not among consulted, in slot order: the stores a sweep still has to
-// ask once the home group has answered.
-func (t *topology) otherSlots(consulted ...backend.Store) []int {
+// not behind one of consulted, in slot order: the stores a sweep still
+// has to ask once the home group has answered.
+func (t *topology) otherSlots(consulted []int) []int {
+	done := t.storeSet(consulted)
 	rest := make([]int, 0, len(t.uniq))
 	for _, u := range t.uniq {
-		if !slices.Contains(consulted, u.store) {
+		if !done[u.store] {
 			rest = append(rest, u.shard)
 		}
 	}
@@ -868,60 +762,12 @@ func (t *topology) otherSlots(consulted ...backend.Store) []int {
 // statTogether stats name on the stores behind slots, all at once. A
 // by-name sweep has no handle to remember anything in, so it asks every
 // time — but one round trip per list, not one per store.
-func (t *topology) statTogether(slots []int, name string) (sizes []int64, errs []error) {
+func (t *topology) statTogether(ctx context.Context, slots []int, name string) (sizes []int64, errs []error) {
 	sizes, errs = make([]int64, len(slots)), make([]error, len(slots))
 	together(len(slots), func(i int) {
-		sizes[i], errs[i] = t.stores[slots[i]].Stat(name)
+		sizes[i], errs[i] = backend.StatCtx(ctx, t.stores[slots[i]], name)
 	})
 	return sizes, errs
-}
-
-// statReplicated is Stat with failover: existence is decided by the
-// home-owner group (any live copy vouches), and the max-size sweep
-// skips unreachable stores — exact under a single shard loss because
-// every stripe's extent lives on every owner of that stripe.
-func (s *Store) statReplicated(t *topology, name string) (int64, error) {
-	homes, _ := t.readTargets(name, 0)
-	homes = t.dedupSlots(homes)
-	var size int64
-	found, sawMissing := false, false
-	var firstErr error
-	homeStores := make([]backend.Store, len(homes))
-	sizes, errs := t.statTogether(homes, name)
-	for i, sl := range homes {
-		homeStores[i] = t.stores[sl]
-		switch err := errs[i]; {
-		case err == nil:
-			t.health[sl].ok()
-			size = max(size, sizes[i])
-			found = true
-		case errors.Is(err, backend.ErrNotExist):
-			sawMissing = true
-		default:
-			s.slotFailed(t, sl)
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if !found {
-		if sawMissing || firstErr == nil {
-			return 0, backend.ErrNotExist
-		}
-		return 0, firstErr
-	}
-	rest := t.otherSlots(homeStores...)
-	sizes, errs = t.statTogether(rest, name)
-	for i, sl := range rest {
-		if errs[i] != nil {
-			if !errors.Is(errs[i], backend.ErrNotExist) {
-				s.slotFailed(t, sl)
-			}
-			continue
-		}
-		size = max(size, sizes[i])
-	}
-	return size, nil
 }
 
 func (t *topology) countRead(shard, n int) {

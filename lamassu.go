@@ -694,8 +694,9 @@ type EngineStats struct {
 	// replica served after the preferred copy failed or was missing;
 	// ScrubRepairs counts copies Mount.Scrub re-created or rewrote;
 	// BreakerOpens counts shard-health breaker openings (see
-	// Mount.ShardHealth). Live regardless of CollectLatency; all zero
-	// without replication.
+	// Mount.ShardHealth). Live regardless of CollectLatency. The first
+	// three stay zero at R=1; BreakerOpens counts there too, since a
+	// single-copy store runs the same health tracking.
 	ReplicaWrites, FailoverReads int64
 	ScrubRepairs, BreakerOpens   int64
 }
@@ -1023,11 +1024,13 @@ type ShardHealth = shard.ShardHealth
 // ShardHealth reports per-slot failover health for a mount over a
 // sharded store: failure/success counts and the state of each slot's
 // breaker (a slot with too many consecutive failures is exiled to
-// half-open probing until a probe succeeds). All-zero entries are the
-// steady state; nil for unsharded mounts. The breaker only reroutes
-// traffic that has somewhere else to go — a slot is always attempted
-// when it is the last hope for a read — so health can never turn a
-// degraded deployment into a failed one.
+// half-open probing until a probe succeeds), at every replication
+// factor. Entries with no failures and a closed breaker are the steady
+// state; nil for unsharded mounts. The breaker only reroutes traffic
+// that has somewhere else to go — a slot is always attempted when it
+// is the last hope for a read, as every owner of a single-copy store
+// is — so health can never turn a degraded deployment into a failed
+// one, and at R=1 it only reports.
 func (m *Mount) ShardHealth() []ShardHealth {
 	if m.shard == nil {
 		return nil
