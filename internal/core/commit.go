@@ -147,19 +147,30 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	}
 	sort.Ints(slots)
 
-	// Derive the new convergent keys (fanned out — the SHA-256 block
-	// hashes dominate the write path, Figure 9). Both fan-outs hand the
-	// pool one task per group of cryptoutil.Lanes slots, the unit the
-	// encode below encrypts in one multi-buffer call.
+	// Derive the new convergent keys: one pool task and one BlockHashes
+	// call per hash group (the hashes lead a raw commit's CPU, Figure 9).
+	// A commit that compresses keeps the encode's unit instead,
+	// cryptoutil.Lanes blocks hashed one by one. There the hash is a few
+	// percent of the CPU next to ~200 µs compression tasks, and wider
+	// derive tasks change how concurrent commits share the pool: two
+	// streams on objstore-seq-z2 then took turns more evenly, and the
+	// fastest commit-triggering write got 26 % slower. That write is
+	// what the benchmark's write_p50_ms reports (ROADMAP 7(j)); once it
+	// reports a commit's typical cost, measure again and drop this fork
+	// if hashGroups holds.
 	newKeys := make([]cryptoutil.Key, len(slots))
-	err := f.fs.pool.run(ctx, laneGroups(len(slots)), func(g int) error {
-		lo, hi := laneGroup(g, len(slots))
+	groups := f.fs.hashGroups(len(slots))
+	if f.fs.cfg.Compression || meta.Compressed() {
+		groups = laneGroups(len(slots))
+	}
+	err := f.fs.pool.run(ctx, groups, func(g int) error {
+		lo, hi := hashGroup(g, groups, len(slots))
+		var blocks [cryptoutil.HashLanes][]byte
 		for i := lo; i < hi; i++ {
-			k, err := f.fs.deriveKey(seg.pending[slots[i]])
-			if err != nil {
-				return fmt.Errorf("lamassu: deriving key for segment %d slot %d: %w", si, slots[i], err)
-			}
-			newKeys[i] = k
+			blocks[i-lo] = seg.pending[slots[i]]
+		}
+		if bad, err := f.fs.deriveKeys(newKeys[lo:hi], blocks[:hi-lo]); err != nil {
+			return fmt.Errorf("lamassu: deriving key for segment %d slot %d: %w", si, slots[lo+bad], err)
 		}
 		return nil
 	})
@@ -209,6 +220,9 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	bs := f.fs.geo.BlockSize
 	c := &commitIO{slots: slots, newKeys: newKeys, lens: make([]int, len(slots)),
 		cts: f.fs.slabs.get(len(slots) * bs), size: f.sizeNow()}
+	// The encode fan-out hands the pool one task per group of
+	// cryptoutil.Lanes slots, the unit it encrypts in one multi-buffer
+	// call.
 	err = f.fs.pool.run(ctx, laneGroups(len(slots)), func(g int) error {
 		lo, hi := laneGroup(g, len(slots))
 		var src [cryptoutil.Lanes][]byte
@@ -234,6 +248,26 @@ func laneGroups(n int) int { return (n + cryptoutil.Lanes - 1) / cryptoutil.Lane
 func laneGroup(g, n int) (lo, hi int) {
 	lo = g * cryptoutil.Lanes
 	return lo, min(lo+cryptoutil.Lanes, n)
+}
+
+// hashGroups is the number of hash groups a fan-out over n blocks hands
+// the pool: enough that none holds more than cryptoutil.HashLanes
+// blocks, and — while each keeps at least cryptoutil.Lanes — no fewer
+// than the pool runs at once, so a small batch stays parallel (its
+// groups then fall below BlockHashes' multi-buffer crossover and hash
+// block by block). A 16-block group holds its P for about 25 µs.
+// Parallelism comes first: the kernel runs only where n/width reaches
+// the crossover of 8 blocks a group, so on a pool w wide a batch of
+// fewer than 8·w blocks hashes on crypto/sha256 (on the measured
+// 2-wide pool, from 16 blocks up; wider pools are unmeasured).
+func (fs *FS) hashGroups(n int) int {
+	return max((n+cryptoutil.HashLanes-1)/cryptoutil.HashLanes, min(fs.pool.Width(), laneGroups(n)))
+}
+
+// hashGroup is the index range [lo, hi) of group g of groups over n
+// blocks; group sizes differ by at most one.
+func hashGroup(g, groups, n int) (lo, hi int) {
+	return g * n / groups, (g + 1) * n / groups
 }
 
 // landCommit is the I/O half of commitSegment: one phase 1–3 commit per

@@ -546,16 +546,39 @@ func (fs *FS) writeMeta(ctx context.Context, bf backend.File, name string, m *la
 	return err
 }
 
-// deriveKey computes the convergent key for a plaintext block,
-// charging the paper's GetCEKey category (dominated by SHA-256 for
-// the local KDF; by the network round trip for a server-aided one).
+// deriveKey computes the convergent key for one plaintext block; it is
+// deriveKeys over a group of one.
 func (fs *FS) deriveKey(block []byte) (cryptoutil.Key, error) {
+	var k [1]cryptoutil.Key
+	_, err := fs.deriveKeys(k[:], [][]byte{block})
+	return k[0], err
+}
+
+// deriveKeys computes the convergent keys of a group of at most
+// cryptoutil.HashLanes plaintext blocks: one BlockHashes call, then one
+// KDF per hash. The group is charged to the paper's GetCEKey category
+// once, as a whole — its hashes (one multi-buffer pass when the group
+// is large enough) plus the KDF, local or a server-aided round trip per
+// block. On a KDF failure it returns the index of the failing block;
+// the keys before it are set.
+func (fs *FS) deriveKeys(keys []cryptoutil.Key, blocks [][]byte) (int, error) {
 	t := fs.cfg.Recorder.Start()
 	defer fs.cfg.Recorder.Stop(metrics.GetCEKey, t)
-	if fs.cfg.KeyDeriver != nil {
-		return fs.cfg.KeyDeriver(cryptoutil.BlockHash(block))
+	var hs [cryptoutil.HashLanes]cryptoutil.Hash
+	h := hs[:len(blocks)]
+	cryptoutil.BlockHashes(h, blocks)
+	for i := range h {
+		if fs.cfg.KeyDeriver == nil {
+			keys[i] = fs.ced.Derive(h[i])
+			continue
+		}
+		k, err := fs.cfg.KeyDeriver(h[i])
+		if err != nil {
+			return i, err
+		}
+		keys[i] = k
 	}
-	return fs.ced.DeriveForBlock(block), nil
+	return 0, nil
 }
 
 // decryptBlock inverts the encryption encode applies to one block.
@@ -643,11 +666,27 @@ func (fs *FS) decodeStored(dst, ct []byte, key cryptoutil.Key, storedBytes int) 
 // deriver failure (e.g. an unreachable key server) counts as a failed
 // verification.
 func (fs *FS) verifyBlock(plain []byte, used cryptoutil.Key) bool {
-	k, err := fs.deriveKey(plain)
-	if err != nil {
-		return false
+	return fs.verifyBlocks([][]byte{plain}, []cryptoutil.Key{used}) < 0
+}
+
+// verifyBlocks is verifyBlock over a group of at most
+// cryptoutil.HashLanes blocks, hashed in one deriveKeys call. It
+// returns the index of the first block that fails, or -1.
+func (fs *FS) verifyBlocks(plains [][]byte, used []cryptoutil.Key) int {
+	var ks [cryptoutil.HashLanes]cryptoutil.Key
+	bad, err := fs.deriveKeys(ks[:len(plains)], plains)
+	if err == nil {
+		bad = len(plains)
 	}
-	return k.Equal(used)
+	for i, k := range ks[:bad] {
+		if !k.Equal(used[i]) {
+			return i
+		}
+	}
+	if err != nil {
+		return bad
+	}
+	return -1
 }
 
 func mapErr(err error) error {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/cryptoutil"
 	"lamassu/internal/layout"
 	"lamassu/internal/metrics"
 	"lamassu/internal/shard"
@@ -1254,5 +1255,96 @@ func TestWriteBehindPadWaitsForPhase1(t *testing.T) {
 	got, err := vfs.ReadAll(lfs, "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("round trip: %v, equal %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestReadFailurePositionCorruptLane pins the failure contract where a
+// full-integrity read verifies a run in hash groups (one BlockHashes
+// call per group): one flipped ciphertext byte in lane 5 of a group of a
+// 48-block extent makes ReadAt return ErrIntegrity at that block's
+// buffer position with the plaintext before it in p[:n] — also when the
+// read starts mid-block, so the group's leading partial span decodes
+// through scratch. No block of the failed group enters the cache, and a
+// second read — which groups the uncached rest of the run anew — fails
+// at the same place.
+func TestReadFailurePositionCorruptLane(t *testing.T) {
+	const bs, nblocks = 4096, 3 * cryptoutil.HashLanes
+	for _, tc := range []struct {
+		name string
+		bad  int   // corrupted block
+		off  int64 // where the read starts
+	}{
+		{"middle-group", cryptoutil.HashLanes + 5, 0},
+		{"first-group-unaligned", 5, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			geo := layout.Default()
+			cfg := testConfig()
+			cfg.Parallelism = 2
+			cfg.CacheBlocks = 2 * nblocks
+			store := backend.NewMemStore()
+			data := shortBlocks(nblocks)
+			w, err := newFS(t, store, cfg).Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			bf, err := store.Open("f", backend.OpenWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]byte, 1)
+			off := geo.DataBlockOffset(int64(tc.bad)) + 7
+			if _, err := bf.ReadAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0x40
+			if _, err := bf.WriteAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := bf.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			lfs := newFS(t, store, cfg)
+			if g := lfs.hashGroups(nblocks); g != 3 {
+				t.Fatalf("%d hash groups over %d blocks, want 3 full ones", g, nblocks)
+			}
+			r, err := lfs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			want := tc.bad*bs - int(tc.off)
+			first := tc.bad / cryptoutil.HashLanes * cryptoutil.HashLanes
+			for attempt := range 2 {
+				got := bytes.Repeat([]byte{0xA5}, len(data)-int(tc.off))
+				n, err := r.ReadAt(got, tc.off)
+				if !errors.Is(err, ErrIntegrity) {
+					t.Fatalf("read %d: error %v, want ErrIntegrity", attempt, err)
+				}
+				if n != want {
+					t.Fatalf("read %d: n = %d, want %d (block %d's buffer position)", attempt, n, want, tc.bad)
+				}
+				if !bytes.Equal(got[:n], data[tc.off:tc.off+int64(n)]) {
+					t.Fatalf("read %d: bytes before the failure position are not the plaintext", attempt)
+				}
+				if attempt > 0 {
+					break
+				}
+				block := make([]byte, bs)
+				for i := first; i < first+cryptoutil.HashLanes; i++ {
+					if lfs.cache.getData("f", int64(i), block) {
+						t.Fatalf("block %d of the failed group entered the cache", i)
+					}
+				}
+			}
+		})
 	}
 }

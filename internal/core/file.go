@@ -403,9 +403,10 @@ func (e *spanError) Unwrap() error { return e.err }
 
 // fetchContig reads one planned extent of uncached, live blocks (shard
 // is its owner, < 0 when unsharded) with a single backend read — the
-// only multi-block data read there is — and fans the per-block decode
-// (AES-CBC decrypt, decompress for short-stored blocks) and §2.5 hash
-// verification across the worker pool. In a compressed segment only
+// only multi-block data read there is — and fans the decode (AES-CBC
+// decrypt, decompress for short-stored blocks) and §2.5 hash
+// verification across the worker pool, one task per hash group
+// (decodeGroup). In a compressed segment only
 // the final block may be stored short, so the ranged read trims its
 // slack off the wire. Full-block spans decode straight into the
 // caller's buffer; partial spans decode into pooled scratch and copy
@@ -442,40 +443,16 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 			n, spans[0].Index, err)
 	}
 
-	decode := func(i int) error {
-		sp := spans[i]
-		slot := geo.SlotOfBlock(sp.Index)
-		stored := storedBytes(meta, slot, bs)
-		if stored <= 0 {
-			return &spanError{sp.BufOff, fmt.Errorf("%w: block %d: keyed slot with zero stored length",
-				ErrIntegrity, sp.Index)}
-		}
-		ct := slab[i*bs : i*bs+stored]
-		key := meta.StableKey(slot)
-		dst := p[sp.BufOff : sp.BufOff+sp.Len]
-		var scratch []byte
-		if !sp.Full(bs) {
-			scratch = f.fs.slabs.get(bs)
-			defer f.fs.slabs.put(scratch)
-			dst = scratch
-		}
-		if err := f.fs.decodeStored(dst, ct, key, stored); err != nil {
-			return &spanError{sp.BufOff, err}
-		}
-		if f.fs.cfg.Integrity == IntegrityFull && !f.fs.verifyBlock(dst, key) {
-			return &spanError{sp.BufOff, fmt.Errorf("%w: block %d", ErrIntegrity, sp.Index)}
-		}
-		f.fs.cache.putData(f.name, sp.Index, dst, gen)
-		if scratch != nil {
-			copy(p[sp.BufOff:sp.BufOff+sp.Len], scratch[sp.Start:sp.Start+sp.Len])
-		}
-		return nil
+	groups := f.fs.hashGroups(n)
+	decode := func(g int) error {
+		lo, hi := hashGroup(g, groups, n)
+		return f.decodeGroup(p, spans[lo:hi], slab[lo*bs:hi*bs], meta, gen)
 	}
-	if n > 1 && f.fs.pool.Width() > 1 {
-		err = f.fs.pool.run(ctx, n, decode)
+	if groups > 1 && f.fs.pool.Width() > 1 {
+		err = f.fs.pool.run(ctx, groups, decode)
 	} else {
-		for i := 0; i < n && err == nil; i++ {
-			err = decode(i)
+		for g := 0; g < groups && err == nil; g++ {
+			err = decode(g)
 		}
 	}
 	if err != nil {
@@ -485,6 +462,72 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 		return spans[0].BufOff, err
 	}
 	return 0, nil
+}
+
+// decodeGroup decodes one hash group of a fetched extent — spans[i]'s
+// stored payload is at the front of the i-th BlockSize slot of slab —
+// and, under IntegrityFull, verifies the group with one hash call. It
+// decodes in order up to the first block that fails, verifies what it
+// decoded, and reports the lowest failing block, with every block
+// before it in p; only a group that is wholly good enters the cache.
+func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout.MetaBlock, gen uint64) error {
+	bs := f.fs.geo.BlockSize
+	var (
+		plains  [cryptoutil.HashLanes][]byte
+		keys    [cryptoutil.HashLanes]cryptoutil.Key
+		scratch [cryptoutil.HashLanes][]byte // for partial spans
+		err     error
+	)
+	defer func() {
+		for _, b := range scratch {
+			if b != nil {
+				f.fs.slabs.put(b)
+			}
+		}
+	}()
+	n := 0
+	for ; n < len(spans); n++ {
+		sp := spans[n]
+		slot := f.fs.geo.SlotOfBlock(sp.Index)
+		stored := storedBytes(meta, slot, bs)
+		if stored <= 0 {
+			err = &spanError{sp.BufOff, fmt.Errorf("%w: block %d: keyed slot with zero stored length",
+				ErrIntegrity, sp.Index)}
+			break
+		}
+		dst := p[sp.BufOff : sp.BufOff+sp.Len]
+		if !sp.Full(bs) {
+			dst = f.fs.slabs.get(bs)
+			scratch[n] = dst
+		}
+		keys[n] = meta.StableKey(slot)
+		if derr := f.fs.decodeStored(dst, slab[n*bs:n*bs+stored], keys[n], stored); derr != nil {
+			err = &spanError{sp.BufOff, derr}
+			break
+		}
+		plains[n] = dst
+	}
+	good := n // blocks before the lowest failing one
+	if f.fs.cfg.Integrity == IntegrityFull {
+		if bad := f.fs.verifyBlocks(plains[:n], keys[:n]); bad >= 0 {
+			good = bad
+			err = &spanError{spans[bad].BufOff, fmt.Errorf("%w: block %d", ErrIntegrity, spans[bad].Index)}
+		}
+	}
+	// The good blocks' partial spans reach p even when a later block of
+	// the group fails, so p holds valid bytes up to the failing block.
+	for i, sp := range spans[:good] {
+		if !sp.Full(bs) {
+			copy(p[sp.BufOff:sp.BufOff+sp.Len], plains[i][sp.Start:sp.Start+sp.Len])
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for i, sp := range spans {
+		f.fs.cache.putData(f.name, sp.Index, plains[i], gen)
+	}
+	return nil
 }
 
 // noteSequential advances the sequential-read detector after a

@@ -119,7 +119,7 @@ func (fs *FS) RekeyOuterCtx(ctx context.Context, name string, newOuter cryptouti
 // at hand finishes the job. It does NOT use the multiphase commit of
 // normal writes: there is no phase-1 barrier, so a crash INSIDE a
 // segment leaves data blocks under new keys the old metadata does not
-// describe, which recovery cannot repair (ROADMAP item 3(a) records
+// describe, which recovery cannot repair (ROADMAP item 8(a) records
 // the hole). Back the file up, or rotate a copy, when that matters.
 //
 // An FS with an external Config.KeyDeriver refuses it before any

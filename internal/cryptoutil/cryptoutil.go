@@ -21,12 +21,16 @@
 // registers, an 8-block pipelined CBC decryption, and a 4-lane
 // encryption that runs four blocks' CBC streams under four keys at
 // once (EncryptBlocksCBC). Without AES-NI, off amd64, and under the
-// purego build tag, it runs on crypto/cipher instead. The cipher is
-// format; its kernel is not: TestCBCMatchesStdlib holds the kernel to
-// crypto/cipher byte for byte. Every other primitive comes from the Go
-// standard library, which uses AES-NI and the SHA extensions where the
-// CPU has them, mirroring the paper's use of Intel AES-NI and AVX
-// SHA-256.
+// purego build tag, it runs on crypto/cipher instead. Equation 1's
+// hash has one too on amd64 CPUs with AVX-512 (sha256_amd64.s): a
+// 16-lane SHA-256 that hashes up to HashLanes equal-length blocks in
+// lockstep (BlockHashes); elsewhere, and for fewer blocks than its
+// crossover, it is crypto/sha256. The cipher and the hash are format; their kernels are
+// not: TestCBCMatchesStdlib and TestBlockHashesMatchStdlib hold them to
+// crypto/cipher and crypto/sha256 byte for byte. Every other primitive
+// comes from the Go standard library, which uses AES-NI and the SHA
+// extensions where the CPU has them, mirroring the paper's use of Intel
+// AES-NI and AVX SHA-256.
 package cryptoutil
 
 import (
@@ -109,6 +113,47 @@ func (k *Key) Zero() {
 // block.
 func BlockHash(block []byte) Hash { return sha256.Sum256(block) }
 
+// HashLanes is how many blocks BlockHashes hashes side by side; a
+// caller that groups blocks in runs of up to HashLanes gives every run
+// one pass of the multi-buffer loop.
+const HashLanes = 16
+
+// hashCrossover is the fewest equal-length blocks that BlockHashes
+// hands the multi-buffer loop, which costs the same with 1 or
+// HashLanes lanes busy. Below it each block takes crypto/sha256 alone.
+const hashCrossover = 8
+
+// BlockHashes is BlockHash over many blocks at once: dst[i] becomes
+// the SHA-256 digest of src[i]. Blocks of one length go HashLanes at a
+// time through the multi-buffer loop where the CPU runs it; fewer than
+// hashCrossover, and blocks of differing lengths, are hashed one by one.
+// It panics unless len(dst) == len(src).
+func BlockHashes(dst []Hash, src [][]byte) {
+	if len(dst) != len(src) {
+		panic("cryptoutil: BlockHashes: len(dst) != len(src)")
+	}
+	for useHashKernel && len(src) >= hashCrossover {
+		n := min(len(src), HashLanes)
+		if !sameLength(src[:n]) {
+			break
+		}
+		hashLanes(dst[:n], src[:n])
+		dst, src = dst[n:], src[n:]
+	}
+	for i, b := range src {
+		dst[i] = sha256.Sum256(b)
+	}
+}
+
+func sameLength(src [][]byte) bool {
+	for _, b := range src[1:] {
+		if len(b) != len(src[0]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Hasher incrementally hashes data; used by the workload verifiers.
 func Hasher() interface {
 	Write(p []byte) (int, error)
@@ -170,11 +215,6 @@ func (d *CEKeyDeriver) Derive(h Hash) Key {
 	d.c.Encrypt(out[0:16], h[0:16])
 	d.c.Encrypt(out[16:32], h[16:32])
 	return out
-}
-
-// DeriveForBlock hashes the block and derives its convergent key.
-func (d *CEKeyDeriver) DeriveForBlock(block []byte) Key {
-	return d.Derive(BlockHash(block))
 }
 
 // NewNonce returns a fresh random GCM nonce (IV_rand in Equation 3).

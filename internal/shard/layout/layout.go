@@ -21,7 +21,7 @@ package layout
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -122,11 +122,9 @@ func (r *Ring) LookupN(key string, n int) []int {
 		i = 0 // wrap past the highest point
 	}
 	owners := make([]int, 0, n)
-	seen := make([]bool, r.shards)
 	for scanned := 0; scanned < len(r.points) && len(owners) < n; scanned++ {
 		p := r.points[(i+scanned)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
+		if !slices.Contains(owners, p.shard) {
 			owners = append(owners, p.shard)
 		}
 	}
@@ -141,9 +139,13 @@ func (r *Ring) LookupN(key string, n int) []int {
 // the finalizer's avalanche spreads the points to the ~±25 % load
 // imbalance of an ideal ring at the default vnode count.
 func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return mix64(h.Sum64())
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return mix64(h)
 }
 
 // mix64 is the splitmix64 finalizer (public-domain constants).

@@ -312,3 +312,22 @@ func TestRecordStoreRoundTrip(t *testing.T) {
 		t.Fatal("record survived RemoveRecord")
 	}
 }
+
+// TestLookupNAllocs guards the placement hot path, which the shard
+// layer walks for every stripe operation: hashing a key allocates
+// nothing, and LookupN allocates only the owner slice it returns.
+func TestLookupNAllocs(t *testing.T) {
+	r, err := NewRing(4, DefaultVnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "segment-file\x0042"
+	if a := testing.AllocsPerRun(100, func() { hashKey(key) }); a != 0 {
+		t.Errorf("hashKey: %v allocations per call, want 0", a)
+	}
+	for _, n := range []int{1, 2, 4} {
+		if a := testing.AllocsPerRun(100, func() { r.LookupN(key, n) }); a != 1 {
+			t.Errorf("LookupN(key, %d): %v allocations per call, want 1 (the owner slice)", n, a)
+		}
+	}
+}
