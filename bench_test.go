@@ -2,9 +2,12 @@ package lamassu
 
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§4), one per experiment, plus micro-benchmarks and
-// ablations of the design choices DESIGN.md calls out. Each figure
+// ablations of the design choices the README's "Architecture", "I/O
+// coalescing" and "Compression" sections describe. Each figure
 // benchmark runs the corresponding experiment at a reduced size
-// (shapes are size-independent; see DESIGN.md §3) and reports the
+// (cmd/lmsbench runs the same experiments at any size up to the
+// paper's, see the README's "Benchmarks" section; TestFig8RAMShapes
+// asserts Figure 8's orderings at the reduced size) and reports the
 // headline quantities through b.ReportMetric, so
 //
 //	go test -bench=. -benchmem

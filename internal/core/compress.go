@@ -34,8 +34,10 @@ func storedBytes(meta *layout.MetaBlock, slot, bs int) int {
 // in stored bytes. A raw full-slot write of that block would have
 // extended the backing file to the end of its slot; a short stored
 // payload does not. Pad the physical extent up to the slot boundary so
-// the fixed-slot addressing — and every phys-bound guard in recovery,
-// audit and rekey — holds identically with compression. Ordering
+// the fixed-slot addressing — and the one phys-bound guard,
+// slotLanded, that the segment walk of recovery, audit and rekey and
+// the mid-update read share — holds identically with compression.
+// Ordering
 // matters: the pad lands before the phase-3 barrier, so a cleanly
 // committed segment never has a keyed slot beyond the physical extent.
 //

@@ -16,7 +16,10 @@
 //   - The multiphase commit protocol with R-slot write batching
 //     (§2.4) in commit.go and the multi-block read that mirrors it in
 //     file.go — one pipeline each, described below.
-//   - Crash recovery and integrity auditing (§2.4–2.5) in recover.go.
+//   - Crash recovery and integrity auditing (§2.4–2.5) in recover.go:
+//     one segment walk, shared with key rotation, that reads each
+//     segment's keyed slots as planned extents and judges every slot
+//     with one verdict (slotVerdict), the one the mid-update read asks.
 //   - Key rotation (§2.2) — both full re-keying and the fast partial
 //     outer-key-only re-key — in rekey.go.
 //

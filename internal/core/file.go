@@ -403,7 +403,8 @@ func (e *spanError) Unwrap() error { return e.err }
 
 // fetchContig reads one planned extent of uncached, live blocks (shard
 // is its owner, < 0 when unsharded) with a single backend read — the
-// only multi-block data read there is — and fans the decode (AES-CBC
+// read path's only multi-block data read; the segment walk's full-slot
+// reads are verdicts' — and fans the decode (AES-CBC
 // decrypt, decompress for short-stored blocks) and §2.5 hash
 // verification across the worker pool, one task per hash group
 // (decodeGroup). In a compressed segment only
@@ -678,10 +679,10 @@ func (f *file) ensureMeta(ctx context.Context, seg *segment, si int64) error {
 
 // readBlockMeta reads data block dbi through the segment's loaded
 // metadata: decode (decrypt, and decompress when the segment stores
-// the block compressed), verify, fall back to transient keys for
-// segments caught mid-update by a crash. The caller must hold seg.mu
-// (either mode) with seg.meta loaded, and must have checked pending
-// state.
+// the block compressed) and verify; in a segment caught mid-update by
+// a crash, slotVerdict names the key that owns the bytes. The caller
+// must hold seg.mu (either mode) with seg.meta loaded, and must have
+// checked pending state.
 func (f *file) readBlockMeta(ctx context.Context, seg *segment, dbi int64, slot int, dst []byte) error {
 	geo := f.fs.geo
 	bs := geo.BlockSize
@@ -694,15 +695,14 @@ func (f *file) readBlockMeta(ctx context.Context, seg *segment, dbi int64, slot 
 
 	// The ranged read covers only the stored payload — the whole win of
 	// compression on the wire. A mid-update segment reads the full slot
-	// regardless: the old contents being identified below may be longer
+	// regardless: the old contents the verdict may find can be longer
 	// than the new stored length, and the hole check needs every byte.
 	stored := storedBytes(meta, slot, bs)
-	if stored <= 0 {
-		return fmt.Errorf("%w: block %d: keyed slot with zero stored length", ErrIntegrity, dbi)
-	}
 	readLen := stored
 	if meta.MidUpdate() {
 		readLen = bs
+	} else if stored <= 0 {
+		return fmt.Errorf("%w: block %d: keyed slot with zero stored length", ErrIntegrity, dbi)
 	}
 
 	gen := f.fs.cache.snapshot()
@@ -716,41 +716,42 @@ func (f *file) readBlockMeta(ctx context.Context, seg *segment, dbi int64, slot 
 	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
 	f.fs.cfg.Recorder.CountDataBytes(int64(bs), int64(readLen))
 	if err != nil {
+		// Mid-update, a keyed slot past the physical extent is a block
+		// whose data never landed: the hole it was, as recovery repairs
+		// it.
+		if meta.MidUpdate() {
+			if phys, serr := f.bf.Size(); serr == nil && !f.fs.slotLanded(dbi, phys) {
+				zero(dst)
+				return nil
+			}
+		}
 		return fmt.Errorf("lamassu: reading data block %d: %w", dbi, err)
 	}
 
-	// Integrity checking (§2.5). Under IntegrityFull every block is
-	// verified; under meta-only we still verify when the segment is
-	// mid-update (a crashed commit), because the stored stable key may
-	// legitimately not match and the transient keys must be tried. A
-	// decode failure outside mid-update is final; inside it, it just
-	// means the stable (key, length) pair does not describe the bytes
-	// on disk yet — exactly the case the transient loop resolves.
-	if derr := f.fs.decodeStored(dst, ct, key, stored); derr != nil {
-		if !meta.MidUpdate() {
-			return derr
-		}
-	} else {
-		needVerify := f.fs.cfg.Integrity == IntegrityFull || meta.MidUpdate()
-		if !needVerify || f.fs.verifyBlock(dst, key) {
+	if meta.MidUpdate() {
+		switch v, _ := f.fs.slotVerdict(meta, slot, ct, dst); v {
+		case slotNew:
 			f.fs.cache.putData(f.name, dbi, dst, gen)
 			return nil
-		}
-	}
-	if meta.MidUpdate() {
-		// Interrupted commit: the old key for this block is among the
-		// transient slots (§2.4); the hash check identifies it.
-		if f.fs.matchesTransient(meta, ct, dst) >= 0 {
+		case slotOld:
 			return nil
-		}
-		// A pre-update hole whose new data write never landed reads
-		// back as the zero block under hole semantics.
-		if allZero(ct[:readLen]) {
+		case slotHole:
 			zero(dst)
 			return nil
 		}
+		return fmt.Errorf("%w: block %d", ErrIntegrity, dbi)
 	}
-	return fmt.Errorf("%w: block %d", ErrIntegrity, dbi)
+	// Integrity checking (§2.5): under IntegrityFull every block is
+	// verified; under meta-only only the metadata's GCM tag vouches for
+	// the key.
+	if err := f.fs.decodeStored(dst, ct, key, stored); err != nil {
+		return err
+	}
+	if f.fs.cfg.Integrity == IntegrityFull && !f.fs.verifyBlock(dst, key) {
+		return fmt.Errorf("%w: block %d", ErrIntegrity, dbi)
+	}
+	f.fs.cache.putData(f.name, dbi, dst, gen)
+	return nil
 }
 
 // WriteAt implements vfs.File. Concurrent calls proceed in parallel;

@@ -11,99 +11,272 @@ import (
 	"lamassu/internal/metrics"
 )
 
+// verdict is what the convergent hash check (§2.5) says about the
+// bytes in a keyed data slot: which key, if any, owns them. The audit,
+// recovery, the pre-rotation audit and the mid-update read all ask
+// slotVerdict, and each maps the answer to its own policy.
+type verdict uint8
+
+const (
+	slotNew     verdict = iota // the stable key decodes and verifies the bytes
+	slotOld                    // mid-update: transient key r does, at its old length
+	slotHole                   // mid-update: all zero, a pre-update hole whose data never landed
+	slotMissing                // the slot lies beyond the physical extent (slotLanded)
+	slotBad                    // no key owns the bytes: corruption, or a torn write
+	slotUnread                 // the read of the slot's extent failed
+)
+
+// slotVerdict classifies keyed slot `slot` of meta by its full-slot
+// bytes ct (BlockSize of them), leaving the plaintext of a new or old
+// block in plain and returning, for slotOld, the transient slot that
+// owns it. Outside a mid-update segment only the stable key may own the
+// bytes. Inside one a stable decode failure is not final: the stable
+// (key, length) pair describes the NEW block, which may never have
+// landed, so each transient key that staged something is tried at its
+// own old length (OldLen in a compressed segment; a key without its
+// length could not be decoded at all), and a candidate that fails to
+// decode is simply not this block's old state.
+func (fs *FS) slotVerdict(meta *layout.MetaBlock, slot int, ct, plain []byte) (verdict, int) {
+	bs := fs.geo.BlockSize
+	key := meta.StableKey(slot)
+	if stored := storedBytes(meta, slot, bs); stored > 0 &&
+		fs.decodeStored(plain, ct, key, stored) == nil && fs.verifyBlock(plain, key) {
+		return slotNew, -1
+	}
+	if !meta.MidUpdate() {
+		return slotBad, -1
+	}
+	for r := 0; r < int(meta.NTransient); r++ {
+		old, oldStored := meta.TransientKey(r), bs
+		if meta.Compressed() {
+			oldStored = meta.OldLen(r) * layout.LenUnit
+		}
+		if !old.IsZero() && oldStored > 0 &&
+			fs.decodeStored(plain, ct, old, oldStored) == nil && fs.verifyBlock(plain, old) {
+			return slotOld, r
+		}
+	}
+	if allZero(ct) {
+		return slotHole, -1
+	}
+	return slotBad, -1
+}
+
+// slotLanded reports whether data block dbi's whole slot lies inside a
+// backing file of phys bytes. A keyed slot that does not holds a block
+// whose data never reached the store: padExtent extends the file to the
+// end of a commit's last slot before phase 3, so a cleanly committed
+// segment has none.
+func (fs *FS) slotLanded(dbi, phys int64) bool {
+	return fs.geo.DataBlockOffset(dbi)+int64(fs.geo.BlockSize) <= phys
+}
+
+// keyedSlot is one keyed slot of a segment and its verdict; r is the
+// owning transient slot when v is slotOld.
+type keyedSlot struct {
+	slot int
+	v    verdict
+	r    int
+}
+
+// verdicts judges every keyed slot of meta in slot order. The full
+// slots that lie inside the physical extent phys are read as the
+// extents planExtents gives when every stored length is BlockSize, so
+// neighbours merge and stripe edges split as on every other path: one
+// backend read per extent, dispatched on the I/O window (runWindowed).
+// The slots of an extent whose read failed are slotUnread, and the
+// lowest failing extent's error is returned with the verdicts. When
+// plains is non-nil, the plaintext of the i-th keyed slot is left in
+// its i-th BlockSize slot.
+func (f *file) verdicts(ctx context.Context, meta *layout.MetaBlock, phys int64, plains []byte) ([]keyedSlot, error) {
+	geo := f.fs.geo
+	bs := geo.BlockSize
+	first := int64(meta.SegIndex) * int64(geo.KeysPerSegment())
+	var (
+		slots []keyedSlot
+		read  []int // indices into slots of the slots inside phys
+	)
+	for s := 0; s < geo.KeysPerSegment(); s++ {
+		if meta.StableKey(s).IsZero() {
+			continue
+		}
+		if f.fs.slotLanded(first+int64(s), phys) {
+			read = append(read, len(slots))
+		}
+		slots = append(slots, keyedSlot{slot: s, v: slotMissing, r: -1})
+	}
+	cts := f.fs.slabs.get(len(read) * bs)
+	defer f.fs.slabs.put(cts)
+	exts := f.planExtents(len(read),
+		func(i int) int64 { return first + int64(slots[read[i]].slot) },
+		func(int) int { return bs })
+	ok := make([]bool, len(exts))
+	_, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
+		x := exts[e]
+		f.fs.iow.acquire()
+		t := f.fs.cfg.Recorder.Start()
+		err := backend.ReadFullCtx(ctx, f.bf, cts[x.lo*bs:x.hi*bs], x.off)
+		f.fs.cfg.Recorder.Stop(metrics.IO, t)
+		f.fs.iow.release()
+		f.fs.cfg.Recorder.CountIOBytes(int64((x.hi - x.lo) * bs))
+		if err != nil {
+			return fmt.Errorf("lamassu: reading %d slots at block %d: %w",
+				x.hi-x.lo, first+int64(slots[read[x.lo]].slot), err)
+		}
+		ok[e] = true
+		return nil
+	})
+
+	var scratch []byte
+	if plains == nil {
+		scratch = f.fs.slabs.get(bs)
+		defer f.fs.slabs.put(scratch)
+	}
+	for e, x := range exts {
+		for i := x.lo; i < x.hi; i++ {
+			k := &slots[read[i]]
+			if !ok[e] {
+				k.v = slotUnread
+				continue
+			}
+			plain := scratch
+			if plains != nil {
+				plain = plains[read[i]*bs : (read[i]+1)*bs]
+			}
+			k.v, k.r = f.fs.slotVerdict(meta, k.slot, cts[i*bs:(i+1)*bs], plain)
+		}
+	}
+	return slots, err
+}
+
+// segWalk is what walkSegments hands each segment's visitor: a handle
+// on the backing file (reads through verdicts, writes through
+// writeExtents and writeMeta), its physical size and its final segment.
+type segWalk struct {
+	f          *file
+	phys, last int64
+}
+
+// walkSegments is the one loop over a file's segments that the audit,
+// recovery and both rotations share. It opens name with flag — a pass
+// that may write drops the file's cached state on entry and on return —
+// and, for a non-empty file, reads each segment's metadata block in
+// order, observing ctx before each, and hands it to visit with the read
+// error, if any; a cancellation ends the walk.
+//
+// A rotation passes rot, the FS under its new key pair, and the walk
+// applies the two rules every rotation keeps: a segment whose metadata
+// no longer opens under the old outer key but opens under rot's was
+// sealed by an earlier, interrupted pass and is skipped, so a rotation
+// is resumable between segments; and a midupdate segment is refused,
+// since its transient keys would not survive the reseal.
+func (fs *FS) walkSegments(ctx context.Context, name string, flag backend.OpenFlag, rot *FS,
+	visit func(w *segWalk, seg int64, meta *layout.MetaBlock, err error) error) error {
+	bf, err := backend.OpenCtx(ctx, fs.store, name, flag)
+	if err != nil {
+		return mapErr(err)
+	}
+	defer bf.Close()
+	if flag != backend.OpenRead {
+		fs.cache.invalidateFile(name)
+		defer fs.cache.invalidateFile(name)
+	}
+	phys, err := bf.Size()
+	if err != nil || phys == 0 {
+		return err
+	}
+	w := &segWalk{f: &file{fs: fs, bf: bf, name: name}, phys: phys, last: fs.lastSegment(phys)}
+	for seg := int64(0); seg <= w.last; seg++ {
+		if err := backend.CtxErr(ctx); err != nil {
+			return err
+		}
+		meta, err := fs.readMeta(ctx, bf, seg)
+		if errors.Is(err, ErrCanceled) {
+			return err
+		}
+		if rot != nil {
+			if err != nil {
+				if _, rerr := rot.readMeta(ctx, bf, seg); rerr == nil {
+					continue
+				}
+				return fmt.Errorf("lamassu: rekey segment %d: %w", seg, err)
+			}
+			if meta.MidUpdate() {
+				return fmt.Errorf("%w: segment %d is midupdate; run recovery before rekeying", ErrUnrecoverable, seg)
+			}
+		}
+		if err := visit(w, seg, meta, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // recoverSegment repairs a segment whose metadata block is marked
-// midupdate — an interrupted multiphase commit (§2.4). For each data
-// block governed by the segment, the convergent hash check (§2.5)
-// decides which key owns the block:
+// midupdate — an interrupted multiphase commit (§2.4). Every keyed
+// slot's verdict decides which key owns the block:
 //
-//   - If the block verifies under its stable key, the new data write
-//     landed before the crash; nothing to do.
-//   - Otherwise each transient (old) key is tried; a hash match proves
-//     the block still holds its previous contents, and the stable slot
-//     is repaired to the old key.
-//   - A block that is entirely zero was a pre-update hole whose new
-//     data never reached the store; its slot is repaired to the
-//     zero-key hole sentinel.
-//   - A block matching no key is unrecoverable (for example a torn
-//     sub-block write, which the paper's model explicitly does not
-//     defend against); recovery stops with ErrUnrecoverable and the
-//     segment is left marked midupdate so the damage stays detectable.
+//   - slotNew: the new data write landed (or the block was not part of
+//     the commit); nothing to do.
+//   - slotOld: the block still holds its previous contents, and the
+//     stable slot is repaired to the transient key (and, compressed,
+//     its old length) that decodes them.
+//   - slotHole, slotMissing: a pre-update hole whose new data never
+//     reached the store; the slot reverts to the zero-key hole.
+//   - slotBad: unrecoverable (for example a torn sub-block write, which
+//     the paper's model explicitly does not defend against); recovery
+//     stops with ErrUnrecoverable, changes nothing, and leaves the
+//     segment marked midupdate so the damage stays detectable.
 //
-// The paper attaches block numbers to the transient keys to locate
-// affected blocks; this implementation keeps the published key-table
-// arithmetic (K = TotalSlots − R) and locates them with the hash
-// check instead — see DESIGN.md §2.3 for the equivalence argument.
+// The paper attaches block numbers to the transient keys to locate the
+// blocks a commit touched; this implementation keeps the published
+// key-table arithmetic (K = TotalSlots − R) and lets the hash check
+// locate them instead. The two are equivalent because a convergent key
+// is derived from the hash of its plaintext: bytes decode and verify
+// under a key only if they are that key's block, up to a SHA-256
+// collision. A block
+// the commit did not touch, or whose new data landed, therefore
+// verifies under its stable key, and a block whose write never landed
+// verifies under exactly the transient key its block number would have
+// named — two transient keys that both verify are the same key, holding
+// the same bytes. A block number would tell recovery nothing the check
+// does not, and would cost key-table space.
 //
 // On success the metadata block is rewritten with the flag cleared.
-//
-// ctx is observed between per-block reads. A canceled repair changes
-// no on-disk state (the only write is the final metadata rewrite,
-// itself ctx-checked), so it can simply be retried.
+// ctx is observed by the reads and the final write. A canceled repair
+// changes no on-disk state (the only write is that final rewrite), so
+// it can simply be retried.
 func (f *file) recoverSegment(ctx context.Context, meta *layout.MetaBlock) error {
 	if !meta.MidUpdate() {
 		return nil
 	}
-	geo := f.fs.geo
-	seg := int64(meta.SegIndex)
-	keysPerSeg := int64(geo.KeysPerSegment())
-
 	phys, err := f.bf.Size()
 	if err != nil {
 		return err
 	}
-
-	bs := geo.BlockSize
-	ct := make([]byte, bs)
-	plain := make([]byte, bs)
-	for slot := 0; slot < geo.KeysPerSegment(); slot++ {
-		key := meta.StableKey(slot)
-		if key.IsZero() {
-			continue // hole slot: nothing to verify
+	slots, err := f.verdicts(ctx, meta, phys, nil)
+	if err != nil {
+		return fmt.Errorf("lamassu: recovering segment %d: %w", meta.SegIndex, err)
+	}
+	for _, k := range slots {
+		if k.v == slotBad {
+			dbi := int64(meta.SegIndex)*int64(f.fs.geo.KeysPerSegment()) + int64(k.slot)
+			return fmt.Errorf("%w: segment %d block %d matches no key", ErrUnrecoverable, meta.SegIndex, dbi)
 		}
-		dbi := seg*keysPerSeg + int64(slot)
-		off := geo.DataBlockOffset(dbi)
-		if off+int64(bs) > phys {
-			// The data block never reached the store (the crash hit
-			// before phase 2 extended the file): the slot reverts to
-			// its pre-update state.
-			meta.SetStableKey(slot, cryptoutil.Key{})
+	}
+	for _, k := range slots {
+		switch k.v {
+		case slotOld:
+			meta.SetStableKey(k.slot, meta.TransientKey(k.r))
 			if meta.Compressed() {
-				meta.SetStoredLen(slot, 0)
+				meta.SetStoredLen(k.slot, uint8(meta.OldLen(k.r)))
 			}
-			continue
-		}
-		t := f.fs.cfg.Recorder.Start()
-		err := backend.ReadFullCtx(ctx, f.bf, ct, off)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.cfg.Recorder.CountIOBytes(int64(len(ct)))
-		if err != nil {
-			return fmt.Errorf("lamassu: recovery read of block %d: %w", dbi, err)
-		}
-		// A decode failure here is not fatal: in a compressed segment
-		// the stable (key, length) pair describes the NEW block, which
-		// may never have landed — the bytes on disk then belong to one
-		// of the (transient key, old length) candidates below.
-		stored := storedBytes(meta, slot, bs)
-		if stored > 0 && f.fs.decodeStored(plain, ct, key, stored) == nil &&
-			f.fs.verifyBlock(plain, key) {
-			continue // new write landed
-		}
-		if r := f.fs.matchesTransient(meta, ct, plain); r >= 0 {
-			meta.SetStableKey(slot, meta.TransientKey(r))
+		case slotHole, slotMissing:
+			meta.SetStableKey(k.slot, cryptoutil.Key{})
 			if meta.Compressed() {
-				meta.SetStoredLen(slot, uint8(meta.OldLen(r)))
+				meta.SetStoredLen(k.slot, 0)
 			}
-			continue
 		}
-		if allZero(ct) {
-			// Pre-update hole whose new data write never landed.
-			meta.SetStableKey(slot, cryptoutil.Key{})
-			if meta.Compressed() {
-				meta.SetStoredLen(slot, 0)
-			}
-			continue
-		}
-		return fmt.Errorf("%w: segment %d block %d matches no key", ErrUnrecoverable, seg, dbi)
 	}
 
 	meta.SetMidUpdate(false)
@@ -132,80 +305,26 @@ type RecoverStats struct {
 func (fs *FS) Recover(name string) (RecoverStats, error) { return fs.RecoverCtx(nil, name) }
 
 // RecoverCtx is Recover observing ctx between segments (and between
-// the per-block reads within a repair). A canceled pass has repaired a
-// prefix of the segments; rerunning it is safe and resumes where the
-// damage remains.
+// the reads within a repair). A canceled pass has repaired a prefix of
+// the segments; rerunning it is safe and resumes where the damage
+// remains.
 func (fs *FS) RecoverCtx(ctx context.Context, name string) (RecoverStats, error) {
-	bf, err := backend.OpenCtx(ctx, fs.store, name, backend.OpenWrite)
-	if err != nil {
-		return RecoverStats{}, mapErr(err)
-	}
-	defer bf.Close()
-	// A recovery pass reads raw on-disk state and may rewrite metadata
-	// blocks; start from a cold cache for this file and leave nothing
-	// stale behind.
-	fs.cache.invalidateFile(name)
-	f, err := fs.newFileForRecovery(ctx, bf, name)
-	if err != nil {
-		return RecoverStats{}, err
-	}
-
 	var stats RecoverStats
-	phys, err := bf.Size()
-	if err != nil {
-		return stats, err
-	}
-	if phys == 0 {
-		return stats, nil
-	}
-	lastSeg := fs.lastSegment(phys)
-	for seg := int64(0); seg <= lastSeg; seg++ {
-		if err := backend.CtxErr(ctx); err != nil {
-			return stats, err
-		}
-		meta, err := f.metaFor(ctx, seg)
+	err := fs.walkSegments(ctx, name, backend.OpenWrite, nil, func(w *segWalk, seg int64, meta *layout.MetaBlock, err error) error {
 		if err != nil {
-			return stats, fmt.Errorf("lamassu: recover segment %d: %w", seg, err)
+			return fmt.Errorf("lamassu: recover segment %d: %w", seg, err)
 		}
 		stats.Segments++
 		if !meta.MidUpdate() {
-			continue
+			return nil
 		}
-		if err := f.recoverSegment(ctx, meta); err != nil {
-			return stats, err
+		if err := w.f.recoverSegment(ctx, meta); err != nil {
+			return err
 		}
 		stats.Repaired++
-	}
-	return stats, nil
-}
-
-// newFileForRecovery builds a minimal handle for recovery: the
-// authoritative size may itself live in a midupdate final segment, so
-// size loading must not fail recovery; it is only used for block-range
-// bounds, for which the physical size suffices.
-func (fs *FS) newFileForRecovery(ctx context.Context, bf backend.File, name string) (*file, error) {
-	size, err := fs.logicalSize(ctx, bf, name)
-	if err != nil {
-		if errors.Is(err, ErrCanceled) {
-			return nil, err
-		}
-		// Fall back to the physical extent; recovery touches only
-		// blocks that exist on the backing store anyway.
-		phys, perr := bf.Size()
-		if perr != nil {
-			return nil, perr
-		}
-		size = phys
-	}
-	f := &file{
-		fs:   fs,
-		bf:   bf,
-		name: name,
-		size: size,
-		segs: make(map[int64]*segment),
-	}
-	f.BindCursor(f)
-	return f, nil
+		return nil
+	})
+	return stats, err
 }
 
 // CheckReport summarizes an integrity audit of one file.
@@ -237,114 +356,45 @@ func (r CheckReport) Clean() bool {
 // keys.
 func (fs *FS) Check(name string) (CheckReport, error) { return fs.CheckCtx(nil, name) }
 
-// CheckCtx is Check observing ctx between segments; the audit mutates
-// nothing, so a canceled pass is simply incomplete.
+// CheckCtx is Check observing ctx between segments and reads; the
+// audit mutates nothing, so a canceled pass is simply incomplete.
 func (fs *FS) CheckCtx(ctx context.Context, name string) (CheckReport, error) {
-	bf, err := backend.OpenCtx(ctx, fs.store, name, backend.OpenRead)
-	if err != nil {
-		return CheckReport{}, mapErr(err)
-	}
-	defer bf.Close()
-
 	var rep CheckReport
-	phys, err := bf.Size()
-	if err != nil {
-		return rep, err
-	}
-	if phys == 0 {
-		return rep, nil
-	}
-	geo := fs.geo
-	lastSeg := fs.lastSegment(phys)
-
-	// The final metadata block carries the size; tolerate its absence.
-	if size, err := fs.logicalSize(ctx, bf, name); err == nil {
-		rep.LogicalSize = size
-	}
-
-	ct := make([]byte, geo.BlockSize)
-	plain := make([]byte, geo.BlockSize)
-	keysPerSeg := int64(geo.KeysPerSegment())
-	for seg := int64(0); seg <= lastSeg; seg++ {
-		if err := backend.CtxErr(ctx); err != nil {
-			return rep, err
-		}
+	err := fs.walkSegments(ctx, name, backend.OpenRead, nil, func(w *segWalk, seg int64, meta *layout.MetaBlock, err error) error {
 		rep.Segments++
-		meta, err := fs.readMeta(ctx, bf, seg)
 		if err != nil {
-			if errors.Is(err, ErrCanceled) {
-				return rep, err
-			}
 			rep.BadMeta++
-			continue
+			return nil
+		}
+		if seg == w.last {
+			// The final metadata block carries the size.
+			rep.LogicalSize = int64(meta.LogicalSize)
 		}
 		if meta.MidUpdate() {
 			rep.MidUpdate++
 		}
-		for slot := 0; slot < geo.KeysPerSegment(); slot++ {
-			key := meta.StableKey(slot)
-			if key.IsZero() {
-				continue
-			}
-			dbi := seg*keysPerSeg + int64(slot)
-			off := geo.DataBlockOffset(dbi)
-			if off+int64(geo.BlockSize) > phys {
+		slots, err := w.f.verdicts(ctx, meta, w.phys, nil)
+		if errors.Is(err, ErrCanceled) {
+			return err
+		}
+		for _, k := range slots {
+			switch k.v {
+			case slotMissing:
 				if !meta.MidUpdate() {
 					rep.BadData++ // keyed block with no data at all
 				}
-				continue
-			}
-			if err := backend.ReadFullCtx(ctx, bf, ct, off); err != nil {
-				if errors.Is(err, ErrCanceled) {
-					return rep, err
-				}
+			case slotUnread:
 				rep.BadData++
-				continue
-			}
-			rep.DataBlocks++
-			stored := storedBytes(meta, slot, geo.BlockSize)
-			if stored > 0 && fs.decodeStored(plain, ct, key, stored) == nil &&
-				fs.verifyBlock(plain, key) {
-				continue
-			}
-			if meta.MidUpdate() && fs.matchesTransient(meta, ct, plain) >= 0 {
-				continue
-			}
-			if meta.MidUpdate() && allZero(ct) {
-				continue
-			}
-			rep.BadData++
-		}
-	}
-	return rep, nil
-}
-
-// matchesTransient identifies a block's pre-update state: it returns
-// the index of the transient slot whose key — paired with its old
-// stored length when the segment is compressed — decodes the full-slot
-// ciphertext ct and passes the §2.5 hash check, leaving that plaintext
-// in dst; -1 if there is none. A zero transient key is a slot that
-// staged nothing, and a candidate that fails to decode is simply not
-// this block's old state. Mid-update reads, recovery and Check all ask
-// here, so they cannot disagree about what counts.
-func (fs *FS) matchesTransient(meta *layout.MetaBlock, ct, dst []byte) int {
-	for r := 0; r < int(meta.NTransient); r++ {
-		old := meta.TransientKey(r)
-		if old.IsZero() {
-			continue
-		}
-		oldStored := fs.geo.BlockSize
-		if meta.Compressed() {
-			oldStored = meta.OldLen(r) * layout.LenUnit
-			if oldStored <= 0 {
-				continue
+			case slotBad:
+				rep.DataBlocks++
+				rep.BadData++
+			default:
+				rep.DataBlocks++
 			}
 		}
-		if fs.decodeStored(dst, ct, old, oldStored) == nil && fs.verifyBlock(dst, old) {
-			return r
-		}
-	}
-	return -1
+		return nil
+	})
+	return rep, err
 }
 
 // IsUnrecoverable reports whether err indicates crash damage that

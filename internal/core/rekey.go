@@ -54,71 +54,30 @@ func (fs *FS) RekeyOuterCtx(ctx context.Context, name string, newOuter cryptouti
 	if newOuter.IsZero() {
 		return RekeyStats{}, errors.New("lamassu: new outer key must be set")
 	}
-	bf, err := backend.OpenCtx(ctx, fs.store, name, backend.OpenWrite)
-	if err != nil {
-		return RekeyStats{}, mapErr(err)
-	}
-	defer bf.Close()
-	// Re-sealing rewrites every metadata block; cached decodes of them
-	// must not survive (dropped again on return so nothing re-cached
-	// mid-pass lingers either).
-	fs.cache.invalidateFile(name)
-	defer fs.cache.invalidateFile(name)
-
 	var stats RekeyStats
-	phys, err := bf.Size()
-	if err != nil {
-		return stats, err
-	}
-	if phys == 0 {
-		return stats, nil
-	}
-	buf := make([]byte, fs.geo.BlockSize)
-	lastSeg := fs.lastSegment(phys)
-	for seg := int64(0); seg <= lastSeg; seg++ {
-		if err := backend.CtxErr(ctx); err != nil {
-			return stats, err
-		}
-		meta, err := fs.readMeta(ctx, bf, seg)
-		if err != nil {
-			if errors.Is(err, ErrCanceled) {
-				return stats, err
-			}
-			// Resumption after an interrupted pass: a segment that no
-			// longer decodes under the old key may already be sealed
-			// under the new one; verify and skip it rather than fail.
-			if rerr := backend.ReadFullCtx(ctx, bf, buf, fs.geo.MetaBlockOffset(seg)); rerr == nil {
-				if _, derr := layout.DecodeMetaBlock(fs.geo, buf, newOuter, uint64(seg)); derr == nil {
-					continue
-				}
-			}
-			return stats, fmt.Errorf("lamassu: rekey segment %d: %w", seg, err)
-		}
-		if meta.MidUpdate() {
-			return stats, fmt.Errorf("%w: segment %d is midupdate; run recovery before rekeying", ErrUnrecoverable, seg)
-		}
-		if err := meta.Encode(buf, newOuter); err != nil {
-			return stats, err
-		}
-		if _, err := backend.WriteAtCtx(ctx, bf, buf, fs.geo.MetaBlockOffset(seg)); err != nil {
-			return stats, err
+	rot := fs.rotated(fs.cfg.Inner, newOuter)
+	err := fs.walkSegments(ctx, name, backend.OpenWrite, rot, func(w *segWalk, _ int64, meta *layout.MetaBlock, _ error) error {
+		if err := rot.writeMeta(ctx, w.f.bf, name, meta); err != nil {
+			return err
 		}
 		stats.MetaBlocks++
-	}
-	return stats, nil
+		return nil
+	})
+	return stats, err
 }
 
 // RekeyFull re-encrypts the named file under a new (inner, outer) key
 // pair: every data block is decrypted with its old convergent key,
 // re-keyed under newInner, re-encrypted, and every metadata block is
 // re-sealed under newOuter. The file must be idle. The rewrite goes
-// segment at a time — a segment's data blocks are rewritten in place,
-// then its metadata block is resealed — and is resumable at segment
-// boundaries: after an interruption BETWEEN segments the file holds
-// segments under both key pairs, and rerunning with the old pair still
-// at hand finishes the job. It does NOT use the multiphase commit of
-// normal writes: there is no phase-1 barrier, so a crash INSIDE a
-// segment leaves data blocks under new keys the old metadata does not
+// segment at a time — a segment's keyed slots are read and audited,
+// its data blocks rewritten in place as the planned extents, then its
+// metadata block is resealed — and is resumable at segment boundaries:
+// after an interruption BETWEEN segments the file holds segments under
+// both key pairs, and rerunning with the old pair still at hand
+// finishes the job. It does NOT use the multiphase commit of normal
+// writes: there is no phase-1 barrier, so a crash INSIDE a segment's
+// writes leaves data blocks under new keys the old metadata does not
 // describe, which recovery cannot repair (ROADMAP item 8(a) records
 // the hole). Back the file up, or rotate a copy, when that matters.
 //
@@ -131,11 +90,12 @@ func (fs *FS) RekeyFull(name string, newInner, newOuter cryptoutil.Key) (RekeySt
 	return fs.RekeyFullCtx(nil, name, newInner, newOuter)
 }
 
-// RekeyFullCtx is RekeyFull observing ctx between segments only (a
-// segment that has started rotating runs to its metadata reseal), so a
-// canceled pass leaves a file whose segments are split between the two
-// key pairs — the resumable state described above; retain both pairs
-// and rerun to finish.
+// RekeyFullCtx is RekeyFull observing ctx between segments and in a
+// segment's reads, never once its writes have begun (a segment that
+// has started rewriting runs to its metadata reseal), so a canceled
+// pass leaves a file whose segments are split between the two key
+// pairs — the resumable state described above; retain both pairs and
+// rerun to finish.
 func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter cryptoutil.Key) (RekeyStats, error) {
 	if newInner.IsZero() || newOuter.IsZero() {
 		return RekeyStats{}, errors.New("lamassu: new keys must be set")
@@ -147,122 +107,87 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 		return RekeyStats{}, errors.New("lamassu: full rekey is not possible with an external key deriver, " +
 			"whose keys do not come from the inner key; rotate the outer key with RekeyOuter")
 	}
-	bf, err := backend.OpenCtx(ctx, fs.store, name, backend.OpenWrite)
-	if err != nil {
-		return RekeyStats{}, mapErr(err)
-	}
-	defer bf.Close()
-	// Full rotation rewrites every block of the file; drop all cached
-	// state for it on entry and again on return.
-	fs.cache.invalidateFile(name)
-	defer fs.cache.invalidateFile(name)
-
-	var stats RekeyStats
-	phys, err := bf.Size()
-	if err != nil {
-		return stats, err
-	}
-	if phys == 0 {
-		return stats, nil
-	}
-
 	geo := fs.geo
-	newFS := &FS{store: fs.store, geo: geo, cfg: Config{
-		Geometry:    geo,
-		Inner:       newInner,
-		Outer:       newOuter,
-		Integrity:   fs.cfg.Integrity,
-		Recorder:    fs.cfg.Recorder,
-		Compression: fs.cfg.Compression,
-	},
-		ced:   cryptoutil.NewCEKeyDeriver(newInner),
-		slabs: fs.slabs,
-	}
-
-	ct := make([]byte, geo.BlockSize)
-	plain := make([]byte, geo.BlockSize)
-	metaBuf := make([]byte, geo.BlockSize)
-	keysPerSeg := int64(geo.KeysPerSegment())
-	lastSeg := fs.lastSegment(phys)
-	for seg := int64(0); seg <= lastSeg; seg++ {
-		// Cancellation is observed BETWEEN segments only: a segment's
-		// data rewrite must land together with its metadata reseal, so
-		// once a segment starts rotating it runs to completion and a
-		// canceled pass is always segment-atomic (and resumable below).
-		if err := backend.CtxErr(ctx); err != nil {
-			return stats, err
-		}
-		meta, err := fs.readMeta(nil, bf, seg)
+	bs := geo.BlockSize
+	comp := fs.cfg.Compression
+	rot := fs.rotated(newInner, newOuter)
+	plains := fs.slabs.get(geo.KeysPerSegment() * bs)
+	defer fs.slabs.put(plains)
+	var stats RekeyStats
+	err := fs.walkSegments(ctx, name, backend.OpenWrite, rot, func(w *segWalk, seg int64, meta *layout.MetaBlock, _ error) error {
+		// The pre-rotation audit: every keyed block must verify under
+		// its old key before anything is rewritten.
+		slots, err := w.f.verdicts(ctx, meta, w.phys, plains)
 		if err != nil {
-			// Resumption: a segment sealed under the new outer key was
-			// fully rotated by an earlier (interrupted) pass; skip it.
-			if rerr := backend.ReadFull(bf, metaBuf, geo.MetaBlockOffset(seg)); rerr == nil {
-				if _, derr := layout.DecodeMetaBlock(geo, metaBuf, newOuter, uint64(seg)); derr == nil {
-					continue
-				}
+			return err
+		}
+		n := len(slots)
+		idx, blocks := make([]int, n), make([][]byte, n)
+		for i, k := range slots {
+			dbi := seg*int64(geo.KeysPerSegment()) + int64(k.slot)
+			switch k.v {
+			case slotNew:
+			case slotMissing:
+				return fmt.Errorf("lamassu: rekey: keyed block %d beyond backing extent", dbi)
+			default:
+				return fmt.Errorf("%w: block %d (pre-rotation audit)", ErrIntegrity, dbi)
 			}
-			return stats, fmt.Errorf("lamassu: rekey segment %d: %w", seg, err)
+			idx[i], blocks[i] = k.slot, plains[i*bs:(i+1)*bs]
 		}
-		if meta.MidUpdate() {
-			return stats, fmt.Errorf("%w: segment %d is midupdate; run recovery before rekeying", ErrUnrecoverable, seg)
-		}
+
 		// The rotated segment is written in the rotating FS's own mode:
 		// a compression-enabled FS re-encodes every block (including
 		// segments that were raw), a compression-off FS rewrites the
 		// file raw even if it was compressed — the rewrite touches
 		// every data byte anyway, so the mode change is free.
+		keys, lens := make([]cryptoutil.Key, n), make([]int, n)
+		for lo := 0; lo < n; lo += cryptoutil.HashLanes {
+			hi := min(lo+cryptoutil.HashLanes, n)
+			if _, err := rot.deriveKeys(keys[lo:hi], blocks[lo:hi]); err != nil {
+				return err
+			}
+		}
+		cts := fs.slabs.get(n * bs)
+		defer fs.slabs.put(cts)
+		for g := range laneGroups(n) {
+			lo, hi := laneGroup(g, n)
+			if err := rot.encode(cts[lo*bs:hi*bs], blocks[lo:hi], keys[lo:hi], lens[lo:hi], comp); err != nil {
+				return err
+			}
+		}
 		newMeta := layout.NewMetaBlock(geo, uint64(seg))
 		newMeta.LogicalSize = meta.LogicalSize
-		if fs.cfg.Compression {
+		if comp {
 			newMeta.InitCompressed()
 		}
-		for slot := 0; slot < geo.KeysPerSegment(); slot++ {
-			oldKey := meta.StableKey(slot)
-			if oldKey.IsZero() {
-				continue
+		for i, s := range idx {
+			newMeta.SetStableKey(s, keys[i])
+			if comp {
+				newMeta.SetStoredLen(s, uint8(lens[i]/layout.LenUnit))
 			}
-			dbi := seg*keysPerSeg + int64(slot)
-			off := geo.DataBlockOffset(dbi)
-			if off+int64(geo.BlockSize) > phys {
-				return stats, fmt.Errorf("lamassu: rekey: keyed block %d beyond backing extent", dbi)
-			}
-			if err := backend.ReadFull(bf, ct, off); err != nil {
-				return stats, err
-			}
-			stored := storedBytes(meta, slot, geo.BlockSize)
-			if stored <= 0 {
-				return stats, fmt.Errorf("%w: block %d: keyed slot with zero stored length", ErrIntegrity, dbi)
-			}
-			if err := fs.decodeStored(plain, ct, oldKey, stored); err != nil {
-				return stats, err
-			}
-			if !fs.verifyBlock(plain, oldKey) {
-				return stats, fmt.Errorf("%w: block %d (pre-rotation audit)", ErrIntegrity, dbi)
-			}
-			newKey, err := newFS.deriveKey(plain)
-			if err != nil {
-				return stats, err
-			}
-			var n [1]int
-			if err := newFS.encode(ct, [][]byte{plain}, []cryptoutil.Key{newKey}, n[:], fs.cfg.Compression); err != nil {
-				return stats, err
-			}
-			if _, err := bf.WriteAt(ct[:n[0]], off); err != nil {
-				return stats, err
-			}
-			if fs.cfg.Compression {
-				newMeta.SetStoredLen(slot, uint8(n[0]/layout.LenUnit))
-			}
-			newMeta.SetStableKey(slot, newKey)
-			stats.DataBlocks++
 		}
-		if err := newMeta.Encode(metaBuf, newOuter); err != nil {
-			return stats, err
+
+		// From the first write on, the segment runs to its reseal
+		// without ctx: a canceled pass stays segment-atomic.
+		if err := w.f.writeExtents(nil, seg, idx, lens, cts); err != nil {
+			return err
 		}
-		if _, err := bf.WriteAt(metaBuf, geo.MetaBlockOffset(seg)); err != nil {
-			return stats, err
+		if err := rot.writeMeta(nil, w.f.bf, name, newMeta); err != nil {
+			return err
 		}
+		stats.DataBlocks += int64(n)
 		stats.MetaBlocks++
-	}
-	return stats, nil
+		return nil
+	})
+	return stats, err
+}
+
+// rotated is fs under a new key pair: what a rotation derives, encodes
+// and seals with. It shares fs's geometry, integrity mode, compression
+// setting, recorder and slabs, and has no pool, cache or I/O window of
+// its own; the walk reads and writes through fs's.
+func (fs *FS) rotated(inner, outer cryptoutil.Key) *FS {
+	cfg := fs.cfg
+	cfg.Inner, cfg.Outer, cfg.KeyDeriver = inner, outer, nil
+	return &FS{store: fs.store, geo: fs.geo, cfg: cfg, ced: cryptoutil.NewCEKeyDeriver(inner), slabs: fs.slabs}
 }

@@ -104,3 +104,64 @@ func TestLoadTenantsFile(t *testing.T) {
 		t.Fatalf("missing file error = %v", err)
 	}
 }
+
+// FuzzParseTenants feeds the tenant-file parser arbitrary bytes. It must
+// never panic, must reject with ErrMalformedTenants, and what it accepts
+// must be a usable map: every name a valid, unique namespace prefix, and
+// every `tenant:` line's token resolving to that line's name.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{
+		"tenant: alice alice-secret-token\ntenant: bob\tbob-secret-token\nadmin: admin-secret-token\n",
+		"# comment\n\n  tenant :  a.b   tok-long-enough  \r\n",
+		"tenant: alice same-token-here\nadmin: same-token-here\n",
+		"tenant: ../x token-aaaaaaa\n",
+		"tenant: a token-aaaaaaa\ntenant: a token-bbbbbbb\n",
+		"admin: admin-token-1\n",
+		"tenant:\x00 \xff\xfe token-aaaaaaa\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ten, err := ParseTenants(raw)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedTenants) {
+				t.Fatalf("error %v does not wrap ErrMalformedTenants", err)
+			}
+			return
+		}
+		names := ten.Names()
+		seen := make(map[string]bool)
+		for _, name := range names {
+			if !ValidTenantName(name) {
+				t.Fatalf("accepted invalid tenant name %q", name)
+			}
+			if seen[name] {
+				t.Fatalf("accepted duplicate tenant name %q", name)
+			}
+			seen[name] = true
+		}
+		lines := 0
+		for _, line := range strings.Split(string(raw), "\n") {
+			field, rest, ok := strings.Cut(strings.TrimSpace(line), ":")
+			if !ok || strings.HasPrefix(field, "#") {
+				continue
+			}
+			parts := strings.Fields(rest)
+			switch strings.TrimSpace(field) {
+			case "tenant":
+				lines++
+				if got, ok := ten.Lookup(parts[1]); !ok || got != parts[0] {
+					t.Fatalf("token of %q looks up as %q, %v", parts[0], got, ok)
+				}
+			case "admin":
+				token := strings.TrimSpace(rest)
+				if _, ok := ten.Lookup(token); ok || !ten.IsAdmin(token) {
+					t.Fatalf("admin token %q resolves as a tenant or not as admin", token)
+				}
+			}
+		}
+		if lines != len(names) {
+			t.Fatalf("%d tenant lines, %d names", lines, len(names))
+		}
+	})
+}

@@ -566,7 +566,7 @@ func together(n int, fn func(i int)) {
 //     keeps a window's worth (32 on the benchmark's remote stack) of one
 //     commit's extent writes in flight, and a cut lands any subset of
 //     them — so recovery through one owner never relied on more than
-//     whole-block atomicity per write (§2.4's matchesTransient argument,
+//     whole-block atomicity per write (§2.4's slot-verdict argument,
 //     block by block).
 //   - Across owners the replicas of a cut key may differ until a Scrub,
 //     each holding a value the workload wrote — as they could before,
