@@ -448,6 +448,39 @@ func TestZeroAllocCachedRead(t *testing.T) {
 	}
 }
 
+// A cache-miss one-block read runs through the multi-block read's
+// extent fetch and may allocate no more than the §2.5 hash check's key
+// derivation does (two small allocations per block): the fetch must
+// keep the read's one-span array off the heap.
+func TestCacheMissReadAllocs(t *testing.T) {
+	lfs := newFS(t, backend.NewMemStore(), testConfig()) // no cache: every read misses
+	data := make([]byte, 16*4096)
+	rand.New(rand.NewSource(9)).Read(data)
+	if err := vfs.WriteAll(lfs, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := lfs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4096)
+	if _, err := f.ReadAt(buf, 4096); err != nil { // load the metadata
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := f.ReadAt(buf, 4096); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("cache-miss ReadAt allocates %.1f times per op, want at most 2", allocs)
+	}
+	if !bytes.Equal(buf, data[4096:8192]) {
+		t.Fatal("cache-miss ReadAt returned the wrong bytes")
+	}
+}
+
 func TestZeroAllocPendingOverwrite(t *testing.T) {
 	lfs := newFS(t, backend.NewMemStore(), testConfig())
 	f, err := lfs.Create("f")

@@ -19,7 +19,8 @@
 //   - Crash recovery and integrity auditing (§2.4–2.5) in recover.go:
 //     one segment walk, shared with key rotation, that reads each
 //     segment's keyed slots as planned extents and judges every slot
-//     with one verdict (slotVerdict), the one the mid-update read asks.
+//     with one verdict (slotVerdict); a read of a segment caught
+//     mid-update asks the same walk reader (verdicts) about its slots.
 //   - Key rotation (§2.2) — both full re-keying and the fast partial
 //     outer-key-only re-key — in rekey.go.
 //
@@ -358,15 +359,6 @@ func (fs *FS) RefreshShardGauges() {
 // reads even if a copy is later found to have raced a writer.
 func (fs *FS) InvalidateFile(name string) { fs.cache.invalidateFile(name) }
 
-// shardOfBlock returns the shard owning logical data block dbi of the
-// named backing file, or 0 when the store is not sharded.
-func (fs *FS) shardOfBlock(name string, dbi int64) int {
-	if fs.sharded == nil {
-		return 0
-	}
-	return fs.sharded.ShardOf(name, fs.geo.DataBlockOffset(dbi))
-}
-
 // Create implements vfs.FS.
 func (fs *FS) Create(name string) (vfs.File, error) { return fs.CreateCtx(nil, name) }
 
@@ -547,14 +539,6 @@ func (fs *FS) writeMeta(ctx context.Context, bf backend.File, name string, m *la
 	fs.cfg.Recorder.CountIOBytes(int64(len(buf)))
 	fs.cache.invalidateMeta(name, int64(m.SegIndex))
 	return err
-}
-
-// deriveKey computes the convergent key for one plaintext block; it is
-// deriveKeys over a group of one.
-func (fs *FS) deriveKey(block []byte) (cryptoutil.Key, error) {
-	var k [1]cryptoutil.Key
-	_, err := fs.deriveKeys(k[:], [][]byte{block})
-	return k[0], err
 }
 
 // deriveKeys computes the convergent keys of a group of at most

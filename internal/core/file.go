@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -208,12 +209,12 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 		// request decrypts (or cache-copies) straight into p.
 		dbi := off / int64(bs)
 		if bo == 0 && n == bs {
-			if _, err := f.readBlock(ctx, dbi, p[:bs]); err != nil {
+			if err := f.readBlock(ctx, dbi, p[:bs]); err != nil {
 				return 0, err
 			}
 		} else {
 			scratch := f.fs.slabs.get(bs)
-			_, err := f.readBlock(ctx, dbi, scratch)
+			err := f.readBlock(ctx, dbi, scratch)
 			if err == nil {
 				copy(p[:n], scratch[bo:bo+n])
 			}
@@ -234,29 +235,13 @@ func (f *file) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) 
 	return n, nil
 }
 
-// readSpansBlocks reads spans one block at a time through readBlock
-// and a single pooled scratch block — the path that knows how to try
-// the transient keys, which is why readSpans falls back to it for a
-// segment caught mid-update. On failure it returns the number of
-// leading bytes of p that are valid.
-func (f *file) readSpansBlocks(ctx context.Context, p []byte, spans []vfs.Span) (int, error) {
-	block := f.fs.slabs.get(f.fs.geo.BlockSize)
-	defer f.fs.slabs.put(block)
-	for _, sp := range spans {
-		if _, err := f.readBlock(ctx, sp.Index, block); err != nil {
-			return sp.BufOff, err
-		}
-		copy(p[sp.BufOff:sp.BufOff+sp.Len], block[sp.Start:sp.Start+sp.Len])
-	}
-	return 0, nil
-}
-
 // readSpans fills a multi-block read, the mirror of the commit
 // pipeline: segment by segment, pending and cached blocks are served
 // from memory and hole slots read as zeros without touching the
 // backend at all; what is left is planned into extents (planExtents —
-// the plan the commit wrote them under) and each extent is fetched
-// with one backend read, dispatched on the I/O window as commits
+// the plan the commit wrote them under, full slots in a segment caught
+// mid-update, as verdicts reads it) and each extent is fetched with one
+// backend read (fetchContig), dispatched on the I/O window as commits
 // dispatch their writes (runWindowed). Every segment stays read-locked
 // from its memory pass until its extents are fetched — the dispatcher
 // joins its lanes before it returns, so no fetch outlives the locks or
@@ -283,7 +268,12 @@ func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, 
 	fetch := func() (int, error) {
 		exts := f.planExtents(len(left),
 			func(i int) int64 { return left[i].Index },
-			func(i int) int { return storedBytes(metas[i], geo.SlotOfBlock(left[i].Index), bs) })
+			func(i int) int {
+				if metas[i].MidUpdate() {
+					return bs
+				}
+				return storedBytes(metas[i], geo.SlotOfBlock(left[i].Index), bs)
+			})
 		idx, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
 			x := exts[e]
 			if bad, err := f.fetchContig(ctx, p, left[x.lo:x.hi], metas[x.lo], x.shard); err != nil {
@@ -324,22 +314,6 @@ func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, 
 				return bad, ferr
 			}
 			return spans[lo].BufOff, err
-		}
-		if seg.meta.MidUpdate() {
-			// Crash-recovery state: the per-block path knows how to try
-			// the transient keys; planning a mid-update segment is not
-			// worth the duplicated logic. It takes the segment lock
-			// itself, and runs after what was planned so far (the
-			// leading-valid-bytes contract again).
-			seg.mu.RUnlock()
-			if bad, err := fetch(); err != nil {
-				return bad, err
-			}
-			if bad, err := f.readSpansBlocks(ctx, p, spans[lo:hi]); err != nil {
-				return bad, err
-			}
-			lo = hi
-			continue
 		}
 		held = append(held, seg)
 		meta := seg.meta
@@ -401,19 +375,23 @@ type spanError struct {
 func (e *spanError) Error() string { return e.err.Error() }
 func (e *spanError) Unwrap() error { return e.err }
 
-// fetchContig reads one planned extent of uncached, live blocks (shard
-// is its owner, < 0 when unsharded) with a single backend read — the
-// read path's only multi-block data read; the segment walk's full-slot
-// reads are verdicts' — and fans the decode (AES-CBC
-// decrypt, decompress for short-stored blocks) and §2.5 hash
-// verification across the worker pool, one task per hash group
-// (decodeGroup). In a compressed segment only
-// the final block may be stored short, so the ranged read trims its
-// slack off the wire. Full-block spans decode straight into the
-// caller's buffer; partial spans decode into pooled scratch and copy
-// out. Verified plaintext enters the block cache under the usual
-// generation guard.
+// fetchContig reads one planned extent of uncached, keyed blocks of
+// one segment (shard is its owner, < 0 when unsharded) — a multi-block
+// read's extent, or the one span of a block read or a partial write's
+// fill. It is the read path's one reader of stored data: a segment
+// caught mid-update by a crash goes to readVerdicts, and a clean one is
+// fetched here with a single backend read (readExtent), its decode
+// (AES-CBC decrypt, decompress for short-stored blocks) and §2.5 hash
+// verification fanned across the worker pool, one task per hash group
+// (decodeGroup). In a compressed segment only the final block may be
+// stored short, so the ranged read trims its slack off the wire.
+// Full-block spans decode straight into the caller's buffer; partial
+// spans decode into pooled scratch and copy out. Verified plaintext
+// enters the block cache under the usual generation guard.
 func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta *layout.MetaBlock, shard int) (int, error) {
+	if meta.MidUpdate() {
+		return f.readVerdicts(ctx, p, spans, meta)
+	}
 	geo := f.fs.geo
 	bs := geo.BlockSize
 	n := len(spans)
@@ -428,14 +406,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	gen := f.fs.cache.snapshot()
 
 	done := f.fs.noteShardIO(shard, metrics.ShardRead)
-	// Window slot around the backend read only — released before the
-	// decode fan-out below takes pool slots (see ioWindow).
-	f.fs.iow.acquire()
-	t := f.fs.cfg.Recorder.Start()
-	err := backend.ReadFullCtx(ctx, f.bf, slab[:readLen], geo.DataBlockOffset(spans[0].Index))
-	f.fs.cfg.Recorder.Stop(metrics.IO, t)
-	f.fs.iow.release()
-	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
+	err := f.readExtent(ctx, slab[:readLen], geo.DataBlockOffset(spans[0].Index))
 	f.fs.cfg.Recorder.CountDataBytes(int64(n*bs), int64(readLen))
 	f.fs.cfg.Recorder.CountEvent(metrics.ReadRun, 1)
 	done()
@@ -445,15 +416,19 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	}
 
 	groups := f.fs.hashGroups(n)
-	decode := func(g int) error {
-		lo, hi := hashGroup(g, groups, n)
-		return f.decodeGroup(p, spans[lo:hi], slab[lo*bs:hi*bs], meta, gen)
-	}
 	if groups > 1 && f.fs.pool.Width() > 1 {
-		err = f.fs.pool.run(ctx, groups, decode)
+		// The closure escapes through the pool, so it is built only here
+		// and holds a copy of the spans: capturing the caller's would move
+		// a one-block read's span array to the heap.
+		own := slices.Clone(spans)
+		err = f.fs.pool.run(ctx, groups, func(g int) error {
+			lo, hi := hashGroup(g, groups, n)
+			return f.decodeGroup(p, own[lo:hi], slab[lo*bs:hi*bs], meta, gen)
+		})
 	} else {
 		for g := 0; g < groups && err == nil; g++ {
-			err = decode(g)
+			lo, hi := hashGroup(g, groups, n)
+			err = f.decodeGroup(p, spans[lo:hi], slab[lo*bs:hi*bs], meta, gen)
 		}
 	}
 	if err != nil {
@@ -461,6 +436,60 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 			return se.bufOff, se.err
 		}
 		return spans[0].BufOff, err
+	}
+	return 0, nil
+}
+
+// readExtent is the engine's one backend read of data slots, shared by
+// fetchContig and the segment walk's verdicts: it holds a window slot
+// around the backend call only (released before any decode takes pool
+// slots, see ioWindow), times it as I/O and counts its bytes.
+func (f *file) readExtent(ctx context.Context, buf []byte, off int64) error {
+	f.fs.iow.acquire()
+	t := f.fs.cfg.Recorder.Start()
+	err := backend.ReadFullCtx(ctx, f.bf, buf, off)
+	f.fs.cfg.Recorder.Stop(metrics.IO, t)
+	f.fs.iow.release()
+	f.fs.cfg.Recorder.CountIOBytes(int64(len(buf)))
+	return err
+}
+
+// readVerdicts reads spans — uncached keyed blocks of one segment
+// caught mid-update — by asking verdicts about exactly their slots, and
+// maps each verdict to what the block reads as: a new block its
+// plaintext, which enters the cache; an old one the plaintext its
+// transient key decodes; a pre-update hole, or a slot whose data never
+// landed, zeros. A block no key owns, or whose slot could not be read,
+// fails the read at its span's buffer offset, with every span before
+// it in p.
+func (f *file) readVerdicts(ctx context.Context, p []byte, spans []vfs.Span, meta *layout.MetaBlock) (int, error) {
+	bs := f.fs.geo.BlockSize
+	phys, err := f.bf.Size()
+	if err != nil {
+		return spans[0].BufOff, err
+	}
+	slots := make([]keyedSlot, len(spans))
+	for i, sp := range spans {
+		slots[i].slot = f.fs.geo.SlotOfBlock(sp.Index)
+	}
+	plains := f.fs.slabs.get(len(spans) * bs)
+	defer f.fs.slabs.put(plains)
+	gen := f.fs.cache.snapshot()
+	err = f.verdicts(ctx, meta, phys, slots, plains)
+	for i, sp := range spans {
+		plain := plains[i*bs : (i+1)*bs]
+		switch slots[i].v {
+		case slotNew:
+			f.fs.cache.putData(f.name, sp.Index, plain, gen)
+		case slotOld:
+		case slotHole, slotMissing:
+			zero(plain)
+		case slotUnread:
+			return sp.BufOff, err
+		default:
+			return sp.BufOff, fmt.Errorf("%w: block %d", ErrIntegrity, sp.Index)
+		}
+		copy(p[sp.BufOff:sp.BufOff+sp.Len], plain[sp.Start:sp.Start+sp.Len])
 	}
 	return 0, nil
 }
@@ -474,15 +503,14 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout.MetaBlock, gen uint64) error {
 	bs := f.fs.geo.BlockSize
 	var (
-		plains  [cryptoutil.HashLanes][]byte
-		keys    [cryptoutil.HashLanes]cryptoutil.Key
-		scratch [cryptoutil.HashLanes][]byte // for partial spans
-		err     error
+		plains [cryptoutil.HashLanes][]byte // a partial span's is pooled scratch
+		keys   [cryptoutil.HashLanes]cryptoutil.Key
+		err    error
 	)
 	defer func() {
-		for _, b := range scratch {
-			if b != nil {
-				f.fs.slabs.put(b)
+		for i, sp := range spans {
+			if plains[i] != nil && !sp.Full(bs) {
+				f.fs.slabs.put(plains[i])
 			}
 		}
 	}()
@@ -496,17 +524,15 @@ func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout
 				ErrIntegrity, sp.Index)}
 			break
 		}
-		dst := p[sp.BufOff : sp.BufOff+sp.Len]
+		plains[n] = p[sp.BufOff : sp.BufOff+sp.Len]
 		if !sp.Full(bs) {
-			dst = f.fs.slabs.get(bs)
-			scratch[n] = dst
+			plains[n] = f.fs.slabs.get(bs)
 		}
 		keys[n] = meta.StableKey(slot)
-		if derr := f.fs.decodeStored(dst, slab[n*bs:n*bs+stored], keys[n], stored); derr != nil {
+		if derr := f.fs.decodeStored(plains[n], slab[n*bs:n*bs+stored], keys[n], stored); derr != nil {
 			err = &spanError{sp.BufOff, derr}
 			break
 		}
-		plains[n] = dst
 	}
 	good := n // blocks before the lowest failing one
 	if f.fs.cfg.Integrity == IntegrityFull {
@@ -604,10 +630,9 @@ func (f *file) prefetch(db int64, n int) {
 
 // readBlock places the full plaintext of logical data block dbi into
 // dst (len == BlockSize). Pending writes are visible; unwritten
-// (hole) blocks read as zeros. The returned bool reports whether the
-// block was served without backend I/O (pending state or the cache) —
-// the sharded read path keeps such hits out of its fan-out counters.
-func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, error) {
+// (hole) blocks read as zeros. The memory pass — pending state, the
+// cache, a hole — allocates nothing; a miss is readMissed's.
+func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) error {
 	geo := f.fs.geo
 	si := geo.SegmentOfBlock(dbi)
 	slot := geo.SlotOfBlock(dbi)
@@ -618,7 +643,7 @@ func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, erro
 		if plain, ok := seg.pending[slot]; ok {
 			copy(dst, plain)
 			seg.mu.RUnlock()
-			return true, nil
+			return nil
 		}
 		// Probe the cache once per read; the meta-load retry below must
 		// not count a second miss for the same logical lookup.
@@ -626,13 +651,13 @@ func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, erro
 			cacheProbed = true
 			if f.fs.cache.getData(f.name, dbi, dst) {
 				seg.mu.RUnlock()
-				return true, nil
+				return nil
 			}
 		}
 		if seg.meta != nil {
-			err := f.readBlockMeta(ctx, seg, dbi, slot, dst)
+			err := f.readMissed(ctx, seg.meta, dbi, dst)
 			seg.mu.RUnlock()
-			return false, err
+			return err
 		}
 		seg.mu.RUnlock()
 		// The segment's metadata is not loaded yet; load it under the
@@ -642,9 +667,28 @@ func (f *file) readBlock(ctx context.Context, dbi int64, dst []byte) (bool, erro
 		err := f.ensureMeta(ctx, seg, si)
 		seg.mu.Unlock()
 		if err != nil {
-			return false, err
+			return err
 		}
 	}
+}
+
+// readMissed reads block dbi, which neither pending state nor the cache
+// holds, into dst (len == BlockSize) through meta, its segment's loaded
+// metadata: a hole reads as zeros, and a keyed slot as a one-span
+// extent through fetchContig. The caller holds the segment's lock in
+// either mode.
+func (f *file) readMissed(ctx context.Context, meta *layout.MetaBlock, dbi int64, dst []byte) error {
+	if meta.StableKey(f.fs.geo.SlotOfBlock(dbi)).IsZero() {
+		zero(dst)
+		return nil
+	}
+	shard := -1
+	if f.fs.sharded != nil {
+		shard = f.fs.sharded.ShardOf(f.name, f.fs.geo.DataBlockOffset(dbi))
+	}
+	sp := [1]vfs.Span{{Index: dbi, Len: len(dst)}}
+	_, err := f.fetchContig(ctx, dst, sp[:], meta, shard)
+	return err
 }
 
 // ensureMeta loads the segment's metadata block if it is not resident.
@@ -674,83 +718,6 @@ func (f *file) ensureMeta(ctx context.Context, seg *segment, si int64) error {
 		f.fs.cache.putMeta(f.name, si, m, gen)
 	}
 	seg.meta = m
-	return nil
-}
-
-// readBlockMeta reads data block dbi through the segment's loaded
-// metadata: decode (decrypt, and decompress when the segment stores
-// the block compressed) and verify; in a segment caught mid-update by
-// a crash, slotVerdict names the key that owns the bytes. The caller
-// must hold seg.mu (either mode) with seg.meta loaded, and must have
-// checked pending state.
-func (f *file) readBlockMeta(ctx context.Context, seg *segment, dbi int64, slot int, dst []byte) error {
-	geo := f.fs.geo
-	bs := geo.BlockSize
-	meta := seg.meta
-	key := meta.StableKey(slot)
-	if key.IsZero() {
-		zero(dst)
-		return nil
-	}
-
-	// The ranged read covers only the stored payload — the whole win of
-	// compression on the wire. A mid-update segment reads the full slot
-	// regardless: the old contents the verdict may find can be longer
-	// than the new stored length, and the hole check needs every byte.
-	stored := storedBytes(meta, slot, bs)
-	readLen := stored
-	if meta.MidUpdate() {
-		readLen = bs
-	} else if stored <= 0 {
-		return fmt.Errorf("%w: block %d: keyed slot with zero stored length", ErrIntegrity, dbi)
-	}
-
-	gen := f.fs.cache.snapshot()
-	ct := f.fs.slabs.get(bs)
-	defer f.fs.slabs.put(ct)
-	f.fs.iow.acquire()
-	t := f.fs.cfg.Recorder.Start()
-	err := backend.ReadFullCtx(ctx, f.bf, ct[:readLen], geo.DataBlockOffset(dbi))
-	f.fs.cfg.Recorder.Stop(metrics.IO, t)
-	f.fs.iow.release()
-	f.fs.cfg.Recorder.CountIOBytes(int64(readLen))
-	f.fs.cfg.Recorder.CountDataBytes(int64(bs), int64(readLen))
-	if err != nil {
-		// Mid-update, a keyed slot past the physical extent is a block
-		// whose data never landed: the hole it was, as recovery repairs
-		// it.
-		if meta.MidUpdate() {
-			if phys, serr := f.bf.Size(); serr == nil && !f.fs.slotLanded(dbi, phys) {
-				zero(dst)
-				return nil
-			}
-		}
-		return fmt.Errorf("lamassu: reading data block %d: %w", dbi, err)
-	}
-
-	if meta.MidUpdate() {
-		switch v, _ := f.fs.slotVerdict(meta, slot, ct, dst); v {
-		case slotNew:
-			f.fs.cache.putData(f.name, dbi, dst, gen)
-			return nil
-		case slotOld:
-			return nil
-		case slotHole:
-			zero(dst)
-			return nil
-		}
-		return fmt.Errorf("%w: block %d", ErrIntegrity, dbi)
-	}
-	// Integrity checking (§2.5): under IntegrityFull every block is
-	// verified; under meta-only only the metadata's GCM tag vouches for
-	// the key.
-	if err := f.fs.decodeStored(dst, ct, key, stored); err != nil {
-		return err
-	}
-	if f.fs.cfg.Integrity == IntegrityFull && !f.fs.verifyBlock(dst, key) {
-		return fmt.Errorf("%w: block %d", ErrIntegrity, dbi)
-	}
-	f.fs.cache.putData(f.name, dbi, dst, gen)
 	return nil
 }
 
@@ -907,11 +874,11 @@ func (f *file) pendingBlock(ctx context.Context, seg *segment, si int64, slot in
 		// Every byte is about to be overwritten.
 	case f.blockMayExist(dbi):
 		if !f.fs.cache.getData(f.name, dbi, buf) {
-			if err := f.ensureMeta(ctx, seg, si); err != nil {
-				f.fs.slabs.put(buf)
-				return nil, err
+			err := f.ensureMeta(ctx, seg, si)
+			if err == nil {
+				err = f.readMissed(ctx, seg.meta, dbi, buf)
 			}
-			if err := f.readBlockMeta(ctx, seg, dbi, slot, buf); err != nil {
+			if err != nil {
 				f.fs.slabs.put(buf)
 				return nil, err
 			}

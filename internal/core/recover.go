@@ -8,7 +8,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 )
 
 // verdict is what the convergent hash check (§2.5) says about the
@@ -79,31 +78,40 @@ type keyedSlot struct {
 	r    int
 }
 
-// verdicts judges every keyed slot of meta in slot order. The full
-// slots that lie inside the physical extent phys are read as the
-// extents planExtents gives when every stored length is BlockSize, so
+// keyedSlots lists every keyed slot of meta in slot order: what the
+// segment walk asks verdicts about.
+func (fs *FS) keyedSlots(meta *layout.MetaBlock) []keyedSlot {
+	var slots []keyedSlot
+	for s := 0; s < fs.geo.KeysPerSegment(); s++ {
+		if !meta.StableKey(s).IsZero() {
+			slots = append(slots, keyedSlot{slot: s})
+		}
+	}
+	return slots
+}
+
+// verdicts judges slots — keyed slots of meta in ascending slot order:
+// every one for the segment walk, the ones a read asks about for
+// readVerdicts — setting each one's verdict in place. The full slots
+// that lie inside the physical extent phys are read as the extents
+// planExtents gives when every stored length is BlockSize, so
 // neighbours merge and stripe edges split as on every other path: one
-// backend read per extent, dispatched on the I/O window (runWindowed).
-// The slots of an extent whose read failed are slotUnread, and the
-// lowest failing extent's error is returned with the verdicts. When
-// plains is non-nil, the plaintext of the i-th keyed slot is left in
-// its i-th BlockSize slot.
-func (f *file) verdicts(ctx context.Context, meta *layout.MetaBlock, phys int64, plains []byte) ([]keyedSlot, error) {
+// backend read per extent (readExtent), dispatched on the I/O window
+// (runWindowed). The slots of an extent whose read failed are
+// slotUnread, and the lowest failing extent's error is returned. When
+// plains is non-nil, the plaintext of slots[i] is left in its i-th
+// BlockSize slot.
+func (f *file) verdicts(ctx context.Context, meta *layout.MetaBlock, phys int64, slots []keyedSlot, plains []byte) error {
 	geo := f.fs.geo
 	bs := geo.BlockSize
 	first := int64(meta.SegIndex) * int64(geo.KeysPerSegment())
-	var (
-		slots []keyedSlot
-		read  []int // indices into slots of the slots inside phys
-	)
-	for s := 0; s < geo.KeysPerSegment(); s++ {
-		if meta.StableKey(s).IsZero() {
-			continue
+	var read []int // indices into slots of the slots inside phys
+	for i := range slots {
+		k := &slots[i]
+		k.v, k.r = slotMissing, -1
+		if f.fs.slotLanded(first+int64(k.slot), phys) {
+			read = append(read, i)
 		}
-		if f.fs.slotLanded(first+int64(s), phys) {
-			read = append(read, len(slots))
-		}
-		slots = append(slots, keyedSlot{slot: s, v: slotMissing, r: -1})
 	}
 	cts := f.fs.slabs.get(len(read) * bs)
 	defer f.fs.slabs.put(cts)
@@ -113,13 +121,7 @@ func (f *file) verdicts(ctx context.Context, meta *layout.MetaBlock, phys int64,
 	ok := make([]bool, len(exts))
 	_, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
 		x := exts[e]
-		f.fs.iow.acquire()
-		t := f.fs.cfg.Recorder.Start()
-		err := backend.ReadFullCtx(ctx, f.bf, cts[x.lo*bs:x.hi*bs], x.off)
-		f.fs.cfg.Recorder.Stop(metrics.IO, t)
-		f.fs.iow.release()
-		f.fs.cfg.Recorder.CountIOBytes(int64((x.hi - x.lo) * bs))
-		if err != nil {
+		if err := f.readExtent(ctx, cts[x.lo*bs:x.hi*bs], x.off); err != nil {
 			return fmt.Errorf("lamassu: reading %d slots at block %d: %w",
 				x.hi-x.lo, first+int64(slots[read[x.lo]].slot), err)
 		}
@@ -146,7 +148,7 @@ func (f *file) verdicts(ctx context.Context, meta *layout.MetaBlock, phys int64,
 			k.v, k.r = f.fs.slotVerdict(meta, k.slot, cts[i*bs:(i+1)*bs], plain)
 		}
 	}
-	return slots, err
+	return err
 }
 
 // segWalk is what walkSegments hands each segment's visitor: a handle
@@ -254,8 +256,8 @@ func (f *file) recoverSegment(ctx context.Context, meta *layout.MetaBlock) error
 	if err != nil {
 		return err
 	}
-	slots, err := f.verdicts(ctx, meta, phys, nil)
-	if err != nil {
+	slots := f.fs.keyedSlots(meta)
+	if err := f.verdicts(ctx, meta, phys, slots, nil); err != nil {
 		return fmt.Errorf("lamassu: recovering segment %d: %w", meta.SegIndex, err)
 	}
 	for _, k := range slots {
@@ -373,8 +375,8 @@ func (fs *FS) CheckCtx(ctx context.Context, name string) (CheckReport, error) {
 		if meta.MidUpdate() {
 			rep.MidUpdate++
 		}
-		slots, err := w.f.verdicts(ctx, meta, w.phys, nil)
-		if errors.Is(err, ErrCanceled) {
+		slots := fs.keyedSlots(meta)
+		if err := w.f.verdicts(ctx, meta, w.phys, slots, nil); errors.Is(err, ErrCanceled) {
 			return err
 		}
 		for _, k := range slots {

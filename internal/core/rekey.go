@@ -117,8 +117,8 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 	err := fs.walkSegments(ctx, name, backend.OpenWrite, rot, func(w *segWalk, seg int64, meta *layout.MetaBlock, _ error) error {
 		// The pre-rotation audit: every keyed block must verify under
 		// its old key before anything is rewritten.
-		slots, err := w.f.verdicts(ctx, meta, w.phys, plains)
-		if err != nil {
+		slots := fs.keyedSlots(meta)
+		if err := w.f.verdicts(ctx, meta, w.phys, slots, plains); err != nil {
 			return err
 		}
 		n := len(slots)

@@ -8,9 +8,12 @@ import (
 )
 
 // slabPool recycles the block-granular scratch buffers of the engine's
-// hot paths — the per-call ciphertext and metadata scratch of
-// readMeta/writeMeta/readBlock, the multi-block slabs the coalescing
-// layer encrypts runs into, and the pending-write block buffers — so
+// hot paths — the metadata scratch of readMeta/writeMeta, the extent
+// slabs fetchContig and verdicts read into, the plaintext slabs of
+// readVerdicts, rotation and readahead, the slabs a commit and a
+// rotation encode into, the partial-span and decompression scratch of
+// ReadAt, readSpans, decodeGroup and decodeStored, and the
+// pending-write block buffers — so
 // steady-state reads and writes stop paying a heap allocation (and the
 // GC a 4 KiB garbage block) per touched block.
 //

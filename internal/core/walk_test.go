@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"math/rand"
@@ -35,6 +36,9 @@ const (
 // hole both read, audit and recover as the hole they were; a block
 // whose bytes no key owns is BadData, ErrIntegrity and ErrUnrecoverable.
 // The compressed run stages each old key with its old stored length.
+// The read rows cover every way a block is read: one block at a time,
+// multi-block reads from a block boundary and from mid-block, and the
+// fill of a partial-block write, read back before any commit.
 func TestMidUpdateVerdictsAgree(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		for _, corrupt := range []bool{false, true} {
@@ -102,7 +106,7 @@ func testMidUpdateVerdictsAgree(t *testing.T, compress, corrupt bool) {
 			continue
 		}
 		newData[i] = compressibleBytes(int64(20+i), bs, 0.4)
-		if newKeys[i], err = lfs.deriveKey(newData[i]); err != nil {
+		if _, err := lfs.deriveKeys(newKeys[i:i+1], newData[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 		ct := make([]byte, bs)
@@ -159,6 +163,20 @@ func testMidUpdateVerdictsAgree(t *testing.T, compress, corrupt bool) {
 		}
 		return nil // ErrIntegrity
 	}
+	// expect is the table's view of the file's bytes [off, off+n) and the
+	// number of them before the first corrupt block, which must not
+	// start before off.
+	expect := func(off, n int) ([]byte, int) {
+		var all []byte
+		for i := range kinds {
+			w := want(i)
+			if w == nil {
+				return all[off:], i*bs - off
+			}
+			all = append(all, w...)
+		}
+		return all[off : off+n], n
+	}
 	readsAgree := func(when string) {
 		t.Helper()
 		r, err := newFS(t, store, cfg).Open("f")
@@ -179,6 +197,55 @@ func testMidUpdateVerdictsAgree(t *testing.T, compress, corrupt bool) {
 			} else if err != nil || !bytes.Equal(buf, w) {
 				t.Errorf("%s: block %d (kind %d): ReadAt = %v, or wrong bytes", when, i, kinds[i], err)
 			}
+		}
+
+		for _, off := range []int{0, bs / 2} {
+			n := len(kinds)*bs - off
+			if off != 0 {
+				n -= bs // end mid-block too
+			}
+			buf := make([]byte, n)
+			got, err := r.ReadAt(buf, int64(off))
+			w, valid := expect(off, n)
+			if valid < n {
+				if !errors.Is(err, ErrIntegrity) || got != valid || !bytes.Equal(buf[:got], w) {
+					t.Errorf("%s: ReadAt(%d bytes at %d) = %d, %v; want ErrIntegrity after %d valid bytes",
+						when, n, off, got, err, valid)
+				}
+			} else if err != nil || got != n || !bytes.Equal(buf, w) {
+				t.Errorf("%s: ReadAt(%d bytes at %d) = %d, %v, or wrong bytes", when, n, off, got, err)
+			}
+		}
+
+		// A partial write fills its block from the store first. Each
+		// handle stages one block and is dropped under a canceled
+		// context, which commits nothing.
+		patch := bytes.Repeat([]byte{0xa5}, 100)
+		for i := range kinds {
+			h, err := newFS(t, store, cfg).OpenRW("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, werr := h.WriteAt(patch, int64(i*bs+1000))
+			_, rerr := h.ReadAt(buf, int64(i*bs))
+			if rerr == io.EOF {
+				rerr = nil
+			}
+			if w := want(i); w == nil {
+				if !errors.Is(werr, ErrIntegrity) {
+					t.Errorf("%s: block %d (kind %d): partial WriteAt = %v, want ErrIntegrity", when, i, kinds[i], werr)
+				}
+			} else {
+				w = append([]byte(nil), w...)
+				copy(w[1000:], patch)
+				if werr != nil || rerr != nil || !bytes.Equal(buf, w) {
+					t.Errorf("%s: block %d (kind %d): partial WriteAt = %v, read back = %v, or wrong bytes",
+						when, i, kinds[i], werr, rerr)
+				}
+			}
+			canceled, cancel := context.WithCancel(context.Background())
+			cancel()
+			h.(vfs.FileCloserCtx).CloseCtx(canceled)
 		}
 	}
 	readsAgree("mid-update")

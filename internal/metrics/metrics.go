@@ -76,14 +76,17 @@ const (
 	PoolBatch
 	PoolTask
 	// ShardTask counts commit extents charged to their owning shard;
-	// ShardRead counts read-path backend fetches (planned extents)
-	// charged the same way. Both zero on unsharded mounts.
+	// ShardRead counts read-path backend fetches (planned extents, a
+	// one-block read's or a partial write's fill among them) charged
+	// the same way. Both zero on unsharded mounts.
 	ShardTask
 	ShardRead
 	// WriteRun / ReadRun count planned data extents issued, in every
 	// mode: one WriteRun per extent a commit writes with a single
-	// WriteAt, one ReadRun per extent a multi-block read fetches with a
-	// single backend read.
+	// WriteAt, one ReadRun per extent the read path fetches with a
+	// single backend read — a one-block read and a partial write's fill
+	// are one-block extents. The segment walk's reads (audit, recovery,
+	// rotation) and reads of a segment caught mid-update count none.
 	WriteRun
 	ReadRun
 	// Prefetch counts asynchronous readahead fetches issued by the

@@ -652,7 +652,8 @@ type EngineStats struct {
 	BytesPerIO float64
 	// WriteRuns and ReadRuns count planned data extents issued: one
 	// per extent of payload-contiguous blocks a commit writes, or a
-	// multi-block read fetches, in a single backend call. Prefetches
+	// read fetches, in a single backend call; a one-block read or a
+	// partial write's fill is a one-block extent. Prefetches
 	// counts readahead windows issued by the sequential-read detector.
 	WriteRuns, ReadRuns, Prefetches int64
 	// SlabHits and SlabMisses count scratch-buffer requests served
