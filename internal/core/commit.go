@@ -166,10 +166,11 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	err := f.fs.pool.run(ctx, groups, func(g int) error {
 		lo, hi := hashGroup(g, groups, len(slots))
 		var blocks [cryptoutil.HashLanes][]byte
+		var hs [cryptoutil.HashLanes]cryptoutil.Hash
 		for i := lo; i < hi; i++ {
 			blocks[i-lo] = seg.pending[slots[i]]
 		}
-		if bad, err := f.fs.deriveKeys(newKeys[lo:hi], blocks[:hi-lo]); err != nil {
+		if bad, err := f.fs.deriveKeys(newKeys[lo:hi], hs[:], blocks[:hi-lo]); err != nil {
 			return fmt.Errorf("lamassu: deriving key for segment %d slot %d: %w", si, slots[lo+bad], err)
 		}
 		return nil

@@ -57,8 +57,9 @@
 // to repeated reads; block scratch cycles through a sync.Pool slab
 // allocator so the steady-state hot paths stay allocation-free. Lock
 // order inside a handle is
-// opMu → segment.mu → extendMu → stateMu, with the cache's internal mutex and
-// the pool semaphore as leaves. Each file still assumes a single
+// opMu → segment.mu → extendMu → stateMu, with the cache's internal mutex as
+// a leaf (a pool batch takes a helper slot only if one is free now, so
+// nothing waits on the pool). Each file still assumes a single
 // writing handle at a time (the FUSE prototype's single-mount
 // assumption); see the file struct in file.go for the details.
 package core
@@ -149,11 +150,12 @@ type Config struct {
 	// §1 warning: a networked deriver costs a round trip per block on
 	// both the write path and the full-integrity read path.
 	KeyDeriver func(cryptoutil.Hash) (cryptoutil.Key, error)
-	// Parallelism bounds the worker goroutines the FS uses for
-	// per-block CPU work — convergent key derivation, block encryption
-	// and decode. The pool issues no backend writes; those run on the
-	// I/O window (IOWindow). 0 selects GOMAXPROCS; 1 runs the CPU work
-	// on the calling goroutine. The paper's serial prototype is
+	// Parallelism bounds the goroutines the FS uses for per-block CPU
+	// work — convergent key derivation, block encryption and decode:
+	// Parallelism−1 helper lanes per mount, plus each caller, which
+	// runs its own batch. The pool issues no backend writes; those run
+	// on the I/O window (IOWindow). 0 selects GOMAXPROCS; 1 runs the
+	// CPU work on the calling goroutine. The paper's serial prototype is
 	// Parallelism 1 with IOWindow 1. The multiphase metadata barriers
 	// (§2.4) are unchanged at any setting.
 	Parallelism int
@@ -542,30 +544,35 @@ func (fs *FS) writeMeta(ctx context.Context, bf backend.File, name string, m *la
 }
 
 // deriveKeys computes the convergent keys of a group of at most
-// cryptoutil.HashLanes plaintext blocks: one BlockHashes call, then one
-// KDF per hash. The group is charged to the paper's GetCEKey category
-// once, as a whole — its hashes (one multi-buffer pass when the group
-// is large enough) plus the KDF, local or a server-aided round trip per
-// block. On a KDF failure it returns the index of the failing block;
-// the keys before it are set.
-func (fs *FS) deriveKeys(keys []cryptoutil.Key, blocks [][]byte) (int, error) {
+// cryptoutil.HashLanes plaintext blocks: one BlockHashes call into the
+// caller's scratch hs (one array per call chain), then one KDF per
+// hash. The group is charged to the paper's GetCEKey category once —
+// its hashes (one multi-buffer pass when the group is large enough)
+// plus the KDF, local or a server-aided round trip per block. On a KDF
+// failure it returns the index of the failing block; the keys before
+// it are set.
+func (fs *FS) deriveKeys(keys []cryptoutil.Key, hs []cryptoutil.Hash, blocks [][]byte) (int, error) {
 	t := fs.cfg.Recorder.Start()
 	defer fs.cfg.Recorder.Stop(metrics.GetCEKey, t)
-	var hs [cryptoutil.HashLanes]cryptoutil.Hash
 	h := hs[:len(blocks)]
 	cryptoutil.BlockHashes(h, blocks)
 	for i := range h {
-		if fs.cfg.KeyDeriver == nil {
-			keys[i] = fs.ced.Derive(h[i])
-			continue
-		}
-		k, err := fs.cfg.KeyDeriver(h[i])
+		k, err := fs.ceKey(h[i])
 		if err != nil {
 			return i, err
 		}
 		keys[i] = k
 	}
 	return 0, nil
+}
+
+// ceKey is the KDF of one block hash: the local CEKey = E_AES(Kin, h),
+// or Config.KeyDeriver when one is set.
+func (fs *FS) ceKey(h cryptoutil.Hash) (cryptoutil.Key, error) {
+	if fs.cfg.KeyDeriver == nil {
+		return fs.ced.Derive(h), nil
+	}
+	return fs.cfg.KeyDeriver(h)
 }
 
 // decryptBlock inverts the encryption encode applies to one block.
@@ -605,6 +612,10 @@ func (fs *FS) encode(dst []byte, src [][]byte, keys []cryptoutil.Key, lens []int
 		// hundred; yield after each one (off the Encrypt clock) so that
 		// a backend completion which became runnable meanwhile is not
 		// queued behind the rest of the group while every P encodes.
+		// That is the scheduler's run queue, not the pool's: with no
+		// pool queue left (lanes), dropping the yield took
+		// objstore-seq-z2 from 34.7 to 25.6 MiB/s written (2-vCPU
+		// Xeon, median of 8 runs; every run without it was slower).
 		fs.cfg.Recorder.Stop(metrics.Encrypt, t)
 		runtime.Gosched()
 		t = fs.cfg.Recorder.Start()
@@ -653,25 +664,23 @@ func (fs *FS) decodeStored(dst, ct []byte, key cryptoutil.Key, storedBytes int) 
 // deriver failure (e.g. an unreachable key server) counts as a failed
 // verification.
 func (fs *FS) verifyBlock(plain []byte, used cryptoutil.Key) bool {
-	return fs.verifyBlocks([][]byte{plain}, []cryptoutil.Key{used}) < 0
+	var hs [1]cryptoutil.Hash
+	return fs.verifyBlocks([][]byte{plain}, []cryptoutil.Key{used}, hs[:]) < 0
 }
 
 // verifyBlocks is verifyBlock over a group of at most
-// cryptoutil.HashLanes blocks, hashed in one deriveKeys call. It
-// returns the index of the first block that fails, or -1.
-func (fs *FS) verifyBlocks(plains [][]byte, used []cryptoutil.Key) int {
-	var ks [cryptoutil.HashLanes]cryptoutil.Key
-	bad, err := fs.deriveKeys(ks[:len(plains)], plains)
-	if err == nil {
-		bad = len(plains)
-	}
-	for i, k := range ks[:bad] {
-		if !k.Equal(used[i]) {
+// cryptoutil.HashLanes blocks, hashed into hs as deriveKeys does and
+// each key compared as it is derived. It returns the index of the
+// first block that fails, or -1.
+func (fs *FS) verifyBlocks(plains [][]byte, used []cryptoutil.Key, hs []cryptoutil.Hash) int {
+	t := fs.cfg.Recorder.Start()
+	defer fs.cfg.Recorder.Stop(metrics.GetCEKey, t)
+	h := hs[:len(plains)]
+	cryptoutil.BlockHashes(h, plains)
+	for i := range h {
+		if k, err := fs.ceKey(h[i]); err != nil || !k.Equal(used[i]) {
 			return i
 		}
-	}
-	if err != nil {
-		return bad
 	}
 	return -1
 }

@@ -336,13 +336,14 @@ func cancelMidCommitSweep(t *testing.T, sharded, remote bool) {
 		if !errors.Is(werr, context.Canceled) {
 			t.Fatalf("cancelAt=%d: error %v does not wrap context.Canceled", cancelAt, werr)
 		}
-		if remote {
-			// A write that failed up front returns with commits still
-			// behind it; closing under the dead ctx cancels and waits for
-			// them, so the cut is complete before the store is recovered.
-			// Whatever it reports is that same cancellation.
-			_ = fw.CloseCtx(ctx)
-		}
+		// Every column's mount has a window of more than one slot, so a
+		// write that failed up front returns with commits still behind
+		// it; closing under the dead ctx cancels and waits for them, so
+		// the cut is complete before the store is recovered — otherwise
+		// the old engine's handed-off halves would still be writing
+		// while the fresh one recovers. Whatever it reports is that same
+		// cancellation.
+		_ = fw.CloseCtx(ctx)
 		// Abandon the handle (as a request handler timing out would) and
 		// verify through a FRESH engine over the surviving store that the
 		// file is recoverable — the crash-equivalence guarantee.

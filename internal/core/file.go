@@ -416,7 +416,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	}
 
 	groups := f.fs.hashGroups(n)
-	if groups > 1 && f.fs.pool.Width() > 1 {
+	if groups > 1 {
 		// The closure escapes through the pool, so it is built only here
 		// and holds a copy of the spans: capturing the caller's would move
 		// a one-block read's span array to the heap.
@@ -505,6 +505,7 @@ func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout
 	var (
 		plains [cryptoutil.HashLanes][]byte // a partial span's is pooled scratch
 		keys   [cryptoutil.HashLanes]cryptoutil.Key
+		hs     [cryptoutil.HashLanes]cryptoutil.Hash // verifyBlocks' scratch
 		err    error
 	)
 	defer func() {
@@ -536,7 +537,7 @@ func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout
 	}
 	good := n // blocks before the lowest failing one
 	if f.fs.cfg.Integrity == IntegrityFull {
-		if bad := f.fs.verifyBlocks(plains[:n], keys[:n]); bad >= 0 {
+		if bad := f.fs.verifyBlocks(plains[:n], keys[:n], hs[:]); bad >= 0 {
 			good = bad
 			err = &spanError{spans[bad].BufOff, fmt.Errorf("%w: block %d", ErrIntegrity, spans[bad].Index)}
 		}

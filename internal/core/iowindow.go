@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
-	"lamassu/internal/backend"
 	"lamassu/internal/metrics"
 )
 
@@ -45,6 +43,8 @@ import (
 type ioWindow struct {
 	sem    chan struct{}
 	behind chan struct{}
+	// more is runWindowed's lanes hook, built once: window−1 helpers.
+	more func(helpers int) bool
 	// inFlight gauges the backend operations currently holding a slot;
 	// peak is its high-water mark since the FS was built.
 	inFlight atomic.Int64
@@ -62,7 +62,8 @@ const defaultIOWindow = 32
 
 // newIOWindow returns a window of n >= 1 slots.
 func newIOWindow(n int) *ioWindow {
-	return &ioWindow{sem: make(chan struct{}, n), behind: make(chan struct{}, n)}
+	return &ioWindow{sem: make(chan struct{}, n), behind: make(chan struct{}, n),
+		more: func(helpers int) bool { return helpers < n-1 }}
 }
 
 // acquire takes a window slot, blocking while the window is full.
@@ -164,81 +165,22 @@ func (fs *FS) resetShardGauges(n int) {
 }
 
 // runWindowed runs fn(0) … fn(n-1) — one per planned extent, a
-// commit's phase-2 writes or a read's fetches — and waits for all of
-// them. It is the one dispatch rule both directions share, sharded or
-// not: lanes pull task indices in ascending order from a shared counter,
-// and each task brackets its backend call with acquire/release, so the
-// window alone bounds the requests in flight — of this batch and of the
-// whole mount, every concurrent batch sharing the same slots. The batch
-// gets min(n, window) lanes: more could only ever park on acquire, and a
+// commit's phase-2 writes or a read's fetches — on lanes (pool.go), and
+// returns the lowest failing index with its error, which read paths map
+// to a buffer position. It is the one dispatch rule both directions
+// share, sharded or not: each task brackets its backend call with
+// acquire/release, so the window alone bounds the requests in flight —
+// of this batch and of the whole mount, every concurrent batch sharing
+// the same slots. The batch gets min(n, window) lanes, the caller and
+// up to window−1 helpers: more could only ever park on acquire, and a
 // task starts as soon as any earlier one finishes. One lane — a single
-// task, or a one-slot window — runs inline on the caller's goroutine.
+// task, or a one-slot window — runs on the caller's goroutine alone.
 //
-// Lanes are not pool tasks and take no pool slot. A reader can block on
-// a segment lock held by that segment's commit, and the commit may need
-// pool slots to finish; a reader holding one while it waits would
-// deadlock the pool.
-//
-// Error semantics match pool.run: every started task runs to completion
-// even if an earlier one fails, and the lowest failing index wins. A
-// dead ctx stops lanes from starting further tasks and is reported at
-// the first unstarted index (indices are claimed in ascending order, so
-// every index below the one returned has run and succeeded); a single
-// task is not checked, its own backend call observes ctx. The failing
-// index is returned with the error so read paths can map it to a buffer
-// position; the §2.4 semantics are untouched — phase 2 still completes
-// in full before the phase-3 barrier. All lanes are joined before
-// return: read tasks write into the caller's buffer under segment read
-// locks the caller holds, and neither may be touched once the caller
-// moves on.
+// Lanes here take no pool slot: the window bounds requests and the pool
+// cores, and a lane parked on a backend call or on a segment lock would
+// keep a CPU helper out for as long as it waits. The §2.4 semantics are
+// untouched — phase 2 still completes in full before the phase-3
+// barrier.
 func (fs *FS) runWindowed(ctx context.Context, n int, fn func(int) error) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if n == 1 {
-		return 0, fn(0)
-	}
-	var (
-		next     atomic.Int64 // next unclaimed task index
-		mu       sync.Mutex
-		firstErr error
-		firstIdx int
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		mu.Unlock()
-	}
-	lane := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := backend.CtxErr(ctx); err != nil {
-				fail(i, err)
-				return
-			}
-			if err := fn(i); err != nil {
-				fail(i, err)
-			}
-		}
-	}
-	lanes := min(n, cap(fs.iow.sem))
-	if lanes == 1 {
-		lane()
-		return firstIdx, firstErr
-	}
-	var wg sync.WaitGroup
-	wg.Add(lanes)
-	for l := 0; l < lanes; l++ {
-		go func() {
-			defer wg.Done()
-			lane()
-		}()
-	}
-	wg.Wait()
-	return firstIdx, firstErr
+	return lanes(ctx, n, fs.iow.more, nil, fn)
 }

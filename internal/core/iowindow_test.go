@@ -35,18 +35,21 @@ func windowedCases(t *testing.T, fn func(fs *FS, n, window int)) {
 // wantLanes is the concurrency runWindowed promises for (n, window).
 func wantLanes(n, window int) int { return min(n, window) }
 
-// TestRunWindowedRunsEveryTaskOnce: each index runs exactly once, no
-// error means (0, nil), and no task body runs after runWindowed has
-// returned.
+// TestRunWindowedRunsEveryTaskOnce: each index runs exactly once, on at
+// most min(n, window) goroutines of which the caller is one, no error
+// means (0, nil), and no task body runs after runWindowed has returned.
 func TestRunWindowedRunsEveryTaskOnce(t *testing.T) {
+	me := goroutineHeader()
 	windowedCases(t, func(fs *FS, n, window int) {
 		runs := make([]atomic.Int32, n)
+		on := make([]string, n)
 		var returned atomic.Bool
 		idx, err := fs.runWindowed(context.Background(), n, func(i int) error {
 			if returned.Load() {
 				t.Errorf("n=%d window=%d: task %d running after return", n, window, i)
 			}
 			runs[i].Add(1)
+			on[i] = goroutineHeader()
 			return nil
 		})
 		returned.Store(true)
@@ -57,6 +60,16 @@ func TestRunWindowedRunsEveryTaskOnce(t *testing.T) {
 			if c := runs[i].Load(); c != 1 {
 				t.Fatalf("n=%d window=%d: task %d ran %d times", n, window, i, c)
 			}
+		}
+		lanes := map[string]bool{}
+		for _, g := range on {
+			lanes[g] = true
+		}
+		if n > 0 && !lanes[me] {
+			t.Fatalf("n=%d window=%d: no task ran on the caller", n, window)
+		}
+		if len(lanes) > wantLanes(n, window) {
+			t.Fatalf("n=%d window=%d: tasks ran on %d goroutines", n, window, len(lanes))
 		}
 	})
 }

@@ -141,9 +141,10 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 		// file raw even if it was compressed — the rewrite touches
 		// every data byte anyway, so the mode change is free.
 		keys, lens := make([]cryptoutil.Key, n), make([]int, n)
+		var hs [cryptoutil.HashLanes]cryptoutil.Hash
 		for lo := 0; lo < n; lo += cryptoutil.HashLanes {
 			hi := min(lo+cryptoutil.HashLanes, n)
-			if _, err := rot.deriveKeys(keys[lo:hi], blocks[lo:hi]); err != nil {
+			if _, err := rot.deriveKeys(keys[lo:hi], hs[:], blocks[lo:hi]); err != nil {
 				return err
 			}
 		}

@@ -106,7 +106,8 @@ func testMidUpdateVerdictsAgree(t *testing.T, compress, corrupt bool) {
 			continue
 		}
 		newData[i] = compressibleBytes(int64(20+i), bs, 0.4)
-		if _, err := lfs.deriveKeys(newKeys[i:i+1], newData[i:i+1]); err != nil {
+		var hs [1]cryptoutil.Hash
+		if _, err := lfs.deriveKeys(newKeys[i:i+1], hs[:], newData[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 		ct := make([]byte, bs)

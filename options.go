@@ -49,9 +49,11 @@ func WithKeyDeriver(derive func(hash [32]byte) (Key, error)) Option {
 	return func(o *Options) { o.KeyDeriver = derive }
 }
 
-// WithParallelism bounds the per-block CPU worker pool; 0 selects
-// GOMAXPROCS, 1 runs the CPU work on the calling goroutine. The paper's
-// fully serial engine is WithParallelism(1) with WithIOWindow(1).
+// WithParallelism bounds the per-block CPU worker pool: Parallelism−1
+// helper lanes per mount, plus each caller, which runs its own batch.
+// 0 selects GOMAXPROCS, 1 runs the CPU work on the calling goroutine.
+// The paper's fully serial engine is WithParallelism(1) with
+// WithIOWindow(1).
 func WithParallelism(workers int) Option {
 	return func(o *Options) { o.Parallelism = workers }
 }
