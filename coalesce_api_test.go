@@ -96,15 +96,16 @@ func TestMountCoalescedRunsSplitAtStripeBoundary(t *testing.T) {
 		t.Fatalf("WriteRuns = %d, want %d (runs split at every stripe edge)", st.WriteRuns, wantRuns)
 	}
 
-	// Every shard that owns stripes saw backend writes and commit
-	// extents charged to its gauges.
+	// More than one shard owns stripes, and each one that does saw
+	// backend writes; nothing is left in flight.
+	written := m.ShardStats()
 	active := 0
-	for _, s := range m.ShardStats() {
+	for _, s := range written {
 		if s.Writes > 0 {
 			active++
-			if s.Tasks == 0 {
-				t.Fatalf("shard %d received writes but no extent tasks", s.Shard)
-			}
+		}
+		if s.QueueDepth != 0 {
+			t.Fatalf("shard %d queue depth %d at idle, want 0", s.Shard, s.QueueDepth)
 		}
 	}
 	if active < 2 {
@@ -126,6 +127,12 @@ func TestMountCoalescedRunsSplitAtStripeBoundary(t *testing.T) {
 	}
 	if rr := m2.EngineStats().ReadRuns; rr == 0 {
 		t.Fatal("coalesced read issued no runs")
+	}
+	// The cold read fetched from every shard the commit wrote to.
+	for i, s := range m2.ShardStats() {
+		if written[i].Writes > 0 && s.Reads == written[i].Reads {
+			t.Fatalf("shard %d holds stripes but served no reads", s.Shard)
+		}
 	}
 }
 

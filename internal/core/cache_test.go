@@ -12,7 +12,7 @@ import (
 )
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newBlockCache(2, nil)
+	c := newBlockCache(2)
 	c.putData("f", 0, []byte{0}, c.snapshot())
 	c.putData("f", 1, []byte{1}, c.snapshot())
 	c.putData("f", 2, []byte{2}, c.snapshot()) // evicts dbi 0
@@ -38,7 +38,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheIsolatesKindsAndFiles(t *testing.T) {
-	c := newBlockCache(16, nil)
+	c := newBlockCache(16)
 	c.putData("a", 7, []byte{1}, c.snapshot())
 	var b [1]byte
 	if c.getData("b", 7, b[:]) {
@@ -55,7 +55,7 @@ func TestCacheIsolatesKindsAndFiles(t *testing.T) {
 }
 
 func TestCacheMetaCopiesAreIsolated(t *testing.T) {
-	c := newBlockCache(4, nil)
+	c := newBlockCache(4)
 	geo := layout.Default()
 	m := layout.NewMetaBlock(geo, 0)
 	m.LogicalSize = 42
@@ -72,7 +72,7 @@ func TestCacheMetaCopiesAreIsolated(t *testing.T) {
 }
 
 func TestCacheInvalidateFile(t *testing.T) {
-	c := newBlockCache(16, nil)
+	c := newBlockCache(16)
 	c.putData("a", 1, []byte{1}, c.snapshot())
 	c.putData("b", 1, []byte{2}, c.snapshot())
 	c.putMeta("a", 0, layout.NewMetaBlock(layout.Default(), 0), c.snapshot())
@@ -227,7 +227,7 @@ func TestCacheServesRepeatedReads(t *testing.T) {
 // invalidation must be dropped, so a read racing a commit can never
 // re-install pre-commit bytes after the invalidation already ran.
 func TestCachePutDroppedAfterInvalidation(t *testing.T) {
-	c := newBlockCache(8, nil)
+	c := newBlockCache(8)
 	gen := c.snapshot() // reader snapshots, then "reads the store"
 	c.invalidateData("f", 3)
 	c.putData("f", 3, []byte{0xEE}, gen) // stale insert must be dropped
@@ -288,14 +288,13 @@ func TestCreateDropsOldIncarnationCache(t *testing.T) {
 	}
 }
 
-// The Recorder's event stream and the cache's internal counters are
-// maintained at a single point (inside the cache); on any workload
-// they must agree exactly.
+// The cache's and the pool's counts live only in their own counters
+// (CacheStats, PoolStats), not in the Recorder's events, and a mount
+// with a recorder attached still counts there.
 func TestCacheStatsMatchRecorderEvents(t *testing.T) {
-	rec := metrics.New()
 	cfg := testConfig()
 	cfg.CacheBlocks = 32
-	cfg.Recorder = rec
+	cfg.Recorder = metrics.New()
 	lfs := newFS(t, backend.NewMemStore(), cfg)
 
 	data := make([]byte, 50*4096)
@@ -308,21 +307,10 @@ func TestCacheStatsMatchRecorderEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := lfs.CacheStats()
-	b := rec.Snapshot()
-	if st.Hits != b.Event(metrics.CacheHit) || st.Misses != b.Event(metrics.CacheMiss) {
-		t.Fatalf("drift: CacheStats %+v vs recorder hits=%d misses=%d",
-			st, b.Event(metrics.CacheHit), b.Event(metrics.CacheMiss))
+	if st := lfs.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("workload left CacheStats %+v, want hits and misses", st)
 	}
-	if st.Hits == 0 {
-		t.Fatal("workload produced no cache hits")
-	}
-	ps := lfs.PoolStats()
-	if ps.Batches != b.Event(metrics.PoolBatch) || ps.Tasks != b.Event(metrics.PoolTask) {
-		t.Fatalf("drift: PoolStats %+v vs recorder batches=%d tasks=%d",
-			ps, b.Event(metrics.PoolBatch), b.Event(metrics.PoolTask))
-	}
-	if ps.Batches == 0 {
+	if ps := lfs.PoolStats(); ps.Batches == 0 {
 		t.Fatal("workload produced no pool batches")
 	}
 }

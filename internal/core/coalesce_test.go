@@ -589,16 +589,16 @@ func TestPlanExtents(t *testing.T) {
 		})
 	}
 
+	// One stripe has one owner group, so an extent inside one stripe
+	// is one store call on one owner group.
 	t.Run("every extent carries its offset and owner", func(t *testing.T) {
-		f := planner(4)
-		for _, x := range plan(f, seq(0, 8), "FFFFFFFF") {
+		stripe := 4 * int64(bs)
+		for _, x := range plan(planner(4), seq(0, 8), "FFFFFFFF") {
 			off := geo.DataBlockOffset(int64(x.lo))
-			if x.off != off || x.shard != f.fs.sharded.ShardOf("f", off) {
-				t.Fatalf("extent %+v: want off %d shard %d", x, off, f.fs.sharded.ShardOf("f", off))
+			last := geo.DataBlockOffset(int64(x.hi - 1))
+			if x.off != off || off/stripe != last/stripe {
+				t.Fatalf("extent %+v: want off %d and one stripe, got stripes %d..%d", x, off, off/stripe, last/stripe)
 			}
-		}
-		if x := plan(planner(0), seq(0, 2), "FF")[0]; x.shard != -1 {
-			t.Fatalf("unsharded extent owned by shard %d, want -1", x.shard)
 		}
 	})
 

@@ -35,8 +35,7 @@ import (
 // A batch of m blocks costs extents+2 backing I/Os: the paper's m+2 when
 // no two of them are adjacent, and as little as 3 for a whole segment
 // of adjacent full-slot blocks. Extents split at shard
-// stripe boundaries so each WriteAt lands on exactly one shard and is
-// charged to that shard's slice of the worker pool.
+// stripe boundaries so each WriteAt lands on exactly one owner group.
 //
 // The transient slots only need to preserve the previous keys of
 // blocks that were live before the commit; a block that was a hole (a
@@ -427,12 +426,10 @@ func (f *file) commitChunk(ctx context.Context, seg *segment, si int64, slots []
 // extent is one planned backend data I/O: blocks [lo, hi) of the
 // caller's ascending block list, whose stored payloads are contiguous
 // on disk — (hi-lo-1) full slots plus the last block's stored length,
-// starting at backing offset off — and owned by one shard (-1 when the
-// store is unsharded).
+// starting at backing offset off — within one shard stripe.
 type extent struct {
 	lo, hi int
 	off    int64
-	shard  int
 }
 
 // planExtents partitions blocks 0..n-1 — ascending data-block indices
@@ -456,7 +453,6 @@ func (f *file) planExtents(n int, block func(int) int64, stored func(int) int) [
 		stripe = f.fs.sharded.StripeBytes()
 	}
 	exts := make([]extent, 0, 4)
-	shard, shardStripe := -1, int64(0)
 	for i := 0; i < n; i++ {
 		b := block(i)
 		off := geo.DataBlockOffset(b)
@@ -465,16 +461,7 @@ func (f *file) planExtents(n int, block func(int) int64, stored func(int) int) [
 			exts[len(exts)-1].hi = i + 1
 			continue
 		}
-		// One owner lookup per stripe: offsets within a stripe share a
-		// shard, and a whole-file-placed store (stripe <= 0) needs a
-		// single lookup for all blocks.
-		if f.fs.sharded != nil && (shard < 0 || (stripe > 0 && off/stripe != shardStripe)) {
-			shard = f.fs.sharded.ShardOf(f.name, off)
-			if stripe > 0 {
-				shardStripe = off / stripe
-			}
-		}
-		exts = append(exts, extent{lo: i, hi: i + 1, off: off, shard: shard})
+		exts = append(exts, extent{lo: i, hi: i + 1, off: off})
 	}
 	return exts
 }
@@ -498,7 +485,6 @@ func (f *file) writeExtents(ctx context.Context, si int64, slots []int, lens []i
 	_, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
 		x := exts[e]
 		payload := cts[x.lo*bs : (x.hi-1)*bs+lens[x.hi-1]]
-		defer f.fs.noteShardIO(x.shard, metrics.ShardTask)()
 		// The window slot brackets the backend call only (see ioWindow's
 		// deadlock note).
 		f.fs.iow.acquire()

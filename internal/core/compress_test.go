@@ -395,11 +395,7 @@ func (f *planFile) WriteAt(p []byte, off int64) (int, error) {
 // stripedPlanStore is a planStore that core detects as sharded.
 type stripedPlanStore struct{ *planStore }
 
-func (s stripedPlanStore) NumShards() int     { return 2 }
 func (s stripedPlanStore) StripeBytes() int64 { return s.stripe }
-func (s stripedPlanStore) ShardOf(_ string, off int64) int {
-	return int(off / s.stripe % 2)
-}
 
 // TestCompressedExtentPlan pins the compressed engine's I/O plan over
 // one segment holding a fixed mix of full-slot (incompressible) and

@@ -70,7 +70,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
@@ -213,19 +212,14 @@ type Config struct {
 // shardedStore is the optional interface of a backing store that
 // stripes data across several independent shards (internal/shard's
 // Store). The FS only consumes it — declaring the seam here keeps
-// core free of a dependency on the shard package — and uses it to
-// split extents at stripe edges and to charge each extent to its
-// owning shard's gauges (ShardStats).
+// core free of a dependency on the shard package — and uses it only
+// to split extents at stripe edges, so each backend call lands on one
+// owner group. Which shard owns an extent, and every per-shard count,
+// is the store's alone.
 type shardedStore interface {
-	// NumShards returns the number of shards.
-	NumShards() int
-	// ShardOf returns the shard owning byte off of the named backing
-	// file; it must be cheap and placement-pure (no I/O).
-	ShardOf(name string, off int64) int
 	// StripeBytes returns the placement granularity: offsets within
-	// one stripe share a shard, and <= 0 means the whole file shares
-	// one. The read path uses it to look placement up once per stripe
-	// instead of once per block.
+	// one stripe share an owner group, and <= 0 means the whole file
+	// shares one.
 	StripeBytes() int64
 }
 
@@ -242,10 +236,9 @@ type FS struct {
 	// ced is the inner-key convergent KDF with its AES schedule
 	// expanded once; nil when an external KeyDeriver is configured.
 	ced *cryptoutil.CEKeyDeriver
-	// sharded is non-nil when store stripes across shards; each
-	// extent is then charged to its shard's gauge in shardGauges.
-	sharded     shardedStore
-	shardGauges atomic.Pointer[[]*shardGauge]
+	// sharded is non-nil when store stripes across shards; extents
+	// then split at its stripe edges.
+	sharded shardedStore
 	// iow caps concurrently outstanding backend I/O (Config.IOWindow).
 	iow *ioWindow
 }
@@ -284,25 +277,19 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 			return nil, err
 		}
 	}
-	pool := newPool(cfg.Parallelism, cfg.Recorder)
 	fs := &FS{
 		store: store,
 		geo:   cfg.Geometry,
 		cfg:   cfg,
-		pool:  pool,
-		cache: newBlockCache(cfg.CacheBlocks, cfg.Recorder),
+		pool:  newPool(cfg.Parallelism),
+		cache: newBlockCache(cfg.CacheBlocks),
 		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
 		iow:   newIOWindow(cmp.Or(cfg.IOWindow, defaultIOWindow)),
 	}
 	if cfg.KeyDeriver == nil {
 		fs.ced = cryptoutil.NewCEKeyDeriver(cfg.Inner)
 	}
-	// A 1-shard store routes trivially, but still takes the sharded
-	// paths so its ShardStats read consistently with multi-shard mounts.
-	if ss, ok := store.(shardedStore); ok && ss.NumShards() >= 1 {
-		fs.sharded = ss
-		fs.resetShardGauges(ss.NumShards())
-	}
+	fs.sharded, _ = store.(shardedStore)
 	return fs, nil
 }
 
@@ -321,37 +308,6 @@ func (fs *FS) CacheStats() CacheStats { return fs.cache.stats() }
 
 // PoolStats returns a snapshot of the commit worker pool's counters.
 func (fs *FS) PoolStats() PoolStats { return fs.pool.stats() }
-
-// SlabStats returns the slab allocator's lifetime counters: requests
-// served from the pool and requests that fell through to a fresh
-// allocation.
-func (fs *FS) SlabStats() (hits, misses int64) { return fs.slabs.stats() }
-
-// ShardStats returns per-shard extent gauges, one entry per shard of a
-// sharded backing store; nil for single-store mounts.
-func (fs *FS) ShardStats() []ShardStats {
-	gauges := fs.loadShardGauges()
-	if gauges == nil {
-		return nil
-	}
-	out := make([]ShardStats, len(gauges))
-	for i, g := range gauges {
-		out[i] = ShardStats{Shard: i, Tasks: g.tasks.Load(), QueueDepth: g.queued.Load()}
-	}
-	return out
-}
-
-// RefreshShardGauges resizes the per-shard gauges to the backing
-// store's CURRENT shard count. An online rebalance calls it when a
-// layout epoch opens (the union of both epochs' shards briefly absorbs
-// traffic) and again when the epoch commits (retired shards drop out).
-// Extents in flight finish on the gauges they started with; no-op for
-// unsharded mounts.
-func (fs *FS) RefreshShardGauges() {
-	if fs.sharded != nil {
-		fs.resetShardGauges(fs.sharded.NumShards())
-	}
-}
 
 // InvalidateFile drops every cached block and decoded metadata entry
 // of the named backing file. The online rebalance mover brackets each

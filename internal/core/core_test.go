@@ -436,9 +436,17 @@ func TestCheckAudit(t *testing.T) {
 		t.Fatalf("corruption not flagged: %+v", rep)
 	}
 
-	// Corrupt metadata block of segment 2.
+	// Corrupt metadata block of segment 2. The block is sealed under a
+	// random nonce, so any constant byte is already there in 1 run of
+	// 256; flipping bits always changes it.
 	bf, _ = store.Open("f", backend.OpenWrite)
-	if _, err := bf.WriteAt([]byte{9}, fs.Geometry().MetaBlockOffset(2)+40); err != nil {
+	off := fs.Geometry().MetaBlockOffset(2) + 40
+	b := []byte{0}
+	if _, err := bf.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := bf.WriteAt(b, off); err != nil {
 		t.Fatal(err)
 	}
 	bf.Close()

@@ -14,7 +14,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 	"lamassu/internal/shard"
 	"lamassu/internal/vfs"
 )
@@ -385,44 +384,6 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 	}
 	if st := lfs.IOWindowStats(); st.Peak != window || st.InFlight != 0 {
 		t.Fatalf("window gauges after the reads: %+v, want peak %d and nothing in flight", st, window)
-	}
-}
-
-// TestWindowedCommitChargesShards: writeExtents charges each extent to
-// its owning shard. The same 64 extents, 32 per shard, report the same
-// per-shard Tasks and ShardTask events on a configured window and
-// without one (the default window), pooled or serial — counted once
-// each — and QueueDepth returns to 0.
-func TestWindowedCommitChargesShards(t *testing.T) {
-	const bs, nblocks = 4096, 64
-	data := shortBlocks(nblocks)
-	want := []ShardStats{{Shard: 0, Tasks: 32}, {Shard: 1, Tasks: 32}}
-	for _, tc := range []struct {
-		name                string
-		window, parallelism int
-	}{
-		{"window-32", 32, 4},
-		{"window-32-serial-pool", 32, 1},
-		{"no-window", 0, 4},
-		{"no-window-serial-pool", 0, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := stripedPlanStore{&planStore{Store: backend.NewMemStore(), stripe: 33 * bs}}
-			cfg := compressedConfig()
-			cfg.IOWindow = tc.window
-			cfg.Parallelism = tc.parallelism
-			cfg.Recorder = metrics.New()
-			lfs := newFS(t, store, cfg)
-			if err := vfs.WriteAll(lfs, "f", data); err != nil {
-				t.Fatal(err)
-			}
-			if got := lfs.ShardStats(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("per-shard gauges after one commit of %d extents:\n got  %+v\n want %+v", nblocks, got, want)
-			}
-			if n := cfg.Recorder.Snapshot().Event(metrics.ShardTask); n != nblocks {
-				t.Fatalf("ShardTask events = %d, want %d", n, nblocks)
-			}
-		})
 	}
 }
 

@@ -276,7 +276,7 @@ func (f *file) readSpans(ctx context.Context, p []byte, spans []vfs.Span) (int, 
 			})
 		idx, err := f.fs.runWindowed(ctx, len(exts), func(e int) error {
 			x := exts[e]
-			if bad, err := f.fetchContig(ctx, p, left[x.lo:x.hi], metas[x.lo], x.shard); err != nil {
+			if bad, err := f.fetchContig(ctx, p, left[x.lo:x.hi], metas[x.lo]); err != nil {
 				return &spanError{bad, err}
 			}
 			return nil
@@ -376,19 +376,18 @@ func (e *spanError) Error() string { return e.err.Error() }
 func (e *spanError) Unwrap() error { return e.err }
 
 // fetchContig reads one planned extent of uncached, keyed blocks of
-// one segment (shard is its owner, < 0 when unsharded) — a multi-block
-// read's extent, or the one span of a block read or a partial write's
-// fill. It is the read path's one reader of stored data: a segment
-// caught mid-update by a crash goes to readVerdicts, and a clean one is
-// fetched here with a single backend read (readExtent), its decode
-// (AES-CBC decrypt, decompress for short-stored blocks) and §2.5 hash
-// verification fanned across the worker pool, one task per hash group
-// (decodeGroup). In a compressed segment only the final block may be
+// one segment — a multi-block read's extent, or the one span of a
+// block read or a partial write's fill. It is the read path's one
+// reader of stored data: a segment caught mid-update by a crash goes to
+// readVerdicts, and a clean one is fetched here with a single backend
+// read (readExtent), its decode (AES-CBC decrypt, decompress for
+// short-stored blocks) and §2.5 hash verification fanned across the
+// worker pool, one task per hash group (decodeGroup). In a compressed segment only the final block may be
 // stored short, so the ranged read trims its slack off the wire.
 // Full-block spans decode straight into the caller's buffer; partial
 // spans decode into pooled scratch and copy out. Verified plaintext
 // enters the block cache under the usual generation guard.
-func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta *layout.MetaBlock, shard int) (int, error) {
+func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta *layout.MetaBlock) (int, error) {
 	if meta.MidUpdate() {
 		return f.readVerdicts(ctx, p, spans, meta)
 	}
@@ -405,11 +404,9 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 	defer f.fs.slabs.put(slab)
 	gen := f.fs.cache.snapshot()
 
-	done := f.fs.noteShardIO(shard, metrics.ShardRead)
 	err := f.readExtent(ctx, slab[:readLen], geo.DataBlockOffset(spans[0].Index))
 	f.fs.cfg.Recorder.CountDataBytes(int64(n*bs), int64(readLen))
 	f.fs.cfg.Recorder.CountEvent(metrics.ReadRun, 1)
-	done()
 	if err != nil {
 		return spans[0].BufOff, fmt.Errorf("lamassu: reading run of %d blocks at block %d: %w",
 			n, spans[0].Index, err)
@@ -683,12 +680,8 @@ func (f *file) readMissed(ctx context.Context, meta *layout.MetaBlock, dbi int64
 		zero(dst)
 		return nil
 	}
-	shard := -1
-	if f.fs.sharded != nil {
-		shard = f.fs.sharded.ShardOf(f.name, f.fs.geo.DataBlockOffset(dbi))
-	}
 	sp := [1]vfs.Span{{Index: dbi, Len: len(dst)}}
-	_, err := f.fetchContig(ctx, dst, sp[:], meta, shard)
+	_, err := f.fetchContig(ctx, dst, sp[:], meta)
 	return err
 }
 
@@ -1101,7 +1094,7 @@ func (f *file) SyncCtx(ctx context.Context) error {
 // Close implements vfs.File.
 func (f *file) Close() error { return f.CloseCtx(nil) }
 
-// CloseCtx implements vfs.FileCloserCtx: the flush of pending state
+// CloseCtx implements vfs.File: the flush of pending state
 // observes ctx (an already-canceled context skips it entirely — no
 // backend work happens after cancellation), while the handle is
 // ALWAYS marked closed and the backing handle released. Data left

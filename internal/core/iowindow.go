@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"sync/atomic"
-
-	"lamassu/internal/metrics"
 )
 
 // ioWindow bounds the number of backend I/O operations an FS keeps in
@@ -103,65 +101,6 @@ func (fs *FS) IOWindowStats() IOWindowStats {
 		InFlight: fs.iow.inFlight.Load(),
 		Peak:     fs.iow.peak.Load(),
 	}
-}
-
-// shardGauge is one shard's slice of the window's traffic: the planned
-// extents issued against the shard, counted by noteShardIO.
-type shardGauge struct {
-	queued atomic.Int64 // extents issued and not yet finished
-	tasks  atomic.Int64 // extents finished
-}
-
-// ShardStats is a snapshot of one shard's extent gauges.
-type ShardStats struct {
-	// Shard is the shard index.
-	Shard int
-	// Tasks is the number of planned extents (commit writes and read
-	// fetches) completed for this shard.
-	Tasks int64
-	// QueueDepth is the number of extents currently waiting for or
-	// holding a window slot against this shard — the live back-pressure
-	// signal.
-	QueueDepth int64
-}
-
-// noteShardIO brackets one planned extent's backend I/O on shard s in
-// that shard's gauges — every read fetch (ev ShardRead) and every commit
-// write (ev ShardTask). The returned func must be called when the I/O
-// completes. A shard index the current gauge set does not cover (an
-// unsharded store's -1, or one that outran a resize) counts nowhere.
-func (fs *FS) noteShardIO(s int, ev metrics.Event) func() {
-	gauges := fs.loadShardGauges()
-	if s < 0 || s >= len(gauges) {
-		return func() {}
-	}
-	g := gauges[s]
-	g.queued.Add(1)
-	return func() {
-		g.tasks.Add(1)
-		fs.cfg.Recorder.CountEvent(ev, 1)
-		g.queued.Add(-1)
-	}
-}
-
-// loadShardGauges returns the current gauge set (nil on an unsharded
-// mount).
-func (fs *FS) loadShardGauges() []*shardGauge {
-	if g := fs.shardGauges.Load(); g != nil {
-		return *g
-	}
-	return nil
-}
-
-// resetShardGauges installs a fresh gauge set for n shards; counts
-// restart at zero (ShardStats documents per-epoch counters). Extents in
-// flight finish on the set they started with.
-func (fs *FS) resetShardGauges(n int) {
-	gauges := make([]*shardGauge, n)
-	for i := range gauges {
-		gauges[i] = new(shardGauge)
-	}
-	fs.shardGauges.Store(&gauges)
 }
 
 // runWindowed runs fn(0) … fn(n-1) — one per planned extent, a

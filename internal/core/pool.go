@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 )
 
 // lanes runs fn(0) … fn(n-1) and waits for all of them. It is the
@@ -108,10 +107,6 @@ type pool struct {
 	// neither: take a slot only if one is free now; return it.
 	more func(helpers int) bool
 	done func()
-	// rec optionally mirrors the counters below into the latency
-	// recorder's event stream; counting happens only here so the two
-	// bookkeeping systems cannot drift.
-	rec *metrics.Recorder
 
 	// batches counts run invocations; tasks counts the individual
 	// closures executed (on callers and helpers alike).
@@ -121,11 +116,11 @@ type pool struct {
 
 // newPool returns a pool of the given width; width < 1 selects
 // GOMAXPROCS.
-func newPool(width int, rec *metrics.Recorder) *pool {
+func newPool(width int) *pool {
 	if width < 1 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	p := &pool{width: width, sem: make(chan struct{}, width-1), rec: rec}
+	p := &pool{width: width, sem: make(chan struct{}, width-1)}
 	p.more = func(int) bool {
 		select {
 		case p.sem <- struct{}{}:
@@ -150,8 +145,6 @@ func (p *pool) run(ctx context.Context, n int, fn func(int) error) error {
 	}
 	p.batches.Add(1)
 	p.tasks.Add(int64(n))
-	p.rec.CountEvent(metrics.PoolBatch, 1)
-	p.rec.CountEvent(metrics.PoolTask, int64(n))
 	_, err := lanes(ctx, n, p.more, p.done, fn)
 	return err
 }

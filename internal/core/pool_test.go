@@ -15,7 +15,7 @@ import (
 func TestPoolRunsEveryTask(t *testing.T) {
 	me := goroutineHeader()
 	for _, width := range []int{1, 2, 8} {
-		p := newPool(width, nil)
+		p := newPool(width)
 		var hit [100]atomic.Int32
 		var on [100]string
 		if err := p.run(nil, len(hit), func(i int) error {
@@ -51,7 +51,7 @@ func TestPoolReportsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	for _, width := range []int{1, 4} {
-		p := newPool(width, nil)
+		p := newPool(width)
 		err := p.run(nil, 10, func(i int) error {
 			switch i {
 			case 3:
@@ -72,7 +72,7 @@ func TestPoolReportsLowestIndexError(t *testing.T) {
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const width = 3
 	for _, callers := range []int{1, 4} {
-		p := newPool(width, nil)
+		p := newPool(width)
 		var cur, max atomic.Int32
 		var mu sync.Mutex
 		var wg sync.WaitGroup
@@ -106,7 +106,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 // helper slot, a second batch runs to completion on its caller alone.
 func TestPoolBatchNeverWaitsForASlot(t *testing.T) {
 	const width = 3
-	p := newPool(width, nil)
+	p := newPool(width)
 	arrived, release := make(chan struct{}), make(chan struct{})
 	parked := make(chan error, 1)
 	go func() {
@@ -166,7 +166,7 @@ func TestPoolBatchNeverWaitsForASlot(t *testing.T) {
 // wait for it, so no lane can run the batch out first.
 func TestPoolCancelStopsUnstartedTasks(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
-		p := newPool(width, nil)
+		p := newPool(width)
 		ctx, cancel := context.WithCancel(context.Background())
 		var late atomic.Int32
 		err := p.run(ctx, 100, func(i int) error {
@@ -190,10 +190,10 @@ func TestPoolCancelStopsUnstartedTasks(t *testing.T) {
 }
 
 func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
-	if w := newPool(0, nil).Width(); w < 1 {
+	if w := newPool(0).Width(); w < 1 {
 		t.Fatalf("width %d", w)
 	}
-	if w := newPool(-3, nil).Width(); w < 1 {
+	if w := newPool(-3).Width(); w < 1 {
 		t.Fatalf("width %d", w)
 	}
 }
@@ -201,7 +201,7 @@ func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
 // Concurrent run calls share one budget and must all complete (no
 // deadlock when callers outnumber the pool width).
 func TestPoolConcurrentCallers(t *testing.T) {
-	p := newPool(2, nil)
+	p := newPool(2)
 	var wg sync.WaitGroup
 	var total atomic.Int64
 	for c := 0; c < 8; c++ {

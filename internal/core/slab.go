@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"lamassu/internal/metrics"
 )
@@ -28,17 +27,14 @@ import (
 // allocation-free, and the headers themselves are recycled through a
 // side pool for the same reason. Each class is a sync.Pool, so idle
 // slabs are reclaimed by the GC rather than pinned forever. Put slices
-// must not be retained by the caller afterwards. The counters feed the
-// SlabHit/SlabMiss metrics events and the pool hit rate exposed
-// through EngineStats.
+// must not be retained by the caller afterwards. Requests are counted
+// only as the recorder's SlabHit/SlabMiss events, which EngineStats
+// exposes with the pool hit rate.
 type slabPool struct {
 	bs      int
 	classes []sync.Pool // class c: *[]byte with cap exactly bs<<c
 	headers sync.Pool   // spare *[]byte headers (slice nil)
 	rec     *metrics.Recorder
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // newSlabPool sizes the classes so the largest holds at least
@@ -79,12 +75,10 @@ func (p *slabPool) get(n int) []byte {
 			b := *h
 			*h = nil
 			p.headers.Put(h)
-			p.hits.Add(1)
 			p.rec.CountEvent(metrics.SlabHit, 1)
 			return b[:n]
 		}
 	}
-	p.misses.Add(1)
 	p.rec.CountEvent(metrics.SlabMiss, 1)
 	if c < 0 {
 		return make([]byte, n)
@@ -113,9 +107,4 @@ func (p *slabPool) put(b []byte) {
 		}
 		size <<= 1
 	}
-}
-
-// stats returns the lifetime hit/miss counters.
-func (p *slabPool) stats() (hits, misses int64) {
-	return p.hits.Load(), p.misses.Load()
 }

@@ -246,7 +246,7 @@ func testMidUpdateVerdictsAgree(t *testing.T, compress, corrupt bool) {
 			}
 			canceled, cancel := context.WithCancel(context.Background())
 			cancel()
-			h.(vfs.FileCloserCtx).CloseCtx(canceled)
+			h.CloseCtx(canceled)
 		}
 	}
 	readsAgree("mid-update")

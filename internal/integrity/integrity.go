@@ -412,7 +412,7 @@ func (f *file) CloseCtx(ctx context.Context) error {
 		}
 		f.closed = true
 		f.mu.Unlock()
-		if cerr := vfs.CloseFileCtx(ctx, f.inner); cerr != nil {
+		if cerr := f.inner.CloseCtx(ctx); cerr != nil {
 			return cerr
 		}
 		return err

@@ -8,6 +8,17 @@
 // The zero-value Recorder is valid and disabled-free: recording into a
 // nil *Recorder is a no-op, so the hot path can carry an optional
 // recorder without branching at every call site.
+//
+// Besides time, a Recorder counts seven data-path events: WriteRun and
+// ReadRun (planned extents issued), Prefetch, SlabHit and SlabMiss,
+// BlockCompressed and RawEscape. They are exported only through the
+// recorder-backed fields of the mount's EngineStats, so the recorder is
+// their one home. Every count a component exports whether or not a
+// recorder is attached lives only in that component: cache hits and
+// misses in the block cache (CacheStats), pool batches and tasks in the
+// worker pool (PoolStats), per-slot shard traffic and queue depth,
+// replication and failover counts, and rebalance progress in the
+// sharded store (ShardStats, ReplicationStats, MigrationStatus).
 package metrics
 
 import (
@@ -61,33 +72,19 @@ func Categories() []Category {
 }
 
 // Event labels a counted engine event. Unlike the latency categories,
-// events are pure counters: they track the concurrent engine's cache
-// effectiveness and worker-pool fan-out rather than wall time.
+// events are pure counters (see the package comment for which counts
+// are events and which live elsewhere).
 type Event int
 
 // Events counted by the engine.
 const (
-	// CacheHit / CacheMiss count block-cache lookups (plaintext data
-	// blocks and decoded metadata blocks alike).
-	CacheHit Event = iota
-	CacheMiss
-	// PoolBatch counts fan-out invocations of the commit worker pool;
-	// PoolTask counts the individual per-block tasks it executed.
-	PoolBatch
-	PoolTask
-	// ShardTask counts commit extents charged to their owning shard;
-	// ShardRead counts read-path backend fetches (planned extents, a
-	// one-block read's or a partial write's fill among them) charged
-	// the same way. Both zero on unsharded mounts.
-	ShardTask
-	ShardRead
 	// WriteRun / ReadRun count planned data extents issued, in every
 	// mode: one WriteRun per extent a commit writes with a single
 	// WriteAt, one ReadRun per extent the read path fetches with a
 	// single backend read — a one-block read and a partial write's fill
 	// are one-block extents. The segment walk's reads (audit, recovery,
 	// rotation) and reads of a segment caught mid-update count none.
-	WriteRun
+	WriteRun Event = iota
 	ReadRun
 	// Prefetch counts asynchronous readahead fetches issued by the
 	// sequential-read detector.
@@ -96,25 +93,6 @@ const (
 	// pool versus falling through to a fresh allocation.
 	SlabHit
 	SlabMiss
-	// FallbackRead counts dual-ring reads served by the previous
-	// epoch's owner during an online rebalance; MirrorWrite counts
-	// writes dual-written to it.
-	FallbackRead
-	MirrorWrite
-	// MoveCopy counts placement keys the online mover copied and
-	// confirmed; EpochBump counts committed layout epoch transitions.
-	MoveCopy
-	EpochBump
-	// ReplicaWrite counts write fan-outs landed on non-primary replica
-	// owners; FailoverRead counts reads served by a replica after the
-	// preferred owner failed or was missing the copy.
-	ReplicaWrite
-	FailoverRead
-	// ScrubRepair counts replica copies re-established or corrected by
-	// the scrubber; BreakerOpen counts closed→open transitions of a
-	// shard slot's health breaker.
-	ScrubRepair
-	BreakerOpen
 	// BlockCompressed counts data blocks committed as a compressed
 	// prefix of their slot; RawEscape counts blocks the deterministic
 	// compressor could not shrink by at least one length unit, stored
@@ -127,18 +105,6 @@ const (
 // String returns the event's label.
 func (e Event) String() string {
 	switch e {
-	case CacheHit:
-		return "CacheHit"
-	case CacheMiss:
-		return "CacheMiss"
-	case PoolBatch:
-		return "PoolBatch"
-	case PoolTask:
-		return "PoolTask"
-	case ShardTask:
-		return "ShardTask"
-	case ShardRead:
-		return "ShardRead"
 	case WriteRun:
 		return "WriteRun"
 	case ReadRun:
@@ -149,22 +115,6 @@ func (e Event) String() string {
 		return "SlabHit"
 	case SlabMiss:
 		return "SlabMiss"
-	case FallbackRead:
-		return "FallbackRead"
-	case MirrorWrite:
-		return "MirrorWrite"
-	case MoveCopy:
-		return "MoveCopy"
-	case EpochBump:
-		return "EpochBump"
-	case ReplicaWrite:
-		return "ReplicaWrite"
-	case FailoverRead:
-		return "FailoverRead"
-	case ScrubRepair:
-		return "ScrubRepair"
-	case BreakerOpen:
-		return "BreakerOpen"
 	case BlockCompressed:
 		return "BlockCompressed"
 	case RawEscape:
@@ -176,11 +126,7 @@ func (e Event) String() string {
 
 // AllEvents lists all events in display order.
 func AllEvents() []Event {
-	return []Event{CacheHit, CacheMiss, PoolBatch, PoolTask, ShardTask, ShardRead,
-		WriteRun, ReadRun, Prefetch, SlabHit, SlabMiss,
-		FallbackRead, MirrorWrite, MoveCopy, EpochBump,
-		ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen,
-		BlockCompressed, RawEscape}
+	return []Event{WriteRun, ReadRun, Prefetch, SlabHit, SlabMiss, BlockCompressed, RawEscape}
 }
 
 // Recorder accumulates time per category. All methods are safe for

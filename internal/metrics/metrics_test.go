@@ -143,25 +143,25 @@ func TestEmptyBreakdown(t *testing.T) {
 
 func TestEventCounters(t *testing.T) {
 	r := New()
-	r.CountEvent(CacheHit, 3)
-	r.CountEvent(CacheMiss, 1)
-	r.CountEvent(PoolBatch, 2)
-	r.CountEvent(PoolTask, 16)
+	r.CountEvent(SlabHit, 3)
+	r.CountEvent(SlabMiss, 1)
+	r.CountEvent(WriteRun, 2)
+	r.CountEvent(ReadRun, 16)
 	b := r.Snapshot()
-	want := map[Event]int64{CacheHit: 3, CacheMiss: 1, PoolBatch: 2, PoolTask: 16}
+	want := map[Event]int64{SlabHit: 3, SlabMiss: 1, WriteRun: 2, ReadRun: 16}
 	for _, e := range AllEvents() {
 		if got := b.Event(e); got != want[e] {
 			t.Errorf("%s = %d, want %d", e, got, want[e])
 		}
 	}
 	r.Reset()
-	if got := r.Snapshot().Event(CacheHit); got != 0 {
-		t.Errorf("after Reset: CacheHit = %d", got)
+	if got := r.Snapshot().Event(SlabHit); got != 0 {
+		t.Errorf("after Reset: SlabHit = %d", got)
 	}
 	// Nil receiver must stay a no-op.
 	var nr *Recorder
-	nr.CountEvent(PoolTask, 5)
-	if got := nr.Snapshot().Event(PoolTask); got != 0 {
+	nr.CountEvent(ReadRun, 5)
+	if got := nr.Snapshot().Event(ReadRun); got != 0 {
 		t.Errorf("nil recorder counted: %d", got)
 	}
 }

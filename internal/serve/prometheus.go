@@ -164,7 +164,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, st := range ss {
 			p.sample("lamassu_shard_bytes_written_total", float64(st.BytesWritten), "shard", fmt.Sprint(st.Shard))
 		}
-		p.family("lamassu_shard_queue_depth", "gauge", "Tasks queued or running for the shard now.")
+		p.family("lamassu_shard_queue_depth", "gauge", "Leaf reads and writes in flight on the shard now.")
 		for _, st := range ss {
 			p.sample("lamassu_shard_queue_depth", float64(st.QueueDepth), "shard", fmt.Sprint(st.Shard))
 		}

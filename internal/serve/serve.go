@@ -168,11 +168,11 @@ func New(cfg Config) (*Server, error) {
 }
 
 // engineDepth is the mount's live queue depth: the backend I/Os holding
-// an I/O-window slot, at most the window's depth. The per-shard extent
-// gauges (ShardStats.QueueDepth) are left out: they count those same
-// I/Os again, plus the lanes of one request's own read fan-out waiting
-// for a slot, so on a sharded mount a single large read would count
-// twice the window and shed every concurrent request.
+// an I/O-window slot, at most the window's depth. The per-shard queue
+// depths (ShardStats.QueueDepth) are left out: they count the leaf
+// calls of those same I/Os again, once per owner of a replicated
+// write, so on a replicated mount the sum could reach (R+1)× the window
+// and shed every concurrent request.
 func engineDepth(m *lamassu.Mount) int64 {
 	return m.EngineStats().IOInFlight
 }

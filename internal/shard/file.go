@@ -311,7 +311,7 @@ func (f *file) readChunk(ctx context.Context, t *topology, chunk []byte, off int
 	s := f.store
 	slots, fellBack := t.readTargets(f.name, off)
 	if fellBack {
-		s.noteFallback(t.mig)
+		t.mig.fallbackReads.Add(1)
 	}
 	var order, deferred []int
 	pref := -1
@@ -345,7 +345,9 @@ func (f *file) readChunk(ctx context.Context, t *topology, chunk []byte, off int
 				attempts++
 				continue
 			}
+			t.stats[sl].inFlight.Add(1)
 			m, rerr := backend.ReadAtCtx(ctx, h, chunk, off)
+			t.stats[sl].inFlight.Add(-1)
 			t.countRead(sl, m)
 			if rerr != nil && !errors.Is(rerr, io.EOF) {
 				if immediateErr(ctx, rerr) {
@@ -361,7 +363,7 @@ func (f *file) readChunk(ctx context.Context, t *topology, chunk []byte, off int
 			// serve — whether it failed just now (attempts > 0) or is
 			// exiled by its breaker and was never tried.
 			if attempts > 0 || sl != pref {
-				s.noteFailoverRead()
+				s.failoverReads.Add(1)
 			}
 			return m, true, rerr, true
 		}
@@ -592,7 +594,7 @@ func (f *file) writeRange(ctx context.Context, t *topology, chunk []byte, off in
 		kl := t.mig.keyLock(key)
 		kl.Lock()
 		defer kl.Unlock()
-		s.noteMirror(t.mig)
+		t.mig.mirrorWrites.Add(1)
 	} else if sc := s.scrub.Load(); sc != nil {
 		kl := sc.keyLock(key)
 		kl.Lock()
@@ -642,7 +644,9 @@ func (f *file) writeRange(ctx context.Context, t *topology, chunk []byte, off in
 				w := &fresh[i]
 				h, err := f.handle(ctx, t, w.slot, true)
 				if err == nil {
+					t.stats[w.slot].inFlight.Add(1)
 					w.n, err = backend.WriteAtCtx(ctx, h, chunk, off)
+					t.stats[w.slot].inFlight.Add(-1)
 					t.countWrite(w.slot, w.n)
 				}
 				w.err = err
@@ -659,7 +663,7 @@ func (f *file) writeRange(ctx context.Context, t *topology, chunk []byte, off in
 					// Counted where a write was issued, not where an
 					// earlier group's outcome is reused.
 					if sl != group[0] && at >= issued {
-						s.noteReplicaWrite()
+						s.replicaWrites.Add(1)
 					}
 					continue
 				}

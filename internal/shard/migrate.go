@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 	"lamassu/internal/shard/layout"
 )
 
@@ -574,7 +573,6 @@ func (s *Store) moverFile(ctx context.Context, t *topology, name string, st *Reb
 			return err
 		}
 		mig.confirm(k.key)
-		s.rec.Load().CountEvent(metrics.MoveCopy, 1)
 		s.routeGen.Add(1)
 		st.MovedStripes++
 		st.MovedBytes += n
@@ -658,7 +656,6 @@ func (s *Store) commitEpoch(ctx context.Context, t *topology, st *RebalanceStats
 		health: append([]*slotHealth(nil), t.health[:len(cur)]...),
 	})
 	s.routeGen.Add(1)
-	s.rec.Load().CountEvent(metrics.EpochBump, 1)
 	return nil
 }
 

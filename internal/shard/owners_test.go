@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,6 +295,55 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 		t.Fatalf("a canceled write charged %d slot failures", got-charged)
 	}
 	copies([]byte("one-down"))
+}
+
+// TestReplicatedOwnersQueueDepth: QueueDepth gauges the leaf calls in
+// flight per slot, so while both owners of one R=2 WriteAt are parked
+// each owner's slot reads 1 and the other slot 0, and every slot reads
+// 0 once the write returns.
+func TestReplicatedOwnersQueueDepth(t *testing.T) {
+	s, g, _ := gatedStores(t, 3, 2, 0)
+	if err := backend.WriteFile(s, "k", []byte("seed")); err != nil {
+		t.Fatal(err)
+	}
+	owners := s.Layout().Owners(s.Layout().KeyOf("k", 0))
+	h, err := s.Open("k", backend.OpenWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	depths := func() []int64 {
+		var out []int64
+		for _, st := range s.Stats() {
+			out = append(out, st.QueueDepth)
+		}
+		return out
+	}
+
+	g.arm(-1, 0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := h.WriteAt([]byte("parked"), 0)
+		done <- err
+	}()
+	ops := g.await(t, len(owners))
+	g.set(nil, false)
+	want := make([]int64, 3)
+	for _, sl := range owners {
+		want[sl] = 1
+	}
+	if got := depths(); !slices.Equal(got, want) {
+		t.Errorf("queue depths with owners %v parked: %v, want %v", owners, got, want)
+	}
+	for _, op := range ops {
+		op.fate <- nil
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := depths(); !slices.Equal(got, make([]int64, 3)) {
+		t.Fatalf("queue depths after the write returned: %v, want all 0", got)
+	}
 }
 
 var (

@@ -29,9 +29,10 @@
 // zero-fill hole semantics.
 //
 // Store implements backend.Store, so a sharded deployment is invisible
-// to internal/core except where it helps: core detects a sharded store,
-// splits the extents it writes and reads at stripe edges, and charges
-// each to its owning shard's gauges. Topology change has
+// to internal/core except where it helps: core reads a sharded store's
+// stripe unit and splits the extents it writes and reads at stripe
+// edges; which shards own them, and every per-shard count, stay here.
+// Topology change has
 // one engine (BeginMigration/RunMover; Rebalance is begin, run, wait):
 // the store serves two placement epochs at once — writes route by the
 // new ring and mirror to the old owner, reads route to the new owner

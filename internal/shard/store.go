@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"lamassu/internal/backend"
-	"lamassu/internal/metrics"
 	"lamassu/internal/shard/layout"
 )
 
@@ -50,12 +49,17 @@ type IOStats struct {
 	Reads, Writes, Syncs int64
 	// BytesRead / BytesWritten total the payloads moved.
 	BytesRead, BytesWritten int64
+	// QueueDepth is the number of leaf reads and writes in flight on
+	// the slot now: every owner of a replicated write counts, each on
+	// its own slot.
+	QueueDepth int64
 }
 
 // shardCounters is the mutable form of IOStats.
 type shardCounters struct {
 	reads, writes, syncs    atomic.Int64
 	bytesRead, bytesWritten atomic.Int64
+	inFlight                atomic.Int64
 }
 
 // topology is one immutable placement state of the Store. Every
@@ -155,7 +159,7 @@ func uniqueOf(stores []backend.Store) []uniqueStore {
 // semantics and migrate.go for online topology change.
 //
 // The same underlying store may appear in several slots: repeating it
-// carves N *logical* shards (routing plus per-shard gauges) out of one
+// carves N *logical* shards (routing plus per-slot counters) out of one
 // physical store, which is
 // byte-for-byte identical to the unsharded layout because every stripe
 // keeps its global offset and file name.
@@ -180,27 +184,8 @@ type Store struct {
 	// its per-key lock so a repair copy cannot interleave with a live
 	// write of the same key.
 	scrub atomic.Pointer[scrubState]
-	// rec is the optional metrics recorder for replication and
-	// migration events (nil-safe).
-	rec atomic.Pointer[metrics.Recorder]
-	// Replication event counters (always live, recorder or not).
+	// Replication counters (ReplicationStats).
 	replicaWrites, failoverReads, scrubRepairs, breakerOpens atomic.Int64
-}
-
-// SetRecorder attaches a metrics recorder to the store's replication
-// events (ReplicaWrite, FailoverRead, ScrubRepair, BreakerOpen) and
-// migration events (FallbackRead, MirrorWrite, MoveCopy, EpochBump). A
-// nil recorder detaches.
-func (s *Store) SetRecorder(rec *metrics.Recorder) { s.rec.Store(rec) }
-
-func (s *Store) noteReplicaWrite() {
-	s.replicaWrites.Add(1)
-	s.rec.Load().CountEvent(metrics.ReplicaWrite, 1)
-}
-
-func (s *Store) noteFailoverRead() {
-	s.failoverReads.Add(1)
-	s.rec.Load().CountEvent(metrics.FailoverRead, 1)
 }
 
 func (s *Store) noteScrubRepair() {
@@ -208,25 +193,6 @@ func (s *Store) noteScrubRepair() {
 	// The repair may have re-created a copy on a store some open handle
 	// remembers as empty; its next size or cut must see that copy.
 	s.routeGen.Add(1)
-	s.rec.Load().CountEvent(metrics.ScrubRepair, 1)
-}
-
-func (s *Store) noteBreakerOpen() {
-	s.breakerOpens.Add(1)
-	s.rec.Load().CountEvent(metrics.BreakerOpen, 1)
-}
-
-// noteFallback counts one dual-ring read served by the previous
-// epoch's owner.
-func (s *Store) noteFallback(m *migration) {
-	m.fallbackReads.Add(1)
-	s.rec.Load().CountEvent(metrics.FallbackRead, 1)
-}
-
-// noteMirror counts one write mirrored to the previous epoch's owner.
-func (s *Store) noteMirror(m *migration) {
-	m.mirrorWrites.Add(1)
-	s.rec.Load().CountEvent(metrics.MirrorWrite, 1)
 }
 
 // ReplicationStats is a snapshot of the store's replication counters.
@@ -310,12 +276,6 @@ func New(stores []backend.Store, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// NumShards returns the number of shard slots — during a migration
-// the union of both epochs, so per-shard gauges cover every store
-// being written. Together with ShardOf it is the seam internal/core
-// uses to size its per-shard gauges.
-func (s *Store) NumShards() int { return len(s.topo.Load().stores) }
-
 // Ring returns the current epoch's placement map.
 func (s *Store) Ring() *Ring { return s.topo.Load().lay.Ring() }
 
@@ -336,14 +296,6 @@ func (s *Store) Replicas() int { return s.topo.Load().lay.Replicas() }
 // order.
 func (s *Store) Shards() []backend.Store {
 	return append([]backend.Store(nil), s.topo.Load().curStores()...)
-}
-
-// ShardOf returns the shard owning byte off of the named file under
-// the CURRENT epoch (the ring writes route by). It is pure ring
-// arithmetic — no I/O, O(log vnodes) — so callers may use it on their
-// hot paths to route work before touching data.
-func (s *Store) ShardOf(name string, off int64) int {
-	return s.topo.Load().lay.ShardOf(name, off)
 }
 
 // readTargets resolves the failover-ordered owner group a read of byte
@@ -401,6 +353,7 @@ func (s *Store) Stats() []IOStats {
 			Syncs:        c.syncs.Load(),
 			BytesRead:    c.bytesRead.Load(),
 			BytesWritten: c.bytesWritten.Load(),
+			QueueDepth:   c.inFlight.Load(),
 		}
 	}
 	return out

@@ -64,7 +64,7 @@ func TestWholeFilePlacement(t *testing.T) {
 			t.Fatalf("%s: round trip failed: %v", name, err)
 		}
 		// Exactly one shard holds the file, and it is the ring owner.
-		owner := s.ShardOf(name, 0)
+		owner := s.Layout().ShardOf(name, 0)
 		holders := 0
 		for i, m := range mems {
 			if _, err := m.Stat(name); err == nil {
@@ -404,8 +404,9 @@ func TestConformanceThroughCore(t *testing.T) {
 	}
 }
 
-// A sharded mount reports per-shard gauges and charges every commit
-// and read extent to its owning shard's.
+// A sharded mount's commits and reads reach several shards, and each
+// slot counts its own leaf reads and writes, with none in flight at
+// idle.
 func TestShardBudgetsThroughCore(t *testing.T) {
 	stores, _ := memStores(4)
 	segBytes := layout.Default().SegmentPhysBytes()
@@ -417,7 +418,7 @@ func TestShardBudgetsThroughCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spread several segments so multiple shards see commit tasks.
+	// Spread several segments so multiple shards see commits.
 	data := make([]byte, 6*segBytes)
 	rand.New(rand.NewSource(13)).Read(data)
 	if err := vfs.WriteAll(fs, "f", data[:fs.Geometry().SegmentDataBytes()*6]); err != nil {
@@ -426,18 +427,23 @@ func TestShardBudgetsThroughCore(t *testing.T) {
 	if _, err := vfs.ReadAll(fs, "f"); err != nil {
 		t.Fatal(err)
 	}
-	stats := fs.ShardStats()
+	stats := s.Stats()
 	if len(stats) != 4 {
-		t.Fatalf("ShardStats len = %d, want 4", len(stats))
+		t.Fatalf("Stats len = %d, want 4", len(stats))
 	}
-	totalTasks := int64(0)
+	active := 0
 	for _, st := range stats {
 		if st.QueueDepth != 0 {
 			t.Fatalf("shard %d queue depth = %d at idle, want 0", st.Shard, st.QueueDepth)
 		}
-		totalTasks += st.Tasks
+		if (st.Reads > 0) != (st.Writes > 0) {
+			t.Fatalf("shard %d: %d reads, %d writes; a shard written to must serve the read-back", st.Shard, st.Reads, st.Writes)
+		}
+		if st.Writes > 0 {
+			active++
+		}
 	}
-	if totalTasks == 0 {
-		t.Fatal("no tasks were charged to any shard")
+	if active < 2 {
+		t.Fatalf("%d shards saw traffic, want the segments spread over several", active)
 	}
 }

@@ -105,24 +105,6 @@ var (
 	errNegativeSeek  = errors.New("vfs: negative seek position")
 )
 
-// FileCloserCtx is the optional interface of Files whose Close-time
-// flush can observe a context. CloseCtx ALWAYS releases the handle;
-// under a canceled context it skips the flush of still-staged data
-// (crash-equivalent: the on-disk state remains recoverable) instead
-// of performing un-cancellable backend work.
-type FileCloserCtx interface {
-	CloseCtx(ctx context.Context) error
-}
-
-// CloseFileCtx closes f, forwarding ctx to the close-time flush when
-// f supports it.
-func CloseFileCtx(ctx context.Context, f File) error {
-	if c, ok := f.(FileCloserCtx); ok {
-		return c.CloseCtx(ctx)
-	}
-	return f.Close()
-}
-
 // WriteAllCtx is WriteAll with a context carried through every layer —
 // including the deferred close: once ctx is canceled, no further
 // backend work happens on its behalf, and no "canceled" data is
@@ -132,7 +114,7 @@ func WriteAllCtx(ctx context.Context, fs FS, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = CloseFileCtx(ctx, f) }()
+	defer func() { _ = f.CloseCtx(ctx) }()
 	if err := f.Truncate(0); err != nil {
 		return err
 	}

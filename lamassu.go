@@ -395,7 +395,7 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 		userStores = ss.Shards()
 		if o.EncryptNames || o.Retry != nil || o.Hedge != nil {
 			// Rebuild the sharded view with each LEAF store wrapped, so
-			// the sharding seam (extent splitting, shard gauges,
+			// the sharding seam (extent splitting, per-slot counters,
 			// placement identity) stays outermost; one wrapper per physical store.
 			views, err := wrapShardLeaves(wrapNew, ss)
 			if err != nil {
@@ -419,10 +419,6 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 		}
 	}
 	if shardStore != nil {
-		// Replication events (replica writes, failover reads, scrub
-		// repairs, breaker transitions) flow into the mount's recorder;
-		// the raw counters stay live on the store regardless.
-		shardStore.SetRecorder(rec)
 		if sb := shardStore.StripeBytes(); sb > 0 && sb%int64(geo.BlockSize) != 0 {
 			return nil, fmt.Errorf("lamassu: shard stripe %d is not a multiple of the block size %d", sb, geo.BlockSize)
 		}
@@ -907,7 +903,7 @@ type ShardOptions struct {
 // independent stores — the multi-backend deployment where each shard
 // is its own directory, disk or filer. Placement is a consistent-hash
 // ring (deterministic across processes; see internal/shard), and a
-// Mount over the result reports its extents per shard (ShardStats)
+// Mount over the result reports its traffic per shard (ShardStats)
 // automatically. The store order is part of the placement
 // contract. Use RebalanceShards, or Mount.StartRebalance under a live
 // mount, to add or remove shards.
@@ -970,12 +966,11 @@ func segmentAlignedStripe(geo layout.Geometry, target int64) int64 {
 	return n * seg
 }
 
-// ShardStat is one shard's slice of a sharded mount's activity: the
-// I/O the placement routed to it and the extents queued against it.
-// Together the entries show whether load is spreading (bytes and ops
-// roughly even) and where the bottleneck sits (queue depth pinned at
-// one shard = hot spot; even queues summing to the I/O window = the
-// window is the ceiling).
+// ShardStat is one shard slot's slice of a sharded mount's activity:
+// the leaf I/O the placement routed to it and how much of it is in
+// flight. Together the entries show whether load is spreading (bytes
+// and ops roughly even) and where the bottleneck sits (queue depth
+// pinned at one shard = hot spot).
 type ShardStat struct {
 	// Shard is the shard index, in store order.
 	Shard int
@@ -983,37 +978,24 @@ type ShardStat struct {
 	// BytesRead / BytesWritten total the payloads.
 	Reads, Writes, Syncs    int64
 	BytesRead, BytesWritten int64
-	// Tasks counts the planned extents (commit writes and read
-	// fetches) completed for this shard; QueueDepth is how many are
-	// queued or running now. An unsharded mount reports no ShardStats
-	// at all.
-	Tasks, QueueDepth int64
+	// QueueDepth is the number of leaf reads and writes running on the
+	// shard now; each owner of a replicated write counts on its own
+	// shard. An unsharded mount reports no ShardStats at all.
+	QueueDepth int64
 }
 
 // ShardStats reports per-shard activity for a mount over a sharded
-// store (NewShardedStorage); nil otherwise.
+// store (NewShardedStorage); nil otherwise. The entries follow the
+// store's topology: during an online rebalance they cover both
+// epochs' shards, and once it commits, the current epoch's.
 func (m *Mount) ShardStats() []ShardStat {
-	ss, ok := m.fs.Store().(*shard.Store)
-	if !ok {
+	if m.shard == nil {
 		return nil
 	}
-	io := ss.Stats()
+	io := m.shard.Stats()
 	out := make([]ShardStat, len(io))
 	for i, s := range io {
-		out[i] = ShardStat{
-			Shard:        s.Shard,
-			Reads:        s.Reads,
-			Writes:       s.Writes,
-			Syncs:        s.Syncs,
-			BytesRead:    s.BytesRead,
-			BytesWritten: s.BytesWritten,
-		}
-	}
-	for _, b := range m.fs.ShardStats() {
-		if b.Shard < len(out) {
-			out[b.Shard].Tasks = b.Tasks
-			out[b.Shard].QueueDepth = b.QueueDepth
-		}
+		out[i] = ShardStat(s)
 	}
 	return out
 }
@@ -1254,9 +1236,6 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 	if err := m.shard.BeginMigration(ctx, internal, hooks); err != nil {
 		return nil, err
 	}
-	// The union of both epochs absorbs traffic while the migration
-	// runs; resize the per-shard gauges over it.
-	m.fs.RefreshShardGauges()
 	r := &Rebalance{done: make(chan struct{})}
 	// Close cancels through this derived context so no mover outlives
 	// the mount.
@@ -1265,10 +1244,6 @@ func (m *Mount) StartRebalance(ctx context.Context, newStores ...Storage) (*Reba
 	go func() {
 		defer cancel()
 		stats, err := m.shard.RunMover(moverCtx)
-		if err == nil {
-			// Epoch committed: retired shards drop out of the gauges.
-			m.fs.RefreshShardGauges()
-		}
 		r.stats = ShardRebalanceStats(stats)
 		r.err = err
 		close(r.done)
