@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	iofs "io/fs"
+	"math"
 	"testing"
 
 	"lamassu/internal/backend"
@@ -531,6 +533,33 @@ func TestReadOnlyHandleRejectsWrites(t *testing.T) {
 	}
 	if err := f.Sync(); err != nil {
 		t.Errorf("read-only Sync should be a no-op: %v", err)
+	}
+}
+
+// TestWriteEndPastMaxSize: a write or truncate ending past the largest
+// file the geometry can address fails with fs.ErrInvalid before
+// touching the file (its physical offsets would overflow).
+func TestWriteEndPastMaxSize(t *testing.T) {
+	fs := newFS(t, backend.NewMemStore(), testConfig())
+	if err := vfs.WriteAll(fs, "f", []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.OpenRW("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	limit := fs.Geometry().MaxLogicalSize()
+	for _, off := range []int64{limit - 4, limit, math.MaxInt64} {
+		if _, err := f.WriteAt([]byte("patch"), off); !errors.Is(err, iofs.ErrInvalid) {
+			t.Errorf("WriteAt 5 bytes at %d: %v, want fs.ErrInvalid", off, err)
+		}
+	}
+	if err := f.Truncate(limit + 1); !errors.Is(err, iofs.ErrInvalid) {
+		t.Errorf("Truncate(%d): %v, want fs.ErrInvalid", limit+1, err)
+	}
+	if size, err := f.Size(); err != nil || size != 4 {
+		t.Fatalf("Size = %d, %v after rejected calls, want 4", size, err)
 	}
 }
 

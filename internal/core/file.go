@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -752,6 +753,9 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 	if off < 0 {
 		return 0, fmt.Errorf("lamassu: negative offset %d", off)
 	}
+	if err := f.fs.checkEnd(off, int64(len(p))); err != nil {
+		return 0, err
+	}
 	if len(p) == 0 {
 		return 0, nil
 	}
@@ -785,6 +789,17 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 		}
 	}
 	return len(p), nil
+}
+
+// checkEnd rejects a write or truncate that would end past the
+// geometry's MaxLogicalSize, where physical offsets overflow an int64.
+// The error wraps fs.ErrInvalid: the argument, not the file, is at
+// fault.
+func (fs *FS) checkEnd(off, n int64) error {
+	if limit := fs.geo.MaxLogicalSize(); off > limit-n {
+		return fmt.Errorf("lamassu: %d bytes at offset %d end past the largest file size %d: %w", n, off, limit, iofs.ErrInvalid)
+	}
+	return nil
 }
 
 // writeSpan applies one block-intersecting span of a write under the
@@ -916,6 +931,9 @@ func (f *file) TruncateCtx(ctx context.Context, newSize int64) error {
 	}
 	if newSize < 0 {
 		return fmt.Errorf("lamassu: negative size %d", newSize)
+	}
+	if err := f.fs.checkEnd(newSize, 0); err != nil {
+		return err
 	}
 	if err := f.waitBehind(ctx); err != nil {
 		return err

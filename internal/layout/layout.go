@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"lamassu/internal/cryptoutil"
 )
@@ -179,6 +180,13 @@ func (g Geometry) SegmentDataBytes() int64 {
 // SegmentPhysBytes returns the on-disk size of one full segment.
 func (g Geometry) SegmentPhysBytes() int64 {
 	return int64(g.SegmentBlocks()) * int64(g.BlockSize)
+}
+
+// MaxLogicalSize returns the largest logical file size whose physical
+// layout stays within int64 byte offsets: as many whole segments as
+// fit.
+func (g Geometry) MaxLogicalSize() int64 {
+	return math.MaxInt64 / g.SegmentPhysBytes() * g.SegmentDataBytes()
 }
 
 // NumDataBlocks implements the paper's Equation (4):

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -158,6 +159,25 @@ func TestOffsetMapping(t *testing.T) {
 	// Mid-block logical offsets preserve the intra-block offset.
 	if got := g.LogicalToPhysical(4096 + 123); got != 2*4096+123 {
 		t.Fatalf("LogicalToPhysical = %d", got)
+	}
+}
+
+// TestMaxLogicalSize: the largest file's physical layout fits an int64
+// and one more segment would not.
+func TestMaxLogicalSize(t *testing.T) {
+	for _, r := range []int{1, 8} {
+		g, err := NewGeometry(4096, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limit := g.MaxLogicalSize()
+		phys := g.PhysicalSize(limit)
+		if limit <= 0 || phys < limit || math.MaxInt64-phys >= g.SegmentPhysBytes() {
+			t.Fatalf("R=%d: MaxLogicalSize %d lays out in %d physical bytes", r, limit, phys)
+		}
+		if got := g.LogicalToPhysical(limit - 1); got != phys-1 {
+			t.Fatalf("R=%d: last byte maps to %d, want %d", r, got, phys-1)
+		}
 	}
 }
 

@@ -94,7 +94,10 @@ type Config struct {
 	// ListPageSize caps entries per /v1/list page; 0 selects
 	// DefaultListPageSize.
 	ListPageSize int
-	// MaxUploadBytes caps a single PUT body; 0 means unlimited.
+	// MaxUploadBytes caps a single PUT body; 0 means unlimited. A PUT
+	// whose Content-Length header declares more is refused with 413
+	// before any body byte is read; a chunked body is cut off with 413
+	// once it passes the cap.
 	MaxUploadBytes int64
 	// Logf, when non-nil, receives one line per request outcome worth
 	// logging (errors and rejections only).
@@ -114,6 +117,11 @@ type Server struct {
 
 	statsMu sync.Mutex
 	reqs    map[opKey]int64
+
+	// bufs recycles the data plane's transfer buffers (*[]byte, so a
+	// Put allocates nothing): a PUT's body and a GET's copy chunk. See
+	// getBuf.
+	bufs sync.Pool
 }
 
 // opKey labels one per-tenant operation counter.
@@ -292,6 +300,8 @@ func errStatus(err error) int {
 	// proper with the vfs sentinel; both are a 404.
 	case lamassu.IsNotExist(err), errors.Is(err, iofs.ErrNotExist):
 		return http.StatusNotFound
+	case errors.Is(err, iofs.ErrInvalid):
+		return http.StatusBadRequest
 	case lamassu.IsCanceled(err):
 		return statusClientClosedRequest
 	case errors.Is(err, lamassu.ErrClosed):
@@ -367,8 +377,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request, tenant strin
 	if r.Method == http.MethodHead {
 		return
 	}
-	const chunk = 1 << 20
-	buf := make([]byte, chunk)
+	bp := s.getBuf(int(min(length, readChunk)))
+	defer s.putBuf(bp)
+	buf := *bp
 	for length > 0 {
 		n := int64(len(buf))
 		if n > length {
@@ -467,11 +478,22 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, tenant stri
 			return
 		}
 	}
+	if s.maxBody > 0 && r.ContentLength > s.maxBody {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("declared body of %d bytes exceeds the %d-byte upload cap", r.ContentLength, s.maxBody))
+		return
+	}
 	body := io.Reader(r.Body)
 	if s.maxBody > 0 {
 		body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	}
-	data, err := io.ReadAll(body)
+	// The engine copies the body into its own blocks and both writes
+	// sync before they return, so the buffer goes back to the pool
+	// only once the write is done with it.
+	bp := s.getBuf(bodyPresize(r.ContentLength))
+	defer s.putBuf(bp)
+	data, err := readBody(body, (*bp)[:0])
+	*bp = data
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -494,6 +516,74 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request, tenant stri
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readChunk is the most a GET holds in memory: the file goes out in
+// ReadAtCtx calls of at most this many bytes.
+const readChunk = 1 << 20
+
+// maxPooledBuf bounds the data plane's buffers. A PUT's declared
+// Content-Length presizes its body buffer up to this many bytes; past
+// that the buffer grows only as bytes arrive, so a header alone cannot
+// make the server allocate a large buffer. A buffer that grew larger is
+// left to the garbage collector instead of the pool.
+const maxPooledBuf = 4 << 20
+
+// chunkedPresize is the first buffer a PUT of unknown length (chunked
+// transfer encoding) asks the pool for.
+const chunkedPresize = 64 << 10
+
+// getBuf returns a buffer of length n from the pool, or a fresh one
+// when the pool's offering is shorter (the short one is dropped, so
+// the pool drifts toward the sizes in use). Its contents are
+// undefined.
+func (s *Server) getBuf(n int) *[]byte {
+	if bp, ok := s.bufs.Get().(*[]byte); ok && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// putBuf returns bp to the pool unless it outgrew maxPooledBuf. The
+// caller must hold no other reference to the buffer.
+func (s *Server) putBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledBuf {
+		s.bufs.Put(bp)
+	}
+}
+
+// bodyPresize is the buffer a PUT body is read into: its declared
+// length plus one spare byte, so that the read that finds EOF lands
+// without growing the buffer, trusted only up to maxPooledBuf.
+func bodyPresize(contentLength int64) int {
+	switch {
+	case contentLength < 0:
+		return chunkedPresize
+	case contentLength >= maxPooledBuf:
+		return maxPooledBuf
+	}
+	return int(contentLength) + 1
+}
+
+// readBody reads r to EOF, appending to b. It fills b's capacity before
+// growing it, so a body that fits the presized buffer is read without
+// a copy or an allocation.
+func readBody(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // writeRange overwrites len(data) bytes at off, creating the file if

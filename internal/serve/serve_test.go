@@ -19,7 +19,7 @@ const (
 	tokAdmin = "admin-token-0123456789abcdef"
 )
 
-func testTenants(t *testing.T) *Tenants {
+func testTenants(t testing.TB) *Tenants {
 	t.Helper()
 	ten, err := ParseTenants([]byte(
 		"# test tenant map\n" +
@@ -32,15 +32,22 @@ func testTenants(t *testing.T) *Tenants {
 	return ten
 }
 
+// mustKeys generates a fresh mount key pair.
+func mustKeys(tb testing.TB) lamassu.KeyPair {
+	tb.Helper()
+	keys, err := lamassu.GenerateKeys()
+	if err != nil {
+		tb.Fatalf("GenerateKeys: %v", err)
+	}
+	return keys
+}
+
 // newTestMount opens a mount the way cmd/lamassud does: encrypted
 // names (the isolation layer) and latency collection (the metrics
 // source).
 func newTestMount(t *testing.T, store lamassu.Storage) (*lamassu.Mount, lamassu.KeyPair) {
 	t.Helper()
-	keys, err := lamassu.GenerateKeys()
-	if err != nil {
-		t.Fatalf("GenerateKeys: %v", err)
-	}
+	keys := mustKeys(t)
 	m, err := lamassu.New(store, keys,
 		lamassu.WithEncryptedNames(),
 		lamassu.WithLatencyCollection(),

@@ -4,13 +4,18 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"lamassu"
 )
@@ -229,12 +234,121 @@ func TestBadRequestsWire(t *testing.T) {
 	}
 }
 
+// TestUploadCapWire: the upload cap refuses a body declared too large
+// before reading any of it, cuts a chunked body off once it passes the
+// cap, and a body that ends short of its declared length (the client
+// dropped) writes nothing.
 func TestUploadCapWire(t *testing.T) {
-	_, hs := newTestServer(t, Config{MaxUploadBytes: 1024})
+	m, _ := newTestMount(t, lamassu.NewMemStorage())
+	s, err := New(Config{Mount: m, Tenants: testTenants(t), MaxUploadBytes: 1024})
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	// The status each request was answered with, also when no client
+	// is left to read it; room for every request the test makes, so a
+	// handler never blocks on it.
+	statuses := make(chan int, 8)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w}
+		s.ServeHTTP(sw, r)
+		statuses <- sw.code
+	}))
+	t.Cleanup(hs.Close)
+	answered := func() int {
+		t.Helper()
+		select {
+		case code := <-statuses:
+			return code
+		case <-time.After(10 * time.Second):
+			t.Fatal("no request was answered")
+			return 0
+		}
+	}
+
 	resp, body := doReq(t, "PUT", hs.URL+"/v1/files/big.bin", tokAlice, make([]byte, 4096), nil)
 	wantStatus(t, resp, body, http.StatusRequestEntityTooLarge)
-	resp, body = doReq(t, "PUT", hs.URL+"/v1/files/small.bin", tokAlice, make([]byte, 512), nil)
+	answered()
+	old := bytes.Repeat([]byte{0x5A}, 512)
+	resp, body = doReq(t, "PUT", hs.URL+"/v1/files/small.bin", tokAlice, old, nil)
 	wantStatus(t, resp, body, http.StatusNoContent)
+	answered()
+
+	// Declared over the cap: 413 with not one body byte sent.
+	conn := rawPut(t, hs.Listener.Addr().String(), "/v1/files/big.bin", 1<<30, nil)
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	status, err := bufio.NewReader(conn).ReadString('\n')
+	conn.Close()
+	if err != nil || !strings.Contains(status, " 413 ") {
+		t.Fatalf("PUT declaring 1 GiB, no body sent: got %q, %v; want a 413 without waiting for the body", status, err)
+	}
+	answered()
+
+	// Chunked and over the cap: cut off with 413. The MultiReader hides
+	// the length from NewRequest, so the body goes out chunked.
+	req, err := http.NewRequest("PUT", hs.URL+"/v1/files/big.bin", io.MultiReader(bytes.NewReader(make([]byte, 4096))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+tokAlice)
+	// The server may hang up before the client has sent it all, so the
+	// status is read on the server's side.
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+	}
+	if code := answered(); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked PUT over the cap: status %d, want 413", code)
+	}
+
+	// Declared 1000 bytes, sent 100, then the client is gone: 499 and
+	// the old bytes are intact.
+	rawPut(t, hs.Listener.Addr().String(), "/v1/files/small.bin", 1000, make([]byte, 100)).Close()
+	if code := answered(); code != statusClientClosedRequest {
+		t.Fatalf("PUT cut short by the client: status %d, want %d", code, statusClientClosedRequest)
+	}
+	resp, body = doReq(t, "GET", hs.URL+"/v1/files/small.bin", tokAlice, nil, nil)
+	wantStatus(t, resp, body, http.StatusOK)
+	answered()
+	if !bytes.Equal(body, old) {
+		t.Fatalf("PUT cut short by the client changed the file: %d bytes back, want the old %d", len(body), len(old))
+	}
+}
+
+// statusWriter records the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+// rawPut opens a connection to addr and sends, as alice, a PUT of path
+// declaring a body of declared bytes followed by body, which may be
+// shorter. It returns the open connection.
+func rawPut(t *testing.T, addr, path string, declared int, body []byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	head := fmt.Sprintf("PUT %s HTTP/1.1\r\nHost: %s\r\nAuthorization: Bearer %s\r\nContent-Length: %d\r\n\r\n",
+		path, addr, tokAlice, declared)
+	if _, err := conn.Write(append([]byte(head), body...)); err != nil {
+		conn.Close()
+		t.Fatalf("write request: %v", err)
+	}
+	return conn
 }
 
 func TestAdminPlaneWire(t *testing.T) {

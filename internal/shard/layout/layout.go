@@ -246,13 +246,6 @@ func (l *Layout) KeyOf(name string, off int64) string {
 	return StripeKey(name, off/l.stripe)
 }
 
-// ShardOf returns the shard owning byte off of the named file. It is
-// pure ring arithmetic — no I/O, O(log vnodes) — so callers may use it
-// on their hot paths to route work before touching data.
-func (l *Layout) ShardOf(name string, off int64) int {
-	return l.ring.Lookup(l.KeyOf(name, off))
-}
-
 // Owner returns the shard owning a placement key previously derived
 // with KeyOf (or StripeKey). Under replication it is the PRIMARY —
 // Owners(key)[0].

@@ -192,8 +192,8 @@ func TestLayoutRoutesLikeRing(t *testing.T) {
 			name := fmt.Sprintf("file-%03d", i)
 			off := int64(i) * 4096
 			key := StripeKey(name, off/8192)
-			if got, want := lay.ShardOf(name, off), ring.Lookup(key); got != want {
-				t.Fatalf("epoch %d: ShardOf(%q, %d) = %d, ring says %d", epoch, name, off, got, want)
+			if got, want := lay.Owner(lay.KeyOf(name, off)), ring.Lookup(key); got != want {
+				t.Fatalf("epoch %d: Owner(KeyOf(%q, %d)) = %d, ring says %d", epoch, name, off, got, want)
 			}
 			if got, want := lay.Owner(key), ring.Lookup(key); got != want {
 				t.Fatalf("Owner(%q) = %d, ring says %d", key, got, want)
@@ -208,8 +208,8 @@ func TestLayoutRoutesLikeRing(t *testing.T) {
 	if lay.KeyOf("abc", 1<<30) != "abc" {
 		t.Fatalf("whole-file KeyOf = %q", lay.KeyOf("abc", 1<<30))
 	}
-	if lay.ShardOf("abc", 1<<30) != ring.Lookup("abc") {
-		t.Fatal("whole-file ShardOf diverges from ring")
+	if lay.Owner(lay.KeyOf("abc", 1<<30)) != ring.Lookup("abc") {
+		t.Fatal("whole-file owner diverges from ring")
 	}
 }
 

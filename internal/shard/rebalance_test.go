@@ -334,7 +334,7 @@ func TestRebalanceReapsUnreachableCopies(t *testing.T) {
 	raw := relocationFixture(t, from)
 	// Growth moves homes only onto the new store, so the old store that
 	// is not the ghost's home is its home under neither epoch.
-	stray := stores[1-from.Layout().ShardOf("ghost", 0)]
+	stray := stores[1-from.Layout().Owner(from.Layout().KeyOf("ghost", 0))]
 	if err := backend.WriteFile(stray, "ghost", []byte("left behind")); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestRebalanceCarveAliasMovesNothing(t *testing.T) {
 	}
 	off := int64(-1)
 	for o := int64(0); o < 40000 && off < 0; o += stripe {
-		if prev.ShardOf("alias-0", o) != from.Layout().ShardOf("alias-0", o) {
+		if cur := from.Layout(); prev.Owner(prev.KeyOf("alias-0", o)) != cur.Owner(cur.KeyOf("alias-0", o)) {
 			off = o
 		}
 	}

@@ -297,7 +297,7 @@ func TestReplicatedShardLossAndScrubRepair(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for name := range files {
 				_, err := backend.ReadFile(s, name)
-				switch owned := s.Layout().ShardOf(name, 0) == victim; {
+				switch owned := s.Layout().Owner(s.Layout().KeyOf(name, 0)) == victim; {
 				case owned && (err == nil || errors.Is(err, backend.ErrNotExist)):
 					t.Fatalf("R=1 read of %s with its only owner down: %v", name, err)
 				case owned:

@@ -64,7 +64,7 @@ func TestWholeFilePlacement(t *testing.T) {
 			t.Fatalf("%s: round trip failed: %v", name, err)
 		}
 		// Exactly one shard holds the file, and it is the ring owner.
-		owner := s.Layout().ShardOf(name, 0)
+		owner := s.Layout().Owner(s.Layout().KeyOf(name, 0))
 		holders := 0
 		for i, m := range mems {
 			if _, err := m.Stat(name); err == nil {
