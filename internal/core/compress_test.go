@@ -334,18 +334,20 @@ func TestCompressionRekey(t *testing.T) {
 	}
 }
 
-// planStore records every backend ReadAt/WriteAt a mount issues, so a
-// test can pin the engine's I/O plan — which extents, not just how many
-// bytes. With stripe > 0 it also answers core's sharded-store seam as a
-// two-shard store striping at that granularity (the bytes still live in
-// the one inner store; only the planner's view changes).
+// planStore records every backend ReadAt a mount issues and every
+// mutation that reaches its store, so a test can pin the engine's I/O
+// plan — which extents, not just how many bytes — and the crash sweeps
+// can rebuild any prefix of the mutations (sweepCrashStates). With
+// stripe > 0 it also answers core's sharded-store seam as a two-shard
+// store striping at that granularity (the bytes still live in the one
+// inner store; only the planner's view changes).
 type planStore struct {
 	backend.Store
 	stripe int64
 
-	mu     sync.Mutex
-	reads  []planOp
-	writes []planOp
+	mu    sync.Mutex
+	reads []planOp
+	log   []storeOp // in arrival order
 }
 
 type planOp struct {
@@ -353,20 +355,44 @@ type planOp struct {
 	n   int
 }
 
+// storeOp is one logged mutation of file name: a create-open, a WriteAt
+// of data at off, or a Truncate to size off.
+type storeOp struct {
+	kind string // "create", "write" or "truncate"
+	name string
+	off  int64
+	data []byte
+}
+
+func (s *planStore) record(op storeOp) {
+	s.mu.Lock()
+	s.log = append(s.log, op)
+	s.mu.Unlock()
+}
+
 func (s *planStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
+	if flag == backend.OpenCreate {
+		s.record(storeOp{kind: "create", name: name})
+	}
 	f, err := s.Store.Open(name, flag)
 	if err != nil {
 		return nil, err
 	}
-	return &planFile{File: f, s: s}, nil
+	return &planFile{File: f, s: s, name: name}, nil
 }
 
-// take returns the recorded ops sorted by offset and resets the log.
+// take returns the recorded reads and writes sorted by offset and
+// resets the log.
 func (s *planStore) take() (reads, writes []planOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reads, writes = s.reads, s.writes
-	s.reads, s.writes = nil, nil
+	for _, op := range s.log {
+		if op.kind == "write" {
+			writes = append(writes, planOp{op.off, len(op.data)})
+		}
+	}
+	reads = s.reads
+	s.reads, s.log = nil, nil
 	for _, ops := range [][]planOp{reads, writes} {
 		sort.Slice(ops, func(i, j int) bool { return ops[i].off < ops[j].off })
 	}
@@ -375,7 +401,8 @@ func (s *planStore) take() (reads, writes []planOp) {
 
 type planFile struct {
 	backend.File
-	s *planStore
+	s    *planStore
+	name string
 }
 
 func (f *planFile) ReadAt(p []byte, off int64) (int, error) {
@@ -386,10 +413,13 @@ func (f *planFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *planFile) WriteAt(p []byte, off int64) (int, error) {
-	f.s.mu.Lock()
-	f.s.writes = append(f.s.writes, planOp{off, len(p)})
-	f.s.mu.Unlock()
+	f.s.record(storeOp{kind: "write", name: f.name, off: off, data: bytes.Clone(p)})
 	return f.File.WriteAt(p, off)
+}
+
+func (f *planFile) Truncate(size int64) error {
+	f.s.record(storeOp{kind: "truncate", name: f.name, off: size})
+	return f.File.Truncate(size)
 }
 
 // stripedPlanStore is a planStore that core detects as sharded.

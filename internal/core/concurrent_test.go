@@ -396,13 +396,15 @@ func testConcurrentDistinctHandlesOneFile(t *testing.T, mk storeMaker) {
 	}
 }
 
-// Crash in the middle of a PARALLEL commit: with Parallelism > 1 the
-// phase-2 data writes race each other to the store, so a crash at a
-// fixed write count kills an arbitrary subset of them — a strictly
-// nastier schedule than the serial sweep in crash_test.go. Recovery
-// must still restore the §2.4 invariants: after Recover, the audit is
-// clean and every block holds a state the workload legitimately
-// produced.
+// Crash in the middle of a PARALLEL commit, cut live: with
+// Parallelism > 1 the phase-2 data writes race each other to the store,
+// so a crash at a fixed write count kills an arbitrary subset of them
+// while the engine is still running. The replayed sweep in
+// crash_test.go covers the same stored states on a fresh mount; this
+// test watches the running engine instead: the workload must report
+// the crash, and Recover on the same mount must still restore the §2.4
+// invariants (a clean audit, every block in a state the workload
+// legitimately produced).
 func TestCrashMidParallelCommit(t *testing.T) { forEachBackend(t, testCrashMidParallelCommit) }
 
 func testCrashMidParallelCommit(t *testing.T, mk storeMaker) {

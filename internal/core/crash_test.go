@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"lamassu/internal/backend"
 	"lamassu/internal/faultfs"
 	"lamassu/internal/layout"
-	"lamassu/internal/metrics"
 	"lamassu/internal/shard"
 	"lamassu/internal/vfs"
 )
@@ -97,13 +97,122 @@ func blockHistories(oldData []byte, seed int64, blockSize int, compressible bool
 	return hist
 }
 
-// TestCrashSweepEveryWritePoint is the central §2.4 validation: run
-// the same workload repeatedly, crashing the store after the 1st, 2nd,
-// 3rd, ... backend write; after each crash, run recovery and verify
-// that every block of the file decrypts and hash-verifies, and that
-// each block holds one of the states the write sequence legitimately
-// produced (per-block atomicity — the guarantee the multiphase commit
-// provides).
+// crashFile is the file every §2.4 sweep writes, crashes and recovers.
+const crashFile = "f"
+
+// sweepCrashStates is core's one crash-state generator, built the way
+// ALICE (Pillai et al., OSDI '14) and CrashMonkey (Mohan et al., OSDI
+// '18) build theirs. It writes oldData to crashFile and runs workload
+// on it once, on a planStore over a fresh mk(t) store that logs every
+// mutation in arrival order. Then, for every stride-th prefix of the
+// workload's log, it rebuilds base + prefix in a fresh mk(t) store and
+// reboots onto it: a fresh New, Recover and a clean Check of crashFile,
+// and check, the sweep's oracle, on the file's recovered content. A
+// prefix that ends on a WriteAt is a power cut right after that write;
+// §2.4 assumes whole-block writes, so writes are the unit of a cut.
+//
+// On a multi-slot I/O window the write order changes from run to run,
+// so every ninth cut the sweep visits records the workload again and
+// replays the new log from that cut on: the sweep samples write orders
+// as well as cut points. It returns the first recording's workload
+// log.
+func sweepCrashStates(t *testing.T, mk storeMaker, cfg Config, stride int, oldData []byte,
+	workload func(f vfs.File) error, check func(at string, got []byte)) []storeOp {
+	t.Helper()
+	record := func() (log []storeOp, base int) {
+		ps := &planStore{Store: mk(t)}
+		lfs, err := New(ps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vfs.WriteAll(lfs, crashFile, oldData); err != nil {
+			t.Fatal(err)
+		}
+		ps.mu.Lock()
+		base = len(ps.log)
+		ps.mu.Unlock()
+		f, err := lfs.OpenRW(crashFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		return ps.log, base
+	}
+	log, base := record()
+	first := log[base:]
+	for i, cut := 0, 0; cut <= len(log)-base; i, cut = i+1, cut+stride {
+		if i%9 == 8 {
+			log, base = record()
+			cut = min(cut, len(log)-base)
+		}
+		at := fmt.Sprintf("cut %d of %d", cut, len(log)-base)
+		if cut > 0 {
+			op := log[base+cut-1]
+			at += fmt.Sprintf(" (after %s at %d)", op.kind, op.off)
+		}
+		store := mk(t)
+		files := map[string]backend.File{}
+		for _, op := range log[:base+cut] {
+			f := files[op.name]
+			if f == nil {
+				var err error
+				if f, err = store.Open(op.name, backend.OpenCreate); err != nil {
+					t.Fatalf("%s: rebuild: %v", at, err)
+				}
+				files[op.name] = f
+			}
+			var err error
+			switch op.kind {
+			case "write":
+				_, err = f.WriteAt(op.data, op.off)
+			case "truncate":
+				err = f.Truncate(op.off)
+			}
+			if err != nil {
+				t.Fatalf("%s: rebuild: %v", at, err)
+			}
+		}
+		for _, f := range files {
+			f.Close()
+		}
+
+		// Reboot: a fresh mount recovers, audits and reads.
+		lfs, err := New(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lfs.Recover(crashFile); err != nil {
+			t.Fatalf("%s: recovery failed: %v", at, err)
+		}
+		rep, err := lfs.Check(crashFile)
+		if err != nil {
+			t.Fatalf("%s: check: %v", at, err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("%s: post-recovery audit dirty: %+v", at, rep)
+		}
+		got, err := vfs.ReadAll(lfs, crashFile)
+		if err != nil {
+			t.Fatalf("%s: read after recovery: %v", at, err)
+		}
+		check(at, got)
+	}
+	return first
+}
+
+// TestCrashSweepEveryWritePoint is the central §2.4 validation: crash
+// the store after every backend write of a workload, recover, and
+// verify that every block of the file decrypts and hash-verifies, and
+// that each block holds one of the states the write sequence
+// legitimately produced (per-block atomicity — the guarantee the
+// multiphase commit provides).
 func TestCrashSweepEveryWritePoint(t *testing.T) {
 	forEachBackend(t, testCrashSweepEveryWritePoint)
 	// The R=2 column: the same whole-system power loss, but the store
@@ -138,9 +247,11 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, compress bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Compression: compress}
+	// Parallelism 4 on the default window: a commit's phase-2 writes
+	// race each other to the store, so a cut keeps an arbitrary subset
+	// of them.
+	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Compression: compress, Parallelism: 4}
 
-	// First, a dry run to count the total number of backend writes.
 	// The compressed sweep starts from compressible old data too, so
 	// the initial commit already stores short extents whose crash
 	// states the workload then overwrites.
@@ -152,124 +263,51 @@ func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, compress bool) {
 			oldData[i] = phrase[i%len(phrase)] ^ byte(i>>9)
 		}
 	}
-
-	// The counting run also proves the sweep cuts between two data
-	// extents of one phase 2: some commit must write at least two, that
-	// is, more extents than phase-1 barriers.
-	logged := &planStore{Store: mk(t)}
-	countStore := faultfs.New(logged)
-	rec := metrics.New()
-	countCfg := cfg
-	countCfg.Recorder = rec
-	fsCount, err := New(countStore, countCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vfs.WriteAll(fsCount, "f", oldData); err != nil {
-		t.Fatal(err)
-	}
-	countStore.ResetWriteCount()
-	rec.Reset()
-	logged.take()
-	f, err := fsCount.OpenRW("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeWorkload(f, oldData, 7, compress); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	totalWrites := countStore.WriteCount()
-	if totalWrites < 20 {
-		t.Fatalf("workload issued only %d writes; widen it", totalWrites)
-	}
-	logged.mu.Lock()
-	writes := logged.writes // in issue order; take would sort them
-	logged.mu.Unlock()
-	if extents, phase1 := rec.Snapshot().Event(metrics.WriteRun), phase1Writes(geo, writes); extents <= phase1 {
-		t.Fatalf("%d data extents in %d commits: no commit wrote two, so no cut falls between them; change the workload",
-			extents, phase1)
-	}
 	hist := blockHistories(oldData, 7, geo.BlockSize, compress)
 
 	// In -short (race-instrumented CI) sample the crash points instead
 	// of sweeping all of them; the full sweep runs under `go test`.
-	stride := int64(1)
+	stride := 1
 	if testing.Short() {
 		stride = 9
 	}
-	for _, mode := range []faultfs.Mode{faultfs.ModeCrashAfter, faultfs.ModeCrashBefore} {
-		for crashAt := int64(1); crashAt <= totalWrites; crashAt += stride {
-			fstore := faultfs.New(mk(t))
-			lfs, err := New(fstore, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := vfs.WriteAll(lfs, "f", oldData); err != nil {
-				t.Fatal(err)
-			}
-
-			fstore.Arm(mode, crashAt, 0)
-			fw, err := lfs.OpenRW("f")
-			if err != nil {
-				t.Fatalf("crashAt=%d: open: %v", crashAt, err)
-			}
-			_, werr := writeWorkload(fw, oldData, 7, compress)
-			_ = fw.Close() // post-crash close errors are expected
-			if werr == nil && fstore.Crashed() {
-				t.Fatalf("crashAt=%d: workload succeeded despite crash", crashAt)
-			}
-			fstore.Disarm()
-
-			// "Reboot": recover, then audit.
-			if _, err := lfs.Recover("f"); err != nil {
-				t.Fatalf("mode=%v crashAt=%d: recovery failed: %v", mode, crashAt, err)
-			}
-			rep, err := lfs.Check("f")
-			if err != nil {
-				t.Fatalf("mode=%v crashAt=%d: check: %v", mode, crashAt, err)
-			}
-			if !rep.Clean() {
-				t.Fatalf("mode=%v crashAt=%d: post-recovery audit dirty: %+v", mode, crashAt, rep)
-			}
-
-			// Every block must hold one of its legitimate states.
-			got, err := vfs.ReadAll(lfs, "f")
-			if err != nil {
-				t.Fatalf("mode=%v crashAt=%d: read after recovery: %v", mode, crashAt, err)
-			}
+	ops := sweepCrashStates(t, mk, cfg, stride, oldData,
+		func(f vfs.File) error {
+			_, err := writeWorkload(f, oldData, 7, compress)
+			return err
+		},
+		func(at string, got []byte) {
 			if len(got) != len(oldData) {
-				t.Fatalf("mode=%v crashAt=%d: size changed: %d", mode, crashAt, len(got))
+				t.Fatalf("%s: size changed: %d", at, len(got))
 			}
+			// Every block must hold one of its legitimate states.
 			bs := geo.BlockSize
 			for b := 0; b*bs < len(got); b++ {
-				lo, hi := b*bs, (b+1)*bs
-				if hi > len(got) {
-					hi = len(got)
-				}
+				lo, hi := b*bs, min((b+1)*bs, len(got))
 				if !hist[b][string(got[lo:hi])] {
-					t.Fatalf("mode=%v crashAt=%d: block %d holds a state the workload never produced",
-						mode, crashAt, b)
+					t.Fatalf("%s: block %d holds a state the workload never produced", at, b)
 				}
 			}
-		}
-	}
-}
+		})
 
-// phase1Writes counts the phase-1 barriers in the write log of an
-// engine without an I/O window, whose commits run one at a time: each
-// is a metadata write followed directly by a data write.
-func phase1Writes(geo layout.Geometry, writes []planOp) int64 {
-	isMeta := func(op planOp) bool { return op.off%geo.SegmentPhysBytes() == 0 }
-	var n int64
-	for i := 1; i < len(writes); i++ {
-		if isMeta(writes[i-1]) && !isMeta(writes[i]) {
-			n++
+	// The sweep must cut inside a phase 2: some segment takes two data
+	// writes with no metadata write of that segment between them.
+	writes, inPhase2, split := 0, map[int64]bool{}, false
+	for _, op := range ops {
+		if op.kind != "write" {
+			continue
 		}
+		writes++
+		seg, meta := op.off/geo.SegmentPhysBytes(), op.off%geo.SegmentPhysBytes() == 0
+		split = split || (inPhase2[seg] && !meta)
+		inPhase2[seg] = !meta
 	}
-	return n
+	if writes < 20 {
+		t.Fatalf("workload issued only %d writes; widen it", writes)
+	}
+	if !split {
+		t.Fatalf("no segment took two data writes between metadata writes, so no cut falls inside a phase 2; change the workload")
+	}
 }
 
 // A crash exactly between phase 1 and phase 2 leaves the old data on
@@ -488,60 +526,40 @@ func TestCrashDuringAppend(t *testing.T) {
 }
 
 // Appending compressible blocks stores short frames and pads the
-// physical extent with a truncate AFTER phase 2 — a crash at any of
-// the first write points must still recover to a clean audit (no
-// keyed slot beyond the backing extent).
+// physical extent with a truncate AFTER phase 2 — a crash anywhere in
+// the append, between the pad and the final metadata write included,
+// must still recover to a clean audit (no keyed slot beyond the
+// backing extent).
 func TestCrashDuringAppendCompressed(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, mk storeMaker) { testCrashDuringAppend(t, mk, true) })
 }
 
 func testCrashDuringAppend(t *testing.T, mk storeMaker, compress bool) {
-	geo := layout.Default()
-	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Compression: compress}
-	for crashAt := int64(1); crashAt <= 3; crashAt++ {
-		fstore := faultfs.New(mk(t))
-		lfs, err := New(fstore, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldData := bytes.Repeat([]byte{0x88}, 4*4096)
-		if err := vfs.WriteAll(lfs, "f", oldData); err != nil {
-			t.Fatal(err)
-		}
-
-		fstore.Arm(faultfs.ModeCrashAfter, crashAt, 0)
-		f, _ := lfs.OpenRW("f")
-		_, _ = f.WriteAt(bytes.Repeat([]byte{0x99}, 2*4096), int64(len(oldData)))
-		_ = f.Sync()
-		_ = f.Close()
-		fstore.Disarm()
-
-		if _, err := lfs.Recover("f"); err != nil {
-			t.Fatalf("crashAt=%d: recover: %v", crashAt, err)
-		}
-		rep, err := lfs.Check("f")
-		if err != nil || !rep.Clean() {
-			t.Fatalf("crashAt=%d: audit: %+v, %v", crashAt, rep, err)
-		}
-		got, err := vfs.ReadAll(lfs, "f")
-		if err != nil {
-			t.Fatalf("crashAt=%d: read: %v", crashAt, err)
-		}
-		// The old prefix must be intact; the size is either old or
-		// new depending on whether the final meta write landed.
-		if !bytes.Equal(got[:len(oldData)], oldData) {
-			t.Fatalf("crashAt=%d: old data damaged", crashAt)
-		}
-		if len(got) != len(oldData) && len(got) != len(oldData)+2*4096 {
-			t.Fatalf("crashAt=%d: unexpected size %d", crashAt, len(got))
-		}
-		// Any appended region reads as either the new data or zeros.
-		for i := len(oldData); i < len(got); i++ {
-			if got[i] != 0x99 && got[i] != 0 {
-				t.Fatalf("crashAt=%d: appended byte %d = %#x", crashAt, i, got[i])
+	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: layout.Default(), Compression: compress}
+	oldData := bytes.Repeat([]byte{0x88}, 4*4096)
+	sweepCrashStates(t, mk, cfg, 1, oldData,
+		func(f vfs.File) error {
+			if _, err := f.WriteAt(bytes.Repeat([]byte{0x99}, 2*4096), int64(len(oldData))); err != nil {
+				return err
 			}
-		}
-	}
+			return f.Sync()
+		},
+		func(at string, got []byte) {
+			// The old prefix must be intact; the size is either old or
+			// new depending on whether the final meta write landed.
+			if len(got) != len(oldData) && len(got) != len(oldData)+2*4096 {
+				t.Fatalf("%s: unexpected size %d", at, len(got))
+			}
+			if !bytes.Equal(got[:len(oldData)], oldData) {
+				t.Fatalf("%s: old data damaged", at)
+			}
+			// Any appended region reads as either the new data or zeros.
+			for i := len(oldData); i < len(got); i++ {
+				if got[i] != 0x99 && got[i] != 0 {
+					t.Fatalf("%s: appended byte %d = %#x", at, i, got[i])
+				}
+			}
+		})
 }
 
 // Recovery is idempotent: running it on a clean file changes nothing.

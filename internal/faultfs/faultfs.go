@@ -1,23 +1,44 @@
 // Package faultfs wraps a backend.Store with crash and corruption
-// injection. It is the test harness for Lamassu's multiphase commit
-// (paper §2.4): the consistency tests crash the store after every
-// possible write, run recovery, and verify that every committed byte
-// is still readable and every interrupted segment is repaired.
+// injection: a live cut at one chosen write of a running workload
+// (paper §2.4), transient faults (transient.go) and permanent outages
+// (down.go).
 //
-// Fault model:
+// Fault model: Arm(mode, n, frac) triggers at the n-th subsequent
+// WriteAt.
 //
-//   - CrashAfterWrites(n): the n-th subsequent WriteAt completes and
-//     then the store "loses power" — every later mutation returns
-//     ErrCrashed and changes nothing.
-//   - CrashBeforeWrites(n): the n-th subsequent WriteAt itself is
-//     dropped (power lost mid-request, before the block reached the
-//     platter), consistent with the paper's assumption that the
-//     underlying storage provides whole-block write atomicity.
-//   - TornWrite(n, frac): the n-th write is partially applied — the
-//     first frac of the block reaches disk. The paper explicitly does
-//     NOT defend against torn sub-block writes (§2.4); the tests use
-//     this mode to document that boundary: Lamassu *detects* the
-//     mangled block via its integrity check but cannot repair it.
+//   - ModeCrashAfter: the n-th write completes and then the store
+//     "loses power" — every later mutation returns ErrCrashed and
+//     changes nothing.
+//   - ModeCrashBefore: the n-th write itself is dropped (power lost
+//     mid-request, before the block reached the platter), consistent
+//     with the paper's assumption that the underlying storage provides
+//     whole-block write atomicity.
+//   - ModeTorn: the n-th write is partially applied — the first frac
+//     of it reaches disk. The paper explicitly does NOT defend against
+//     torn sub-block writes (§2.4); the tests use this mode to document
+//     that boundary: Lamassu *detects* the mangled block via its
+//     integrity check but cannot repair it.
+//
+// Core's §2.4 sweeps do not arm a cut: they record a workload's
+// mutations once and rebuild every prefix on a fresh store
+// (sweepCrashStates in internal/core). The callers that still need a
+// live cut are the ones that watch the engine at the moment a write
+// fails or tears:
+//
+//   - ModeCrashBefore as "this write fails": core's
+//     TestWriteBehindErrorSurfaces and TestCommitRetryAfterPartialRunFailure;
+//   - ModeTorn: core's TestTornDataWriteDetectedNotRepaired,
+//     TestCrashMidRunWrite and TestCrashMidRunWriteTornBlockDetected;
+//   - ModeCrashAfter mid parallel commit on a running mount: core's
+//     TestCrashMidParallelCommit;
+//   - ModeCrashAfter on the shards under a running deployment: the shard
+//     sweeps (TestCrashOneShardMidParallelCommit,
+//     TestCrashAllShardsMidParallelCommit, TestFaultSoakRandomized);
+//   - ModeCrashAfter 1, a crash between phase 1 and phase 2 that the
+//     same mount then reads, writes or rotates through: core's
+//     TestReadThroughMidUpdateSegment,
+//     TestWriteToMidUpdateSegmentRecoversFirst and
+//     TestRekeyRefusesMidUpdateFile, and examples/crash-recovery.
 package faultfs
 
 import (

@@ -215,12 +215,6 @@ type Options struct {
 	// reads form a forward scan. 0 disables readahead; New rejects it
 	// without CacheBlocks > 0.
 	Readahead int
-	// Replicas, when nonzero, asserts the replication factor of the
-	// sharded store the mount is given (see ShardOptions.Replicas,
-	// where the factor is configured): the mount fails unless the store
-	// maintains exactly this many copies of every key. It requires a
-	// store from NewShardedStorage.
-	Replicas int
 	// Retry, when non-nil, gives every backend operation bounded
 	// retries of transient failures in the attempt layer that wraps
 	// each physical store (each shard of a sharded deployment, and
@@ -237,9 +231,10 @@ type Options struct {
 	// commit batch then overlap on the wire, sharded or not, and the
 	// window alone bounds the engine operations outstanding per mount:
 	// every handle's reads and commits share its slots. One operation
-	// is one extent read or write; a replicated write reaches its R
-	// owners together on the slot it holds, so leaf stores see at most
-	// IOWindow × R write requests at once.
+	// is one extent read or write; a write to a store replicated R ways
+	// (ShardOptions.Replicas) reaches its R owners together on the slot
+	// it holds, so leaf stores see at most IOWindow × R write requests
+	// at once.
 	// 0 (the default) selects a window of 32; 1 serializes backend
 	// I/O, the A/B baseline. The default depth counts requests, not
 	// cores: 8 readers on a store with 1 ms of latency keep 12–13 in
@@ -410,14 +405,6 @@ func New(store Storage, keys KeyPair, opts ...Option) (*Mount, error) {
 	// atomicity, which striping preserves only when no block straddles
 	// two shards.
 	shardStore, _ := store.(*shard.Store)
-	if o.Replicas != 0 {
-		if shardStore == nil {
-			return nil, errors.New("lamassu: Replicas requires a sharded store from NewShardedStorage")
-		}
-		if got := shardStore.Replicas(); got != o.Replicas {
-			return nil, fmt.Errorf("lamassu: sharded store maintains %d-way replication, mount asserts %d-way", got, o.Replicas)
-		}
-	}
 	if shardStore != nil {
 		if sb := shardStore.StripeBytes(); sb > 0 && sb%int64(geo.BlockSize) != 0 {
 			return nil, fmt.Errorf("lamassu: shard stripe %d is not a multiple of the block size %d", sb, geo.BlockSize)

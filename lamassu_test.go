@@ -102,7 +102,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"readahead without cache", WithReadahead(8)},
 		{"bad block size", WithBlockSize(100)},
 		{"bad reserved slots", WithReservedSlots(999)},
-		{"replication on a plain store", WithReplication(2)},
 	} {
 		if _, err := New(NewMemStorage(), keys, tc.opt); err == nil {
 			t.Errorf("%s accepted", tc.name)
@@ -282,12 +281,19 @@ func TestIntegrityErrorSurfaced(t *testing.T) {
 	if err := m.WriteFile("f", bytes.Repeat([]byte{9}, 8192)); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a data-block byte directly on the backing store.
+	// Corrupt a data-block byte directly on the backing store. The byte
+	// is flipped, not overwritten with a constant: ciphertext already
+	// holds any given value at that offset one time in 256.
 	bf, err := store.Open("f", 1 /* backend.OpenWrite */)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bf.WriteAt([]byte{0xFF}, 5000); err != nil {
+	b := make([]byte, 1)
+	if _, err := bf.ReadAt(b, 5000); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := bf.WriteAt(b, 5000); err != nil {
 		t.Fatal(err)
 	}
 	bf.Close()

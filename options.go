@@ -70,16 +70,6 @@ func WithReadahead(blocks int) Option {
 	return func(o *Options) { o.Readahead = blocks }
 }
 
-// WithReplication asserts the mounted deployment's replication factor
-// (the factor itself is configured where the topology is built:
-// ShardOptions.Replicas in NewShardedStorage). The mount fails unless
-// the sharded store it is given maintains exactly r copies of every
-// key — a guard against mounting an R-way deployment through a path
-// that dropped the factor.
-func WithReplication(r int) Option {
-	return func(o *Options) { o.Replicas = r }
-}
-
 // WithRetry wraps the backing store (every shard of a sharded
 // deployment) with bounded retry of transient backend failures, per
 // policy. Retryable errors (see IsRetryable) are re-issued with
@@ -96,9 +86,9 @@ func WithRetry(policy RetryPolicy) Option {
 // The data writes of a commit and the extents of a read overlap on the
 // wire, sharded or not, and this bound alone limits the operations in
 // flight per mount — every handle shares it. An operation is one extent
-// read or write; under WithReplication(R) a write reaches its R owners
-// together on the one slot it holds, so the leaf stores see at most
-// n × R write requests at once.
+// read or write; on a store replicated R ways (ShardOptions.Replicas)
+// a write reaches its R owners together on the one slot it holds, so
+// the leaf stores see at most n × R write requests at once.
 // A window of more than one slot also moves who waits for a commit:
 // the WriteAt that fills a batch waits for its encode only, and the
 // commit's backend writes run behind it, at most n commits per mount.

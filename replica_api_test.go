@@ -53,7 +53,7 @@ func TestReplicaShardLossFailoverAndScrub(t *testing.T) {
 		}
 		lay := storage.(*shard.Store).Layout()
 		victim = lay.Owners(lay.KeyOf(name(0), 0))[0]
-		m, err = New(storage, keys, WithParallelism(4), WithReplication(r))
+		m, err = New(storage, keys, WithParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}

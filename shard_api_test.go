@@ -254,7 +254,7 @@ func TestRebalanceShardsEncryptedNames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := New(old, keys, WithEncryptedNames(), WithReplication(replicas))
+			m, err := New(old, keys, WithEncryptedNames())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,7 +282,7 @@ func TestRebalanceShardsEncryptedNames(t *testing.T) {
 				t.Fatalf("rebalance examined %d files, want %d", st.Files, len(contents))
 			}
 
-			m2, err := New(grown, keys, WithEncryptedNames(), WithReplication(replicas))
+			m2, err := New(grown, keys, WithEncryptedNames())
 			if err != nil {
 				t.Fatal(err)
 			}
