@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,15 +59,80 @@ func TestCoalescedSegmentCommitThreeIOs(t *testing.T) {
 // Overwrites of live blocks still claim the R transient slots, so the
 // paper's batching cadence — one commit per R block writes — is
 // preserved for them; coalescing only merges each batch's data writes
-// into one run (R+2 -> 3 backend writes per batch). The counts are
-// taken on a one-slot window, whose commits land inside the write that
-// triggers them.
+// into one run (R+2 -> 3 backend writes per batch). A WriteAt that
+// carries many overwrites of one segment checks the trigger once for
+// the run, derives and encodes the groups it completes in one fan-out
+// each, and lands them as the same R-overwrite chunks; the overwrites
+// past the last complete group stay pending for the next write or Sync.
+// The per-call I/O counts are taken on a one-slot window, whose commits
+// land inside the write that triggers them. On the default window the
+// I/O halves, which release the committed part of the pending set, run
+// behind the writer, so only the CPU halves' fan-outs are counted per
+// call there.
 func TestCoalescedOverwriteKeepsPaperBatching(t *testing.T) {
+	const batches = 4
+	r := layout.Default().Reserved
+	for _, tc := range []struct {
+		name  string
+		calls []overwriteCall
+		// sync is the backend writes and WriteRuns after the final Sync.
+		syncWrites, syncRuns int64
+	}{
+		{
+			name: "one-block-calls",
+			calls: func() []overwriteCall {
+				cs := make([]overwriteCall, batches*r)
+				for i := range cs {
+					n := int64(i+1) / int64(r)
+					cs[i] = overwriteCall{first: i, blocks: 1, writes: 3 * n, runs: n, fanouts: 2 * n}
+				}
+				return cs
+			}(),
+			syncWrites: batches * 3, syncRuns: batches,
+		},
+		{
+			// 4R+3 overwrites in one call: four chunks from one derive
+			// and one encode fan-out, where a per-block trigger runs
+			// both four times; the last 3 blocks land at Sync.
+			name:       "one-call",
+			calls:      []overwriteCall{{first: 0, blocks: batches*r + 3, writes: batches * 3, runs: batches, fanouts: 2}},
+			syncWrites: batches*3 + 3, syncRuns: batches + 1,
+		},
+		{
+			// A call that ends mid-segment leaves its last 3 blocks
+			// pending; the next call's run completes the group and
+			// commits them with it, as one extent.
+			name: "ends-mid-segment",
+			calls: []overwriteCall{
+				{first: 0, blocks: r + 3, writes: 3, runs: 1, fanouts: 2},
+				{first: r + 3, blocks: r - 3, writes: 6, runs: 2, fanouts: 4},
+			},
+			syncWrites: 6, syncRuns: 2,
+		},
+	} {
+		for _, window := range []int{1, 0} {
+			t.Run(fmt.Sprintf("%s/window=%d", tc.name, window), func(t *testing.T) {
+				testOverwriteBatching(t, window, tc.calls, tc.syncWrites, tc.syncRuns)
+			})
+		}
+	}
+}
+
+// overwriteCall is one WriteAt of TestCoalescedOverwriteKeepsPaperBatching:
+// blocks blocks from block first on. writes and runs are the backend
+// writes and WriteRuns so far once the call returns; fanouts counts the
+// pool batches so far.
+type overwriteCall struct {
+	first, blocks         int
+	writes, runs, fanouts int64
+}
+
+func testOverwriteBatching(t *testing.T, window int, calls []overwriteCall, syncWrites, syncRuns int64) {
 	store := backend.NewMemStore()
 	rec := metrics.New()
 	cfg := testConfig()
 	cfg.Recorder = rec
-	cfg.IOWindow = 1
+	cfg.IOWindow = window
 	lfs := newFS(t, store, cfg)
 
 	data := make([]byte, 64*4096)
@@ -82,22 +148,39 @@ func TestCoalescedOverwriteKeepsPaperBatching(t *testing.T) {
 
 	store.ResetStats()
 	rec.Reset()
-	buf := bytes.Repeat([]byte{0x55}, 4096)
-	r := lfs.geo.Reserved
-	const batches = 4
-	for i := 0; i < batches*r; i++ {
-		if _, err := f.WriteAt(buf, int64(i)*4096); err != nil {
+	batches0 := lfs.PoolStats().Batches
+	want := bytes.Clone(data)
+	for i, c := range calls {
+		buf := bytes.Repeat([]byte{byte(0x50 + i)}, c.blocks*4096)
+		if _, err := f.WriteAt(buf, int64(c.first)*4096); err != nil {
 			t.Fatal(err)
 		}
+		copy(want[c.first*4096:], buf)
+		if writes := store.Stats().Writes; window == 1 && writes != c.writes {
+			t.Errorf("call %d: %d backend writes so far, want %d", i, writes, c.writes)
+		}
+		if runs := rec.Snapshot().Event(metrics.WriteRun); window == 1 && runs != c.runs {
+			t.Errorf("call %d: WriteRun = %d so far, want %d", i, runs, c.runs)
+		}
+		if fanouts := lfs.PoolStats().Batches - batches0; fanouts != c.fanouts {
+			t.Errorf("call %d: %d pool batches so far, want %d", i, fanouts, c.fanouts)
+		}
 	}
-	// Each batch of R contiguous live overwrites = 1 run + 2 metadata
-	// writes.
-	if writes := store.Stats().Writes; writes != int64(batches*3) {
-		t.Fatalf("%d backend writes for %d live-overwrite batches, want %d",
-			writes, batches, batches*3)
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	if runs := rec.Snapshot().Event(metrics.WriteRun); runs != int64(batches) {
-		t.Fatalf("WriteRun = %d, want %d", runs, batches)
+	if writes := store.Stats().Writes; writes != syncWrites {
+		t.Errorf("after Sync: %d backend writes, want %d", writes, syncWrites)
+	}
+	if runs := rec.Snapshot().Event(metrics.WriteRun); runs != syncRuns {
+		t.Errorf("after Sync: WriteRun = %d, want %d", runs, syncRuns)
+	}
+	got := make([]byte, len(want))
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read back differs from what was written")
 	}
 }
 
@@ -478,6 +561,43 @@ func TestCacheMissReadAllocs(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[4096:8192]) {
 		t.Fatal("cache-miss ReadAt returned the wrong bytes")
+	}
+}
+
+// A metadata write seals into its slab through the FS's one GCM, so
+// the two barriers of every commit allocate nothing.
+func TestWriteMetaNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops slab pool items")
+	}
+	cfg := testConfig()
+	cfg.CacheBlocks = 16
+	lfs := newFS(t, backend.NewMemStore(), cfg)
+	bf, err := lfs.store.Open("f", backend.OpenCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	m := layout.NewMetaBlock(lfs.geo, 0)
+	m.SetStableKey(3, testKey(9))
+	m.LogicalSize = 5 * 4096
+	if err := lfs.writeMeta(nil, bf, "f", m); err != nil { // the store grows once
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := lfs.writeMeta(nil, bf, "f", m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("writeMeta allocates %.1f times per call, want 0", allocs)
+	}
+	got, err := lfs.readMeta(nil, bf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Slots, m.Slots) || got.LogicalSize != m.LogicalSize {
+		t.Fatal("metadata read back differs from what was written")
 	}
 }
 

@@ -44,8 +44,12 @@ import (
 // as that hole. Batching is therefore bounded by R *overwritten live
 // blocks*, not R pending blocks: a purely sequential append buffers a
 // whole segment and commits it with one extent — 3 backing I/Os for
-// 118 blocks — while overwrites of live data still commit every R
-// writes exactly as the paper prescribes (see liveCap).
+// 118 blocks — while overwrites of live data still land one phase 1–3
+// commit every R writes exactly as the paper prescribes (see liveCap).
+// What a write amortizes is the CPU half: its trigger fires once per
+// segment run (writeRun), so one multi-block overwrite derives and
+// encodes all the groups of R it completes in one fan-out each, and
+// landCommit lands them as back-to-back chunks of R overwrites.
 //
 // The CPU-bound per-block work fans out across the FS worker pool and
 // all of it — key derivation and the encode (compress + encrypt) of
@@ -58,15 +62,15 @@ import (
 // write completes, and the phase-3 write begins only after every data
 // write has returned.
 //
-// A compressed segment's length table costs layout.LenSlots() of the R
-// reserved slots, so one phase can stage at most meta.EffReserved()
-// live overwrites. This FS's own write triggers bound batches
-// accordingly, but a compression-off FS writing into a segment some
-// other mount compressed can legally arrive with up to R — the batch is
-// partitioned into consecutive chunks, each its own complete phase 1–3
-// commit. A crash between chunks leaves earlier chunks fully committed
-// and later ones never started: exactly the state a crash between two
-// independent commits leaves.
+// One phase can stage at most meta.EffReserved() live overwrites: R, or
+// fewer in a compressed segment, whose length table costs
+// layout.LenSlots() of the R reserved slots. Any batch — a triggered
+// commit's groups, a Sync's whole pending set, a compression-off FS
+// writing into a segment some other mount compressed — is partitioned
+// into consecutive chunks of at most that many, each its own complete
+// phase 1–3 commit. A crash between chunks leaves earlier chunks fully
+// committed and later ones never started: exactly the state a crash
+// between two independent commits leaves.
 //
 // Cancellation (API v2): ctx is observed before every backend write —
 // between the phase barriers and between the individual extent writes
@@ -89,7 +93,7 @@ import (
 //
 // The caller must hold seg.mu exclusively.
 func (f *file) commitSegment(ctx context.Context, seg *segment, si int64) error {
-	c, err := f.prepareCommit(ctx, seg, si)
+	c, err := f.prepareCommit(ctx, seg, si, true)
 	if err != nil || c == nil {
 		return err
 	}
@@ -108,13 +112,19 @@ type commitIO struct {
 	// size is the logical size when the commit was triggered; phase 1
 	// persists it.
 	size int64
+	// through is the highest pending slot the commit took; the pending
+	// slots above it stay staged (prepareCommit).
+	through int
 }
 
 // prepareCommit is the CPU half of commitSegment: the midupdate repair,
-// key derivation, the already-durable drop, the compressed-segment flip
-// and the encode fan-out. It returns nil with a nil error when nothing
-// is left to write. The caller must hold seg.mu exclusively.
-func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*commitIO, error) {
+// the choice of slots, key derivation, the already-durable drop, the
+// compressed-segment flip and the encode fan-out. A whole commit
+// (commitSegment: Sync, Close, a truncate) takes every pending slot; a
+// commit the write trigger fired takes those of triggeredSlots. It
+// returns nil with a nil error when nothing is left to write. The
+// caller must hold seg.mu exclusively.
+func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64, whole bool) (*commitIO, error) {
 	if len(seg.pending) == 0 {
 		// Nothing buffered (e.g. a truncate dropped the pending set);
 		// clear the batching counter so its staleness cannot trigger
@@ -145,6 +155,12 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 		slots = append(slots, s)
 	}
 	sort.Ints(slots)
+	if !whole {
+		if slots = f.triggeredSlots(seg, slots); len(slots) == 0 {
+			return nil, nil
+		}
+	}
+	through := slots[len(slots)-1]
 
 	// Derive the new convergent keys: one pool task and one BlockHashes
 	// call per hash group (the hashes lead a raw commit's CPU, Figure 9).
@@ -199,7 +215,7 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	if kept == 0 {
 		// Everything was already on disk; nothing to commit. The
 		// logical size, if dirty, is persistSize's job.
-		f.releasePending(seg)
+		f.releasePending(seg, through)
 		return nil, nil
 	}
 
@@ -219,7 +235,7 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	// of AES on one goroutine either way).
 	bs := f.fs.geo.BlockSize
 	c := &commitIO{slots: slots, newKeys: newKeys, lens: make([]int, len(slots)),
-		cts: f.fs.slabs.get(len(slots) * bs), size: f.sizeNow()}
+		cts: f.fs.slabs.get(len(slots) * bs), size: f.sizeNow(), through: through}
 	// The encode fan-out hands the pool one task per group of
 	// cryptoutil.Lanes slots, the unit it encrypts in one multi-buffer
 	// call.
@@ -241,6 +257,36 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64) (*comm
 	return c, nil
 }
 
+// triggeredSlots is what a commit the write trigger fired takes of the
+// segment's sorted pending slots: those up to the last live overwrite
+// that completes a group of liveCap, so that landCommit lands them as
+// chunks of exactly liveCap live overwrites each — the commits the
+// paper's per-block trigger fires, one every R overwrites. The pending
+// slots above stay staged, fewer than liveCap live among them. A
+// segment whose every slot is pending with fewer than liveCap live
+// commits whole. With no group to take it returns nothing and corrects
+// seg.liveOverwrites, which counts blocks staged before the metadata
+// was loaded as live, to the exact count.
+func (f *file) triggeredSlots(seg *segment, slots []int) []int {
+	capLive := f.fs.liveCap()
+	live, take := 0, 0
+	for i, s := range slots {
+		if !seg.meta.StableKey(s).IsZero() {
+			if live++; live%capLive == 0 {
+				take = i + 1
+			}
+		}
+	}
+	if take > 0 {
+		return slots[:take]
+	}
+	if len(slots) == f.fs.geo.KeysPerSegment() {
+		return slots
+	}
+	seg.liveOverwrites = live
+	return nil
+}
+
 // laneGroups is the number of groups of cryptoutil.Lanes that n
 // blocks form; laneGroup is the index range [lo, hi) of group g.
 func laneGroups(n int) int { return (n + cryptoutil.Lanes - 1) / cryptoutil.Lanes }
@@ -259,7 +305,12 @@ func laneGroup(g, n int) (lo, hi int) {
 // Parallelism comes first: the kernel runs only where n/width reaches
 // the crossover of 8 blocks a group, so on a pool w wide a batch of
 // fewer than 8·w blocks hashes on crypto/sha256 (on the measured
-// 2-wide pool, from 16 blocks up; wider pools are unmeasured).
+// 2-wide pool, from 16 blocks up; wider pools are unmeasured). Which
+// batches reach it: reads of 16 blocks or more, whole-segment appends,
+// and overwrites that one write carries two or more groups of R deep
+// into a segment (a 1 MiB sequential overwrite's full segment takes
+// 112 blocks, 7 groups of 16). A per-block write stream commits one
+// group of R = 8 at a time, two groups of 4 on crypto/sha256.
 func (fs *FS) hashGroups(n int) int {
 	return max((n+cryptoutil.HashLanes-1)/cryptoutil.HashLanes, min(fs.pool.Width(), laneGroups(n)))
 }
@@ -271,10 +322,13 @@ func hashGroup(g, groups, n int) (lo, hi int) {
 }
 
 // landCommit is the I/O half of commitSegment: one phase 1–3 commit per
-// chunk of at most EffReserved live overwrites, then the release of the
-// pending buffers and the size bookkeeping. Whatever happens, it
-// returns c's slab. On failure the pending blocks stay staged, so a
-// retried commit converges. The caller must hold seg.mu exclusively.
+// chunk of at most EffReserved live overwrites, back to back, then the
+// release of the committed pending buffers and the size bookkeeping.
+// One chunk rule serves raw and compressed segments alike: a chunk
+// takes slots in order until the next one would be its EffReserved+1st
+// live overwrite. Whatever happens, it returns c's slab. On failure the
+// pending blocks stay staged, so a retried commit converges. The caller
+// must hold seg.mu exclusively.
 func (f *file) landCommit(ctx context.Context, seg *segment, si int64, c *commitIO) error {
 	defer f.fs.slabs.put(c.cts)
 	meta := seg.meta
@@ -291,21 +345,13 @@ func (f *file) landCommit(ctx context.Context, seg *segment, si int64, c *commit
 			}
 			hi++
 		}
-		if hi < len(slots) && !meta.Compressed() {
-			// The overwrite-bounded batching policy must leave enough
-			// transient slots for every live block this commit
-			// replaces; in a raw segment a violation is a bug in the
-			// trigger accounting, caught here before any state changes.
-			return fmt.Errorf("lamassu: internal error: more than R=%d live blocks overwritten in segment %d",
-				f.fs.geo.Reserved, si)
-		}
 		if err := f.commitChunk(ctx, seg, si, slots[lo:hi], c.newKeys[lo:hi], c.lens[lo:hi], c.cts[lo*bs:hi*bs], c.size); err != nil {
 			return err
 		}
 		lo = hi
 	}
 
-	f.releasePending(seg)
+	f.releasePending(seg, c.through)
 
 	// The final metadata block now carries the size this commit
 	// observed; only mark the size clean if it has not moved since
@@ -319,14 +365,24 @@ func (f *file) landCommit(ctx context.Context, seg *segment, si int64, c *commit
 	return nil
 }
 
-// releasePending recycles the segment's pending buffers — they came
-// from the slab pool (pendingBlock) — once their ciphertext is durable.
-func (f *file) releasePending(seg *segment) {
-	for _, buf := range seg.pending {
+// releasePending recycles the buffers of the segment's pending slots up
+// to through — they came from the slab pool (pendingBlock) — once their
+// ciphertext is durable, and recounts the live overwrites among the
+// slots that stay pending. The metadata is loaded, so the count is
+// exact.
+func (f *file) releasePending(seg *segment, through int) {
+	live := 0
+	for s, buf := range seg.pending {
+		if s > through {
+			if !seg.meta.StableKey(s).IsZero() {
+				live++
+			}
+			continue
+		}
 		f.fs.slabs.put(buf)
+		delete(seg.pending, s)
 	}
-	clear(seg.pending)
-	seg.liveOverwrites = 0
+	seg.liveOverwrites = live
 }
 
 // commitChunk runs one complete phase 1–3 commit for a chunk whose live

@@ -236,6 +236,8 @@ type FS struct {
 	// ced is the inner-key convergent KDF with its AES schedule
 	// expanded once; nil when an external KeyDeriver is configured.
 	ced *cryptoutil.CEKeyDeriver
+	// sealer is Equation 3's GCM under the outer key, built once.
+	sealer *cryptoutil.MetaSealer
 	// sharded is non-nil when store stripes across shards; extents
 	// then split at its stripe edges.
 	sharded shardedStore
@@ -278,13 +280,14 @@ func New(store backend.Store, cfg Config) (*FS, error) {
 		}
 	}
 	fs := &FS{
-		store: store,
-		geo:   cfg.Geometry,
-		cfg:   cfg,
-		pool:  newPool(cfg.Parallelism),
-		cache: newBlockCache(cfg.CacheBlocks),
-		slabs: newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
-		iow:   newIOWindow(cmp.Or(cfg.IOWindow, defaultIOWindow)),
+		store:  store,
+		geo:    cfg.Geometry,
+		cfg:    cfg,
+		pool:   newPool(cfg.Parallelism),
+		cache:  newBlockCache(cfg.CacheBlocks),
+		slabs:  newSlabPool(cfg.Geometry.BlockSize, cfg.Geometry.KeysPerSegment(), cfg.Recorder),
+		sealer: cryptoutil.NewMetaSealer(cfg.Outer),
+		iow:    newIOWindow(cmp.Or(cfg.IOWindow, defaultIOWindow)),
 	}
 	if cfg.KeyDeriver == nil {
 		fs.ced = cryptoutil.NewCEKeyDeriver(cfg.Inner)
@@ -468,7 +471,7 @@ func (fs *FS) readMeta(ctx context.Context, bf backend.File, seg int64) (*layout
 		return m, nil
 	}
 	t = fs.cfg.Recorder.Start()
-	m, err := layout.DecodeMetaBlock(fs.geo, buf, fs.cfg.Outer, uint64(seg))
+	m, err := layout.DecodeMetaBlock(fs.geo, buf, fs.sealer, uint64(seg))
 	fs.cfg.Recorder.Stop(metrics.Decrypt, t)
 	return m, err
 }
@@ -485,7 +488,7 @@ func (fs *FS) writeMeta(ctx context.Context, bf backend.File, name string, m *la
 	buf := fs.slabs.get(fs.geo.BlockSize)
 	defer fs.slabs.put(buf)
 	t := fs.cfg.Recorder.Start()
-	err := m.Encode(buf, fs.cfg.Outer)
+	err := m.Encode(buf, fs.sealer)
 	fs.cfg.Recorder.Stop(metrics.Encrypt, t)
 	if err != nil {
 		return err

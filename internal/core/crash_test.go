@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"regexp"
 	"testing"
 
 	"lamassu/internal/backend"
@@ -240,6 +241,88 @@ func TestCrashSweepEveryWritePoint(t *testing.T) {
 func testCrashSweepEveryWritePoint(t *testing.T, mk storeMaker) {
 	t.Run("coalesced", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, false) })
 	t.Run("coalesced-compress", func(t *testing.T) { crashSweepEveryWritePoint(t, mk, true) })
+	t.Run("one-call-chunks", func(t *testing.T) { crashSweepOneCallChunks(t, mk, false) })
+	t.Run("one-call-chunks-compress", func(t *testing.T) { crashSweepOneCallChunks(t, mk, true) })
+}
+
+// crashSweepOneCallChunks cuts the chunks of one CPU half: a single
+// WriteAt overwrites 3R+2 live blocks of one segment, so the commit it
+// triggers derives and encodes the groups it completes once and lands
+// them as back-to-back phase 1–3 chunks of liveCap overwrites each; the
+// last 2 blocks land at Sync. Every cut must leave each block holding
+// its old or its new content.
+func crashSweepOneCallChunks(t *testing.T, mk storeMaker, compress bool) {
+	geo, err := layout.NewGeometry(1024, 4) // room for 3R+2 blocks in one segment
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo, Compression: compress}
+	bs := geo.BlockSize
+	const first = 1 // the overwrite starts one block into the segment
+	n := 3*geo.Reserved + 2
+	rng := rand.New(rand.NewSource(5))
+	fill := func(b []byte, salt byte) {
+		rng.Read(b)
+		if !compress {
+			return
+		}
+		// Compressible, and different in every block and version, so
+		// no block drops out of the commit as already durable.
+		const phrase = "crash sweep compressible payload "
+		for i := range b {
+			b[i] = phrase[i%len(phrase)] ^ byte(i/bs) ^ salt
+		}
+	}
+	oldData := make([]byte, (first+n+2)*bs)
+	fill(oldData, 0)
+	newData := make([]byte, n*bs)
+	fill(newData, 0x80)
+
+	stride := 1
+	if testing.Short() {
+		stride = 3
+	}
+	ops := sweepCrashStates(t, mk, cfg, stride, oldData,
+		func(f vfs.File) error {
+			if _, err := f.WriteAt(newData, int64(first*bs)); err != nil {
+				return err
+			}
+			return f.Sync()
+		},
+		func(at string, got []byte) {
+			if len(got) != len(oldData) {
+				t.Fatalf("%s: size changed: %d", at, len(got))
+			}
+			for b := 0; b*bs < len(got); b++ {
+				blk := got[b*bs : (b+1)*bs]
+				if bytes.Equal(blk, oldData[b*bs:(b+1)*bs]) {
+					continue
+				}
+				if j := b - first; j >= 0 && j < n && bytes.Equal(blk, newData[j*bs:(j+1)*bs]) {
+					continue
+				}
+				t.Fatalf("%s: block %d holds neither its old nor its new content", at, b)
+			}
+		})
+
+	// The cuts must fall between and inside chunks of one commit: at
+	// least 3 phase 1–3 chunks of the segment land back to back — a
+	// metadata write, its data writes, a metadata write — with no other
+	// write between them.
+	var seq []byte
+	for _, op := range ops {
+		switch {
+		case op.kind != "write" || op.off >= geo.SegmentPhysBytes():
+			seq = append(seq, '.')
+		case op.off == geo.MetaBlockOffset(0):
+			seq = append(seq, 'M')
+		default:
+			seq = append(seq, 'D')
+		}
+	}
+	if !regexp.MustCompile(`(MD+M){3}`).Match(seq) {
+		t.Fatalf("no 3 back-to-back phase 1–3 chunks of segment 0 in the log %q", seq)
+	}
 }
 
 func crashSweepEveryWritePoint(t *testing.T, mk storeMaker, compress bool) {

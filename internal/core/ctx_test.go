@@ -502,7 +502,7 @@ func TestWriteBehindCanceledWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := layout.DecodeMetaBlock(geo, raw[:geo.BlockSize], cfg.Outer, 0)
+	m, err := layout.DecodeMetaBlock(geo, raw[:geo.BlockSize], lfs.sealer, 0)
 	if err != nil || !m.MidUpdate() {
 		t.Fatalf("segment 0 after the canceled wait: %v, mid-update %v; want the phase-3 write never issued", err, err == nil && m.MidUpdate())
 	}

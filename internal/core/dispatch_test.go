@@ -1080,7 +1080,7 @@ func TestWriteBehindSameBytes(t *testing.T) {
 				var metas [2]*layout.MetaBlock
 				for i, raw := range raws {
 					off := geo.MetaBlockOffset(si)
-					m, err := layout.DecodeMetaBlock(geo, raw[off:off+bs], tc.cfg.Outer, uint64(si))
+					m, err := layout.DecodeMetaBlock(geo, raw[off:off+bs], cryptoutil.NewMetaSealer(tc.cfg.Outer), uint64(si))
 					if err != nil {
 						t.Fatalf("segment %d: %v", si, err)
 					}

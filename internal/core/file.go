@@ -97,13 +97,14 @@ type segment struct {
 	meta *layout.MetaBlock
 	// pending buffers plaintext block writes by stable slot. The
 	// buffers come from the FS slab pool and return to it when the
-	// segment commits.
+	// commit that takes them lands.
 	pending map[int][]byte
 	// liveOverwrites counts the pending slots that may replace a live
 	// (non-hole) on-disk block and therefore claim a transient key
 	// slot at commit. It is a conservative upper bound — maintained in
-	// pendingBlock, reset by the commit — and drives the
-	// overwrite-bounded batching policy (see commitSegment).
+	// pendingBlock, recounted exactly over the slots a commit leaves
+	// pending — and drives the overwrite-bounded batching policy (see
+	// writeRun and commitSegment).
 	liveOverwrites int
 }
 
@@ -763,30 +764,25 @@ func (f *file) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error)
 
 	geo := f.fs.geo
 	bs := geo.BlockSize
+	var one [1]vfs.Span
+	var spans []vfs.Span
 	if bo := int(off % int64(bs)); bo+len(p) <= bs {
 		// Single-block fast path: no span slice.
-		dbi := off / int64(bs)
-		sp := vfs.Span{Index: dbi, Start: bo, Len: len(p), BufOff: 0}
-		si := geo.SegmentOfBlock(dbi)
-		slot := geo.SlotOfBlock(dbi)
-		seg := f.segment(si)
-		seg.mu.Lock()
-		if err := f.writeSpan(ctx, seg, si, slot, sp, p, off); err != nil {
-			return 0, err
-		}
-		return len(p), nil
+		one[0] = vfs.Span{Index: off / int64(bs), Start: bo, Len: len(p)}
+		spans = one[:]
+	} else {
+		spans = vfs.Spans(off, len(p), bs)
 	}
-	for _, sp := range vfs.Spans(off, len(p), bs) {
-		if err := backend.CtxErr(ctx); err != nil {
-			return sp.BufOff, err
+	for len(spans) > 0 {
+		si := geo.SegmentOfBlock(spans[0].Index)
+		n := 1
+		for n < len(spans) && geo.SegmentOfBlock(spans[n].Index) == si {
+			n++
 		}
-		si := geo.SegmentOfBlock(sp.Index)
-		slot := geo.SlotOfBlock(sp.Index)
-		seg := f.segment(si)
-		seg.mu.Lock()
-		if err := f.writeSpan(ctx, seg, si, slot, sp, p, off); err != nil {
-			return sp.BufOff, err
+		if done, err := f.writeRun(ctx, spans[:n], p, off); err != nil {
+			return done, err
 		}
+		spans = spans[n:]
 	}
 	return len(p), nil
 }
@@ -802,52 +798,74 @@ func (fs *FS) checkEnd(off, n int64) error {
 	return nil
 }
 
-// writeSpan applies one block-intersecting span of a write under the
-// segment's exclusive lock, extending the logical size and committing
-// the segment when the batching policy fires (liveCap). The paper's
-// policy — a commit once every R block writes (§2.4) — governs writes
-// that replace live blocks (which claim the R transient slots). Pending
-// blocks that were holes claim no transient slot, so fresh data batches
-// until the segment is full: a sequential append commits a whole
-// segment at once, which the planner then writes as a single extent.
+// writeRun applies a write's spans within one segment — a run of
+// consecutive blocks — under the segment's exclusive lock, extends the
+// logical size, and checks the batching trigger once for the run. The
+// paper's policy, a commit once every R block writes (§2.4), governs
+// writes that replace live blocks, which claim the R transient slots:
+// the segment commits when the run leaves at least liveCap live
+// overwrites pending, or every slot pending. That commit takes whole
+// groups of liveCap (triggeredSlots) and lands them as one phase 1–3
+// chunk per group, back to back; the rest stays pending for the next
+// run or Sync. Fresh blocks claim no transient slot, so fresh data
+// batches until the segment is full: a sequential append commits a
+// whole segment at once, which the planner then writes as a single
+// extent. A canceled ctx or a failed block ends the run without a
+// commit; what it staged commits with a later run or Sync, chunked the
+// same way.
 //
-// The caller locks seg.mu exclusively and writeSpan releases it, itself
-// or through the commit it triggers (commitTriggered). A recorded
-// write-behind failure is returned before the pending set is touched.
-func (f *file) writeSpan(ctx context.Context, seg *segment, si int64, slot int, sp vfs.Span, p []byte, off int64) error {
+// A recorded write-behind failure is returned before the pending set is
+// touched. writeRun returns how many bytes of p the call has written,
+// as WriteAt counts them.
+func (f *file) writeRun(ctx context.Context, spans []vfs.Span, p []byte, off int64) (int, error) {
+	geo := f.fs.geo
+	si := geo.SegmentOfBlock(spans[0].Index)
+	seg := f.segment(si)
+	seg.mu.Lock()
+	done := spans[0].BufOff
 	err := f.behindFailure()
-	var buf []byte
-	if err == nil {
-		buf, err = f.pendingBlock(ctx, seg, si, slot, sp.Index, sp.Full(f.fs.geo.BlockSize))
+	for _, sp := range spans {
+		if err == nil {
+			err = backend.CtxErr(ctx)
+		}
+		if err != nil {
+			break
+		}
+		var buf []byte
+		if buf, err = f.pendingBlock(ctx, seg, si, geo.SlotOfBlock(sp.Index), sp.Index, sp.Full(geo.BlockSize)); err != nil {
+			break
+		}
+		copy(buf[sp.Start:sp.Start+sp.Len], p[sp.BufOff:sp.BufOff+sp.Len])
+		done = sp.BufOff + sp.Len
 	}
-	if err != nil {
-		seg.mu.Unlock()
-		return err
+	if done > spans[0].BufOff {
+		f.stateMu.Lock()
+		if end := off + int64(done); end > f.size {
+			f.size = end
+			f.sizeDirty = true
+		}
+		f.stateMu.Unlock()
 	}
-	copy(buf[sp.Start:sp.Start+sp.Len], p[sp.BufOff:sp.BufOff+sp.Len])
-	end := off + int64(sp.BufOff+sp.Len)
-	f.stateMu.Lock()
-	if end > f.size {
-		f.size = end
-		f.sizeDirty = true
-	}
-	f.stateMu.Unlock()
-	if seg.liveOverwrites >= f.fs.liveCap() || len(seg.pending) >= f.fs.geo.KeysPerSegment() {
-		return f.commitTriggered(ctx, seg, si)
+	if err == nil && (seg.liveOverwrites >= f.fs.liveCap() || len(seg.pending) >= geo.KeysPerSegment()) {
+		if err := f.commitTriggered(ctx, seg, si); err != nil {
+			return spans[0].BufOff, err
+		}
+		return done, nil
 	}
 	seg.mu.Unlock()
-	return nil
+	return done, err
 }
 
-// liveCap is the write trigger's live-overwrite cap: a segment commits
-// once its pending live overwrites reach it (each claims a transient
-// slot) or once every slot is pending. Fresh blocks claim no transient
-// slot, so they batch until the segment is full. With compression on,
-// the length table occupies LenSlots of the R reserved slots, so
-// batches bound themselves to the compressed-mode transient capacity.
-// (A compression-off FS keeps the full-R trigger even over segments
-// some other mount compressed; the commit path chunks such batches to
-// fit.)
+// liveCap is the write trigger's live-overwrite group: a write's run
+// commits a segment once its pending live overwrites reach it (each
+// claims a transient slot) or once every slot is pending, and the
+// commit takes whole groups of it (triggeredSlots), landed one group per
+// chunk. Fresh blocks claim no transient slot, so they batch until the
+// segment is full. With compression on, the length table occupies
+// LenSlots of the R reserved slots, so groups shrink to the
+// compressed-mode transient capacity. (A compression-off FS keeps the
+// full-R trigger even over segments some other mount compressed; the
+// commit path chunks such batches to fit.)
 func (fs *FS) liveCap() int {
 	if fs.cfg.Compression {
 		return fs.geo.CompressedReserved()

@@ -184,11 +184,13 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 }
 
 // rotated is fs under a new key pair: what a rotation derives, encodes
-// and seals with. It shares fs's geometry, integrity mode, compression
-// setting, recorder and slabs, and has no pool, cache or I/O window of
-// its own; the walk reads and writes through fs's.
+// and seals with, its own KDF and GCM built for the new keys. It shares
+// fs's geometry, integrity mode, compression setting, recorder and
+// slabs, and has no pool, cache or I/O window of its own; the walk
+// reads and writes through fs's.
 func (fs *FS) rotated(inner, outer cryptoutil.Key) *FS {
 	cfg := fs.cfg
 	cfg.Inner, cfg.Outer, cfg.KeyDeriver = inner, outer, nil
-	return &FS{store: fs.store, geo: fs.geo, cfg: cfg, ced: cryptoutil.NewCEKeyDeriver(inner), slabs: fs.slabs}
+	return &FS{store: fs.store, geo: fs.geo, cfg: cfg, ced: cryptoutil.NewCEKeyDeriver(inner),
+		sealer: cryptoutil.NewMetaSealer(outer), slabs: fs.slabs}
 }

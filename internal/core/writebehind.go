@@ -48,13 +48,13 @@ type behindJob struct {
 	done   chan struct{} // closed once the half has released its segment
 }
 
-// commitTriggered runs the commit that writeSpan's trigger fired for
+// commitTriggered runs the commit that writeRun's trigger fired for
 // segment si, whose lock the caller holds exclusively, and releases
 // that lock: itself once the commit is done, or — on a window of more
 // than one slot — through the I/O half it hands off once the CPU half
 // is done.
 func (f *file) commitTriggered(ctx context.Context, seg *segment, si int64) error {
-	c, err := f.prepareCommit(ctx, seg, si)
+	c, err := f.prepareCommit(ctx, seg, si, false)
 	if err == nil && c != nil {
 		if cap(f.fs.iow.sem) > 1 {
 			f.handOff(ctx, seg, si, c)

@@ -266,6 +266,41 @@ func OpenMeta(ciphertext []byte, outer Key, nonce [GCMNonceSize]byte, tag [GCMTa
 	return plain, nil
 }
 
+// MetaSealer is Equation 3 under one outer key with the GCM built once:
+// SealMeta and OpenMeta expand the key schedule and allocate their
+// output on every call, a MetaSealer works in the caller's buffer and
+// allocates nothing. Safe for concurrent use (a cipher.AEAD keeps no
+// per-call state).
+type MetaSealer struct {
+	g cipher.AEAD
+}
+
+// NewMetaSealer builds the AES-256-GCM of outer once.
+func NewMetaSealer(outer Key) *MetaSealer {
+	g, err := newGCM(outer)
+	if err != nil {
+		panic(err.Error())
+	}
+	return &MetaSealer{g: g}
+}
+
+// Seal encrypts buf[:len(buf)-GCMTagSize] in place under nonce
+// (GCMNonceSize bytes) and writes the authentication tag into the last
+// GCMTagSize bytes of buf.
+func (s *MetaSealer) Seal(buf, nonce []byte) {
+	s.g.Seal(buf[:0], nonce, buf[:len(buf)-GCMTagSize], nil)
+}
+
+// Open authenticates and decrypts buf — ciphertext ‖ tag, as Seal
+// leaves it — in place, leaving the plaintext in buf[:len(buf)-
+// GCMTagSize]. It returns ErrAuth if the tag does not verify.
+func (s *MetaSealer) Open(buf, nonce []byte) error {
+	if _, err := s.g.Open(buf[:0], nonce, buf, nil); err != nil {
+		return ErrAuth
+	}
+	return nil
+}
+
 func newGCM(key Key) (cipher.AEAD, error) {
 	c, err := aes.NewCipher(key[:])
 	if err != nil {

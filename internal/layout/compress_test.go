@@ -73,10 +73,10 @@ func TestCompressedLengthTableRoundTrip(t *testing.T) {
 	m.NTransient = 2
 
 	buf := make([]byte, g.BlockSize)
-	if err := m.Encode(buf, outer); err != nil {
+	if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := DecodeMetaBlock(g, buf, outer, 7)
+	d, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestCompressedDecodeValidation(t *testing.T) {
 	m.InitCompressed()
 	m.SetStoredLen(0, uint8(g.UnitsPerBlock())+1) // out of range
 	buf := make([]byte, g.BlockSize)
-	if err := m.Encode(buf, outer); err != nil {
+	if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeMetaBlock(g, buf, outer, 0); !errors.Is(err, ErrBadBlock) {
+	if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 0); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("oversized stored length decoded: err=%v", err)
 	}
 
@@ -127,10 +127,10 @@ func TestCompressedDecodeValidation(t *testing.T) {
 	m2 := NewMetaBlock(g, 0)
 	m2.InitCompressed()
 	m2.NTransient = uint32(g.CompressedReserved()) + 1
-	if err := m2.Encode(buf, outer); err != nil {
+	if err := m2.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeMetaBlock(g, buf, outer, 0); !errors.Is(err, ErrBadBlock) {
+	if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 0); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("oversized compressed NTransient decoded: err=%v", err)
 	}
 }

@@ -485,10 +485,14 @@ func blockSizeLog2(bs int) (uint8, bool) {
 	return 0, false
 }
 
-// Encode seals the metadata block under the outer key and writes the
-// full on-disk block (nonce ‖ tag ‖ ciphertext) into dst, which must
-// be exactly BlockSize bytes.
-func (m *MetaBlock) Encode(dst []byte, outer cryptoutil.Key) error {
+// Encode seals the metadata block with s, the sealer of the outer key,
+// and writes the full on-disk block (nonce ‖ tag ‖ ciphertext) into
+// dst, which must be exactly BlockSize bytes. It encodes the payload
+// straight into dst and seals it there, so it allocates nothing: the
+// payload sits at dst[16:BlockSize-16] and GCM appends the tag at the
+// end of the block, after which the ciphertext moves up over the tag
+// and the tag into its place in the clear header.
+func (m *MetaBlock) Encode(dst []byte, s *cryptoutil.MetaSealer) error {
 	g := m.geo
 	if len(dst) != g.BlockSize {
 		return fmt.Errorf("%w: dst is %d bytes, want %d", ErrBadBlock, len(dst), g.BlockSize)
@@ -496,16 +500,18 @@ func (m *MetaBlock) Encode(dst []byte, outer cryptoutil.Key) error {
 	if len(m.Slots) != g.TotalSlots() {
 		return fmt.Errorf("%w: slot table has %d entries, want %d", ErrBadBlock, len(m.Slots), g.TotalSlots())
 	}
-	payload := make([]byte, g.BlockSize-clearHeaderSize)
+	if g.Reserved > 255 {
+		return fmt.Errorf("%w: reserved slots %d exceed encodable range", ErrBadGeometry, g.Reserved)
+	}
+	const at = clearHeaderSize - cryptoutil.GCMTagSize
+	payload := dst[at : len(dst)-cryptoutil.GCMTagSize]
+	clear(payload)
 	binary.LittleEndian.PutUint32(payload[0:4], Magic)
 	binary.LittleEndian.PutUint16(payload[4:6], Version)
 	if l2, ok := blockSizeLog2(g.BlockSize); ok {
 		payload[6] = l2
 	}
 	payload[7] = uint8(g.Reserved) // fits: Reserved < TotalSlots <= 255 for bs <= 8192
-	if g.Reserved > 255 {
-		return fmt.Errorf("%w: reserved slots %d exceed encodable range", ErrBadGeometry, g.Reserved)
-	}
 	binary.LittleEndian.PutUint64(payload[8:16], m.SegIndex)
 	binary.LittleEndian.PutUint64(payload[16:24], m.LogicalSize)
 	binary.LittleEndian.PutUint32(payload[24:28], m.Flags)
@@ -520,35 +526,35 @@ func (m *MetaBlock) Encode(dst []byte, outer cryptoutil.Key) error {
 	if err != nil {
 		return err
 	}
-	ct, tag, err := cryptoutil.SealMeta(payload, outer, nonce, nil)
-	if err != nil {
-		return err
-	}
-	for i := range dst[:clearHeaderSize] {
-		dst[i] = 0
-	}
-	copy(dst[0:cryptoutil.GCMNonceSize], nonce[:])
-	copy(dst[16:16+cryptoutil.GCMTagSize], tag[:])
-	copy(dst[clearHeaderSize:], ct)
+	clear(dst[:at])
+	copy(dst, nonce[:])
+	s.Seal(dst[at:], dst[:cryptoutil.GCMNonceSize])
+	var tag [cryptoutil.GCMTagSize]byte
+	copy(tag[:], dst[len(dst)-cryptoutil.GCMTagSize:])
+	copy(dst[clearHeaderSize:], dst[at:len(dst)-cryptoutil.GCMTagSize])
+	copy(dst[at:clearHeaderSize], tag[:])
 	return nil
 }
 
-// DecodeMetaBlock authenticates and decodes an on-disk metadata block.
-// wantSeg is the segment index the caller expects; a sealed block that
+// DecodeMetaBlock authenticates with s, the sealer of the outer key, and
+// decodes an on-disk metadata block; src is left as it was. wantSeg is
+// the segment index the caller expects; a sealed block that
 // authenticates but carries a different segment index yields
 // ErrWrongSeg (a misplaced block, e.g. a storage-layer swap).
-func DecodeMetaBlock(g Geometry, src []byte, outer cryptoutil.Key, wantSeg uint64) (*MetaBlock, error) {
+func DecodeMetaBlock(g Geometry, src []byte, s *cryptoutil.MetaSealer, wantSeg uint64) (*MetaBlock, error) {
 	if len(src) != g.BlockSize {
 		return nil, fmt.Errorf("%w: block is %d bytes, want %d", ErrBadBlock, len(src), g.BlockSize)
 	}
-	var nonce [cryptoutil.GCMNonceSize]byte
-	copy(nonce[:], src[0:cryptoutil.GCMNonceSize])
-	var tag [cryptoutil.GCMTagSize]byte
-	copy(tag[:], src[16:16+cryptoutil.GCMTagSize])
-	payload, err := cryptoutil.OpenMeta(src[clearHeaderSize:], outer, nonce, tag, nil)
-	if err != nil {
+	// GCM wants ciphertext ‖ tag; on disk the tag precedes the
+	// ciphertext.
+	const at = clearHeaderSize - cryptoutil.GCMTagSize
+	sealed := make([]byte, 0, g.BlockSize-at)
+	sealed = append(sealed, src[clearHeaderSize:]...)
+	sealed = append(sealed, src[at:clearHeaderSize]...)
+	if err := s.Open(sealed, src[:cryptoutil.GCMNonceSize]); err != nil {
 		return nil, err
 	}
+	payload := sealed[:len(sealed)-cryptoutil.GCMTagSize]
 	if got := binary.LittleEndian.Uint32(payload[0:4]); got != Magic {
 		return nil, fmt.Errorf("%w: magic %#x", ErrBadMagic, got)
 	}

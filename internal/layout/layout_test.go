@@ -250,11 +250,11 @@ func TestMetaBlockRoundTrip(t *testing.T) {
 	}
 
 	buf := make([]byte, g.BlockSize)
-	if err := m.Encode(buf, outer); err != nil {
+	if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := DecodeMetaBlock(g, buf, outer, 42)
+	got, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 42)
 	if err != nil {
 		t.Fatalf("DecodeMetaBlock: %v", err)
 	}
@@ -282,10 +282,10 @@ func TestMetaBlockEncodeRandomizedNonce(t *testing.T) {
 	m := NewMetaBlock(g, 0)
 	a := make([]byte, g.BlockSize)
 	b := make([]byte, g.BlockSize)
-	if err := m.Encode(a, outer); err != nil {
+	if err := m.Encode(a, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Encode(b, outer); err != nil {
+	if err := m.Encode(b, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
 	// Nonconvergent: two encodings of the same metadata must differ
@@ -300,31 +300,31 @@ func TestDecodeMetaBlockErrors(t *testing.T) {
 	outer := key(4)
 	m := NewMetaBlock(g, 7)
 	buf := make([]byte, g.BlockSize)
-	if err := m.Encode(buf, outer); err != nil {
+	if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Wrong outer key.
-	if _, err := DecodeMetaBlock(g, buf, key(5), 7); !errors.Is(err, cryptoutil.ErrAuth) {
+	if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(key(5)), 7); !errors.Is(err, cryptoutil.ErrAuth) {
 		t.Errorf("wrong key: err=%v, want ErrAuth", err)
 	}
 	// Corrupted byte in sealed region.
 	bad := append([]byte(nil), buf...)
 	bad[100] ^= 1
-	if _, err := DecodeMetaBlock(g, bad, outer, 7); !errors.Is(err, cryptoutil.ErrAuth) {
+	if _, err := DecodeMetaBlock(g, bad, cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, cryptoutil.ErrAuth) {
 		t.Errorf("corruption: err=%v, want ErrAuth", err)
 	}
 	// Wrong expected segment (block swap detection).
-	if _, err := DecodeMetaBlock(g, buf, outer, 8); !errors.Is(err, ErrWrongSeg) {
+	if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 8); !errors.Is(err, ErrWrongSeg) {
 		t.Errorf("segment swap: err=%v, want ErrWrongSeg", err)
 	}
 	// Wrong length.
-	if _, err := DecodeMetaBlock(g, buf[:100], outer, 7); !errors.Is(err, ErrBadBlock) {
+	if _, err := DecodeMetaBlock(g, buf[:100], cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("short block: err=%v, want ErrBadBlock", err)
 	}
 	// Geometry mismatch (different R).
 	g2, _ := NewGeometry(4096, 9)
-	if _, err := DecodeMetaBlock(g2, buf, outer, 7); !errors.Is(err, ErrBadBlock) {
+	if _, err := DecodeMetaBlock(g2, buf, cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("R mismatch: err=%v, want ErrBadBlock", err)
 	}
 }
@@ -402,10 +402,10 @@ func TestQuickMetaCodecRoundTrip(t *testing.T) {
 				rng.Read(k[:])
 				m.Slots[i] = k
 			}
-			if err := m.Encode(buf, outer); err != nil {
+			if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 				t.Fatalf("geometry %+v: Encode: %v", g, err)
 			}
-			got, err := DecodeMetaBlock(g, buf, outer, m.SegIndex)
+			got, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), m.SegIndex)
 			if err != nil {
 				t.Fatalf("geometry %+v: Decode: %v", g, err)
 			}
@@ -447,7 +447,7 @@ func BenchmarkMetaEncode(b *testing.B) {
 	buf := make([]byte, g.BlockSize)
 	b.SetBytes(int64(g.BlockSize))
 	for i := 0; i < b.N; i++ {
-		if err := m.Encode(buf, outer); err != nil {
+		if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -458,12 +458,12 @@ func BenchmarkMetaDecode(b *testing.B) {
 	outer := key(1)
 	m := NewMetaBlock(g, 1)
 	buf := make([]byte, g.BlockSize)
-	if err := m.Encode(buf, outer); err != nil {
+	if err := m.Encode(buf, cryptoutil.NewMetaSealer(outer)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(g.BlockSize))
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMetaBlock(g, buf, outer, 1); err != nil {
+		if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
