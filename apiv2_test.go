@@ -12,11 +12,11 @@ import (
 	"io"
 	"io/fs"
 	"strings"
-	"sync"
 	"testing"
 	"testing/fstest"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/faultfs"
 )
 
 // Compile-time std-lib conformance of the public interfaces.
@@ -236,61 +236,6 @@ func TestReadSeekerCopy(t *testing.T) {
 	}
 }
 
-// cancelAfterStore is a public-API cancellation fixture: a Storage
-// wrapper canceling a context after N context-aware backend writes.
-type cancelAfterStore struct {
-	inner backend.Store
-
-	mu     sync.Mutex
-	count  int64
-	at     int64
-	cancel context.CancelFunc
-}
-
-func (s *cancelAfterStore) arm(at int64, cancel context.CancelFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count, s.at, s.cancel = 0, at, cancel
-}
-
-func (s *cancelAfterStore) wrote() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.count++
-	if s.at > 0 && s.count == s.at && s.cancel != nil {
-		s.cancel()
-	}
-}
-
-func (s *cancelAfterStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.inner.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &cancelAfterFile{inner: f, store: s}, nil
-}
-
-func (s *cancelAfterStore) Remove(name string) error        { return s.inner.Remove(name) }
-func (s *cancelAfterStore) Rename(o, n string) error        { return s.inner.Rename(o, n) }
-func (s *cancelAfterStore) List() ([]string, error)         { return s.inner.List() }
-func (s *cancelAfterStore) Stat(name string) (int64, error) { return s.inner.Stat(name) }
-
-type cancelAfterFile struct {
-	inner backend.File
-	store *cancelAfterStore
-}
-
-func (f *cancelAfterFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
-func (f *cancelAfterFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.inner.WriteAt(p, off)
-	f.store.wrote()
-	return n, err
-}
-func (f *cancelAfterFile) Truncate(size int64) error { return f.inner.Truncate(size) }
-func (f *cancelAfterFile) Size() (int64, error)      { return f.inner.Size() }
-func (f *cancelAfterFile) Sync() error               { return f.inner.Sync() }
-func (f *cancelAfterFile) Close() error              { return f.inner.Close() }
-
 // TestCancelMidCommitPublicAPI is the acceptance check at the public
 // surface: a deadline/cancel firing inside a large coalesced commit
 // surfaces as ErrCanceled (with context.Canceled visible), and the
@@ -310,7 +255,8 @@ func TestCancelMidCommitPublicAPI(t *testing.T) {
 		{"sharded-coalesced", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			store := &cancelAfterStore{inner: backend.NewMemStore()}
+			sched := faultfs.NewScheduler(faultfs.Policy{})
+			store := sched.Leaf(0, backend.NewMemStore())
 			mount := func() (*Mount, error) {
 				if tc.shards > 0 {
 					return New(carve(t, store, tc.shards), keys)
@@ -329,7 +275,7 @@ func TestCancelMidCommitPublicAPI(t *testing.T) {
 			newData := bytes.Repeat([]byte{0xCD}, 256*1024)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			store.arm(3, cancel) // cancel mid-commit, a few writes in
+			sched.SetPolicy(faultfs.CancelAfter(faultfs.OpWrite, 3, cancel)) // cancel mid-commit, a few writes in
 			err = m.WriteFileCtx(ctx, "big", newData)
 			if err == nil {
 				t.Fatal("huge write succeeded despite mid-commit cancel")
@@ -346,7 +292,7 @@ func TestCancelMidCommitPublicAPI(t *testing.T) {
 			}
 
 			// Recover and audit: the mount must come back clean.
-			store.arm(0, nil)
+			sched.SetPolicy(faultfs.Policy{})
 			m2, err := mount()
 			if err != nil {
 				t.Fatal(err)
@@ -394,26 +340,24 @@ func TestNoBackendWorkAfterCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := &cancelAfterStore{inner: backend.NewMemStore()}
+	sched := faultfs.NewScheduler(faultfs.Policy{})
 	// Serial engine: no already-dispatched pool task or window lane can
 	// race extra writes past the cancellation point, so the count is
 	// exact.
-	m, err := New(store, keys, WithParallelism(1), WithIOWindow(1))
+	m, err := New(sched.Leaf(0, backend.NewMemStore()), keys, WithParallelism(1), WithIOWindow(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const cancelAt = 3
-	store.arm(cancelAt, cancel)
+	sched.Take()
+	sched.SetPolicy(faultfs.CancelAfter(faultfs.OpWrite, cancelAt, cancel))
 	err = m.WriteFileCtx(ctx, "f", bytes.Repeat([]byte{0xEE}, 1<<20))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want cancellation, got %v", err)
 	}
-	store.mu.Lock()
-	writes := store.count
-	store.mu.Unlock()
-	if writes != cancelAt {
+	if writes := faultfs.Count(sched.Take(), faultfs.OpWrite); writes != cancelAt {
 		t.Fatalf("%d backend writes after arming; want exactly %d — work continued after cancellation", writes, cancelAt)
 	}
 }

@@ -10,7 +10,8 @@
 //     spontaneously.
 //   - Classification preservation: a Retryable-marked error produced
 //     by a leaf store keeps its mark through every wrapper's own
-//     error wrapping (shard, nfssim, faultfs, namecrypt, AttemptStore).
+//     error wrapping (shard, nfssim, faultfs and its scheduler,
+//     namecrypt, AttemptStore).
 //
 // The file lives in package backend_test so it can import the wrapper
 // packages without an import cycle.
@@ -104,6 +105,17 @@ var impls = []struct {
 		mk:   func(t *testing.T) backend.Store { return faultfs.New(backend.NewMemStore()) },
 		wrapLeaf: func(t *testing.T, leaf backend.Store) backend.Store {
 			return faultfs.New(leaf)
+		},
+	},
+	{
+		// The interleaving tests' store: a pass-through policy must be
+		// invisible.
+		name: "scheduler",
+		mk: func(t *testing.T) backend.Store {
+			return faultfs.NewScheduler(faultfs.Policy{}).Leaf(0, backend.NewMemStore())
+		},
+		wrapLeaf: func(t *testing.T, leaf backend.Store) backend.Store {
+			return faultfs.NewScheduler(faultfs.Policy{}).Leaf(0, leaf)
 		},
 	},
 	{

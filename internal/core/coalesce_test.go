@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"lamassu/internal/backend"
 	"lamassu/internal/faultfs"
@@ -235,15 +234,19 @@ func TestConformanceWithReadahead(t *testing.T) {
 }
 
 // A forward scan arms the readahead, which populates the block cache
-// ahead of the reader.
+// ahead of the reader. A read at offset 0 starts a scan, so it arms the
+// first window, blocks 1–16: that prefetch's backend read is held by
+// count until the test has seen it in flight, and once Close has waited
+// for it, every block of the window is cached.
 func TestReadaheadPopulatesCache(t *testing.T) {
-	store := backend.NewMemStore()
+	geo := layout.Default()
 	rec := metrics.New()
 	cfg := testConfig()
 	cfg.Recorder = rec
 	cfg.CacheBlocks = 1024
 	cfg.Readahead = 16
-	lfs := newFS(t, store, cfg)
+	sched := faultfs.NewScheduler(faultfs.Policy{})
+	lfs := newFS(t, sched.Leaf(0, backend.NewMemStore()), cfg)
 
 	data := make([]byte, 256*4096)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -254,8 +257,29 @@ func TestReadaheadPopulatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	window := [2]int64{geo.DataBlockOffset(1), geo.DataBlockOffset(1 + int64(cfg.Readahead))}
+	sched.SetPolicy(faultfs.When(func(ev *faultfs.Event) bool {
+		return ev.Op == faultfs.OpRead && ev.Off >= window[0] && ev.Off < window[1]
+	}, faultfs.Park))
 	buf := make([]byte, 4096)
+	if _, err := f.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, data[:4096]) {
+		t.Fatalf("block 0: %v, equal %v", err, bytes.Equal(buf, data[:4096]))
+	}
+	prefetch := sched.Await(t, 1)
+	sched.Stop()
+	faultfs.Release(prefetch...)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for b := int64(1); b <= int64(cfg.Readahead); b++ {
+		if !lfs.cache.getData("f", b, buf) {
+			t.Fatalf("block %d of the readahead window is not cached", b)
+		}
+	}
+
+	if f, err = lfs.Open("f"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 64; i++ {
 		if _, err := f.ReadAt(buf, int64(i)*4096); err != nil {
 			t.Fatal(err)
@@ -263,15 +287,6 @@ func TestReadaheadPopulatesCache(t *testing.T) {
 		if !bytes.Equal(buf, data[i*4096:(i+1)*4096]) {
 			t.Fatalf("block %d: wrong bytes", i)
 		}
-	}
-	// The prefetcher is asynchronous; wait for at least one window to
-	// be issued and cached before closing the handle.
-	deadline := time.Now().Add(5 * time.Second)
-	for rec.Snapshot().Event(metrics.Prefetch) == 0 && time.Now().Before(deadline) {
-		if _, err := f.ReadAt(buf, 64*4096); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)

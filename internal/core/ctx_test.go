@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,165 +17,6 @@ import (
 	"lamassu/internal/simclock"
 	"lamassu/internal/vfs"
 )
-
-// cancelTrigger cancels a context after a configured number of
-// context-aware backend writes have completed — the cancellation
-// analogue of faultfs's crash-after-N-writes trigger — or, armed for
-// reads, as the N-th context-aware backend read is issued. Several
-// cancelStore wrappers (one per shard) may share one trigger.
-type cancelTrigger struct {
-	mu     sync.Mutex
-	w      cancelCount // ticked after each write
-	r      cancelCount // ticked before each read
-	truncs int64       // Truncate calls that reached the wrapped store
-}
-
-// cancelCount counts one kind of operation and cancels at the at-th.
-type cancelCount struct {
-	n      int64
-	at     int64 // 0 = disarmed
-	cancel context.CancelFunc
-}
-
-func (c *cancelCount) tick() {
-	c.n++
-	if c.at > 0 && c.n == c.at && c.cancel != nil {
-		c.cancel()
-	}
-}
-
-// arm resets the write counter and cancels after the at-th write
-// (0 = count only); armReads is the same for reads.
-func (c *cancelTrigger) arm(at int64, cancel context.CancelFunc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w = cancelCount{at: at, cancel: cancel}
-}
-
-func (c *cancelTrigger) armReads(at int64, cancel context.CancelFunc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.r = cancelCount{at: at, cancel: cancel}
-}
-
-// disarm stops both triggers; the counters keep their values.
-func (c *cancelTrigger) disarm() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.at, c.w.cancel = 0, nil
-	c.r.at, c.r.cancel = 0, nil
-}
-
-func (c *cancelTrigger) wrote() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.w.tick()
-}
-
-func (c *cancelTrigger) read() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.r.tick()
-}
-
-func (c *cancelTrigger) truncated() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.truncs++
-}
-
-func (c *cancelTrigger) truncates() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.truncs
-}
-
-func (c *cancelTrigger) writes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.w.n
-}
-
-func (c *cancelTrigger) reads() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.r.n
-}
-
-// cancelStore wraps a backend.Store, counting context-aware writes
-// into a shared trigger. It forwards the context to the inner store,
-// so it doubles as a check that ctx threads through every wrapper
-// above it.
-type cancelStore struct {
-	inner backend.Store
-	trig  *cancelTrigger
-}
-
-func (s *cancelStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	return s.OpenCtx(nil, name, flag)
-}
-
-func (s *cancelStore) OpenCtx(ctx context.Context, name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := backend.OpenCtx(ctx, s.inner, name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &cancelFile{inner: f, trig: s.trig}, nil
-}
-
-func (s *cancelStore) Remove(name string) error        { return s.inner.Remove(name) }
-func (s *cancelStore) Rename(o, n string) error        { return s.inner.Rename(o, n) }
-func (s *cancelStore) List() ([]string, error)         { return s.inner.List() }
-func (s *cancelStore) Stat(name string) (int64, error) { return s.inner.Stat(name) }
-
-type cancelFile struct {
-	inner backend.File
-	trig  *cancelTrigger
-}
-
-func (f *cancelFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
-func (f *cancelFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.inner.WriteAt(p, off)
-	f.trig.wrote()
-	return n, err
-}
-func (f *cancelFile) Truncate(size int64) error {
-	f.trig.truncated()
-	return f.inner.Truncate(size)
-}
-func (f *cancelFile) Size() (int64, error) { return f.inner.Size() }
-func (f *cancelFile) Sync() error          { return f.inner.Sync() }
-func (f *cancelFile) Close() error         { return f.inner.Close() }
-
-// ReadAtCtx ticks the trigger, then reads — so a cancellation armed for
-// this read lands before the backend sees it, and the read itself is
-// the first to observe the dead ctx.
-func (f *cancelFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	f.trig.read()
-	return backend.ReadAtCtx(ctx, f.inner, p, off)
-}
-
-// WriteAtCtx applies the write, then ticks the trigger — so the
-// cancellation lands BETWEEN backend writes, the boundary the engine
-// promises to observe.
-func (f *cancelFile) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	n, err := backend.WriteAtCtx(ctx, f.inner, p, off)
-	f.trig.wrote()
-	return n, err
-}
-
-func (f *cancelFile) TruncateCtx(ctx context.Context, size int64) error {
-	if err := backend.CtxErr(ctx); err != nil {
-		return err
-	}
-	f.trig.truncated()
-	return backend.TruncateCtx(ctx, f.inner, size)
-}
-
-func (f *cancelFile) SyncCtx(ctx context.Context) error { return backend.SyncCtx(ctx, f.inner) }
 
 // writeWorkloadCtx is writeWorkload driven through the context-aware
 // methods; identical offsets/contents per seed, so blockHistories
@@ -203,33 +43,25 @@ func writeWorkloadCtx(ctx context.Context, f vfs.File, oldData []byte, seed int6
 	return want, nil
 }
 
-// cancelFixture builds the store stack for one sweep configuration:
-// unsharded (one wrapped MemStore) or sharded (two wrapped MemStores
-// behind a striping shard.Store, stripe = one segment).
-func cancelFixture(t *testing.T, geo layout.Geometry, sharded bool, trig *cancelTrigger) backend.Store {
-	t.Helper()
-	return cancelFixtureOver(t, geo, sharded, trig, memLeaf)
-}
-
-func memLeaf() backend.Store { return backend.NewMemStore() }
-
-// cancelFixtureOver is cancelFixture over leaves of the caller's
-// choosing.
-func cancelFixtureOver(t *testing.T, geo layout.Geometry, sharded bool, trig *cancelTrigger, leaf func() backend.Store) backend.Store {
+// cancelFixture builds the store stack for one sweep configuration over
+// leaves leaf makes: unsharded (one scheduled leaf) or sharded (two
+// scheduled leaves behind a striping shard.Store, stripe = one
+// segment). The scheduler threads ctx to the leaves, so the fixture
+// doubles as a check that ctx threads through every wrapper above them.
+func cancelFixture(t *testing.T, geo layout.Geometry, sharded bool, sched *faultfs.Scheduler, leaf func() backend.Store) backend.Store {
 	t.Helper()
 	if !sharded {
-		return &cancelStore{inner: leaf(), trig: trig}
+		return sched.Leaf(0, leaf())
 	}
-	stores := []backend.Store{
-		&cancelStore{inner: leaf(), trig: trig},
-		&cancelStore{inner: leaf(), trig: trig},
-	}
+	stores := []backend.Store{sched.Leaf(0, leaf()), sched.Leaf(1, leaf())}
 	ss, err := shard.New(stores, shard.Config{StripeBytes: geo.SegmentPhysBytes()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ss
 }
+
+func memLeaf() backend.Store { return backend.NewMemStore() }
 
 // TestCancelMidCommitSweep is the cancellation analogue of the §2.4
 // crash sweep, and the PR's acceptance property: cancel the workload
@@ -275,9 +107,9 @@ func cancelMidCommitSweep(t *testing.T, sharded, remote bool) {
 	oldData := make([]byte, 40*1024)
 	rand.New(rand.NewSource(99)).Read(oldData)
 
-	// Dry run: count the workload's context-aware backend writes.
-	trig := &cancelTrigger{}
-	store := cancelFixtureOver(t, geo, sharded, trig, leaf)
+	// Dry run: count the workload's backend writes.
+	sched := faultfs.NewScheduler(faultfs.Policy{})
+	store := cancelFixture(t, geo, sharded, sched, leaf)
 	lfs, err := New(store, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +117,7 @@ func cancelMidCommitSweep(t *testing.T, sharded, remote bool) {
 	if err := vfs.WriteAll(lfs, "f", oldData); err != nil {
 		t.Fatal(err)
 	}
-	trig.arm(0, nil) // reset counter, no cancel
+	sched.Take()
 	f, err := lfs.OpenRW("f")
 	if err != nil {
 		t.Fatal(err)
@@ -296,20 +128,20 @@ func cancelMidCommitSweep(t *testing.T, sharded, remote bool) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	totalWrites := trig.writes()
+	totalWrites := faultfs.Count(sched.Take(), faultfs.OpWrite)
 	if totalWrites < 10 {
-		t.Fatalf("workload issued only %d ctx writes; widen it", totalWrites)
+		t.Fatalf("workload issued only %d backend writes; widen it", totalWrites)
 	}
 	hist := blockHistories(oldData, 7, geo.BlockSize, false)
 
-	stride := int64(1)
+	stride := 1
 	if testing.Short() {
 		stride = 7
 	}
-	for cancelAt := int64(1); cancelAt <= totalWrites; cancelAt += stride {
-		trig := &cancelTrigger{}
+	for cancelAt := 1; cancelAt <= totalWrites; cancelAt += stride {
+		sched := faultfs.NewScheduler(faultfs.Policy{})
 		servers = servers[:0]
-		store := cancelFixtureOver(t, geo, sharded, trig, leaf)
+		store := cancelFixture(t, geo, sharded, sched, leaf)
 		lfs, err := New(store, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -319,13 +151,13 @@ func cancelMidCommitSweep(t *testing.T, sharded, remote bool) {
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
-		trig.arm(cancelAt, cancel)
+		sched.SetPolicy(faultfs.CancelAfter(faultfs.OpWrite, cancelAt, cancel))
 		fw, err := lfs.OpenRW("f")
 		if err != nil {
 			t.Fatalf("cancelAt=%d: open: %v", cancelAt, err)
 		}
 		_, werr := writeWorkloadCtx(ctx, fw, oldData, 7)
-		trig.disarm()
+		sched.SetPolicy(faultfs.Policy{})
 		cancel()
 		if werr == nil {
 			t.Fatalf("cancelAt=%d: workload succeeded despite cancellation", cancelAt)
@@ -471,30 +303,31 @@ func TestWriteBehindErrorSurfaces(t *testing.T) {
 func TestWriteBehindCanceledWait(t *testing.T) {
 	geo := layout.Default()
 	data := compressibleBytes(71, geo.KeysPerSegment()*geo.BlockSize, 1) // fills segment 0
-	phase2 := newWriteGate()
 	mem := backend.NewMemStore()
-	gs := &gateStore{Store: mem, truncated: make(chan struct{}, 16),
-		gates: map[int64]*writeGate{geo.DataBlockOffset(0): phase2}}
+	sched := faultfs.NewScheduler(parkFirstWrites(geo.DataBlockOffset(0)))
 	cfg := testConfig()
 	cfg.IOWindow = 8
-	lfs := newFS(t, gs, cfg)
+	lfs := newFS(t, sched.Leaf(0, mem), cfg)
 	f, err := lfs.Create("f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeBehind(t, f, data, 0)
-	<-phase2.arrived
+	phase2 := sched.Await(t, 1)[0]
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	synced := make(chan error, 1)
 	go func() { synced <- f.SyncCtx(dead) }()
+	if phase2.Ctx == nil {
+		t.Fatal("the commit's phase-2 write carries no ctx to cancel")
+	}
 	select {
-	case <-phase2.canceled:
+	case <-phase2.Ctx.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("SyncCtx under a dead ctx left the commit in flight uncanceled")
 	}
-	close(phase2.open)
+	phase2.Release()
 	if err := <-synced; !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("SyncCtx under a dead ctx: %v, want ErrCanceled", err)
 	}
@@ -537,9 +370,8 @@ func TestCancelRetryConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Inner: testKey(1), Outer: testKey(2), Geometry: geo}
-		trig := &cancelTrigger{}
-		store := &cancelStore{inner: backend.NewMemStore(), trig: trig}
-		lfs, err := New(store, cfg)
+		sched := faultfs.NewScheduler(faultfs.Policy{})
+		lfs, err := New(sched.Leaf(0, backend.NewMemStore()), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,9 +386,9 @@ func TestCancelRetryConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		trig.arm(2, cancel) // cancel mid-phase-2
+		sched.SetPolicy(faultfs.CancelAfter(faultfs.OpWrite, 2, cancel)) // cancel mid-phase-2
 		_, werr := writeWorkloadCtx(ctx, f, oldData, 11)
-		trig.disarm()
+		sched.SetPolicy(faultfs.Policy{})
 		cancel()
 		if werr == nil || !errors.Is(werr, ErrCanceled) {
 			t.Fatalf("expected mid-commit cancellation, got %v", werr)
@@ -628,7 +460,7 @@ func TestPreCanceledContext(t *testing.T) {
 		data  []byte
 	}{
 		{"unsharded", backend.NewMemStore(), testConfig(), bytes.Repeat([]byte{7}, 8192)},
-		{"sharded-compressed-windowed", cancelFixture(t, geo, true, &cancelTrigger{}), windowed,
+		{"sharded-compressed-windowed", cancelFixture(t, geo, true, faultfs.NewScheduler(faultfs.Policy{}), memLeaf), windowed,
 			shortBlocks(geo.KeysPerSegment() + 10)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -756,17 +588,17 @@ func TestCanceledShrinkIssuesNoTruncate(t *testing.T) {
 	newSize := int64(geo.KeysPerSegment()*geo.BlockSize + 100)
 
 	// shrink writes a fresh copy of the file and cuts it to newSize
-	// through a new handle, with the trigger armed to cancel after the
-	// at-th write (0: count only).
+	// through a new handle, canceling after the at-th write of the cut
+	// (0: never).
 	type shrunk struct {
 		lfs            *FS
 		f              vfs.File
-		writes, truncs int64 // during the cut
+		writes, truncs int // during the cut
 		err            error
 	}
-	shrink := func(at int64) shrunk {
-		trig := &cancelTrigger{}
-		r := shrunk{lfs: newFS(t, &cancelStore{inner: backend.NewMemStore(), trig: trig}, testConfig())}
+	shrink := func(at int) shrunk {
+		sched := faultfs.NewScheduler(faultfs.Policy{})
+		r := shrunk{lfs: newFS(t, sched.Leaf(0, backend.NewMemStore()), testConfig())}
 		if err := vfs.WriteAll(r.lfs, "f", data); err != nil {
 			t.Fatal(err)
 		}
@@ -776,11 +608,12 @@ func TestCanceledShrinkIssuesNoTruncate(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		trig.arm(at, cancel)
-		before := trig.truncates()
+		sched.Take()
+		sched.SetPolicy(faultfs.CancelAfter(faultfs.OpWrite, at, cancel))
 		r.err = r.f.TruncateCtx(ctx, newSize)
-		trig.disarm()
-		r.writes, r.truncs = trig.writes(), trig.truncates()-before
+		sched.SetPolicy(faultfs.Policy{})
+		evs := sched.Take()
+		r.writes, r.truncs = faultfs.Count(evs, faultfs.OpWrite), faultfs.Count(evs, faultfs.OpTruncate)
 		return r
 	}
 

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"slices"
@@ -13,6 +15,7 @@ import (
 
 	"lamassu/internal/backend"
 	"lamassu/internal/cryptoutil"
+	"lamassu/internal/faultfs"
 	"lamassu/internal/layout"
 	"lamassu/internal/shard"
 	"lamassu/internal/vfs"
@@ -70,176 +73,32 @@ func writeShortBlocks(t *testing.T, lfs *FS, data []byte) []planOp {
 	return want
 }
 
-// rendezvousSettle is how long the rendezvous driver waits without a
-// new arrival before it takes the parked reads to be a whole round. It
-// only ever decides the FIRST round of a run (and a round after a lane
-// ran out of work): every other round is released the moment as many
-// reads have parked as the round before, by count. The memory store
-// answers in microseconds, so the margin is three orders of magnitude.
-const rendezvousSettle = 50 * time.Millisecond
-
-// rendezvousStore parks every data ReadAt — or, with parkWrites, every
-// data WriteAt instead — until the test's driver releases the round,
-// and records how many were parked together, so a test counts an
-// operation's critical path in rounds of backend round trips instead of
-// timing it.
-type rendezvousStore struct {
-	backend.Store
-	metaOff    int64 // I/O at this offset (the metadata block) passes through
-	parkWrites bool  // park data writes and let data reads through
-	parkMeta   bool  // with parkWrites: park the metadata writes as well
-	// sizes, when set, is the size the test expects of each round in
-	// turn: round i is released the moment sizes[i] operations have
-	// parked, so rounds of different sizes need no settling. A run that
-	// never gets there still settles, and reports what it did instead.
-	sizes []int
-
-	mu     sync.Mutex
-	parked int
-	offs   []int64       // the offsets of the parked operations
-	round  chan struct{} // closed to release the reads parked on it
-	wake   chan struct{} // cap 1: an arrival nudges the driver
+// parkAll parks every operation of kind op on the scheduler's leaves —
+// those at segment 0's metadata offset only if meta — so the
+// scheduler's Rounds counts an operation's critical path in rounds of
+// backend round trips instead of timing it.
+func parkAll(op faultfs.Op, meta bool) faultfs.Policy {
+	metaOff := layout.Default().MetaBlockOffset(0)
+	return faultfs.When(func(ev *faultfs.Event) bool { return ev.Op == op && (meta || ev.Off != metaOff) }, faultfs.Park)
 }
 
-func newRendezvousStore(inner backend.Store, metaOff int64) *rendezvousStore {
-	return &rendezvousStore{Store: inner, metaOff: metaOff,
-		round: make(chan struct{}), wake: make(chan struct{}, 1)}
-}
-
-func (s *rendezvousStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	return s.leaf(s.Store).Open(name, flag)
-}
-
-// leaf returns inner behind this rendezvous: the leaves of one sharded
-// store park on one driver, so a round counts leaf requests across all
-// of them.
-func (s *rendezvousStore) leaf(inner backend.Store) backend.Store {
-	return rendezvousLeaf{Store: inner, s: s}
-}
-
-type rendezvousLeaf struct {
-	backend.Store
-	s *rendezvousStore
-}
-
-func (l rendezvousLeaf) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := l.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &rendezvousFile{File: f, s: l.s}, nil
-}
-
-type rendezvousFile struct {
-	backend.File
-	s *rendezvousStore
-}
-
-func (f *rendezvousFile) ReadAt(p []byte, off int64) (int, error) {
-	if off != f.s.metaOff && !f.s.parkWrites {
-		f.s.park(off)
-	}
-	return f.File.ReadAt(p, off)
-}
-
-func (f *rendezvousFile) WriteAt(p []byte, off int64) (int, error) {
-	if (off != f.s.metaOff || f.s.parkMeta) && f.s.parkWrites {
-		f.s.park(off)
-	}
-	return f.File.WriteAt(p, off)
-}
-
-// park blocks the caller, an operation at off, until the driver
-// releases the round it arrived in.
-func (s *rendezvousStore) park(off int64) {
-	s.mu.Lock()
-	// Counting the arrival and picking the channel it waits on are one
-	// critical section with the driver's release, so every arrival is
-	// counted in exactly the round that releases it.
-	s.parked++
-	s.offs = append(s.offs, off)
-	round := s.round
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	<-round
-}
-
-// drive releases rounds until done closes and returns each round's
-// size. A round is complete when as many reads are parked as the round
-// before released (the lanes that were let go have all come back), or
-// when nothing new has arrived for rendezvousSettle.
-func (s *rendezvousStore) drive(done <-chan struct{}) []int {
-	var rounds []int
-	for {
-		settled := false
-		select {
-		case <-done:
-			return rounds
-		case <-s.wake:
-		case <-time.After(rendezvousSettle):
-			settled = true
-		}
-		s.mu.Lock()
-		want := -1
-		switch {
-		case len(rounds) < len(s.sizes):
-			want = s.sizes[len(rounds)]
-		case len(rounds) > 0:
-			want = rounds[len(rounds)-1]
-		}
-		if n := s.parked; n > 0 && (settled || n == want) {
-			rounds = append(rounds, n)
-			s.releaseLocked()
-		}
-		s.mu.Unlock()
-	}
-}
-
-func (s *rendezvousStore) releaseLocked() {
-	s.parked, s.offs = 0, nil
-	close(s.round)
-	s.round = make(chan struct{})
-}
-
-// await is the hand-driven alternative to drive: it waits until n
-// operations are parked and returns their offsets in ascending order,
-// releasing nothing.
-func (s *rendezvousStore) await(t *testing.T, n int) []int64 {
+// fillsWindow fails the test unless the widest of rounds is the whole
+// window, each slot one engine operation of width leaf requests: a
+// round never outgrows the window, so the window was full.
+func fillsWindow(t *testing.T, lfs *FS, rounds []int, width int) {
 	t.Helper()
-	timeout := time.After(10 * time.Second)
-	for {
-		s.mu.Lock()
-		if s.parked >= n {
-			offs := slices.Sorted(slices.Values(s.offs))
-			s.mu.Unlock()
-			return offs
-		}
-		parked := slices.Clone(s.offs)
-		s.mu.Unlock()
-		select {
-		case <-s.wake:
-		case <-timeout:
-			t.Fatalf("waited for %d parked operations; %d arrived, at %v", n, len(parked), parked)
-		}
+	if st := lfs.IOWindowStats(); len(rounds) == 0 || slices.Max(rounds) != st.Window*width {
+		t.Fatalf("widest round of %v on a window of %d slots, %d leaf requests each", rounds, st.Window, width)
 	}
-}
-
-// release lets every parked operation go.
-func (s *rendezvousStore) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.releaseLocked()
 }
 
 // TestShardedWindowedReadRounds pins the dispatch rule's critical path
 // by count. A cold read of one compressed segment of 64 short blocks is
-// 64 single-block extents; the rendezvous store holds every data read
-// until the round is released, so the number of rounds IS the number of
+// 64 single-block extents; the scheduler parks every data read until
+// the round is released, so the number of rounds IS the number of
 // sequential round trips the read waits through on a remote store, and
-// a round's size is the overlap. A read fills the window, sharded or
+// a round's size is the overlap. A round closes by count, and the
+// widest one is the whole window. A read fills the window, sharded or
 // not, inside one stripe or across two: 2 rounds of 32 on a window of
 // 32. A no-window row configures none (IOWindow 0) and so reads on the
 // default window: 32 deep whatever Parallelism is (4 and 8 here), so
@@ -275,8 +134,8 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 		{"unsharded-window-1", 0, 1, 1, repeat(1, 64)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
-			ps := &planStore{Store: rs, stripe: tc.stripe}
+			sched := faultfs.NewScheduler(parkAll(faultfs.OpRead, false))
+			ps := &planStore{Store: sched.Leaf(0, backend.NewMemStore()), stripe: tc.stripe}
 			var store backend.Store = ps
 			if tc.stripe > 0 {
 				store = stripedPlanStore{ps}
@@ -294,29 +153,23 @@ func TestShardedWindowedReadRounds(t *testing.T) {
 			}
 			defer r.Close()
 			got := make([]byte, len(data))
-			done := make(chan struct{})
 			var rerr error
-			go func() {
-				defer close(done)
+			rounds := sched.Rounds(t, func() {
 				if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
 					rerr = err
 				}
-			}()
-			rounds := rs.drive(done)
+			}, tc.rounds...)
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatal("round trip mismatch")
 			}
-			if !reflect.DeepEqual(rounds, tc.rounds) {
-				t.Fatalf("rounds of data reads in flight together:\n got  %d rounds %v\n want %d rounds %v",
-					len(rounds), rounds, len(tc.rounds), tc.rounds)
-			}
+			fillsWindow(t, lfs, rounds, 1)
 			reads, _ := ps.take()
 			var dataReads []planOp
 			for _, op := range reads {
-				if op.off != rs.metaOff {
+				if op.off != layout.Default().MetaBlockOffset(0) {
 					dataReads = append(dataReads, op)
 				}
 			}
@@ -337,8 +190,8 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 	const bs, nblocks, window = 4096, 64, 32
 	names := []string{"a", "b"}
 	data := shortBlocks(len(names) * nblocks)
-	rs := newRendezvousStore(backend.NewMemStore(), layout.Default().MetaBlockOffset(0))
-	store := stripedPlanStore{&planStore{Store: rs, stripe: 33 * bs}}
+	sched := faultfs.NewScheduler(parkAll(faultfs.OpRead, false))
+	store := stripedPlanStore{&planStore{Store: sched.Leaf(0, backend.NewMemStore()), stripe: 33 * bs}}
 	cfg := compressedConfig()
 	for i, name := range names {
 		// No window on the writer: the reading FS below starts with cold
@@ -367,9 +220,7 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	rounds := rs.drive(done)
+	sched.Rounds(t, wg.Wait, slices.Repeat([]int{window}, len(names)*nblocks/window)...)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("reader %q: %v", names[i], err)
@@ -378,10 +229,6 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip mismatch")
 	}
-	if want := slices.Repeat([]int{window}, len(names)*nblocks/window); !reflect.DeepEqual(rounds, want) {
-		t.Fatalf("rounds of data reads in flight together:\n got  %d rounds %v\n want %d rounds %v",
-			len(rounds), rounds, len(want), want)
-	}
 	if st := lfs.IOWindowStats(); st.Peak != window || st.InFlight != 0 {
 		t.Fatalf("window gauges after the reads: %+v, want peak %d and nothing in flight", st, window)
 	}
@@ -389,7 +236,7 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 
 // TestWindowedCommitRounds is the commit direction of the same count:
 // phase 2 of a fresh segment of 64 short blocks is 64 single-block
-// extents, and the rendezvous store now holds the data writes. On a
+// extents, and the scheduler now parks the data writes. On a
 // window of 32 the commit waits through 2 rounds of 32; with none
 // configured, on the default window, through the same 2 rounds of 32 at
 // Parallelism 4 (the default depth does not follow the pool), and
@@ -397,7 +244,7 @@ func TestWindowSharedByConcurrentReaders(t *testing.T) {
 // write the same plan and the same bytes.
 //
 // The replicated rows run the same commit over a shard.Store with R=2 on
-// two rendezvous leaves, metadata writes parked as well, and count LEAF
+// two scheduled leaves, metadata writes parked as well, and count LEAF
 // requests: a key's owners are written together, so each of the two
 // rounds of 32 extents is 64 leaf writes in flight and each metadata
 // barrier is one round of 2 (one owner after the other, the same 128 + 4
@@ -412,7 +259,7 @@ func TestWindowedCommitRounds(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
 		window, parallelism int
-		replicas            int // > 0: shard.Store over this many rendezvous leaves
+		replicas            int // > 0: shard.Store over this many scheduled leaves
 		rounds              []int
 	}{
 		{"window-32", 32, 1, 0, []int{32, 32}},
@@ -422,24 +269,22 @@ func TestWindowedCommitRounds(t *testing.T) {
 		{"replicated-window-1", 1, 1, 2, slices.Repeat([]int{2}, nblocks+2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := newRendezvousStore(nil, layout.Default().MetaBlockOffset(0))
-			rs.parkWrites = true
+			sched := faultfs.NewScheduler(parkAll(faultfs.OpWrite, tc.replicas > 0))
 			// copies are the unsharded stores that must each hold the
 			// whole file afterwards, leaves the recorders in front of them.
 			var copies []backend.Store
 			var leaves []*planStore
 			var store backend.Store
 			if tc.replicas == 0 {
-				rs.Store = backend.NewMemStore()
-				copies = []backend.Store{rs.Store}
-				leaves = []*planStore{{Store: rs}}
+				mem := backend.NewMemStore()
+				copies = []backend.Store{mem}
+				leaves = []*planStore{{Store: sched.Leaf(0, mem)}}
 				store = leaves[0]
 			} else {
-				rs.parkMeta, rs.sizes = true, tc.rounds
 				owners := make([]backend.Store, tc.replicas)
 				for i := range owners {
 					mem := backend.NewMemStore()
-					ps := &planStore{Store: rs.leaf(mem)}
+					ps := &planStore{Store: sched.Leaf(i, mem)}
 					copies, leaves, owners[i] = append(copies, mem), append(leaves, ps), ps
 				}
 				// R == leaves: every leaf owns every key, at its global
@@ -455,25 +300,17 @@ func TestWindowedCommitRounds(t *testing.T) {
 			cfg.Parallelism = tc.parallelism
 			lfs := newFS(t, store, cfg)
 
-			done := make(chan struct{})
 			var werr error
-			go func() {
-				defer close(done)
-				werr = vfs.WriteAll(lfs, "f", data)
-			}()
-			rounds := rs.drive(done)
+			rounds := sched.Rounds(t, func() { werr = vfs.WriteAll(lfs, "f", data) }, tc.rounds...)
 			if werr != nil {
 				t.Fatal(werr)
 			}
-			if !reflect.DeepEqual(rounds, tc.rounds) {
-				t.Fatalf("rounds of writes in flight together:\n got  %d rounds %v\n want %d rounds %v",
-					len(rounds), rounds, len(tc.rounds), tc.rounds)
-			}
+			fillsWindow(t, lfs, rounds, max(1, tc.replicas))
 			dataWrites, metaWrites := 0, 0
 			for _, ps := range leaves {
 				_, writes := ps.take()
 				for _, op := range writes {
-					if op.off != rs.metaOff {
+					if op.off != layout.Default().MetaBlockOffset(0) {
 						dataWrites++
 					} else {
 						metaWrites++
@@ -499,56 +336,18 @@ func TestWindowedCommitRounds(t *testing.T) {
 	}
 }
 
-// failingReadStore fails the data reads at two offsets, in a chosen
-// order in time: the read at loOff returns errLo, the read at hiOff
-// returns errHi, and when ordered the lower one waits until the higher
-// has failed — the adversarial schedule for "lowest position wins".
-type failingReadStore struct {
-	backend.Store
-	loOff, hiOff int64
-	ordered      bool
-	hiFailed     chan struct{}
-	once         sync.Once
-}
-
 var (
 	errLoExtent = errors.New("injected: lower extent")
 	errHiExtent = errors.New("injected: higher extent")
 )
 
-func (s *failingReadStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &failingReadFile{File: f, s: s}, nil
-}
-
-type failingReadFile struct {
-	backend.File
-	s *failingReadStore
-}
-
-func (f *failingReadFile) ReadAt(p []byte, off int64) (int, error) {
-	switch off {
-	case f.s.hiOff:
-		f.s.once.Do(func() { close(f.s.hiFailed) })
-		return 0, errHiExtent
-	case f.s.loOff:
-		if f.s.ordered {
-			<-f.s.hiFailed
-		}
-		return 0, errLoExtent
-	}
-	return f.File.ReadAt(p, off)
-}
-
 // TestReadFailurePosition pins readSpans' failure contract on every
 // window shape (a no-window row runs on the default window): when
 // extents 5 and 9 of a read both fail — and, where the window runs
-// them concurrently, 9 fails FIRST in time — ReadAt
-// returns the buffer position of extent 5, its error, and p[:n] holding
-// exactly the plaintext that precedes it.
+// them concurrently, both are parked together, 9 is failed FIRST, and 5
+// only once 9's read has returned —
+// ReadAt returns the buffer position of extent 5, its error, and p[:n]
+// holding exactly the plaintext that precedes it.
 func TestReadFailurePosition(t *testing.T) {
 	const bs, nblocks, lo, hi = 4096, 64, 5, 9
 	data := shortBlocks(nblocks)
@@ -566,9 +365,8 @@ func TestReadFailurePosition(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			geo := layout.Default()
-			frs := &failingReadStore{Store: backend.NewMemStore(), ordered: tc.ordered,
-				loOff: -1, hiOff: -1, hiFailed: make(chan struct{})}
-			ps := &planStore{Store: frs, stripe: tc.stripe}
+			sched := faultfs.NewScheduler(faultfs.Policy{})
+			ps := &planStore{Store: sched.Leaf(0, backend.NewMemStore()), stripe: tc.stripe}
 			var store backend.Store = ps
 			if tc.stripe > 0 {
 				store = stripedPlanStore{ps}
@@ -584,9 +382,46 @@ func TestReadFailurePosition(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			frs.loOff, frs.hiOff = geo.DataBlockOffset(lo), geo.DataBlockOffset(hi)
+			loOff, hiOff := geo.DataBlockOffset(lo), geo.DataBlockOffset(hi)
+			hiFailed := make(chan struct{})
+			sched.SetPolicy(faultfs.Policy{
+				Issue: func(ev *faultfs.Event) faultfs.Verdict {
+					switch {
+					case ev.Op != faultfs.OpRead || (ev.Off != loOff && ev.Off != hiOff):
+						return faultfs.Pass
+					case tc.ordered:
+						return faultfs.Park
+					case ev.Off == hiOff:
+						return faultfs.Fail(errHiExtent)
+					}
+					return faultfs.Fail(errLoExtent)
+				},
+				Return: func(ev *faultfs.Event) {
+					if tc.ordered && ev.Op == faultfs.OpRead && ev.Off == hiOff {
+						close(hiFailed)
+					}
+				},
+			})
 			got := bytes.Repeat([]byte{0xA5}, len(data))
-			n, err := r.ReadAt(got, 0)
+			var n int
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				n, err = r.ReadAt(got, 0)
+			}()
+			if tc.ordered {
+				evs := sched.Await(t, 2)
+				slices.SortFunc(evs, func(a, b *faultfs.Event) int { return cmp.Compare(b.Off, a.Off) })
+				if len(evs) != 2 || evs[0].Off != hiOff || evs[1].Off != loOff {
+					t.Fatalf("parked %v, want the reads of extents %d and %d", evs, lo, hi)
+				}
+				// Extent 9's error is on its way back to its lane before
+				// extent 5's read is let go.
+				evs[0].Fail(errHiExtent)
+				<-hiFailed
+				evs[1].Fail(errLoExtent)
+			}
+			<-done
 			if !errors.Is(err, errLoExtent) {
 				t.Fatalf("error %v, want extent %d's", err, lo)
 			}
@@ -595,13 +430,6 @@ func TestReadFailurePosition(t *testing.T) {
 			}
 			if !bytes.Equal(got[:n], data[:n]) {
 				t.Fatal("bytes before the failure position are not the plaintext")
-			}
-			if tc.ordered {
-				select {
-				case <-frs.hiFailed:
-				default:
-					t.Fatalf("extent %d never ran: the schedule under test did not happen", hi)
-				}
 			}
 		})
 	}
@@ -625,9 +453,8 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 	kps := geo.KeysPerSegment()
 	nblocks := kps + 40
 	data := shortBlocks(nblocks)
-	trig := &cancelTrigger{}
-	store := cancelFixture(t, geo, true, trig)
-	lfs := newFS(t, store, cfg)
+	sched := faultfs.NewScheduler(faultfs.Policy{})
+	lfs := newFS(t, cancelFixture(t, geo, true, sched, memLeaf), cfg)
 	f, err := lfs.Create("f")
 	if err != nil {
 		t.Fatal(err)
@@ -651,10 +478,11 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 			p := make([]byte, span.len)
 			// attempt reads the span through a cold handle — so every
 			// attempt issues the same backend reads, metadata included —
-			// with the trigger armed to cancel as the k-th of them is
-			// issued (k == 0: count only), checks the outcome, and retries
-			// on the same handle with a live ctx.
-			attempt := func(ctx context.Context, k int64, cancel context.CancelFunc) {
+			// canceling as the k-th of them is issued (k == 0: never),
+			// checks the outcome, retries on the same handle with a live
+			// ctx, and returns how many backend reads the first read
+			// issued.
+			attempt := func(ctx context.Context, k int, cancel context.CancelFunc) (reads int) {
 				r, err := lfs.Open("f")
 				if err != nil {
 					t.Fatal(err)
@@ -663,14 +491,16 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 				for i := range p {
 					p[i] = 0xA5
 				}
-				trig.armReads(k, cancel)
+				sched.Take()
+				sched.SetPolicy(faultfs.CancelBefore(faultfs.OpRead, k, cancel))
 				n, err := r.ReadAtCtx(ctx, p, int64(span.off))
-				trig.disarm()
+				sched.SetPolicy(faultfs.Policy{})
+				reads = faultfs.Count(sched.Take(), faultfs.OpRead)
 				if ctx.Err() == nil {
 					if (err != nil && err != io.EOF) || n != span.len || !bytes.Equal(p, want) {
 						t.Fatalf("live ctx: n=%d err=%v", n, err)
 					}
-					return
+					return reads
 				}
 				if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 					t.Fatalf("k=%d: n=%d err=%v, want ErrCanceled", k, n, err)
@@ -686,14 +516,14 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 					n != span.len || !bytes.Equal(p, want) {
 					t.Fatalf("k=%d: retry with a live ctx: n=%d err=%v", k, n, err)
 				}
+				return reads
 			}
-			// Dry run: count the read's context-aware backend reads.
-			attempt(context.Background(), 0, nil)
-			total := trig.reads()
-			if total < int64(span.len/geo.BlockSize) {
-				t.Fatalf("read issued only %d ctx reads for %d short blocks", total, span.len/geo.BlockSize)
+			// Dry run: count the read's backend reads.
+			total := attempt(context.Background(), 0, nil)
+			if total < span.len/geo.BlockSize {
+				t.Fatalf("read issued only %d backend reads for %d short blocks", total, span.len/geo.BlockSize)
 			}
-			for k := int64(0); k <= total; k++ {
+			for k := 0; k <= total; k++ {
 				ctx, cancel := context.WithCancel(context.Background())
 				if k == 0 {
 					cancel() // dead on entry
@@ -708,71 +538,25 @@ func TestReadFailurePositionUnderCancel(t *testing.T) {
 	}
 }
 
-// leafLog records, in order, the calls the leaves of one sharded store
-// see that cost a round trip on a remote leaf: Stat and Open by name,
-// and ReadAt, WriteAt and Truncate on a handle. (Size is local on every
-// backend in the tree; Sync is the barrier itself.)
-type leafLog struct {
-	mu    sync.Mutex
-	calls []leafCall
-}
-
+// leafCall is one leaf call that costs a round trip on a remote leaf:
+// Stat and Open by name, and ReadAt, WriteAt and Truncate (at its size)
+// on a handle. (Size is local on every backend in the tree; Sync is the
+// barrier itself.)
 type leafCall struct {
 	kind string // "stat", "open", "read", "write", "truncate"
 	off  int64
 }
 
-func (l *leafLog) note(kind string, off int64) {
-	l.mu.Lock()
-	l.calls = append(l.calls, leafCall{kind, off})
-	l.mu.Unlock()
-}
-
-func (l *leafLog) take() []leafCall {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	calls := l.calls
-	l.calls = nil
-	return calls
-}
-
-type loggedLeaf struct {
-	backend.Store
-	log *leafLog
-}
-
-func (l loggedLeaf) Stat(name string) (int64, error) {
-	l.log.note("stat", 0)
-	return l.Store.Stat(name)
-}
-
-func (l loggedLeaf) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	l.log.note("open", 0)
-	f, err := l.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
+// roundTrips returns the leaf calls among evs, in issue order.
+func roundTrips(evs []faultfs.Event) []leafCall {
+	var calls []leafCall
+	for _, ev := range evs {
+		switch ev.Op {
+		case faultfs.OpStat, faultfs.OpOpen, faultfs.OpRead, faultfs.OpWrite, faultfs.OpTruncate:
+			calls = append(calls, leafCall{ev.Op.String(), ev.Off})
+		}
 	}
-	return loggedFile{File: f, log: l.log}, nil
-}
-
-type loggedFile struct {
-	backend.File
-	log *leafLog
-}
-
-func (f loggedFile) ReadAt(p []byte, off int64) (int, error) {
-	f.log.note("read", off)
-	return f.File.ReadAt(p, off)
-}
-
-func (f loggedFile) WriteAt(p []byte, off int64) (int, error) {
-	f.log.note("write", off)
-	return f.File.WriteAt(p, off)
-}
-
-func (f loggedFile) Truncate(size int64) error {
-	f.log.note("truncate", size)
-	return f.File.Truncate(size)
+	return calls
 }
 
 // TestCommitAsksNoSizes: a §2.4 commit costs its two metadata writes and
@@ -792,10 +576,10 @@ func TestCommitAsksNoSizes(t *testing.T) {
 	data := shortBlocks(2 * nblocks)
 	segBytes := nblocks * geo.BlockSize
 
-	log := &leafLog{}
+	sched := faultfs.NewScheduler(faultfs.Policy{})
 	leaves := make([]backend.Store, 4)
 	for i := range leaves {
-		leaves[i] = loggedLeaf{Store: backend.NewMemStore(), log: log}
+		leaves[i] = sched.Leaf(i, backend.NewMemStore())
 	}
 	const replicas = 2
 	ss, err := shard.New(leaves, shard.Config{StripeBytes: 2 * geo.SegmentPhysBytes(), Replicas: replicas})
@@ -811,14 +595,14 @@ func TestCommitAsksNoSizes(t *testing.T) {
 	}
 
 	for seg := 0; seg < 2; seg++ {
-		log.take()
+		sched.Take()
 		if _, err := f.WriteAt(data[seg*segBytes:(seg+1)*segBytes], int64(seg*segBytes)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		calls := log.take()
+		calls := roundTrips(sched.Take())
 		metaOff := geo.MetaBlockOffset(int64(seg))
 		isMeta := func(c leafCall) bool { return c.kind == "write" && c.off == metaOff }
 		first := slices.IndexFunc(calls, isMeta)
@@ -904,7 +688,7 @@ func writeBehind(t *testing.T, f vfs.File, p []byte, off int64) {
 	}
 }
 
-// TestWriteBehindOverlapsCommits pins on rendezvous leaves who waits for
+// TestWriteBehindOverlapsCommits pins on scheduled leaves who waits for
 // a commit's round trips. On a window of 8 the WriteAt that fills
 // segment 0 returns while the commit's phase-1 write is still parked, so
 // long before its phase 3 is admitted; the next WriteAt fills segment 1
@@ -921,11 +705,10 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 	data := func(b int) int64 { return geo.DataBlockOffset(int64(b)) }
 
 	t.Run("window-8", func(t *testing.T) {
-		rs := newRendezvousStore(backend.NewMemStore(), meta(0))
-		rs.parkWrites, rs.parkMeta = true, true
+		sched := faultfs.NewScheduler(parkAll(faultfs.OpWrite, true))
 		cfg := testConfig()
 		cfg.IOWindow = 8
-		lfs := newFS(t, rs, cfg)
+		lfs := newFS(t, sched.Leaf(0, backend.NewMemStore()), cfg)
 		f, err := lfs.Create("f")
 		if err != nil {
 			t.Fatal(err)
@@ -937,34 +720,41 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 			t.Helper()
 			writeBehind(t, f, segs[si*kps*bs:(si+1)*kps*bs], int64(si*kps*bs))
 		}
-		// step checks the next round: n writes, at want (ascending).
+		// step checks the next round: n writes parked, at want
+		// (ascending); release lets the round go.
+		var held []*faultfs.Event
 		step := func(n int, want ...int64) {
 			t.Helper()
-			if got := rs.await(t, n); !reflect.DeepEqual(got, want) {
+			held = append(held, sched.Await(t, n-len(held))...)
+			var got []int64
+			for _, ev := range held {
+				got = append(got, ev.Off)
+			}
+			if slices.Sort(got); !reflect.DeepEqual(got, want) {
 				t.Fatalf("writes in flight together: got offsets %v, want %v", got, want)
 			}
+		}
+		release := func() {
+			faultfs.Release(held...)
+			held = nil
 		}
 
 		write(0)
 		step(1, meta(0)) // phase 1 of segment 0, and the writer is back
-		rs.release()
+		release()
 		step(1, data(0)) // its phase 2: one extent of the whole segment
 		write(1)
 		step(2, data(0), meta(1)) // segment 1's phase 1 joins that round
-		rs.release()
+		release()
 		step(2, meta(0), data(kps)) // phase 3 of 0 beside phase 2 of 1
-		rs.release()
+		release()
 		step(1, meta(1))
-		rs.release()
+		release()
 
-		done := make(chan struct{})
 		var cerr error
-		go func() {
-			defer close(done)
-			cerr = f.Close()
-		}()
-		if rounds := rs.drive(done); cerr != nil || len(rounds) != 0 {
-			t.Fatalf("Close: %v after %d more rounds of writes, want none", cerr, len(rounds))
+		sched.Rounds(t, func() { cerr = f.Close() }) // no more rounds of writes
+		if cerr != nil {
+			t.Fatalf("Close: %v", cerr)
 		}
 		got, err := vfs.ReadAll(lfs, "f")
 		if err != nil || !bytes.Equal(got, segs) {
@@ -973,27 +763,22 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 	})
 
 	t.Run("window-default", func(t *testing.T) {
-		rs := newRendezvousStore(backend.NewMemStore(), meta(0))
-		rs.parkWrites, rs.parkMeta = true, true
-		lfs := newFS(t, rs, testConfig())
+		sched := faultfs.NewScheduler(parkAll(faultfs.OpWrite, true))
+		lfs := newFS(t, sched.Leaf(0, backend.NewMemStore()), testConfig())
 		f, err := lfs.Create("f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		seg := compressibleBytes(56, kps*bs, 1)
 		writeBehind(t, f, seg, 0)
-		if got := rs.await(t, 1); !reflect.DeepEqual(got, []int64{meta(0)}) {
-			t.Fatalf("writes parked after the WriteAt returned: %v, want segment 0's phase 1", got)
+		evs := sched.Await(t, 1)
+		if len(evs) != 1 || evs[0].Off != meta(0) {
+			t.Fatalf("writes parked after the WriteAt returned: %v, want segment 0's phase 1", evs)
 		}
-
-		done := make(chan struct{})
-		var cerr error
-		go func() {
-			defer close(done)
-			cerr = f.Close()
-		}()
-		if rs.drive(done); cerr != nil {
-			t.Fatalf("Close: %v", cerr)
+		sched.Stop()
+		evs[0].Release()
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 		got, err := vfs.ReadAll(lfs, "f")
 		if err != nil || !bytes.Equal(got, seg) {
@@ -1002,10 +787,10 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 	})
 
 	t.Run("window-1", func(t *testing.T) {
-		log := &leafLog{}
+		sched := faultfs.NewScheduler(faultfs.Policy{})
 		cfg := testConfig()
 		cfg.IOWindow = 1
-		lfs := newFS(t, loggedLeaf{Store: backend.NewMemStore(), log: log}, cfg)
+		lfs := newFS(t, sched.Leaf(0, backend.NewMemStore()), cfg)
 		f, err := lfs.Create("f")
 		if err != nil {
 			t.Fatal(err)
@@ -1026,7 +811,7 @@ func TestWriteBehindOverlapsCommits(t *testing.T) {
 		want = append(want, commit(1, kps)...)
 		want = append(want, commit(0, 10)...)
 		want = append(want, commit(2, 2*kps)...)
-		if got := log.take(); !reflect.DeepEqual(got, want) {
+		if got := roundTrips(sched.Take()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("leaf calls on a window of 1:\n got  %v\n want %v", got, want)
 		}
 	})
@@ -1094,79 +879,22 @@ func TestWriteBehindSameBytes(t *testing.T) {
 	}
 }
 
-// gateStore holds the write at each gated offset until the test opens
-// that gate, and signals every Truncate that reaches the store.
-type gateStore struct {
-	backend.Store
-	gates     map[int64]*writeGate
-	truncated chan struct{} // one send per Truncate; buffered for the test's count
-}
-
-// writeGate holds one write. arrived closes when the write reaches the
-// gate, canceled when its ctx dies while it is held; the write lands
-// once open closes, whatever its ctx.
-type writeGate struct {
-	once                    sync.Once
-	arrived, canceled, open chan struct{}
-}
-
-func newWriteGate() *writeGate {
-	return &writeGate{arrived: make(chan struct{}), canceled: make(chan struct{}), open: make(chan struct{})}
-}
-
-func (s *gateStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return gateFile{File: f, s: s}, nil
-}
-
-type gateFile struct {
-	backend.File
-	s *gateStore
-}
-
-func (f gateFile) WriteAt(p []byte, off int64) (int, error) { return f.WriteAtCtx(nil, p, off) }
-
-func (f gateFile) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if g := f.s.gates[off]; g != nil {
-		first := false
-		g.once.Do(func() { first = true; close(g.arrived) })
-		if first {
-			var dead <-chan struct{}
-			if ctx != nil {
-				dead = ctx.Done()
-			}
-			select {
-			case <-g.open:
-			case <-dead:
-				close(g.canceled)
-				<-g.open
-			}
+// parkFirstWrites parks the first write at each of offs and passes
+// everything else.
+func parkFirstWrites(offs ...int64) faultfs.Policy {
+	return faultfs.Policy{Issue: func(ev *faultfs.Event) faultfs.Verdict {
+		if i := slices.Index(offs, ev.Off); ev.Op == faultfs.OpWrite && i >= 0 {
+			offs = slices.Delete(offs, i, i+1)
+			return faultfs.Park
 		}
-	}
-	return f.File.WriteAt(p, off)
+		return faultfs.Pass
+	}}
 }
 
-func (f gateFile) Truncate(size int64) error { return f.TruncateCtx(nil, size) }
-
-func (f gateFile) TruncateCtx(ctx context.Context, size int64) error {
-	if err := backend.CtxErr(ctx); err != nil {
-		return err
-	}
-	f.s.truncated <- struct{}{}
-	return f.File.Truncate(size)
-}
-
-func (f gateFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	return backend.ReadAtCtx(ctx, f.File, p, off)
-}
-
-func (f gateFile) SyncCtx(ctx context.Context) error { return backend.SyncCtx(ctx, f.File) }
+// padWait is how long TestWriteBehindPadWaitsForPhase1 watches for a
+// truncate that must not come. The memory store answers in
+// microseconds, so the margin is three orders of magnitude.
+const padWait = 50 * time.Millisecond
 
 // TestWriteBehindPadWaitsForPhase1: a compressed commit pads the backing
 // file up to its last slot by probing the size and cutting to it, and
@@ -1182,32 +910,31 @@ func TestWriteBehindPadWaitsForPhase1(t *testing.T) {
 	// is short: phase 2 is one extent, and the pad has slack to cover.
 	data := compressibleBytes(61, 2*kps*bs, 1)
 	copy(data[(kps-1)*bs:kps*bs], compressibleBytes(62, bs, 0.1))
-	phase2, phase1 := newWriteGate(), newWriteGate()
-	gs := &gateStore{Store: backend.NewMemStore(), truncated: make(chan struct{}, 16),
-		gates: map[int64]*writeGate{geo.DataBlockOffset(0): phase2, geo.MetaBlockOffset(1): phase1}}
+	sched := faultfs.NewScheduler(parkFirstWrites(geo.DataBlockOffset(0), geo.MetaBlockOffset(1)))
 	cfg := compressedConfig()
 	cfg.IOWindow = 8
-	lfs := newFS(t, gs, cfg)
+	lfs := newFS(t, sched.Leaf(0, backend.NewMemStore()), cfg)
 	f, err := lfs.Create("f")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	writeBehind(t, f, data[:kps*bs], 0)
-	<-phase2.arrived
+	phase2 := sched.Await(t, 1)[0]
 	writeBehind(t, f, data[kps*bs:], int64(kps*bs))
-	<-phase1.arrived
-	close(phase2.open)
-	select {
-	case <-gs.truncated:
+	phase1 := sched.Await(t, 1)[0]
+	phase2.Release()
+	// The one wait in these tests that no count can replace: the check is
+	// that a truncate does NOT come while phase 1 is in flight.
+	time.Sleep(padWait)
+	if n := faultfs.Count(sched.Take(), faultfs.OpTruncate); n != 0 {
 		t.Fatal("segment 0's pad cut the file while segment 1's phase-1 write was in flight")
-	case <-time.After(rendezvousSettle):
 	}
-	close(phase1.open)
+	phase1.Release()
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(gs.truncated); n != 0 {
+	if n := faultfs.Count(sched.Take(), faultfs.OpTruncate); n != 0 {
 		t.Fatalf("%d truncates; segment 1's phase 1 already covers segment 0's pad", n)
 	}
 	if rep, err := lfs.Check("f"); err != nil || !rep.Clean() {
@@ -1305,6 +1032,45 @@ func TestReadFailurePositionCorruptLane(t *testing.T) {
 						t.Fatalf("block %d of the failed group entered the cache", i)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestColdReadRounds pins by count how many round trips a cold read
+// waits through on a default-config mount: every leaf ReadAt is parked,
+// metadata reads included, and a round closes once the read has parked
+// all it can issue before one returns. Today a read of N segments loads
+// each segment's metadata in turn, one round each, and then fetches the
+// N segments' data in one round: N + 1 rounds (ROADMAP item 20 takes it
+// to 2, then 1).
+func TestColdReadRounds(t *testing.T) {
+	geo := layout.Default()
+	segBytes := geo.KeysPerSegment() * geo.BlockSize
+	for _, n := range []int{1, 3, 9} {
+		t.Run(fmt.Sprintf("segments-%d", n), func(t *testing.T) {
+			mem := backend.NewMemStore()
+			data := compressibleBytes(int64(80+n), n*segBytes, 0.5)
+			if err := vfs.WriteAll(newFS(t, mem, testConfig()), "f", data); err != nil {
+				t.Fatal(err)
+			}
+			sched := faultfs.NewScheduler(faultfs.Policy{})
+			lfs := newFS(t, sched.Leaf(0, mem), testConfig())
+			r, err := lfs.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			sched.SetPolicy(parkAll(faultfs.OpRead, true))
+			got := make([]byte, len(data))
+			var rerr error
+			sched.Rounds(t, func() {
+				if _, err := r.ReadAt(got, 0); err != nil && err != io.EOF {
+					rerr = err
+				}
+			}, append(slices.Repeat([]int{1}, n), n)...)
+			if rerr != nil || !bytes.Equal(got, data) {
+				t.Fatalf("cold read: %v, equal %v", rerr, bytes.Equal(got, data))
 			}
 		})
 	}

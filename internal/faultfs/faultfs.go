@@ -1,7 +1,13 @@
 // Package faultfs wraps a backend.Store with crash and corruption
 // injection: a live cut at one chosen write of a running workload
 // (paper §2.4), transient faults (transient.go) and permanent outages
-// (down.go).
+// (down.go). Its Scheduler (scheduler.go) is the one controllable store
+// of the interleaving tests: every leaf operation is an event that a
+// policy passes, parks or fails, a test waits for "n events parked" by
+// count and releases or fails each one, and Rounds counts a workload's
+// critical path in rounds of round trips. A test that asks which
+// operations are in flight together, or cancels at the n-th one, writes
+// a policy, not a wrapper store.
 //
 // Fault model: Arm(mode, n, frac) triggers at the n-th subsequent
 // WriteAt.
@@ -21,9 +27,11 @@
 //
 // Core's §2.4 sweeps do not arm a cut: they record a workload's
 // mutations once and rebuild every prefix on a fresh store
-// (sweepCrashStates in internal/core). The callers that still need a
-// live cut are the ones that watch the engine at the moment a write
-// fails or tears:
+// (sweepCrashStates in internal/core). Arm is for what a Scheduler's
+// Cut does not model — a torn write and a crash at the n-th write of a
+// store that then "reboots" with recovery allowed to open it — so the
+// callers that still arm it are the ones that watch the engine at the
+// moment a write fails or tears:
 //
 //   - ModeCrashBefore as "this write fails": core's
 //     TestWriteBehindErrorSurfaces and TestCommitRetryAfterPartialRunFailure;

@@ -11,106 +11,17 @@ import (
 	"context"
 	"math/rand"
 	"net/http"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"lamassu"
 	"lamassu/internal/backend"
+	"lamassu/internal/faultfs"
 )
 
-// gateStore wraps a backend.Store; after arm(n) its files stall the
-// n-th data write: they signal reached, then block until the write's
-// context cancels and return its cancellation error. Unarmed it is
-// transparent.
-type gateStore struct {
-	backend.Store
-	armed   atomic.Bool
-	at      atomic.Int64 // stall on the write taking the counter to this value
-	writes  atomic.Int64
-	reached chan struct{}
-}
-
-func newGateStore(inner backend.Store) *gateStore {
-	return &gateStore{Store: inner, reached: make(chan struct{})}
-}
-
-// arm schedules the stall on the n-th WriteAt from now.
-func (g *gateStore) arm(n int64) {
-	g.writes.Store(0)
-	g.at.Store(n)
-	g.reached = make(chan struct{})
-	g.armed.Store(true)
-}
-
-func (g *gateStore) disarm() { g.armed.Store(false) }
-
-func (g *gateStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := g.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &gateFile{File: f, g: g}, nil
-}
-
-func (g *gateStore) OpenCtx(ctx context.Context, name string, flag backend.OpenFlag) (backend.File, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	return g.Open(name, flag)
-}
-
-// gateFile stalls armed writes. It implements backend.FileCtx so the
-// request context reaches the stall point.
-type gateFile struct {
-	backend.File
-	g *gateStore
-}
-
-func (f *gateFile) WriteAt(p []byte, off int64) (int, error) {
-	return f.WriteAtCtx(context.Background(), p, off)
-}
-
-func (f *gateFile) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if f.g.armed.Load() && f.g.writes.Add(1) == f.g.at.Load() {
-		close(f.g.reached)
-		select {
-		case <-ctx.Done():
-			return 0, backend.CtxErr(ctx)
-		case <-time.After(10 * time.Second):
-			return 0, context.DeadlineExceeded // test hang guard; never expected
-		}
-	}
-	return backend.WriteAtCtx(ctx, f.File, p, off)
-}
-
-func (f *gateFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if err := backend.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	return backend.ReadAtCtx(ctx, f.File, p, off)
-}
-
-func (f *gateFile) TruncateCtx(ctx context.Context, size int64) error {
-	if err := backend.CtxErr(ctx); err != nil {
-		return err
-	}
-	return backend.TruncateCtx(ctx, f.File, size)
-}
-
-func (f *gateFile) SyncCtx(ctx context.Context) error {
-	if err := backend.CtxErr(ctx); err != nil {
-		return err
-	}
-	return backend.SyncCtx(ctx, f.File)
-}
-
 func TestWireCancelIsCrashCut(t *testing.T) {
-	gate := newGateStore(backend.NewMemStore())
-	m, _ := newTestMount(t, gate)
+	sched := faultfs.NewScheduler(faultfs.Policy{})
+	m, _ := newTestMount(t, sched.Leaf(0, backend.NewMemStore()))
 	_, hs := newTestServer(t, Config{Mount: m})
 
 	data := make([]byte, 6*4096)
@@ -126,8 +37,8 @@ func TestWireCancelIsCrashCut(t *testing.T) {
 	// coalesced overwrite commit issues only a handful of backend
 	// writes (phase-1 metadata, merged data runs, phase-3 metadata),
 	// so the sweep stays within the first three.
-	for _, cut := range []int64{1, 2, 3} {
-		gate.arm(cut)
+	for _, cut := range []int{1, 2, 3} {
+		sched.SetPolicy(faultfs.When(faultfs.Nth(faultfs.OpWrite, cut), faultfs.Park))
 
 		ctx, cancel := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, "PUT", hs.URL+"/v1/files/conv.bin", bytes.NewReader(data))
@@ -145,20 +56,24 @@ func TestWireCancelIsCrashCut(t *testing.T) {
 			done <- err
 		}()
 
-		// Wait for the commit to reach the armed write, then drop the
-		// client. The server side sees its request context cancel.
-		select {
-		case <-gate.reached:
-		case err := <-done:
-			t.Fatalf("cut %d: request finished (%v) before reaching the gate", cut, err)
-		case <-time.After(10 * time.Second):
-			t.Fatalf("cut %d: commit never reached backend write %d", cut, cut)
-		}
+		// Wait for the commit to reach the parked write, then drop the
+		// client. The server side sees its request context cancel, and
+		// the parked write returns that cancellation.
+		ev := sched.Await(t, 1)[0]
 		cancel()
+		if ev.Ctx == nil {
+			t.Fatalf("cut %d: backend write %d carries no request context", cut, cut)
+		}
+		select {
+		case <-ev.Ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cut %d: the request context of backend write %d never canceled", cut, cut)
+		}
+		ev.Fail(backend.CtxErr(ev.Ctx))
 		if err := <-done; err == nil {
 			t.Fatalf("cut %d: client saw success for a dropped upload", cut)
 		}
-		gate.disarm()
+		sched.SetPolicy(faultfs.Policy{})
 
 		// The mount is exactly crash-cut state: recovery repairs it...
 		if _, err := m.Recover("alice/conv.bin"); err != nil {

@@ -5,13 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -372,39 +373,83 @@ func TestMoverCrashSweepEitherEpoch(t *testing.T) {
 	}
 }
 
-// cancelStore wraps a backend.Store and fires a context cancellation
-// after a fixed number of WriteAt calls — the deterministic
-// interruption the rebalance-cancellation test needs.
-type cancelStore struct {
-	inner  backend.Store
-	writes atomic.Int64
-	limit  int64
-	cancel context.CancelFunc
-}
+// readerKey marks the ctx of the open TestOpenRoutedBeforeReap parks.
+type readerKey struct{}
 
-func (s *cancelStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.inner.Open(name, flag)
+// TestOpenRoutedBeforeReap is the mid-migration open race, made
+// deterministic: a reader's open routes to the previous epoch's owner of
+// an unconfirmed key and parks there on the scheduler; the mover then
+// confirms the key, commits the epoch and reaps that owner's copy; only
+// then does the open reach the leaf. The copy it was routed to is gone,
+// and routeGen has moved across the miss, so the open routes once more
+// — to the new owner — instead of reporting a file that every epoch
+// holds as missing.
+func TestOpenRoutedBeforeReap(t *testing.T) {
+	const stripe = 1 << 20 // every file is one key
+	sched := faultfs.NewScheduler(faultfs.Policy{})
+	mems := make([]*backend.MemStore, 3)
+	leaves := make([]backend.Store, 3)
+	for i := range leaves {
+		mems[i] = backend.NewMemStore()
+		leaves[i] = sched.Leaf(i, mems[i])
+	}
+	s, err := shard.New(leaves[:2], shard.Config{StripeBytes: stripe})
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return &cancelFile{File: f, s: s}, nil
-}
-
-func (s *cancelStore) Remove(name string) error             { return s.inner.Remove(name) }
-func (s *cancelStore) Rename(oldName, newName string) error { return s.inner.Rename(oldName, newName) }
-func (s *cancelStore) List() ([]string, error)              { return s.inner.List() }
-func (s *cancelStore) Stat(name string) (int64, error)      { return s.inner.Stat(name) }
-
-type cancelFile struct {
-	backend.File
-	s *cancelStore
-}
-
-func (f *cancelFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.s.writes.Add(1) == f.s.limit {
-		f.s.cancel()
+	contents := populate(t, s, 61)
+	prev := s.Layout()
+	ctx := context.Background()
+	if err := s.BeginMigration(ctx, leaves, shard.MigrateHooks{}); err != nil {
+		t.Fatal(err)
 	}
-	return f.File.WriteAt(p, off)
+	// A file that moves to the new store: the mover copies it there and
+	// reaps the old home's copy.
+	cur := s.Layout()
+	name, from := "", -1
+	for _, n := range slices.Sorted(maps.Keys(contents)) {
+		if cur.Owner(cur.KeyOf(n, 0)) == 2 {
+			name, from = n, prev.Owner(prev.KeyOf(n, 0))
+			break
+		}
+	}
+	if name == "" {
+		t.Fatal("no file's home moves to the new store; populate another seed")
+	}
+
+	sched.SetPolicy(faultfs.When(func(ev *faultfs.Event) bool {
+		return ev.Op == faultfs.OpOpen && ev.Ctx != nil && ev.Ctx.Value(readerKey{}) != nil
+	}, faultfs.Park))
+	type opened struct {
+		f   backend.File
+		err error
+	}
+	done := make(chan opened, 1)
+	go func() {
+		f, err := s.OpenCtx(context.WithValue(ctx, readerKey{}, true), name, backend.OpenRead)
+		done <- opened{f, err}
+	}()
+	ev := sched.Await(t, 1)[0]
+	if ev.Leaf != from {
+		t.Fatalf("the reader's open parked on leaf %d, want the previous home %d", ev.Leaf, from)
+	}
+	if _, err := s.RunMover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if s.Migrating() {
+		t.Fatal("the epoch did not commit")
+	}
+	if _, err := mems[from].Stat(name); !errors.Is(err, backend.ErrNotExist) {
+		t.Fatalf("the previous home still holds %s after the reap: %v", name, err)
+	}
+	sched.SetPolicy(faultfs.Policy{})
+	ev.Release()
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("open routed before the reap: %v", r.err)
+	}
+	defer r.f.Close()
+	verify(t, s, contents)
 }
 
 // Rebalance — begin, run the mover, wait — honors ctx between key
@@ -429,8 +474,8 @@ func TestOfflineRebalanceCtxCancelConverges(t *testing.T) {
 			// Growth moves keys only onto the new shard, so counting its
 			// writes interrupts the pass partway deterministically (the
 			// first write is the migrating record, the second a copy).
-			cs := &cancelStore{inner: backend.NewMemStore(), limit: 2, cancel: cancel}
-			all := append(append([]backend.Store(nil), base...), cs)
+			sched := faultfs.NewScheduler(faultfs.CancelAfter(faultfs.OpWrite, 2, cancel))
+			all := append(append([]backend.Store(nil), base...), sched.Leaf(0, backend.NewMemStore()))
 			grown, err := shard.New(all, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -439,8 +484,8 @@ func TestOfflineRebalanceCtxCancelConverges(t *testing.T) {
 			if !errors.Is(err, backend.ErrCanceled) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled rebalance returned %v", err)
 			}
-			if cs.writes.Load() < cs.limit {
-				t.Fatalf("pass stopped after %d writes, before the trigger", cs.writes.Load())
+			if n := faultfs.Count(sched.Take(), faultfs.OpWrite); n < 2 {
+				t.Fatalf("pass stopped after %d writes, before the trigger", n)
 			}
 			if st := old.MigrationStatus(); !st.Active || st.MovedKeys == 0 {
 				t.Fatalf("cancellation did not cut a running migration: %+v", st)

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,165 +20,39 @@ import (
 	"lamassu/internal/vfs"
 )
 
-// ownerGate parks chosen leaf operations — writes the arm function
-// picks, or every flush — and lets the test decide each one's fate once
-// it has seen which of them are in flight TOGETHER: a nil fate performs
-// the operation, an error fate returns that error with nothing done. It
-// is how these tests tell "the owners were issued at once" from "one
-// after another" by count instead of by time, and how a crash cut lands
-// on an exact subset of a group's owner writes.
-type ownerGate struct {
-	arrived chan parkedOp
-
-	mu        sync.Mutex
-	parkWrite func(leaf int, off int64) bool // nil: writes pass
-	parkSyncs bool
-	// cut, once set, fails every later mutation on every leaf: the
-	// process is dead, nothing it still issues may land.
-	cut atomic.Bool
-}
-
-type parkedOp struct {
-	leaf int
-	off  int64 // -1: a flush
-	fate chan error
-}
-
-var errGateCut = errors.New("gate: write after the crash cut")
-
-func newOwnerGate() *ownerGate { return &ownerGate{arrived: make(chan parkedOp, 64)} }
-
-// arm parks the nth WriteAt each leaf sees at offset off from now on
-// (nth 0: every one), on any offset when off < 0.
-func (g *ownerGate) arm(off int64, nth int) {
+// parkWrites parks the nth WriteAt each leaf sees at offset off from
+// now on (nth 0: every one; any offset when off < 0) and passes the
+// rest. Parked, the test sees which writes are in flight TOGETHER — "the
+// owners were issued at once" told from "one after another" by count
+// instead of by time — and decides each one's fate, which is how a
+// crash cut lands on an exact subset of a group's owner writes.
+func parkWrites(off int64, nth int) faultfs.Policy {
 	seen := make(map[int]int)
-	g.set(func(leaf int, o int64) bool {
-		if off >= 0 && o != off {
+	return faultfs.When(func(ev *faultfs.Event) bool {
+		if ev.Op != faultfs.OpWrite || off >= 0 && ev.Off != off {
 			return false
 		}
-		seen[leaf]++
-		return nth == 0 || seen[leaf] == nth
-	}, false)
-}
-
-func (g *ownerGate) set(parkWrite func(int, int64) bool, parkSyncs bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.parkWrite, g.parkSyncs = parkWrite, parkSyncs
-}
-
-// park reports the operation to the test if it is one the gate holds and
-// returns the fate the test gave it.
-func (g *ownerGate) park(leaf int, off int64) error {
-	g.mu.Lock()
-	held := g.parkSyncs
-	if off >= 0 {
-		held = g.parkWrite != nil && g.parkWrite(leaf, off)
-	}
-	g.mu.Unlock()
-	if !held {
-		return nil
-	}
-	op := parkedOp{leaf: leaf, off: off, fate: make(chan error, 1)}
-	g.arrived <- op
-	return <-op.fate
-}
-
-// await returns the next n operations to park. Fewer within the timeout
-// means they were not issued together: each waits for the one before.
-func (g *ownerGate) await(t *testing.T, n int) []parkedOp {
-	t.Helper()
-	ops := make([]parkedOp, 0, n)
-	timeout := time.After(5 * time.Second)
-	for len(ops) < n {
-		select {
-		case op := <-g.arrived:
-			ops = append(ops, op)
-		case <-timeout:
-			for _, op := range ops {
-				op.fate <- nil
-			}
-			t.Fatalf("%d of %d operations in flight together; the rest wait for them", len(ops), n)
-		}
-	}
-	return ops
-}
-
-// leaf returns inner behind the gate as leaf number id.
-func (g *ownerGate) leaf(id int, inner backend.Store) backend.Store {
-	return gateStore{Store: inner, g: g, id: id}
-}
-
-type gateStore struct {
-	backend.Store
-	g  *ownerGate
-	id int
-}
-
-func (s gateStore) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	f, err := s.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &gateFile{File: f, s: s}, nil
-}
-
-// gateFile implements backend.FileCtx so the ctx a test cancels reaches
-// the leaf like it reaches a real one; a parked write a fate lets
-// through lands whatever ctx says — it was already on the wire.
-type gateFile struct {
-	backend.File
-	s gateStore
-}
-
-func (f *gateFile) WriteAt(p []byte, off int64) (int, error) { return f.WriteAtCtx(nil, p, off) }
-
-func (f *gateFile) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	if f.s.g.cut.Load() {
-		return 0, errGateCut
-	}
-	if err := f.s.g.park(f.s.id, off); err != nil {
-		return 0, err
-	}
-	return f.File.WriteAt(p, off)
-}
-
-func (f *gateFile) Sync() error { return f.SyncCtx(nil) }
-
-func (f *gateFile) SyncCtx(ctx context.Context) error {
-	if err := f.s.g.park(f.s.id, -1); err != nil {
-		return err
-	}
-	return backend.SyncCtx(ctx, f.File)
-}
-
-func (f *gateFile) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	return backend.ReadAtCtx(ctx, f.File, p, off)
-}
-
-func (f *gateFile) TruncateCtx(ctx context.Context, size int64) error {
-	if f.s.g.cut.Load() {
-		return errGateCut
-	}
-	return backend.TruncateCtx(ctx, f.File, size)
+		seen[ev.Leaf]++
+		return nth == 0 || seen[ev.Leaf] == nth
+	}, faultfs.Park)
 }
 
 // gatedStores builds an R-way replicated store over n memory leaves
-// behind one gate.
-func gatedStores(t *testing.T, n, r int, stripe int64) (*shard.Store, *ownerGate, []*backend.MemStore) {
+// behind one scheduler.
+func gatedStores(t *testing.T, n, r int, stripe int64) (*shard.Store, *faultfs.Scheduler, []*backend.MemStore) {
 	t.Helper()
-	g := newOwnerGate()
+	sched := faultfs.NewScheduler(faultfs.Policy{})
 	stores := make([]backend.Store, n)
 	mems := make([]*backend.MemStore, n)
 	for i := range stores {
 		mems[i] = backend.NewMemStore()
-		stores[i] = g.leaf(i, mems[i])
+		stores[i] = sched.Leaf(i, mems[i])
 	}
 	s, err := shard.New(stores, shard.Config{StripeBytes: stripe, Replicas: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, g, mems
+	return s, sched, mems
 }
 
 // TestReplicatedOwnersParkTogether: one WriteAt on a replicated store
@@ -190,7 +62,7 @@ func gatedStores(t *testing.T, n, r int, stripe int64) (*shard.Store, *ownerGate
 // its breaker charged) while the write still succeeds through the other,
 // a canceled ctx reported as ErrCanceled with no owner blamed for it.
 func TestReplicatedOwnersParkTogether(t *testing.T) {
-	s, g, mems := gatedStores(t, 3, 2, 0)
+	s, sched, mems := gatedStores(t, 3, 2, 0)
 	if err := backend.WriteFile(s, "k", []byte("seed")); err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +75,9 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 	// write issues payload with every leaf write of it parked and returns
 	// the parked owners in owner order plus the channel its result
 	// arrives on.
-	write := func(ctx context.Context, payload []byte) ([]parkedOp, chan error) {
+	write := func(ctx context.Context, payload []byte) ([]*faultfs.Event, chan error) {
 		t.Helper()
-		g.arm(-1, 0)
+		sched.SetPolicy(parkWrites(-1, 0))
 		done := make(chan error, 1)
 		go func() {
 			n, err := backend.WriteAtCtx(ctx, h, payload, 0)
@@ -214,18 +86,18 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 			}
 			done <- err
 		}()
-		ops := g.await(t, len(owners))
-		g.set(nil, false)
-		byOwner := make([]parkedOp, len(owners))
+		ops := sched.Await(t, len(owners))
+		sched.SetPolicy(faultfs.Policy{})
+		byOwner := make([]*faultfs.Event, len(owners))
 		for _, op := range ops {
 			for i, sl := range owners {
-				if op.leaf == sl {
+				if op.Leaf == sl {
 					byOwner[i] = op
 				}
 			}
 		}
 		for i, op := range byOwner {
-			if op.fate == nil {
+			if op == nil {
 				t.Fatalf("owner %d (leaf %d) has no write in flight; parked: %+v", i, owners[i], ops)
 			}
 		}
@@ -249,9 +121,7 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 	// Both owners in flight together; one replica write counted.
 	before := s.ReplicationStats().ReplicaWrites
 	ops, done := write(nil, []byte("together"))
-	for _, op := range ops {
-		op.fate <- nil
-	}
+	faultfs.Release(ops...)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +135,8 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 	// Scrub with no journal entry would take the stale primary as its
 	// source and undo the write instead of repairing the primary.
 	ops, done = write(nil, []byte("one-down"))
-	ops[0].fate <- errors.New("injected: owner 0 unreachable")
-	ops[1].fate <- nil
+	ops[0].Fail(errors.New("injected: owner 0 unreachable"))
+	ops[1].Release()
 	if err := <-done; err != nil {
 		t.Fatalf("write with one owner failing: %v", err)
 	}
@@ -286,7 +156,7 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 	ops, done = write(ctx, []byte("canceled"))
 	cancel()
 	for _, op := range ops {
-		op.fate <- backend.CtxErr(ctx)
+		op.Fail(backend.CtxErr(ctx))
 	}
 	if err := <-done; !errors.Is(err, backend.ErrCanceled) {
 		t.Fatalf("canceled write returned %v, want ErrCanceled", err)
@@ -302,7 +172,7 @@ func TestReplicatedOwnersParkTogether(t *testing.T) {
 // each owner's slot reads 1 and the other slot 0, and every slot reads
 // 0 once the write returns.
 func TestReplicatedOwnersQueueDepth(t *testing.T) {
-	s, g, _ := gatedStores(t, 3, 2, 0)
+	s, sched, _ := gatedStores(t, 3, 2, 0)
 	if err := backend.WriteFile(s, "k", []byte("seed")); err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +190,14 @@ func TestReplicatedOwnersQueueDepth(t *testing.T) {
 		return out
 	}
 
-	g.arm(-1, 0)
+	sched.SetPolicy(parkWrites(-1, 0))
 	done := make(chan error, 1)
 	go func() {
 		_, err := h.WriteAt([]byte("parked"), 0)
 		done <- err
 	}()
-	ops := g.await(t, len(owners))
-	g.set(nil, false)
+	ops := sched.Await(t, len(owners))
+	sched.SetPolicy(faultfs.Policy{})
 	want := make([]int64, 3)
 	for _, sl := range owners {
 		want[sl] = 1
@@ -335,9 +205,7 @@ func TestReplicatedOwnersQueueDepth(t *testing.T) {
 	if got := depths(); !slices.Equal(got, want) {
 		t.Errorf("queue depths with owners %v parked: %v, want %v", owners, got, want)
 	}
-	for _, op := range ops {
-		op.fate <- nil
-	}
+	faultfs.Release(ops...)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +240,7 @@ func TestSyncFlushesShardsTogether(t *testing.T) {
 	rand.New(rand.NewSource(5)).Read(payload)
 
 	t.Run("one-round", func(t *testing.T) {
-		s, g, _ := gatedStores(t, shards, 1, stripe)
+		s, sched, _ := gatedStores(t, shards, 1, stripe)
 		h, err := s.Open("f", backend.OpenCreate)
 		if err != nil {
 			t.Fatal(err)
@@ -380,20 +248,20 @@ func TestSyncFlushesShardsTogether(t *testing.T) {
 		if _, err := h.WriteAt(payload, 0); err != nil {
 			t.Fatal(err)
 		}
-		g.set(nil, true)
+		sched.SetPolicy(faultfs.When(func(ev *faultfs.Event) bool { return ev.Op == faultfs.OpSync }, faultfs.Park))
 		sync := func(fates map[int]error, order []int) error {
 			t.Helper()
 			done := make(chan error, 1)
 			go func() { done <- h.Sync() }()
-			byLeaf := make(map[int]parkedOp, shards)
-			for _, op := range g.await(t, shards) {
-				byLeaf[op.leaf] = op
+			byLeaf := make(map[int]*faultfs.Event, shards)
+			for _, op := range sched.Await(t, shards) {
+				byLeaf[op.Leaf] = op
 			}
 			if len(byLeaf) != shards {
 				t.Fatalf("flushes parked on %d distinct shards, want %d", len(byLeaf), shards)
 			}
 			for _, leaf := range order {
-				byLeaf[leaf].fate <- fates[leaf]
+				byLeaf[leaf].Fail(fates[leaf])
 			}
 			return <-done
 		}
@@ -416,7 +284,7 @@ func TestSyncFlushesShardsTogether(t *testing.T) {
 				t.Fatalf("shard %d counted %d syncs, want %d", st.Shard, st.Syncs, want)
 			}
 		}
-		g.set(nil, false)
+		sched.SetPolicy(faultfs.Policy{})
 		if err := h.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -471,12 +339,12 @@ func TestSyncFlushesShardsTogether(t *testing.T) {
 // one backend operation of a core commit — a phase-2 data extent, the
 // phase-1 metadata write, the phase-3 metadata write — let exactly a
 // subset of them land, cut everything else (a cancel is a crash cut, and
-// the gate refuses whatever the dying engine still issues), throw the
-// shard.Store away with its journal and breakers, and reboot over the
-// same leaves. Recovery then has to hold through the whole store AND
-// through each replica alone: Recover and a clean Check, a Scrub that
-// leaves nothing unrepaired, and with each leaf killed in turn the same
-// bytes, every block a value the workload wrote.
+// the scheduler's Cut refuses whatever the dying engine still issues),
+// throw the shard.Store away with its journal and breakers, and reboot
+// over the same leaves. Recovery then has to hold through the whole
+// store AND through each replica alone: Recover and a clean Check, a
+// Scrub that leaves nothing unrepaired, and with each leaf killed in
+// turn the same bytes, every block a value the workload wrote.
 func TestReplicatedOwnerSubsetCut(t *testing.T) {
 	geo, err := layout.NewGeometry(512, 4)
 	if err != nil {
@@ -512,7 +380,7 @@ func TestReplicatedOwnerSubsetCut(t *testing.T) {
 		for subset := 0; subset < 4; subset++ {
 			lands := [2]bool{subset&1 != 0, subset&2 != 0}
 			t.Run(fmt.Sprintf("%s/owner0=%v,owner1=%v", target.name, lands[0], lands[1]), func(t *testing.T) {
-				s, g, mems := gatedStores(t, leaves, 2, geo.SegmentPhysBytes())
+				s, sched, mems := gatedStores(t, leaves, 2, geo.SegmentPhysBytes())
 				lfs, err := core.New(s, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -522,7 +390,7 @@ func TestReplicatedOwnerSubsetCut(t *testing.T) {
 				}
 				owners := s.Layout().Owners(s.Layout().KeyOf("f", target.off))
 
-				g.arm(target.off, target.nth)
+				sched.SetPolicy(parkWrites(target.off, target.nth))
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				done := make(chan error, 1)
@@ -539,21 +407,21 @@ func TestReplicatedOwnerSubsetCut(t *testing.T) {
 					_ = fw.Close() // a dead process closes nothing; errors expected
 					done <- err
 				}()
-				ops := g.await(t, 2)
+				ops := sched.Await(t, 2)
 				// The cut: the chosen owners' writes were on the wire and
 				// land, everything else dies with the process.
 				cancel()
-				g.cut.Store(true)
+				sched.Cut()
 				for _, op := range ops {
-					switch op.leaf {
+					switch op.Leaf {
 					case owners[0], owners[1]:
 					default:
-						t.Fatalf("leaf %d parked a write of a key owned by %v", op.leaf, owners)
+						t.Fatalf("leaf %d parked a write of a key owned by %v", op.Leaf, owners)
 					}
-					if lands[0] && op.leaf == owners[0] || lands[1] && op.leaf == owners[1] {
-						op.fate <- nil
+					if lands[0] && op.Leaf == owners[0] || lands[1] && op.Leaf == owners[1] {
+						op.Release()
 					} else {
-						op.fate <- backend.CtxErr(ctx)
+						op.Fail(backend.CtxErr(ctx))
 					}
 				}
 				if err := <-done; !errors.Is(err, backend.ErrCanceled) {

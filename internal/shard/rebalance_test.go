@@ -16,6 +16,7 @@ import (
 
 	"lamassu/internal/backend"
 	"lamassu/internal/core"
+	"lamassu/internal/faultfs"
 	"lamassu/internal/shard"
 	"lamassu/internal/vfs"
 )
@@ -505,7 +506,8 @@ func TestRebalanceIdenticalIsNoOp(t *testing.T) {
 // once, not once per alias.
 func TestRebalanceCarveAliasMovesNothing(t *testing.T) {
 	const stripe = 4096
-	leaf := &countLeaf{Store: backend.NewMemStore(), g: newOwnerGate()}
+	sched := faultfs.NewScheduler(faultfs.Policy{})
+	leaf := sched.Leaf(0, backend.NewMemStore())
 	carve := func(n int) []backend.Store { return slices.Repeat([]backend.Store{leaf}, n) }
 	from, err := shard.New(carve(2), shard.Config{StripeBytes: stripe})
 	if err != nil {
@@ -542,11 +544,11 @@ func TestRebalanceCarveAliasMovesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := leaf.calls.write.Load()
+	sched.Take()
 	if _, err := f.WriteAt([]byte("alias"), off); err != nil {
 		t.Fatal(err)
 	}
-	if got := leaf.calls.write.Load() - before; got != 1 {
+	if got := faultfs.Count(sched.Take(), faultfs.OpWrite); got != 1 {
 		t.Errorf("a mid-migration write to an alias key issued %d leaf writes, want 1", got)
 	}
 	if err := f.Close(); err != nil {

@@ -5,82 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/faultfs"
 	"lamassu/internal/shard"
 	shardlayout "lamassu/internal/shard/layout"
 )
 
-// leafCalls counts what one leaf was asked: Stat and Open, the by-name
-// calls that cost a round trip on an object store, and Truncate and
-// WriteAt on a handle the leaf already gave out.
-type leafCalls struct{ stat, open, trunc, write atomic.Int64 }
-
-// countLeaf counts the calls one leaf sees, parks its probes (Stat and
-// Open) on the rig's gate while the gate holds flushes — to the gate a
-// probe is "not a write", offset −1 — and fails them while down.
-type countLeaf struct {
-	backend.Store
-	id    int
-	g     *ownerGate
-	calls leafCalls
-	down  atomic.Bool
-}
-
 var errLeafDown = errors.New("injected: leaf down")
 
-func (l *countLeaf) Stat(name string) (int64, error) {
-	l.calls.stat.Add(1)
-	if err := l.g.park(l.id, -1); err != nil {
-		return 0, err
-	}
-	if l.down.Load() {
-		return 0, errLeafDown
-	}
-	return l.Store.Stat(name)
-}
-
-func (l *countLeaf) Open(name string, flag backend.OpenFlag) (backend.File, error) {
-	l.calls.open.Add(1)
-	if err := l.g.park(l.id, -1); err != nil {
-		return nil, err
-	}
-	if l.down.Load() {
-		return nil, errLeafDown
-	}
-	f, err := l.Store.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &countFile{File: f, l: l}, nil
-}
-
-type countFile struct {
-	backend.File
-	l *countLeaf
-}
-
-func (f *countFile) Truncate(size int64) error {
-	f.l.calls.trunc.Add(1)
-	return f.File.Truncate(size)
-}
-
-func (f *countFile) WriteAt(p []byte, off int64) (int, error) {
-	f.l.calls.write.Add(1)
-	return f.File.WriteAt(p, off)
-}
-
-// sizeRig is a striped store over four counting leaves holding one sparse
+// sizeRig is a striped store over four scheduled leaves holding one sparse
 // file: 100 bytes of stripe 0 (the home group) and 100 bytes of a far
 // stripe chosen so that one leaf outside the home group holds a stripe
 // (far), one holds nothing (empty), and shrinking the store to three
 // leaves relocates the far stripe onto the empty one.
 type sizeRig struct {
 	s      *shard.Store
-	g      *ownerGate
-	leaves []*countLeaf
+	sched  *faultfs.Scheduler
+	seen   []faultfs.Event // the leaf calls since reset
 	mems   []*backend.MemStore
 	home   []int // owners of stripe 0; home[0] is the slot Open takes eagerly
 	far    int   // a leaf outside home that owns the far stripe
@@ -96,12 +39,11 @@ const (
 
 func newSizeRig(t *testing.T, replicas int) *sizeRig {
 	t.Helper()
-	r := &sizeRig{g: newOwnerGate()}
+	r := &sizeRig{sched: faultfs.NewScheduler(faultfs.Policy{})}
 	stores := make([]backend.Store, 4)
 	for i := range stores {
 		mem := backend.NewMemStore()
-		leaf := &countLeaf{Store: mem, id: i, g: r.g}
-		r.mems, r.leaves, stores[i] = append(r.mems, mem), append(r.leaves, leaf), leaf
+		r.mems, stores[i] = append(r.mems, mem), r.sched.Leaf(i, mem)
 	}
 	s, err := shard.New(stores, shard.Config{StripeBytes: sizeStripe, Replicas: replicas})
 	if err != nil {
@@ -166,19 +108,28 @@ func (r *sizeRig) open(t *testing.T) backend.File {
 }
 
 func (r *sizeRig) reset() {
-	for _, l := range r.leaves {
-		l.calls.stat.Store(0)
-		l.calls.open.Store(0)
-		l.calls.trunc.Store(0)
-	}
+	r.sched.Take()
+	r.seen = nil
+}
+
+// calls returns how many calls of kind op each leaf has seen since reset.
+func (r *sizeRig) calls(op faultfs.Op) []int {
+	r.seen = append(r.seen, r.sched.Take()...)
+	return faultfs.CountByLeaf(r.seen, len(r.mems), op)
 }
 
 // probes returns the Stat and Open calls every leaf has seen since reset.
-func (r *sizeRig) probes() (stats, opens []int64) {
-	for _, l := range r.leaves {
-		stats, opens = append(stats, l.calls.stat.Load()), append(opens, l.calls.open.Load())
-	}
-	return stats, opens
+func (r *sizeRig) probes() (stats, opens []int) {
+	return r.calls(faultfs.OpStat), r.calls(faultfs.OpOpen)
+}
+
+// isProbe reports a Stat or an Open: the by-name calls that cost a round
+// trip on an object store.
+func isProbe(ev *faultfs.Event) bool { return ev.Op == faultfs.OpStat || ev.Op == faultfs.OpOpen }
+
+// down fails every probe of leaf.
+func down(leaf int) faultfs.Policy {
+	return faultfs.When(func(ev *faultfs.Event) bool { return ev.Leaf == leaf && isProbe(ev) }, faultfs.Fail(errLeafDown))
 }
 
 // stripeOn returns the offset of the first stripe past the far one that
@@ -195,7 +146,7 @@ func (r *sizeRig) stripeOn(leaf int) int64 {
 // rest lists the leaves outside the home group.
 func (r *sizeRig) rest() []int {
 	var out []int
-	for i := range r.leaves {
+	for i := range r.mems {
 		if !slices.Contains(r.home, i) {
 			out = append(out, i)
 		}
@@ -208,25 +159,23 @@ func (r *sizeRig) rest() []int {
 // in flight together before any of round i is let go.
 func (r *sizeRig) round(t *testing.T, op func() error, rounds ...[]int) {
 	t.Helper()
-	r.g.set(nil, true)
+	r.sched.SetPolicy(faultfs.When(isProbe, faultfs.Park))
 	done := make(chan error, 1)
 	go func() { done <- op() }()
 	for i, want := range rounds {
-		ops := r.g.await(t, len(want))
+		ops := r.sched.Await(t, len(want))
 		var got []int
 		for _, p := range ops {
-			got = append(got, p.leaf)
+			got = append(got, p.Leaf)
 		}
 		slices.Sort(got)
 		if !slices.Equal(got, want) {
 			t.Errorf("round %d probed leaves %v, want %v", i, got, want)
 		}
 		if i == len(rounds)-1 {
-			r.g.set(nil, false)
+			r.sched.SetPolicy(faultfs.Policy{})
 		}
-		for _, p := range ops {
-			p.fate <- nil
-		}
+		faultfs.Release(ops...)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -264,8 +213,8 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 			r.round(t, func() error { _, err := h.Size(); return err }, rounds...)
 			wantSize(t, h, r.size)
 			stats, opens := r.probes()
-			for i := range r.leaves {
-				wantOpens := int64(1)
+			for i := range r.mems {
+				wantOpens := 1
 				if i == r.home[0] {
 					wantOpens = 0
 				}
@@ -288,14 +237,15 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 			}
 			wantSize(t, h, size)
 			stats, opens = r.probes()
-			for i, l := range r.leaves {
-				wantTrunc := int64(0)
+			truncs := r.calls(faultfs.OpTruncate)
+			for i := range r.mems {
+				wantTrunc := 0
 				if slices.Contains(anchors, i) {
 					wantTrunc = 10
 				}
-				if stats[i] != 0 || opens[i] != 0 || l.calls.trunc.Load() != wantTrunc {
+				if stats[i] != 0 || opens[i] != 0 || truncs[i] != wantTrunc {
 					t.Errorf("leaf %d over ten Size() and ten growing Truncate: %d Stat, %d Open, %d Truncate; want 0, 0 and %d",
-						i, stats[i], opens[i], l.calls.trunc.Load(), wantTrunc)
+						i, stats[i], opens[i], truncs[i], wantTrunc)
 				}
 			}
 
@@ -308,7 +258,7 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantSize(t, h, off+4)
-			if got := r.leaves[r.empty].calls.open.Load(); got != 1 {
+			if got := r.calls(faultfs.OpOpen)[r.empty]; got != 1 {
 				t.Errorf("creating the stripe on the empty leaf opened it %d times, want 1", got)
 			}
 			if got, err := r.mems[r.empty].Stat(sizeName); err != nil || got != off+4 {
@@ -332,7 +282,7 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 			}
 			r.reset()
 			wantSize(t, h, r.size)
-			if got := r.leaves[r.empty].calls.open.Load(); got != 1 {
+			if got := r.calls(faultfs.OpOpen)[r.empty]; got != 1 {
 				t.Errorf("the Size() after the migration opened leaf %d %d times, want the one re-probe", r.empty, got)
 			}
 			r.reset()
@@ -387,11 +337,11 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 		h := r.open(t)
 		wantSize(t, h, r.size)
 		off := r.stripeOn(r.empty)
-		r.leaves[r.empty].down.Store(true)
+		r.sched.SetPolicy(down(r.empty))
 		if _, err := h.WriteAt([]byte("tail"), off); err != nil {
 			t.Fatal(err)
 		}
-		r.leaves[r.empty].down.Store(false)
+		r.sched.SetPolicy(faultfs.Policy{})
 		if st, err := r.s.Scrub(context.Background()); err != nil || st.Repairs == 0 || st.Unrepaired != 0 {
 			t.Fatalf("Scrub after the missed write: %+v, %v", st, err)
 		}
@@ -416,13 +366,13 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 	t.Run("R2/one-leaf-down", func(t *testing.T) {
 		r := newSizeRig(t, 2)
 		h := r.open(t)
-		r.leaves[r.far].down.Store(true)
+		r.sched.SetPolicy(down(r.far))
 		for call := int64(1); call <= 3; call++ {
 			wantSize(t, h, r.size)
 			if got := r.s.Health()[r.far].Failures; got != call {
 				t.Fatalf("after %d Size() calls the down leaf's slot has %d failures", call, got)
 			}
-			if got := r.leaves[r.far].calls.open.Load(); got != call {
+			if got := r.calls(faultfs.OpOpen)[r.far]; int64(got) != call {
 				t.Fatalf("after %d Size() calls the down leaf was opened %d times", call, got)
 			}
 		}
@@ -438,11 +388,10 @@ func TestSizeAsksEachStoreOnce(t *testing.T) {
 func TestWholeFileTruncateTouchesOnlyOwners(t *testing.T) {
 	for _, r := range []int{1, 2} {
 		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
-			leaves := make([]*countLeaf, 4)
-			stores := make([]backend.Store, len(leaves))
-			for i := range leaves {
-				leaves[i] = &countLeaf{Store: backend.NewMemStore(), id: i, g: newOwnerGate()}
-				stores[i] = leaves[i]
+			sched := faultfs.NewScheduler(faultfs.Policy{})
+			stores := make([]backend.Store, 4)
+			for i := range stores {
+				stores[i] = sched.Leaf(i, backend.NewMemStore())
 			}
 			s, err := shard.New(stores, shard.Config{Replicas: r})
 			if err != nil {
@@ -456,21 +405,15 @@ func TestWholeFileTruncateTouchesOnlyOwners(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer h.Close()
-			calls := func() (probes, truncs int64) {
-				for _, l := range leaves {
-					probes += l.calls.stat.Load() + l.calls.open.Load()
-					truncs += l.calls.trunc.Load()
-				}
-				return probes, truncs
-			}
-			p0, t0 := calls()
+			sched.Take()
 			if err := h.Truncate(100); err != nil {
 				t.Fatal(err)
 			}
-			p1, t1 := calls()
+			evs := sched.Take()
+			truncs, probes := faultfs.Count(evs, faultfs.OpTruncate), faultfs.Count(evs, faultfs.OpStat, faultfs.OpOpen)
 			// The eager open holds one owner; the others open for the cut.
-			if t1-t0 != int64(r) || p1-p0 != int64(r-1) {
-				t.Errorf("Truncate at R=%d: %d leaf truncates, %d probes; want %d and %d", r, t1-t0, p1-p0, r, r-1)
+			if truncs != r || probes != r-1 {
+				t.Errorf("Truncate at R=%d: %d leaf truncates, %d probes; want %d and %d", r, truncs, probes, r, r-1)
 			}
 			wantSize(t, h, 100)
 		})

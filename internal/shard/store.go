@@ -370,6 +370,11 @@ func (s *Store) Open(name string, flag backend.OpenFlag) (backend.File, error) {
 // OpenCtx implements backend.StoreCtx: ctx reaches the eager open
 // here and every lazy per-shard open through the handle's *Ctx
 // methods later.
+//
+// A miss is final only if routing held still across it: between the
+// routing decision and the open, the mover may confirm the key, commit
+// the epoch and reap the copy the decision picked. routeGen moves on
+// each of those, so a miss under a moved routeGen routes once more.
 func (s *Store) OpenCtx(ctx context.Context, name string, flag backend.OpenFlag) (backend.File, error) {
 	if layout.IsReserved(name) {
 		if flag == backend.OpenRead {
@@ -377,8 +382,13 @@ func (s *Store) OpenCtx(ctx context.Context, name string, flag backend.OpenFlag)
 		}
 		return nil, errReservedName
 	}
+	gen := s.routeGen.Load()
 	t := s.topo.Load()
 	slot, hf, err := s.openEager(ctx, t, name, flag)
+	if errors.Is(err, backend.ErrNotExist) && s.routeGen.Load() != gen {
+		t = s.topo.Load()
+		slot, hf, err = s.openEager(ctx, t, name, flag)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"lamassu/internal/backend"
+	"lamassu/internal/faultfs"
 )
 
 // rebalanceFixture mounts a 2-shard striped deployment with a few
@@ -226,11 +227,8 @@ func TestMountStartRebalanceCancelResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Growth moves keys only onto the new shard, so counting its
-	// writes (via the apiv2 cancellation fixture) interrupts the mover
-	// partway deterministically.
-	cs := &cancelAfterStore{inner: backend.NewMemStore()}
-	cs.arm(2, cancel)
-	third := Storage(cs)
+	// writes interrupts the mover partway deterministically.
+	third := faultfs.NewScheduler(faultfs.CancelAfter(faultfs.OpWrite, 2, cancel)).Leaf(0, backend.NewMemStore())
 	reb, err := m.StartRebalance(ctx, stores[0], stores[1], third)
 	if err != nil {
 		t.Fatal(err)
@@ -275,9 +273,8 @@ func TestCloseStopsRebalance(t *testing.T) {
 	m, stores, _ := rebalanceFixture(t, keys)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cs := &cancelAfterStore{inner: backend.NewMemStore()}
-	cs.arm(2, cancel)
-	reb, err := m.StartRebalance(ctx, stores[0], stores[1], Storage(cs))
+	third := faultfs.NewScheduler(faultfs.CancelAfter(faultfs.OpWrite, 2, cancel)).Leaf(0, backend.NewMemStore())
+	reb, err := m.StartRebalance(ctx, stores[0], stores[1], third)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"lamassu/internal/backend"
 	"lamassu/internal/backend/objstore"
+	"lamassu/internal/faultfs"
 	"lamassu/internal/simclock"
 )
 
@@ -49,7 +50,8 @@ func TestRemoteCancelMidCommit(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, inner := newObjStore()
-			store := &cancelAfterStore{inner: inner}
+			sched := faultfs.NewScheduler(faultfs.Policy{})
+			store := sched.Leaf(0, inner)
 			mount := func() (*Mount, error) {
 				if tc.shards > 0 {
 					return New(carve(t, store, tc.shards), keys, WithIOWindow(8))
@@ -68,7 +70,7 @@ func TestRemoteCancelMidCommit(t *testing.T) {
 			newData := bytes.Repeat([]byte{0xCD}, 256*1024)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			store.arm(3, cancel) // cancel mid-commit, a few writes in
+			sched.SetPolicy(faultfs.CancelAfter(faultfs.OpWrite, 3, cancel)) // cancel mid-commit, a few writes in
 			err = m.WriteFileCtx(ctx, "big", newData)
 			if err == nil {
 				t.Fatal("huge write succeeded despite mid-commit cancel")
@@ -80,7 +82,7 @@ func TestRemoteCancelMidCommit(t *testing.T) {
 			// The cut may strand multipart sessions — crash state on the
 			// server, fine — but nothing staged may have reached the
 			// committed namespace, which recovery must then clean up.
-			store.arm(0, nil)
+			sched.SetPolicy(faultfs.Policy{})
 			m2, err := mount()
 			if err != nil {
 				t.Fatal(err)
