@@ -162,30 +162,19 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64, whole 
 	}
 	through := slots[len(slots)-1]
 
-	// Derive the new convergent keys: one pool task and one BlockHashes
-	// call per hash group (the hashes lead a raw commit's CPU, Figure 9).
-	// A commit that compresses keeps the encode's unit instead,
-	// cryptoutil.Lanes blocks hashed one by one. There the hash is a few
-	// percent of the CPU next to ~200 µs compression tasks, and wider
-	// derive tasks change how concurrent commits share the pool: two
-	// streams on objstore-seq-z2 then took turns more evenly, and the
-	// fastest commit-triggering write got 26 % slower. That write is
-	// what the benchmark's write_p50_ms reports (ROADMAP 7(j)); once it
-	// reports a commit's typical cost, measure again and drop this fork
-	// if hashGroups holds.
-	newKeys := make([]cryptoutil.Key, len(slots))
-	groups := f.fs.hashGroups(len(slots))
-	if f.fs.cfg.Compression || meta.Compressed() {
-		groups = laneGroups(len(slots))
+	// Derive the new convergent keys: one pool task, one BlockHashes
+	// call and one KDF pass per group (the hashes lead a raw commit's
+	// CPU, Figure 9). The encode below fans out over the same groups.
+	newKeys, blocks := make([]cryptoutil.Key, len(slots)), make([][]byte, len(slots))
+	for i, s := range slots {
+		blocks[i] = seg.pending[s]
 	}
+	compressing := f.fs.cfg.Compression || meta.Compressed()
+	groups := f.fs.commitGroups(len(slots), compressing)
 	err := f.fs.pool.run(ctx, groups, func(g int) error {
-		lo, hi := hashGroup(g, groups, len(slots))
-		var blocks [cryptoutil.HashLanes][]byte
+		lo, hi := commitGroup(g, groups, len(slots), compressing)
 		var hs [cryptoutil.HashLanes]cryptoutil.Hash
-		for i := lo; i < hi; i++ {
-			blocks[i-lo] = seg.pending[slots[i]]
-		}
-		if bad, err := f.fs.deriveKeys(newKeys[lo:hi], hs[:], blocks[:hi-lo]); err != nil {
+		if bad, err := f.fs.deriveKeys(newKeys[lo:hi], hs[:], blocks[lo:hi]); err != nil {
 			return fmt.Errorf("lamassu: deriving key for segment %d slot %d: %w", si, slots[lo+bad], err)
 		}
 		return nil
@@ -208,10 +197,10 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64, whole 
 		if meta.StableKey(s).Equal(newKeys[i]) {
 			continue
 		}
-		slots[kept], newKeys[kept] = s, newKeys[i]
+		slots[kept], newKeys[kept], blocks[kept] = s, newKeys[i], blocks[i]
 		kept++
 	}
-	slots, newKeys = slots[:kept], newKeys[:kept]
+	slots, newKeys, blocks = slots[:kept], newKeys[:kept], blocks[:kept]
 	if kept == 0 {
 		// Everything was already on disk; nothing to commit. The
 		// logical size, if dirty, is persistSize's job.
@@ -236,16 +225,11 @@ func (f *file) prepareCommit(ctx context.Context, seg *segment, si int64, whole 
 	bs := f.fs.geo.BlockSize
 	c := &commitIO{slots: slots, newKeys: newKeys, lens: make([]int, len(slots)),
 		cts: f.fs.slabs.get(len(slots) * bs), size: f.sizeNow(), through: through}
-	// The encode fan-out hands the pool one task per group of
-	// cryptoutil.Lanes slots, the unit it encrypts in one multi-buffer
-	// call.
-	err = f.fs.pool.run(ctx, laneGroups(len(slots)), func(g int) error {
-		lo, hi := laneGroup(g, len(slots))
-		var src [cryptoutil.Lanes][]byte
-		for i := lo; i < hi; i++ {
-			src[i-lo] = seg.pending[slots[i]]
-		}
-		if err := f.fs.encode(c.cts[lo*bs:hi*bs], src[:hi-lo], newKeys[lo:hi], c.lens[lo:hi], meta.Compressed()); err != nil {
+	// The dropped slots shrank the batch, so the groups are recounted.
+	groups = f.fs.commitGroups(len(slots), compressing)
+	err = f.fs.pool.run(ctx, groups, func(g int) error {
+		lo, hi := commitGroup(g, groups, len(slots), compressing)
+		if err := f.fs.encode(c.cts[lo*bs:hi*bs], blocks[lo:hi], newKeys[lo:hi], c.lens[lo:hi], meta.Compressed()); err != nil {
 			return fmt.Errorf("lamassu: encoding segment %d slots %d-%d: %w", si, slots[lo], slots[hi-1], err)
 		}
 		return nil
@@ -287,15 +271,6 @@ func (f *file) triggeredSlots(seg *segment, slots []int) []int {
 	return nil
 }
 
-// laneGroups is the number of groups of cryptoutil.Lanes that n
-// blocks form; laneGroup is the index range [lo, hi) of group g.
-func laneGroups(n int) int { return (n + cryptoutil.Lanes - 1) / cryptoutil.Lanes }
-
-func laneGroup(g, n int) (lo, hi int) {
-	lo = g * cryptoutil.Lanes
-	return lo, min(lo+cryptoutil.Lanes, n)
-}
-
 // hashGroups is the number of hash groups a fan-out over n blocks hands
 // the pool: enough that none holds more than cryptoutil.HashLanes
 // blocks, and — while each keeps at least cryptoutil.Lanes — no fewer
@@ -310,9 +285,32 @@ func laneGroup(g, n int) (lo, hi int) {
 // and overwrites that one write carries two or more groups of R deep
 // into a segment (a 1 MiB sequential overwrite's full segment takes
 // 112 blocks, 7 groups of 16). A per-block write stream commits one
-// group of R = 8 at a time, two groups of 4 on crypto/sha256.
+// group of R = 8 at a time, two groups of 4 on crypto/sha256. A raw
+// commit encrypts the same groups, one EncryptBlocksCBC call each.
 func (fs *FS) hashGroups(n int) int {
-	return max((n+cryptoutil.HashLanes-1)/cryptoutil.HashLanes, min(fs.pool.Width(), laneGroups(n)))
+	return max((n+cryptoutil.HashLanes-1)/cryptoutil.HashLanes, min(fs.pool.Width(), (n+cryptoutil.Lanes-1)/cryptoutil.Lanes))
+}
+
+// commitGroups is the group count of a commit's derive and encode over
+// n slots, and commitGroup the range [lo, hi) of group g: hashGroups',
+// or runs of cryptoutil.Lanes slots for a commit that compresses. That
+// fork waits on ROADMAP 7(j): next to ~200 µs compression tasks wider
+// groups change how two committing streams share the pool, and made
+// objstore-seq-z2's fastest commit-triggering write (its write_p50_ms)
+// 26 % slower. Once the benchmark reports a typical commit, measure
+// again and drop the fork.
+func (fs *FS) commitGroups(n int, compressing bool) int {
+	if compressing {
+		return (n + cryptoutil.Lanes - 1) / cryptoutil.Lanes
+	}
+	return fs.hashGroups(n)
+}
+
+func commitGroup(g, groups, n int, compressing bool) (lo, hi int) {
+	if !compressing {
+		return hashGroup(g, groups, n)
+	}
+	return g * cryptoutil.Lanes, min((g+1)*cryptoutil.Lanes, n)
 }
 
 // hashGroup is the index range [lo, hi) of group g of groups over n

@@ -504,8 +504,9 @@ func (fs *FS) writeMeta(ctx context.Context, bf backend.File, name string, m *la
 
 // deriveKeys computes the convergent keys of a group of at most
 // cryptoutil.HashLanes plaintext blocks: one BlockHashes call into the
-// caller's scratch hs (one array per call chain), then one KDF per
-// hash. The group is charged to the paper's GetCEKey category once —
+// caller's scratch hs (one array per call chain), then the KDF — one
+// DeriveKeys pass for the group, or Config.KeyDeriver per hash when one
+// is set. The group is charged to the paper's GetCEKey category once —
 // its hashes (one multi-buffer pass when the group is large enough)
 // plus the KDF, local or a server-aided round trip per block. On a KDF
 // failure it returns the index of the failing block; the keys before
@@ -515,6 +516,10 @@ func (fs *FS) deriveKeys(keys []cryptoutil.Key, hs []cryptoutil.Hash, blocks [][
 	defer fs.cfg.Recorder.Stop(metrics.GetCEKey, t)
 	h := hs[:len(blocks)]
 	cryptoutil.BlockHashes(h, blocks)
+	if fs.cfg.KeyDeriver == nil {
+		fs.ced.DeriveKeys(keys[:len(h)], h)
+		return 0, nil
+	}
 	for i := range h {
 		k, err := fs.ceKey(h[i])
 		if err != nil {
@@ -543,7 +548,7 @@ func (fs *FS) decryptBlock(dst, src []byte, key cryptoutil.Key) error {
 }
 
 // encode produces the stored payloads of a group of at most
-// cryptoutil.Lanes plaintext blocks — the mirror of decodeStored. dst
+// cryptoutil.HashLanes plaintext blocks — the mirror of decodeStored. dst
 // holds one BlockSize-strided slot per block of src; block i's payload
 // lands at the front of slot i under keys[i], and lens[i] is set to its
 // length. For a raw segment that is the convergently encrypted block,
@@ -558,7 +563,7 @@ func (fs *FS) decryptBlock(dst, src []byte, key cryptoutil.Key) error {
 // encrypted in one multi-buffer call; the encode is charged to Encrypt.
 func (fs *FS) encode(dst []byte, src [][]byte, keys []cryptoutil.Key, lens []int, compressed bool) error {
 	bs := fs.geo.BlockSize
-	var in, out [cryptoutil.Lanes][]byte
+	var in, out [cryptoutil.HashLanes][]byte
 	t := fs.cfg.Recorder.Start()
 	for i, block := range src {
 		slot := dst[i*bs : (i+1)*bs]
@@ -617,20 +622,12 @@ func (fs *FS) decodeStored(dst, ct []byte, key cryptoutil.Key, storedBytes int) 
 	return nil
 }
 
-// verifyBlock re-derives the convergent key from decrypted plaintext
-// and compares it with the key that was used (§2.5). The re-hash is
-// charged to GetCEKey, as in the paper's Figure 9 instrumentation. A
-// deriver failure (e.g. an unreachable key server) counts as a failed
-// verification.
-func (fs *FS) verifyBlock(plain []byte, used cryptoutil.Key) bool {
-	var hs [1]cryptoutil.Hash
-	return fs.verifyBlocks([][]byte{plain}, []cryptoutil.Key{used}, hs[:]) < 0
-}
-
-// verifyBlocks is verifyBlock over a group of at most
-// cryptoutil.HashLanes blocks, hashed into hs as deriveKeys does and
-// each key compared as it is derived. It returns the index of the
-// first block that fails, or -1.
+// verifyBlocks re-derives the convergent keys of a group of at most
+// cryptoutil.HashLanes decrypted blocks and compares each with the key
+// that was used (§2.5): hashed into hs as deriveKeys does, charged to
+// GetCEKey as in the paper's Figure 9 instrumentation, and each key
+// compared as it is derived. A deriver failure (e.g. an unreachable key
+// server) fails the block. It returns the first failing index, or -1.
 func (fs *FS) verifyBlocks(plains [][]byte, used []cryptoutil.Key, hs []cryptoutil.Hash) int {
 	t := fs.cfg.Recorder.Start()
 	defer fs.cfg.Recorder.Stop(metrics.GetCEKey, t)

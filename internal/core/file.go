@@ -425,10 +425,7 @@ func (f *file) fetchContig(ctx context.Context, p []byte, spans []vfs.Span, meta
 			return f.decodeGroup(p, own[lo:hi], slab[lo*bs:hi*bs], meta, gen)
 		})
 	} else {
-		for g := 0; g < groups && err == nil; g++ {
-			lo, hi := hashGroup(g, groups, n)
-			err = f.decodeGroup(p, spans[lo:hi], slab[lo*bs:hi*bs], meta, gen)
-		}
+		err = f.decodeGroup(p, spans, slab, meta, gen)
 	}
 	if err != nil {
 		if se, ok := err.(*spanError); ok {
@@ -498,15 +495,26 @@ func (f *file) readVerdicts(ctx context.Context, p []byte, spans []vfs.Span, met
 // and, under IntegrityFull, verifies the group with one hash call. It
 // decodes in order up to the first block that fails, verifies what it
 // decoded, and reports the lowest failing block, with every block
-// before it in p; only a group that is wholly good enters the cache.
+// before it in p; only a group that is wholly good enters the cache. A
+// one-block group (every one-block miss) gets scratch arrays of one.
 func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout.MetaBlock, gen uint64) error {
+	if len(spans) == 1 {
+		var plains [1][]byte
+		var keys [1]cryptoutil.Key
+		var hs [1]cryptoutil.Hash
+		return f.decodeIn(p, spans, slab, meta, gen, plains[:], keys[:], hs[:])
+	}
+	var plains [cryptoutil.HashLanes][]byte
+	var keys [cryptoutil.HashLanes]cryptoutil.Key
+	var hs [cryptoutil.HashLanes]cryptoutil.Hash
+	return f.decodeIn(p, spans, slab, meta, gen, plains[:], keys[:], hs[:])
+}
+
+// decodeIn is decodeGroup in scratch of one entry per block at least:
+// plains (a partial span's is pooled), the stored keys, verifyBlocks' hs.
+func (f *file) decodeIn(p []byte, spans []vfs.Span, slab []byte, meta *layout.MetaBlock, gen uint64, plains [][]byte, keys []cryptoutil.Key, hs []cryptoutil.Hash) error {
 	bs := f.fs.geo.BlockSize
-	var (
-		plains [cryptoutil.HashLanes][]byte // a partial span's is pooled scratch
-		keys   [cryptoutil.HashLanes]cryptoutil.Key
-		hs     [cryptoutil.HashLanes]cryptoutil.Hash // verifyBlocks' scratch
-		err    error
-	)
+	var err error
 	defer func() {
 		for i, sp := range spans {
 			if plains[i] != nil && !sp.Full(bs) {
@@ -536,7 +544,7 @@ func (f *file) decodeGroup(p []byte, spans []vfs.Span, slab []byte, meta *layout
 	}
 	good := n // blocks before the lowest failing one
 	if f.fs.cfg.Integrity == IntegrityFull {
-		if bad := f.fs.verifyBlocks(plains[:n], keys[:n], hs[:]); bad >= 0 {
+		if bad := f.fs.verifyBlocks(plains[:n], keys[:n], hs); bad >= 0 {
 			good = bad
 			err = &spanError{spans[bad].BufOff, fmt.Errorf("%w: block %d", ErrIntegrity, spans[bad].Index)}
 		}
@@ -822,6 +830,11 @@ func (f *file) writeRun(ctx context.Context, spans []vfs.Span, p []byte, off int
 	si := geo.SegmentOfBlock(spans[0].Index)
 	seg := f.segment(si)
 	seg.mu.Lock()
+	// One size snapshot, under seg.mu, serves the run. It can only be
+	// lower than the true size (opMu excludes Truncate, and every write
+	// into this segment has moved it), and a block between the two is a
+	// hole, which pendingBlock stages as fresh either way.
+	ndb := geo.NumDataBlocks(f.sizeNow())
 	done := spans[0].BufOff
 	err := f.behindFailure()
 	for _, sp := range spans {
@@ -832,7 +845,7 @@ func (f *file) writeRun(ctx context.Context, spans []vfs.Span, p []byte, off int
 			break
 		}
 		var buf []byte
-		if buf, err = f.pendingBlock(ctx, seg, si, geo.SlotOfBlock(sp.Index), sp.Index, sp.Full(geo.BlockSize)); err != nil {
+		if buf, err = f.pendingBlock(ctx, seg, si, geo.SlotOfBlock(sp.Index), sp.Index, sp.Index < ndb, sp.Full(geo.BlockSize)); err != nil {
 			break
 		}
 		copy(buf[sp.Start:sp.Start+sp.Len], p[sp.BufOff:sp.BufOff+sp.Len])
@@ -874,14 +887,15 @@ func (fs *FS) liveCap() int {
 }
 
 // pendingBlock returns the mutable plaintext buffer for (seg, slot),
-// creating it from the current on-disk contents when needed. When the
-// caller will overwrite the entire block (full == true) the old
-// contents need not be read — this is what keeps full-block writes
-// one-pass, as in the paper's prototype. The buffer comes from the
-// slab pool (commit returns it there), so its initial contents are
-// undefined: every path below either fills it completely or zeroes
-// it. The caller must hold seg.mu exclusively.
-func (f *file) pendingBlock(ctx context.Context, seg *segment, si int64, slot int, dbi int64, full bool) ([]byte, error) {
+// creating it from the current on-disk contents when needed; exists
+// says block dbi lies within the logical size, so it may hold data a
+// partial write must keep. When the caller will overwrite the entire
+// block (full == true) the old contents need not be read — this is
+// what keeps full-block writes one-pass, as in the paper's prototype.
+// The buffer comes from the slab pool (commit returns it there), so
+// its initial contents are undefined: every path below either fills
+// it completely or zeroes it. The caller must hold seg.mu exclusively.
+func (f *file) pendingBlock(ctx context.Context, seg *segment, si int64, slot int, dbi int64, exists, full bool) ([]byte, error) {
 	if buf, ok := seg.pending[slot]; ok {
 		return buf, nil
 	}
@@ -889,17 +903,15 @@ func (f *file) pendingBlock(ctx context.Context, seg *segment, si int64, slot in
 	// transient slots at commit and bound the coalescing batch. With
 	// the metadata resident the check is exact; before that, any block
 	// inside the logical size is conservatively assumed live.
-	live := false
+	live := exists
 	if seg.meta != nil {
 		live = !seg.meta.StableKey(slot).IsZero()
-	} else {
-		live = f.blockMayExist(dbi)
 	}
 	buf := f.fs.slabs.get(f.fs.geo.BlockSize)
 	switch {
 	case full:
 		// Every byte is about to be overwritten.
-	case f.blockMayExist(dbi):
+	case exists:
 		if !f.fs.cache.getData(f.name, dbi, buf) {
 			err := f.ensureMeta(ctx, seg, si)
 			if err == nil {
@@ -920,13 +932,6 @@ func (f *file) pendingBlock(ctx context.Context, seg *segment, si int64, slot in
 	}
 	seg.pending[slot] = buf
 	return buf, nil
-}
-
-// blockMayExist reports whether logical data block dbi lies within the
-// current logical size (and therefore may hold data that a partial
-// write must preserve).
-func (f *file) blockMayExist(dbi int64) bool {
-	return dbi < f.fs.geo.NumDataBlocks(f.sizeNow())
 }
 
 // Truncate implements vfs.File.
@@ -1003,7 +1008,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 		si := geo.SegmentOfBlock(dbi)
 		slot := geo.SlotOfBlock(dbi)
 		seg := f.segment(si)
-		buf, err := f.pendingBlock(ctx, seg, si, slot, dbi, false)
+		buf, err := f.pendingBlock(ctx, seg, si, slot, dbi, true, false) // inside the old size
 		if err != nil {
 			return err
 		}

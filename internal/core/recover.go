@@ -38,8 +38,9 @@ const (
 func (fs *FS) slotVerdict(meta *layout.MetaBlock, slot int, ct, plain []byte) (verdict, int) {
 	bs := fs.geo.BlockSize
 	key := meta.StableKey(slot)
+	var hs [1]cryptoutil.Hash // verifyBlocks' scratch
 	if stored := storedBytes(meta, slot, bs); stored > 0 &&
-		fs.decodeStored(plain, ct, key, stored) == nil && fs.verifyBlock(plain, key) {
+		fs.decodeStored(plain, ct, key, stored) == nil && fs.verifyBlocks([][]byte{plain}, []cryptoutil.Key{key}, hs[:]) < 0 {
 		return slotNew, -1
 	}
 	if !meta.MidUpdate() {
@@ -51,7 +52,7 @@ func (fs *FS) slotVerdict(meta *layout.MetaBlock, slot int, ct, plain []byte) (v
 			oldStored = meta.OldLen(r) * layout.LenUnit
 		}
 		if !old.IsZero() && oldStored > 0 &&
-			fs.decodeStored(plain, ct, old, oldStored) == nil && fs.verifyBlock(plain, old) {
+			fs.decodeStored(plain, ct, old, oldStored) == nil && fs.verifyBlocks([][]byte{plain}, []cryptoutil.Key{old}, hs[:]) < 0 {
 			return slotOld, r
 		}
 	}

@@ -141,20 +141,19 @@ func (fs *FS) RekeyFullCtx(ctx context.Context, name string, newInner, newOuter 
 		// file raw even if it was compressed — the rewrite touches
 		// every data byte anyway, so the mode change is free.
 		keys, lens := make([]cryptoutil.Key, n), make([]int, n)
-		var hs [cryptoutil.HashLanes]cryptoutil.Hash
-		for lo := 0; lo < n; lo += cryptoutil.HashLanes {
-			hi := min(lo+cryptoutil.HashLanes, n)
+		cts := fs.slabs.get(n * bs)
+		defer fs.slabs.put(cts)
+		groups := fs.hashGroups(n)
+		err := fs.pool.run(nil, groups, func(g int) error {
+			lo, hi := hashGroup(g, groups, n)
+			var hs [cryptoutil.HashLanes]cryptoutil.Hash
 			if _, err := rot.deriveKeys(keys[lo:hi], hs[:], blocks[lo:hi]); err != nil {
 				return err
 			}
-		}
-		cts := fs.slabs.get(n * bs)
-		defer fs.slabs.put(cts)
-		for g := range laneGroups(n) {
-			lo, hi := laneGroup(g, n)
-			if err := rot.encode(cts[lo*bs:hi*bs], blocks[lo:hi], keys[lo:hi], lens[lo:hi], comp); err != nil {
-				return err
-			}
+			return rot.encode(cts[lo*bs:hi*bs], blocks[lo:hi], keys[lo:hi], lens[lo:hi], comp)
+		})
+		if err != nil {
+			return err
 		}
 		newMeta := layout.NewMetaBlock(geo, uint64(seg))
 		newMeta.LogicalSize = meta.LogicalSize

@@ -12,10 +12,24 @@ import (
 // an invariant IV to preserve data equality in the ciphertext).
 var fixedIV [aes.BlockSize]byte
 
-// Lanes is how many blocks EncryptBlocksCBC encrypts side by side; a
-// caller that batches blocks in groups of Lanes gives every group one
-// pass of the multi-buffer loop.
+// Lanes is how many blocks the AES-NI multi-buffer loop encrypts side
+// by side. EncryptBlocksCBC takes up to HashLanes blocks a pass: with
+// VAES, groups of at least vaesCrossover blocks go through the 16-lane
+// loop; smaller groups, and every group on a CPU without VAES, go
+// through the AES-NI loop Lanes at a time.
 const Lanes = 4
+
+// vaesCrossover is the fewest lanes EncryptBlocksCBC hands the 16-lane
+// VAES loop, which costs the same with 1 or HashLanes lanes busy; below
+// it they go through the AES-NI loop. One pass of the 16-lane loop
+// costs about what two passes of the 4-lane one do, eight 4 KiB blocks
+// (BenchmarkCBCEncryptLanes), so the 16-lane loop wins from nine lanes.
+const vaesCrossover = 9
+
+// schedule is an expanded AES-256 key: 15 round keys of one AES block
+// each, as AESENC (encryption) or AESDEC (decryption) takes them. The
+// kernels never keep one; CEKeyDeriver keeps the inner key's.
+type schedule [15 * aes.BlockSize]byte
 
 // EncryptBlockCBC implements the paper's Equation (2):
 //
@@ -44,8 +58,9 @@ func DecryptBlockCBC(dst, src []byte, key Key) error {
 // encrypts src[i] into dst[i] under keys[i]. Each lane obeys
 // EncryptBlockCBC's rules, and lanes may differ in length but must not
 // overlap one another. Every convergent block is its own CBC stream, so
-// the lanes are independent: they go Lanes at a time through the
-// multi-buffer loop and the rest one at a time. Nothing is written
+// the lanes are independent: they go up to HashLanes at a time through
+// the multi-buffer loops, which run the prefix a group shares in
+// lockstep and finish each longer lane on its own. Nothing is written
 // unless every lane is valid.
 func EncryptBlocksCBC(dst, src [][]byte, keys []Key) error {
 	if len(dst) != len(src) || len(keys) != len(src) {
@@ -56,12 +71,10 @@ func EncryptBlocksCBC(dst, src [][]byte, keys []Key) error {
 			return fmt.Errorf("lane %d: %w", i, err)
 		}
 	}
-	i := 0
-	for ; i+Lanes <= len(src); i += Lanes {
-		encryptLanes(dst[i:i+Lanes], src[i:i+Lanes], keys[i:i+Lanes])
-	}
-	for ; i < len(src); i++ {
-		encryptCBC(dst[i], src[i], &keys[i], &fixedIV)
+	for len(src) > 0 {
+		n := min(len(src), HashLanes)
+		encryptLanes(dst[:n], src[:n], keys[:n])
+		dst, src, keys = dst[n:], src[n:], keys[n:]
 	}
 	return nil
 }
@@ -109,17 +122,31 @@ func checkCBC(dst, src []byte) error {
 // definition the kernel is tested against. key and iv are copies so
 // that the kernel path's own stay on the stack.
 func encryptCBCStdlib(dst, src []byte, key Key, iv [aes.BlockSize]byte) {
-	c, err := aes.NewCipher(key[:])
-	if err != nil {
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
-	cipher.NewCBCEncrypter(c, iv[:]).CryptBlocks(dst, src)
+	cipher.NewCBCEncrypter(newAESCipher(&key), iv[:]).CryptBlocks(dst, src)
 }
 
 func decryptCBCStdlib(dst, src []byte, key Key, iv [aes.BlockSize]byte) {
+	cipher.NewCBCDecrypter(newAESCipher(&key), iv[:]).CryptBlocks(dst, src)
+}
+
+// newAESCipher is crypto/aes under key, whose length cannot be wrong.
+func newAESCipher(key *Key) cipher.Block {
 	c, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic("cryptoutil: aes.NewCipher: " + err.Error())
 	}
-	cipher.NewCBCDecrypter(c, iv[:]).CryptBlocks(dst, src)
+	return c
+}
+
+// ecbStdlib is the KDF's ECB on crypto/aes, where the kernel does not
+// run. Each block goes through a buffer of its own: a slice handed to
+// cipher.Block escapes, and the caller's arrays must not, so that the
+// kernel path allocates nothing.
+func (d *CEKeyDeriver) ecbStdlib(dst, src []byte) {
+	var b [aes.BlockSize]byte
+	for i := 0; i < len(src); i += aes.BlockSize {
+		copy(b[:], src[i:])
+		d.c.Encrypt(b[:], b[:])
+		copy(dst[i:], b[:])
+	}
 }

@@ -4,9 +4,21 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
+
+// withoutVAES runs fn with the VAES loops off and restores them.
+func withoutVAES(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	if !useVAES {
+		t.Skip("VAES loops not in use")
+	}
+	useVAES = false
+	defer func() { useVAES = true }()
+	fn(t)
+}
 
 // stdlibCBC is the oracle: Equation 2 on crypto/cipher, written out
 // here so that it shares no code with the package under test.
@@ -105,9 +117,11 @@ func checkLanesMatchStdlib(t testing.TB, keys []Key, plains [][]byte) {
 
 // TestCBCMatchesStdlib holds Equation 2 to crypto/cipher: every entry
 // point, random keys and IVs, every length from one AES block to two
-// engine blocks, and 0–9 lanes of equal and of mixed lengths. Off the
-// kernel the package runs crypto/cipher itself and this holds
-// trivially.
+// engine blocks (so a decrypt tail of every length mod 256 bytes behind
+// the VAES loop's 256-byte steps), and 0–HashLanes+2 lanes (a second
+// group of one and of two) of equal and of mixed lengths, each disjoint
+// and in place. Off the kernel the package runs crypto/cipher itself
+// and this holds trivially.
 func TestCBCMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewPCG(34, 2))
 	for n := aes.BlockSize; n <= 8192; n += aes.BlockSize {
@@ -115,7 +129,7 @@ func TestCBCMatchesStdlib(t *testing.T) {
 		copy(iv[:], randBytes(rng, aes.BlockSize))
 		checkCBCMatchesStdlib(t, randKey(rng), iv, randBytes(rng, n))
 	}
-	for lanes := 0; lanes <= 9; lanes++ {
+	for lanes := 0; lanes <= HashLanes+2; lanes++ {
 		for _, mixed := range []bool{false, true} {
 			keys, plains := make([]Key, lanes), make([][]byte, lanes)
 			for i := range lanes {
@@ -130,16 +144,29 @@ func TestCBCMatchesStdlib(t *testing.T) {
 	}
 }
 
+// TestCBCWithoutVAES is TestCBCMatchesStdlib with the VAES loops off,
+// so that the AES-NI loops stay tested on a VAES host.
+func TestCBCWithoutVAES(t *testing.T) {
+	withoutVAES(t, TestCBCMatchesStdlib)
+}
+
+// TestCBCNoAllocsWithoutVAES is TestCBCNoAllocs on the AES-NI loops.
+func TestCBCNoAllocsWithoutVAES(t *testing.T) {
+	withoutVAES(t, TestCBCNoAllocs)
+}
+
 // FuzzCBCMatchesStdlib explores TestCBCMatchesStdlib's space: an
 // arbitrary key, IV and payload (cut to a whole number of AES blocks,
-// at most 8 KiB), and up to 9 lanes cut from the payload, of equal or
-// of mixed lengths.
+// at most 8 KiB), and up to HashLanes+1 lanes cut from the payload, of
+// equal or of mixed lengths.
 func FuzzCBCMatchesStdlib(f *testing.F) {
 	rng := rand.New(rand.NewPCG(34, 3))
 	for _, n := range []int{16, 64, 112, 128, 144, 4032, 4096, 8192} {
 		f.Add(randBytes(rng, KeySize), randBytes(rng, aes.BlockSize), randBytes(rng, n), uint8(n%10))
 	}
 	f.Add(randBytes(rng, KeySize), randBytes(rng, aes.BlockSize), randBytes(rng, 4096), uint8(128+6))
+	f.Add(randBytes(rng, KeySize), randBytes(rng, aes.BlockSize), randBytes(rng, 4096), uint8(HashLanes))
+	f.Add(randBytes(rng, KeySize), randBytes(rng, aes.BlockSize), randBytes(rng, 4096), uint8(128+vaesCrossover))
 	f.Fuzz(func(t *testing.T, keyBytes, ivBytes, data []byte, lanes uint8) {
 		var key Key
 		var iv [aes.BlockSize]byte
@@ -151,7 +178,7 @@ func FuzzCBCMatchesStdlib(f *testing.F) {
 		}
 		data = data[:n]
 		checkCBCMatchesStdlib(t, key, iv, data)
-		mixed, count := lanes >= 128, int(lanes%128)%10
+		mixed, count := lanes >= 128, int(lanes%128)%(HashLanes+2)
 		keys, plains := make([]Key, count), make([][]byte, count)
 		for i := range count {
 			keys[i], plains[i] = key, data
@@ -165,34 +192,91 @@ func FuzzCBCMatchesStdlib(f *testing.F) {
 }
 
 // TestCBCNoAllocs guards the kernel's promise: no entry point allocates,
-// the multi-buffer one included. The crypto/cipher fallback allocates a
-// cipher and a mode per call, so off the kernel there is nothing to
-// guard.
+// the multi-buffer ones at both widths and the KDF included. The
+// crypto/cipher fallback allocates a cipher and a mode per call, so off
+// the kernel there is nothing to guard.
 func TestCBCNoAllocs(t *testing.T) {
 	if !useKernel {
 		t.Skip("crypto/cipher fallback in use")
 	}
 	key, iv := testKey(1), [aes.BlockSize]byte{1}
 	buf := make([]byte, 4096)
-	lanes, keys := make([][]byte, 6), make([]Key, 6)
+	tail := buf[:4096-48]
+	lanes, keys := make([][]byte, HashLanes), make([]Key, HashLanes)
 	for i := range lanes {
-		lanes[i], keys[i] = make([]byte, 4096-64*i), testKey(byte(i))
+		lanes[i], keys[i] = make([]byte, 4096-64*(i%3)), testKey(byte(i))
 	}
+	d := NewCEKeyDeriver(key)
+	hs, derived := make([]Hash, HashLanes), make([]Key, HashLanes)
 	for _, c := range []struct {
 		name string
 		fn   func() error
 	}{
 		{"EncryptBlockCBC", func() error { return EncryptBlockCBC(buf, buf, key) }},
 		{"DecryptBlockCBC", func() error { return DecryptBlockCBC(buf, buf, key) }},
+		{"DecryptBlockCBC/tail", func() error { return DecryptBlockCBC(tail, tail, key) }},
 		{"EncryptBlockCBCIV", func() error { return EncryptBlockCBCIV(buf, buf, key, iv) }},
 		{"DecryptBlockCBCIV", func() error { return DecryptBlockCBCIV(buf, buf, key, iv) }},
-		{"EncryptBlocksCBC", func() error { return EncryptBlocksCBC(lanes, lanes, keys) }},
+		{"EncryptBlocksCBC/6", func() error { return EncryptBlocksCBC(lanes[:6], lanes[:6], keys[:6]) }},
+		{"EncryptBlocksCBC/16", func() error { return EncryptBlocksCBC(lanes, lanes, keys) }},
+		{"Derive", func() error { d.Derive(hs[0]); return nil }},
+		{"DeriveKeys/1", func() error { d.DeriveKeys(derived[:1], hs[:1]); return nil }},
+		{"DeriveKeys/16", func() error { d.DeriveKeys(derived, hs); return nil }},
 	} {
 		var err error
 		if a := testing.AllocsPerRun(20, func() { err = c.fn() }); a != 0 || err != nil {
 			t.Errorf("%s: %v allocations per call (err %v), want 0", c.name, a, err)
 		}
 	}
+}
+
+// TestDeriveKeysMatchDeriveCEKey holds the KDF's kernel to DeriveCEKey,
+// which runs on crypto/aes: groups of 0–2·HashLanes+1 random hashes
+// under a random inner key, through DeriveKeys and through Derive.
+func TestDeriveKeysMatchDeriveCEKey(t *testing.T) {
+	rng := rand.New(rand.NewPCG(47, 1))
+	for n := 0; n <= 2*HashLanes+1; n++ {
+		hs := make([]Hash, n)
+		for i := range hs {
+			copy(hs[i][:], randBytes(rng, HashSize))
+		}
+		checkDeriveKeys(t, randKey(rng), hs)
+	}
+}
+
+func checkDeriveKeys(t testing.TB, inner Key, hs []Hash) {
+	t.Helper()
+	d := NewCEKeyDeriver(inner)
+	keys := make([]Key, len(hs))
+	d.DeriveKeys(keys, hs)
+	for i, h := range hs {
+		want := DeriveCEKey(h, inner)
+		if keys[i] != want {
+			t.Fatalf("%d hashes: DeriveKeys key %d differs from DeriveCEKey", len(hs), i)
+		}
+		if d.Derive(h) != want {
+			t.Fatalf("Derive of hash %d differs from DeriveCEKey", i)
+		}
+	}
+}
+
+// FuzzDeriveKeysMatchDeriveCEKey explores TestDeriveKeysMatchDeriveCEKey's
+// space: an arbitrary inner key and up to 2·HashLanes+1 hashes cut from
+// an arbitrary payload.
+func FuzzDeriveKeysMatchDeriveCEKey(f *testing.F) {
+	rng := rand.New(rand.NewPCG(47, 2))
+	for _, n := range []int{1, 2, 8, HashLanes, HashLanes + 1, 2*HashLanes + 1} {
+		f.Add(randBytes(rng, KeySize), randBytes(rng, n*HashSize))
+	}
+	f.Fuzz(func(t *testing.T, keyBytes, data []byte) {
+		var inner Key
+		copy(inner[:], keyBytes)
+		hs := make([]Hash, min(len(data)/HashSize, 2*HashLanes+1))
+		for i := range hs {
+			copy(hs[i][:], data[i*HashSize:])
+		}
+		checkDeriveKeys(t, inner, hs)
+	})
 }
 
 // benchKeys gives every op of a CBC benchmark a fresh key, so the key
@@ -217,36 +301,91 @@ func BenchmarkCBCEncrypt(b *testing.B) {
 	}
 }
 
+// BenchmarkCBCDecrypt is one 4 KiB block per op, on the VAES loop where
+// the CPU has it; the aesni row is the AES-NI loop it replaces.
 func BenchmarkCBCDecrypt(b *testing.B) {
-	keys, src, dst := benchKeys(), bytes.Repeat([]byte{0x33}, 4096), make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		if err := DecryptBlockCBC(dst, src, keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
+	benchWidths(b, func(b *testing.B) {
+		keys, src, dst := benchKeys(), bytes.Repeat([]byte{0x33}, 4096), make([]byte, 4096)
+		b.SetBytes(4096)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			if err := DecryptBlockCBC(dst, src, keys[i%len(keys)]); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+}
+
+// benchWidths runs fn as is and, where the VAES loops run, once more as
+// the aesni row with them off.
+func benchWidths(b *testing.B, fn func(b *testing.B)) {
+	b.Run("kernel", fn)
+	if useVAES {
+		b.Run("aesni", func(b *testing.B) {
+			useVAES = false
+			defer func() { useVAES = true }()
+			fn(b)
+		})
 	}
 }
 
-// BenchmarkCBCEncrypt4 is one EncryptBlocksCBC call over Lanes 4 KiB
+// BenchmarkCBCEncryptLanes is one EncryptBlocksCBC call over lanes 4 KiB
 // blocks per op; ns/block is the per-block cost to set against
-// BenchmarkCBCEncrypt.
-func BenchmarkCBCEncrypt4(b *testing.B) {
-	keys := benchKeys()
-	src, dst := make([][]byte, Lanes), make([][]byte, Lanes)
-	for l := range Lanes {
-		src[l], dst[l] = bytes.Repeat([]byte{byte(l)}, 4096), make([]byte, 4096)
+// BenchmarkCBCEncrypt. Where the CPU has VAES, every width runs twice:
+// on the 16-lane loop (vaes) and on the AES-NI loop (aesni). The
+// lanes=Lanes row is the AES-NI loop's width, and the rows either side
+// of vaesCrossover are where that constant comes from.
+func BenchmarkCBCEncryptLanes(b *testing.B) {
+	for _, lanes := range []int{Lanes, vaesCrossover - 1, vaesCrossover, HashLanes} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			keys := benchKeys()
+			src, dst := make([][]byte, lanes), make([][]byte, lanes)
+			for l := range lanes {
+				src[l], dst[l] = bytes.Repeat([]byte{byte(l)}, 4096), make([]byte, 4096)
+			}
+			run := func(b *testing.B, encrypt func(dst, src [][]byte, keys []Key)) {
+				b.SetBytes(int64(lanes) * 4096)
+				b.ReportAllocs()
+				ops := 0
+				for ; b.Loop(); ops++ {
+					k := ops * lanes % (len(keys) - lanes)
+					encrypt(dst, src, keys[k:k+lanes])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*lanes), "ns/block")
+			}
+			if !useVAES {
+				run(b, func(dst, src [][]byte, keys []Key) {
+					if err := EncryptBlocksCBC(dst, src, keys); err != nil {
+						b.Fatal(err)
+					}
+				})
+				return
+			}
+			b.Run("vaes", func(b *testing.B) { run(b, encrypt16) })
+			b.Run("aesni", func(b *testing.B) {
+				useVAES = false
+				defer func() { useVAES = true }()
+				run(b, encryptLanes)
+			})
+		})
 	}
-	b.SetBytes(Lanes * 4096)
-	b.ReportAllocs()
-	ops := 0
-	for ; b.Loop(); ops++ {
-		k := ops * Lanes % len(keys)
-		if err := EncryptBlocksCBC(dst, src, keys[k:k+Lanes]); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// BenchmarkDeriveKeys is one DeriveKeys call over lanes hashes per op;
+// ns/key is the KDF's per-block cost.
+func BenchmarkDeriveKeys(b *testing.B) {
+	for _, lanes := range []int{1, HashLanes} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			d := NewCEKeyDeriver(testKey(3))
+			hs, keys := make([]Hash, lanes), make([]Key, lanes)
+			b.ReportAllocs()
+			ops := 0
+			for ; b.Loop(); ops++ {
+				d.DeriveKeys(keys, hs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*lanes), "ns/key")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops*Lanes), "ns/block")
 }
 
 // BenchmarkBlockHash is H(Block) on a 4 KiB block: the SHA-256 half of

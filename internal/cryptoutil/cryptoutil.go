@@ -16,21 +16,26 @@
 //     nonce, providing both confidentiality and the per-metadata-block
 //     message authentication tag from Figure 3.
 //
-// Equation 2 has its own kernel on amd64 CPUs with AES-NI
-// (cbc_amd64.s): single-stream CBC encryption with the round keys in
-// registers, an 8-block pipelined CBC decryption, and a 4-lane
-// encryption that runs four blocks' CBC streams under four keys at
-// once (EncryptBlocksCBC). Without AES-NI, off amd64, and under the
-// purego build tag, it runs on crypto/cipher instead. Equation 1's
+// Equation 2 and the KDF have their own kernels on amd64 CPUs with
+// AES-NI (cbc_amd64.s): single-stream CBC encryption with the round keys
+// in registers, pipelined CBC decryption, a 4-lane encryption that runs
+// four blocks' CBC streams under four keys at once (EncryptBlocksCBC),
+// and the KDF's ECB over a whole group of hashes (DeriveKeys). Where the
+// CPU also has VAES and AVX-512, the same work runs four AES blocks per
+// ZMM instruction: decryption sixteen blocks a step and a 16-lane
+// encryption for groups of at least vaesCrossover blocks; the KDF stays
+// on its AES-NI pass. Without AES-NI, off amd64, and under the
+// purego build tag, they run on crypto/cipher instead. Equation 1's
 // hash has one too on amd64 CPUs with AVX-512 (sha256_amd64.s): a
 // 16-lane SHA-256 that hashes up to HashLanes equal-length blocks in
 // lockstep (BlockHashes); elsewhere, and for fewer blocks than its
-// crossover, it is crypto/sha256. The cipher and the hash are format; their kernels are
-// not: TestCBCMatchesStdlib and TestBlockHashesMatchStdlib hold them to
-// crypto/cipher and crypto/sha256 byte for byte. Every other primitive
-// comes from the Go standard library, which uses AES-NI and the SHA
-// extensions where the CPU has them, mirroring the paper's use of Intel
-// AES-NI and AVX SHA-256.
+// crossover, it is crypto/sha256. The cipher, the KDF and the hash are
+// format; their kernels are not: TestCBCMatchesStdlib,
+// TestDeriveKeysMatchDeriveCEKey and TestBlockHashesMatchStdlib hold
+// them to crypto/cipher, crypto/aes and crypto/sha256 byte for byte.
+// Every other primitive comes from the Go standard library, which uses
+// AES-NI and the SHA extensions where the CPU has them, mirroring the
+// paper's use of Intel AES-NI and AVX SHA-256.
 package cryptoutil
 
 import (
@@ -41,6 +46,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // KeySize is the size in bytes of every key in the system: the inner
@@ -172,11 +178,7 @@ func Hasher() interface {
 // is a fixed-length, high-entropy digest and the construction is used
 // strictly as a PRF-style KDF, never for bulk confidentiality.
 func DeriveCEKey(h Hash, inner Key) Key {
-	c, err := aes.NewCipher(inner[:])
-	if err != nil {
-		// Key length is fixed at compile time; NewCipher cannot fail.
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
+	c := newAESCipher(&inner)
 	var out Key
 	c.Encrypt(out[0:16], h[0:16])
 	c.Encrypt(out[16:32], h[16:32])
@@ -191,30 +193,42 @@ func CEKeyForBlock(block []byte, inner Key) Key {
 
 // CEKeyDeriver is a convergent KDF with the inner-key AES schedule
 // expanded once. The inner key never changes over the life of an FS,
-// so deriving through a CEKeyDeriver avoids the per-block aes.NewCipher
-// allocation and key expansion that DeriveCEKey pays on every call —
-// on the commit and full-integrity read hot loops that is one
-// allocation per block. Safe for concurrent use (cipher.Block
-// encryption is stateless).
+// so deriving through a CEKeyDeriver avoids the per-block key expansion
+// that DeriveCEKey pays on every call. On amd64 with AES-NI the
+// schedule is the in-tree kernel's, and Derive and DeriveKeys allocate
+// nothing; elsewhere it is crypto/aes's. Safe for concurrent use (the
+// schedule is read-only after NewCEKeyDeriver).
 type CEKeyDeriver struct {
-	c cipher.Block
+	ks schedule     // the kernel's
+	c  cipher.Block // crypto/aes's, where the kernel does not run
 }
 
 // NewCEKeyDeriver expands the inner key's AES schedule for reuse.
 func NewCEKeyDeriver(inner Key) *CEKeyDeriver {
-	c, err := aes.NewCipher(inner[:])
-	if err != nil {
-		panic("cryptoutil: aes.NewCipher: " + err.Error())
-	}
-	return &CEKeyDeriver{c: c}
+	d := new(CEKeyDeriver)
+	d.init(&inner)
+	return d
 }
 
 // Derive returns CEKey = E_AES(Kin, h), identically to DeriveCEKey.
 func (d *CEKeyDeriver) Derive(h Hash) Key {
 	var out Key
-	d.c.Encrypt(out[0:16], h[0:16])
-	d.c.Encrypt(out[16:32], h[16:32])
+	d.ecb(out[:], h[:])
 	return out
+}
+
+// DeriveKeys is Derive over a group: keys[i] becomes the convergent key
+// of hs[i]. The two AES blocks of every hash are independent, so the
+// whole group is one ECB pass, whose iterations the CPU overlaps. It
+// panics unless len(keys) == len(hs).
+func (d *CEKeyDeriver) DeriveKeys(keys []Key, hs []Hash) {
+	if len(keys) != len(hs) {
+		panic("cryptoutil: DeriveKeys: len(keys) != len(hs)")
+	}
+	if len(hs) == 0 {
+		return
+	}
+	d.ecb(unsafe.Slice(&keys[0][0], len(keys)*KeySize), unsafe.Slice(&hs[0][0], len(hs)*HashSize))
 }
 
 // NewNonce returns a fresh random GCM nonce (IV_rand in Equation 3).

@@ -7,11 +7,12 @@ import (
 	"encoding/binary"
 )
 
-// useHashKernel reports whether the 16-lane kernel can run: the CPU has
-// AVX-512 F and BW (VPSHUFB on ZMM is BW), and the OS saves the opmask
-// and all 32 ZMM registers (XCR0 bits 1, 2, 5, 6 and 7), without which
-// any EVEX instruction faults.
-var useHashKernel = func() bool {
+// avx512 reports whether EVEX instructions on ZMM registers can run:
+// the CPU has AVX-512 F, and the OS saves the opmask and all 32 ZMM
+// registers (XCR0 bits 1, 2, 5, 6 and 7), without which any EVEX
+// instruction faults. The hash kernel and the VAES loops (useVAES)
+// share it.
+var avx512 = func() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
@@ -20,13 +21,17 @@ var useHashKernel = func() bool {
 		return false
 	}
 	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xgetbv0()&zmmState != zmmState {
-		return false
-	}
-	const avx512f, avx512bw = 1 << 16, 1 << 30
-	_, b, _, _ := cpuid(7, 0)
-	return b&avx512f != 0 && b&avx512bw != 0
+	return xgetbv0()&zmmState == zmmState && cpuid7EBX&(1<<16) != 0
 }()
+
+// cpuid7EBX and cpuid7ECX are the extended feature flags,
+// CPUID.(EAX=7,ECX=0). They are only read after avx512 checked that the
+// leaf exists.
+var _, cpuid7EBX, cpuid7ECX, _ = cpuid(7, 0)
+
+// useHashKernel reports whether the 16-lane kernel can run: avx512, and
+// AVX-512 BW for VPSHUFB on ZMM.
+var useHashKernel = avx512 && cpuid7EBX&(1<<30) != 0
 
 func cpuid(leaf, sub uint32) (a, b, c, d uint32)
 

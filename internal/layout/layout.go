@@ -317,13 +317,26 @@ type MetaBlock struct {
 }
 
 // NewMetaBlock returns an empty metadata block for segment seg under
-// geometry g.
+// geometry g. Under the default geometry the block and its slot table
+// are one allocation of exactly 4 KiB (defaultMeta).
 func NewMetaBlock(g Geometry, seg uint64) *MetaBlock {
+	if n := g.TotalSlots(); n == len(defaultMeta{}.slots) {
+		d := &defaultMeta{}
+		d.m = MetaBlock{SegIndex: seg, Slots: d.slots[:n:n], geo: g}
+		return &d.m
+	}
 	return &MetaBlock{
 		SegIndex: seg,
 		Slots:    make([]cryptoutil.Key, g.TotalSlots()),
 		geo:      g,
 	}
+}
+
+// defaultMeta holds a MetaBlock of the default geometry and its slot
+// table side by side: 64 + 126·32 bytes, one 4 KiB size class.
+type defaultMeta struct {
+	m     MetaBlock
+	slots [DefaultBlockSize/SlotSize - 2]cryptoutil.Key
 }
 
 // Geometry returns the geometry the block was created or decoded with.
@@ -537,7 +550,10 @@ func (m *MetaBlock) Encode(dst []byte, s *cryptoutil.MetaSealer) error {
 }
 
 // DecodeMetaBlock authenticates with s, the sealer of the outer key, and
-// decodes an on-disk metadata block; src is left as it was. wantSeg is
+// decodes an on-disk metadata block. It decodes in src: the tag moves
+// behind the ciphertext, as GCM wants it, and the payload is decrypted
+// there, so src no longer holds the block afterwards — whether or not
+// it decodes — and the only allocation is the MetaBlock. wantSeg is
 // the segment index the caller expects; a sealed block that
 // authenticates but carries a different segment index yields
 // ErrWrongSeg (a misplaced block, e.g. a storage-layer swap).
@@ -545,12 +561,14 @@ func DecodeMetaBlock(g Geometry, src []byte, s *cryptoutil.MetaSealer, wantSeg u
 	if len(src) != g.BlockSize {
 		return nil, fmt.Errorf("%w: block is %d bytes, want %d", ErrBadBlock, len(src), g.BlockSize)
 	}
-	// GCM wants ciphertext ‖ tag; on disk the tag precedes the
-	// ciphertext.
+	// On disk the tag precedes the ciphertext: rotate it behind, the
+	// inverse of Encode's last step. The nonce stays where it is.
 	const at = clearHeaderSize - cryptoutil.GCMTagSize
-	sealed := make([]byte, 0, g.BlockSize-at)
-	sealed = append(sealed, src[clearHeaderSize:]...)
-	sealed = append(sealed, src[at:clearHeaderSize]...)
+	var tag [cryptoutil.GCMTagSize]byte
+	copy(tag[:], src[at:clearHeaderSize])
+	copy(src[at:], src[clearHeaderSize:])
+	copy(src[len(src)-cryptoutil.GCMTagSize:], tag[:])
+	sealed := src[at:]
 	if err := s.Open(sealed, src[:cryptoutil.GCMNonceSize]); err != nil {
 		return nil, err
 	}

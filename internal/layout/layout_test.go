@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -304,8 +305,9 @@ func TestDecodeMetaBlockErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// DecodeMetaBlock decodes in its input, so each case gets a copy.
 	// Wrong outer key.
-	if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(key(5)), 7); !errors.Is(err, cryptoutil.ErrAuth) {
+	if _, err := DecodeMetaBlock(g, bytes.Clone(buf), cryptoutil.NewMetaSealer(key(5)), 7); !errors.Is(err, cryptoutil.ErrAuth) {
 		t.Errorf("wrong key: err=%v, want ErrAuth", err)
 	}
 	// Corrupted byte in sealed region.
@@ -315,16 +317,16 @@ func TestDecodeMetaBlockErrors(t *testing.T) {
 		t.Errorf("corruption: err=%v, want ErrAuth", err)
 	}
 	// Wrong expected segment (block swap detection).
-	if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 8); !errors.Is(err, ErrWrongSeg) {
+	if _, err := DecodeMetaBlock(g, bytes.Clone(buf), cryptoutil.NewMetaSealer(outer), 8); !errors.Is(err, ErrWrongSeg) {
 		t.Errorf("segment swap: err=%v, want ErrWrongSeg", err)
 	}
 	// Wrong length.
-	if _, err := DecodeMetaBlock(g, buf[:100], cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, ErrBadBlock) {
+	if _, err := DecodeMetaBlock(g, bytes.Clone(buf[:100]), cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("short block: err=%v, want ErrBadBlock", err)
 	}
 	// Geometry mismatch (different R).
 	g2, _ := NewGeometry(4096, 9)
-	if _, err := DecodeMetaBlock(g2, buf, cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, ErrBadBlock) {
+	if _, err := DecodeMetaBlock(g2, bytes.Clone(buf), cryptoutil.NewMetaSealer(outer), 7); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("R mismatch: err=%v, want ErrBadBlock", err)
 	}
 }
@@ -462,8 +464,10 @@ func BenchmarkMetaDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(g.BlockSize))
+	work := make([]byte, len(buf)) // DecodeMetaBlock decodes in its input
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMetaBlock(g, buf, cryptoutil.NewMetaSealer(outer), 1); err != nil {
+		copy(work, buf)
+		if _, err := DecodeMetaBlock(g, work, cryptoutil.NewMetaSealer(outer), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
