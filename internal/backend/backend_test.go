@@ -122,6 +122,30 @@ func conformance(t *testing.T, mk func(t *testing.T) Store) {
 		}
 	})
 
+	// A write past the end after a shrink re-exposes the cut bytes
+	// before its offset: they read as zeros, its own bytes as written.
+	t.Run("WriteAfterShrinkZeroFillsGap", func(t *testing.T) {
+		s := mk(t)
+		f, _ := s.Open("g", OpenCreate)
+		defer f.Close()
+		if _, err := f.WriteAt([]byte("abcdefgh"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("XY"), 5); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 7)
+		if err := ReadFull(f, got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, []byte{'a', 'b', 0, 0, 0, 'X', 'Y'}) {
+			t.Fatalf("write after shrink read %q", got)
+		}
+	})
+
 	t.Run("ReadOnlyEnforced", func(t *testing.T) {
 		s := mk(t)
 		if err := WriteFile(s, "ro", []byte("data")); err != nil {

@@ -39,16 +39,20 @@ type memData struct {
 // grow extends d.data to size bytes with amortized-doubling capacity
 // growth, so a file written by many small extending writes costs O(n)
 // total copying instead of O(n²). Bytes re-exposed from a previous
-// truncation are zeroed, preserving the contract that extended ranges
-// read as zeros. The caller must hold d.mu exclusively.
-func (d *memData) grow(size int64) {
+// truncation are zeroed up to zeroTo, preserving the contract that
+// extended ranges read as zeros; the caller overwrites [zeroTo, size)
+// itself (a write passes its offset, a truncate size). The caller must
+// hold d.mu exclusively.
+func (d *memData) grow(size, zeroTo int64) {
 	cur := int64(len(d.data))
 	if size <= cur {
 		return
 	}
 	if size <= int64(cap(d.data)) {
 		d.data = d.data[:size]
-		clear(d.data[cur:])
+		if zeroTo > cur {
+			clear(d.data[cur:zeroTo])
+		}
 		return
 	}
 	newCap := 2 * int64(cap(d.data))
@@ -235,7 +239,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	f.data.mu.Lock()
 	defer f.data.mu.Unlock()
 	end := off + int64(len(p))
-	f.data.grow(end)
+	f.data.grow(end, off)
 	copy(f.data.data[off:end], p)
 	f.store.countWrite(len(p))
 	return len(p), nil
@@ -261,7 +265,7 @@ func (f *memFile) Truncate(size int64) error {
 		// followed by regrowth is the write paths' common pattern.
 		f.data.data = f.data.data[:size]
 	case size > cur:
-		f.data.grow(size)
+		f.data.grow(size, size)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -27,14 +26,43 @@ import (
 // therefore always returns the bytes a fresh backend read would have
 // produced.
 //
+// Steady-state puts allocate nothing. An entry that leaves the cache —
+// evicted, replaced or invalidated — keeps its block buffer (or its
+// decoded metadata block) and goes on its kind's spare list, and the
+// next put of that kind fills a spare instead of allocating a buffer
+// and an entry. A new entry is made only when its kind's list is
+// empty, so entries and spares of a kind never outnumber the most
+// entries of that kind the cache held at once (each list is also
+// capped at cap). The LRU list and a per-file chain
+// (which lets invalidateFile visit only that file's entries) run
+// through the entries themselves. The reuse rule: a reader takes a
+// reference to an entry under mu and copies out of it after unlocking,
+// and an entry goes on the spare list only if no reference is held at
+// the moment it leaves the cache under mu; one still being read is
+// left to the garbage collector instead. A spare is taken under mu,
+// filled outside it, and inserted under mu.
+//
+// Every block copy — into an entry and out of one — stays outside mu.
+// Copying 4 KiB under the one mutex was measured on local-rand (2
+// vCPUs): read_p50_ms fell 13 %, but read_mibps fell 15 % and
+// write_mibps 22 %, ops slower than 1 ms went from ≈ 100 to ≈ 1000 a
+// run and p99.9 from 0.14 ms to 2–4 ms; an execution trace put 2.25 s
+// of scheduler latency at the mutex's unlock under putData, a
+// starvation-mode handoff behind a descheduled holder.
+//
 // All methods are safe for concurrent use and are no-ops on a nil
 // *blockCache, so a disabled cache costs one nil check on the read
 // path.
 type blockCache struct {
 	mu  sync.Mutex
 	cap int
-	ll  *list.List // front = most recently used
-	m   map[cacheKey]*list.Element
+	lru cacheEntry // list root: lru.next is the most recently used
+	m   map[cacheKey]*cacheEntry
+	// files maps a name to the head of its per-file chain.
+	files map[string]*cacheEntry
+	// spares holds retired entries by kind, with their buffers, for
+	// reuse; each list at most cap.
+	spares [2][]*cacheEntry
 	// gen counts invalidations (bumped under mu, read lock-free by
 	// snapshot). Global rather than per-name: a put rejected because an
 	// unrelated file invalidated concurrently is only a skipped
@@ -64,6 +92,14 @@ type cacheEntry struct {
 	key  cacheKey
 	data []byte            // cacheData: plaintext block (len BlockSize)
 	meta *layout.MetaBlock // cacheMeta: decoded block (private copy)
+	// prev and next link the LRU list, fprev and fnext the file's
+	// chain; all four are guarded by mu.
+	prev, next   *cacheEntry
+	fprev, fnext *cacheEntry
+	// refs counts readers copying out of the entry. It rises only
+	// under mu, while the entry is in the cache, and falls after the
+	// copy without it.
+	refs atomic.Int32
 }
 
 // newBlockCache returns a cache holding up to capBlocks entries (data
@@ -72,38 +108,67 @@ func newBlockCache(capBlocks int) *blockCache {
 	if capBlocks <= 0 {
 		return nil
 	}
-	return &blockCache{
-		cap: capBlocks,
-		ll:  list.New(),
-		m:   make(map[cacheKey]*list.Element, capBlocks),
+	c := &blockCache{
+		cap:   capBlocks,
+		m:     make(map[cacheKey]*cacheEntry, capBlocks),
+		files: make(map[string]*cacheEntry),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // getData copies the cached plaintext of data block dbi into dst and
 // reports whether it was present. The copy happens outside the cache
-// lock — entries are immutable once inserted (put replaces the list
-// element's value, never mutates it), so only the lookup and LRU
-// bookkeeping need the mutex and concurrent hits don't serialize on
-// the memcpy.
+// lock, under the entry's reference, so concurrent hits don't
+// serialize on the memcpy.
 func (c *blockCache) getData(name string, dbi int64, dst []byte) bool {
 	if c == nil {
 		return false
 	}
-	c.mu.Lock()
-	el, ok := c.m[cacheKey{name, cacheData, dbi}]
-	var e *cacheEntry
-	if ok {
-		c.ll.MoveToFront(el)
-		e = el.Value.(*cacheEntry)
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
+	e := c.acquire(cacheKey{name, cacheData, dbi})
+	if e == nil {
 		return false
 	}
 	copy(dst, e.data)
-	c.hits.Add(1)
+	e.refs.Add(-1)
 	return true
+}
+
+// getMeta returns a private copy of the cached decoded metadata block
+// of segment seg, or nil. As in getData, the clone happens outside
+// the lock.
+func (c *blockCache) getMeta(name string, seg int64) *layout.MetaBlock {
+	if c == nil {
+		return nil
+	}
+	e := c.acquire(cacheKey{name, cacheMeta, seg})
+	if e == nil {
+		return nil
+	}
+	m := e.meta.Clone()
+	e.refs.Add(-1)
+	return m
+}
+
+// acquire looks key up, marks it most recently used and returns it
+// with a reference taken, or nil on a miss; it counts the lookup.
+func (c *blockCache) acquire(key cacheKey) *cacheEntry {
+	c.mu.Lock()
+	e := c.m[key]
+	if e != nil {
+		if c.lru.next != e {
+			c.unlinkLRU(e)
+			c.pushFront(e)
+		}
+		e.refs.Add(1)
+	}
+	c.mu.Unlock()
+	if e == nil {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
+	return e
 }
 
 // snapshot returns the current invalidation generation; pass it to
@@ -123,30 +188,12 @@ func (c *blockCache) putData(name string, dbi int64, src []byte, gen uint64) {
 	if c == nil {
 		return
 	}
-	c.put(cacheKey{name, cacheData, dbi}, &cacheEntry{data: append([]byte(nil), src...)}, gen)
-}
-
-// getMeta returns a private copy of the cached decoded metadata block
-// of segment seg, or nil. As in getData, the clone happens outside
-// the lock.
-func (c *blockCache) getMeta(name string, seg int64) *layout.MetaBlock {
-	if c == nil {
-		return nil
+	e := c.spare(cacheData, gen)
+	if e == nil {
+		return
 	}
-	c.mu.Lock()
-	el, ok := c.m[cacheKey{name, cacheMeta, seg}]
-	var e *cacheEntry
-	if ok {
-		c.ll.MoveToFront(el)
-		e = el.Value.(*cacheEntry)
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
-	return e.meta.Clone()
+	e.data = append(e.data[:0], src...)
+	c.insert(cacheKey{name, cacheData, dbi}, e, gen)
 }
 
 // putMeta stores a private copy of the decoded metadata block of
@@ -155,10 +202,39 @@ func (c *blockCache) putMeta(name string, seg int64, m *layout.MetaBlock, gen ui
 	if c == nil {
 		return
 	}
-	c.put(cacheKey{name, cacheMeta, seg}, &cacheEntry{meta: m.Clone()}, gen)
+	e := c.spare(cacheMeta, gen)
+	if e == nil {
+		return
+	}
+	e.meta = m.CloneInto(e.meta)
+	c.insert(cacheKey{name, cacheMeta, seg}, e, gen)
 }
 
-func (c *blockCache) put(key cacheKey, e *cacheEntry, gen uint64) {
+// spare returns an entry of kind to fill outside the lock — a retired
+// one when there is one, else a new one — or nil when an invalidation
+// already ran past gen, so the put need not copy at all.
+func (c *blockCache) spare(kind cacheKind, gen uint64) *cacheEntry {
+	c.mu.Lock()
+	if c.gen.Load() != gen {
+		c.mu.Unlock()
+		return nil
+	}
+	var e *cacheEntry
+	if s := c.spares[kind]; len(s) > 0 {
+		e = s[len(s)-1]
+		s[len(s)-1] = nil
+		c.spares[kind] = s[:len(s)-1]
+	}
+	c.mu.Unlock()
+	if e == nil {
+		e = new(cacheEntry)
+	}
+	return e
+}
+
+// insert links the filled entry e under key, evicting from the LRU
+// tail past cap, unless an invalidation ran past gen.
+func (c *blockCache) insert(key cacheKey, e *cacheEntry, gen uint64) {
 	e.key = key
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,19 +242,73 @@ func (c *blockCache) put(key cacheKey, e *cacheEntry, gen uint64) {
 		// An invalidation ran after the caller read the backing store;
 		// its bytes may predate that change. Skipping the insert is
 		// always safe — the next read re-fetches.
+		c.recycle(e)
 		return
 	}
-	if el, ok := c.m[key]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
+	if old := c.m[key]; old != nil {
+		c.retire(old)
+	}
+	c.m[key] = e
+	c.pushFront(e)
+	head := c.files[key.name]
+	e.fprev, e.fnext = nil, head
+	if head != nil {
+		head.fprev = e
+	}
+	c.files[key.name] = e
+	for len(c.m) > c.cap {
+		c.retire(c.lru.prev)
+	}
+}
+
+func (c *blockCache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.next.prev = e
+	c.lru.next = e
+}
+
+func (c *blockCache) unlinkLRU(e *cacheEntry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+}
+
+// retire removes e from the cache: the map, the LRU list and its
+// file's chain. The caller holds mu.
+func (c *blockCache) retire(e *cacheEntry) {
+	switch {
+	case e.fprev != nil:
+		e.fprev.fnext = e.fnext
+	case e.fnext != nil:
+		c.files[e.key.name] = e.fnext
+	default:
+		delete(c.files, e.key.name)
+	}
+	if e.fnext != nil {
+		e.fnext.fprev = e.fprev
+	}
+	e.fprev, e.fnext = nil, nil
+	c.drop(e)
+}
+
+// drop removes e, already out of its file's chain, from the map and
+// the LRU list and recycles it. The caller holds mu.
+func (c *blockCache) drop(e *cacheEntry) {
+	delete(c.m, e.key)
+	c.unlinkLRU(e)
+	c.recycle(e)
+}
+
+// recycle puts an entry that has left the cache on the spare list of
+// its kind, unless a reader still holds it (it is then left to the
+// garbage collector) or the list is full. The caller holds mu.
+func (c *blockCache) recycle(e *cacheEntry) {
+	kind := e.key.kind
+	if e.refs.Load() != 0 || len(c.spares[kind]) >= c.cap {
 		return
 	}
-	c.m[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheEntry).key)
-	}
+	e.key.name = ""
+	c.spares[kind] = append(c.spares[kind], e)
 }
 
 // invalidateData drops the entry for data block dbi, if present.
@@ -196,9 +326,8 @@ func (c *blockCache) invalidateDataBlocks(name string, dbis []int64) {
 	c.mu.Lock()
 	c.gen.Add(1)
 	for _, dbi := range dbis {
-		if el, ok := c.m[cacheKey{name, cacheData, dbi}]; ok {
-			c.ll.Remove(el)
-			delete(c.m, cacheKey{name, cacheData, dbi})
+		if e := c.m[cacheKey{name, cacheData, dbi}]; e != nil {
+			c.retire(e)
 		}
 	}
 	c.mu.Unlock()
@@ -215,26 +344,30 @@ func (c *blockCache) invalidate(key cacheKey) {
 	}
 	c.mu.Lock()
 	c.gen.Add(1)
-	if el, ok := c.m[key]; ok {
-		c.ll.Remove(el)
-		delete(c.m, key)
+	if e := c.m[key]; e != nil {
+		c.retire(e)
 	}
 	c.mu.Unlock()
 }
 
 // invalidateFile drops every entry belonging to name — used by the
-// whole-file mutators (truncate, re-key, recovery, remove).
+// whole-file mutators (truncate, re-key, recovery, remove). It walks
+// name's chain only, not the whole cache.
 func (c *blockCache) invalidateFile(name string) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.gen.Add(1)
-	for key, el := range c.m {
-		if key.name == name {
-			c.ll.Remove(el)
-			delete(c.m, key)
-		}
+	e := c.files[name]
+	if e != nil {
+		delete(c.files, name)
+	}
+	for e != nil {
+		next := e.fnext
+		e.fprev, e.fnext = nil, nil
+		c.drop(e)
+		e = next
 	}
 	c.mu.Unlock()
 }
@@ -265,7 +398,7 @@ func (c *blockCache) stats() CacheStats {
 		return CacheStats{}
 	}
 	c.mu.Lock()
-	entries := c.ll.Len()
+	entries := len(c.m)
 	c.mu.Unlock()
 	return CacheStats{
 		Capacity: c.cap,

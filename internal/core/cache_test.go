@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"lamassu/internal/backend"
@@ -240,6 +245,16 @@ func TestCachePutDroppedAfterInvalidation(t *testing.T) {
 	if !c.getData("f", 3, b[:]) || b[0] != 0x11 {
 		t.Fatal("fresh insert rejected")
 	}
+	// An invalidation that lands while the put copies outside the lock,
+	// between taking its entry and inserting it, drops it too.
+	gen = c.snapshot()
+	e := c.spare(cacheData, gen)
+	c.invalidateData("f", 4)
+	e.data = append(e.data[:0], 0xEE)
+	c.insert(cacheKey{"f", cacheData, 4}, e, gen)
+	if c.getData("f", 4, b[:]) {
+		t.Fatal("insert survived an invalidation during its copy")
+	}
 	// Same guard for metadata blocks, via invalidateFile.
 	gen = c.snapshot()
 	c.invalidateFile("f")
@@ -344,4 +359,213 @@ func TestWriteMetaBracketsInvalidation(t *testing.T) {
 	if after := lfs.cache.snapshot(); after < before+6 {
 		t.Fatalf("generation moved %d -> %d, want >= +6", before, after)
 	}
+}
+
+// Once the cache is full, a put fills the entry its last eviction
+// retired, and a whole-file invalidation retires entries for the next
+// puts: neither a data nor a metadata put allocates.
+func TestCachePutEvictAllocs(t *testing.T) {
+	c := newBlockCache(4)
+	src := make([]byte, 4096)
+	m := layout.NewMetaBlock(layout.Default(), 0)
+	var i int64
+	put := func() {
+		c.putData("f", i%16, src, c.snapshot())
+		c.putMeta("f", i%16, m, c.snapshot())
+		i++
+	}
+	for range 32 {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(200, put); allocs != 0 {
+		t.Fatalf("put with eviction allocates %.1f times per op, want 0", allocs)
+	}
+	refill := func() {
+		for range 4 {
+			put()
+		}
+		c.invalidateFile("f")
+	}
+	if allocs := testing.AllocsPerRun(50, refill); allocs != 0 {
+		t.Fatalf("puts after invalidateFile allocate %.1f times per op, want 0", allocs)
+	}
+	checkCacheLinks(t, c)
+}
+
+// An entry a reader still holds when it leaves the cache is never
+// handed to a later put: the reader's bytes stay as they were.
+func TestCacheHeldEntryNotReused(t *testing.T) {
+	c := newBlockCache(2)
+	c.putData("f", 0, []byte{1, 1}, c.snapshot())
+	held := c.acquire(cacheKey{"f", cacheData, 0})
+	c.invalidateData("f", 0)
+	for i := int64(1); i < 5; i++ { // evicts and reuses what it can
+		c.putData("f", i, []byte{2, 2}, c.snapshot())
+	}
+	if !bytes.Equal(held.data, []byte{1, 1}) {
+		t.Fatalf("held entry was reused: %v", held.data)
+	}
+	for _, s := range c.spares {
+		for _, e := range s {
+			if e == held {
+				t.Fatal("held entry went on the spare list")
+			}
+		}
+	}
+	held.refs.Add(-1)
+	checkCacheLinks(t, c)
+}
+
+// checkCacheLinks checks the cache's structure against its map: the
+// LRU list and the per-file chains hold exactly the mapped entries, and
+// neither the map nor a spare list holds more than cap entries.
+func checkCacheLinks(t *testing.T, c *blockCache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) > c.cap || len(c.spares[cacheData]) > c.cap || len(c.spares[cacheMeta]) > c.cap {
+		t.Fatalf("%d entries and %d+%d spares over cap %d",
+			len(c.m), len(c.spares[cacheData]), len(c.spares[cacheMeta]), c.cap)
+	}
+	n := 0
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		if e.next.prev != e || c.m[e.key] != e {
+			t.Fatalf("LRU list broken at %+v", e.key)
+		}
+		n++
+	}
+	if n != len(c.m) {
+		t.Fatalf("LRU list holds %d entries, map %d", n, len(c.m))
+	}
+	n = 0
+	for name, head := range c.files {
+		if head == nil || head.fprev != nil {
+			t.Fatalf("chain of %q has a bad head", name)
+		}
+		for e := head; e != nil; e = e.fnext {
+			if e.key.name != name || c.m[e.key] != e || (e.fnext != nil && e.fnext.fprev != e) {
+				t.Fatalf("chain of %q broken at %+v", name, e.key)
+			}
+			n++
+		}
+	}
+	if n != len(c.m) {
+		t.Fatalf("file chains hold %d entries, map %d", n, len(c.m))
+	}
+}
+
+// Readers, writers and every invalidation on a 4-entry cache, so
+// entries are evicted, retired and reused while readers copy out of
+// them. A block's bytes are a pure function of (name, index, version),
+// so a copy torn by a reuse, or an entry filled for another key, fails
+// the check; under -race the detector sees any copy that overlaps a
+// refill.
+func TestCacheConcurrentReuse(t *testing.T) {
+	const bs, idxs = 4096, 6
+	names := []string{"a", "b"}
+	geo := layout.Default()
+	pattern := func(name string, idx int64, ver uint64, i int) byte {
+		return byte(uint64(i)*31 + uint64(idx)*7 + ver*13 + uint64(name[0]))
+	}
+	fillData := func(buf []byte, name string, idx int64, ver uint64) {
+		binary.LittleEndian.PutUint64(buf, ver)
+		for i := 8; i < len(buf); i++ {
+			buf[i] = pattern(name, idx, ver, i)
+		}
+	}
+	fillMeta := func(m *layout.MetaBlock, name string, idx int64, ver uint64) {
+		m.SegIndex, m.LogicalSize = uint64(idx), ver
+		for s := range m.Slots {
+			for j := range m.Slots[s] {
+				m.Slots[s][j] = pattern(name, idx, ver, s*32+j)
+			}
+		}
+	}
+	iters := 3000
+	if testing.Short() {
+		iters = 1000
+	}
+	c := newBlockCache(4)
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	worker := func(seed int64, op func(rng *rand.Rand) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for range iters {
+				if err := op(rng); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	pick := func(rng *rand.Rand) (string, int64) { return names[rng.Intn(len(names))], rng.Int63n(idxs) }
+	for w := range 2 {
+		buf := make([]byte, bs)
+		worker(int64(w), func(rng *rand.Rand) error {
+			name, idx := pick(rng)
+			if !c.getData(name, idx, buf) {
+				return nil
+			}
+			want := make([]byte, bs)
+			fillData(want, name, idx, binary.LittleEndian.Uint64(buf))
+			if !bytes.Equal(buf, want) {
+				return fmt.Errorf("getData(%s, %d) returned a torn or foreign block", name, idx)
+			}
+			return nil
+		})
+		src := make([]byte, bs)
+		worker(int64(10+w), func(rng *rand.Rand) error {
+			name, idx := pick(rng)
+			gen := c.snapshot()
+			fillData(src, name, idx, rng.Uint64())
+			c.putData(name, idx, src, gen)
+			return nil
+		})
+	}
+	worker(20, func(rng *rand.Rand) error {
+		name, idx := pick(rng)
+		got := c.getMeta(name, idx)
+		if got == nil {
+			return nil
+		}
+		want := layout.NewMetaBlock(geo, 0)
+		fillMeta(want, name, idx, got.LogicalSize)
+		if !reflect.DeepEqual(got.Slots, want.Slots) || got.SegIndex != uint64(idx) {
+			return fmt.Errorf("getMeta(%s, %d) returned a torn or foreign block", name, idx)
+		}
+		return nil
+	})
+	m := layout.NewMetaBlock(geo, 0)
+	worker(21, func(rng *rand.Rand) error {
+		name, idx := pick(rng)
+		gen := c.snapshot()
+		fillMeta(m, name, idx, rng.Uint64())
+		c.putMeta(name, idx, m, gen)
+		return nil
+	})
+	worker(30, func(rng *rand.Rand) error {
+		name, idx := pick(rng)
+		switch rng.Intn(8) {
+		case 0:
+			c.invalidateFile(name)
+		case 1:
+			c.invalidateMeta(name, idx)
+		case 2:
+			c.invalidateDataBlocks(name, []int64{idx, (idx + 1) % idxs})
+		case 3:
+			c.invalidateData(name, idx)
+		default:
+			runtime.Gosched()
+		}
+		return nil
+	})
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	checkCacheLinks(t, c)
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lamassu/internal/backend"
@@ -579,6 +581,52 @@ func TestCacheMissReadAllocs(t *testing.T) {
 	}
 }
 
+// On a full cache every miss inserts and evicts, and still allocates
+// nothing: the insert fills the entry the last eviction retired.
+func TestCacheFullMissReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops slab pool items")
+	}
+	const blocks, capBlocks = 16, 4
+	cfg := testConfig()
+	cfg.CacheBlocks = capBlocks
+	lfs := newFS(t, backend.NewMemStore(), cfg)
+	data := make([]byte, blocks*4096)
+	rand.New(rand.NewSource(9)).Read(data)
+	if err := vfs.WriteAll(lfs, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	f, err := lfs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4096)
+	next := 0
+	read := func() {
+		off := int64(next%blocks) * 4096
+		next++
+		if _, err := f.ReadAt(buf, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, data[off:off+4096]) {
+			t.Fatalf("full-cache miss at %d returned the wrong bytes", off)
+		}
+	}
+	for i := 0; i < 2*blocks; i++ { // fill the cache and its spares
+		read()
+	}
+	before := lfs.CacheStats()
+	allocs := testing.AllocsPerRun(200, read)
+	if allocs != 0 {
+		t.Fatalf("full-cache miss ReadAt allocates %.1f times per op, want 0", allocs)
+	}
+	// Cycling 16 blocks through 4 entries, every read misses.
+	if st := lfs.CacheStats(); st.Entries != capBlocks || st.Hits != before.Hits {
+		t.Fatalf("cache stats %+v after %+v, want a full cache and no hits", st, before)
+	}
+}
+
 // A metadata write seals into its slab through the FS's one GCM, so
 // the two barriers of every commit allocate nothing.
 func TestWriteMetaNoAllocs(t *testing.T) {
@@ -690,6 +738,63 @@ func TestZeroAllocPendingRead(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pending-hit ReadAt allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// A segment joins the handle's dirty set with its first pending block,
+// and Sync and a shrink drain it, so neither walks every segment the
+// handle has touched.
+func TestDirtySegmentsDrain(t *testing.T) {
+	lfs := newFS(t, backend.NewMemStore(), testConfig())
+	vf, err := lfs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := vf.(*file)
+	defer f.Close()
+	seg := int64(lfs.geo.KeysPerSegment() * lfs.geo.BlockSize)
+	block := bytes.Repeat([]byte{7}, lfs.geo.BlockSize)
+	dirty := func() []int64 {
+		f.stateMu.Lock()
+		defer f.stateMu.Unlock()
+		return slices.Sorted(maps.Keys(f.dirty))
+	}
+	write := func(segs ...int64) {
+		t.Helper()
+		for _, si := range segs {
+			if _, err := f.WriteAt(block, si*seg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(4, 0, 2)
+	if got := dirty(); !slices.Equal(got, []int64{0, 2, 4}) {
+		t.Fatalf("dirty segments %v after writes to 4, 0, 2", got)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirty(); len(got) != 0 {
+		t.Fatalf("dirty segments %v after Sync", got)
+	}
+	write(1, 3)
+	if err := f.Truncate(2*seg + 1); err != nil { // drops segment 3's block
+		t.Fatal(err)
+	}
+	if got := dirty(); len(got) != 0 {
+		t.Fatalf("dirty segments %v after a shrink", got)
+	}
+	got, err := vfs.ReadAll(lfs, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 2*seg+1)
+	for _, si := range []int64{0, 1} {
+		copy(want[si*seg:], block)
+	}
+	want[2*seg] = 7
+	if !bytes.Equal(got, want) {
+		t.Fatal("content after the drained commits differs")
 	}
 }
 

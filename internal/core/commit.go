@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lamassu/internal/backend"
@@ -574,14 +575,16 @@ func (f *file) isFinalSegmentLocked(si int64) bool {
 // must hold opMu exclusively.
 func (f *file) commitAll(ctx context.Context) error {
 	f.stateMu.Lock()
-	segs := make([]int64, 0, len(f.segs))
-	for si, seg := range f.segs {
+	segs := make([]int64, 0, len(f.dirty))
+	for si, seg := range f.dirty {
 		if len(seg.pending) > 0 {
 			segs = append(segs, si)
+		} else {
+			delete(f.dirty, si)
 		}
 	}
 	f.stateMu.Unlock()
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
+	slices.Sort(segs)
 	for _, si := range segs {
 		if err := backend.CtxErr(ctx); err != nil {
 			return err
@@ -589,9 +592,15 @@ func (f *file) commitAll(ctx context.Context) error {
 		seg := f.segment(si)
 		seg.mu.Lock()
 		err := f.commitSegment(ctx, seg, si)
+		drained := len(seg.pending) == 0
 		seg.mu.Unlock()
 		if err != nil {
 			return err
+		}
+		if drained {
+			f.stateMu.Lock()
+			delete(f.dirty, si)
+			f.stateMu.Unlock()
 		}
 	}
 	return f.persistSize(ctx)
@@ -616,6 +625,7 @@ func (f *file) persistSize(ctx context.Context) error {
 			return err
 		}
 		f.segs = make(map[int64]*segment)
+		clear(f.dirty)
 		// Explicit nil guard, as in commitSegment's bracket.
 		if f.fs.cache != nil {
 			f.fs.cache.invalidateFile(f.name)

@@ -79,6 +79,10 @@ type file struct {
 	closed    bool
 	// segs holds the per-segment concurrency state, created lazily.
 	segs map[int64]*segment
+	// dirty holds the segments that gained a pending block since
+	// commitAll or shrink last drained them: every segment with pending
+	// blocks is in it, so neither walks all of segs.
+	dirty map[int64]*segment
 	// behind holds the handle's commit I/O halves in flight, by segment;
 	// behindErr is the first of them to fail since a whole-file
 	// operation last reported one (writebehind.go).
@@ -121,6 +125,7 @@ func (fs *FS) newFile(ctx context.Context, bf backend.File, name string, readOnl
 		readOnly: readOnly,
 		size:     size,
 		segs:     make(map[int64]*segment),
+		dirty:    make(map[int64]*segment),
 	}
 	f.BindCursor(f)
 	return f, nil
@@ -930,6 +935,11 @@ func (f *file) pendingBlock(ctx context.Context, seg *segment, si int64, slot in
 	if live {
 		seg.liveOverwrites++
 	}
+	if len(seg.pending) == 0 {
+		f.stateMu.Lock()
+		f.dirty[si] = seg
+		f.stateMu.Unlock()
+	}
 	seg.pending[slot] = buf
 	return buf, nil
 }
@@ -988,7 +998,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 	// pending block may be a live overwrite) — leaving the dropped
 	// blocks' contribution in place would trigger premature commits
 	// later.
-	for si, seg := range f.segs {
+	for si, seg := range f.dirty {
 		for slot, buf := range seg.pending {
 			dbi := si*int64(geo.KeysPerSegment()) + int64(slot)
 			if dbi >= newNDB {
@@ -998,6 +1008,9 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 		}
 		if seg.liveOverwrites > len(seg.pending) {
 			seg.liveOverwrites = len(seg.pending)
+		}
+		if len(seg.pending) == 0 {
+			delete(f.dirty, si)
 		}
 	}
 
@@ -1029,6 +1042,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 	}
 	if newSize == 0 {
 		f.segs = make(map[int64]*segment)
+		clear(f.dirty)
 		t := f.fs.cfg.Recorder.Start()
 		err := backend.TruncateCtx(ctx, f.bf, 0)
 		f.fs.cfg.Recorder.Stop(metrics.IO, t)
@@ -1063,6 +1077,7 @@ func (f *file) shrink(ctx context.Context, newSize int64) error {
 	for si := range f.segs {
 		if si > lastSeg {
 			delete(f.segs, si)
+			delete(f.dirty, si)
 		}
 	}
 	t := f.fs.cfg.Recorder.Start()

@@ -486,6 +486,18 @@ func (m *MetaBlock) Clone() *MetaBlock {
 	return &c
 }
 
+// CloneInto makes dst a deep copy of m, reusing dst's slot table when
+// it is large enough, and returns it; a nil dst gets a fresh Clone.
+func (m *MetaBlock) CloneInto(dst *MetaBlock) *MetaBlock {
+	if dst == nil {
+		return m.Clone()
+	}
+	slots := dst.Slots
+	*dst = *m
+	dst.Slots = append(slots[:0], m.Slots...)
+	return dst
+}
+
 // blockSizeLog2 returns log2(BlockSize) for the sealed header; block
 // sizes are required to be powers-of-two multiples of 64 in practice,
 // but we store the exact size instead when it is not a power of two.
@@ -518,7 +530,10 @@ func (m *MetaBlock) Encode(dst []byte, s *cryptoutil.MetaSealer) error {
 	}
 	const at = clearHeaderSize - cryptoutil.GCMTagSize
 	payload := dst[at : len(dst)-cryptoutil.GCMTagSize]
-	clear(payload)
+	// The slot table fills the payload after the header, so only the
+	// header needs clearing.
+	table := payload[sealedHeaderSize:]
+	clear(payload[:sealedHeaderSize])
 	binary.LittleEndian.PutUint32(payload[0:4], Magic)
 	binary.LittleEndian.PutUint16(payload[4:6], Version)
 	if l2, ok := blockSizeLog2(g.BlockSize); ok {
@@ -529,10 +544,8 @@ func (m *MetaBlock) Encode(dst []byte, s *cryptoutil.MetaSealer) error {
 	binary.LittleEndian.PutUint64(payload[16:24], m.LogicalSize)
 	binary.LittleEndian.PutUint32(payload[24:28], m.Flags)
 	binary.LittleEndian.PutUint32(payload[28:32], m.NTransient)
-	off := sealedHeaderSize
-	for i := range m.Slots {
-		copy(payload[off:off+SlotSize], m.Slots[i][:])
-		off += SlotSize
+	for i, k := range m.Slots {
+		*(*cryptoutil.Key)(table[i*SlotSize:]) = k
 	}
 
 	nonce, err := cryptoutil.NewNonce()
@@ -590,10 +603,9 @@ func DecodeMetaBlock(g Geometry, src []byte, s *cryptoutil.MetaSealer, wantSeg u
 	if m.NTransient > uint32(g.Reserved) {
 		return nil, fmt.Errorf("%w: nTransient %d exceeds R=%d", ErrBadBlock, m.NTransient, g.Reserved)
 	}
-	off := sealedHeaderSize
+	table := payload[sealedHeaderSize:]
 	for i := range m.Slots {
-		copy(m.Slots[i][:], payload[off:off+SlotSize])
-		off += SlotSize
+		m.Slots[i] = *(*cryptoutil.Key)(table[i*SlotSize:])
 	}
 	if m.Compressed() {
 		if err := g.CompressionGeometryOK(); err != nil {

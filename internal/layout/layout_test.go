@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -277,6 +278,49 @@ func TestMetaBlockRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetaBlockPayloadLayout pins the sealed payload byte for byte:
+// the header fields, then every slot in order, with no stale bytes of
+// dst surviving (the nonce makes the sealed block itself random, so
+// this is the format's plaintext golden).
+func TestMetaBlockPayloadLayout(t *testing.T) {
+	for _, bs := range []int{128, 4096, 4160, 8192} {
+		g, err := NewGeometry(bs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMetaBlock(g, 7)
+		m.LogicalSize, m.Flags, m.NTransient = 0x0102030405060708, FlagMidUpdate, 1
+		for i := range m.Slots {
+			m.Slots[i] = key(byte(3 * i))
+		}
+		want := make([]byte, 0, bs-32)
+		want = binary.LittleEndian.AppendUint32(want, Magic)
+		want = binary.LittleEndian.AppendUint16(want, Version)
+		l2, _ := blockSizeLog2(bs)
+		want = append(want, l2, 1)
+		want = binary.LittleEndian.AppendUint64(want, 7)
+		want = binary.LittleEndian.AppendUint64(want, m.LogicalSize)
+		want = binary.LittleEndian.AppendUint32(want, FlagMidUpdate)
+		want = binary.LittleEndian.AppendUint32(want, 1)
+		for _, k := range m.Slots {
+			want = append(want, k[:]...)
+		}
+		buf := bytes.Repeat([]byte{0xAA}, bs)
+		s := cryptoutil.NewMetaSealer(key(4))
+		if err := m.Encode(buf, s); err != nil {
+			t.Fatal(err)
+		}
+		// DecodeMetaBlock opens in place: the payload is left in the clear
+		// between the 16-byte nonce and the tag it moved to the end.
+		if _, err := DecodeMetaBlock(g, buf, s, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf[16 : bs-16]; !bytes.Equal(got, want) {
+			t.Fatalf("bs=%d: sealed payload differs from the format", bs)
+		}
+	}
+}
+
 func TestMetaBlockEncodeRandomizedNonce(t *testing.T) {
 	g := Default()
 	outer := key(3)
@@ -339,6 +383,28 @@ func TestMetaBlockClone(t *testing.T) {
 	c.SetStableKey(0, key(10))
 	if m.StableKey(0).Equal(key(10)) {
 		t.Fatalf("Clone shares slot storage with original")
+	}
+}
+
+func TestMetaBlockCloneInto(t *testing.T) {
+	g := Default()
+	m := NewMetaBlock(g, 1)
+	m.LogicalSize = 9
+	m.SetStableKey(0, key(9))
+	dst := NewMetaBlock(g, 5)
+	slots := &dst.Slots[0]
+	if got := m.CloneInto(dst); got != dst || &dst.Slots[0] != slots {
+		t.Fatal("CloneInto did not reuse dst and its slot table")
+	}
+	if dst.SegIndex != 1 || dst.LogicalSize != 9 || !dst.StableKey(0).Equal(key(9)) {
+		t.Fatalf("CloneInto copied %+v", dst)
+	}
+	dst.SetStableKey(0, key(10))
+	if m.StableKey(0).Equal(key(10)) {
+		t.Fatal("CloneInto shares slot storage with the original")
+	}
+	if c := m.CloneInto(nil); c == m || !c.StableKey(0).Equal(key(9)) {
+		t.Fatal("CloneInto(nil) is not a Clone")
 	}
 }
 
